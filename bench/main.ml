@@ -325,8 +325,7 @@ let measure_hierarchy () =
         let _, recording = Core.Runner.record ~scale:1 w in
         let events = Memsim.Recording.length recording in
         (* The hooked oracle consumes traces per event through its
-           sink, exactly like the two-level Hierarchy it generalizes;
-           the fused engine takes the same recording by chunk.  Each
+           sink, chaining levels with fill hooks; the fused engine takes the same recording by chunk.  Each
            engine is timed five times on fresh state — after settling
            the GC so no inherited collection debt lands inside the
            window — and the best run kept: the simulation is

@@ -282,7 +282,7 @@ let run_workload w hier cache_bytes block_bytes policy gc scale metrics
      Core.Telemetry.set_meta t "block_bytes" (Obs.Json.Int block_bytes));
   write_telemetry tel ~metrics ~trace_events
 
-let simulate name hier cache_bytes block_bytes policy gc scale metrics
+let simulate name hier (cache_bytes, block_bytes) policy gc scale metrics
     trace_events =
   match Workloads.Workload.find name with
   | None ->
@@ -294,7 +294,7 @@ let simulate name hier cache_bytes block_bytes policy gc scale metrics
 
 (* [repro run] targets are experiment ids or workload names; workloads
    go through the simulated cache with the telemetry flags. *)
-let run_targets targets hier cache_bytes block_bytes policy gc scale metrics
+let run_targets targets hier (cache_bytes, block_bytes) policy gc scale metrics
     trace_events jobs =
   Option.iter Core.Runner.set_jobs jobs;
   match targets with
@@ -438,7 +438,7 @@ let replay_hier recording cpu policy checkpoint checkpoint_every =
     hier_report h;
     0
 
-let replay path hier cache_bytes block_bytes policy checkpoint checkpoint_every
+let replay path hier (cache_bytes, block_bytes) policy checkpoint checkpoint_every
     =
   match Memsim.Recording.load path with
   | exception Sys_error msg | exception Failure msg ->
@@ -493,7 +493,7 @@ let replay path hier cache_bytes block_bytes policy checkpoint checkpoint_every
 (* Replay a saved trace and dump the telemetry document: per-phase
    cache counters as metrics, collector activity reconstructed from
    the trace's phase bits as gc.collection spans. *)
-let stats_of_trace path cache_bytes block_bytes policy metrics trace_events =
+let stats_of_trace path (cache_bytes, block_bytes) policy metrics trace_events =
   match Memsim.Recording.load path with
   | exception Sys_error msg | exception Failure msg ->
     Format.eprintf "stats: %s@." msg;
@@ -978,7 +978,7 @@ let render_profile ppf (p : Obs.Profile.t) ~heatmap =
       by_region
   end
 
-let profile_target name trace attr_path cache_bytes block_bytes policy gc
+let profile_target name trace attr_path (cache_bytes, block_bytes) policy gc
     heap_bytes scale sample_every heat_rows heat_cols json_out folded_out
     trace_events no_heatmap jobs =
   Option.iter Core.Runner.set_jobs jobs;
@@ -1090,15 +1090,38 @@ open Cmdliner
 
 let policy_conv =
   Arg.enum
-    [ ("write-validate", Memsim.Cache.Write_validate);
-      ("fetch-on-write", Memsim.Cache.Fetch_on_write)
-    ]
+    (List.map
+       (fun p -> (Memsim.Cache.write_miss_label p, p))
+       [ Memsim.Cache.Write_validate; Memsim.Cache.Fetch_on_write ])
 
 let cache_arg =
   Arg.(value & opt size_conv (64 * 1024) & info [ "cache" ] ~docv:"SIZE" ~doc:"Cache size")
 
 let block_arg =
   Arg.(value & opt int 64 & info [ "block" ] ~docv:"BYTES" ~doc:"Block size")
+
+(* --cache and --block, checked together while the command line is
+   parsed: a geometry the simulated cache cannot take is a usage error
+   naming the flag, not an exception out of Cache.create. *)
+let geometry_arg =
+  let check cache block =
+    let pow2 n = n > 0 && n land (n - 1) = 0 in
+    let bad flag fmt =
+      Printf.ksprintf
+        (fun msg -> `Error (true, Printf.sprintf "option '%s': %s" flag msg))
+        fmt
+    in
+    if not (pow2 cache) then
+      bad "--cache" "%d bytes is not a power of two" cache
+    else if not (pow2 block && block >= Memsim.Trace.word_bytes && block <= 256)
+    then
+      bad "--block" "%d bytes is not a power of two from %d to 256" block
+        Memsim.Trace.word_bytes
+    else if block > cache then
+      bad "--block" "%d-byte blocks do not fit a %d-byte cache" block cache
+    else `Ok (cache, block)
+  in
+  Term.(ret (const check $ cache_arg $ block_arg))
 
 let policy_arg =
   Arg.(value & opt policy_conv Memsim.Cache.Write_validate
@@ -1153,7 +1176,7 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:"Run experiments (print their tables/figures) or workloads \
              through the simulated cache; REPRO_SCALE lengthens the runs")
-    Term.(const run_targets $ ids $ hier_arg $ cache_arg $ block_arg
+    Term.(const run_targets $ ids $ hier_arg $ geometry_arg
           $ policy_arg $ gc_arg $ scale_arg $ metrics_arg $ trace_events_arg
           $ jobs_arg)
 
@@ -1189,7 +1212,7 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run one workload through one cache configuration")
-    Term.(const simulate $ workload_arg $ hier_arg $ cache_arg $ block_arg
+    Term.(const simulate $ workload_arg $ hier_arg $ geometry_arg
           $ policy_arg $ gc_arg $ scale_arg $ metrics_arg $ trace_events_arg)
 
 let record_cmd =
@@ -1263,7 +1286,7 @@ let replay_cmd =
     (Cmd.info "replay"
        ~doc:"Replay a recorded trace through a cache configuration, \
              optionally checkpoint/resumable")
-    Term.(const replay $ path $ hier_arg $ cache_arg $ block_arg $ policy_arg
+    Term.(const replay $ path $ hier_arg $ geometry_arg $ policy_arg
           $ checkpoint $ checkpoint_every)
 
 let stats_cmd =
@@ -1275,7 +1298,7 @@ let stats_cmd =
        ~doc:"Replay a recorded trace and dump a telemetry document: \
              per-phase cache counters plus GC spans reconstructed from the \
              trace's phase bits (stdout, or --metrics FILE)")
-    Term.(const stats_of_trace $ path $ cache_arg $ block_arg $ policy_arg
+    Term.(const stats_of_trace $ path $ geometry_arg $ policy_arg
           $ metrics_arg $ trace_events_arg)
 
 let check_cmd =
@@ -1393,8 +1416,8 @@ let profile_cmd =
              site, on the chunked sweep fast path.  Prints region x phase \
              and top-site tables plus an ASCII miss map; exports JSON, \
              flamegraph folds and Chrome-trace miss overlays")
-    Term.(const profile_target $ workload $ trace $ attr $ cache_arg
-          $ block_arg $ policy_arg $ gc_arg $ heap $ scale_arg $ sample
+    Term.(const profile_target $ workload $ trace $ attr $ geometry_arg
+          $ policy_arg $ gc_arg $ heap $ scale_arg $ sample
           $ heat_rows $ heat_cols $ json $ folded $ trace_events_arg
           $ no_heatmap $ jobs_arg)
 

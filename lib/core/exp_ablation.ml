@@ -143,14 +143,14 @@ let table_associativity ppf =
               List.map
                 (fun ways ->
                   ( size,
-                    Memsim.Assoc.create
-                      (Memsim.Assoc.config ~size_bytes:size ~block_bytes:block
-                         ~ways ()) ))
+                    Memsim.Level.create
+                      (Memsim.Level.config ~policy:Memsim.Level.Lru
+                         ~size_bytes:size ~block_bytes:block ~ways ()) ))
                 ways_list)
             sizes
         in
         let r =
-          Runner.run ~sinks:(List.map (fun (_, c) -> Memsim.Assoc.sink c) caches) w
+          Runner.run ~sinks:(List.map (fun (_, c) -> Memsim.Level.sink c) caches) w
         in
         let insns = r.Runner.stats.Vscheme.Machine.mutator_insns in
         List.map
@@ -161,7 +161,7 @@ let table_associativity ppf =
                  (fun (csize, cache) ->
                    if csize <> size then []
                    else begin
-                     let s = Memsim.Assoc.stats cache in
+                     let s = Memsim.Level.stats cache in
                      [ Format.sprintf "%.4f"
                          (float_of_int s.Memsim.Cache.misses
                           /. float_of_int (max 1 s.Memsim.Cache.refs));
@@ -208,24 +208,27 @@ let table_two_level ppf =
             (Memsim.Cache.config ~size_bytes:(Memsim.Sweep.mb 1)
                ~block_bytes:block ())
         in
+        (* Two direct-mapped levels: L1 fetches that hit the 60ns L2
+           pay its access time, the rest the memory penalty. *)
+        let direct size =
+          Memsim.Level.config ~size_bytes:size ~block_bytes:block ~ways:1 ()
+        in
         let hierarchy =
-          Memsim.Hierarchy.create
-            (Memsim.Hierarchy.config
-               ~l1:
-                 (Memsim.Cache.config ~size_bytes:(Memsim.Sweep.kb 32)
-                    ~block_bytes:block ())
-               ~l2:
-                 (Memsim.Cache.config ~size_bytes:(Memsim.Sweep.mb 1)
-                    ~block_bytes:block ())
+          Memsim.Hier.create
+            (Memsim.Hier.config ~hit_ns:[ 60.0 ]
+               ~levels:
+                 [ direct (Memsim.Sweep.kb 32); direct (Memsim.Sweep.mb 1) ]
                ())
         in
+        let hier_sink, flush = Memsim.Hier.chunked_sink hierarchy in
         let r =
           Runner.run
             ~sinks:
               [ Memsim.Cache.sink l1_only; Memsim.Cache.sink l2_only;
-                Memsim.Hierarchy.sink hierarchy ]
+                hier_sink ]
             w
         in
+        flush ();
         let insns = r.Runner.stats.Vscheme.Machine.mutator_insns in
         let flat (c : Memsim.Cache.t) =
           Memsim.Timing.cache_overhead Memsim.Timing.Fast ~block_bytes:block
@@ -235,7 +238,7 @@ let table_two_level ppf =
         [ w.Workloads.Workload.name;
           Report.pct (flat l1_only);
           Report.pct
-            (Memsim.Hierarchy.overhead hierarchy Memsim.Timing.Fast
+            (Memsim.Hier.overhead hierarchy Memsim.Timing.Fast
                ~instructions:insns);
           Report.pct (flat l2_only)
         ])

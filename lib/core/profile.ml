@@ -1,11 +1,7 @@
 let cache_label (cfg : Memsim.Cache.config) =
-  let policy =
-    match cfg.Memsim.Cache.write_miss_policy with
-    | Memsim.Cache.Write_validate -> "write-validate"
-    | Memsim.Cache.Fetch_on_write -> "fetch-on-write"
-  in
   Format.asprintf "%a/%a %s" Memsim.Sweep.pp_size cfg.Memsim.Cache.size_bytes
-    Memsim.Sweep.pp_size cfg.Memsim.Cache.block_bytes policy
+    Memsim.Sweep.pp_size cfg.Memsim.Cache.block_bytes
+    (Memsim.Cache.write_miss_label cfg.Memsim.Cache.write_miss_policy)
 
 let capture ?gc ?heap_bytes ?scale w =
   let table = Memsim.Attr.create () in

@@ -185,30 +185,18 @@ let record_grid ?jobs:requested cell_list =
     let j = match requested with Some j -> max 1 j | None -> jobs () in
     min j (max 1 n)
   in
-  (* Claimed by atomic cursor; each slot is written by exactly the one
-     domain that claimed its index. *)
+  (* Claimed off the sweep engine's pool; each slot is written by
+     exactly the one domain that claimed its index. *)
   let slots = Array.make n None in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec claim () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        let c = cells.(i) in
-        let t0 = Unix.gettimeofday () in
-        let r, recording =
-          record ?gc:c.cell_gc ?heap_bytes:c.cell_heap_bytes
-            ?pathological_layout:c.cell_pathological_layout ?scale:c.cell_scale
-            c.cell_workload
-        in
-        slots.(i) <- Some (r, recording, Unix.gettimeofday () -. t0);
-        claim ()
-      end
-    in
-    claim ()
-  in
-  let workers = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join workers;
+  Memsim.Sweep.parallel_for ~jobs n (fun i ->
+      let c = cells.(i) in
+      let t0 = Unix.gettimeofday () in
+      let r, recording =
+        record ?gc:c.cell_gc ?heap_bytes:c.cell_heap_bytes
+          ?pathological_layout:c.cell_pathological_layout ?scale:c.cell_scale
+          c.cell_workload
+      in
+      slots.(i) <- Some (r, recording, Unix.gettimeofday () -. t0));
   (* Gauges are published from this domain only, after the joins: the
      metrics registry is not synchronized. *)
   let reg = Obs.Metrics.default in

@@ -67,14 +67,11 @@ let find t name = List.find_opt (fun r -> r.name = name) t.runs
 
 (* --- Serialization ------------------------------------------------------ *)
 
-let policy_string = function
-  | Memsim.Cache.Write_validate -> "write-validate"
-  | Memsim.Cache.Fetch_on_write -> "fetch-on-write"
-
-let policy_of_string ~file = function
-  | "write-validate" -> Memsim.Cache.Write_validate
-  | "fetch-on-write" -> Memsim.Cache.Fetch_on_write
-  | s -> raise (Sx.Parse_error (Printf.sprintf "%s: unknown policy %S" file s))
+let policy_of_string ~file s =
+  match Memsim.Cache.write_miss_of_label s with
+  | Some p -> p
+  | None ->
+    raise (Sx.Parse_error (Printf.sprintf "%s: unknown policy %S" file s))
 
 let format_string = function
   | Memsim.Recording.V1 -> "v1"
@@ -100,7 +97,7 @@ let run_to_datum r =
         | Some b -> [ Sx.str "heap" (Core.Units.format_size b) ])
      @ [ Sx.int_list "cache-sizes" r.cache_sizes;
          Sx.int_list "block-sizes" r.block_sizes;
-         Sx.str "policy" (policy_string r.write_miss_policy);
+         Sx.str "policy" (Memsim.Cache.write_miss_label r.write_miss_policy);
          Sx.int "jobs" r.jobs;
          Sx.str "format" (format_string r.trace_format)
        ]

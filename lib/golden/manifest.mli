@@ -65,7 +65,6 @@ val content_hash : run -> string
     measurement; renaming a run or changing its worker count does not
     change its hash. *)
 
-val policy_string : Memsim.Cache.write_miss_policy -> string
 val format_string : Memsim.Recording.format -> string
 
 val save : t -> string -> unit

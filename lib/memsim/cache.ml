@@ -2,6 +2,17 @@ type write_miss_policy =
   | Write_validate
   | Fetch_on_write
 
+(* The one label table: manifests hash these strings, so they must
+   never change. *)
+let write_miss_label = function
+  | Write_validate -> "write-validate"
+  | Fetch_on_write -> "fetch-on-write"
+
+let write_miss_of_label = function
+  | "write-validate" -> Some Write_validate
+  | "fetch-on-write" -> Some Fetch_on_write
+  | _ -> None
+
 type config = {
   size_bytes : int;
   block_bytes : int;
@@ -46,8 +57,6 @@ type t = {
   mutable writes : int;
   mutable collector_writes : int;
   mutable miss_hook : (cache_block:int -> alloc:bool -> unit) option;
-  mutable fetch_hook : (int -> Trace.phase -> unit) option;
-  mutable writeback_hook : (int -> Trace.phase -> unit) option;
   blk_refs : int array;          (* per cache block, mutator only *)
   blk_misses : int array;        (* excludes allocation misses *)
   blk_alloc_misses : int array;
@@ -96,8 +105,6 @@ let create cfg =
     writes = 0;
     collector_writes = 0;
     miss_hook = None;
-    fetch_hook = None;
-    writeback_hook = None;
     blk_refs = Array.make stats_len 0;
     blk_misses = Array.make stats_len 0;
     blk_alloc_misses = Array.make stats_len 0
@@ -107,10 +114,6 @@ let geometry t = t.cfg
 let num_blocks t = t.nblocks
 
 let set_miss_hook t hook = t.miss_hook <- Some hook
-
-let set_fill_hook t ~on_fetch ~on_writeback =
-  t.fetch_hook <- Some on_fetch;
-  t.writeback_hook <- Some on_writeback
 
 (* One access.  The hot path is written without allocation; per-block
    statistics updates are guarded by [record_block_stats]. *)
@@ -169,9 +172,6 @@ let[@hot] access t addr kind phase =
       end;
       t.valid_lo.(idx) <- t.full_lo;
       t.valid_hi.(idx) <- t.full_hi;
-      (match t.fetch_hook with
-       | None -> ()
-       | Some hook -> hook (mem_block lsl t.block_shift) phase);
       (match t.miss_hook with
        | None -> ()
        | Some hook -> hook ~cache_block:idx ~alloc:false)
@@ -200,10 +200,7 @@ let[@hot] access t addr kind phase =
       t.writebacks <- t.writebacks + 1;
       if not mutator then
         t.collector_writebacks <- t.collector_writebacks + 1;
-      Bytes.unsafe_set t.dirty idx '\000';
-      match t.writeback_hook with
-      | None -> ()
-      | Some hook -> hook (t.tags.(idx) lsl t.block_shift) phase
+      Bytes.unsafe_set t.dirty idx '\000'
     end;
     let policy =
       if (not mutator) && t.cfg.collector_fetch_on_write then Fetch_on_write
@@ -225,9 +222,6 @@ let[@hot] access t addr kind phase =
      | (Write_validate | Fetch_on_write), false | Fetch_on_write, true ->
        if mutator then t.fetches <- t.fetches + 1
        else t.collector_fetches <- t.collector_fetches + 1;
-       (match t.fetch_hook with
-        | None -> ()
-        | Some hook -> hook (mem_block lsl t.block_shift) phase);
        t.valid_lo.(idx) <- t.full_lo;
        t.valid_hi.(idx) <- t.full_hi;
        if is_store then Bytes.unsafe_set t.dirty idx '\001');
@@ -237,11 +231,11 @@ let[@hot] access t addr kind phase =
   end
 
 (* Batched access: decode packed events (Chunk codec) in a tight loop.
-   When no hooks and no per-block stats are installed — every cache in
+   When no miss hook and no per-block stats are installed — every cache in
    a sweep grid — a specialized loop keeps the geometry in locals,
    accumulates counters in registers and commits them once, with no
    per-event closure or hook checks.  Otherwise fall back to [access]
-   per event, which preserves hook ordering exactly. *)
+   per event, which preserves miss-hook ordering exactly. *)
 (* [buf]'s concrete Bigarray type must be visible here: an unannotated
    parameter stays polymorphic during inference, and the compiler then
    emits a generic caml_ba_get_1 C call per event instead of a direct
@@ -250,10 +244,7 @@ let[@hot] access_chunk t (buf : Chunk.buf) off len =
   if off < 0 || len < 0 || off + len > Bigarray.Array1.dim buf then
     invalid_arg "Cache.access_chunk";
   let needs_slow_path =
-    t.cfg.record_block_stats
-    || Option.is_some t.miss_hook
-    || Option.is_some t.fetch_hook
-    || Option.is_some t.writeback_hook
+    t.cfg.record_block_stats || Option.is_some t.miss_hook
   in
   if needs_slow_path then
     for i = off to off + len - 1 do
@@ -387,14 +378,10 @@ let[@hot] access_chunk_attr t (cur : Attr.cursor) (prof : Attr.profile)
   if off < 0 || len < 0 || off + len > Bigarray.Array1.dim buf then
     invalid_arg "Cache.access_chunk_attr";
   if base < 0 then invalid_arg "Cache.access_chunk_attr: negative base";
-  if
-    t.cfg.record_block_stats
-    || Option.is_some t.miss_hook
-    || Option.is_some t.fetch_hook
-    || Option.is_some t.writeback_hook
-  then
+  if t.cfg.record_block_stats || Option.is_some t.miss_hook then
     invalid_arg
-      "Cache.access_chunk_attr: hooks or per-block stats are installed";
+      "Cache.access_chunk_attr: a miss hook or per-block stats are \
+       installed";
   let tags = t.tags
   and valid_lo = t.valid_lo
   and valid_hi = t.valid_hi
@@ -623,34 +610,6 @@ let[@hot] access_chunk_attr t (cur : Attr.cursor) (prof : Attr.profile)
   cur.Attr.from_hi <- !from_hi;
   prof.Attr.events_attributed <- prof.Attr.events_attributed + len
 
-let write_block_back t addr phase =
-  let mem_block = addr lsr t.block_shift in
-  let idx = mem_block land t.index_mask in
-  let mutator =
-    match (phase : Trace.phase) with
-    | Trace.Mutator -> true
-    | Trace.Collector -> false
-  in
-  if mutator then t.refs <- t.refs + 1 else t.collector_refs <- t.collector_refs + 1;
-  t.writes <- t.writes + 1;
-  if not mutator then t.collector_writes <- t.collector_writes + 1;
-  if t.tags.(idx) <> mem_block then begin
-    if mutator then t.misses <- t.misses + 1
-    else t.collector_misses <- t.collector_misses + 1;
-    if Bytes.unsafe_get t.dirty idx = '\001' then begin
-      t.writebacks <- t.writebacks + 1;
-      if not mutator then
-        t.collector_writebacks <- t.collector_writebacks + 1;
-      (match t.writeback_hook with
-       | None -> ()
-       | Some hook -> hook (t.tags.(idx) lsl t.block_shift) phase)
-    end;
-    t.tags.(idx) <- mem_block
-  end;
-  t.valid_lo.(idx) <- t.full_lo;
-  t.valid_hi.(idx) <- t.full_hi;
-  Bytes.unsafe_set t.dirty idx '\001'
-
 let sink t = { Trace.access = (fun addr kind phase -> access t addr kind phase) }
 
 type stats = {
@@ -704,8 +663,8 @@ let block_alloc_misses t =
 
 (* The snapshot captures everything [access] reads or writes — tags,
    valid masks, dirty bits, counters, per-block statistics — so a
-   restored cache continues a replay bit-identically.  Hooks are
-   runtime wiring, not state, and are not captured.  Layout: a
+   restored cache continues a replay bit-identically.  The miss hook
+   is runtime wiring, not state, and is not captured.  Layout: a
    geometry header (validated on restore), 11 counters, then the
    arrays, all as little-endian 64-bit words (dirty bits one byte
    each). *)

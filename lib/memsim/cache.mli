@@ -27,6 +27,14 @@ type write_miss_policy =
   | Write_validate
   | Fetch_on_write
 
+val write_miss_label : write_miss_policy -> string
+(** ["write-validate"] or ["fetch-on-write"]: the one spelling used by
+    the CLI, manifests (whose content hashes cover it), profiles and
+    error messages. *)
+
+val write_miss_of_label : string -> write_miss_policy option
+(** Inverse of {!write_miss_label}. *)
+
 type config = {
   size_bytes : int;       (** total capacity; power of two *)
   block_bytes : int;      (** block/fetch size; power of two, 4–256 *)
@@ -70,7 +78,7 @@ val access_chunk : t -> Chunk.buf -> int -> int -> unit
 (** [access_chunk t buf off len] simulates the [len] packed events
     at [buf.(off..off+len-1)] (the {!Chunk} codec), equivalent to
     decoding each and calling {!access} in order.  When the cache has
-    no hooks and no per-block statistics the inner loop skips hook
+    no miss hook and no per-block statistics the inner loop skips hook
     checks and per-event closure dispatch entirely — the fast path of
     the sweep engine.
     @raise Invalid_argument when the range is out of bounds. *)
@@ -90,14 +98,8 @@ val access_chunk_attr :
     the cursor catches up forward.  One cursor and profile serve one
     cache; do not share them across domains.
     @raise Invalid_argument when the range is out of bounds, [base] is
-    negative, or the cache has hooks or per-block stats installed (the
+    negative, or the cache has a miss hook or per-block stats (the
     attributed loop supports neither). *)
-
-val write_block_back : t -> int -> Trace.phase -> unit
-(** Receive a whole dirty block written back from the level above:
-    installs the block's tag if needed (a write miss that fetches
-    nothing) and validates {e every} word, since the entire block
-    arrives on the bus.  Counts as one reference and one write. *)
 
 val sink : t -> Trace.sink
 (** The cache as a trace consumer. *)
@@ -130,16 +132,6 @@ val set_miss_hook : t -> (cache_block:int -> alloc:bool -> unit) -> unit
     miss has been counted.  [alloc] is true for mutator allocation
     misses.  Used by the miss-plot analyzer. *)
 
-val set_fill_hook :
-  t ->
-  on_fetch:(int -> Trace.phase -> unit) ->
-  on_writeback:(int -> Trace.phase -> unit) ->
-  unit
-(** Callbacks for the next cache level: [on_fetch addr phase] fires
-    with the byte address of every block fetched from below, and
-    [on_writeback addr phase] with the byte address of every dirty
-    block evicted.  Used by {!Hierarchy}. *)
-
 val block_refs : t -> int array
 (** Per-cache-block mutator reference counts; requires
     [record_block_stats].  The returned array is a copy. *)
@@ -161,7 +153,7 @@ val reset_stats : t -> unit
     A snapshot captures the complete simulation state — tags, per-word
     valid masks, dirty bits, all counters, and per-block statistics
     when enabled — so that a restored cache continues a replay
-    bit-identically.  Hooks are wiring, not state, and are not
+    bit-identically.  The miss hook is wiring, not state, and is not
     captured.  The encoding is fixed-width little-endian, stable
     across runs and platforms with 63-bit ints. *)
 

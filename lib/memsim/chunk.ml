@@ -41,11 +41,6 @@ let of_array a =
 let to_array (b : buf) =
   Array.init (Bigarray.Array1.dim b) (fun i -> Bigarray.Array1.get b i)
 
-let copy_prefix b len =
-  let c = create_buf len in
-  if len > 0 then Bigarray.Array1.blit (Bigarray.Array1.sub b 0 len) c;
-  c
-
 (* --- Codec ------------------------------------------------------------ *)
 
 let kind_code = function
@@ -121,12 +116,14 @@ module Fanout = struct
 
   let consumers t = Array.length t.queues
 
-  let push_item t buf len =
+  (* No copy: only sound when the producer never writes [buf] again,
+     e.g. a sealed Recording slab. *)
+  let push_shared t buf len =
     Mutex.lock t.mutex;
     let rec wait_for_room () =
       if t.closed then begin
         Mutex.unlock t.mutex;
-        invalid_arg "Chunk.Fanout.push: closed"
+        invalid_arg "Chunk.Fanout.push_shared: closed"
       end
       else if Array.exists (fun q -> Queue.length q >= t.capacity) t.queues
       then begin
@@ -138,14 +135,6 @@ module Fanout = struct
     Array.iter (fun q -> Queue.add (buf, len) q) t.queues;
     Condition.broadcast t.not_empty;
     Mutex.unlock t.mutex
-
-  let push t buf len =
-    (* One shared copy per broadcast: consumers only read it. *)
-    push_item t (copy_prefix buf len) len
-
-  (* No copy: only sound when the producer never writes [buf] again,
-     e.g. a sealed Recording slab. *)
-  let push_shared t buf len = push_item t buf len
 
   let pop t i =
     Mutex.lock t.mutex;

@@ -42,10 +42,6 @@ val of_array : int array -> buf
 val to_array : buf -> int array
 (** On-heap copy of a whole buffer (test convenience). *)
 
-val copy_prefix : buf -> int -> buf
-(** [copy_prefix b len] is a fresh buffer holding [b]'s first [len]
-    words. *)
-
 (** {1 Codec} *)
 
 val pack : int -> Trace.kind -> Trace.phase -> int
@@ -80,8 +76,8 @@ val producer :
 (** {1 Bounded broadcast queue}
 
     One producer, N consumers; every consumer sees every chunk, in
-    order.  Used by {!Sweep.live_parallel} to feed worker domains while
-    the trace is still being produced.  [push] blocks while any
+    order.  Used by {!Sweep.pipelined} to feed worker domains while
+    the trace is still being produced.  [push_shared] blocks while any
     consumer's queue holds [capacity] chunks, bounding memory. *)
 
 module Fanout : sig
@@ -92,15 +88,12 @@ module Fanout : sig
 
   val consumers : t -> int
 
-  val push : t -> buf -> int -> unit
-  (** [push t buf len] copies the chunk prefix once and enqueues the
-      copy for every consumer; blocks while any queue is full.
-      @raise Invalid_argument after {!close}. *)
-
   val push_shared : t -> buf -> int -> unit
-  (** Like {!push} but enqueues [buf] itself, with no copy.  Only
-      sound when the producer will never write [buf] again — e.g. a
-      sealed {!Recording} slab, which is immutable once full.
+  (** [push_shared t buf len] enqueues the chunk prefix for every
+      consumer {e by reference}, with no copy; blocks while any queue
+      is full.  Only sound when the producer will never write [buf]
+      again — e.g. a sealed {!Recording} slab, which is immutable once
+      full.
       @raise Invalid_argument after {!close}. *)
 
   val pop : t -> int -> (buf * int) option

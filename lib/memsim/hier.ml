@@ -4,9 +4,8 @@
 
    - The *hooked* oracle chains levels with per-event fill hooks — L1
      fetches become L2 reads, dirty L1 evictions become L2 block
-     write-backs, and so on down — exactly like the two-level
-     {!Hierarchy}.  Hooks force every level onto the per-event path,
-     so the whole stack runs at hook-dispatch speed.
+     write-backs, and so on down.  Hooks force every level onto the
+     per-event path, so the whole stack runs at hook-dispatch speed.
 
    - The *fused* engine simulates L1 over a packed chunk with the
      hoisted fast loop while appending L1's misses and write-backs

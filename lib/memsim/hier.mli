@@ -10,8 +10,7 @@
     L2's stream through L3 — lower levels do O(misses) work instead
     of O(events) hook dispatch, with per-level statistics
     bit-identical to the *hooked* per-event oracle ([create
-    ~fused:false]), which chains levels with fill hooks exactly like
-    the two-level {!Hierarchy}. *)
+    ~fused:false]), which chains levels with per-event fill hooks. *)
 
 type config = {
   levels : Level.config array;  (** L1 first; blocks must not shrink

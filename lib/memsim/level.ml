@@ -35,8 +35,8 @@
    policy.
 
    All updates are word ops on [pol] — no per-line timestamp arrays
-   and no monotonically growing tick (the defect that capped the old
-   [Assoc] at 16 ways). *)
+   and no monotonically growing tick (the defect that capped an
+   earlier timestamp-based LRU cache at 16 ways). *)
 
 type policy =
   | Lru
@@ -476,8 +476,9 @@ let[@hot] access t addr kind phase =
 
 (* Install a whole block written back from the level above: counts a
    reference and a write, never fetches, leaves the block valid and
-   dirty.  The set-associative analog of [Cache.write_block_back],
-   plus the policy update a real level would make. *)
+   dirty, plus the policy update a real level would make.  This is
+   how write-backs from the level above arrive, in the hooked oracle
+   and in the fused miss-stream drain alike. *)
 let[@hot] write_back t addr phase =
   let mem_block = addr lsr t.block_shift in
   let set = mem_block land t.set_mask in

@@ -82,7 +82,7 @@ val access : t -> int -> Trace.kind -> Trace.phase -> unit
 val write_back : t -> int -> Trace.phase -> unit
 (** Install a whole block written back from the level above: counts a
     reference and a write, never fetches, leaves the block valid and
-    dirty.  The set-associative analog of {!Cache.write_block_back}. *)
+    dirty.  How a level receives write-backs from the level above. *)
 
 val sink : t -> Trace.sink
 

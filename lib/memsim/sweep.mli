@@ -2,17 +2,18 @@
 
     Trace-driven simulation is dominated by producing the trace, so a
     single program run is shared by every cache configuration under
-    study.  Three delivery mechanisms, fastest last:
+    study.  One replay driver serves two engines — direct-mapped
+    {!Cache} grids and fused {!Hier} fleets — through a chunk step, a
+    snapshot/restore pair and a checkpoint magic.  Every simulator is
+    independent and a sealed recording is read-only, so serial,
+    parallel, resumed and pipelined runs are bit-identical.
 
     - {!sink}: per-event fan-out (one closure call per cache per
       event).  The oracle the others are tested against.
-    - {!chunked_sink}: events are batched into {!Chunk} buffers and
-      each full chunk is delivered cache-major through
-      {!Cache.access_chunk}'s tight decode loop.
-    - {!run_parallel}: replay a completed {!Recording} with the cache
-      grid partitioned across [jobs] domains.  Caches are independent
-      and the recording is read-only, so the per-cache statistics are
-      bit-identical to {!run_serial}. *)
+    - {!run_serial} / {!run_parallel}: replay a completed {!Recording},
+      whole simulators claimed across [jobs] domains by {!parallel_for}.
+    - {!pipelined}: consume recording slabs as they seal, while the
+      mutator still runs. *)
 
 val paper_cache_sizes : int list
 (** The §4 cache sizes: 32 KB to 4 MB in powers of two. *)
@@ -62,19 +63,16 @@ val find : ?ctx:string -> t -> size_bytes:int -> block_bytes:int -> Cache.t
 
 val results : t -> (Cache.config * Cache.stats) list
 
-(** {1 Chunk-batched delivery} *)
-
-val access_chunk : t -> Chunk.buf -> int -> int -> unit
-(** Deliver a chunk of packed events to every cache, cache-major:
-    each cache consumes the whole chunk before the next cache starts.
-    Equivalent to per-event delivery for every cache. *)
-
-val chunked_sink : ?chunk_events:int -> t -> Trace.sink * (unit -> unit)
-(** A sink that batches live events into chunks and delivers each full
-    chunk via {!access_chunk}, plus a [flush] that must be called after
-    the last event to deliver the final partial chunk. *)
-
 (** {1 Replaying a recording} *)
+
+val parallel_for : jobs:int -> int -> (int -> unit) -> unit
+(** [parallel_for ~jobs n f] runs [f 0], ..., [f (n - 1)], each exactly
+    once, on up to [jobs] domains (the caller's included; clamped to
+    [1 .. n]) that claim indices off one atomic cursor.  [f i] must
+    touch only state that belongs to index [i]; results then do not
+    depend on [jobs].  An exception from [f] reaches the caller: at
+    once when raised on the caller's domain, at the join when raised
+    on a worker. *)
 
 val run_serial : t -> Recording.t -> unit
 (** Replay every recorded event into every cache (chunk-batched, one
@@ -202,30 +200,16 @@ val hier_run_resumable :
     bit-identical to an uninterrupted serial run no matter how many
     times the process died, and regardless of [jobs]. *)
 
-val live_parallel :
-  jobs:int ->
-  ?chunk_events:int ->
-  ?capacity:int ->
-  t ->
-  Trace.sink * (unit -> unit)
-(** Consume a {e live} trace on [jobs] worker domains: the returned
-    sink chunks events and broadcasts each chunk through a bounded
-    queue ({!Chunk.Fanout}, [capacity] chunks per worker) to workers
-    that own a static partition of the caches.  Call the returned
-    [finish] after the last event: it flushes the partial chunk, closes
-    the queue and joins the workers.  Statistics are bit-identical to
-    serial delivery.  With [jobs = 1] this is {!chunked_sink}. *)
-
 val pipelined :
   jobs:int -> ?capacity:int -> t -> (Chunk.buf -> int -> unit) * (unit -> unit)
-(** [pipelined ~jobs t] is [(deliver, finish)]: the chunk-level
-    counterpart of {!live_parallel} for producers that already hold
+(** [pipelined ~jobs t] is [(deliver, finish)] for producers that hold
     immutable chunks — {!Recording} slabs sealing while the mutator
     still runs (record-while-sweep).  [deliver buf len] broadcasts the
     chunk {e by reference} (no copy; the buffer must never be written
     again) to [jobs] worker domains owning a static partition of the
     caches, blocking when [capacity] chunks are queued per worker; with
-    [jobs = 1] it is a plain {!access_chunk} on the calling domain.
+    [jobs = 1] it is {!Cache.access_chunk} on every cache, on the
+    calling domain.
     Call [finish] after the last chunk to close the queue and join the
     workers.  Statistics are bit-identical to a trace-then-sweep
     replay. *)

@@ -105,29 +105,57 @@ let test_workload w () =
 
 (* --- a 1-way Level is the direct-mapped reference engine ------------- *)
 
+(* The oracle that retiring [Cache] needs: on every workload, over the
+   golden grid (64k/512k x 32/128 bytes) under both write-miss
+   policies, a 1-way level under each replacement policy makes exactly
+   the direct-mapped cache's decisions.  At one way every policy must
+   pick the only way, so all three agree too. *)
 let test_level_matches_cache () =
-  let _, recording =
-    Core.Runner.record ~scale:1 Workloads.Workload.nbody
+  let geometries =
+    [ (Memsim.Sweep.kb 64, 32); (Memsim.Sweep.kb 64, 128);
+      (Memsim.Sweep.kb 512, 32); (Memsim.Sweep.kb 512, 128) ]
   in
+  let policies = [ Level.Lru; Level.Mru; Level.Qlru_h11_m1_r1_u2 ] in
   List.iter
-    (fun policy ->
-      let cache =
-        Memsim.Cache.create
-          (Memsim.Cache.config ~size_bytes:4096 ~block_bytes:32 ())
-      in
-      let level =
-        Level.create
-          (Level.config ~policy ~size_bytes:4096 ~block_bytes:32 ~ways:1 ())
-      in
-      Memsim.Recording.iter_chunks recording (fun buf len ->
-          Memsim.Cache.access_chunk cache buf 0 len;
-          Level.access_chunk level buf 0 len);
-      Alcotest.(check bool)
-        (Level.policy_label policy
-        ^ ": 1-way level = direct-mapped cache")
-        true
-        (Level.stats level = Memsim.Cache.stats cache))
-    [ Level.Lru; Level.Mru; Level.Qlru_h11_m1_r1_u2 ]
+    (fun (w : Workloads.Workload.t) ->
+      let _, recording = Core.Runner.record ~scale:1 w in
+      List.iter
+        (fun write_miss_policy ->
+          List.iter
+            (fun (size_bytes, block_bytes) ->
+              let cache =
+                Memsim.Cache.create
+                  (Memsim.Cache.config ~write_miss_policy ~size_bytes
+                     ~block_bytes ())
+              in
+              let levels =
+                List.map
+                  (fun policy ->
+                    ( policy,
+                      Level.create
+                        (Level.config ~policy ~write_miss_policy ~size_bytes
+                           ~block_bytes ~ways:1 ()) ))
+                  policies
+              in
+              Memsim.Recording.iter_chunks recording (fun buf len ->
+                  Memsim.Cache.access_chunk cache buf 0 len;
+                  List.iter
+                    (fun (_, l) -> Level.access_chunk l buf 0 len)
+                    levels);
+              List.iter
+                (fun (policy, level) ->
+                  Alcotest.(check bool)
+                    (Format.asprintf "%s %a/%d %s %s: 1-way level = \
+                                      direct-mapped cache"
+                       w.name Memsim.Sweep.pp_size size_bytes block_bytes
+                       (Memsim.Cache.write_miss_label write_miss_policy)
+                       (Level.policy_label policy))
+                    true
+                    (Level.stats level = Memsim.Cache.stats cache))
+                levels)
+            geometries)
+        [ Memsim.Cache.Write_validate; Memsim.Cache.Fetch_on_write ])
+    Workloads.Workload.all
 
 (* --- sweep engines over hierarchies ---------------------------------- *)
 
@@ -183,6 +211,82 @@ let test_kill_and_resume () =
   check_fleets_identical "resume of a finished run" uninterrupted idem;
   Sys.remove ckpt
 
+(* --- checkpoint bytes are pinned --------------------------------------- *)
+
+(* A fixed synthetic recording: xorshift addresses over 64 KB, every
+   kind, one in eight events in the collector phase. *)
+let synthetic_recording n =
+  let recording = Memsim.Recording.create ~initial_capacity:4096 () in
+  let sink = Memsim.Recording.sink recording in
+  let state = ref 0x2545F4914F6CDD1D in
+  for _ = 1 to n do
+    let x = !state in
+    let x = x lxor (x lsl 13) in
+    let x = x lxor (x lsr 7) in
+    let x = x lxor (x lsl 17) in
+    state := x;
+    let r = x land max_int in
+    let kind =
+      match r land 3 with
+      | 0 | 1 -> Memsim.Trace.Read
+      | 2 -> Memsim.Trace.Write
+      | _ -> Memsim.Trace.Alloc_write
+    in
+    let phase =
+      if (r lsr 2) land 7 = 0 then Memsim.Trace.Collector
+      else Memsim.Trace.Mutator
+    in
+    sink.Memsim.Trace.access ((r lsr 8) land 0xfffc) kind phase
+  done;
+  recording
+
+(* Run a resumable replay until its first checkpoint lands at [every]
+   events, then return the checkpoint file's digest. *)
+let checkpoint_digest run =
+  let path = Filename.temp_file "pinned" ".ckpt" in
+  Sys.remove path;
+  let every = 30_000 in
+  (try
+     run ~checkpoint_every:every
+       ~progress:(fun cursor -> if cursor >= every then raise Exit)
+       ~checkpoint:path
+   with Exit -> ());
+  let digest = Digest.to_hex (Digest.file path) in
+  Sys.remove path;
+  digest
+
+(* The digests were taken from the checkpoint writers that predate the
+   shared replay driver: both on-disk formats must stay byte-identical
+   so spools written before it still resume. *)
+let test_checkpoint_bytes_pinned () =
+  let recording = synthetic_recording 100_000 in
+  let sweep =
+    Memsim.Sweep.create
+      (Memsim.Sweep.grid ~cache_sizes:[ 1024; 8192 ] ~block_sizes:[ 16; 64 ]
+         ()
+      @ Memsim.Sweep.grid ~write_miss_policy:Memsim.Cache.Fetch_on_write
+          ~cache_sizes:[ 4096 ] ~block_sizes:[ 32 ] ())
+  in
+  let grid =
+    checkpoint_digest (fun ~checkpoint_every ~progress ~checkpoint ->
+        Memsim.Sweep.run_resumable ~checkpoint_every ~progress ~checkpoint
+          sweep recording)
+  in
+  let fleet =
+    Array.of_list
+      (List.map (fun (_, cfg) -> Hier.create cfg)
+         [ List.nth hier_configs 0; List.nth hier_configs 3 ])
+  in
+  let hier =
+    checkpoint_digest (fun ~checkpoint_every ~progress ~checkpoint ->
+        Memsim.Sweep.hier_run_resumable ~checkpoint_every ~progress
+          ~checkpoint fleet recording)
+  in
+  Alcotest.(check string) "grid checkpoint (SWPCKPT1) digest"
+    "539c8337ed32900a0dc15d324239e2cc" grid;
+  Alcotest.(check string) "hierarchy checkpoint (SWHCKPT1) digest"
+    "677098b8fc3e91c098e9f31312bd4d0b" hier
+
 (* --- hierarchy snapshot round trip ----------------------------------- *)
 
 let test_snapshot_roundtrip () =
@@ -205,23 +309,21 @@ let test_snapshot_roundtrip () =
   drive_chunks b recording;
   check_levels_identical "restored hierarchy continues identically" a b
 
-(* --- the Hierarchy.overhead disjoint-charging fix -------------------- *)
+(* --- disjoint overhead charging over two direct-mapped levels -------- *)
 
 let test_hierarchy_overhead_disjoint () =
-  let mk bytes =
-    Memsim.Cache.config ~size_bytes:bytes ~block_bytes:64 ()
+  let mk bytes = Level.config ~size_bytes:bytes ~block_bytes:64 ~ways:1 () in
+  let h =
+    Hier.create ~fused:false
+      (Hier.config ~hit_ns:[ 60.0 ] ~levels:[ mk 1024; mk 8192 ] ())
   in
-  let cfg =
-    Memsim.Hierarchy.config ~l2_hit_ns:60.0 ~l1:(mk 1024) ~l2:(mk 8192) ()
-  in
-  let h = Memsim.Hierarchy.create cfg in
   (* A then B (same L1 set, different L2 sets) then A again: three L1
      fetches, two of which miss L2; the re-fetch of A hits L2. *)
-  Memsim.Hierarchy.access h 0 Memsim.Trace.Read Memsim.Trace.Mutator;
-  Memsim.Hierarchy.access h 1024 Memsim.Trace.Read Memsim.Trace.Mutator;
-  Memsim.Hierarchy.access h 0 Memsim.Trace.Read Memsim.Trace.Mutator;
-  let s1 = Memsim.Hierarchy.l1_stats h in
-  let s2 = Memsim.Hierarchy.l2_stats h in
+  Hier.access h 0 Memsim.Trace.Read Memsim.Trace.Mutator;
+  Hier.access h 1024 Memsim.Trace.Read Memsim.Trace.Mutator;
+  Hier.access h 0 Memsim.Trace.Read Memsim.Trace.Mutator;
+  let s1 = Hier.level_stats h 0 in
+  let s2 = Hier.level_stats h 1 in
   Alcotest.(check int) "three L1 fetches" 3 s1.Memsim.Cache.fetches;
   Alcotest.(check int) "two L2 fetches" 2 s2.Memsim.Cache.fetches;
   let cpu = Memsim.Timing.Fast in
@@ -235,7 +337,7 @@ let test_hierarchy_overhead_disjoint () =
     /. float_of_int instructions
   in
   Alcotest.(check (float 1e-12)) "disjoint charging" expected
-    (Memsim.Hierarchy.overhead h cpu ~instructions)
+    (Hier.overhead h cpu ~instructions)
 
 (* --- victim selection property --------------------------------------- *)
 
@@ -304,7 +406,9 @@ let () =
          Alcotest.test_case "kill-and-resume = uninterrupted" `Slow
            test_kill_and_resume;
          Alcotest.test_case "snapshot round trip" `Quick
-           test_snapshot_roundtrip
+           test_snapshot_roundtrip;
+         Alcotest.test_case "checkpoint bytes pinned" `Quick
+           test_checkpoint_bytes_pinned
        ]);
       ("overhead",
        [ Alcotest.test_case "Hierarchy.overhead charges disjointly" `Quick

@@ -169,17 +169,21 @@ let test_per_phase_mutator_writeback () =
   Alcotest.(check int) "not charged to collector" 0
     s.Memsim.Cache.collector_writebacks
 
+(* A set-associative LRU cache: a {!Memsim.Level} under exact LRU. *)
+let mk_assoc ?(policy = Memsim.Cache.Write_validate) ?(size = 1024)
+    ?(block = 64) ~ways () =
+  Memsim.Level.create
+    (Memsim.Level.config ~policy:Memsim.Level.Lru ~write_miss_policy:policy
+       ~size_bytes:size ~block_bytes:block ~ways ())
+
 let test_assoc_per_phase () =
-  let a =
-    Memsim.Assoc.create
-      (Memsim.Assoc.config ~size_bytes:1024 ~block_bytes:64 ~ways:2 ())
-  in
+  let a = mk_assoc ~size:1024 ~block:64 ~ways:2 () in
   (* fill both ways of set 0 with dirty collector stores, then force an
      LRU eviction from the mutator *)
-  Memsim.Assoc.access a 0 Memsim.Trace.Write collector;
-  Memsim.Assoc.access a 512 Memsim.Trace.Write collector;
-  Memsim.Assoc.access a 1024 Memsim.Trace.Write mutator;
-  let s = Memsim.Assoc.stats a in
+  Memsim.Level.access a 0 Memsim.Trace.Write collector;
+  Memsim.Level.access a 512 Memsim.Trace.Write collector;
+  Memsim.Level.access a 1024 Memsim.Trace.Write mutator;
+  let s = Memsim.Level.stats a in
   Alcotest.(check int) "collector writes" 2 s.Memsim.Cache.collector_writes;
   Alcotest.(check int) "writes total" 3 s.Memsim.Cache.writes;
   Alcotest.(check int) "mutator eviction" 1 s.Memsim.Cache.writebacks;
@@ -304,27 +308,21 @@ let test_tee_and_counting () =
 
 (* --- Set-associative cache --------------------------------------------- *)
 
-let mk_assoc ?(policy = Memsim.Cache.Write_validate) ?(size = 1024)
-    ?(block = 64) ~ways () =
-  Memsim.Assoc.create
-    (Memsim.Assoc.config ~write_miss_policy:policy ~size_bytes:size
-       ~block_bytes:block ~ways ())
-
 let test_assoc_lru () =
   (* 2-way, one set worth of conflict: A, B, A then C must evict B. *)
   let c = mk_assoc ~size:128 ~block:64 ~ways:2 () in
   let a = 0 and b = 128 and cc = 256 in
-  Memsim.Assoc.access c a Memsim.Trace.Read mutator;
-  Memsim.Assoc.access c b Memsim.Trace.Read mutator;
-  Memsim.Assoc.access c a Memsim.Trace.Read mutator;
-  Memsim.Assoc.access c cc Memsim.Trace.Read mutator;
+  Memsim.Level.access c a Memsim.Trace.Read mutator;
+  Memsim.Level.access c b Memsim.Trace.Read mutator;
+  Memsim.Level.access c a Memsim.Trace.Read mutator;
+  Memsim.Level.access c cc Memsim.Trace.Read mutator;
   (* A must still hit; B must miss. *)
-  Memsim.Assoc.access c a Memsim.Trace.Read mutator;
+  Memsim.Level.access c a Memsim.Trace.Read mutator;
   Alcotest.(check int) "A survives (LRU evicts B)" 3
-    (Memsim.Assoc.stats c).Memsim.Cache.misses;
-  Memsim.Assoc.access c b Memsim.Trace.Read mutator;
+    (Memsim.Level.stats c).Memsim.Cache.misses;
+  Memsim.Level.access c b Memsim.Trace.Read mutator;
   Alcotest.(check int) "B was evicted" 4
-    (Memsim.Assoc.stats c).Memsim.Cache.misses
+    (Memsim.Level.stats c).Memsim.Cache.misses
 
 let test_assoc_removes_conflicts () =
   (* Two addresses that thrash a direct-mapped cache coexist in a
@@ -335,13 +333,13 @@ let test_assoc_removes_conflicts () =
     List.iter
       (fun addr ->
         Memsim.Cache.access direct addr Memsim.Trace.Read mutator;
-        Memsim.Assoc.access two_way addr Memsim.Trace.Read mutator)
+        Memsim.Level.access two_way addr Memsim.Trace.Read mutator)
       [ 0; 1024 ]
   done;
   Alcotest.(check int) "direct-mapped thrashes" 200
     (stats direct).Memsim.Cache.misses;
   Alcotest.(check int) "two-way holds both" 2
-    (Memsim.Assoc.stats two_way).Memsim.Cache.misses
+    (Memsim.Level.stats two_way).Memsim.Cache.misses
 
 let test_assoc_validation () =
   let bad f = match f () with
@@ -354,61 +352,69 @@ let test_assoc_validation () =
 
 (* --- Two-level hierarchy ------------------------------------------------ *)
 
-let mk_hierarchy () =
-  Memsim.Hierarchy.create
-    (Memsim.Hierarchy.config
-       ~l1:(Memsim.Cache.config ~size_bytes:512 ~block_bytes:64 ())
-       ~l2:(Memsim.Cache.config ~size_bytes:4096 ~block_bytes:64 ())
+(* Two direct-mapped levels with a 60ns L2, on the hooked per-event
+   engine so single accesses can be driven; [~fused:true] builds the
+   chunk-only fused engine over the same levels. *)
+let direct_level size =
+  Memsim.Level.config ~size_bytes:size ~block_bytes:64 ~ways:1 ()
+
+let mk_hierarchy ?(fused = false) ?(l1 = 512) ?(l2 = 4096) () =
+  Memsim.Hier.create ~fused
+    (Memsim.Hier.config ~hit_ns:[ 60.0 ]
+       ~levels:[ direct_level l1; direct_level l2 ]
        ())
+
+let l1_stats h = Memsim.Hier.level_stats h 0
+let l2_stats h = Memsim.Hier.level_stats h 1
 
 let test_hierarchy_refill () =
   let h = mk_hierarchy () in
   (* first read misses both levels *)
-  Memsim.Hierarchy.access h 0 Memsim.Trace.Read mutator;
+  Memsim.Hier.access h 0 Memsim.Trace.Read mutator;
   Alcotest.(check int) "L1 fetch" 1
-    (Memsim.Hierarchy.l1_stats h).Memsim.Cache.fetches;
+    (l1_stats h).Memsim.Cache.fetches;
   Alcotest.(check int) "L2 fetch" 1
-    (Memsim.Hierarchy.l2_stats h).Memsim.Cache.fetches;
+    (l2_stats h).Memsim.Cache.fetches;
   (* evict block 0 from L1 (conflict at 512) and re-read: L2 absorbs *)
-  Memsim.Hierarchy.access h 512 Memsim.Trace.Read mutator;
-  Memsim.Hierarchy.access h 0 Memsim.Trace.Read mutator;
+  Memsim.Hier.access h 512 Memsim.Trace.Read mutator;
+  Memsim.Hier.access h 0 Memsim.Trace.Read mutator;
   Alcotest.(check int) "three L1 fetches" 3
-    (Memsim.Hierarchy.l1_stats h).Memsim.Cache.fetches;
+    (l1_stats h).Memsim.Cache.fetches;
   Alcotest.(check int) "only two L2 fetches (one L2 hit)" 2
-    (Memsim.Hierarchy.l2_stats h).Memsim.Cache.fetches
+    (l2_stats h).Memsim.Cache.fetches
 
 let test_hierarchy_writeback_path () =
   let h = mk_hierarchy () in
   (* dirty a block in L1, evict it, and re-read: the write-back must
      have installed it in L2 so no memory fetch is needed *)
-  Memsim.Hierarchy.access h 0 Memsim.Trace.Write mutator;
-  Memsim.Hierarchy.access h 512 Memsim.Trace.Read mutator;
+  Memsim.Hier.access h 0 Memsim.Trace.Write mutator;
+  Memsim.Hier.access h 512 Memsim.Trace.Read mutator;
   (* reading a different word of the written-back block: the whole
      block must be valid in L2, so only the 512 read ever fetched *)
-  Memsim.Hierarchy.access h 8 Memsim.Trace.Read mutator;
+  Memsim.Hier.access h 8 Memsim.Trace.Read mutator;
   Alcotest.(check int) "L1 write-back happened" 1
-    (Memsim.Hierarchy.l1_stats h).Memsim.Cache.writebacks;
+    (l1_stats h).Memsim.Cache.writebacks;
   Alcotest.(check int) "L2 fetched only for the read at 512" 1
-    (Memsim.Hierarchy.l2_stats h).Memsim.Cache.fetches
+    (l2_stats h).Memsim.Cache.fetches
 
 let test_hierarchy_overhead () =
   let h = mk_hierarchy () in
-  Memsim.Hierarchy.access h 0 Memsim.Trace.Read mutator;
+  Memsim.Hier.access h 0 Memsim.Trace.Read mutator;
   (* disjoint charging: the lone L1 fetch also misses L2, so it pays
      only the memory penalty (330ns) — no L2-hit service — over 100
      slow-processor instructions at 30ns each *)
-  let o = Memsim.Hierarchy.overhead h Memsim.Timing.Slow ~instructions:100 in
+  let o = Memsim.Hier.overhead h Memsim.Timing.Slow ~instructions:100 in
   Alcotest.(check (float 1e-9)) "overhead math" 0.11 o;
   (* evict block 0 from L1 and re-read: that fetch hits L2 and adds
      the 60ns L2 service on top *)
-  Memsim.Hierarchy.access h 512 Memsim.Trace.Read mutator;
-  Memsim.Hierarchy.access h 0 Memsim.Trace.Read mutator;
-  let o = Memsim.Hierarchy.overhead h Memsim.Timing.Slow ~instructions:100 in
+  Memsim.Hier.access h 512 Memsim.Trace.Read mutator;
+  Memsim.Hier.access h 0 Memsim.Trace.Read mutator;
+  let o = Memsim.Hier.overhead h Memsim.Timing.Slow ~instructions:100 in
   Alcotest.(check (float 1e-9)) "disjoint L2 hit charge" 0.24 o
 
-(* A pseudo-random event stream delivered per-event and via the packed
-   chunk codec must leave both levels in identical states: the chunked
-   path forces L1's per-event slow path so L2 ordering is exact. *)
+(* A pseudo-random event stream delivered per-event through the hooked
+   levels and via the packed chunk codec through the fused miss-stream
+   engine must leave both levels in identical states. *)
 let test_hierarchy_chunk_equiv () =
   let events =
     let st = Random.State.make [| 0x4c32 |] in
@@ -424,12 +430,12 @@ let test_hierarchy_chunk_equiv () =
         (addr, kind, phase))
   in
   let per_event = mk_hierarchy () in
-  List.iter (fun (a, k, p) -> Memsim.Hierarchy.access per_event a k p) events;
-  let chunked = mk_hierarchy () in
+  List.iter (fun (a, k, p) -> Memsim.Hier.access per_event a k p) events;
+  let chunked = mk_hierarchy ~fused:true () in
   let buf = Memsim.Chunk.create_buf 512 in
   let n = ref 0 in
   let flush () =
-    Memsim.Hierarchy.access_chunk chunked buf 0 !n;
+    Memsim.Hier.access_chunk chunked buf 0 !n;
     n := 0
   in
   List.iter
@@ -440,41 +446,37 @@ let test_hierarchy_chunk_equiv () =
     events;
   flush ();
   Alcotest.(check bool) "L1 stats equal" true
-    (Memsim.Hierarchy.l1_stats per_event = Memsim.Hierarchy.l1_stats chunked);
+    (l1_stats per_event = l1_stats chunked);
   Alcotest.(check bool) "L2 stats equal" true
-    (Memsim.Hierarchy.l2_stats per_event = Memsim.Hierarchy.l2_stats chunked)
+    (l2_stats per_event = l2_stats chunked)
 
 (* A dirty line evicted from L1 lands in L2 dirty; evicting it from L2
    in turn must count an L2 write-back (the dirt propagates down the
    hierarchy, not evaporates). *)
 let test_hierarchy_writeback_propagation () =
-  let h =
-    Memsim.Hierarchy.create
-      (Memsim.Hierarchy.config
-         ~l1:(Memsim.Cache.config ~size_bytes:128 ~block_bytes:64 ())
-         ~l2:(Memsim.Cache.config ~size_bytes:256 ~block_bytes:64 ())
-         ())
-  in
+  let h = mk_hierarchy ~l1:128 ~l2:256 () in
   (* dirty block 0 in L1, evict it to L2 via the conflicting read at
      128 (L1 has 2 sets of 64b)... *)
-  Memsim.Hierarchy.access h 0 Memsim.Trace.Write mutator;
-  Memsim.Hierarchy.access h 128 Memsim.Trace.Read mutator;
+  Memsim.Hier.access h 0 Memsim.Trace.Write mutator;
+  Memsim.Hier.access h 128 Memsim.Trace.Read mutator;
   Alcotest.(check int) "L1 evicted the dirty block" 1
-    (Memsim.Hierarchy.l1_stats h).Memsim.Cache.writebacks;
+    (l1_stats h).Memsim.Cache.writebacks;
   Alcotest.(check int) "L2 still clean" 0
-    (Memsim.Hierarchy.l2_stats h).Memsim.Cache.writebacks;
+    (l2_stats h).Memsim.Cache.writebacks;
   (* ...then knock the written-back block out of L2 (4 sets of 64b:
      256 conflicts with 0) through reads that miss both levels *)
-  Memsim.Hierarchy.access h 256 Memsim.Trace.Read mutator;
+  Memsim.Hier.access h 256 Memsim.Trace.Read mutator;
   Alcotest.(check int) "L2 wrote the dirty block back to memory" 1
-    (Memsim.Hierarchy.l2_stats h).Memsim.Cache.writebacks
+    (l2_stats h).Memsim.Cache.writebacks
 
 let test_hierarchy_validation () =
   match
-    Memsim.Hierarchy.create
-      (Memsim.Hierarchy.config
-         ~l1:(Memsim.Cache.config ~size_bytes:512 ~block_bytes:64 ())
-         ~l2:(Memsim.Cache.config ~size_bytes:4096 ~block_bytes:32 ())
+    Memsim.Hier.create
+      (Memsim.Hier.config ~hit_ns:[ 60.0 ]
+         ~levels:
+           [ direct_level 512;
+             Memsim.Level.config ~size_bytes:4096 ~block_bytes:32 ~ways:1 ()
+           ]
          ())
   with
   | exception Invalid_argument _ -> ()
@@ -941,8 +943,8 @@ let test_chunk_producer () =
 let test_fanout () =
   let fan = Memsim.Chunk.Fanout.create ~consumers:2 ~capacity:4 in
   let chunk = Memsim.Chunk.of_array [| 1; 2; 3 |] in
-  Memsim.Chunk.Fanout.push fan chunk 3;
-  Memsim.Chunk.Fanout.push fan chunk 2;
+  Memsim.Chunk.Fanout.push_shared fan chunk 3;
+  Memsim.Chunk.Fanout.push_shared fan chunk 2;
   Memsim.Chunk.Fanout.close fan;
   let drain i =
     let rec loop acc =
@@ -954,7 +956,7 @@ let test_fanout () =
   in
   Alcotest.(check (list int)) "consumer 0 sees all chunks" [ 3; 2 ] (drain 0);
   Alcotest.(check (list int)) "consumer 1 sees all chunks" [ 3; 2 ] (drain 1);
-  match Memsim.Chunk.Fanout.push fan chunk 1 with
+  match Memsim.Chunk.Fanout.push_shared fan chunk 1 with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "push after close must fail"
 
@@ -1016,7 +1018,10 @@ let test_run_parallel_matches_serial () =
         (Memsim.Sweep.results serial = Memsim.Sweep.results parallel))
     [ 2; 4; 64 (* clamped to the cache count *) ]
 
-let test_live_parallel_matches_serial () =
+(* Record-while-sweep: slabs are delivered as they seal (a small
+   [initial_capacity] makes many) and consumed on worker domains while
+   the producer is still running; the final partial slab follows. *)
+let test_pipelined_matches_serial () =
   let events = synth_trace 20_000 in
   let serial = small_grid () in
   List.iter
@@ -1025,17 +1030,23 @@ let test_live_parallel_matches_serial () =
   List.iter
     (fun jobs ->
       let live = small_grid () in
-      let sink, finish =
-        Memsim.Sweep.live_parallel ~jobs ~chunk_events:512 ~capacity:2 live
+      let deliver, finish = Memsim.Sweep.pipelined ~jobs ~capacity:2 live in
+      let recording =
+        Memsim.Recording.create ~initial_capacity:512 ~on_seal:deliver ()
       in
+      let sink = Memsim.Recording.sink recording in
       List.iter (fun (a, k, p) -> sink.Memsim.Trace.access a k p) events;
+      let buf, len = Memsim.Recording.tail recording in
+      if len > 0 then deliver buf len;
       finish ();
       Alcotest.(check bool)
-        (Printf.sprintf "live jobs=%d = serial" jobs)
+        (Printf.sprintf "pipelined jobs=%d = serial" jobs)
         true
         (Memsim.Sweep.results serial = Memsim.Sweep.results live))
     [ 1; 3 ]
 
+(* A live event stream batched by the chunking producer, with the
+   partial last chunk delivered by [flush], equals per-event delivery. *)
 let test_chunked_sink_flush () =
   let events = synth_trace 1000 in
   let serial = small_grid () in
@@ -1043,9 +1054,11 @@ let test_chunked_sink_flush () =
     (fun (a, k, p) -> (Memsim.Sweep.sink serial).Memsim.Trace.access a k p)
     events;
   let chunked = small_grid () in
-  let sink, flush = Memsim.Sweep.chunked_sink ~chunk_events:300 chunked in
+  let deliver, finish = Memsim.Sweep.pipelined ~jobs:1 chunked in
+  let sink, flush = Memsim.Chunk.producer ~chunk_events:300 deliver in
   List.iter (fun (a, k, p) -> sink.Memsim.Trace.access a k p) events;
   flush ();
+  finish ();
   Alcotest.(check bool) "chunked sink = per-event" true
     (Memsim.Sweep.results serial = Memsim.Sweep.results chunked)
 
@@ -1121,9 +1134,9 @@ let assoc_one_way_equals_direct_prop =
             | _ -> Memsim.Trace.Alloc_write
           in
           Memsim.Cache.access direct addr kind mutator;
-          Memsim.Assoc.access one_way addr kind mutator)
+          Memsim.Level.access one_way addr kind mutator)
         events;
-      stats direct = Memsim.Assoc.stats one_way)
+      stats direct = Memsim.Level.stats one_way)
 
 let assoc_inclusion_prop =
   (* The classic LRU inclusion property: with the number of sets held
@@ -1135,9 +1148,9 @@ let assoc_inclusion_prop =
         let c = mk_assoc ~size:(512 * ways) ~block:32 ~ways () in
         List.iter
           (fun (addr, _) ->
-            Memsim.Assoc.access c (addr land lnot 3) Memsim.Trace.Read mutator)
+            Memsim.Level.access c (addr land lnot 3) Memsim.Trace.Read mutator)
           events;
-        (Memsim.Assoc.stats c).Memsim.Cache.misses
+        (Memsim.Level.stats c).Memsim.Cache.misses
       in
       let m1 = run 1 in
       let m2 = run 2 in
@@ -1282,8 +1295,8 @@ let () =
           Alcotest.test_case "tee and counting" `Quick test_tee_and_counting;
           Alcotest.test_case "run_parallel = serial" `Quick
             test_run_parallel_matches_serial;
-          Alcotest.test_case "live_parallel = serial" `Quick
-            test_live_parallel_matches_serial;
+          Alcotest.test_case "pipelined = serial" `Quick
+            test_pipelined_matches_serial;
           Alcotest.test_case "chunked sink and flush" `Quick
             test_chunked_sink_flush
         ] );

@@ -40,14 +40,13 @@ let test_workload w () =
       check_identical (Printf.sprintf "run_parallel jobs=%d" jobs) oracle
         parallel)
     jobs_list;
-  (* live consumption on worker domains while the trace streams *)
+  (* pipelined consumption: sealed slabs broadcast by reference to
+     worker domains owning a strided partition of the grid *)
   let live = grid () in
-  let sink, finish =
-    Memsim.Sweep.live_parallel ~jobs:3 ~chunk_events:4096 live
-  in
-  Memsim.Recording.replay recording sink;
+  let deliver, finish = Memsim.Sweep.pipelined ~jobs:3 live in
+  Memsim.Recording.iter_chunks recording deliver;
   finish ();
-  check_identical "live_parallel jobs=3" oracle live
+  check_identical "pipelined jobs=3" oracle live
 
 let test_runner_path () =
   (* Runner.sweep_recording must route through the same engines and

@@ -27,7 +27,9 @@
      pass.
 
    - [lint.domain-race] — the domain-race audit.  For every
-     [Domain.spawn] application: take the free identifiers of the
+     [Domain.spawn] application, and every application of the sweep
+     engine's domain pool [Sweep.parallel_for] (whose last argument
+     runs on worker domains): take the free identifiers of the
      spawned expression, transitively expanding identifiers whose
      definition is a value binding in the same compilation unit (the
      spawned thunk is usually a named local function); flag each one
@@ -39,6 +41,15 @@
      synchronization argument gets written down and reviewed. *)
 
 type finding = { ident : string; f : Check.Finding.t }
+
+(* [Sweep.parallel_for] is the claim-by-index domain pool every replay
+   and the sharded producer go through; its one [Domain.spawn] sees
+   only an opaque callback, so each application of the pool counts as
+   a spawn site of its own. *)
+let is_pool ~modname name =
+  String.equal name "Sweep.parallel_for"
+  || String.equal name "Memsim.Sweep.parallel_for"
+  || (String.equal modname "Sweep" && String.equal name "parallel_for")
 
 let hot_path_modules = [ "Mem"; "Cache"; "Chunk"; "Recording"; "Level"; "Hier" ]
 
@@ -186,6 +197,13 @@ let scan ~file ~shapes ?(in_closure = fun ~modname:_ ~fname:_ -> false)
            || String.equal name "Stdlib.Domain.spawn"
          then
            match args with
+           | (_, Some arg) :: _ ->
+             spawns := (e.Typedtree.exp_loc, arg) :: !spawns
+           | _ -> ()
+         else if is_pool ~modname name then
+           (* The pool runs its last argument on worker domains, so the
+              closure passed there is audited like a spawned thunk. *)
+           match List.rev args with
            | (_, Some arg) :: _ ->
              spawns := (e.Typedtree.exp_loc, arg) :: !spawns
            | _ -> ()
