@@ -35,7 +35,7 @@ lint:
 	dune exec tools/lint/lint.exe
 
 # Machine-check the fast paths.  The model checker enumerates every
-# reachable replacement-policy metadata state (assoc 2/4/8, all five
+# reachable replacement-policy metadata state (assoc 1/2/4/8, all five
 # policies) against the executable spec and writes the certificate
 # CI uploads; the --mutate run seeds a known spec bug and succeeds
 # only if the checker catches it; the lint --self-test scans the

@@ -232,13 +232,13 @@ let run_workload w hier cache_bytes block_bytes policy gc scale metrics
     else None
   in
   let events = Option.map Core.Telemetry.timeline tel in
-  let cache =
-    Memsim.Cache.create
-      (Memsim.Cache.config ~write_miss_policy:policy ~size_bytes:cache_bytes
-         ~block_bytes ())
+  let level =
+    Memsim.Level.create
+      (Memsim.Level.config ~write_miss_policy:policy ~size_bytes:cache_bytes
+         ~block_bytes ~ways:1 ())
   in
-  let r = Runner_facade.run ~gc ~cache ?events ?scale w in
-  let s = Memsim.Cache.stats cache in
+  let r = Runner_facade.run ~gc ~level ?events ?scale w in
+  let s = Memsim.Level.stats level in
   let insns = r.Core.Runner.stats.Vscheme.Machine.mutator_insns in
   Core.Report.table ppf ~headers:[ "metric"; "value" ]
     ~rows:
@@ -451,20 +451,17 @@ let replay path hier (cache_bytes, block_bytes) policy checkpoint checkpoint_eve
   | recording ->
     let sweep =
       Memsim.Sweep.create
-        [ Memsim.Cache.config ~write_miss_policy:policy
-            ~size_bytes:cache_bytes ~block_bytes ()
+        [ Memsim.Level.config ~write_miss_policy:policy
+            ~size_bytes:cache_bytes ~block_bytes ~ways:1 ()
         ]
     in
-    let cache = (Memsim.Sweep.caches sweep).(0) in
     match
       match checkpoint with
-      | None ->
-        Memsim.Recording.iter_chunks recording (fun buf len ->
-            Memsim.Cache.access_chunk cache buf 0 len)
+      | None -> Memsim.Sweep.run_serial sweep recording
       | Some ck ->
         let resumed = Sys.file_exists ck in
-        Memsim.Sweep.run_resumable ?checkpoint_every ~checkpoint:ck sweep
-          recording;
+        Memsim.Sweep.hier_run_resumable ?checkpoint_every ~checkpoint:ck
+          (Memsim.Sweep.hiers sweep) recording;
         Format.fprintf ppf
           "%s checkpoint %s (remove it to replay from the start)@."
           (if resumed then "resumed from" else "wrote")
@@ -474,7 +471,10 @@ let replay path hier (cache_bytes, block_bytes) policy checkpoint checkpoint_eve
       Format.eprintf "replay: %s@." msg;
       1
     | () ->
-    let s = Memsim.Cache.stats cache in
+    let s =
+      Memsim.Level.stats
+        (Memsim.Sweep.find sweep ~size_bytes:cache_bytes ~block_bytes)
+    in
     Core.Report.table ppf ~headers:[ "metric"; "value" ]
       ~rows:
         [ [ "events"; Core.Report.eng (Memsim.Recording.length recording) ];
@@ -499,12 +499,12 @@ let stats_of_trace path (cache_bytes, block_bytes) policy metrics trace_events =
     Format.eprintf "stats: %s@." msg;
     1
   | recording ->
-    let cache =
-      Memsim.Cache.create
-        (Memsim.Cache.config ~write_miss_policy:policy ~size_bytes:cache_bytes
-           ~block_bytes ())
+    let level =
+      Memsim.Level.create
+        (Memsim.Level.config ~write_miss_policy:policy ~size_bytes:cache_bytes
+           ~block_bytes ~ways:1 ())
     in
-    Memsim.Recording.replay recording (Memsim.Cache.sink cache);
+    Memsim.Recording.replay recording (Memsim.Level.sink level);
     let t =
       Core.Telemetry.create
         ~timeline:(Core.Telemetry.of_recording recording) ()
@@ -517,7 +517,7 @@ let stats_of_trace path (cache_bytes, block_bytes) policy metrics trace_events =
       (Obs.Json.Int (Memsim.Recording.length recording));
     Core.Telemetry.set_meta t "cache_bytes" (Obs.Json.Int cache_bytes);
     Core.Telemetry.set_meta t "block_bytes" (Obs.Json.Int block_bytes);
-    Core.Telemetry.record_cache t (Memsim.Cache.stats cache);
+    Core.Telemetry.record_cache t (Memsim.Level.stats level);
     (match metrics with
      | None ->
        print_string (Obs.Json.to_pretty_string (Core.Telemetry.to_json t));
@@ -1029,8 +1029,8 @@ let profile_target name trace attr_path (cache_bytes, block_bytes) policy gc
         1
       | Ok (workload, recording, table, addr_limit, _run) ->
         let caches =
-          [ Memsim.Cache.config ~write_miss_policy:policy
-              ~size_bytes:cache_bytes ~block_bytes ()
+          [ Memsim.Level.config ~write_miss_policy:policy
+              ~size_bytes:cache_bytes ~block_bytes ~ways:1 ()
           ]
         in
         let p =
@@ -1102,7 +1102,7 @@ let block_arg =
 
 (* --cache and --block, checked together while the command line is
    parsed: a geometry the simulated cache cannot take is a usage error
-   naming the flag, not an exception out of Cache.create. *)
+   naming the flag, not an exception out of Level.create. *)
 let geometry_arg =
   let check cache block =
     let pow2 n = n > 0 && n land (n - 1) = 0 in

@@ -20,12 +20,13 @@ let () =
     Memsim.Sweep.create (Memsim.Sweep.grid ~cache_sizes ~block_sizes ())
   in
   (* One run feeds every cache in the grid plus the sweep plot. *)
-  let plot_cache =
-    Memsim.Cache.create
-      (Memsim.Cache.config ~size_bytes:(64 * 1024) ~block_bytes:64 ())
+  let plot_level =
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:64 ~ways:1 ())
   in
   let plot =
-    Analysis.Miss_plot.create ~cache:plot_cache ~rows:24 ~refs_per_col:131072 ()
+    Analysis.Miss_plot.create ~level:plot_level ~rows:24 ~refs_per_col:131072
+      ()
   in
   let r =
     Core.Runner.run
@@ -44,12 +45,12 @@ let () =
              float_of_int stats.Memsim.Cache.misses
              /. float_of_int (max 1 stats.Memsim.Cache.refs)
            in
-           let block_bytes = cfg.Memsim.Cache.block_bytes in
+           let block_bytes = cfg.Memsim.Level.block_bytes in
            let o cpu =
              Memsim.Timing.cache_overhead cpu ~block_bytes
                ~fetches:stats.Memsim.Cache.fetches ~instructions:insns
            in
-           [ Core.Report.size_label cfg.Memsim.Cache.size_bytes;
+           [ Core.Report.size_label cfg.Memsim.Level.size_bytes;
              string_of_int block_bytes ^ "b";
              Format.sprintf "%.4f" ratio;
              Core.Report.pct (o Memsim.Timing.Slow);

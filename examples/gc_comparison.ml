@@ -11,11 +11,11 @@ let cache_bytes = 64 * 1024
 
 let measure gc w =
   let cache =
-    Memsim.Cache.create
-      (Memsim.Cache.config ~size_bytes:cache_bytes ~block_bytes ())
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:cache_bytes ~block_bytes ~ways:1 ())
   in
-  let r = Core.Runner.run ~gc ~sinks:[ Memsim.Cache.sink cache ] w in
-  (r, Memsim.Cache.stats cache)
+  let r = Core.Runner.run ~gc ~sinks:[ Memsim.Level.sink cache ] w in
+  (r, Memsim.Level.stats cache)
 
 let () =
   let w =

@@ -8,15 +8,15 @@ let () =
   (* 1. A cache is a trace consumer.  Drive it with a synthetic
      trace: a linear allocation sweep, exactly the paper's "wave". *)
   let cache =
-    Memsim.Cache.create
-      (Memsim.Cache.config ~size_bytes:(32 * 1024) ~block_bytes:64 ())
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:(32 * 1024) ~block_bytes:64 ~ways:1 ())
   in
   for i = 0 to 99_999 do
     (* initializing store to consecutive words *)
-    Memsim.Cache.access cache (i * 4) Memsim.Trace.Alloc_write
+    Memsim.Level.access cache (i * 4) Memsim.Trace.Alloc_write
       Memsim.Trace.Mutator
   done;
-  let s = Memsim.Cache.stats cache in
+  let s = Memsim.Level.stats cache in
   Printf.printf
     "synthetic allocation sweep: %d refs, %d allocation misses, %d fetches\n"
     s.Memsim.Cache.refs s.Memsim.Cache.alloc_misses s.Memsim.Cache.fetches;
@@ -25,13 +25,13 @@ let () =
 
   (* 2. Now a whole Scheme system wired to a cache. *)
   let cache =
-    Memsim.Cache.create
-      (Memsim.Cache.config ~size_bytes:(64 * 1024) ~block_bytes:64 ())
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:64 ~ways:1 ())
   in
   let machine =
     Vscheme.Machine.create
       { Vscheme.Machine.default_config with
-        sink = Memsim.Cache.sink cache;
+        sink = Memsim.Level.sink cache;
         heap_bytes = 16 * 1024 * 1024
       }
   in
@@ -52,7 +52,7 @@ let () =
   Printf.printf "Scheme program result: %s\n"
     (Vscheme.Machine.value_to_string machine value);
   let run = Vscheme.Machine.stats machine in
-  let s = Memsim.Cache.stats cache in
+  let s = Memsim.Level.stats cache in
   Printf.printf "instructions: %d   data references: %d   allocated: %d bytes\n"
     run.Vscheme.Machine.mutator_insns s.Memsim.Cache.refs
     run.Vscheme.Machine.bytes_allocated;

@@ -16,10 +16,57 @@ type result = {
   best_case_blocks : int;
 }
 
-let analyze cache =
-  let refs = Memsim.Cache.block_refs cache in
-  let misses = Memsim.Cache.block_misses cache in
-  let allocs = Memsim.Cache.block_alloc_misses cache in
+type t = {
+  level : Memsim.Level.t;
+  block_shift : int;
+  index_mask : int;
+  line_refs : int array;
+  line_misses : int array;  (* excluding allocation misses *)
+  line_allocs : int array;
+  (* the level's mutator miss counters after the last counted event *)
+  mutable seen_misses : int;
+  mutable seen_allocs : int;
+}
+
+let create level =
+  if Memsim.Level.num_ways level <> 1 then
+    invalid_arg "Activity.create: the level is not direct-mapped";
+  let g = Memsim.Level.geometry level in
+  let lines = Memsim.Level.num_sets level in
+  let s = Memsim.Level.stats level in
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
+  { level;
+    block_shift = log2 g.Memsim.Level.block_bytes;
+    index_mask = lines - 1;
+    line_refs = Array.make lines 0;
+    line_misses = Array.make lines 0;
+    line_allocs = Array.make lines 0;
+    seen_misses = s.Memsim.Cache.misses;
+    seen_allocs = s.Memsim.Cache.alloc_misses
+  }
+
+(* Collector events never move the mutator miss counters, so they are
+   forwarded without a counter read. *)
+let sink t =
+  { Memsim.Trace.access =
+      (fun addr kind phase ->
+        Memsim.Level.access t.level addr kind phase;
+        match (phase : Memsim.Trace.phase) with
+        | Memsim.Trace.Collector -> ()
+        | Memsim.Trace.Mutator ->
+          let i = (addr lsr t.block_shift) land t.index_mask in
+          let s = Memsim.Level.stats t.level in
+          let allocs = s.Memsim.Cache.alloc_misses - t.seen_allocs in
+          let misses = s.Memsim.Cache.misses - t.seen_misses - allocs in
+          t.line_refs.(i) <- t.line_refs.(i) + 1;
+          t.line_misses.(i) <- t.line_misses.(i) + misses;
+          t.line_allocs.(i) <- t.line_allocs.(i) + allocs;
+          t.seen_misses <- s.Memsim.Cache.misses;
+          t.seen_allocs <- s.Memsim.Cache.alloc_misses)
+  }
+
+let analyze t =
+  let refs = t.line_refs and misses = t.line_misses and allocs = t.line_allocs in
   let n = Array.length refs in
   let points =
     Array.init n (fun i ->

@@ -1,13 +1,19 @@
 (** Cache-activity analysis: the §7 "local vs. global performance"
     graphs.
 
-    The cache blocks of a direct-mapped cache are ranked by mutator
-    reference count; for each block the {e local miss ratio}
+    The cache blocks (lines) of a direct-mapped cache are ranked by
+    mutator reference count; for each block the {e local miss ratio}
     (non-allocation misses over references) is computed, along with
     the cumulative miss-ratio curve whose endpoint is the cache's
     global (non-allocation) miss ratio.  The paper reads off this
     analysis: best-case busy blocks pull the cumulative curve down at
-    the far right, outweighing the worst-case (thrashing) blocks. *)
+    the far right, outweighing the worst-case (thrashing) blocks.
+
+    The per-line counts are kept here, not in the simulator: the
+    analyzer wraps a 1-way {!Memsim.Level}'s per-event path and
+    charges each mutator access, and the change it made to the
+    level's miss and allocation-miss counters, to the line the
+    address indexes. *)
 
 type point = {
   refs : int;
@@ -30,8 +36,18 @@ type result = {
       (** top-percentile blocks with local miss ratio below 0.01 *)
 }
 
-val analyze : Memsim.Cache.t -> result
-(** The cache must have been created with [record_block_stats]. *)
+type t
+
+val create : Memsim.Level.t -> t
+(** Wrap a direct-mapped level with zeroed per-line counters.
+    @raise Invalid_argument when the level has more than one way. *)
+
+val sink : t -> Memsim.Trace.sink
+(** Forward every event to the level ({!Memsim.Level.access}) and
+    count the mutator ones per line.  Only events delivered through
+    this sink are counted. *)
+
+val analyze : t -> result
 
 val render : Format.formatter -> ?rows:int -> ?cols:int -> result -> unit
 (** ASCII rendering of the figure: one dot per cache block at

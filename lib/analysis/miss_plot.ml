@@ -1,5 +1,8 @@
 type t = {
-  cache : Memsim.Cache.t;
+  level : Memsim.Level.t;
+  block_shift : int;
+  index_mask : int;
+  mutable seen_misses : int;  (* the level's misses of both phases so far *)
   rows : int;
   refs_per_col : int;
   row_scale : int; (* cache blocks per row, >= 1 *)
@@ -9,11 +12,19 @@ type t = {
   mutable time : int;
 }
 
-let create ~cache ~rows ~refs_per_col () =
-  if rows <= 0 || refs_per_col <= 0 then invalid_arg "Miss_plot.create";
-  let nblocks = Memsim.Cache.num_blocks cache in
+let all_misses (s : Memsim.Cache.stats) =
+  s.Memsim.Cache.misses + s.Memsim.Cache.collector_misses
+
+let create ~level ~rows ~refs_per_col () =
+  if rows <= 0 || refs_per_col <= 0 || Memsim.Level.num_ways level <> 1 then
+    invalid_arg "Miss_plot.create";
+  let nblocks = Memsim.Level.num_sets level in
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
   let t =
-    { cache;
+    { level;
+      block_shift = log2 (Memsim.Level.geometry level).Memsim.Level.block_bytes;
+      index_mask = nblocks - 1;
+      seen_misses = all_misses (Memsim.Level.stats level);
       rows = min rows nblocks;
       refs_per_col;
       row_scale = max 1 (nblocks / min rows nblocks);
@@ -23,12 +34,6 @@ let create ~cache ~rows ~refs_per_col () =
       time = 0
     }
   in
-  Memsim.Cache.set_miss_hook cache (fun ~cache_block ~alloc ->
-      let row = min (t.rows - 1) (cache_block / t.row_scale) in
-      (* Draw allocation misses and interference misses alike: the
-         paper's plot records any miss. *)
-      ignore alloc;
-      Bytes.set t.current row '.');
   t
 
 let flush_column t =
@@ -39,7 +44,15 @@ let flush_column t =
 let sink t =
   { Memsim.Trace.access =
       (fun addr kind phase ->
-        Memsim.Cache.access t.cache addr kind phase;
+        Memsim.Level.access t.level addr kind phase;
+        (* Draw allocation misses and interference misses alike: the
+           paper's plot records any miss. *)
+        let m = all_misses (Memsim.Level.stats t.level) in
+        if m <> t.seen_misses then begin
+          t.seen_misses <- m;
+          let line = (addr lsr t.block_shift) land t.index_mask in
+          Bytes.set t.current (min (t.rows - 1) (line / t.row_scale)) '.'
+        end;
         match (phase : Memsim.Trace.phase) with
         | Memsim.Trace.Mutator ->
           t.time <- t.time + 1;
@@ -54,12 +67,12 @@ let render ppf ?(max_cols = 110) t =
   let ncols = Array.length cols in
   if ncols = 0 then Format.fprintf ppf "(no complete time columns)@."
   else begin
-    let geometry = Memsim.Cache.geometry t.cache in
+    let geometry = Memsim.Level.geometry t.level in
     Format.fprintf ppf
       "cache-miss plot: %a cache, %d-byte blocks; x: %d refs per column, \
        y: cache block (top = 0)@."
-      Memsim.Sweep.pp_size geometry.Memsim.Cache.size_bytes
-      geometry.Memsim.Cache.block_bytes t.refs_per_col;
+      Memsim.Sweep.pp_size geometry.Memsim.Level.size_bytes
+      geometry.Memsim.Level.block_bytes t.refs_per_col;
     let rec bands start =
       if start < ncols then begin
         let stop = min ncols (start + max_cols) in

@@ -9,12 +9,15 @@
 type t
 
 val create :
-  cache:Memsim.Cache.t -> rows:int -> refs_per_col:int -> unit -> t
-(** Wrap [cache]: the returned object's {!sink} forwards every event
-    to the cache and buckets misses into a grid of [rows] vertical
+  level:Memsim.Level.t -> rows:int -> refs_per_col:int -> unit -> t
+(** Wrap a direct-mapped [level]: the returned object's {!sink}
+    forwards every event to the level ({!Memsim.Level.access}) and
+    buckets misses — any phase, read by the change each access makes
+    to the level's miss counters — into a grid of [rows] vertical
     cells (cache blocks scaled down) and one column per
-    [refs_per_col] mutator references.  Installs the cache's miss
-    hook. *)
+    [refs_per_col] mutator references.
+    @raise Invalid_argument when the level has more than one way or
+    [rows] or [refs_per_col] is not positive. *)
 
 val sink : t -> Memsim.Trace.sink
 

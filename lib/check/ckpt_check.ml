@@ -1,18 +1,16 @@
-(* See ckpt_check.mli.  The walk mirrors the writers byte for byte:
-   Sweep.save_checkpoint / save_hier_checkpoint frame the file (magic,
-   24-byte header, snapshot bodies), Cache.snapshot and Hier.snapshot
-   -> Level.snapshot define the bodies.  Every constant here (word
-   widths, stride tables, policy codes) restates one the simulator
-   owns; test_policy pins them against the real writers so the two
-   cannot drift silently. *)
+(* See ckpt_check.mli.  The walk mirrors the writer byte for byte:
+   Sweep.save_hier_checkpoint frames the file (magic, 24-byte header,
+   snapshot bodies), Hier.snapshot -> Level.snapshot define the
+   bodies.  Every constant here (word widths, stride tables, policy
+   codes) restates one the simulator owns; test_policy pins them
+   against the real writers so the two cannot drift silently. *)
 
 type kind = Grid | Hier
 
 let kind_string = function Grid -> "grid" | Hier -> "hierarchy"
 
-let grid_magic = "SWPCKPT1"
+let retired_grid_magic = "SWPCKPT1"
 let hier_magic = "SWHCKPT1"
-let cache_snapshot_magic = 0x504B435343414345L
 let hier_snapshot_magic = 0x52454948534E4150L
 let level_snapshot_magic = 0x4C45564C534E4150L
 let word_bytes = 4 (* Trace.word_bytes: simulated words, not file words *)
@@ -99,79 +97,6 @@ let check_lines ctx src ~at ~lines ~wpb =
         d
   done;
   dirty + lines
-
-(* --- one Cache.snapshot body --------------------------------------------- *)
-
-(* magic + 5 geometry words + 11 counters + per-line arrays + optional
-   per-block statistics. *)
-let check_cache_snapshot ctx src ~at ~index =
-  let remaining = Bytes.length src - at in
-  if remaining < 8 * 17 then begin
-    fail ctx "ckpt.truncated" ~at
-      "file ends inside the fixed part of cache snapshot %d" index;
-    Stop
-  end
-  else if not (Int64.equal (Bytes.get_int64_le src at) cache_snapshot_magic)
-  then begin
-    fail ctx "ckpt.snapshot-magic" ~at
-      "cache snapshot %d does not start with the cache magic" index;
-    Stop
-  end
-  else begin
-    let size = word src (at + 8)
-    and block = word src (at + 16)
-    and wmp = word src (at + 24)
-    and cfow = word src (at + 32)
-    and stats = word src (at + 40) in
-    let geom_ok =
-      let ok = ref true in
-      let geom cond fmt =
-        Printf.ksprintf
-          (fun msg ->
-            if not cond then begin
-              ok := false;
-              fail ctx "ckpt.geometry" ~at "cache snapshot %d: %s" index msg
-            end)
-          fmt
-      in
-      geom (is_pow2 size) "size %d is not a positive power of two" size;
-      geom (is_pow2 block) "block %d is not a positive power of two" block;
-      geom (block >= word_bytes && block <= 256)
-        "block %d outside %d..256 bytes" block word_bytes;
-      geom (size = 0 || block = 0 || block <= size)
-        "block %d larger than the %d-byte cache" block size;
-      geom (wmp = 0 || wmp = 1) "unknown write-miss policy code %d" wmp;
-      geom (cfow = 0 || cfow = 1) "collector-fetch flag %d is not 0/1" cfow;
-      geom (stats = 0 || stats = 1) "block-stats flag %d is not 0/1" stats;
-      !ok
-    in
-    if not geom_ok then Stop
-    else begin
-      let nblocks = size / block in
-      let wpb = block / word_bytes in
-      let stats_len = if stats = 1 then nblocks else 0 in
-      let body =
-        (8 * 17) + (8 * 3 * nblocks) + nblocks + (8 * 3 * stats_len)
-      in
-      if remaining < body then begin
-        fail ctx "ckpt.truncated" ~at
-          "cache snapshot %d needs %d bytes, %d left" index body remaining;
-        Stop
-      end
-      else begin
-        let p = check_counters ctx src ~at:(at + (8 * 6)) in
-        let p = check_lines ctx src ~at:p ~lines:nblocks ~wpb in
-        (* per-block statistics counters, 3 arrays *)
-        for i = 0 to (3 * stats_len) - 1 do
-          let off = p + (8 * i) in
-          let c = word src off in
-          if c < 0 then
-            fail ctx "ckpt.counter" ~at:off "negative block statistic %d" c
-        done;
-        Next (at + body)
-      end
-    end
-  end
 
 (* --- one Level.snapshot body --------------------------------------------- *)
 
@@ -316,16 +241,23 @@ let scan ?events:expect_events file =
     else begin
       let magic = Bytes.sub_string src 0 8 in
       let kind =
-        if String.equal magic grid_magic then Some Grid
+        if String.equal magic retired_grid_magic then Some Grid
         else if String.equal magic hier_magic then Some Hier
         else None
       in
       match kind with
       | None ->
         fail_whole ctx "ckpt.magic"
-          "not a sweep checkpoint (magic %S; expected %S or %S)" magic
-          grid_magic hier_magic;
+          "not a sweep checkpoint (magic %S; expected %S)" magic hier_magic;
         finish ()
+      | Some Grid ->
+        (* Its bodies are snapshots of a simulator that no longer
+           exists: name the format once instead of walking them. *)
+        fail ctx "ckpt.retired" ~at:0
+          "%S grid checkpoints are retired; grids now checkpoint as %S \
+           hierarchy files, so resume this replay from the start"
+          retired_grid_magic hier_magic;
+        finish ~kind:Grid ()
       | Some k ->
         if len < 32 then begin
           fail ctx "ckpt.truncated" ~at:8
@@ -349,11 +281,6 @@ let scan ?events:expect_events file =
                "checkpoint was taken over %d events but the recording has %d"
                events e
            | Some _ | None -> ());
-          let step =
-            match k with
-            | Grid -> fun at index -> check_cache_snapshot ctx src ~at ~index
-            | Hier -> fun at index -> check_hier_snapshot ctx src ~at ~index
-          in
           let rec walk at index =
             if count >= 0 && index = count then begin
               if at <> len then
@@ -363,7 +290,7 @@ let scan ?events:expect_events file =
             end
             else if count < 0 then index
             else
-              match step at index with
+              match check_hier_snapshot ctx src ~at ~index with
               | Next at -> walk at (index + 1)
               | Stop -> index
           in

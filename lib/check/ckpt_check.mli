@@ -1,18 +1,19 @@
 (** Static verification of sweep checkpoint files
-    ({!Memsim.Sweep.run_resumable} grid checkpoints and
-    {!Memsim.Sweep.hier_run_resumable} hierarchy checkpoints) without
-    restoring them into live caches.
+    ({!Memsim.Sweep.hier_run_resumable} checkpoints, grids' included)
+    without restoring them into live caches.
 
-    Unlike [Sweep.load_checkpoint], which needs the matching sweep
-    already built and raises on the first problem, this scanner works
+    Unlike [Sweep.load_hier_checkpoint], which needs the matching
+    hierarchies already built and raises on the first problem, this
+    scanner works
     from the file alone: the snapshot bodies are self-describing (each
     carries its geometry), so the walk recomputes every body length
     and collects byte-located {!Finding.t}s instead of raising.
     Rules:
 
     - [ckpt.io] — the file could not be read;
-    - [ckpt.magic] — neither a grid ("SWPCKPT1") nor a hierarchy
-      ("SWHCKPT1") checkpoint;
+    - [ckpt.magic] — not a checkpoint ("SWHCKPT1") at all;
+    - [ckpt.retired] — a grid checkpoint in the retired "SWPCKPT1"
+      format, reported once at byte 0 without walking its bodies;
     - [ckpt.truncated] — short header, or a body that ends inside a
       snapshot the header said should be there;
     - [ckpt.header] — negative cursor / event / snapshot counts, or a
@@ -20,7 +21,7 @@
     - [ckpt.events] — header event count disagrees with the recording
       the checkpoint is being checked against (only with [?events]);
     - [ckpt.snapshot-magic] — a snapshot body does not start with the
-      cache / hierarchy / level magic the file kind promises;
+      hierarchy / level magic the file format promises;
     - [ckpt.geometry] — a snapshot's geometry words describe a cache
       no constructor would accept (sizes not powers of two, blocks
       wider than 64 words, way counts out of 1..32, unknown policy or
@@ -33,8 +34,8 @@
     - [ckpt.suppressed] — warning noting findings beyond the cap. *)
 
 type kind =
-  | Grid  (** cache-grid checkpoint, one {!Memsim.Cache} snapshot each *)
-  | Hier  (** hierarchy checkpoint, one {!Memsim.Hier} snapshot each *)
+  | Grid  (** retired "SWPCKPT1" grid checkpoint; only recognised *)
+  | Hier  (** checkpoint with one {!Memsim.Hier} snapshot per cell *)
 
 type result = {
   file : string;

@@ -35,10 +35,10 @@ let table_collector_families ppf =
     (Report.mb first_gen);
   let o_gc r sw ~size =
     let base =
-      Memsim.Cache.stats (Memsim.Sweep.find base_sw ~size_bytes:size ~block_bytes:block)
+      Memsim.Level.stats (Memsim.Sweep.find base_sw ~size_bytes:size ~block_bytes:block)
     in
     let run =
-      Memsim.Cache.stats (Memsim.Sweep.find sw ~size_bytes:size ~block_bytes:block)
+      Memsim.Level.stats (Memsim.Sweep.find sw ~size_bytes:size ~block_bytes:block)
     in
     Memsim.Timing.gc_overhead Memsim.Timing.Fast ~block_bytes:block
       ~collector_fetches:run.Memsim.Cache.collector_fetches
@@ -89,15 +89,18 @@ let table_placement ppf =
      layout (selfcomp)";
   let w = Workloads.Workload.selfcomp in
   let measure ~pathological_layout =
-    let cache =
-      Memsim.Cache.create
-        (Memsim.Cache.config ~record_block_stats:true
-           ~size_bytes:(Memsim.Sweep.kb 64) ~block_bytes:block ())
+    let level =
+      Memsim.Level.create
+        (Memsim.Level.config ~size_bytes:(Memsim.Sweep.kb 64)
+           ~block_bytes:block ~ways:1 ())
     in
+    let activity = Analysis.Activity.create level in
     let r =
-      Runner.run ~pathological_layout ~sinks:[ Memsim.Cache.sink cache ] w
+      Runner.run ~pathological_layout
+        ~sinks:[ Analysis.Activity.sink activity ]
+        w
     in
-    (r, Memsim.Cache.stats cache, Analysis.Activity.analyze cache)
+    (r, Memsim.Level.stats level, Analysis.Activity.analyze activity)
   in
   let r0, s0, a0 = measure ~pathological_layout:false in
   let r1, s1, a1 = measure ~pathological_layout:true in
@@ -198,21 +201,16 @@ let table_two_level ppf =
   let rows =
     List.map
       (fun w ->
-        let l1_only =
-          Memsim.Cache.create
-            (Memsim.Cache.config ~size_bytes:(Memsim.Sweep.kb 32)
-               ~block_bytes:block ())
-        in
-        let l2_only =
-          Memsim.Cache.create
-            (Memsim.Cache.config ~size_bytes:(Memsim.Sweep.mb 1)
-               ~block_bytes:block ())
-        in
         (* Two direct-mapped levels: L1 fetches that hit the 60ns L2
            pay its access time, the rest the memory penalty. *)
         let direct size =
           Memsim.Level.config ~size_bytes:size ~block_bytes:block ~ways:1 ()
         in
+        let alone size =
+          Memsim.Hier.create (Memsim.Hier.config ~levels:[ direct size ] ())
+        in
+        let l1_only = alone (Memsim.Sweep.kb 32) in
+        let l2_only = alone (Memsim.Sweep.mb 1) in
         let hierarchy =
           Memsim.Hier.create
             (Memsim.Hier.config ~hit_ns:[ 60.0 ]
@@ -220,19 +218,16 @@ let table_two_level ppf =
                  [ direct (Memsim.Sweep.kb 32); direct (Memsim.Sweep.mb 1) ]
                ())
         in
-        let hier_sink, flush = Memsim.Hier.chunked_sink hierarchy in
-        let r =
-          Runner.run
-            ~sinks:
-              [ Memsim.Cache.sink l1_only; Memsim.Cache.sink l2_only;
-                hier_sink ]
-            w
+        let sinks, flushes =
+          List.split
+            (List.map Memsim.Hier.chunked_sink [ l1_only; l2_only; hierarchy ])
         in
-        flush ();
+        let r = Runner.run ~sinks w in
+        List.iter (fun flush -> flush ()) flushes;
         let insns = r.Runner.stats.Vscheme.Machine.mutator_insns in
-        let flat (c : Memsim.Cache.t) =
+        let flat h =
           Memsim.Timing.cache_overhead Memsim.Timing.Fast ~block_bytes:block
-            ~fetches:(Memsim.Cache.stats c).Memsim.Cache.fetches
+            ~fetches:(Memsim.Hier.level_stats h 0).Memsim.Cache.fetches
             ~instructions:insns
         in
         [ w.Workloads.Workload.name;

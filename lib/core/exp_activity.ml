@@ -1,28 +1,29 @@
 let block_bytes = 64
 
-let make_cache size_kb =
-  Memsim.Cache.create
-    (Memsim.Cache.config ~record_block_stats:true
-       ~size_bytes:(size_kb * 1024) ~block_bytes ())
+let make_analyzer size_kb =
+  Analysis.Activity.create
+    (Memsim.Level.create
+       (Memsim.Level.config ~size_bytes:(size_kb * 1024) ~block_bytes ~ways:1
+          ()))
 
 (* selfcomp feeds both the 64k (F5) and 128k (F8) caches in one run. *)
 let selfcomp_pass =
   lazy
-    (let c64 = make_cache 64 in
-     let c128 = make_cache 128 in
+    (let c64 = make_analyzer 64 in
+     let c128 = make_analyzer 128 in
      let r =
        Runner.run
-         ~sinks:[ Memsim.Cache.sink c64; Memsim.Cache.sink c128 ]
+         ~sinks:[ Analysis.Activity.sink c64; Analysis.Activity.sink c128 ]
          Workloads.Workload.selfcomp
      in
      ignore r;
      (Analysis.Activity.analyze c64, Analysis.Activity.analyze c128))
 
 let run_one w =
-  let cache = make_cache 64 in
-  let r = Runner.run ~sinks:[ Memsim.Cache.sink cache ] w in
+  let a = make_analyzer 64 in
+  let r = Runner.run ~sinks:[ Analysis.Activity.sink a ] w in
   ignore r;
-  Analysis.Activity.analyze cache
+  Analysis.Activity.analyze a
 
 let figure_selfcomp_64k ppf =
   Report.heading ppf

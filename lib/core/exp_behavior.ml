@@ -25,12 +25,12 @@ let figure_miss_plot ppf =
   Report.heading ppf
     "E-F3 (sec. 7 figure): cache-miss sweep plot, selfcomp, 64k cache / \
      64b blocks";
-  let cache =
-    Memsim.Cache.create
-      (Memsim.Cache.config ~size_bytes:cache_bytes ~block_bytes ())
+  let level =
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:cache_bytes ~block_bytes ~ways:1 ())
   in
   let plot =
-    Analysis.Miss_plot.create ~cache ~rows:32 ~refs_per_col:65536 ()
+    Analysis.Miss_plot.create ~level ~rows:32 ~refs_per_col:65536 ()
   in
   let r =
     Runner.run ~sinks:[ Analysis.Miss_plot.sink plot ]

@@ -1,7 +1,7 @@
 type pass = {
   insns : int list; (* per workload *)
-  wv : (Memsim.Cache.config * Memsim.Cache.stats) list list;
-  fow : (Memsim.Cache.config * Memsim.Cache.stats) list list;
+  wv : (Memsim.Level.config * Memsim.Cache.stats) list list;
+  fow : (Memsim.Level.config * Memsim.Cache.stats) list list;
 }
 
 (* Trace once, sweep many: each workload is interpreted a single time
@@ -62,8 +62,8 @@ let pass = lazy (run_pass ())
 let find_stats results ~size ~block =
   let cfg, stats =
     List.find
-      (fun ((c : Memsim.Cache.config), _) ->
-        c.Memsim.Cache.size_bytes = size && c.Memsim.Cache.block_bytes = block)
+      (fun ((c : Memsim.Level.config), _) ->
+        c.Memsim.Level.size_bytes = size && c.Memsim.Level.block_bytes = block)
       results
   in
   ignore cfg;

@@ -28,7 +28,7 @@ let measure ?gc ?scale w =
     bytes_allocated = r.Runner.stats.Vscheme.Machine.bytes_allocated;
     per_size =
       List.map
-        (fun (cfg, stats) -> (cfg.Memsim.Cache.size_bytes, stats))
+        (fun (cfg, stats) -> (cfg.Memsim.Level.size_bytes, stats))
         (Memsim.Sweep.results sweep)
   }
 

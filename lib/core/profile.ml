@@ -1,7 +1,7 @@
-let cache_label (cfg : Memsim.Cache.config) =
-  Format.asprintf "%a/%a %s" Memsim.Sweep.pp_size cfg.Memsim.Cache.size_bytes
-    Memsim.Sweep.pp_size cfg.Memsim.Cache.block_bytes
-    (Memsim.Cache.write_miss_label cfg.Memsim.Cache.write_miss_policy)
+let cache_label (cfg : Memsim.Level.config) =
+  Format.asprintf "%a/%a %s" Memsim.Sweep.pp_size cfg.Memsim.Level.size_bytes
+    Memsim.Sweep.pp_size cfg.Memsim.Level.block_bytes
+    (Memsim.Cache.write_miss_label cfg.Memsim.Level.write_miss_policy)
 
 let capture ?gc ?heap_bytes ?scale w =
   let table = Memsim.Attr.create () in

@@ -4,7 +4,7 @@
     into {!Obs.Profile.t} values ready for JSON, collapsed-stack and
     heatmap output. *)
 
-val cache_label : Memsim.Cache.config -> string
+val cache_label : Memsim.Level.config -> string
 (** ["64k/16b write-validate"]-style label, as the sweep tables print
     geometries. *)
 
@@ -40,7 +40,7 @@ val profile_recording :
   ?heat_cols:int ->
   workload:string ->
   addr_limit:int ->
-  caches:Memsim.Cache.config list ->
+  caches:Memsim.Level.config list ->
   Memsim.Attr.table ->
   Memsim.Recording.t ->
   Obs.Profile.t list

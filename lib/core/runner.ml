@@ -144,7 +144,7 @@ let sweep_recording ?(label = "sweep") sweep recording =
   set (label ^ ".wall_s") dt;
   set (label ^ ".jobs") (float_of_int jobs);
   set (label ^ ".events") (float_of_int events);
-  let caches = Array.length (Memsim.Sweep.caches sweep) in
+  let caches = Array.length (Memsim.Sweep.hiers sweep) in
   if dt > 0.0 then begin
     let rate = float_of_int (events * caches) /. dt in
     set (label ^ ".events_per_s") rate;
@@ -241,7 +241,7 @@ let record_sweep ?(label = "sweep") ?gc ?heap_bytes ?pathological_layout
   finish ();
   let t1 = Unix.gettimeofday () in
   let events = Memsim.Recording.length recording in
-  let caches = Array.length (Memsim.Sweep.caches sweep) in
+  let caches = Array.length (Memsim.Sweep.hiers sweep) in
   let produce_s = t_produced -. t0 in
   let drain_s = t1 -. t_produced in
   let wall_s = t1 -. t0 in

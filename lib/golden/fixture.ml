@@ -67,53 +67,43 @@ let measure ?ctx ?checkpoint ?checkpoint_every ?progress (run : Manifest.run) =
           ~fetches:s.Memsim.Cache.fetches ~instructions
     }
   in
-  let caches =
+  (* A hierarchy run replays one fused preset; a grid run replays the
+     sweep's one-level cells.  Either way the per-level counters become
+     the fixture's cache entries, in level-within-grid order, keyed by
+     each level's capacity and block. *)
+  let hiers =
     match run.Manifest.hier with
     | Some cpu ->
-      (* Hierarchy run: the fused engine replaces the sweep grid and
-         the per-level counters become the fixture's cache entries,
-         keyed by each level's (distinct) capacity. *)
-      let h =
-        Memsim.Hier.create
-          (Memsim.Hier.preset
-             ~write_miss_policy:run.Manifest.write_miss_policy cpu)
-      in
-      (match checkpoint with
-       | Some ck ->
-         (* Per-level statistics are bit-identical to the serial
-            replay no matter how often the measurement died and
-            resumed from [ck]. *)
-         Memsim.Sweep.hier_run_resumable ?ctx ?checkpoint_every ?progress
-           ~jobs:run.Manifest.jobs ~checkpoint:ck [| h |] recording
-       | None -> Memsim.Sweep.hier_run_serial [| h |] recording);
-      let cfg = Memsim.Hier.geometry h in
-      List.mapi
-        (fun i s ->
-          let l = cfg.Memsim.Hier.levels.(i) in
-          result_of
-            (l.Memsim.Level.size_bytes, l.Memsim.Level.block_bytes, s))
-        (Array.to_list (Memsim.Hier.stats h))
+      [| Memsim.Hier.create
+           (Memsim.Hier.preset
+              ~write_miss_policy:run.Manifest.write_miss_policy cpu)
+      |]
     | None ->
-      let sweep =
-        Memsim.Sweep.create
-          (Memsim.Sweep.grid
-             ~write_miss_policy:run.Manifest.write_miss_policy
-             ~cache_sizes:run.Manifest.cache_sizes
-             ~block_sizes:run.Manifest.block_sizes ())
-      in
-      (match checkpoint with
-       | Some ck ->
-         Memsim.Sweep.run_resumable ?ctx ?checkpoint_every ?progress
-           ~jobs:run.Manifest.jobs ~checkpoint:ck sweep recording
-       | None ->
-         if run.Manifest.jobs > 1 then
-           Memsim.Sweep.run_parallel ~jobs:run.Manifest.jobs sweep recording
-         else Memsim.Sweep.run_serial sweep recording);
-      List.map
-        (fun (cfg, s) ->
-          result_of
-            (cfg.Memsim.Cache.size_bytes, cfg.Memsim.Cache.block_bytes, s))
-        (Memsim.Sweep.results sweep)
+      Memsim.Sweep.hiers
+        (Memsim.Sweep.create
+           (Memsim.Sweep.grid
+              ~write_miss_policy:run.Manifest.write_miss_policy
+              ~cache_sizes:run.Manifest.cache_sizes
+              ~block_sizes:run.Manifest.block_sizes ()))
+  in
+  (match checkpoint with
+   | Some ck ->
+     (* Statistics are bit-identical to the serial replay no matter how
+        often the measurement died and resumed from [ck]. *)
+     Memsim.Sweep.hier_run_resumable ?ctx ?checkpoint_every ?progress
+       ~jobs:run.Manifest.jobs ~checkpoint:ck hiers recording
+   | None -> Memsim.Sweep.hier_run_parallel ~jobs:run.Manifest.jobs hiers recording);
+  let caches =
+    List.concat_map
+      (fun h ->
+        let levels = (Memsim.Hier.geometry h).Memsim.Hier.levels in
+        List.mapi
+          (fun i s ->
+            result_of
+              (levels.(i).Memsim.Level.size_bytes,
+               levels.(i).Memsim.Level.block_bytes, s))
+          (Array.to_list (Memsim.Hier.stats h)))
+      (Array.to_list hiers)
   in
   { run;
     value = r.Core.Runner.value;

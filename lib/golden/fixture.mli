@@ -50,8 +50,8 @@ val measure :
 (** Run the workload, sweep the manifest grid over its recording
     (with [run.jobs] worker domains), and measure the saved trace's
     byte size.  With [checkpoint], the sweep goes through
-    {!Memsim.Sweep.run_resumable} (or its hierarchy counterpart): the
-    replay snapshots every [checkpoint_every] events and, when the
+    {!Memsim.Sweep.hier_run_resumable} (grid cells are one-level
+    hierarchies): the replay snapshots every [checkpoint_every] events and, when the
     checkpoint file already exists, resumes from it bit-identically —
     the trace itself is re-recorded, which is free of drift because
     the simulator is deterministic.  [progress] observes the replay

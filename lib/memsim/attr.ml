@@ -11,7 +11,7 @@
    single forward cursor.
 
    A profile is the flat accumulator the attributing fast path
-   ([Cache.access_chunk_attr]) writes into: one slot per
+   ([Level.access_chunk_attr]) writes into: one slot per
    (region × phase) for each counter the cache keeps, per-site
    allocation counters, and a miss heat grid over
    (address bucket × event-index bucket). *)

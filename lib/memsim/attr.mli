@@ -21,9 +21,9 @@
     saved traces attributable.
 
     The record types are exposed concretely: the per-event loop in
-    {!Cache.access_chunk_attr} reads the parallel arrays directly with
+    {!Level.access_chunk_attr} reads the parallel arrays directly with
     [unsafe_get].  Treat the fields as read-only outside this module
-    and {!Cache}. *)
+    and {!Level}. *)
 
 (** {1 Regions} *)
 

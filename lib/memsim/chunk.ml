@@ -3,7 +3,7 @@
    The codec is the historical Recording encoding: one native int per
    event, bits [63:3] byte address, [2:1] kind, [0] phase.  Recording
    slabs and live chunking producers share it, so a recording's internal
-   buffers can be consumed by [Cache.access_chunk] without copying.
+   buffers can be consumed by [Level.access_chunk] without copying.
 
    Buffers live off the OCaml heap as int-kind Bigarrays: the producer
    fast path is one unsafe store with no write barrier and no GC

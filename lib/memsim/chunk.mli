@@ -5,7 +5,7 @@
     trace out to a 40-configuration sweep.  A chunk is a flat buffer of
     packed events (the {!Recording} encoding: bits [63:3] byte address,
     [2:1] kind, [0] phase) that batched consumers such as
-    {!Cache.access_chunk} iterate with a tight decode loop instead.
+    {!Level.access_chunk} iterate with a tight decode loop instead.
 
     Buffers are off-heap int-kind Bigarrays: stores skip the OCaml
     write barrier, the GC never scans slab contents, and an mmap-backed

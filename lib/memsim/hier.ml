@@ -114,6 +114,7 @@ let sink t = { Trace.access = (fun addr kind phase -> access t addr kind phase) 
 let chunked_sink ?chunk_events t =
   Chunk.producer ?chunk_events (fun buf len -> access_chunk t buf 0 len)
 
+let level t i = t.levels.(i)
 let stats t = Array.map Level.stats t.levels
 let level_stats t i = Level.stats t.levels.(i)
 

@@ -54,6 +54,12 @@ val chunked_sink : ?chunk_events:int -> t -> Trace.sink * (unit -> unit)
     works on both engines and is how live runs feed a fused
     hierarchy. *)
 
+val level : t -> int -> Level.t
+(** [level t i] is level [i] (L1 is 0) itself, for per-level work the
+    hierarchy does not do — attribution ({!Level.access_chunk_attr})
+    or per-event delivery to a one-level hierarchy.  Feeding it events
+    directly bypasses the levels below it. *)
+
 val stats : t -> Cache.stats array
 (** Per-level counters, L1 first. *)
 

@@ -1,11 +1,13 @@
-(* Policy-pluggable set-associative cache level.
+(* Policy-pluggable set-associative cache level — the one cache
+   simulator.
 
    One level of a hierarchy: N sets of W ways with a replacement
    policy chosen per level.  The block model — per-word valid bits,
    write-validate vs fetch-on-write, collector stores forced to
-   fetch-on-write — is exactly {!Cache}'s, so a 1-way LRU level and a
-   direct-mapped {!Cache} make identical decisions (the test suite
-   checks this).
+   fetch-on-write — is the paper's §4 cache (see level.mli).  A 1-way
+   level is the paper's direct-mapped cache, and its chunk step takes
+   a dedicated direct-indexed loop ([run_direct]); the per-event
+   [access] stays the oracle it is tested against.
 
    Replacement state is packed into per-set machine words in [pol]:
 
@@ -363,9 +365,10 @@ let[@hot] choose_victim t set =
 
 (* --- Per-event access (the differential oracle) ------------------------- *)
 
-(* Mirrors [Cache.access] with a way scan and policy updates in place
-   of the direct-mapped index; hook order on a dirty-victim miss is
-   writeback first, then fetch, exactly as in [Cache]. *)
+(* One access: the way scan, then the §4 block model with the
+   policy's promote or fill.  Hook order on a dirty-victim miss is
+   writeback first, then fetch — the order the chunk loops emit
+   their miss streams in. *)
 let[@hot] access t addr kind phase =
   let mem_block = addr lsr t.block_shift in
   let set = mem_block land t.set_mask in
@@ -661,11 +664,11 @@ let[@hot] fast_span (buf : Chunk.buf) i0 limit (hint : int array)
   Array.unsafe_set acc_cell 0 !acc;
   !stop
 
-(* [run_chunk] is the single hot loop behind both entry points; when
-   [emit] is false [out] is never touched.  Input words with kind
-   code 3 are consumed as write-backs, so a level's output stream can
-   be fed straight into the next level's [run_chunk]. *)
-let[@hot] run_chunk t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
+(* [run_sets] is the set-associative hot loop behind both entry
+   points; when [emit] is false [out] is never touched.  Input words
+   with kind code 3 are consumed as write-backs, so a level's output
+   stream can be fed straight into the next level's [run_chunk]. *)
+let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
   let tags = t.tags
   and valid_lo = t.valid_lo
   and valid_hi = t.valid_hi
@@ -956,6 +959,407 @@ let[@hot] run_chunk t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
   t.collector_writes <- t.collector_writes + !collector_writes;
   !op
 
+(* The direct-mapped loop: with one way the set index is the line
+   index, so there is no way scan, no hint and no victim choice — the
+   §4 cache of the paper, with the geometry in locals and the counters
+   accumulated in registers and committed once per chunk.  Every
+   transition is [access]'s (and [write_back]'s for kind code 3, whose
+   block address always falls on the store paths below) with
+   [way = 0].  The loop makes no calls, so nothing live across it is
+   spilled around one; the one-way policy updates are inlined instead
+   ([pstride] is 1 for every policy at one way, so a set's word is
+   [pol.(idx)]):
+
+   - LRU and Tree-PLRU never change a one-way set: the one rank is
+     already 0 and the tree has no nodes.
+   - MRU ([polk] 1) sets the way's bit on every resolution; with one
+     way the wrap-around reset leaves the same word.
+   - QLRU ([polk] 2) halves the age on a hit (H11) and inserts at age
+     1 on a fill (M1).  The fill overwrites the only age a victim
+     normalization would raise, and U2's aging of the other lines has
+     no other lines to age.
+
+   With [attr] the loop also attributes (see [access_chunk_attr]):
+   every aggregate counter bump has a bump of the event's (region x
+   phase) slot in [prof] beside it, which is what makes the per-slot
+   sums equal the aggregate counters exactly.  [base] is the
+   recording-global index of [buf.(off)], and [cur]'s side-table logs
+   are consumed forward from it.  Attribution is defined for recorded
+   events (kind codes 0-2) only.
+
+   The loop is inlined three times: for the sweep grid with [emit],
+   [polk] and [attr] the constants false, 0 and false, which the
+   compiler folds away (measured ~10% faster than testing them per
+   event); for miss streams, MRU and QLRU; and for attribution. *)
+
+(* [polk]: which one-way policy word moves (see above). *)
+let policy_kind t =
+  match t.cfg.policy with
+  | Lru | Tree_plru -> 0
+  | Mru -> 1
+  | Qlru_h11_m1_r1_u2 | Qlru_h11_m1_r0_u0 -> 2
+
+let[@inline] promote_direct pol polk idx =
+  let a = Array.unsafe_get pol idx in
+  Array.unsafe_set pol idx
+    (if polk = 1 then a lor 1 else a land lnot 3 lor ((a land 3) lsr 1))
+
+let[@inline] fill_direct pol polk idx =
+  let a = Array.unsafe_get pol idx in
+  Array.unsafe_set pol idx (if polk = 1 then a lor 1 else a land lnot 3 lor 1)
+
+let[@inline] bump (a : int array) i =
+  Array.unsafe_set a i (Array.unsafe_get a i + 1)
+
+(* The {!Attr} region of a byte address under one region map.  The
+   [int] annotation matters: unannotated, the compares stay
+   polymorphic and cost a C call each even once inlined. *)
+let[@inline] region_of (addr : int) stack_lo dyn_lo to_lo to_hi from_lo
+    from_hi =
+  if addr < stack_lo then 0
+  else if addr < dyn_lo then 1
+  else if addr >= to_lo && addr < to_hi then 2
+  else if addr >= from_lo && addr < from_hi then 3
+  else 4
+
+(* A miss at event [p] into the (address x time) heat grid and the
+   (time x region) strip of a profile, its fields passed unpacked. *)
+let[@inline] bump_heat heat heat_rows heat_cols row_shift col_shift
+    region_time addr p region =
+  let r0 = addr lsr row_shift in
+  let r = if r0 >= heat_rows then heat_rows - 1 else r0 in
+  let c0 = p lsr col_shift in
+  let c = if c0 >= heat_cols then heat_cols - 1 else c0 in
+  bump heat ((r * heat_cols) + c);
+  bump region_time ((c * 5) + region)
+
+(* [buf]'s concrete Bigarray type must be visible here: an unannotated
+   parameter stays polymorphic during inference, and the compiler then
+   emits a generic caml_ba_get_1 C call per event instead of a direct
+   load (a measured ~2.5x slowdown of this loop). *)
+let[@inline] direct_loop t (buf : Chunk.buf) off len emit polk
+    (out : Chunk.buf) opos attr (cur : Attr.cursor) (prof : Attr.profile)
+    base =
+  let tags = t.tags
+  and valid_lo = t.valid_lo
+  and valid_hi = t.valid_hi
+  and dirty = t.dirty
+  and pol = t.pol in
+  let block_shift = t.block_shift
+  and index_mask = t.set_mask
+  and word_mask = t.word_mask
+  and full_lo = t.full_lo
+  and full_hi = t.full_hi in
+  let shift3 = block_shift + 3 in
+  let write_validate =
+    match t.cfg.write_miss_policy with
+    | Cache.Write_validate -> true
+    | Cache.Fetch_on_write -> false
+  in
+  let collector_fow = t.cfg.collector_fetch_on_write in
+  let collector_refs = ref 0
+  and misses = ref 0
+  and collector_misses = ref 0
+  and alloc_misses = ref 0
+  and fetches = ref 0
+  and collector_fetches = ref 0
+  and writebacks = ref 0
+  and collector_writebacks = ref 0
+  and writes = ref 0
+  and collector_writes = ref 0 in
+  let op = ref opos in
+  let tbl = cur.Attr.ctab in
+  let epoch_pos = tbl.Attr.epoch_pos
+  and epoch_stack_lo = tbl.Attr.epoch_stack_lo
+  and epoch_dyn_lo = tbl.Attr.epoch_dyn_lo
+  and epoch_to_lo = tbl.Attr.epoch_to_lo
+  and epoch_to_hi = tbl.Attr.epoch_to_hi
+  and epoch_from_lo = tbl.Attr.epoch_from_lo
+  and epoch_from_hi = tbl.Attr.epoch_from_hi
+  and n_epochs = tbl.Attr.n_epochs
+  and run_pos = tbl.Attr.run_pos
+  and run_site = tbl.Attr.run_site
+  and n_runs = tbl.Attr.n_runs in
+  let p_refs = prof.Attr.refs
+  and p_misses = prof.Attr.misses
+  and p_alloc = prof.Attr.alloc_misses
+  and p_fetches = prof.Attr.fetches
+  and p_writebacks = prof.Attr.writebacks
+  and p_writes = prof.Attr.writes
+  and site_am = prof.Attr.site_alloc_misses
+  and site_aw = prof.Attr.site_alloc_writes
+  and heat = prof.Attr.heat
+  and region_time = prof.Attr.region_time in
+  let heat_rows = prof.Attr.heat_rows
+  and heat_cols = prof.Attr.heat_cols
+  and row_shift = prof.Attr.heat_row_shift
+  and col_shift = prof.Attr.heat_col_shift in
+  let ei = ref cur.Attr.ei
+  and si = ref cur.Attr.si
+  and cur_site = ref cur.Attr.cur_site
+  and stack_lo = ref cur.Attr.stack_lo
+  and dyn_lo = ref cur.Attr.dyn_lo
+  and to_lo = ref cur.Attr.to_lo
+  and to_hi = ref cur.Attr.to_hi
+  and from_lo = ref cur.Attr.from_lo
+  and from_hi = ref cur.Attr.from_hi in
+  for i = off to off + len - 1 do
+    let w = Bigarray.Array1.unsafe_get buf i in
+    let kcode = (w lsr 1) land 3 in
+    let mutator = w land 1 = 0 in
+    let mem_block = w lsr shift3 in
+    let idx = mem_block land index_mask in
+    let word = (w lsr 5) land word_mask in
+    let high = word >= 32 in
+    let wbit = 1 lsl (word land 31) in
+    let is_store = kcode <> 0 in
+    let p = base + i - off in
+    (* the event's (region x phase) slot, once the cursor has caught
+       up with it *)
+    let slot =
+      if attr then begin
+        while
+          !ei + 1 < n_epochs && Array.unsafe_get epoch_pos (!ei + 1) <= p
+        do
+          let e = !ei + 1 in
+          ei := e;
+          stack_lo := Array.unsafe_get epoch_stack_lo e;
+          dyn_lo := Array.unsafe_get epoch_dyn_lo e;
+          to_lo := Array.unsafe_get epoch_to_lo e;
+          to_hi := Array.unsafe_get epoch_to_hi e;
+          from_lo := Array.unsafe_get epoch_from_lo e;
+          from_hi := Array.unsafe_get epoch_from_hi e
+        done;
+        while !si < n_runs && Array.unsafe_get run_pos !si <= p do
+          cur_site := Array.unsafe_get run_site !si;
+          si := !si + 1
+        done;
+        let region =
+          region_of (w lsr 3) !stack_lo !dyn_lo !to_lo !to_hi !from_lo
+            !from_hi
+        in
+        let slot = (region lsl 1) lor (w land 1) in
+        bump p_refs slot;
+        slot
+      end
+      else 0
+    in
+    if not mutator then incr collector_refs;
+    if is_store then begin
+      incr writes;
+      if not mutator then incr collector_writes;
+      if attr then begin
+        bump p_writes slot;
+        if kcode = 2 && mutator then bump site_aw !cur_site
+      end
+    end;
+    if Array.unsafe_get tags idx = mem_block then begin
+      if polk <> 0 then promote_direct pol polk idx;
+      let valid = if high then valid_hi else valid_lo in
+      if Array.unsafe_get valid idx land wbit <> 0 then begin
+        if is_store then begin
+          Bytes.unsafe_set dirty idx '\001';
+          if kcode = wb_code then begin
+            Array.unsafe_set valid_lo idx full_lo;
+            Array.unsafe_set valid_hi idx full_hi
+          end
+        end
+      end
+      else if is_store then begin
+        if kcode = wb_code then begin
+          Array.unsafe_set valid_lo idx full_lo;
+          Array.unsafe_set valid_hi idx full_hi
+        end
+        else Array.unsafe_set valid idx (Array.unsafe_get valid idx lor wbit);
+        Bytes.unsafe_set dirty idx '\001'
+      end
+      else begin
+        (* read of an unvalidated word in a resident block: fetch all *)
+        if mutator then begin
+          incr misses;
+          incr fetches
+        end
+        else begin
+          incr collector_misses;
+          incr collector_fetches
+        end;
+        if attr then begin
+          bump p_misses slot;
+          bump p_fetches slot;
+          bump_heat heat heat_rows heat_cols row_shift col_shift region_time
+            (w lsr 3) p (slot lsr 1)
+        end;
+        Array.unsafe_set valid_lo idx full_lo;
+        Array.unsafe_set valid_hi idx full_hi;
+        if emit then begin
+          Bigarray.Array1.unsafe_set out !op
+            ((mem_block lsl shift3) lor (w land 1));
+          incr op
+        end
+      end
+    end
+    else if kcode = wb_code then begin
+      (* whole-block write-back from the level above *)
+      let old = Array.unsafe_get tags idx in
+      if mutator then incr misses else incr collector_misses;
+      if old >= 0 && Bytes.unsafe_get dirty idx = '\001' then begin
+        incr writebacks;
+        if not mutator then incr collector_writebacks;
+        if emit then begin
+          Bigarray.Array1.unsafe_set out !op
+            ((old lsl shift3) lor (wb_code lsl 1) lor (w land 1));
+          incr op
+        end
+      end;
+      Array.unsafe_set tags idx mem_block;
+      if polk <> 0 then fill_direct pol polk idx;
+      Array.unsafe_set valid_lo idx full_lo;
+      Array.unsafe_set valid_hi idx full_hi;
+      Bytes.unsafe_set dirty idx '\001'
+    end
+    else begin
+      if mutator then begin
+        incr misses;
+        if kcode = 2 then begin
+          incr alloc_misses;
+          if attr then begin
+            bump p_alloc slot;
+            bump site_am !cur_site
+          end
+        end
+      end
+      else incr collector_misses;
+      if attr then begin
+        bump p_misses slot;
+        bump_heat heat heat_rows heat_cols row_shift col_shift region_time
+            (w lsr 3) p (slot lsr 1)
+      end;
+      let old = Array.unsafe_get tags idx in
+      if old >= 0 && Bytes.unsafe_get dirty idx = '\001' then begin
+        incr writebacks;
+        if not mutator then incr collector_writebacks;
+        (* a write-back belongs to the evicted block's region under the
+           map in force now *)
+        if attr then
+          bump p_writebacks
+            ((region_of (old lsl block_shift) !stack_lo !dyn_lo !to_lo
+                !to_hi !from_lo !from_hi
+             lsl 1)
+            lor (w land 1));
+        Bytes.unsafe_set dirty idx '\000';
+        if emit then begin
+          Bigarray.Array1.unsafe_set out !op
+            ((old lsl shift3) lor (wb_code lsl 1) lor (w land 1));
+          incr op
+        end
+      end;
+      Array.unsafe_set tags idx mem_block;
+      if polk <> 0 then fill_direct pol polk idx;
+      if
+        is_store && write_validate
+        && not ((not mutator) && collector_fow)
+      then begin
+        (* allocate the line, validate just this word, fetch nothing *)
+        if high then begin
+          Array.unsafe_set valid_lo idx 0;
+          Array.unsafe_set valid_hi idx wbit
+        end
+        else begin
+          Array.unsafe_set valid_lo idx wbit;
+          Array.unsafe_set valid_hi idx 0
+        end;
+        Bytes.unsafe_set dirty idx '\001'
+      end
+      else begin
+        if mutator then incr fetches else incr collector_fetches;
+        if attr then bump p_fetches slot;
+        Array.unsafe_set valid_lo idx full_lo;
+        Array.unsafe_set valid_hi idx full_hi;
+        if emit then begin
+          Bigarray.Array1.unsafe_set out !op
+            ((mem_block lsl shift3) lor (w land 1));
+          incr op
+        end;
+        if is_store then Bytes.unsafe_set dirty idx '\001'
+      end
+    end
+  done;
+  t.refs <- t.refs + (len - !collector_refs);
+  t.collector_refs <- t.collector_refs + !collector_refs;
+  t.misses <- t.misses + !misses;
+  t.collector_misses <- t.collector_misses + !collector_misses;
+  t.alloc_misses <- t.alloc_misses + !alloc_misses;
+  t.fetches <- t.fetches + !fetches;
+  t.collector_fetches <- t.collector_fetches + !collector_fetches;
+  t.writebacks <- t.writebacks + !writebacks;
+  t.collector_writebacks <- t.collector_writebacks + !collector_writebacks;
+  t.writes <- t.writes + !writes;
+  t.collector_writes <- t.collector_writes + !collector_writes;
+  if attr then begin
+    cur.Attr.ei <- !ei;
+    cur.Attr.si <- !si;
+    cur.Attr.cur_site <- !cur_site;
+    cur.Attr.stack_lo <- !stack_lo;
+    cur.Attr.dyn_lo <- !dyn_lo;
+    cur.Attr.to_lo <- !to_lo;
+    cur.Attr.to_hi <- !to_hi;
+    cur.Attr.from_lo <- !from_lo;
+    cur.Attr.from_hi <- !from_hi;
+    prof.Attr.events_attributed <- prof.Attr.events_attributed + len
+  end;
+  !op
+
+(* The attribution arguments of the loops that do not attribute: never
+   written.  Built from literals rather than [Attr.create],
+   [Attr.cursor] and [Attr.profile_create], whose allocations the
+   hot-path lint would otherwise charge to every chunk. *)
+let no_cursor : Attr.cursor =
+  { Attr.ctab =
+      { Attr.n_epochs = 0; epoch_pos = [||]; epoch_stack_lo = [||];
+        epoch_dyn_lo = [||]; epoch_to_lo = [||]; epoch_to_hi = [||];
+        epoch_from_lo = [||]; epoch_from_hi = [||]; n_runs = 0;
+        run_pos = [||]; run_site = [||]; n_sites = 0; site_names = [||];
+        site_ids = Hashtbl.create 1; sites_clipped = false };
+    ei = -1; si = 0; cur_site = 0; stack_lo = 0; dyn_lo = 0; to_lo = 0;
+    to_hi = 0; from_lo = 0; from_hi = 0 }
+
+let no_profile : Attr.profile =
+  { Attr.refs = [||]; misses = [||]; alloc_misses = [||]; fetches = [||];
+    writebacks = [||]; writes = [||]; site_alloc_misses = [||];
+    site_alloc_writes = [||]; heat = [||]; heat_rows = 1; heat_cols = 1;
+    heat_row_shift = 0; heat_col_shift = 0; region_time = [||];
+    chunks_seen = 0; chunks_attributed = 0; events_attributed = 0;
+    sample_every = 1 }
+
+let[@hot] run_direct t buf off len emit out opos =
+  let polk = policy_kind t in
+  if emit || polk <> 0 then
+    direct_loop t buf off len emit polk out opos false no_cursor no_profile 0
+  else
+    direct_loop t buf off len false 0 out opos false no_cursor no_profile 0
+
+(* The chunk step behind both entry points: the geometry alone picks
+   the loop. *)
+let[@hot] run_chunk t buf off len emit out opos =
+  if t.ways = 1 then run_direct t buf off len emit out opos
+  else run_sets t buf off len emit out opos
+
+(* Attribution must not reorder or change the simulation, so it is the
+   direct-mapped loop itself with the attributing code switched on. *)
+let[@hot] access_chunk_attr t (cur : Attr.cursor) (prof : Attr.profile)
+    ~base (buf : Chunk.buf) off len =
+  if off < 0 || len < 0 || off + len > Bigarray.Array1.dim buf then
+    invalid_arg "Level.access_chunk_attr";
+  if base < 0 then invalid_arg "Level.access_chunk_attr: negative base";
+  if t.ways <> 1 then
+    invalid_arg "Level.access_chunk_attr: the level is not direct-mapped";
+  if Option.is_some t.fetch_hook || Option.is_some t.writeback_hook then
+    invalid_arg "Level.access_chunk_attr: fill hooks are installed";
+  ignore
+    (direct_loop t buf off len false (policy_kind t) Chunk.empty 0 true cur
+       prof base
+      : int)
+
 let check_range name (buf : Chunk.buf) off len =
   if off < 0 || len < 0 || off + len > Bigarray.Array1.dim buf then
     invalid_arg name
@@ -966,7 +1370,8 @@ let hooked t =
 let access_chunk t buf off len =
   check_range "Level.access_chunk" buf off len;
   if hooked t then
-    (* preserve exact hook order, as Cache.access_chunk does *)
+    (* hooks fire per event, so take the per-event path to keep their
+       order exact *)
     for i = off to off + len - 1 do
       let w = Bigarray.Array1.unsafe_get buf i in
       let phase = if w land 1 = 0 then Trace.Mutator else Trace.Collector in
@@ -1053,10 +1458,12 @@ let line_valid_words t ~set ~way =
 
 (* --- Checkpointing ------------------------------------------------------- *)
 
-(* Same discipline as [Cache.snapshot]: everything the access paths
-   read or write — tags, valid masks, dirty bits, packed policy
-   words, counters — so a restored level continues bit-identically.
-   Hooks are wiring, not state. *)
+(* The snapshot captures everything the access paths read or write —
+   tags, valid masks, dirty bits, packed policy words, counters — so
+   a restored level continues bit-identically.  Hooks are wiring, not
+   state.  Layout: a geometry header (validated on restore), 11
+   counters, then the arrays, all as little-endian 64-bit words (dirty
+   bits one byte each). *)
 
 let snapshot_magic = 0x4C45564C534E4150L (* "LEVLSNAP" *)
 
@@ -1129,6 +1536,32 @@ let restore t src pos =
   geom "collector_fetch_on_write"
     (if t.cfg.collector_fetch_on_write then 1 else 0)
     (word ());
+  (* Reject line state no access could have produced before loading
+     any of it: the fast loops trust tags, valid masks and dirty bytes,
+     and a dirty byte of 2, say, would silently drop a write-back. *)
+  let lines = t.nsets * t.ways in
+  let tags_at = !pos + (8 * 11) in
+  let lo_at = tags_at + (8 * lines) in
+  let hi_at = lo_at + (8 * lines) in
+  let dirty_at = hi_at + (8 * lines) in
+  let bad at fmt =
+    Printf.ksprintf
+      (fun msg -> invalid_arg (Printf.sprintf "Level.restore: byte %d: %s" at msg))
+      fmt
+  in
+  for i = 0 to lines - 1 do
+    let tag = Int64.to_int (Bytes.get_int64_le src (tags_at + (8 * i))) in
+    if tag < -1 then
+      bad (tags_at + (8 * i)) "tag %d below the -1 invalid marker" tag;
+    let lo = Int64.to_int (Bytes.get_int64_le src (lo_at + (8 * i))) in
+    if lo land lnot t.full_lo <> 0 then
+      bad (lo_at + (8 * i)) "valid mask 0x%x has bits beyond the block" lo;
+    let hi = Int64.to_int (Bytes.get_int64_le src (hi_at + (8 * i))) in
+    if hi land lnot t.full_hi <> 0 then
+      bad (hi_at + (8 * i)) "valid mask 0x%x has bits beyond the block" hi;
+    let d = Char.code (Bytes.get src (dirty_at + i)) in
+    if d > 1 then bad (dirty_at + i) "dirty byte %d is neither 0 nor 1" d
+  done;
   t.refs <- word ();
   t.collector_refs <- word ();
   t.misses <- word ();
@@ -1148,7 +1581,6 @@ let restore t src pos =
   read_array t.tags;
   read_array t.valid_lo;
   read_array t.valid_hi;
-  let lines = t.nsets * t.ways in
   Bytes.blit src !pos t.dirty 0 lines;
   pos := !pos + lines;
   read_array t.pol;

@@ -1,11 +1,35 @@
-(** Policy-pluggable set-associative cache level.
+(** Policy-pluggable set-associative cache level: the simulator
+    behind every cache in the reproduction.
 
-    One level of a multi-level hierarchy: N sets of up to 32 ways
-    with a replacement policy selected per level.  The block model —
-    per-word valid bits, write-validate vs fetch-on-write, collector
-    stores forced to fetch-on-write — matches {!Cache} exactly, so a
-    1-way level and a direct-mapped {!Cache} make identical decisions
-    on the same trace (a property the test suite checks).
+    One level is N sets of up to 32 ways with a replacement policy
+    selected per level.  With one way it is the cache of §4 of the
+    paper, a direct-mapped, virtually-indexed data cache; sweep grids
+    are 1-way levels, and {!Hier} chains levels into hierarchies.
+
+    The block model covers the design space the paper considers:
+    block size equal to the fetch size, and a write-miss policy of
+    either {e write-validate} (write-allocate with one-word
+    sub-blocks: a write miss validates just the written word and
+    fetches nothing) or {e fetch-on-write} (every miss fetches the
+    whole block).  Write-validate is modeled faithfully with a
+    per-word valid bitmask: a read of a word that has neither been
+    written nor fetched misses even when the block's tag matches.
+
+    Two miss-related quantities are kept distinct:
+
+    - {e misses}: accesses that did not hit (used for miss ratios and
+      the §7 activity analysis);
+    - {e fetches}: block transfers from main memory (the quantity that
+      stalls the processor and is multiplied by the miss penalty).
+
+    Under fetch-on-write the two coincide; under write-validate, write
+    misses are misses but not fetches.  Dirty blocks are tracked so
+    that write-back traffic can be reported (§5's "write overheads").
+
+    The chunk entry points pick their loop from the geometry alone: a
+    1-way level runs a direct-indexed loop with no way scan, any
+    other level the set-associative one.  Both leave exactly the
+    state and counters the per-event {!access} leaves.
 
     Replacement state is packed into per-set machine words: exact-LRU
     recency ranks (5-bit fields), Tree-PLRU tree bits, bit-PLRU (MRU)
@@ -40,6 +64,9 @@ type config = {
   policy : policy;
   write_miss_policy : Cache.write_miss_policy;
   collector_fetch_on_write : bool;
+      (** when true, accesses in the {!Trace.Collector} phase use
+          fetch-on-write regardless of [write_miss_policy], as in the
+          §6 footnote *)
 }
 
 val config :
@@ -56,9 +83,12 @@ val config :
 type t
 
 val create : config -> t
-(** @raise Invalid_argument on unsupported geometry: a non-power-of-two
-    block or set count, ways outside 1..32, or a non-power-of-two way
-    count under Tree-PLRU. *)
+(** Fresh, empty level.
+    @raise Invalid_argument on unsupported geometry: a block that is
+    not a power of two, smaller than a word or wider than 64 words (the
+    valid-mask width), a size that is not a multiple of the block, a
+    non-power-of-two set count, ways outside 1..32, or a
+    non-power-of-two way count under Tree-PLRU. *)
 
 val geometry : t -> config
 val num_sets : t -> int
@@ -77,7 +107,9 @@ val set_fill_hook :
     differential oracle chains levels. *)
 
 val access : t -> int -> Trace.kind -> Trace.phase -> unit
-(** One access; semantics of {!Cache.access} plus replacement. *)
+(** Simulate one word access at the given byte address: the block
+    model above plus the policy's promote or fill.  The per-event
+    oracle the chunk loops are tested against. *)
 
 val write_back : t -> int -> Trace.phase -> unit
 (** Install a whole block written back from the level above: counts a
@@ -87,12 +119,14 @@ val write_back : t -> int -> Trace.phase -> unit
 val sink : t -> Trace.sink
 
 val access_chunk : t -> Chunk.buf -> int -> int -> unit
-(** Deliver packed events ({!Chunk} codec).  Kind code 3 — unused by
+(** [access_chunk t buf off len] simulates the [len] packed events at
+    [buf.(off..off+len-1)] ({!Chunk} codec), equivalent to decoding
+    each and calling {!access} in order.  Kind code 3 — unused by
     recordings — is consumed as a {!write_back} of the word's block,
     so a miss stream produced by {!access_chunk_emit} can be drained
     through the next level with this function.  Hook-free levels take
-    a fused counter-hoisted loop; hooked levels fall back to the
-    per-event path so hook order is exact.
+    a fused counter-hoisted loop (direct-indexed at one way); hooked
+    levels fall back to the per-event path so hook order is exact.
     @raise Invalid_argument when the range is out of bounds. *)
 
 val access_chunk_emit :
@@ -109,10 +143,30 @@ val access_chunk_emit :
     [out] has fewer than [2 * len] words after [pos], or when fill
     hooks are installed. *)
 
+val access_chunk_attr :
+  t -> Attr.cursor -> Attr.profile -> base:int -> Chunk.buf -> int -> int -> unit
+(** [access_chunk_attr t cur prof ~base buf off len] is {!access_chunk}
+    on a direct-mapped level, plus attribution: each event
+    (recording-global index [base + i - off]) is classified against
+    the side table behind [cur] and accounted into [prof]'s
+    (region x phase) slots, site counters and miss-heat grid.  Line
+    state transitions and aggregate counters are identical to
+    {!access_chunk}, and each per-counter sum over [prof]'s slots
+    equals the aggregate counter delta exactly (write-backs are
+    charged to the {e evicted} block's region under the map in force
+    at eviction time).  The events must be recorded ones (kind codes
+    0–2), not a miss stream.  Chunks may be skipped between calls
+    (sampling): the cursor catches up forward.  One cursor and
+    profile serve one level; do not share them across domains.
+    @raise Invalid_argument when the range is out of bounds, [base] is
+    negative, the level has more than one way, or fill hooks are
+    installed. *)
+
 val stats : t -> Cache.stats
-(** Same counters as the direct-mapped cache. *)
+(** The level's counters. *)
 
 val reset_stats : t -> unit
+(** Zero every counter (contents, tags and policy state are kept). *)
 
 val line_valid : t -> set:int -> way:int -> bool
 (** Whether the line currently holds a block (test introspection). *)
@@ -161,6 +215,9 @@ val snapshot_bytes : t -> int
 
 val restore : t -> Bytes.t -> int -> int
 (** [restore t src pos] loads a snapshot written by {!snapshot} from
-    [src] at [pos], returning the position after it.
+    [src] at [pos], returning the position after it.  Nothing is
+    loaded unless every line is one an access could have produced.
     @raise Invalid_argument on a truncated, foreign, or
-    geometry-mismatched snapshot. *)
+    geometry-mismatched snapshot, and — naming the byte offset in
+    [src] — on a tag below the [-1] invalid marker, valid bits beyond
+    the block, or a dirty byte other than 0 or 1. *)

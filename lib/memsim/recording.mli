@@ -13,7 +13,7 @@
     fixed-size off-heap slabs ({!Chunk.buf}): appending never copies
     already-recorded events, the GC never scans trace contents, and
     the slabs are exposed as ready-made chunks ({!iter_chunks}) for
-    {!Cache.access_chunk} and the domain-parallel sweep, which share a
+    {!Level.access_chunk} and the domain-parallel sweep, which share a
     completed recording across domains without copying.
 
     Two producers can fill a recording: the generic {!sink}, and a

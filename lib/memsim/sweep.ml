@@ -8,9 +8,18 @@ let paper_block_sizes = [ 16; 32; 64; 128; 256 ]
 
 let pp_size = Size.pp
 
-type t = { caches : Cache.t array }
+(* A grid cell is a one-level hierarchy, so grids and hierarchy
+   fleets share one replay, checkpoint and resume path; [levels]
+   caches each cell's level for the per-event and per-level entry
+   points. *)
+type t = { hiers : Hier.t array; levels : Level.t array }
 
-let create configs = { caches = Array.of_list (List.map Cache.create configs) }
+let create configs =
+  let hiers =
+    Array.of_list
+      (List.map (fun c -> Hier.create (Hier.config ~levels:[ c ] ())) configs)
+  in
+  { hiers; levels = Array.map (fun h -> Hier.level h 0) hiers }
 
 let grid ?(write_miss_policy = Cache.Write_validate) ~cache_sizes ~block_sizes
     () =
@@ -18,21 +27,21 @@ let grid ?(write_miss_policy = Cache.Write_validate) ~cache_sizes ~block_sizes
     (fun size_bytes ->
       List.map
         (fun block_bytes ->
-          Cache.config ~write_miss_policy ~size_bytes ~block_bytes ())
+          Level.config ~write_miss_policy ~size_bytes ~block_bytes ~ways:1 ())
         block_sizes)
     cache_sizes
 
 let sink t =
-  let caches = t.caches in
-  let n = Array.length caches in
+  let levels = t.levels in
+  let n = Array.length levels in
   { Trace.access =
       (fun addr kind phase ->
         for i = 0 to n - 1 do
-          Cache.access (Array.unsafe_get caches i) addr kind phase
+          Level.access (Array.unsafe_get levels i) addr kind phase
         done)
   }
 
-let caches t = t.caches
+let hiers t = t.hiers
 
 (* Error context: callers that run sweeps on behalf of something else
    (the serve scheduler runs them for submitted jobs) prefix failures
@@ -42,23 +51,23 @@ let with_ctx ctx msg =
   match ctx with None -> msg | Some c -> c ^ ": " ^ msg
 
 let find ?ctx t ~size_bytes ~block_bytes =
-  let matches c =
-    let g = Cache.geometry c in
-    g.Cache.size_bytes = size_bytes && g.Cache.block_bytes = block_bytes
+  let matches l =
+    let g = Level.geometry l in
+    g.Level.size_bytes = size_bytes && g.Level.block_bytes = block_bytes
   in
   let rec loop i =
-    if i >= Array.length t.caches then
+    if i >= Array.length t.levels then
       (* Sweeps are policy-pluggable: name the configured write-miss
          policies so a grid built under the wrong policy is
          recognizable from the error alone. *)
       let policies =
         Array.fold_left
-          (fun acc c ->
+          (fun acc lv ->
             let l =
-              Cache.write_miss_label (Cache.geometry c).Cache.write_miss_policy
+              Cache.write_miss_label (Level.geometry lv).Level.write_miss_policy
             in
             if List.exists (String.equal l) acc then acc else l :: acc)
-          [] t.caches
+          [] t.levels
         |> List.rev |> String.concat "/"
       in
       failwith
@@ -67,15 +76,15 @@ let find ?ctx t ~size_bytes ~block_bytes =
               "Sweep.find: no %a cache with %db blocks among the %d \
                configured (%s)"
               pp_size size_bytes block_bytes
-              (Array.length t.caches)
+              (Array.length t.levels)
               (if String.length policies = 0 then "no policies" else policies)))
-    else if matches t.caches.(i) then t.caches.(i)
+    else if matches t.levels.(i) then t.levels.(i)
     else loop (i + 1)
   in
   loop 0
 
 let results t =
-  Array.to_list (Array.map (fun c -> (Cache.geometry c, Cache.stats c)) t.caches)
+  Array.to_list (Array.map (fun l -> (Level.geometry l, Level.stats l)) t.levels)
 
 (* --- The claim-by-index pool -------------------------------------------- *)
 
@@ -105,43 +114,7 @@ let parallel_for ~jobs n f =
     Array.iter Domain.join domains
   end
 
-(* --- One replay driver over two engines --------------------------------- *)
-
-(* What the driver needs of a simulator: a chunk step and a
-   snapshot/restore pair, plus how its checkpoint files are framed and
-   named in errors.  Cache grids and hierarchy fleets are the two
-   instances; both are independent simulators over a read-only sealed
-   recording, which is what makes every path below bit-identical to a
-   serial replay. *)
-type 'e engine = {
-  step : 'e -> Chunk.buf -> int -> int -> unit;
-  snapshot : 'e -> Buffer.t -> unit;
-  restore : 'e -> Bytes.t -> int -> int;
-  magic : string;  (* 8-byte checkpoint file magic *)
-  loader : string;  (* error prefix of the checkpoint loader *)
-  kind : string;  (* what the checkpoint is called in errors *)
-  noun : string;  (* what the simulators are called in errors *)
-}
-
-let cache_engine =
-  { step = Cache.access_chunk;
-    snapshot = Cache.snapshot;
-    restore = Cache.restore;
-    magic = "SWPCKPT1";
-    loader = "Sweep.load_checkpoint";
-    kind = "sweep";
-    noun = "caches"
-  }
-
-let hier_engine =
-  { step = Hier.access_chunk;
-    snapshot = Hier.snapshot;
-    restore = Hier.restore;
-    magic = "SWHCKPT1";
-    loader = "Sweep.load_hier_checkpoint";
-    kind = "hierarchy";
-    noun = "hierarchies"
-  }
+(* --- The replay driver ------------------------------------------------ *)
 
 (* Feed the event range [from_, until) of a recording to [step ~base
    buf off len], where [base] is the recording-global index of
@@ -156,32 +129,27 @@ let replay_range recording ~from_ ~until step =
       let hi = min until (b + len) in
       if lo < hi then step ~base:lo buf (lo - b) (hi - lo))
 
-let replay engine ~jobs items recording ~from_ ~until =
-  parallel_for ~jobs (Array.length items) (fun i ->
-      let e = items.(i) in
+(* Every hierarchy is an independent simulator over a read-only
+   sealed recording, which is what makes every path below
+   bit-identical to a serial replay. *)
+let replay ~jobs hiers recording ~from_ ~until =
+  parallel_for ~jobs (Array.length hiers) (fun i ->
+      let h = hiers.(i) in
       replay_range recording ~from_ ~until (fun ~base:_ buf off len ->
-          engine.step e buf off len))
-
-let replay_all engine ~jobs items recording =
-  replay engine ~jobs items recording ~from_:0
-    ~until:(Recording.length recording)
-
-let run_serial t recording = replay_all cache_engine ~jobs:1 t.caches recording
-
-let run_parallel ~jobs t recording =
-  replay_all cache_engine ~jobs t.caches recording
-
-let hier_run_serial hiers recording =
-  replay_all hier_engine ~jobs:1 hiers recording
+          Hier.access_chunk h buf off len))
 
 let hier_run_parallel ~jobs hiers recording =
-  replay_all hier_engine ~jobs hiers recording
+  replay ~jobs hiers recording ~from_:0 ~until:(Recording.length recording)
+
+let hier_run_serial hiers recording = hier_run_parallel ~jobs:1 hiers recording
+let run_serial t recording = hier_run_serial t.hiers recording
+let run_parallel ~jobs t recording = hier_run_parallel ~jobs t.hiers recording
 
 (* --- Attributed replay --------------------------------------------------- *)
 
-(* Each claimed cache gets a private cursor and profile, so the only
+(* Each claimed level gets a private cursor and profile, so the only
    state shared between domains is read-only (the recording's sealed
-   slabs and the completed side table) or partitioned by cache index
+   slabs and the completed side table) or partitioned by level index
    (the profile array). *)
 let run_attributed ?(jobs = 1) ?(sample_every = 1) ?heat_rows ?heat_cols
     ~addr_limit t table recording =
@@ -194,10 +162,10 @@ let run_attributed ?(jobs = 1) ?(sample_every = 1) ?heat_rows ?heat_cols
       (fun _ ->
         Attr.profile_create ?heat_rows ?heat_cols ~sample_every ~num_sites
           ~addr_limit ~events ())
-      t.caches
+      t.levels
   in
-  parallel_for ~jobs (Array.length t.caches) (fun i ->
-      let c = t.caches.(i) in
+  parallel_for ~jobs (Array.length t.levels) (fun i ->
+      let l = t.levels.(i) in
       let prof = profiles.(i) in
       let cur = Attr.cursor table in
       let chunk_no = ref 0 in
@@ -207,40 +175,43 @@ let run_attributed ?(jobs = 1) ?(sample_every = 1) ?heat_rows ?heat_cols
           prof.Attr.chunks_seen <- prof.Attr.chunks_seen + 1;
           if cn mod sample_every = 0 then begin
             prof.Attr.chunks_attributed <- prof.Attr.chunks_attributed + 1;
-            Cache.access_chunk_attr c cur prof ~base buf off len
+            Level.access_chunk_attr l cur prof ~base buf off len
           end
-          else Cache.access_chunk c buf off len));
+          else Level.access_chunk l buf off len));
   profiles
 
 (* --- Checkpoint / resume ------------------------------------------------ *)
 
 (* A checkpoint pins an in-flight replay: the number of events every
-   simulator has consumed (the cursor) plus a full snapshot of each.
-   Replay is deterministic and the simulators are independent, so
+   hierarchy has consumed (the cursor) plus a full snapshot of each.
+   Replay is deterministic and the hierarchies are independent, so
    restoring the snapshots and continuing from the cursor is
-   bit-identical to never having stopped.  Layout: the engine's 8-byte
-   magic, cursor, event count and simulator count as little-endian
-   64-bit words, then the snapshots back to back.  The file is written
-   to a temp name and renamed so a crash mid-checkpoint can never leave
-   a torn file where a resume would find it. *)
+   bit-identical to never having stopped.  Layout: the 8-byte magic,
+   cursor, event count and hierarchy count as little-endian 64-bit
+   words, then the snapshots back to back.  The file is written to a
+   temp name and renamed so a crash mid-checkpoint can never leave a
+   torn file where a resume would find it. *)
 
-let save engine items ~events ~cursor path =
+let checkpoint_magic = "SWHCKPT1"
+let header_bytes = 32
+
+let save_hier_checkpoint hiers ~events ~cursor path =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (match
      let hdr = Bytes.create 24 in
      Bytes.set_int64_le hdr 0 (Int64.of_int cursor);
      Bytes.set_int64_le hdr 8 (Int64.of_int events);
-     Bytes.set_int64_le hdr 16 (Int64.of_int (Array.length items));
-     output_string oc engine.magic;
+     Bytes.set_int64_le hdr 16 (Int64.of_int (Array.length hiers));
+     output_string oc checkpoint_magic;
      output_bytes oc hdr;
      let buf = Buffer.create (1 lsl 16) in
      Array.iter
-       (fun e ->
+       (fun h ->
          Buffer.clear buf;
-         engine.snapshot e buf;
+         Hier.snapshot h buf;
          Buffer.output_buffer oc buf)
-       items;
+       hiers;
      close_out oc
    with
    | () -> ()
@@ -250,99 +221,83 @@ let save engine items ~events ~cursor path =
      raise e);
   Sys.rename tmp path
 
-let load ?ctx engine items ~events path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let fail fmt =
-        Printf.ksprintf
-          (fun msg -> failwith (with_ctx ctx (engine.loader ^ ": " ^ msg)))
-          fmt
-      in
-      let magic =
-        try really_input_string ic 8
-        with End_of_file -> fail "%s is not a %s checkpoint" path engine.kind
-      in
-      if magic <> engine.magic then
-        fail "%s is not a %s checkpoint" path engine.kind;
-      let hdr = Bytes.create 24 in
-      (try really_input ic hdr 0 24
-       with End_of_file -> fail "%s has a truncated header" path);
-      let cursor = Int64.to_int (Bytes.get_int64_le hdr 0) in
-      let ck_events = Int64.to_int (Bytes.get_int64_le hdr 8) in
-      let count = Int64.to_int (Bytes.get_int64_le hdr 16) in
-      if ck_events <> events then
-        fail "%s was taken over %d events but the recording has %d" path
-          ck_events events;
-      if cursor < 0 || cursor > events then
-        fail "%s has a corrupt cursor %d (recording has %d events)" path
-          cursor events;
-      if count <> Array.length items then
-        fail "%s holds %d %s but the sweep has %d" path count engine.noun
-          (Array.length items);
-      let body_bytes = in_channel_length ic - pos_in ic in
-      let body = Bytes.create body_bytes in
-      really_input ic body 0 body_bytes;
-      let pos = ref 0 in
-      (try Array.iter (fun e -> pos := engine.restore e body !pos) items
-       with Invalid_argument msg -> fail "%s: %s" path msg);
-      if !pos <> body_bytes then
-        fail "%s has %d trailing bytes" path (body_bytes - !pos);
-      cursor)
-
-let save_checkpoint t = save cache_engine t.caches
-let load_checkpoint ?ctx t = load ?ctx cache_engine t.caches
-let save_hier_checkpoint hiers = save hier_engine hiers
-let load_hier_checkpoint ?ctx hiers = load ?ctx hier_engine hiers
+(* The whole file is read and restored in place, so the byte offsets
+   [Level.restore] names in its errors are offsets into the file. *)
+let load_hier_checkpoint ?ctx hiers ~events path =
+  let src =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let n = in_channel_length ic in
+        let b = Bytes.create n in
+        really_input ic b 0 n;
+        b)
+  in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        failwith (with_ctx ctx ("Sweep.load_hier_checkpoint: " ^ msg)))
+      fmt
+  in
+  let len = Bytes.length src in
+  if len < 8 || Bytes.sub_string src 0 8 <> checkpoint_magic then
+    fail "%s is not a hierarchy checkpoint" path;
+  if len < header_bytes then fail "%s has a truncated header" path;
+  let cursor = Int64.to_int (Bytes.get_int64_le src 8) in
+  let ck_events = Int64.to_int (Bytes.get_int64_le src 16) in
+  let count = Int64.to_int (Bytes.get_int64_le src 24) in
+  if ck_events <> events then
+    fail "%s was taken over %d events but the recording has %d" path
+      ck_events events;
+  if cursor < 0 || cursor > events then
+    fail "%s has a corrupt cursor %d (recording has %d events)" path cursor
+      events;
+  if count <> Array.length hiers then
+    fail "%s holds %d hierarchies but the sweep has %d" path count
+      (Array.length hiers);
+  let pos = ref header_bytes in
+  (try Array.iter (fun h -> pos := Hier.restore h src !pos) hiers
+   with Invalid_argument msg -> fail "%s: %s" path msg);
+  if !pos <> len then fail "%s has %d trailing bytes" path (len - !pos);
+  cursor
 
 let default_checkpoint_events = 1 lsl 22
 
 (* Epochs with a barrier at each checkpoint: within an epoch the
-   simulators progress independently (possibly on worker domains), but
-   a checkpoint is only taken when every one has consumed exactly
+   hierarchies progress independently (possibly on worker domains),
+   but a checkpoint is only taken when every one has consumed exactly
    [cursor] events, so one cursor describes them all. *)
-let resume ?ctx ~jobs ~checkpoint_every ?progress ~checkpoint engine items
-    recording =
+let hier_run_resumable ?ctx ?(jobs = 1)
+    ?(checkpoint_every = default_checkpoint_events) ?progress ~checkpoint
+    hiers recording =
   let events = Recording.length recording in
   let every = max 1 checkpoint_every in
   let cursor = ref 0 in
   if Sys.file_exists checkpoint then
-    cursor := load ?ctx engine items ~events checkpoint;
+    cursor := load_hier_checkpoint ?ctx hiers ~events checkpoint;
   (match progress with Some f -> f !cursor | None -> ());
   while !cursor < events do
     let epoch_end = min events (!cursor + every) in
-    replay engine ~jobs items recording ~from_:!cursor ~until:epoch_end;
+    replay ~jobs hiers recording ~from_:!cursor ~until:epoch_end;
     cursor := epoch_end;
-    save engine items ~events ~cursor:!cursor checkpoint;
+    save_hier_checkpoint hiers ~events ~cursor:!cursor checkpoint;
     match progress with Some f -> f !cursor | None -> ()
   done
-
-let run_resumable ?ctx ?(jobs = 1)
-    ?(checkpoint_every = default_checkpoint_events) ?progress ~checkpoint t
-    recording =
-  resume ?ctx ~jobs ~checkpoint_every ?progress ~checkpoint cache_engine
-    t.caches recording
-
-let hier_run_resumable ?ctx ?(jobs = 1)
-    ?(checkpoint_every = default_checkpoint_events) ?progress ~checkpoint
-    hiers recording =
-  resume ?ctx ~jobs ~checkpoint_every ?progress ~checkpoint hier_engine hiers
-    recording
 
 (* --- Record-while-sweep ------------------------------------------------- *)
 
 (* Chunks arrive while the mutator still runs, so workers cannot claim
-   whole caches off a finished recording.  Instead worker [j] owns
-   caches j, j+jobs, j+2*jobs, ...: a static strided partition, and
-   every chunk is broadcast by reference to all workers, so every
-   cache sees the full stream in order. *)
+   whole hierarchies off a finished recording.  Instead worker [j]
+   owns hierarchies j, j+jobs, j+2*jobs, ...: a static strided
+   partition, and every chunk is broadcast by reference to all
+   workers, so every hierarchy sees the full stream in order. *)
 let pipelined ~jobs ?(capacity = 8) t =
-  let caches = t.caches in
-  let n = Array.length caches in
+  let hiers = t.hiers in
+  let n = Array.length hiers in
   let jobs = max 1 (min jobs n) in
   if jobs = 1 then
-    ((fun buf len -> Array.iter (fun c -> Cache.access_chunk c buf 0 len) caches),
+    ((fun buf len -> Array.iter (fun h -> Hier.access_chunk h buf 0 len) hiers),
      ignore)
   else begin
     let fanout = Chunk.Fanout.create ~consumers:jobs ~capacity in
@@ -353,7 +308,7 @@ let pipelined ~jobs ?(capacity = 8) t =
         | Some (buf, len) ->
           let i = ref j in
           while !i < n do
-            Cache.access_chunk caches.(!i) buf 0 len;
+            Hier.access_chunk hiers.(!i) buf 0 len;
             i := !i + jobs
           done;
           drain ()

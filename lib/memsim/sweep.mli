@@ -2,16 +2,19 @@
 
     Trace-driven simulation is dominated by producing the trace, so a
     single program run is shared by every cache configuration under
-    study.  One replay driver serves two engines — direct-mapped
-    {!Cache} grids and fused {!Hier} fleets — through a chunk step, a
-    snapshot/restore pair and a checkpoint magic.  Every simulator is
-    independent and a sealed recording is read-only, so serial,
-    parallel, resumed and pipelined runs are bit-identical.
+    study.  There is one engine and one replay driver: a grid cell is
+    a one-level {!Hier} over a {!Level} (1-way for the paper's
+    direct-mapped grids), so grids and multi-level hierarchy fleets
+    replay, checkpoint and resume through the same [hier_*] path.
+    Every hierarchy is independent and a sealed recording is
+    read-only, so serial, parallel, resumed and pipelined runs are
+    bit-identical.
 
-    - {!sink}: per-event fan-out (one closure call per cache per
+    - {!sink}: per-event fan-out (one {!Level.access} per cell per
       event).  The oracle the others are tested against.
     - {!run_serial} / {!run_parallel}: replay a completed {!Recording},
-      whole simulators claimed across [jobs] domains by {!parallel_for}.
+      whole hierarchies claimed across [jobs] domains by
+      {!parallel_for}.
     - {!pipelined}: consume recording slabs as they seal, while the
       mutator still runs. *)
 
@@ -35,33 +38,34 @@ val pp_size : Format.formatter -> int -> unit
 
 type t
 
-val create : Cache.config list -> t
-(** One cache per configuration, in order. *)
+val create : Level.config list -> t
+(** One single-level hierarchy per configuration, in order. *)
 
 val grid :
   ?write_miss_policy:Cache.write_miss_policy ->
   cache_sizes:int list ->
   block_sizes:int list ->
   unit ->
-  Cache.config list
-(** The cross product of the given sizes as configurations with the
-    paper's defaults. *)
+  Level.config list
+(** The cross product of the given sizes as direct-mapped (1-way LRU)
+    configurations with the paper's defaults. *)
 
 val sink : t -> Trace.sink
-(** Deliver each event to every cache, one event at a time. *)
+(** Deliver each event to every cell, one event at a time. *)
 
-val caches : t -> Cache.t array
-(** The underlying caches, in configuration order. *)
+val hiers : t -> Hier.t array
+(** The cells as one-level hierarchies, in configuration order: what
+    the [hier_*] replay, checkpoint and resume functions take. *)
 
-val find : ?ctx:string -> t -> size_bytes:int -> block_bytes:int -> Cache.t
-(** The first cache with the given geometry.
+val find : ?ctx:string -> t -> size_bytes:int -> block_bytes:int -> Level.t
+(** The level of the first cell with the given geometry.
     @raise Failure naming the requested geometry (and the configured
     write-miss policies) when absent.  [ctx] prefixes the message with
     who the sweep belongs to — the serve scheduler passes the job id
     and manifest name so a surfaced error locates the job, not just
     the geometry. *)
 
-val results : t -> (Cache.config * Cache.stats) list
+val results : t -> (Level.config * Cache.stats) list
 
 (** {1 Replaying a recording} *)
 
@@ -75,16 +79,14 @@ val parallel_for : jobs:int -> int -> (int -> unit) -> unit
     on a worker. *)
 
 val run_serial : t -> Recording.t -> unit
-(** Replay every recorded event into every cache (chunk-batched, one
-    domain).  The oracle for {!run_parallel}. *)
+(** [hier_run_serial (hiers t)]: replay every recorded event into
+    every cell (chunk-batched, one domain).  The oracle for
+    {!run_parallel}. *)
 
 val run_parallel : jobs:int -> t -> Recording.t -> unit
-(** Like {!run_serial} with the cache grid partitioned across [jobs]
-    domains ([jobs] is clamped to [1 .. Array.length (caches t)]).
-    Each domain replays the shared recording into the caches it claims,
-    so per-cache statistics are bit-identical to the serial run.  Do
-    not install hooks on swept caches when [jobs > 1]: they would fire
-    on worker domains. *)
+(** [hier_run_parallel ~jobs (hiers t)]: {!run_serial} with the cells
+    claimed across [jobs] domains, per-cell statistics bit-identical
+    to the serial run. *)
 
 (** {1 Attributed replay} *)
 
@@ -99,73 +101,34 @@ val run_attributed :
   Recording.t ->
   Attr.profile array
 (** Like {!run_parallel} (with [jobs] defaulting to 1) but through
-    {!Cache.access_chunk_attr}: returns one {!Attr.profile} per cache,
+    {!Level.access_chunk_attr}: returns one {!Attr.profile} per cell,
     in configuration order, attributing misses, fetches, writes and
     write-backs by (region x phase), allocation site and
     (address x time) heat bucket against the side [table] captured
-    with the recording.  Cache contents and aggregate statistics are
+    with the recording.  Line contents and aggregate statistics are
     bit-identical to {!run_serial}.  [sample_every] attributes only
     every Nth chunk (the rest replay through the plain fast path, so
     aggregate statistics are still exact); [addr_limit] is the
-    simulated memory size in bytes, used to scale the heat grid.  The
-    caches must have no hooks or per-block stats.
-    @raise Invalid_argument as {!Cache.access_chunk_attr}, or when
-    [sample_every < 1]. *)
+    simulated memory size in bytes, used to scale the heat grid.
+    @raise Invalid_argument as {!Level.access_chunk_attr} (every cell
+    must be direct-mapped), or when [sample_every < 1]. *)
 
-(** {1 Checkpoint / resume}
+(** {1 Hierarchy replay, checkpoint and resume}
+
+    The one replay path, over fused hierarchies ({!Hier}) — a grid's
+    cells ({!hiers}) or multi-level fleets alike.  Hierarchies are
+    independent simulators and a sealed recording is read-only, so
+    parallel and resumable runs are bit-identical to serial ones, per
+    level.  The hierarchies must be fused ([Hier.create ~fused:true]);
+    the hooked oracle exists for differential tests, not for sweeps.
 
     A long replay can be snapshotted periodically — the full state of
-    every cache ({!Cache.snapshot}) plus the number of events all of
-    them have consumed — so that a killed sweep resumes from the last
-    checkpoint {e bit-identically} to a run that was never
-    interrupted.  Checkpoints are written atomically (temp file +
-    rename): a crash mid-write leaves the previous checkpoint, never a
-    torn one. *)
-
-val save_checkpoint : t -> events:int -> cursor:int -> string -> unit
-(** [save_checkpoint t ~events ~cursor path] writes the state of every
-    cache and the replay position: all caches have consumed exactly
-    the first [cursor] of the recording's [events] events. *)
-
-val load_checkpoint : ?ctx:string -> t -> events:int -> string -> int
-(** Restore every cache from a checkpoint and return its cursor.
-    @raise Failure when the file is not a checkpoint, was taken over a
-    recording of a different length, or its caches do not match the
-    sweep's configurations (count or geometry); [ctx] prefixes the
-    message as in {!find}. *)
-
-val default_checkpoint_events : int
-(** Events between checkpoints when unspecified (4 Mi). *)
-
-val run_resumable :
-  ?ctx:string ->
-  ?jobs:int ->
-  ?checkpoint_every:int ->
-  ?progress:(int -> unit) ->
-  checkpoint:string ->
-  t ->
-  Recording.t ->
-  unit
-(** Like {!run_parallel} ([jobs] defaults to 1), but fault-tolerant:
-    if [checkpoint] exists the caches are restored from it and replay
-    continues at its cursor; the recording is then consumed in epochs
-    of [checkpoint_every] events with a fresh checkpoint written after
-    each.  Per-cache statistics are bit-identical to an uninterrupted
-    {!run_serial} regardless of how many times the process died and
-    resumed, and of [jobs].  [progress] is called with the cursor
-    after the restore and after every epoch.  The final checkpoint
-    (cursor = event count) is left on disk; remove it to start over.
-    @raise Failure as {!load_checkpoint} on a stale or foreign
-    checkpoint file. *)
-
-(** {1 Hierarchy sweeps}
-
-    The replay machinery above, over fused multi-level hierarchies
-    ({!Hier}).  Hierarchies are independent simulators and a sealed
-    recording is read-only, so parallel and resumable runs are
-    bit-identical to serial ones, per level.  The hierarchies must be
-    fused ([Hier.create ~fused:true]); the hooked oracle exists for
-    differential tests, not for sweeps. *)
+    every hierarchy ({!Hier.snapshot}) plus the number of events all
+    of them have consumed — so that a killed sweep resumes from the
+    last checkpoint {e bit-identically} to a run that was never
+    interrupted.  Checkpoints are ["SWHCKPT1"] files written
+    atomically (temp file + rename): a crash mid-write leaves the
+    previous checkpoint, never a torn one. *)
 
 val hier_run_serial : Hier.t array -> Recording.t -> unit
 (** Replay the whole recording into every hierarchy, one domain. *)
@@ -176,14 +139,24 @@ val hier_run_parallel : jobs:int -> Hier.t array -> Recording.t -> unit
 
 val save_hier_checkpoint :
   Hier.t array -> events:int -> cursor:int -> string -> unit
-(** As {!save_checkpoint}, snapshotting every level of every
-    hierarchy (tags, valid masks, dirty bits, packed policy words,
-    counters); written atomically via temp file + rename. *)
+(** [save_hier_checkpoint hiers ~events ~cursor path] writes the state
+    of every level of every hierarchy (tags, valid masks, dirty bits,
+    packed policy words, counters) and the replay position: all
+    hierarchies have consumed exactly the first [cursor] of the
+    recording's [events] events. *)
 
 val load_hier_checkpoint :
   ?ctx:string -> Hier.t array -> events:int -> string -> int
-(** As {!load_checkpoint} for hierarchy checkpoints.
-    @raise Failure on a foreign, stale, or mismatched file. *)
+(** Restore every hierarchy from a checkpoint and return its cursor.
+    @raise Failure when the file is not a hierarchy checkpoint (a
+    retired ["SWPCKPT1"] grid checkpoint included), was taken over a
+    recording of a different length, or its snapshots do not match
+    the hierarchies (count, geometry, or line state no access could
+    produce — located by file byte offset); [ctx] prefixes the
+    message as in {!find}. *)
+
+val default_checkpoint_events : int
+(** Events between checkpoints when unspecified (4 Mi). *)
 
 val hier_run_resumable :
   ?ctx:string ->
@@ -194,11 +167,18 @@ val hier_run_resumable :
   Hier.t array ->
   Recording.t ->
   unit
-(** As {!run_resumable} over hierarchies: restore from [checkpoint]
-    when present, then replay in epochs of [checkpoint_every] events
-    with a fresh checkpoint after each.  Per-level statistics are
-    bit-identical to an uninterrupted serial run no matter how many
-    times the process died, and regardless of [jobs]. *)
+(** Like {!hier_run_parallel} ([jobs] defaults to 1), but
+    fault-tolerant: if [checkpoint] exists the hierarchies are
+    restored from it and replay continues at its cursor; the
+    recording is then consumed in epochs of [checkpoint_every] events
+    with a fresh checkpoint written after each.  Per-level statistics
+    are bit-identical to an uninterrupted serial run regardless of how
+    many times the process died and resumed, and of [jobs].
+    [progress] is called with the cursor after the restore and after
+    every epoch.  The final checkpoint (cursor = event count) is left
+    on disk; remove it to start over.
+    @raise Failure as {!load_hier_checkpoint} on a stale or foreign
+    checkpoint file. *)
 
 val pipelined :
   jobs:int -> ?capacity:int -> t -> (Chunk.buf -> int -> unit) * (unit -> unit)
@@ -207,8 +187,8 @@ val pipelined :
     still runs (record-while-sweep).  [deliver buf len] broadcasts the
     chunk {e by reference} (no copy; the buffer must never be written
     again) to [jobs] worker domains owning a static partition of the
-    caches, blocking when [capacity] chunks are queued per worker; with
-    [jobs = 1] it is {!Cache.access_chunk} on every cache, on the
+    cells, blocking when [capacity] chunks are queued per worker; with
+    [jobs = 1] it is {!Hier.access_chunk} on every cell, on the
     calling domain.
     Call [finish] after the last chunk to close the queue and join the
     workers.  Statistics are bit-identical to a trace-then-sweep

@@ -90,21 +90,22 @@ let test_collector_events_ignored () =
 (* --- Activity --------------------------------------------------------- *)
 
 let test_activity () =
-  let cache =
-    Memsim.Cache.create
-      (Memsim.Cache.config ~record_block_stats:true ~size_bytes:1024
-         ~block_bytes:64 ())
+  let activity =
+    Analysis.Activity.create
+      (Memsim.Level.create
+         (Memsim.Level.config ~size_bytes:1024 ~block_bytes:64 ~ways:1 ()))
   in
+  let sink = Analysis.Activity.sink activity in
   (* Block 0: thrashing (two conflicting addresses alternating).
      Block 1: busy and well-behaved. *)
   for _ = 1 to 50 do
-    Memsim.Cache.access cache 0 Memsim.Trace.Read mutator;
-    Memsim.Cache.access cache 1024 Memsim.Trace.Read mutator
+    sink.Memsim.Trace.access 0 Memsim.Trace.Read mutator;
+    sink.Memsim.Trace.access 1024 Memsim.Trace.Read mutator
   done;
   for _ = 1 to 300 do
-    Memsim.Cache.access cache 64 Memsim.Trace.Read mutator
+    sink.Memsim.Trace.access 64 Memsim.Trace.Read mutator
   done;
-  let r = Analysis.Activity.analyze cache in
+  let r = Analysis.Activity.analyze activity in
   Alcotest.(check int) "points = cache blocks" 16 (Array.length r.Analysis.Activity.points);
   Alcotest.(check int) "total refs" 400 r.Analysis.Activity.total_refs;
   (* the last-ranked point is the busy good block *)
@@ -126,10 +127,12 @@ let test_activity () =
 
 let test_miss_plot () =
   let cache =
-    Memsim.Cache.create
-      (Memsim.Cache.config ~size_bytes:1024 ~block_bytes:64 ())
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:1024 ~block_bytes:64 ~ways:1 ())
   in
-  let plot = Analysis.Miss_plot.create ~cache ~rows:16 ~refs_per_col:100 () in
+  let plot =
+    Analysis.Miss_plot.create ~level:cache ~rows:16 ~refs_per_col:100 ()
+  in
   let sink = Analysis.Miss_plot.sink plot in
   (* a linear allocation sweep *)
   for i = 0 to 399 do
@@ -143,7 +146,7 @@ let test_miss_plot () =
   let out = Buffer.contents buf in
   Alcotest.(check bool) "contains dots" true (String.contains out '.');
   (* the cache behind the plot saw everything *)
-  Alcotest.(check int) "cache refs" 400 (Memsim.Cache.stats cache).Memsim.Cache.refs
+  Alcotest.(check int) "cache refs" 400 (Memsim.Level.stats cache).Memsim.Cache.refs
 
 (* --- Ascii canvas ------------------------------------------------------ *)
 

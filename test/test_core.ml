@@ -3,15 +3,15 @@
 
 let test_runner () =
   let cache =
-    Memsim.Cache.create
-      (Memsim.Cache.config ~size_bytes:(64 * 1024) ~block_bytes:64 ())
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:64 ~ways:1 ())
   in
   let r =
     Core.Runner.run ~scale:1
-      ~sinks:[ Memsim.Cache.sink cache ]
+      ~sinks:[ Memsim.Level.sink cache ]
       Workloads.Workload.prover
   in
-  let s = Memsim.Cache.stats cache in
+  let s = Memsim.Level.stats cache in
   Alcotest.(check int) "cache saw every mutator ref" r.Core.Runner.refs
     s.Memsim.Cache.refs;
   Alcotest.(check int) "no collector refs without GC" 0 r.Core.Runner.collector_refs;

@@ -202,8 +202,8 @@ let run_with_kills ~jobs ~every ~kill_after recording =
           then raise Killed
         in
         match
-          Memsim.Sweep.run_resumable ~jobs ~checkpoint_every:every ~progress
-            ~checkpoint:ck sweep recording
+          Memsim.Sweep.hier_run_resumable ~jobs ~checkpoint_every:every ~progress
+            ~checkpoint:ck (Memsim.Sweep.hiers sweep) recording
         with
         | () -> finished := Some (sweep_results sweep)
         | exception Killed -> ()
@@ -230,15 +230,14 @@ let test_resume_without_interruption () =
   Memsim.Sweep.run_serial oracle recording;
   with_tmp ".ckpt" (fun ck ->
       let sweep = Memsim.Sweep.create grid_configs in
-      Memsim.Sweep.run_resumable ~checkpoint_every:3_000 ~checkpoint:ck sweep
-        recording;
+      Memsim.Sweep.hier_run_resumable ~checkpoint_every:3_000 ~checkpoint:ck (Memsim.Sweep.hiers sweep) recording;
       Alcotest.(check bool) "single pass = serial" true
         (sweep_results sweep = sweep_results oracle);
       (* the final checkpoint is on disk at cursor = length: running
          again restores and replays nothing, same statistics *)
       let again = Memsim.Sweep.create grid_configs in
-      Memsim.Sweep.run_resumable ~checkpoint_every:3_000 ~checkpoint:ck again
-        recording;
+      Memsim.Sweep.hier_run_resumable ~checkpoint_every:3_000 ~checkpoint:ck
+        (Memsim.Sweep.hiers again) recording;
       Alcotest.(check bool) "idempotent second pass" true
         (sweep_results again = sweep_results oracle))
 
@@ -246,9 +245,9 @@ let test_checkpoint_rejects_stale () =
   let recording = mk_recording 5_000 in
   with_tmp ".ckpt" (fun ck ->
       let sweep = Memsim.Sweep.create grid_configs in
-      Memsim.Sweep.save_checkpoint sweep ~events:5_000 ~cursor:1_000 ck;
+      Memsim.Sweep.save_hier_checkpoint (Memsim.Sweep.hiers sweep) ~events:5_000 ~cursor:1_000 ck;
       (* a recording of a different length *)
-      (match Memsim.Sweep.load_checkpoint sweep ~events:4_999 ck with
+      (match Memsim.Sweep.load_hier_checkpoint (Memsim.Sweep.hiers sweep) ~events:4_999 ck with
        | exception Failure _ -> ()
        | _ -> Alcotest.fail "expected Failure for a stale checkpoint");
       (* a sweep with a different grid *)
@@ -256,15 +255,32 @@ let test_checkpoint_rejects_stale () =
         Memsim.Sweep.create
           (Memsim.Sweep.grid ~cache_sizes:[ 8192 ] ~block_sizes:[ 32 ] ())
       in
-      (match Memsim.Sweep.load_checkpoint other ~events:5_000 ck with
+      (match Memsim.Sweep.load_hier_checkpoint (Memsim.Sweep.hiers other) ~events:5_000 ck with
        | exception Failure _ -> ()
        | _ -> Alcotest.fail "expected Failure for a foreign grid");
+      (* a grid checkpoint in the retired format: a located loader
+         error naming the file, never a crash *)
+      let oc = open_out_bin ck in
+      output_string oc "SWPCKPT1";
+      output_string oc (String.make 24 '\000');
+      close_out oc;
+      (match
+         Memsim.Sweep.hier_run_resumable ~checkpoint:ck
+           (Memsim.Sweep.hiers sweep) recording
+       with
+       | exception Failure msg ->
+         Alcotest.(check bool)
+           (Printf.sprintf "retired format located: %s" msg)
+           true
+           (contains msg ck
+            && contains msg "is not a hierarchy checkpoint")
+       | _ -> Alcotest.fail "expected Failure for a retired grid checkpoint");
       (* not a checkpoint at all *)
       let oc = open_out ck in
       output_string oc "junk";
       close_out oc;
       match
-        Memsim.Sweep.run_resumable ~checkpoint:ck sweep recording
+        Memsim.Sweep.hier_run_resumable ~checkpoint:ck (Memsim.Sweep.hiers sweep) recording
       with
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "expected Failure for a corrupt checkpoint")

@@ -103,19 +103,25 @@ let test_workload w () =
       check_levels_identical (name ^ " via chunked_sink") hooked live)
     hier_configs
 
-(* --- a 1-way Level is the direct-mapped reference engine ------------- *)
+(* --- the direct-mapped loop against the per-event oracle ------------- *)
 
-(* The oracle that retiring [Cache] needs: on every workload, over the
-   golden grid (64k/512k x 32/128 bytes) under both write-miss
-   policies, a 1-way level under each replacement policy makes exactly
-   the direct-mapped cache's decisions.  At one way every policy must
-   pick the only way, so all three agree too. *)
+(* A 1-way level's chunk step is the dedicated direct-indexed loop;
+   the per-event [Level.access] (way scan, policy promote and fill) is
+   its oracle.  On every workload, over the golden grid (64k/512k x
+   32/128 bytes) under both write-miss policies and three replacement
+   policies, the two must leave identical counters and snapshot
+   bytes. *)
 let test_level_matches_cache () =
   let geometries =
     [ (Memsim.Sweep.kb 64, 32); (Memsim.Sweep.kb 64, 128);
       (Memsim.Sweep.kb 512, 32); (Memsim.Sweep.kb 512, 128) ]
   in
   let policies = [ Level.Lru; Level.Mru; Level.Qlru_h11_m1_r1_u2 ] in
+  let snap l =
+    let b = Buffer.create (Level.snapshot_bytes l) in
+    Level.snapshot l b;
+    Buffer.contents b
+  in
   List.iter
     (fun (w : Workloads.Workload.t) ->
       let _, recording = Core.Runner.record ~scale:1 w in
@@ -123,36 +129,32 @@ let test_level_matches_cache () =
         (fun write_miss_policy ->
           List.iter
             (fun (size_bytes, block_bytes) ->
-              let cache =
-                Memsim.Cache.create
-                  (Memsim.Cache.config ~write_miss_policy ~size_bytes
-                     ~block_bytes ())
-              in
-              let levels =
-                List.map
-                  (fun policy ->
-                    ( policy,
-                      Level.create
-                        (Level.config ~policy ~write_miss_policy ~size_bytes
-                           ~block_bytes ~ways:1 ()) ))
-                  policies
-              in
-              Memsim.Recording.iter_chunks recording (fun buf len ->
-                  Memsim.Cache.access_chunk cache buf 0 len;
-                  List.iter
-                    (fun (_, l) -> Level.access_chunk l buf 0 len)
-                    levels);
               List.iter
-                (fun (policy, level) ->
+                (fun policy ->
+                  let mk () =
+                    Level.create
+                      (Level.config ~policy ~write_miss_policy ~size_bytes
+                         ~block_bytes ~ways:1 ())
+                  in
+                  let chunked = mk () and per_event = mk () in
+                  Memsim.Recording.iter_chunks recording (fun buf len ->
+                      Level.access_chunk chunked buf 0 len);
+                  Memsim.Recording.replay recording (Level.sink per_event);
+                  let what =
+                    Format.asprintf "%s %a/%d %s %s" w.name
+                      Memsim.Sweep.pp_size size_bytes block_bytes
+                      (Memsim.Cache.write_miss_label write_miss_policy)
+                      (Level.policy_label policy)
+                  in
                   Alcotest.(check bool)
-                    (Format.asprintf "%s %a/%d %s %s: 1-way level = \
-                                      direct-mapped cache"
-                       w.name Memsim.Sweep.pp_size size_bytes block_bytes
-                       (Memsim.Cache.write_miss_label write_miss_policy)
-                       (Level.policy_label policy))
+                    (what ^ ": direct-mapped loop stats = per-event")
                     true
-                    (Level.stats level = Memsim.Cache.stats cache))
-                levels)
+                    (Level.stats chunked = Level.stats per_event);
+                  Alcotest.(check bool)
+                    (what ^ ": direct-mapped loop snapshot = per-event")
+                    true
+                    (String.equal (snap chunked) (snap per_event)))
+                policies)
             geometries)
         [ Memsim.Cache.Write_validate; Memsim.Cache.Fetch_on_write ])
     Workloads.Workload.all
@@ -255,9 +257,12 @@ let checkpoint_digest run =
   Sys.remove path;
   digest
 
-(* The digests were taken from the checkpoint writers that predate the
-   shared replay driver: both on-disk formats must stay byte-identical
-   so spools written before it still resume. *)
+(* The hierarchy digest was taken from the checkpoint writer that
+   predates the shared replay driver, so spools written before it
+   still resume.  The grid digest is what that same writer produces
+   for the grid's cells as one-level 1-way LRU hierarchies — the form
+   grid checkpoints have taken since the direct-mapped engine and its
+   "SWPCKPT1" format were retired. *)
 let test_checkpoint_bytes_pinned () =
   let recording = synthetic_recording 100_000 in
   let sweep =
@@ -269,8 +274,8 @@ let test_checkpoint_bytes_pinned () =
   in
   let grid =
     checkpoint_digest (fun ~checkpoint_every ~progress ~checkpoint ->
-        Memsim.Sweep.run_resumable ~checkpoint_every ~progress ~checkpoint
-          sweep recording)
+        Memsim.Sweep.hier_run_resumable ~checkpoint_every ~progress
+          ~checkpoint (Memsim.Sweep.hiers sweep) recording)
   in
   let fleet =
     Array.of_list
@@ -282,8 +287,8 @@ let test_checkpoint_bytes_pinned () =
         Memsim.Sweep.hier_run_resumable ~checkpoint_every ~progress
           ~checkpoint fleet recording)
   in
-  Alcotest.(check string) "grid checkpoint (SWPCKPT1) digest"
-    "539c8337ed32900a0dc15d324239e2cc" grid;
+  Alcotest.(check string) "grid checkpoint (one-level SWHCKPT1) digest"
+    "fc119d14718f760f6563480ed3033c82" grid;
   Alcotest.(check string) "hierarchy checkpoint (SWHCKPT1) digest"
     "677098b8fc3e91c098e9f31312bd4d0b" hier
 

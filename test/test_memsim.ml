@@ -3,13 +3,19 @@
 let mutator = Memsim.Trace.Mutator
 let collector = Memsim.Trace.Collector
 
+(* The paper's direct-mapped cache: a 1-way level. *)
 let mk ?(policy = Memsim.Cache.Write_validate) ?(size = 1024) ?(block = 64)
-    ?(block_stats = false) () =
-  Memsim.Cache.create
-    (Memsim.Cache.config ~write_miss_policy:policy
-       ~record_block_stats:block_stats ~size_bytes:size ~block_bytes:block ())
+    ?(lpolicy = Memsim.Level.Lru) () =
+  Memsim.Level.create
+    (Memsim.Level.config ~policy:lpolicy ~write_miss_policy:policy
+       ~size_bytes:size ~block_bytes:block ~ways:1 ())
 
-let stats = Memsim.Cache.stats
+let stats = Memsim.Level.stats
+
+let snap l =
+  let b = Buffer.create (Memsim.Level.snapshot_bytes l) in
+  Memsim.Level.snapshot l b;
+  Buffer.contents b
 
 (* --- Timing ---------------------------------------------------------- *)
 
@@ -47,9 +53,9 @@ let test_overhead_math () =
 
 let test_read_miss_then_hit () =
   let c = mk () in
-  Memsim.Cache.access c 0 Memsim.Trace.Read mutator;
-  Memsim.Cache.access c 0 Memsim.Trace.Read mutator;
-  Memsim.Cache.access c 4 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 4 Memsim.Trace.Read mutator;
   let s = stats c in
   Alcotest.(check int) "refs" 3 s.Memsim.Cache.refs;
   Alcotest.(check int) "one miss" 1 s.Memsim.Cache.misses;
@@ -58,66 +64,66 @@ let test_read_miss_then_hit () =
 let test_direct_mapped_conflict () =
   let c = mk ~size:1024 ~block:64 () in
   (* addresses 0 and 1024 share cache block 0 *)
-  Memsim.Cache.access c 0 Memsim.Trace.Read mutator;
-  Memsim.Cache.access c 1024 Memsim.Trace.Read mutator;
-  Memsim.Cache.access c 0 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 1024 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Read mutator;
   let s = stats c in
   Alcotest.(check int) "three misses" 3 s.Memsim.Cache.misses;
   (* non-conflicting address in another set *)
-  Memsim.Cache.access c 64 Memsim.Trace.Read mutator;
-  Memsim.Cache.access c 64 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 64 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 64 Memsim.Trace.Read mutator;
   Alcotest.(check int) "one more miss" 4 (stats c).Memsim.Cache.misses
 
 let test_write_validate_no_fetch () =
   let c = mk ~policy:Memsim.Cache.Write_validate () in
-  Memsim.Cache.access c 0 Memsim.Trace.Alloc_write mutator;
-  Memsim.Cache.access c 4 Memsim.Trace.Alloc_write mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Alloc_write mutator;
+  Memsim.Level.access c 4 Memsim.Trace.Alloc_write mutator;
   let s = stats c in
   Alcotest.(check int) "one miss (tag install)" 1 s.Memsim.Cache.misses;
   Alcotest.(check int) "alloc miss" 1 s.Memsim.Cache.alloc_misses;
   Alcotest.(check int) "no fetches" 0 s.Memsim.Cache.fetches;
   (* reading back the written words hits *)
-  Memsim.Cache.access c 0 Memsim.Trace.Read mutator;
-  Memsim.Cache.access c 4 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 4 Memsim.Trace.Read mutator;
   Alcotest.(check int) "still no fetch" 0 (stats c).Memsim.Cache.fetches
 
 let test_write_validate_subblock () =
   let c = mk ~policy:Memsim.Cache.Write_validate () in
-  Memsim.Cache.access c 0 Memsim.Trace.Alloc_write mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Alloc_write mutator;
   (* word 1 of the same block was never written: reading it fetches *)
-  Memsim.Cache.access c 8 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 8 Memsim.Trace.Read mutator;
   let s = stats c in
   Alcotest.(check int) "read of invalid word misses" 2 s.Memsim.Cache.misses;
   Alcotest.(check int) "and fetches" 1 s.Memsim.Cache.fetches;
   (* after the fetch the whole block is valid *)
-  Memsim.Cache.access c 60 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 60 Memsim.Trace.Read mutator;
   Alcotest.(check int) "rest of block now valid" 2 (stats c).Memsim.Cache.misses
 
 let test_word63_validates () =
   (* Regression: word 63 of a 256-byte block needs the 64th valid bit. *)
   let c = mk ~size:4096 ~block:256 () in
-  Memsim.Cache.access c 252 Memsim.Trace.Write mutator;
-  Memsim.Cache.access c 252 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 252 Memsim.Trace.Write mutator;
+  Memsim.Level.access c 252 Memsim.Trace.Read mutator;
   let s = stats c in
   Alcotest.(check int) "write installs, read hits" 1 s.Memsim.Cache.misses;
   Alcotest.(check int) "no fetch" 0 s.Memsim.Cache.fetches;
   (* and word 32, the low bit of the high mask *)
-  Memsim.Cache.access c 128 Memsim.Trace.Write mutator;
-  Memsim.Cache.access c 128 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 128 Memsim.Trace.Write mutator;
+  Memsim.Level.access c 128 Memsim.Trace.Read mutator;
   Alcotest.(check int) "word 32 hits too" 1 (stats c).Memsim.Cache.misses
 
 let test_fetch_on_write () =
   let c = mk ~policy:Memsim.Cache.Fetch_on_write () in
-  Memsim.Cache.access c 0 Memsim.Trace.Alloc_write mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Alloc_write mutator;
   let s = stats c in
   Alcotest.(check int) "write miss fetches" 1 s.Memsim.Cache.fetches;
   (* whole block valid after the fetch *)
-  Memsim.Cache.access c 32 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 32 Memsim.Trace.Read mutator;
   Alcotest.(check int) "read hits" 1 (stats c).Memsim.Cache.misses
 
 let test_collector_phase () =
   let c = mk ~policy:Memsim.Cache.Write_validate () in
-  Memsim.Cache.access c 0 Memsim.Trace.Write collector;
+  Memsim.Level.access c 0 Memsim.Trace.Write collector;
   let s = stats c in
   Alcotest.(check int) "collector refs" 1 s.Memsim.Cache.collector_refs;
   Alcotest.(check int) "no mutator refs" 0 s.Memsim.Cache.refs;
@@ -127,12 +133,12 @@ let test_collector_phase () =
 
 let test_writebacks () =
   let c = mk ~size:1024 ~block:64 () in
-  Memsim.Cache.access c 0 Memsim.Trace.Write mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Write mutator;
   (* evicting a dirty block writes it back *)
-  Memsim.Cache.access c 1024 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 1024 Memsim.Trace.Read mutator;
   Alcotest.(check int) "one writeback" 1 (stats c).Memsim.Cache.writebacks;
   (* a clean eviction does not *)
-  Memsim.Cache.access c 2048 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 2048 Memsim.Trace.Read mutator;
   Alcotest.(check int) "still one" 1 (stats c).Memsim.Cache.writebacks;
   Alcotest.(check int) "write count" 1 (stats c).Memsim.Cache.writes
 
@@ -140,16 +146,16 @@ let test_per_phase_counters () =
   let c = mk ~size:1024 ~block:64 () in
   (* a mutator store dirties block 0; the collector then evicts it, so
      the writeback is charged to the collector phase *)
-  Memsim.Cache.access c 0 Memsim.Trace.Write mutator;
-  Memsim.Cache.access c 1024 Memsim.Trace.Read collector;
+  Memsim.Level.access c 0 Memsim.Trace.Write mutator;
+  Memsim.Level.access c 1024 Memsim.Trace.Read collector;
   let s = stats c in
   Alcotest.(check int) "one writeback" 1 s.Memsim.Cache.writebacks;
   Alcotest.(check int) "charged to collector" 1
     s.Memsim.Cache.collector_writebacks;
   Alcotest.(check int) "mutator store only" 0 s.Memsim.Cache.collector_writes;
   (* collector stores are counted within the write total *)
-  Memsim.Cache.access c 2048 Memsim.Trace.Write collector;
-  Memsim.Cache.access c 2048 Memsim.Trace.Read collector;
+  Memsim.Level.access c 2048 Memsim.Trace.Write collector;
+  Memsim.Level.access c 2048 Memsim.Trace.Read collector;
   let s = stats c in
   Alcotest.(check int) "collector write" 1 s.Memsim.Cache.collector_writes;
   Alcotest.(check int) "writes include both phases" 2 s.Memsim.Cache.writes;
@@ -161,8 +167,8 @@ let test_per_phase_counters () =
 
 let test_per_phase_mutator_writeback () =
   let c = mk ~size:1024 ~block:64 () in
-  Memsim.Cache.access c 0 Memsim.Trace.Write mutator;
-  Memsim.Cache.access c 1024 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Write mutator;
+  Memsim.Level.access c 1024 Memsim.Trace.Read mutator;
   let s = stats c in
   Alcotest.(check int) "mutator eviction writes back" 1
     s.Memsim.Cache.writebacks;
@@ -192,53 +198,75 @@ let test_assoc_per_phase () =
 
 let test_alloc_miss_classification () =
   let c = mk () in
-  Memsim.Cache.access c 0 Memsim.Trace.Alloc_write mutator;
-  Memsim.Cache.access c 1024 Memsim.Trace.Write mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Alloc_write mutator;
+  Memsim.Level.access c 1024 Memsim.Trace.Write mutator;
   let s = stats c in
   Alcotest.(check int) "two misses" 2 s.Memsim.Cache.misses;
   Alcotest.(check int) "one alloc miss" 1 s.Memsim.Cache.alloc_misses
 
+(* Per-block statistics live in the §7 analyzer, which wraps the
+   level's per-event path; collector events are not counted. *)
 let test_block_stats () =
-  let c = mk ~block_stats:true () in
-  Memsim.Cache.access c 0 Memsim.Trace.Read mutator;
-  Memsim.Cache.access c 0 Memsim.Trace.Read mutator;
-  Memsim.Cache.access c 64 Memsim.Trace.Alloc_write mutator;
-  let refs = Memsim.Cache.block_refs c in
-  let misses = Memsim.Cache.block_misses c in
-  let allocs = Memsim.Cache.block_alloc_misses c in
-  Alcotest.(check int) "block 0 refs" 2 refs.(0);
-  Alcotest.(check int) "block 0 misses" 1 misses.(0);
-  Alcotest.(check int) "block 1 alloc misses" 1 allocs.(1);
-  Alcotest.(check int) "block 1 misses excl alloc" 0 misses.(1)
+  let a = Analysis.Activity.create (mk ()) in
+  let sink = Analysis.Activity.sink a in
+  sink.Memsim.Trace.access 0 Memsim.Trace.Read mutator;
+  sink.Memsim.Trace.access 0 Memsim.Trace.Read mutator;
+  sink.Memsim.Trace.access 64 Memsim.Trace.Alloc_write mutator;
+  sink.Memsim.Trace.access 128 Memsim.Trace.Read collector;
+  let r = Analysis.Activity.analyze a in
+  let p = r.Analysis.Activity.points in
+  (* points ascend by refs: block 1 (one ref), then block 0 (two) *)
+  let last = p.(Array.length p - 1) and prev = p.(Array.length p - 2) in
+  Alcotest.(check int) "block 0 refs" 2 last.Analysis.Activity.refs;
+  Alcotest.(check int) "block 0 misses" 1 last.Analysis.Activity.misses;
+  Alcotest.(check int) "block 1 alloc misses" 1
+    prev.Analysis.Activity.alloc_misses;
+  Alcotest.(check int) "block 1 misses excl alloc" 0
+    prev.Analysis.Activity.misses;
+  Alcotest.(check int) "collector refs not counted" 3
+    r.Analysis.Activity.total_refs
 
 let test_block_stats_guard () =
-  let c = mk () in
-  Alcotest.check_raises "requires record_block_stats"
-    (Invalid_argument "Cache.block_refs: cache created without record_block_stats")
-    (fun () -> ignore (Memsim.Cache.block_refs c))
+  (* per-line counts are defined for direct-mapped levels only *)
+  let two_way =
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:1024 ~block_bytes:64 ~ways:2 ())
+  in
+  Alcotest.check_raises "requires a 1-way level"
+    (Invalid_argument "Activity.create: the level is not direct-mapped")
+    (fun () -> ignore (Analysis.Activity.create two_way))
 
+(* Misses are observed by the §7 miss plot from the level's counters:
+   each miss, allocation or not and of either phase, marks its line;
+   hits mark nothing. *)
 let test_miss_hook () =
-  let c = mk () in
-  let seen = ref [] in
-  Memsim.Cache.set_miss_hook c (fun ~cache_block ~alloc ->
-      seen := (cache_block, alloc) :: !seen);
-  Memsim.Cache.access c 0 Memsim.Trace.Alloc_write mutator;
-  Memsim.Cache.access c 0 Memsim.Trace.Read mutator;
-  Memsim.Cache.access c 64 Memsim.Trace.Read mutator;
-  Alcotest.(check (list (pair int bool)))
-    "hook calls (newest first)"
-    [ (1, false); (0, true) ]
-    !seen
+  let plot =
+    Analysis.Miss_plot.create ~level:(mk ()) ~rows:16 ~refs_per_col:3 ()
+  in
+  let sink = Analysis.Miss_plot.sink plot in
+  sink.Memsim.Trace.access 0 Memsim.Trace.Alloc_write mutator;
+  sink.Memsim.Trace.access 0 Memsim.Trace.Write mutator;
+  sink.Memsim.Trace.access 200 Memsim.Trace.Read collector;
+  sink.Memsim.Trace.access 200 Memsim.Trace.Read mutator;
+  let out = Format.asprintf "%a" (fun ppf p -> Analysis.Miss_plot.render ppf p) plot in
+  let rows =
+    List.filter
+      (fun l -> String.length l > 0 && l.[0] = '|')
+      (String.split_on_char '\n' out)
+  in
+  Alcotest.(check (list string)) "lines 0 and 3 missed"
+    ("|." :: "|" :: "|" :: "|." :: List.init 12 (fun _ -> "|"))
+    rows
 
 let test_reset () =
   let c = mk () in
-  Memsim.Cache.access c 0 Memsim.Trace.Read mutator;
-  Memsim.Cache.reset_stats c;
+  Memsim.Level.access c 0 Memsim.Trace.Read mutator;
+  Memsim.Level.reset_stats c;
   let s = stats c in
   Alcotest.(check int) "refs reset" 0 s.Memsim.Cache.refs;
   Alcotest.(check int) "misses reset" 0 s.Memsim.Cache.misses;
   (* contents kept: the line still hits *)
-  Memsim.Cache.access c 0 Memsim.Trace.Read mutator;
+  Memsim.Level.access c 0 Memsim.Trace.Read mutator;
   Alcotest.(check int) "hit after reset" 0 (stats c).Memsim.Cache.misses
 
 let test_create_validation () =
@@ -259,7 +287,7 @@ let test_sweep () =
     Memsim.Sweep.create
       (Memsim.Sweep.grid ~cache_sizes:[ 1024; 2048 ] ~block_sizes:[ 32; 64 ] ())
   in
-  Alcotest.(check int) "four caches" 4 (Array.length (Memsim.Sweep.caches sw));
+  Alcotest.(check int) "four caches" 4 (Array.length (Memsim.Sweep.hiers sw));
   let sink = Memsim.Sweep.sink sw in
   sink.Memsim.Trace.access 0 Memsim.Trace.Read mutator;
   List.iter
@@ -267,7 +295,7 @@ let test_sweep () =
     (Memsim.Sweep.results sw);
   let c = Memsim.Sweep.find sw ~size_bytes:2048 ~block_bytes:32 in
   Alcotest.(check int) "find locates" 2048
-    (Memsim.Cache.geometry c).Memsim.Cache.size_bytes;
+    (Memsim.Level.geometry c).Memsim.Level.size_bytes;
   (match Memsim.Sweep.find sw ~size_bytes:4096 ~block_bytes:32 with
    | exception Failure msg ->
      (* the error names the requested geometry *)
@@ -332,7 +360,7 @@ let test_assoc_removes_conflicts () =
   for _ = 1 to 100 do
     List.iter
       (fun addr ->
-        Memsim.Cache.access direct addr Memsim.Trace.Read mutator;
+        Memsim.Level.access direct addr Memsim.Trace.Read mutator;
         Memsim.Level.access two_way addr Memsim.Trace.Read mutator)
       [ 0; 1024 ]
   done;
@@ -502,39 +530,187 @@ let random_events seed n =
    validity, dirt and counters all survive the round-trip. *)
 let test_snapshot_roundtrip () =
   let first = random_events 0x5afe 2000 and rest = random_events 0xcafe 2000 in
-  let live = mk ~block_stats:true () in
-  List.iter (fun (a, k, p) -> Memsim.Cache.access live a k p) first;
+  let live = mk () in
+  List.iter (fun (a, k, p) -> Memsim.Level.access live a k p) first;
   let buf = Buffer.create 0 in
-  Memsim.Cache.snapshot live buf;
-  Alcotest.(check int) "declared snapshot size" (Memsim.Cache.snapshot_bytes live)
+  Memsim.Level.snapshot live buf;
+  Alcotest.(check int) "declared snapshot size" (Memsim.Level.snapshot_bytes live)
     (Buffer.length buf);
-  let restored = mk ~block_stats:true () in
-  let next = Memsim.Cache.restore restored (Buffer.to_bytes buf) 0 in
+  let restored = mk () in
+  let next = Memsim.Level.restore restored (Buffer.to_bytes buf) 0 in
   Alcotest.(check int) "restore consumed it all" (Buffer.length buf) next;
   Alcotest.(check bool) "counters survive" true (stats live = stats restored);
   List.iter
     (fun (a, k, p) ->
-      Memsim.Cache.access live a k p;
-      Memsim.Cache.access restored a k p)
+      Memsim.Level.access live a k p;
+      Memsim.Level.access restored a k p)
     rest;
   Alcotest.(check bool) "identical continuation" true
     (stats live = stats restored)
 
 let test_snapshot_geometry_guard () =
   let buf = Buffer.create 0 in
-  Memsim.Cache.snapshot (mk ~size:1024 ~block:64 ()) buf;
+  Memsim.Level.snapshot (mk ~size:1024 ~block:64 ()) buf;
   let b = Buffer.to_bytes buf in
-  (match Memsim.Cache.restore (mk ~size:2048 ~block:64 ()) b 0 with
+  (match Memsim.Level.restore (mk ~size:2048 ~block:64 ()) b 0 with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "expected Invalid_argument on a size mismatch");
-  (match Memsim.Cache.restore (mk ~size:1024 ~block:32 ()) b 0 with
+  (match Memsim.Level.restore (mk ~size:1024 ~block:32 ()) b 0 with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "expected Invalid_argument on a block mismatch");
   match
-    Memsim.Cache.restore (mk ~size:1024 ~block:64 ()) (Bytes.sub b 0 40) 0
+    Memsim.Level.restore (mk ~size:1024 ~block:64 ()) (Bytes.sub b 0 40) 0
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument on truncation"
+
+(* A snapshot whose line state no access could produce is refused, at
+   the byte that is wrong, before any of it is loaded: a dirty byte of
+   2, say, would otherwise make the next eviction skip its write-back. *)
+let test_restore_rejects_corrupt_lines () =
+  let c = mk ~size:1024 ~block:64 () in
+  Memsim.Level.access c 0 Memsim.Trace.Write mutator;
+  let good = Bytes.of_string (snap c) in
+  (* magic, 6 geometry words and 11 counters, then 16 tags, 16 low
+     and 16 high valid masks, and 16 dirty bytes *)
+  let tags = 8 * 18 in
+  let lo = tags + (8 * 16) in
+  let hi = lo + (8 * 16) in
+  let dirty = hi + (8 * 16) in
+  let expect what at corrupt =
+    let b = Bytes.copy good in
+    corrupt b;
+    match Memsim.Level.restore (mk ~size:1024 ~block:64 ()) b 0 with
+    | exception Invalid_argument msg ->
+      let needle = Printf.sprintf "byte %d:" at in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s located (%s)" what msg)
+        true
+        (let n = String.length needle in
+         let rec scan i =
+           i + n <= String.length msg
+           && (String.sub msg i n = needle || scan (i + 1))
+         in
+         scan 0)
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  expect "tag below -1" tags (fun b -> Bytes.set_int64_le b tags (-2L));
+  expect "low valid bits beyond a 16-word block" lo (fun b ->
+      Bytes.set_int64_le b lo 0x10000L);
+  expect "high valid bits on a 16-word block" (hi + 8) (fun b ->
+      Bytes.set_int64_le b (hi + 8) 1L);
+  expect "dirty byte 2" dirty (fun b -> Bytes.set b dirty '\002');
+  (* the untouched snapshot restores, and evicting its dirty line
+     writes it back *)
+  let r = mk ~size:1024 ~block:64 () in
+  ignore (Memsim.Level.restore r good 0 : int);
+  Memsim.Level.access r 1024 Memsim.Trace.Read mutator;
+  Alcotest.(check int) "one write-back" 1 (stats r).Memsim.Cache.writebacks
+
+(* --- Closed-form ground truth -------------------------------------------- *)
+
+(* Cyclic sweeps whose miss, fetch and write-back counts follow from
+   the geometry alone (the CacheTrace validation idea): an oracle that
+   neither the per-event path nor the chunk loop wrote.  [w] bytes are
+   swept word by word, [passes] times, through a [c]-byte 1-way level
+   of [b]-byte blocks. *)
+let passes = 3
+
+let cyclic_sweep ~w kind =
+  let rec_ = Memsim.Recording.create () in
+  let sink = Memsim.Recording.sink rec_ in
+  for _ = 1 to passes do
+    for word = 0 to (w / 4) - 1 do
+      sink.Memsim.Trace.access (word * 4) kind mutator
+    done
+  done;
+  rec_
+
+(* The same recording through the per-event path, the chunk loop and
+   a sweep-grid cell. *)
+let three_paths ?(policy = Memsim.Cache.Write_validate) ~c ~b recording =
+  let per_event = mk ~policy ~size:c ~block:b () in
+  Memsim.Recording.replay recording (Memsim.Level.sink per_event);
+  let chunked = mk ~policy ~size:c ~block:b () in
+  Memsim.Recording.iter_chunks recording (fun buf len ->
+      Memsim.Level.access_chunk chunked buf 0 len);
+  let sweep =
+    Memsim.Sweep.create
+      (Memsim.Sweep.grid ~write_miss_policy:policy ~cache_sizes:[ c ]
+         ~block_sizes:[ b ] ())
+  in
+  Memsim.Sweep.run_serial sweep recording;
+  [ ("per-event", stats per_event); ("chunk", stats chunked);
+    ("sweep", stats (Memsim.Sweep.find sweep ~size_bytes:c ~block_bytes:b))
+  ]
+
+let ground_truth_geometries =
+  List.concat_map
+    (fun c -> List.map (fun b -> (c, b)) [ 16; 64; 256 ])
+    [ 8 * 1024; 64 * 1024 ]
+
+let check_closed_form ~what ~c ~b ~w paths expected =
+  List.iter
+    (fun (path, (s : Memsim.Cache.stats)) ->
+      List.iter
+        (fun (field, got, want) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s c=%d b=%d w=%d %s: %s" what c b w path field)
+            want got)
+        (expected s))
+    paths
+
+let test_ground_truth_reads_fit () =
+  List.iter
+    (fun (c, b) ->
+      List.iter
+        (fun w ->
+          let r = cyclic_sweep ~w Memsim.Trace.Read in
+          (* only the first pass misses, once per block *)
+          check_closed_form ~what:"reads W<=C" ~c ~b ~w (three_paths ~c ~b r)
+            (fun s ->
+              [ ("refs", s.Memsim.Cache.refs, passes * w / 4);
+                ("misses", s.Memsim.Cache.misses, w / b);
+                ("fetches", s.Memsim.Cache.fetches, w / b);
+                ("writebacks", s.Memsim.Cache.writebacks, 0) ]))
+        [ c / 2; c ])
+    ground_truth_geometries
+
+let test_ground_truth_reads_double () =
+  List.iter
+    (fun (c, b) ->
+      let w = 2 * c in
+      let r = cyclic_sweep ~w Memsim.Trace.Read in
+      (* each block is evicted by its alias C bytes away before it is
+         swept again: every block visit of every pass misses *)
+      check_closed_form ~what:"reads W=2C" ~c ~b ~w (three_paths ~c ~b r)
+        (fun s ->
+          [ ("misses", s.Memsim.Cache.misses, passes * w / b);
+            ("fetches", s.Memsim.Cache.fetches, passes * w / b);
+            ("writebacks", s.Memsim.Cache.writebacks, 0) ]))
+    ground_truth_geometries
+
+let test_ground_truth_writes_validate () =
+  List.iter
+    (fun (c, b) ->
+      List.iter
+        (fun w ->
+          let r = cyclic_sweep ~w Memsim.Trace.Write in
+          (* write-validate never fetches.  Within capacity only the
+             first pass misses and nothing is evicted; at 2C every block
+             visit misses, and every miss but the first C/B (which fill
+             empty lines) evicts a dirty block *)
+          let visits = if w <= c then w / b else passes * w / b in
+          let writebacks = if w <= c then 0 else visits - (c / b) in
+          check_closed_form ~what:"writes" ~c ~b ~w (three_paths ~c ~b r)
+            (fun s ->
+              [ ("writes", s.Memsim.Cache.writes, passes * w / 4);
+                ("misses", s.Memsim.Cache.misses, visits);
+                ("alloc misses", s.Memsim.Cache.alloc_misses, 0);
+                ("fetches", s.Memsim.Cache.fetches, 0);
+                ("writebacks", s.Memsim.Cache.writebacks, writebacks) ]))
+        [ c; 2 * c ])
+    ground_truth_geometries
 
 (* --- Recording ----------------------------------------------------------- *)
 
@@ -551,11 +727,11 @@ let test_recording_replay () =
   Alcotest.(check bool) "event phase" true (p = Memsim.Trace.Collector);
   (* replay into a cache gives the same result as live feeding *)
   let live = mk () in
-  Memsim.Cache.access live 0 Memsim.Trace.Alloc_write mutator;
-  Memsim.Cache.access live 64 Memsim.Trace.Read collector;
-  Memsim.Cache.access live 4 Memsim.Trace.Write mutator;
+  Memsim.Level.access live 0 Memsim.Trace.Alloc_write mutator;
+  Memsim.Level.access live 64 Memsim.Trace.Read collector;
+  Memsim.Level.access live 4 Memsim.Trace.Write mutator;
   let replayed = mk () in
-  Memsim.Recording.replay rec_ (Memsim.Cache.sink replayed);
+  Memsim.Recording.replay rec_ (Memsim.Level.sink replayed);
   Alcotest.(check bool) "replay = live" true (stats live = stats replayed)
 
 let test_recording_file_roundtrip () =
@@ -1087,7 +1263,7 @@ let invariants_prop =
             | 1 -> Memsim.Trace.Write
             | _ -> Memsim.Trace.Alloc_write
           in
-          Memsim.Cache.access c addr kind mutator)
+          Memsim.Level.access c addr kind mutator)
         events;
       let s = stats c in
       s.Memsim.Cache.refs = List.length events
@@ -1113,30 +1289,48 @@ let policy_dominance_prop =
             | 1 -> Memsim.Trace.Write
             | _ -> Memsim.Trace.Alloc_write
           in
-          Memsim.Cache.access wv addr kind mutator;
-          Memsim.Cache.access fow addr kind mutator)
+          Memsim.Level.access wv addr kind mutator;
+          Memsim.Level.access fow addr kind mutator)
         events;
       (stats fow).Memsim.Cache.fetches >= (stats wv).Memsim.Cache.fetches)
 
+(* With one way there is nothing to replace by: every policy is the
+   direct-mapped cache, on the per-event path and the chunk loop
+   alike. *)
 let assoc_one_way_equals_direct_prop =
   QCheck.Test.make ~count:200 ~name:"1-way assoc cache = direct-mapped cache"
     (QCheck.make trace_gen)
     (fun events ->
+      let events =
+        List.map
+          (fun (addr, k) ->
+            let kind =
+              match k with
+              | 0 -> Memsim.Trace.Read
+              | 1 -> Memsim.Trace.Write
+              | _ -> Memsim.Trace.Alloc_write
+            in
+            (addr land lnot 3, kind))
+          events
+      in
+      let packed =
+        Memsim.Chunk.of_array
+          (Array.of_list
+             (List.map (fun (a, k) -> Memsim.Chunk.pack a k mutator) events))
+      in
       let direct = mk ~size:512 ~block:32 () in
-      let one_way = mk_assoc ~size:512 ~block:32 ~ways:1 () in
-      List.iter
-        (fun (addr, k) ->
-          let addr = addr land lnot 3 in
-          let kind =
-            match k with
-            | 0 -> Memsim.Trace.Read
-            | 1 -> Memsim.Trace.Write
-            | _ -> Memsim.Trace.Alloc_write
-          in
-          Memsim.Cache.access direct addr kind mutator;
-          Memsim.Level.access one_way addr kind mutator)
-        events;
-      stats direct = Memsim.Level.stats one_way)
+      List.iter (fun (a, k) -> Memsim.Level.access direct a k mutator) events;
+      List.for_all
+        (fun lpolicy ->
+          let one_way = mk ~lpolicy ~size:512 ~block:32 () in
+          List.iter
+            (fun (a, k) -> Memsim.Level.access one_way a k mutator)
+            events;
+          let chunked = mk ~lpolicy ~size:512 ~block:32 () in
+          Memsim.Level.access_chunk chunked packed 0
+            (Bigarray.Array1.dim packed);
+          stats direct = stats one_way && stats direct = stats chunked)
+        Memsim.Level.all_policies)
 
 let assoc_inclusion_prop =
   (* The classic LRU inclusion property: with the number of sets held
@@ -1171,7 +1365,7 @@ let fow_equals_misses_prop =
             | 1 -> Memsim.Trace.Write
             | _ -> Memsim.Trace.Alloc_write
           in
-          Memsim.Cache.access c addr kind mutator)
+          Memsim.Level.access c addr kind mutator)
         events;
       let s = stats c in
       s.Memsim.Cache.fetches = s.Memsim.Cache.misses)
@@ -1182,52 +1376,54 @@ let trace_gen_phased =
       (triple (int_bound 4096) (int_bound 2) bool))
 
 let chunk_equivalence_prop =
-  (* The batched consumer must be observationally identical to the
-     per-event entry point for every policy, phase, and both the
-     fast path and the block-stats fallback path, even when the
-     chunk is delivered in arbitrary (off, len) slices. *)
+  (* The direct-mapped chunk loop must be observationally identical
+     to the per-event entry points — counters and snapshot bytes — for
+     both write-miss policies and phases, even when the chunk is
+     delivered in arbitrary (off, len) slices.  Kind code 3 words (a
+     miss stream's write-backs, as a level below receives them) are
+     mixed in and must match [Level.write_back], including on lines
+     that write-validate left partly valid. *)
   QCheck.Test.make ~count:200 ~name:"access_chunk = per-event access"
-    (QCheck.make trace_gen_phased)
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_bound 400)
+           (triple (int_bound 4096) (int_bound 3) bool)))
     (fun events ->
-      let decode (addr, k, coll) =
-        let addr = addr land lnot 3 in
-        let kind =
-          match k with
-          | 0 -> Memsim.Trace.Read
-          | 1 -> Memsim.Trace.Write
-          | _ -> Memsim.Trace.Alloc_write
-        in
-        (addr, kind, if coll then collector else mutator)
+      let events =
+        List.map
+          (fun (addr, k, coll) ->
+            (addr land lnot 3, k, if coll then collector else mutator))
+          events
       in
-      let events = List.map decode events in
+      let word (a, k, p) =
+        match k with
+        | 0 -> Memsim.Chunk.pack a Memsim.Trace.Read p
+        | 1 -> Memsim.Chunk.pack a Memsim.Trace.Write p
+        | 2 -> Memsim.Chunk.pack a Memsim.Trace.Alloc_write p
+        | _ -> Memsim.Chunk.pack a Memsim.Trace.Read p lor (3 lsl 1)
+      in
       let packed =
-        Memsim.Chunk.of_array
-          (Array.of_list
-             (List.map (fun (a, k, p) -> Memsim.Chunk.pack a k p) events))
+        Memsim.Chunk.of_array (Array.of_list (List.map word events))
       in
       let n = Bigarray.Array1.dim packed in
       List.for_all
-        (fun (policy, block_stats) ->
-          let reference = mk ~policy ~block_stats ~size:512 ~block:32 () in
+        (fun policy ->
+          let reference = mk ~policy ~size:512 ~block:32 () in
           List.iter
-            (fun (a, k, p) -> Memsim.Cache.access reference a k p)
+            (fun (a, k, p) ->
+              match k with
+              | 0 -> Memsim.Level.access reference a Memsim.Trace.Read p
+              | 1 -> Memsim.Level.access reference a Memsim.Trace.Write p
+              | 2 -> Memsim.Level.access reference a Memsim.Trace.Alloc_write p
+              | _ -> Memsim.Level.write_back reference a p)
             events;
-          let batched = mk ~policy ~block_stats ~size:512 ~block:32 () in
+          let batched = mk ~policy ~size:512 ~block:32 () in
           let third = n / 3 in
-          Memsim.Cache.access_chunk batched packed 0 third;
-          Memsim.Cache.access_chunk batched packed third (n - third);
+          Memsim.Level.access_chunk batched packed 0 third;
+          Memsim.Level.access_chunk batched packed third (n - third);
           stats reference = stats batched
-          && (not block_stats
-              || (Memsim.Cache.block_refs reference
-                    = Memsim.Cache.block_refs batched
-                 && Memsim.Cache.block_misses reference
-                    = Memsim.Cache.block_misses batched
-                 && Memsim.Cache.block_alloc_misses reference
-                    = Memsim.Cache.block_alloc_misses batched)))
-        [ (Memsim.Cache.Write_validate, false);
-          (Memsim.Cache.Write_validate, true);
-          (Memsim.Cache.Fetch_on_write, false)
-        ])
+          && String.equal (snap reference) (snap batched))
+        [ Memsim.Cache.Write_validate; Memsim.Cache.Fetch_on_write ])
 
 let recording_roundtrip_prop =
   (* Both on-disk formats round-trip arbitrary traces exactly.  The
@@ -1287,7 +1483,17 @@ let () =
           Alcotest.test_case "snapshot/restore roundtrip" `Quick
             test_snapshot_roundtrip;
           Alcotest.test_case "snapshot geometry guard" `Quick
-            test_snapshot_geometry_guard
+            test_snapshot_geometry_guard;
+          Alcotest.test_case "restore rejects corrupt line state" `Quick
+            test_restore_rejects_corrupt_lines
+        ] );
+      ( "oracle",
+        [ Alcotest.test_case "sequential reads within capacity" `Quick
+            test_ground_truth_reads_fit;
+          Alcotest.test_case "sequential reads at twice capacity" `Quick
+            test_ground_truth_reads_double;
+          Alcotest.test_case "sequential writes under write-validate" `Quick
+            test_ground_truth_writes_validate
         ] );
       ( "sweep",
         [ Alcotest.test_case "fan-out" `Quick test_sweep;

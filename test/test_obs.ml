@@ -489,17 +489,17 @@ let test_gc_run_emits_events () =
 let test_telemetry_document () =
   let tel = Core.Telemetry.create () in
   let cache =
-    Memsim.Cache.create
-      (Memsim.Cache.config ~size_bytes:(64 * 1024) ~block_bytes:64 ())
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:64 ~ways:1 ())
   in
   let r =
     Core.Runner.run ~scale:1
       ~gc:(Vscheme.Machine.Cheney { semispace_bytes = 256 * 1024 })
-      ~sinks:[ Memsim.Cache.sink cache ]
+      ~sinks:[ Memsim.Level.sink cache ]
       ~events:(Core.Telemetry.timeline tel) Workloads.Workload.lred
   in
   Core.Telemetry.record_run tel r;
-  Core.Telemetry.record_cache tel (Memsim.Cache.stats cache);
+  Core.Telemetry.record_cache tel (Memsim.Level.stats cache);
   let j = Core.Telemetry.to_json tel in
   (match Obs.Json.of_string (Obs.Json.to_string j) with
    | Ok _ -> ()
@@ -510,7 +510,7 @@ let test_telemetry_document () =
             Option.bind (Obs.Json.member "value" c) Obs.Json.to_int))
   in
   (* per-phase cache counters are present and consistent *)
-  let s = Memsim.Cache.stats cache in
+  let s = Memsim.Level.stats cache in
   Alcotest.(check (option int)) "mutator misses" (Some s.Memsim.Cache.misses)
     (metric "cache.mutator.misses");
   Alcotest.(check (option int)) "collector misses"

@@ -161,25 +161,28 @@ let errors r =
     (fun f -> f.Check.Finding.rule)
     (Check.Finding.errors r.Check.Ckpt_check.findings)
 
+(* A grid checkpoint is a hierarchy checkpoint of one-level cells. *)
 let test_ckpt_scan_grid () =
   let sweep =
     Memsim.Sweep.create
-      [ Memsim.Cache.config ~size_bytes:1024 ~block_bytes:64 ();
-        Memsim.Cache.config ~size_bytes:2048 ~block_bytes:64 ()
+      [ L.config ~size_bytes:1024 ~block_bytes:64 ~ways:1 ();
+        L.config ~size_bytes:2048 ~block_bytes:64 ~ways:1 ()
       ]
   in
   Array.iter
-    (fun c ->
+    (fun h ->
       for b = 0 to 40 do
-        Memsim.Cache.access c (b * 64) Memsim.Trace.Read Memsim.Trace.Mutator
+        L.access (Memsim.Hier.level h 0) (b * 64) Memsim.Trace.Read
+          Memsim.Trace.Mutator
       done)
-    (Memsim.Sweep.caches sweep);
+    (Memsim.Sweep.hiers sweep);
   let path = Filename.temp_file "test_policy" ".ckpt" in
-  Memsim.Sweep.save_checkpoint sweep ~events:41 ~cursor:41 path;
+  Memsim.Sweep.save_hier_checkpoint (Memsim.Sweep.hiers sweep) ~events:41
+    ~cursor:41 path;
   let r = Check.Ckpt_check.scan ~events:41 path in
   Alcotest.(check (list string)) "clean grid checkpoint" [] (errors r);
-  Alcotest.(check bool) "kind grid" true
-    (r.Check.Ckpt_check.kind = Some Check.Ckpt_check.Grid);
+  Alcotest.(check bool) "kind hierarchy" true
+    (r.Check.Ckpt_check.kind = Some Check.Ckpt_check.Hier);
   Alcotest.(check int) "both snapshots walked" 2
     r.Check.Ckpt_check.snapshots;
   (* Event-count cross-check against the recording being swept. *)
@@ -187,6 +190,27 @@ let test_ckpt_scan_grid () =
   Alcotest.(check (list string)) "event mismatch" [ "ckpt.events" ]
     (errors r);
   Sys.remove path
+
+(* The retired direct-mapped grid format is still recognised, and
+   reported once, located at its magic, without walking the bodies of
+   a simulator that no longer exists. *)
+let test_ckpt_scan_retired () =
+  let body = Bytes.make 200 '\255' in
+  Bytes.blit_string "SWPCKPT1" 0 body 0 8;
+  let p = temp_ckpt body in
+  let r = Check.Ckpt_check.scan p in
+  Sys.remove p;
+  Alcotest.(check bool) "kind grid" true
+    (r.Check.Ckpt_check.kind = Some Check.Ckpt_check.Grid);
+  match r.Check.Ckpt_check.findings with
+  | [ f ] ->
+    Alcotest.(check string) "rule" "ckpt.retired" f.Check.Finding.rule;
+    Alcotest.(check bool) "located at byte 0" true
+      (f.Check.Finding.where = Check.Finding.Byte 0);
+    Alcotest.(check bool) "an error" true
+      (Check.Finding.has_errors r.Check.Ckpt_check.findings)
+  | fs ->
+    Alcotest.failf "expected one finding, got %d" (List.length fs)
 
 let test_ckpt_scan_hier () =
   let h =
@@ -263,6 +287,8 @@ let () =
         ] );
       ( "checkpoints",
         [ Alcotest.test_case "grid scan" `Quick test_ckpt_scan_grid;
+          Alcotest.test_case "retired grid format" `Quick
+            test_ckpt_scan_retired;
           Alcotest.test_case "hierarchy scan" `Quick test_ckpt_scan_hier
         ] )
     ]

@@ -1,7 +1,8 @@
 (* policy_check — exhaustive small-scope model checker for the
    Memsim.Level replacement policies.  Verifies, for every policy at
-   associativity 2, 4 and 8, the properties the fused fast path
-   exploits, and writes a machine-readable certificate for CI.
+   associativity 1, 2, 4 and 8, the properties the chunk loops
+   exploit — the direct-mapped loop at one way, the fused span above
+   — and writes a machine-readable certificate for CI.
 
      main.exe [--json FILE] [--ways LIST] [--budget N]
               [--mutate ID [--expect-findings]] [-q]
@@ -10,7 +11,7 @@
    --expect-findings the run succeeds iff the checker catches it
    (negative self-test of the checker). *)
 
-let default_ways = [ 2; 4; 8 ]
+let default_ways = [ 1; 2; 4; 8 ]
 
 let () =
   let json_out = ref None in
@@ -43,7 +44,7 @@ let () =
       ( "--json",
         Arg.String (fun s -> json_out := Some s),
         "FILE write the certificate as JSON" );
-      ("--ways", Arg.String set_ways, "LIST associativities to check (2,4,8)");
+      ("--ways", Arg.String set_ways, "LIST associativities to check (1,2,4,8)");
       ( "--budget",
         Arg.Set_int budget,
         "N sequence-differential node budget per configuration (4000)" );

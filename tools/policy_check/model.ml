@@ -53,7 +53,13 @@ let restore lvl bytes = ignore (L.restore lvl bytes 0)
 let mk_cfg policy ways =
   L.config ~policy ~size_bytes:(block_bytes * ways) ~block_bytes ~ways ()
 
-let idem_exploited (policy : L.policy) =
+(* Whether the engine skips repeat promotes for this configuration:
+   the set-associative loop's fused span does for hit-idempotent
+   policies.  A 1-way level runs the direct-mapped loop instead, which
+   performs every promote, so nothing is skipped at one way. *)
+let idem_exploited (policy : L.policy) ~ways =
+  ways > 1
+  &&
   match policy with
   | Lru | Tree_plru | Mru -> true
   | Qlru_h11_m1_r1_u2 | Qlru_h11_m1_r0_u0 -> false
@@ -91,7 +97,7 @@ let enumerate ctx ?mutate policy ~ways =
   let cfg = mk_cfg policy ways in
   let scratch = L.create cfg in
   let scratch2 = L.create cfg in
-  let idem = idem_exploited policy in
+  let idem = idem_exploited policy ~ways in
   let seen = Hashtbl.create 4096 in
   let q = Queue.create () in
   let s0 = Spec.init ?mutate policy ~ways in
@@ -553,10 +559,11 @@ let check ?mutate ?(budget = 4000) policy ~ways =
     | L.Lru -> sequences + stack_inclusion ctx ~ways ~budget:(budget / 4)
     | _ -> sequences
   in
-  let idem = idem_exploited policy in
+  let idem = idem_exploited policy ~ways in
   (* completeness of the engine's fast-path classification: a policy
-     excluded from the fused span must actually need the exclusion *)
-  if (not idem) && idem_violations = 0 && mutate = None then
+     excluded from the fused span must actually need the exclusion
+     (no span runs at one way, so nothing is excluded there) *)
+  if ways > 1 && (not idem) && idem_violations = 0 && mutate = None then
     ctx.cfindings <-
       F.v ~severity:F.Warning ~rule:"policy.promote-idem" ~file:level_file
         (Printf.sprintf
