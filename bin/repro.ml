@@ -237,7 +237,9 @@ let run_workload w hier cache_bytes block_bytes policy gc scale metrics
       (Memsim.Level.config ~write_miss_policy:policy ~size_bytes:cache_bytes
          ~block_bytes ~ways:1 ())
   in
-  let r = Runner_facade.run ~gc ~level ?events ?scale w in
+  let r =
+    Core.Runner.run ~gc ?events ?scale ~sinks:[ Memsim.Level.sink level ] w
+  in
   let s = Memsim.Level.stats level in
   let insns = r.Core.Runner.stats.Vscheme.Machine.mutator_insns in
   Core.Report.table ppf ~headers:[ "metric"; "value" ]

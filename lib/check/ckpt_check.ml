@@ -72,18 +72,32 @@ let check_counters ctx src ~at =
 (* tags / valid_lo / valid_hi words, then one dirty byte per line.
    [wpb] is the simulated block width in words; the valid masks split
    it across two words at bit 32 exactly like the engines do. *)
-let check_lines ctx src ~at ~lines ~wpb =
+let check_lines ctx src ~at ~lines ~ways ~wpb =
   let full_lo = (1 lsl min wpb 32) - 1 in
   let full_hi = if wpb > 32 then (1 lsl (wpb - 32)) - 1 else 0 in
+  let set_mask = (lines / ways) - 1 in
   let tags = at in
   let vlo = tags + (8 * lines) in
   let vhi = vlo + (8 * lines) in
   let dirty = vhi + (8 * lines) in
   for i = 0 to lines - 1 do
     let t = word src (tags + (8 * i)) in
+    let set = i / ways in
     if t < -1 then
       fail ctx "ckpt.state" ~at:(tags + (8 * i))
         "tag %d below the -1 invalid marker" t;
+    if t >= 0 && t land set_mask <> set then
+      fail ctx "ckpt.state" ~at:(tags + (8 * i))
+        "tag %d filed in set %d but indexes set %d" t set (t land set_mask);
+    let rec twin j =
+      if j >= i then ()
+      else if word src (tags + (8 * j)) = t then
+        fail ctx "ckpt.state" ~at:(tags + (8 * i))
+          "tag %d resident in ways %d and %d of set %d" t (j - (set * ways))
+          (i - (set * ways)) set
+      else twin (j + 1)
+    in
+    if t >= 0 then twin (set * ways);
     let lo = word src (vlo + (8 * i)) and hi = word src (vhi + (8 * i)) in
     if lo land lnot full_lo <> 0 then
       fail ctx "ckpt.state" ~at:(vlo + (8 * i))
@@ -172,7 +186,7 @@ let check_level_snapshot ctx src ~at ~index ~level =
       end
       else begin
         let p = check_counters ctx src ~at:(at + (8 * 7)) in
-        let (_ : int) = check_lines ctx src ~at:p ~lines ~wpb in
+        let (_ : int) = check_lines ctx src ~at:p ~lines ~ways ~wpb in
         Next (at + body)
       end
     end

@@ -28,8 +28,10 @@
       flag codes);
     - [ckpt.counter] — a negative event counter;
     - [ckpt.state] — a line whose valid-word mask has bits beyond the
-      block width, a dirty byte that is neither 0 nor 1, or a tag
-      below the -1 invalid marker;
+      block width, a dirty byte that is neither 0 nor 1, a tag below
+      the -1 invalid marker, a valid tag filed in a set its low bits
+      do not index, or a block resident in two ways of one set; each
+      located at the offending word or byte;
     - [ckpt.trailing-bytes] — bytes after the last declared snapshot;
     - [ckpt.suppressed] — warning noting findings beyond the cap. *)
 

@@ -11,9 +11,13 @@ let table_collector_families ppf =
          ~cache_sizes:[ Memsim.Sweep.kb 64; Memsim.Sweep.mb 1 ]
          ~block_sizes:[ block ] ())
   in
+  (* One cell recorded, then replayed into the grid, as Exp_gc does:
+     at most one recording is live at a time. *)
   let measure gc =
     let sw = sweep () in
-    let r, _recording = Runner.record_sweep ~label:"sweep.a1" ~gc sw w in
+    let label = "sweep.a1" in
+    let r, recording = (Runner.record_grid [ Runner.cell ~gc ~label w ]).(0) in
+    Runner.sweep_recording ~label sw recording;
     (r, sw)
   in
   let baseline, base_sw = measure Vscheme.Machine.No_gc in

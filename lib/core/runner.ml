@@ -136,8 +136,7 @@ let sweep_recording ?(label = "sweep") sweep recording =
   let jobs = jobs () in
   let events = Memsim.Recording.length recording in
   let t0 = Unix.gettimeofday () in
-  if jobs > 1 then Memsim.Sweep.run_parallel ~jobs sweep recording
-  else Memsim.Sweep.run_serial sweep recording;
+  Memsim.Sweep.run_parallel ~jobs sweep recording;
   let dt = Unix.gettimeofday () -. t0 in
   let reg = Obs.Metrics.default in
   let set name v = Obs.Metrics.Gauge.set (Obs.Metrics.gauge reg name) v in
@@ -218,46 +217,3 @@ let record_grid ?jobs:requested cell_list =
       | Some (r, recording, _) -> (r, recording)
       | None -> assert false)
     slots
-
-(* Record-while-sweep: the mutator domain runs the workload with the
-   fast-path recorder, every recording slab that seals is broadcast
-   (by reference, no copy) to sweep worker domains, and the final
-   partial slab is delivered after the run — so trace generation and
-   the grid sweep overlap end to end instead of running back to back.
-   The recording is still complete afterwards for further replays. *)
-let record_sweep ?(label = "sweep") ?gc ?heap_bytes ?pathological_layout
-    ?events ?scale sweep w =
-  let jobs = jobs () in
-  let t0 = Unix.gettimeofday () in
-  let deliver, finish = Memsim.Sweep.pipelined ~jobs sweep in
-  let recording = Memsim.Recording.create ~on_seal:deliver () in
-  let r =
-    run ?gc ?heap_bytes ?pathological_layout ?events ?scale ~record:recording w
-  in
-  let t_produced = Unix.gettimeofday () in
-  (* [run] synced the recording, so the tail length is current. *)
-  let buf, len = Memsim.Recording.tail recording in
-  if len > 0 then deliver buf len;
-  finish ();
-  let t1 = Unix.gettimeofday () in
-  let events = Memsim.Recording.length recording in
-  let caches = Array.length (Memsim.Sweep.hiers sweep) in
-  let produce_s = t_produced -. t0 in
-  let drain_s = t1 -. t_produced in
-  let wall_s = t1 -. t0 in
-  let reg = Obs.Metrics.default in
-  let set name v = Obs.Metrics.Gauge.set (Obs.Metrics.gauge reg name) v in
-  set (label ^ ".wall_s") wall_s;
-  set (label ^ ".produce_wall_s") produce_s;
-  set (label ^ ".drain_wall_s") drain_s;
-  set (label ^ ".jobs") (float_of_int jobs);
-  set (label ^ ".events") (float_of_int events);
-  if produce_s > 0.0 then
-    set
-      (label ^ ".producer_events_per_s")
-      (float_of_int events /. produce_s);
-  if wall_s > 0.0 then
-    set
-      (label ^ ".consumer_events_per_s")
-      (float_of_int (events * caches) /. wall_s);
-  (r, recording)

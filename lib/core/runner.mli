@@ -92,9 +92,9 @@ val record :
 
 val sweep_recording :
   ?label:string -> Memsim.Sweep.t -> Memsim.Recording.t -> unit
-(** Replay a recording into a sweep grid, using
-    {!Memsim.Sweep.run_parallel} when {!jobs}[ () > 1] and the serial
-    oracle otherwise.  Publishes [<label>.{wall_s,jobs,events,
+(** Replay a recording into a sweep grid with
+    {!Memsim.Sweep.run_parallel}[ ~jobs:(]{!jobs}[ ())] (one job is
+    the serial loop).  Publishes [<label>.{wall_s,jobs,events,
     events_per_s,consumer_events_per_s}] gauges ([label] defaults to
     ["sweep"]) to {!Obs.Metrics.default} so exported telemetry tracks
     sweep wall time and throughput; [consumer_events_per_s] duplicates
@@ -134,26 +134,3 @@ val record_grid :
     after all workers have joined); [produce_wall_s] covers that
     cell's whole production — machine creation, load, and the traced
     run. *)
-
-val record_sweep :
-  ?label:string ->
-  ?gc:Vscheme.Machine.gc_spec ->
-  ?heap_bytes:int ->
-  ?pathological_layout:bool ->
-  ?events:Obs.Events.timeline ->
-  ?scale:int ->
-  Memsim.Sweep.t ->
-  Workloads.Workload.t ->
-  result * Memsim.Recording.t
-(** Record-while-sweep: run the workload with the fast-path recorder
-    and sweep the grid {e while the trace is being produced} — each
-    recording slab that seals is broadcast by reference
-    ({!Memsim.Sweep.pipelined}) to {!jobs}[ ()] worker domains, and
-    the final partial slab is delivered after the run.  With one job
-    the chunks are consumed inline on the producing domain.  Per-cache
-    statistics are bit-identical to {!record} followed by
-    {!sweep_recording}, and the returned recording is complete for
-    further replays.  Publishes
-    [<label>.{wall_s,produce_wall_s,drain_wall_s,jobs,events,
-    producer_events_per_s,consumer_events_per_s}] gauges to
-    {!Obs.Metrics.default}. *)

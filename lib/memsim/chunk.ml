@@ -90,77 +90,3 @@ let producer ?(chunk_events = default_chunk_events) emit =
     if !len = chunk_events then flush ()
   in
   ({ Trace.access }, flush)
-
-(* --- Bounded broadcast queue ------------------------------------------- *)
-
-module Fanout = struct
-  type t = {
-    mutex : Mutex.t;
-    not_full : Condition.t;
-    not_empty : Condition.t;
-    queues : (buf * int) Queue.t array;
-    capacity : int;
-    mutable closed : bool;
-  }
-
-  let create ~consumers ~capacity =
-    if consumers <= 0 then invalid_arg "Chunk.Fanout.create: consumers <= 0";
-    if capacity <= 0 then invalid_arg "Chunk.Fanout.create: capacity <= 0";
-    { mutex = Mutex.create ();
-      not_full = Condition.create ();
-      not_empty = Condition.create ();
-      queues = Array.init consumers (fun _ -> Queue.create ());
-      capacity;
-      closed = false
-    }
-
-  let consumers t = Array.length t.queues
-
-  (* No copy: only sound when the producer never writes [buf] again,
-     e.g. a sealed Recording slab. *)
-  let push_shared t buf len =
-    Mutex.lock t.mutex;
-    let rec wait_for_room () =
-      if t.closed then begin
-        Mutex.unlock t.mutex;
-        invalid_arg "Chunk.Fanout.push_shared: closed"
-      end
-      else if Array.exists (fun q -> Queue.length q >= t.capacity) t.queues
-      then begin
-        Condition.wait t.not_full t.mutex;
-        wait_for_room ()
-      end
-    in
-    wait_for_room ();
-    Array.iter (fun q -> Queue.add (buf, len) q) t.queues;
-    Condition.broadcast t.not_empty;
-    Mutex.unlock t.mutex
-
-  let pop t i =
-    Mutex.lock t.mutex;
-    let q = t.queues.(i) in
-    let rec wait () =
-      if not (Queue.is_empty q) then begin
-        let item = Queue.take q in
-        Condition.broadcast t.not_full;
-        Mutex.unlock t.mutex;
-        Some item
-      end
-      else if t.closed then begin
-        Mutex.unlock t.mutex;
-        None
-      end
-      else begin
-        Condition.wait t.not_empty t.mutex;
-        wait ()
-      end
-    in
-    wait ()
-
-  let close t =
-    Mutex.lock t.mutex;
-    t.closed <- true;
-    Condition.broadcast t.not_empty;
-    Condition.broadcast t.not_full;
-    Mutex.unlock t.mutex
-end

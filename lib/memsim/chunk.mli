@@ -11,9 +11,8 @@
     write barrier, the GC never scans slab contents, and an mmap-backed
     v3 trace file is consumed through the same type with zero copies.
 
-    The module provides the codec, a {!producer} that turns a live
-    event stream into chunks, and a bounded broadcast queue
-    ({!Fanout}) for handing chunks to parallel consumer domains. *)
+    The module provides the codec and a {!producer} that turns a live
+    event stream into chunks. *)
 
 type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Packed events; only a prefix may be meaningful (paired with a
@@ -72,35 +71,3 @@ val producer :
     final partial chunk.  The buffer is reused across emissions: [emit]
     must finish with it (or copy it) before returning.
     @raise Invalid_argument when [chunk_events <= 0]. *)
-
-(** {1 Bounded broadcast queue}
-
-    One producer, N consumers; every consumer sees every chunk, in
-    order.  Used by {!Sweep.pipelined} to feed worker domains while
-    the trace is still being produced.  [push_shared] blocks while any
-    consumer's queue holds [capacity] chunks, bounding memory. *)
-
-module Fanout : sig
-  type t
-
-  val create : consumers:int -> capacity:int -> t
-  (** @raise Invalid_argument when either bound is non-positive. *)
-
-  val consumers : t -> int
-
-  val push_shared : t -> buf -> int -> unit
-  (** [push_shared t buf len] enqueues the chunk prefix for every
-      consumer {e by reference}, with no copy; blocks while any queue
-      is full.  Only sound when the producer will never write [buf]
-      again — e.g. a sealed {!Recording} slab, which is immutable once
-      full.
-      @raise Invalid_argument after {!close}. *)
-
-  val pop : t -> int -> (buf * int) option
-  (** [pop t i] dequeues the next chunk for consumer [i], blocking
-      while empty; [None] once the queue is closed and drained.  The
-      returned buffer is shared with the other consumers — read only. *)
-
-  val close : t -> unit
-  (** Wake all consumers; subsequent [pop]s drain and return [None]. *)
-end

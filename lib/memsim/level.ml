@@ -1538,7 +1538,9 @@ let restore t src pos =
     (word ());
   (* Reject line state no access could have produced before loading
      any of it: the fast loops trust tags, valid masks and dirty bytes,
-     and a dirty byte of 2, say, would silently drop a write-back. *)
+     and a dirty byte of 2, say, would silently drop a write-back.  A
+     tag is a block number, so it belongs in the set its low bits
+     index, and at most once there. *)
   let lines = t.nsets * t.ways in
   let tags_at = !pos + (8 * 11) in
   let lo_at = tags_at + (8 * lines) in
@@ -1549,10 +1551,20 @@ let restore t src pos =
       (fun msg -> invalid_arg (Printf.sprintf "Level.restore: byte %d: %s" at msg))
       fmt
   in
+  let tag_at i = Int64.to_int (Bytes.get_int64_le src (tags_at + (8 * i))) in
   for i = 0 to lines - 1 do
-    let tag = Int64.to_int (Bytes.get_int64_le src (tags_at + (8 * i))) in
+    let tag = tag_at i in
+    let set = i / t.ways in
     if tag < -1 then
       bad (tags_at + (8 * i)) "tag %d below the -1 invalid marker" tag;
+    if tag >= 0 && tag land t.set_mask <> set then
+      bad (tags_at + (8 * i)) "tag %d filed in set %d but indexes set %d" tag
+        set (tag land t.set_mask);
+    for j = set * t.ways to i - 1 do
+      if tag >= 0 && tag_at j = tag then
+        bad (tags_at + (8 * i)) "tag %d resident in ways %d and %d of set %d"
+          tag (j - (set * t.ways)) (i - (set * t.ways)) set
+    done;
     let lo = Int64.to_int (Bytes.get_int64_le src (lo_at + (8 * i))) in
     if lo land lnot t.full_lo <> 0 then
       bad (lo_at + (8 * i)) "valid mask 0x%x has bits beyond the block" lo;

@@ -219,5 +219,7 @@ val restore : t -> Bytes.t -> int -> int
     loaded unless every line is one an access could have produced.
     @raise Invalid_argument on a truncated, foreign, or
     geometry-mismatched snapshot, and — naming the byte offset in
-    [src] — on a tag below the [-1] invalid marker, valid bits beyond
-    the block, or a dirty byte other than 0 or 1. *)
+    [src] — on a tag below the [-1] invalid marker, a valid tag filed
+    in a set its low bits do not index, a block resident in two ways
+    of one set, valid bits beyond the block, or a dirty byte other
+    than 0 or 1. *)

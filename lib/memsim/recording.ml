@@ -26,7 +26,6 @@ type t = {
   mutable cur : Chunk.buf;
   mutable cur_len : int;
   mutable direct : bool;           (* a direct writer owns [cur] *)
-  on_seal : (Chunk.buf -> int -> unit) option;
 }
 
 let magic = 0x5243545243414345L (* "RCTRCACE" v1, arbitrary tag *)
@@ -38,7 +37,7 @@ type format =
   | V2
   | V3
 
-let create ?(initial_capacity = Chunk.default_chunk_events) ?on_seal () =
+let create ?(initial_capacity = Chunk.default_chunk_events) () =
   let chunk_events = max 16 initial_capacity in
   { chunk_events;
     slabs = Array.make 8 Chunk.empty;
@@ -47,8 +46,7 @@ let create ?(initial_capacity = Chunk.default_chunk_events) ?on_seal () =
        zero-fill pass is skipped. *)
     cur = Chunk.create_buf_uninit chunk_events;
     cur_len = 0;
-    direct = false;
-    on_seal
+    direct = false
   }
 
 let chunk_events t = t.chunk_events
@@ -61,12 +59,8 @@ let seal_current t =
   end;
   t.slabs.(t.nslabs) <- t.cur;
   t.nslabs <- t.nslabs + 1;
-  let sealed = t.cur in
   t.cur <- Chunk.create_buf_uninit t.chunk_events;
-  t.cur_len <- 0;
-  match t.on_seal with
-  | None -> ()
-  | Some f -> f sealed t.chunk_events
+  t.cur_len <- 0
 
 let append t word =
   if t.direct then
@@ -106,8 +100,6 @@ let seal_full t =
 let set_tail t n =
   if n < 0 || n >= t.chunk_events then invalid_arg "Recording.set_tail";
   t.cur_len <- n
-
-let tail t = (t.cur, t.cur_len)
 
 (* --- In-memory access --------------------------------------------------- *)
 
@@ -397,8 +389,7 @@ let of_mapped payload count =
       nslabs = 1;
       cur = Chunk.empty;
       cur_len = 0;
-      direct = false;
-      on_seal = None
+      direct = false
     }
 
 let map_v3 path count =

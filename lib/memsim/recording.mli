@@ -38,17 +38,10 @@ type format =
   | V2  (** zigzag address delta + kind/phase tag, LEB128 varint *)
   | V3  (** mmap-native: fixed 8-byte stride, loaded zero-copy *)
 
-val create :
-  ?initial_capacity:int -> ?on_seal:(Chunk.buf -> int -> unit) -> unit -> t
+val create : ?initial_capacity:int -> unit -> t
 (** An empty recording.  [initial_capacity] (clamped to at least 16,
     default {!Chunk.default_chunk_events}) is the event capacity of
-    each internal slab and hence the granularity of {!iter_chunks}.
-    [on_seal], when given, is called with each slab the moment it
-    fills — the hook behind record-while-sweep pipelining: a sealed
-    slab is immutable, so it can be handed to concurrent consumers
-    (e.g. {!Chunk.Fanout.push_shared}) while the recording keeps it
-    for later replay.  The final partial slab never seals; fetch it
-    with {!tail} after production ends. *)
+    each internal slab and hence the granularity of {!iter_chunks}. *)
 
 val sink : t -> Trace.sink
 (** Append every event to the recording.
@@ -84,19 +77,14 @@ val checkout : t -> Chunk.buf * int
 
 val seal_full : t -> Chunk.buf
 (** Seal the current slab — the caller asserts it wrote all
-    {!chunk_events} entries — fire [on_seal], and return the fresh
-    current slab (write it from index 0). *)
+    {!chunk_events} entries — and return the fresh current slab
+    (write it from index 0). *)
 
 val set_tail : t -> int -> unit
 (** Publish the direct writer's cursor as the current slab's length so
     readers ({!length}, {!iter_chunks}, {!save}, …) see the tail.
     Idempotent; call whenever the recording must be consistent.
     @raise Invalid_argument outside [0, chunk_events). *)
-
-val tail : t -> Chunk.buf * int
-(** The current partial slab and its (synced) length — the chunk that
-    {!iter_chunks} would yield last.  Used to deliver the final chunk
-    of a pipelined run. *)
 
 (** {1 In-memory access} *)
 

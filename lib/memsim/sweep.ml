@@ -284,42 +284,3 @@ let hier_run_resumable ?ctx ?(jobs = 1)
     save_hier_checkpoint hiers ~events ~cursor:!cursor checkpoint;
     match progress with Some f -> f !cursor | None -> ()
   done
-
-(* --- Record-while-sweep ------------------------------------------------- *)
-
-(* Chunks arrive while the mutator still runs, so workers cannot claim
-   whole hierarchies off a finished recording.  Instead worker [j]
-   owns hierarchies j, j+jobs, j+2*jobs, ...: a static strided
-   partition, and every chunk is broadcast by reference to all
-   workers, so every hierarchy sees the full stream in order. *)
-let pipelined ~jobs ?(capacity = 8) t =
-  let hiers = t.hiers in
-  let n = Array.length hiers in
-  let jobs = max 1 (min jobs n) in
-  if jobs = 1 then
-    ((fun buf len -> Array.iter (fun h -> Hier.access_chunk h buf 0 len) hiers),
-     ignore)
-  else begin
-    let fanout = Chunk.Fanout.create ~consumers:jobs ~capacity in
-    let worker j () =
-      let rec drain () =
-        match Chunk.Fanout.pop fanout j with
-        | None -> ()
-        | Some (buf, len) ->
-          let i = ref j in
-          while !i < n do
-            Hier.access_chunk hiers.(!i) buf 0 len;
-            i := !i + jobs
-          done;
-          drain ()
-      in
-      drain ()
-    in
-    let domains = Array.init jobs (fun j -> Domain.spawn (worker j)) in
-    let deliver buf len = Chunk.Fanout.push_shared fanout buf len in
-    let finish () =
-      Chunk.Fanout.close fanout;
-      Array.iter Domain.join domains
-    in
-    (deliver, finish)
-  end

@@ -7,16 +7,15 @@
     direct-mapped grids), so grids and multi-level hierarchy fleets
     replay, checkpoint and resume through the same [hier_*] path.
     Every hierarchy is independent and a sealed recording is
-    read-only, so serial, parallel, resumed and pipelined runs are
-    bit-identical.
+    read-only, so serial, parallel and resumed runs are bit-identical.
+    A trace is recorded first and replayed afterwards; nothing sweeps
+    while the mutator runs.
 
     - {!sink}: per-event fan-out (one {!Level.access} per cell per
       event).  The oracle the others are tested against.
     - {!run_serial} / {!run_parallel}: replay a completed {!Recording},
       whole hierarchies claimed across [jobs] domains by
-      {!parallel_for}.
-    - {!pipelined}: consume recording slabs as they seal, while the
-      mutator still runs. *)
+      {!parallel_for}. *)
 
 val paper_cache_sizes : int list
 (** The §4 cache sizes: 32 KB to 4 MB in powers of two. *)
@@ -179,17 +178,3 @@ val hier_run_resumable :
     on disk; remove it to start over.
     @raise Failure as {!load_hier_checkpoint} on a stale or foreign
     checkpoint file. *)
-
-val pipelined :
-  jobs:int -> ?capacity:int -> t -> (Chunk.buf -> int -> unit) * (unit -> unit)
-(** [pipelined ~jobs t] is [(deliver, finish)] for producers that hold
-    immutable chunks — {!Recording} slabs sealing while the mutator
-    still runs (record-while-sweep).  [deliver buf len] broadcasts the
-    chunk {e by reference} (no copy; the buffer must never be written
-    again) to [jobs] worker domains owning a static partition of the
-    cells, blocking when [capacity] chunks are queued per worker; with
-    [jobs = 1] it is {!Hier.access_chunk} on every cell, on the
-    calling domain.
-    Call [finish] after the last chunk to close the queue and join the
-    workers.  Statistics are bit-identical to a trace-then-sweep
-    replay. *)

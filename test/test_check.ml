@@ -147,7 +147,34 @@ let test_truncated_v2 () =
       write_bytes cut (Bytes.sub b 0 (Bytes.length b - 2));
       let scan = Check.Trace_file.scan cut in
       check_has "trace.truncated" scan.Check.Trace_file.findings);
-  Sys.remove path
+  Sys.remove path;
+  (* A longer trace cut inside its last event (every event's 2^30
+     address delta takes several varint bytes) still decodes to an
+     exact, non-empty prefix of what was recorded. *)
+  let full =
+    recording_of_events
+      (List.init 2_000 (fun i ->
+           ((i land 1) lsl 30, Memsim.Trace.Read, Memsim.Trace.Mutator)))
+  in
+  let path = save_recording ~format:Memsim.Recording.V2 full in
+  let b = read_bytes path in
+  Sys.remove path;
+  with_tmp ".trace" (fun cut ->
+      write_bytes cut (Bytes.sub b 0 (Bytes.length b - 2));
+      let scan = Check.Trace_file.scan cut in
+      check_has "trace.truncated" scan.Check.Trace_file.findings;
+      match scan.Check.Trace_file.recording with
+      | None -> Alcotest.fail "scanner dropped the decoded prefix"
+      | Some prefix ->
+        let n = Memsim.Recording.length prefix in
+        Alcotest.(check bool)
+          (Printf.sprintf "non-empty proper prefix (%d events)" n)
+          true
+          (n > 0 && n < 2_000);
+        for i = 0 to n - 1 do
+          if Memsim.Recording.event prefix i <> Memsim.Recording.event full i
+          then Alcotest.failf "prefix diverges at event %d" i
+        done)
 
 let test_truncated_header () =
   with_tmp ".trace" (fun path ->

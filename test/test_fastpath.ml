@@ -1,13 +1,13 @@
-(* Differential tests for the trace fast path and record-while-sweep.
+(* Differential tests for the trace fast path and record-then-replay.
 
    For every workload, the direct writer (Mem.record_into) must
    produce a recording bit-identical to the generic closure sink, with
-   the same result value and per-phase reference counts; and
-   Runner.record_sweep — which sweeps the grid while the trace is
-   produced — must yield per-cache statistics bit-identical to the
-   per-event oracle over the sink-path recording, with one job and
-   with several.  `make check` runs this binary under REPRO_JOBS=2 as
-   well, exercising the jobs selection inside record_sweep. *)
+   the same result value and per-phase reference counts; and a
+   Runner.record_grid cell replayed by Runner.sweep_recording — the
+   path every experiment driver takes — must yield per-cache
+   statistics bit-identical to the per-event oracle over the
+   sink-path recording, with one job and with several.  `make check`
+   runs this binary under REPRO_JOBS=2 as well. *)
 
 let grid () =
   Memsim.Sweep.create
@@ -38,7 +38,9 @@ let test_fast_path w () =
     (Memsim.Recording.length oracle_rec)
     (oracle_r.Core.Runner.refs + oracle_r.Core.Runner.collector_refs)
 
-let test_record_sweep w () =
+(* The E-A1 path: one record_grid cell, then sweep_recording into the
+   grid, at one job and at several. *)
+let test_record_then_replay w () =
   let _, recording = Core.Runner.record ~direct:false ~scale:1 w in
   let oracle = grid () in
   Memsim.Recording.replay recording (Memsim.Sweep.sink oracle);
@@ -49,17 +51,19 @@ let test_record_sweep w () =
       List.iter
         (fun jobs ->
           Core.Runner.set_jobs jobs;
-          let sw = grid () in
-          let _, pipelined =
-            Core.Runner.record_sweep ~label:"test.fastpath" ~scale:1 sw w
+          let label = "test.fastpath" in
+          let _, recorded =
+            (Core.Runner.record_grid [ Core.Runner.cell ~scale:1 ~label w ]).(0)
           in
+          let sw = grid () in
+          Core.Runner.sweep_recording ~label sw recorded;
           check_identical
-            (Printf.sprintf "record_sweep jobs=%d" jobs)
+            (Printf.sprintf "sweep_recording jobs=%d" jobs)
             oracle sw;
           Alcotest.(check bool)
-            (Printf.sprintf "recording complete after pipelining jobs=%d" jobs)
+            (Printf.sprintf "recording = sink-path recording, jobs=%d" jobs)
             true
-            (Memsim.Recording.equal recording pipelined))
+            (Memsim.Recording.equal recording recorded))
         [ 1; 3 ])
 
 let test_format_roundtrip () =
@@ -156,11 +160,11 @@ let () =
             Alcotest.test_case w.Workloads.Workload.name `Slow
               (test_fast_path w))
           Workloads.Workload.all );
-      ( "record-while-sweep",
+      ( "record-then-replay",
         List.map
           (fun w ->
             Alcotest.test_case w.Workloads.Workload.name `Slow
-              (test_record_sweep w))
+              (test_record_then_replay w))
           Workloads.Workload.all );
       ( "sharded producer",
         [ Alcotest.test_case "record_grid = serial, jobs 1/2/4" `Slow

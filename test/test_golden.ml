@@ -7,11 +7,7 @@
    - checkpoint/resume: a sweep killed after any checkpoint and resumed
      in a fresh process state finishes bit-identical to an
      uninterrupted run, serial and parallel, and stale or foreign
-     checkpoints are rejected rather than silently replayed over;
-   - the resilient trace I/O layer survives injected transient errors,
-     ENOSPC, short writes and bit rot without ever leaving a torn file
-     at the destination, and recovers the intact prefix of a damaged
-     file as an explicit partial result. *)
+     checkpoints are rejected rather than silently replayed over. *)
 
 let tmp_file =
   let n = ref 0 in
@@ -285,122 +281,6 @@ let test_checkpoint_rejects_stale () =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "expected Failure for a corrupt checkpoint")
 
-(* --- Resilient trace I/O ------------------------------------------------- *)
-
-let plan faults ~attempt =
-  List.nth_opt faults (attempt - 1) |> Option.join
-
-let test_resilient_clean_save_load () =
-  let rec_ = mk_recording 3_000 in
-  with_tmp ".trace" (fun path ->
-      let saved = Golden.Resilient.save rec_ path in
-      Alcotest.(check bool) "save ok" true (Golden.Resilient.ok saved);
-      Alcotest.(check int) "one attempt" 1 saved.Golden.Resilient.attempts;
-      let loaded = Golden.Resilient.load path in
-      Alcotest.(check bool) "load ok" true (Golden.Resilient.ok loaded);
-      Alcotest.(check bool) "roundtrip" true
-        (Memsim.Recording.equal rec_
-           (Option.get loaded.Golden.Resilient.result)))
-
-let test_resilient_retries_transient () =
-  let rec_ = mk_recording 1_000 in
-  with_tmp ".trace" (fun path ->
-      let inject =
-        plan [ Some (Golden.Resilient.Transient "flaky disk"); None ]
-      in
-      let o = Golden.Resilient.save ~inject rec_ path in
-      Alcotest.(check bool) "recovered" true (Golden.Resilient.ok o);
-      Alcotest.(check int) "two attempts" 2 o.Golden.Resilient.attempts;
-      Alcotest.(check bool) "warning retained" true
-        (List.exists
-           (fun f -> f.Check.Finding.rule = "golden.io.transient")
-           o.Golden.Resilient.findings);
-      Alcotest.(check bool) "file is good" true
-        (Memsim.Recording.equal rec_ (Memsim.Recording.load path)))
-
-let test_resilient_survives_damage () =
-  let rec_ = mk_recording 1_000 in
-  List.iter
-    (fun (label, fault, rule) ->
-      with_tmp ".trace" (fun path ->
-          let o = Golden.Resilient.save ~inject:(plan [ Some fault; None ]) rec_ path in
-          Alcotest.(check bool) (label ^ ": recovered") true
-            (Golden.Resilient.ok o);
-          Alcotest.(check bool) (label ^ ": diagnosed") true
-            (List.exists (fun f -> f.Check.Finding.rule = rule)
-               o.Golden.Resilient.findings);
-          Alcotest.(check bool) (label ^ ": file is good") true
-            (Memsim.Recording.equal rec_ (Memsim.Recording.load path))))
-    [ ("enospc", Golden.Resilient.Enospc_at 100, "golden.io.enospc");
-      ("short write", Golden.Resilient.Short_write_at 64, "golden.io.verify");
-      ("bit rot", Golden.Resilient.Corrupt_byte_at 40, "golden.io.verify")
-    ]
-
-let test_resilient_never_tears_destination () =
-  let old_rec = mk_recording 500 in
-  let new_rec = mk_recording 2_000 in
-  with_tmp ".trace" (fun path ->
-      Memsim.Recording.save old_rec path;
-      (* every attempt dies: the previous file must survive intact *)
-      let inject ~attempt:_ = Some (Golden.Resilient.Corrupt_byte_at 16) in
-      let o = Golden.Resilient.save ~attempts:3 ~inject new_rec path in
-      Alcotest.(check bool) "save failed" false (Golden.Resilient.ok o);
-      Alcotest.(check int) "all attempts consumed" 3 o.Golden.Resilient.attempts;
-      Alcotest.(check bool) "exhaustion reported" true
-        (List.exists
-           (fun f -> f.Check.Finding.rule = "golden.io.exhausted")
-           o.Golden.Resilient.findings);
-      Alcotest.(check bool) "destination untouched" true
-        (Memsim.Recording.equal old_rec (Memsim.Recording.load path)))
-
-let test_resilient_load_retries_transient () =
-  let rec_ = mk_recording 800 in
-  with_tmp ".trace" (fun path ->
-      Memsim.Recording.save rec_ path;
-      let inject =
-        plan
-          [ Some (Golden.Resilient.Transient "cable wiggle");
-            Some (Golden.Resilient.Transient "again");
-            None
-          ]
-      in
-      let o = Golden.Resilient.load ~inject path in
-      Alcotest.(check bool) "recovered" true (Golden.Resilient.ok o);
-      Alcotest.(check int) "three attempts" 3 o.Golden.Resilient.attempts;
-      Alcotest.(check bool) "roundtrip" true
-        (Memsim.Recording.equal rec_ (Option.get o.Golden.Resilient.result)))
-
-let test_resilient_partial_recovery () =
-  let rec_ = mk_recording 2_000 in
-  with_tmp ".trace" (fun path ->
-      Memsim.Recording.save ~format:Memsim.Recording.V1 rec_ path;
-      (* cut the file mid-event: a deterministic structural fault *)
-      let full = (Unix.stat path).Unix.st_size in
-      Unix.truncate path (full - 13);
-      let o = Golden.Resilient.load path in
-      Alcotest.(check bool) "reported as a failure" false
-        (Golden.Resilient.ok o);
-      Alcotest.(check bool) "partial flagged" true
-        (List.exists
-           (fun f -> f.Check.Finding.rule = "golden.io.partial")
-           o.Golden.Resilient.findings);
-      match o.Golden.Resilient.result with
-      | None -> Alcotest.fail "expected a recovered prefix"
-      | Some partial ->
-        let n = Memsim.Recording.length partial in
-        Alcotest.(check bool) "a proper non-empty prefix" true
-          (n > 0 && n < 2_000);
-        for i = 0 to n - 1 do
-          if Memsim.Recording.event partial i <> Memsim.Recording.event rec_ i
-          then Alcotest.failf "prefix diverges at event %d" i
-        done;
-      (* without the fallback the same file is a hard error *)
-      let strict = Golden.Resilient.load ~allow_partial:false path in
-      Alcotest.(check bool) "strict load fails" false
-        (Golden.Resilient.ok strict);
-      Alcotest.(check bool) "strict load yields nothing" true
-        (strict.Golden.Resilient.result = None))
-
 (* --- Suite plumbing ------------------------------------------------------ *)
 
 let test_suite_record_verify_cycle () =
@@ -467,20 +347,6 @@ let () =
             test_resume_without_interruption;
           Alcotest.test_case "stale/foreign checkpoints rejected" `Quick
             test_checkpoint_rejects_stale
-        ] );
-      ( "resilient",
-        [ Alcotest.test_case "clean save/load" `Quick
-            test_resilient_clean_save_load;
-          Alcotest.test_case "transient save fault retried" `Quick
-            test_resilient_retries_transient;
-          Alcotest.test_case "enospc/short-write/bit-rot survived" `Quick
-            test_resilient_survives_damage;
-          Alcotest.test_case "destination never torn" `Quick
-            test_resilient_never_tears_destination;
-          Alcotest.test_case "transient load fault retried" `Quick
-            test_resilient_load_retries_transient;
-          Alcotest.test_case "partial recovery of a damaged file" `Quick
-            test_resilient_partial_recovery
         ] );
       ( "suite",
         [ Alcotest.test_case "record/verify/perturb cycle" `Quick

@@ -577,10 +577,11 @@ let test_restore_rejects_corrupt_lines () =
   let lo = tags + (8 * 16) in
   let hi = lo + (8 * 16) in
   let dirty = hi + (8 * 16) in
-  let expect what at corrupt =
+  let expect ?(level = fun () -> mk ~size:1024 ~block:64 ()) ?(good = good)
+      what at corrupt =
     let b = Bytes.copy good in
     corrupt b;
-    match Memsim.Level.restore (mk ~size:1024 ~block:64 ()) b 0 with
+    match Memsim.Level.restore (level ()) b 0 with
     | exception Invalid_argument msg ->
       let needle = Printf.sprintf "byte %d:" at in
       Alcotest.(check bool)
@@ -600,6 +601,22 @@ let test_restore_rejects_corrupt_lines () =
   expect "high valid bits on a 16-word block" (hi + 8) (fun b ->
       Bytes.set_int64_le b (hi + 8) 1L);
   expect "dirty byte 2" dirty (fun b -> Bytes.set b dirty '\002');
+  (* block 16 indexes set 0 of the 16, not set 1 *)
+  expect "tag filed in a set it does not index" (tags + 8) (fun b ->
+      Bytes.set_int64_le b (tags + 8) 16L);
+  (* 2 ways, 8 sets: block 0 sits in one way of set 0; copying its tag
+     into the other way makes one block resident twice *)
+  let two_way () =
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:1024 ~block_bytes:64 ~ways:2 ())
+  in
+  let c2 = two_way () in
+  Memsim.Level.access c2 0 Memsim.Trace.Write mutator;
+  let good2 = Bytes.of_string (snap c2) in
+  expect ~level:two_way ~good:good2 "one block in two ways of a set"
+    (tags + 8) (fun b ->
+      Bytes.set_int64_le b tags 0L;
+      Bytes.set_int64_le b (tags + 8) 0L);
   (* the untouched snapshot restores, and evicting its dirty line
      writes it back *)
   let r = mk ~size:1024 ~block:64 () in
@@ -1116,26 +1133,6 @@ let test_chunk_producer () =
   flush ();
   Alcotest.(check int) "flush is idempotent" 3 (List.length !emitted)
 
-let test_fanout () =
-  let fan = Memsim.Chunk.Fanout.create ~consumers:2 ~capacity:4 in
-  let chunk = Memsim.Chunk.of_array [| 1; 2; 3 |] in
-  Memsim.Chunk.Fanout.push_shared fan chunk 3;
-  Memsim.Chunk.Fanout.push_shared fan chunk 2;
-  Memsim.Chunk.Fanout.close fan;
-  let drain i =
-    let rec loop acc =
-      match Memsim.Chunk.Fanout.pop fan i with
-      | None -> List.rev acc
-      | Some (_, len) -> loop (len :: acc)
-    in
-    loop []
-  in
-  Alcotest.(check (list int)) "consumer 0 sees all chunks" [ 3; 2 ] (drain 0);
-  Alcotest.(check (list int)) "consumer 1 sees all chunks" [ 3; 2 ] (drain 1);
-  match Memsim.Chunk.Fanout.push_shared fan chunk 1 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "push after close must fail"
-
 (* A deterministic pseudo-random trace long enough to exercise every
    cache path: reads, stores, allocation, both phases, evictions. *)
 let synth_trace n =
@@ -1194,33 +1191,6 @@ let test_run_parallel_matches_serial () =
         (Memsim.Sweep.results serial = Memsim.Sweep.results parallel))
     [ 2; 4; 64 (* clamped to the cache count *) ]
 
-(* Record-while-sweep: slabs are delivered as they seal (a small
-   [initial_capacity] makes many) and consumed on worker domains while
-   the producer is still running; the final partial slab follows. *)
-let test_pipelined_matches_serial () =
-  let events = synth_trace 20_000 in
-  let serial = small_grid () in
-  List.iter
-    (fun (a, k, p) -> (Memsim.Sweep.sink serial).Memsim.Trace.access a k p)
-    events;
-  List.iter
-    (fun jobs ->
-      let live = small_grid () in
-      let deliver, finish = Memsim.Sweep.pipelined ~jobs ~capacity:2 live in
-      let recording =
-        Memsim.Recording.create ~initial_capacity:512 ~on_seal:deliver ()
-      in
-      let sink = Memsim.Recording.sink recording in
-      List.iter (fun (a, k, p) -> sink.Memsim.Trace.access a k p) events;
-      let buf, len = Memsim.Recording.tail recording in
-      if len > 0 then deliver buf len;
-      finish ();
-      Alcotest.(check bool)
-        (Printf.sprintf "pipelined jobs=%d = serial" jobs)
-        true
-        (Memsim.Sweep.results serial = Memsim.Sweep.results live))
-    [ 1; 3 ]
-
 (* A live event stream batched by the chunking producer, with the
    partial last chunk delivered by [flush], equals per-event delivery. *)
 let test_chunked_sink_flush () =
@@ -1230,11 +1200,14 @@ let test_chunked_sink_flush () =
     (fun (a, k, p) -> (Memsim.Sweep.sink serial).Memsim.Trace.access a k p)
     events;
   let chunked = small_grid () in
-  let deliver, finish = Memsim.Sweep.pipelined ~jobs:1 chunked in
+  let deliver buf len =
+    Array.iter
+      (fun h -> Memsim.Hier.access_chunk h buf 0 len)
+      (Memsim.Sweep.hiers chunked)
+  in
   let sink, flush = Memsim.Chunk.producer ~chunk_events:300 deliver in
   List.iter (fun (a, k, p) -> sink.Memsim.Trace.access a k p) events;
   flush ();
-  finish ();
   Alcotest.(check bool) "chunked sink = per-event" true
     (Memsim.Sweep.results serial = Memsim.Sweep.results chunked)
 
@@ -1501,15 +1474,12 @@ let () =
           Alcotest.test_case "tee and counting" `Quick test_tee_and_counting;
           Alcotest.test_case "run_parallel = serial" `Quick
             test_run_parallel_matches_serial;
-          Alcotest.test_case "pipelined = serial" `Quick
-            test_pipelined_matches_serial;
           Alcotest.test_case "chunked sink and flush" `Quick
             test_chunked_sink_flush
         ] );
       ( "chunks",
         [ Alcotest.test_case "codec roundtrip" `Quick test_chunk_codec;
-          Alcotest.test_case "producer batching" `Quick test_chunk_producer;
-          Alcotest.test_case "fan-out queue" `Quick test_fanout
+          Alcotest.test_case "producer batching" `Quick test_chunk_producer
         ] );
       ( "assoc",
         [ Alcotest.test_case "LRU replacement" `Quick test_assoc_lru;

@@ -39,14 +39,7 @@ let test_workload w () =
       Memsim.Sweep.run_parallel ~jobs parallel recording;
       check_identical (Printf.sprintf "run_parallel jobs=%d" jobs) oracle
         parallel)
-    jobs_list;
-  (* pipelined consumption: sealed slabs broadcast by reference to
-     worker domains owning a strided partition of the grid *)
-  let live = grid () in
-  let deliver, finish = Memsim.Sweep.pipelined ~jobs:3 live in
-  Memsim.Recording.iter_chunks recording deliver;
-  finish ();
-  check_identical "pipelined jobs=3" oracle live
+    jobs_list
 
 let test_runner_path () =
   (* Runner.sweep_recording must route through the same engines and

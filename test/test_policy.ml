@@ -262,6 +262,32 @@ let test_ckpt_scan_hier () =
   Alcotest.(check bool) "bad cursor caught" true
     (List.mem "ckpt.header" (errors r));
 
+  (* Line state no access could produce, located at the tag: level 0's
+     tags start after the file and hierarchy headers (48) and the
+     level's magic, geometry and counters (18 words), at 192; its 4
+     sets of 4 ways are full. *)
+  let tags = 192 in
+  let state_at what corrupt at =
+    let bad = Bytes.copy body in
+    corrupt bad;
+    let p = temp_ckpt bad in
+    let r = Check.Ckpt_check.scan p in
+    Sys.remove p;
+    Alcotest.(check (list string)) what [ "ckpt.state" ] (errors r);
+    Alcotest.(check bool)
+      (what ^ " located at the tag") true
+      (List.for_all
+         (fun f -> f.Check.Finding.where = Check.Finding.Byte at)
+         r.Check.Ckpt_check.findings)
+  in
+  (* block 1000 indexes set 0, filed in set 1's first way *)
+  state_at "tag in a set it does not index"
+    (fun b -> Bytes.set_int64_le b (tags + 32) 1000L)
+    (tags + 32);
+  state_at "one block in two ways of a set"
+    (fun b -> Bytes.set_int64_le b (tags + 8) (Bytes.get_int64_le b tags))
+    (tags + 8);
+
   (* Foreign magic. *)
   let bad = Bytes.copy body in
   Bytes.blit_string "NOTACKPT" 0 bad 0 8;

@@ -15,9 +15,9 @@
                    abstract rows): not flagged by any rule.
 
    Keys are dotted paths from the file's module name plus any nested
-   [module X = struct] context, e.g. ["Chunk.Fanout.t"]; lookups try
-   the normalized full path, then its shorter suffixes, so both
-   ["Memsim__Chunk.Fanout.t"] and ["Fanout.t"] resolve. *)
+   [module X = struct] context, e.g. ["Metrics.Histogram.t"]; lookups
+   try the normalized full path, then its shorter suffixes, so both
+   ["Obs__Metrics.Histogram.t"] and ["Histogram.t"] resolve. *)
 
 type shape =
   | Mutable of string  (* why: the field or builtin that makes it so *)
@@ -132,8 +132,8 @@ let normalize path_name =
 
 (* Find the longest dotted suffix of [name] present in the table: the
    use site may reach a type through the library alias module
-   ("Memsim.Chunk.Fanout.t") while the table keys it from its defining
-   file ("Chunk.Fanout.t"). *)
+   ("Obs.Metrics.Histogram.t") while the table keys it from its
+   defining file ("Metrics.Histogram.t"). *)
 let find_suffix t name =
   let parts = String.split_on_char '.' name in
   let len = List.length parts in
