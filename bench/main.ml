@@ -1,52 +1,30 @@
-(* The benchmark harness.
+(* The perf smoke: Bechamel microbenchmarks of the simulator's own hot
+   paths plus same-run comparisons of its engines (host performance,
+   not simulated time; the paper's tables come from `repro run`).
 
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (experiments E-T1..E-F8; see DESIGN.md for the index).  Run lengths
-   are scaled down from the paper's multi-billion-reference traces;
-   set REPRO_SCALE=4 (or more) for longer runs with the same shape.
-   EXPERIMENTS.md records paper-vs-measured for a reference run.
-
-   Part 2 runs Bechamel microbenchmarks of the simulator's own hot
-   paths (host performance, not simulated time).  Skip it with
-   REPRO_SKIP_PERF=1. *)
+   Before writing BENCH_metrics.json the bench holds its numbers to
+   [hard_bounds] and [soft_bounds].  Same-run ratios do not depend on
+   the host, so a violated one fails the run (exit 1); absolute
+   timings and throughputs only print a WARN line.  Every engine comparison also asserts that the
+   engines' statistics are bit-identical, and the serve pass that its
+   hit count is exact. *)
 
 let ppf = Format.std_formatter
 
-let run_experiments () =
-  Format.fprintf ppf
-    "Cache Performance of Garbage-Collected Programs (PLDI 1994) - \
-     reproduction@.";
-  Format.fprintf ppf "scale factor: %d (set REPRO_SCALE to change)@."
-    (Core.Runner.scale_factor ());
-  Core.Experiments.run_all ppf
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
 (* --- Bechamel microbenchmarks ---------------------------------------- *)
 
-(* The direct-mapped §4 cache: a 1-way level.  The bench names
-   predate the single engine and are kept so baseline keys resolve. *)
-let direct_mapped_64k () =
-  Memsim.Level.create
-    (Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:64 ~ways:1 ())
-
-let cache_bench =
-  let cache = direct_mapped_64k () in
-  let counter = ref 0 in
-  Bechamel.Test.make ~name:"cache-access-1k"
-    (Bechamel.Staged.stage (fun () ->
-         for i = 0 to 999 do
-           let addr = (!counter + (i * 24)) land 0xfffffc in
-           Memsim.Level.access cache addr
-             (if i land 3 = 0 then Memsim.Trace.Alloc_write
-              else Memsim.Trace.Read)
-             Memsim.Trace.Mutator
-         done;
-         counter := !counter + 7919))
-
-(* The same access pattern as cache-access-1k, delivered pre-packed
-   through the batched consumer: the difference is the cost of
-   per-event closure dispatch and decode. *)
+(* 1k mixed allocation writes and reads, delivered pre-packed through
+   the batched consumer of the direct-mapped §4 cache (a 1-way level). *)
 let cache_chunk_bench =
-  let cache = direct_mapped_64k () in
+  let cache =
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:64 ~ways:1 ())
+  in
   let chunks =
     Array.init 8 (fun c ->
         Memsim.Chunk.of_array
@@ -74,40 +52,6 @@ let vm_bench =
   Bechamel.Test.make ~name:"vscheme-fib-15"
     (Bechamel.Staged.stage (fun () ->
          ignore (Vscheme.Machine.eval_string machine "(fib 15)")))
-
-let gc_bench =
-  let machine =
-    Vscheme.Machine.create
-      { Vscheme.Machine.default_config with
-        gc = Vscheme.Machine.Cheney { semispace_bytes = 256 * 1024 }
-      }
-  in
-  Bechamel.Test.make ~name:"churn-under-cheney"
-    (Bechamel.Staged.stage (fun () ->
-         ignore
-           (Vscheme.Machine.eval_string machine
-              "(let loop ((i 0)) (when (< i 200) (iota 60) (loop (+ i 1))))")))
-
-let analyzer_bench =
-  let bs =
-    Analysis.Block_stats.create
-      { Analysis.Block_stats.block_bytes = 64;
-        cache_bytes = 64 * 1024;
-        dynamic_base = 4096;
-        stack_base = 2048;
-        stack_limit = 4096
-      }
-  in
-  let sink = Analysis.Block_stats.sink bs in
-  let t = ref 0 in
-  Bechamel.Test.make ~name:"block-stats-1k-events"
-    (Bechamel.Staged.stage (fun () ->
-         for i = 0 to 999 do
-           sink.Memsim.Trace.access
-             (4096 + ((!t + (i * 28)) land 0xffffc))
-             Memsim.Trace.Alloc_write Memsim.Trace.Mutator
-         done;
-         t := !t + 4096))
 
 (* Trace generation: the same 1k loads through Vscheme.Mem, delivered
    to a Recording through the generic closure sink vs. appended by the
@@ -176,7 +120,7 @@ let trace_append_bigarray_bench =
 
 (* Telemetry hot paths: a counter update against a disabled registry
    (the cost every instrumentation site pays when telemetry is off)
-   vs. an enabled one, and histogram observation. *)
+   vs. an enabled one. *)
 let obs_counter_disabled_bench =
   let reg = Obs.Metrics.create ~enabled:false () in
   let c = Obs.Metrics.counter reg "bench.count" in
@@ -195,18 +139,6 @@ let obs_counter_enabled_bench =
            Obs.Metrics.Counter.incr c
          done))
 
-let obs_histogram_bench =
-  let reg = Obs.Metrics.create () in
-  let h =
-    Obs.Metrics.histogram reg "bench.hist"
-      ~buckets:[| 10.; 100.; 1000.; 10000. |]
-  in
-  Bechamel.Test.make ~name:"obs-histogram-1k"
-    (Bechamel.Staged.stage (fun () ->
-         for i = 1 to 1000 do
-           Obs.Metrics.Histogram.observe_int h (i * 37 land 8191)
-         done))
-
 let run_perf () =
   let open Bechamel in
   let open Toolkit in
@@ -214,10 +146,9 @@ let run_perf () =
     "@.==== simulator microbenchmarks (host performance, Bechamel) ====@.";
   let grouped =
     Test.make_grouped ~name:"perf" ~fmt:"%s %s"
-      [ cache_bench; cache_chunk_bench; vm_bench; gc_bench; analyzer_bench;
-        trace_append_sink_bench; trace_append_direct_bench;
-        trace_append_bigarray_bench; obs_counter_disabled_bench;
-        obs_counter_enabled_bench; obs_histogram_bench ]
+      [ cache_chunk_bench; vm_bench; trace_append_sink_bench;
+        trace_append_direct_bench; trace_append_bigarray_bench;
+        obs_counter_disabled_bench; obs_counter_enabled_bench ]
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
@@ -254,21 +185,18 @@ let measure_sweep () =
       (Memsim.Sweep.grid ~cache_sizes:Memsim.Sweep.paper_cache_sizes
          ~block_sizes:Memsim.Sweep.paper_block_sizes ())
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   let per_event_sw = grid () in
-  let per_event_s =
+  let (), per_event_s =
     time (fun () ->
         Memsim.Recording.replay recording (Memsim.Sweep.sink per_event_sw))
   in
   let serial_sw = grid () in
-  let serial_s = time (fun () -> Memsim.Sweep.run_serial serial_sw recording) in
+  let (), serial_s =
+    time (fun () -> Memsim.Sweep.run_serial serial_sw recording)
+  in
   let jobs = if Core.Runner.jobs () > 1 then Core.Runner.jobs () else 4 in
   let parallel_sw = grid () in
-  let parallel_s =
+  let (), parallel_s =
     time (fun () -> Memsim.Sweep.run_parallel ~jobs parallel_sw recording)
   in
   let identical =
@@ -309,14 +237,9 @@ let measure_sweep () =
 (* Fused miss-stream hierarchy vs the hooked per-event oracle: every
    workload through the 3-level Coffee Lake preset.  Per-level
    statistics are asserted bit-identical before any timing is
-   reported; the aggregate hooked/fused ratio is the CI gate's
-   hierarchy_speedup. *)
+   reported; the aggregate hooked/fused ratio is hierarchy_speedup,
+   held to a hard bound. *)
 let measure_hierarchy () =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   let cfg = Memsim.Hier.preset Memsim.Hier.Cfl in
   Format.fprintf ppf "@.==== hierarchy-sweep (cfl 3-level, hooked vs fused) ====@.";
   let rows =
@@ -325,7 +248,7 @@ let measure_hierarchy () =
         let _, recording = Core.Runner.record ~scale:1 w in
         let events = Memsim.Recording.length recording in
         (* The hooked oracle consumes traces per event through its
-           sink, chaining levels with fill hooks; the fused engine takes the same recording by chunk.  Each
+           sink; the fused engine takes the same recording by chunk.  Each
            engine is timed five times on fresh state — after settling
            the GC so no inherited collection debt lands inside the
            window — and the best run kept: the simulation is
@@ -337,7 +260,7 @@ let measure_hierarchy () =
             else
               let e = make () in
               Gc.full_major ();
-              let s = time (fun () -> drive e) in
+              let (), s = time (fun () -> drive e) in
               go (k - 1) (Float.min best_s s) e
           in
           go 5 infinity (make ())
@@ -419,20 +342,17 @@ let measure_attribution () =
     Memsim.Sweep.grid ~cache_sizes:Memsim.Sweep.paper_cache_sizes
       ~block_sizes:[ 32 ] ()
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
   let plain_sw = Memsim.Sweep.create configs in
-  let plain_s = time (fun () -> Memsim.Sweep.run_serial plain_sw recording) in
+  let (), plain_s =
+    time (fun () -> Memsim.Sweep.run_serial plain_sw recording)
+  in
   let attr_sw = Memsim.Sweep.create configs in
-  let attr_s =
+  let (), attr_s =
     time (fun () ->
         ignore (Memsim.Sweep.run_attributed ~addr_limit attr_sw table recording))
   in
   let sampled_sw = Memsim.Sweep.create configs in
-  let sampled_s =
+  let (), sampled_s =
     time (fun () ->
         ignore
           (Memsim.Sweep.run_attributed ~sample_every:8 ~addr_limit sampled_sw
@@ -479,11 +399,6 @@ let measure_recording_formats () =
   let w = Workloads.Workload.nbody in
   let _, recording = Core.Runner.record ~scale:1 w in
   let events = Memsim.Recording.length recording in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let measure format name =
     let path = Filename.temp_file "repro-bench" (".trace-" ^ name) in
     let (), save_s =
@@ -556,66 +471,12 @@ let trace_append_entry results =
     ]
   | _ -> []
 
-(* The sweep.* gauges Runner.sweep_recording published while the
-   experiments ran: wall time, jobs and throughput of every grid
-   replay, keyed by experiment. *)
-let sweep_gauges () =
-  match Obs.Metrics.to_json Obs.Metrics.default with
-  | Obs.Json.Obj fields ->
-    let sweeps =
-      List.filter
-        (fun (name, _) ->
-          String.length name > 6 && String.sub name 0 6 = "sweep.")
-        fields
-    in
-    if sweeps = [] then [] else [ ("sweeps", Obs.Json.Obj sweeps) ]
-  | _ -> []
-
-(* The producer/consumer gap: pure trace-production rate
-   (Runner.record_grid's producer_events_per_s) over grid-replay rate
-   (sweep_recording's consumer_events_per_s), per workload, from the
-   gauges the experiment pass published. *)
-let producer_gap_entry () =
-  let gauge_value fields name =
-    match List.assoc_opt name fields with
-    | Some (Obs.Json.Obj gf) -> (
-      match List.assoc_opt "value" gf with
-      | Some (Obs.Json.Float v) -> Some v
-      | _ -> None)
-    | _ -> None
-  in
-  match Obs.Metrics.to_json Obs.Metrics.default with
-  | Obs.Json.Obj fields ->
-    let gaps =
-      List.filter_map
-        (fun (w : Workloads.Workload.t) ->
-          let label = "sweep." ^ w.Workloads.Workload.name ^ ".wv" in
-          match
-            ( gauge_value fields (label ^ ".producer_events_per_s"),
-              gauge_value fields (label ^ ".consumer_events_per_s") )
-          with
-          | Some p, Some c when c > 0.0 ->
-            Some
-              ( w.Workloads.Workload.name,
-                Obs.Json.Obj
-                  [ ("producer_events_per_s", Obs.Json.Float p);
-                    ("consumer_events_per_s", Obs.Json.Float c);
-                    ("producer_over_consumer", Obs.Json.Float (p /. c))
-                  ] )
-          | _ -> None)
-        Workloads.Workload.all
-    in
-    if gaps = [] then [] else [ ("producer_gap", Obs.Json.Obj gaps) ]
-  | _ -> []
-
 (* The serve daemon's scheduler, in-process: K distinct synthetic
    manifests are swept once each, then repeats up to [total]
    submissions are answered from the content-hash result cache.  The
-   split is deterministic, so serve.cache_hit_ratio is an exact
-   (total - distinct) / total and the bench gate can hold it to a
-   tight band; throughput and latency quantiles are machine-dependent
-   and gate softly.  Runs even under REPRO_SKIP_PERF: the regression
-   job's metrics file is where the gate reads it. *)
+   split is deterministic, so the run fails unless every job completes
+   and exactly total - distinct of them are cache hits; throughput and
+   latency quantiles are machine-dependent and bounded softly. *)
 let measure_serve () =
   let distinct = 8 and total = 1000 in
   let dir =
@@ -658,17 +519,21 @@ let measure_serve () =
     | Ok _ -> ()
     | Error msg -> failwith ("serve bench: submit failed: " ^ msg)
   in
-  let t0 = Unix.gettimeofday () in
-  for v = 0 to distinct - 1 do
-    submit v
-  done;
-  Serve.Sched.drain sched;
-  let sweep_s = Unix.gettimeofday () -. t0 in
-  for i = distinct to total - 1 do
-    submit (i mod distinct)
-  done;
-  Serve.Sched.drain sched;
-  let dt = Unix.gettimeofday () -. t0 in
+  let (), sweep_s =
+    time (fun () ->
+        for v = 0 to distinct - 1 do
+          submit v
+        done;
+        Serve.Sched.drain sched)
+  in
+  let (), repeat_s =
+    time (fun () ->
+        for i = distinct to total - 1 do
+          submit (i mod distinct)
+        done;
+        Serve.Sched.drain sched)
+  in
+  let dt = sweep_s +. repeat_s in
   let counter = Serve.Sched.counter_value sched in
   let completed = counter "completed" in
   let cache_hits = counter "cache_hits" in
@@ -677,9 +542,11 @@ let measure_serve () =
   let p99 = Serve.Sched.latency_quantile sched 0.99 in
   Serve.Sched.shutdown ~drain:true sched;
   rm_rf dir;
-  if completed <> total then
+  if completed <> total || cache_hits <> total - distinct then
     failwith
-      (Printf.sprintf "serve bench: %d of %d jobs completed" completed total);
+      (Printf.sprintf
+         "serve bench: %d of %d jobs completed with %d cache hits (want %d)"
+         completed total cache_hits (total - distinct));
   let ratio = float_of_int cache_hits /. float_of_int total in
   Format.fprintf ppf
     "@.==== serve (%d submissions, %d distinct, %d workers) ====@." total
@@ -704,18 +571,59 @@ let measure_serve () =
         ("p99_latency_ms", Obs.Json.Float p99)
       ] )
 
-let write_bench_metrics results extra =
-  let json =
-    Obs.Json.Obj
-      (("scale_factor", Obs.Json.Int (Core.Runner.scale_factor ()))
-       :: ("benchmarks",
-           Obs.Json.Obj
-             (List.map
-                (fun (name, est) ->
-                  (name, Obs.Json.Obj [ ("ns_per_run", Obs.Json.Float est) ]))
-                results))
-       :: extra)
+(* The bounds, as dotted paths into the metrics document.  Hard bounds
+   are same-run ratios; soft ones are absolute and host-dependent. *)
+type bound = At_least of float | At_most of float
+
+let hard_bounds =
+  [ ("hierarchy-sweep.hierarchy_speedup", At_least 2.0);
+    ("sweep-serial-vs-parallel.speedup_chunk_vs_per_event", At_least 1.0);
+    ("attribution-overhead.overhead_full", At_most 3.0);
+    ("trace-append.speedup_direct_vs_sink", At_least 1.0)
+  ]
+
+let soft_bounds =
+  [ ("benchmarks.perf cache-access-chunk-1k.ns_per_run", At_most 2e5);
+    ("benchmarks.perf trace-append-bigarray-1k.ns_per_run", At_most 2e5);
+    ("benchmarks.perf vscheme-fib-15.ns_per_run", At_most 1e8);
+    ("serve.jobs_per_s", At_least 2.0);
+    ("serve.p99_latency_ms", At_most 60000.0)
+  ]
+
+(* Print one line per bound and return whether every hard bound held.
+   A missing metric violates its bound. *)
+let check_bounds doc =
+  let check ~hard (key, bound) =
+    let actual =
+      match
+        List.fold_left
+          (fun j seg -> Option.bind j (Obs.Json.member seg))
+          (Some doc)
+          (String.split_on_char '.' key)
+      with
+      | Some (Obs.Json.Float v) -> Some v
+      | Some (Obs.Json.Int i) -> Some (float_of_int i)
+      | Some _ | None -> None
+    in
+    let want, holds =
+      match bound with
+      | At_least lo -> (Printf.sprintf ">= %g" lo, fun v -> v >= lo)
+      | At_most hi -> (Printf.sprintf "<= %g" hi, fun v -> v <= hi)
+    in
+    let held = Option.fold ~none:false ~some:holds actual in
+    Format.fprintf ppf "%-4s %s %-54s %-10s actual %s@."
+      (if held then "ok" else if hard then "FAIL" else "WARN")
+      (if hard then "hard" else "soft")
+      key want
+      (Option.fold ~none:"absent" ~some:(Printf.sprintf "%g") actual);
+    held
   in
+  Format.fprintf ppf "@.==== bounds ====@.";
+  let hard_held = List.map (check ~hard:true) hard_bounds in
+  List.iter (fun b -> ignore (check ~hard:false b)) soft_bounds;
+  List.for_all Fun.id hard_held
+
+let write_bench_metrics json =
   (* Temp + rename so a crash mid-write never leaves a torn metrics
      file for the CI artifact upload to pick up. *)
   let tmp = "BENCH_metrics.json.tmp" in
@@ -724,20 +632,34 @@ let write_bench_metrics results extra =
   output_char oc '\n';
   close_out oc;
   Sys.rename tmp "BENCH_metrics.json";
-  Format.fprintf ppf "wrote BENCH_metrics.json (%d benchmarks)@."
-    (List.length results)
+  Format.fprintf ppf "wrote BENCH_metrics.json@."
 
 let () =
-  if Sys.getenv_opt "SKIP_EXP" = None then run_experiments ();
-  let skip_perf = Sys.getenv_opt "REPRO_SKIP_PERF" = Some "1" in
-  let results = if skip_perf then [] else run_perf () in
-  let extra =
-    if skip_perf then []
-    else
-      trace_append_entry results
-      @ [ measure_sweep (); measure_hierarchy (); measure_attribution ();
-          measure_recording_formats () ]
+  let results = run_perf () in
+  (* One pass after another, in print order (a list literal would
+     evaluate right to left). *)
+  let measured =
+    List.map
+      (fun measure -> measure ())
+      [ measure_sweep; measure_hierarchy; measure_attribution;
+        measure_recording_formats; measure_serve ]
   in
-  write_bench_metrics results
-    (sweep_gauges () @ producer_gap_entry () @ extra @ [ measure_serve () ]);
-  Format.pp_print_flush ppf ()
+  let doc =
+    Obs.Json.Obj
+      (("scale_factor", Obs.Json.Int (Core.Runner.scale_factor ()))
+       :: ("benchmarks",
+           Obs.Json.Obj
+             (List.map
+                (fun (name, est) ->
+                  (name, Obs.Json.Obj [ ("ns_per_run", Obs.Json.Float est) ]))
+                results))
+       :: trace_append_entry results
+       @ measured)
+  in
+  let hard_held = check_bounds doc in
+  write_bench_metrics doc;
+  Format.pp_print_flush ppf ();
+  if not hard_held then begin
+    prerr_endline "bench: a hard bound failed (see the FAIL lines above)";
+    exit 1
+  end

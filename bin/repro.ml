@@ -294,17 +294,20 @@ let simulate name hier (cache_bytes, block_bytes) policy gc scale metrics
     run_workload w hier cache_bytes block_bytes policy gc scale metrics
       trace_events
 
-(* [repro run] targets are experiment ids or workload names; workloads
-   go through the simulated cache with the telemetry flags. *)
+(* [repro run] targets are experiment ids or workload names (none: every
+   experiment); workloads go through the simulated cache with the
+   telemetry flags.  The experiments of one invocation share a single
+   telemetry document, begun before the first of them runs, so it
+   carries every sweep.* gauge they publish (wall time, throughput, the
+   producer/consumer rates); each workload writes its own, so the two
+   kinds cannot share a --metrics or --trace-events file. *)
 let run_targets targets hier (cache_bytes, block_bytes) policy gc scale metrics
     trace_events jobs =
   Option.iter Core.Runner.set_jobs jobs;
-  match targets with
-  | [] ->
-    Core.Experiments.run_all ppf;
-    0
-  | targets ->
-    let classified =
+  let classified =
+    if targets = [] then
+      List.map (fun e -> `Experiment e) Core.Experiments.all
+    else
       List.map
         (fun id ->
           match Core.Experiments.find id with
@@ -314,20 +317,44 @@ let run_targets targets hier (cache_bytes, block_bytes) policy gc scale metrics
             | Some w -> `Workload w
             | None -> `Unknown id))
         targets
+  in
+  let unknown =
+    List.filter_map (function `Unknown id -> Some id | _ -> None) classified
+  in
+  let experiments =
+    List.filter_map (function `Experiment e -> Some e | _ -> None) classified
+  in
+  let telemetry = metrics <> None || trace_events <> None in
+  if unknown <> [] then begin
+    Format.eprintf
+      "unknown experiment or workload(s): %s (try `repro experiments' or \
+       `repro workloads')@."
+      (String.concat ", " unknown);
+    1
+  end
+  else if
+    telemetry && experiments <> []
+    && List.length experiments < List.length classified
+  then begin
+    Format.eprintf
+      "--metrics/--trace-events: give experiment ids or workload names, not \
+       both@.";
+    1
+  end
+  else
+    let tel =
+      if telemetry && experiments <> [] then begin
+        let t = Core.Telemetry.create () in
+        Core.Telemetry.set_meta t "experiments"
+          (Obs.Json.List
+             (List.map (fun e -> Obs.Json.Str e.Core.Experiments.id) experiments));
+        Core.Telemetry.set_meta t "scale"
+          (Obs.Json.Int (Core.Runner.scale_factor ()));
+        Some t
+      end
+      else None
     in
-    let unknown =
-      List.filter_map
-        (function `Unknown id -> Some id | _ -> None)
-        classified
-    in
-    if unknown <> [] then begin
-      Format.eprintf
-        "unknown experiment or workload(s): %s (try `repro experiments' or \
-         `repro workloads')@."
-        (String.concat ", " unknown);
-      1
-    end
-    else
+    let rc =
       List.fold_left
         (fun rc target ->
           match target with
@@ -343,6 +370,8 @@ let run_targets targets hier (cache_bytes, block_bytes) policy gc scale metrics
                  metrics trace_events)
           | `Unknown _ -> assert false)
         0 classified
+    in
+    max rc (write_telemetry tel ~metrics ~trace_events)
 
 (* --- record / replay ----------------------------------------------------- *)
 

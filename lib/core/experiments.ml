@@ -116,12 +116,3 @@ let all =
 let find id =
   let id = String.uppercase_ascii id in
   List.find_opt (fun e -> String.equal e.id id) all
-
-let run_all ppf =
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "@.==== E-%s: %s [%s] ====@." e.id e.title
-        e.paper_artifact;
-      e.run ppf;
-      Format.pp_print_flush ppf ())
-    all

@@ -21,5 +21,3 @@ val all : t list
 
 val find : string -> t option
 (** Case-insensitive lookup by id. *)
-
-val run_all : Format.formatter -> unit

@@ -5,7 +5,9 @@
      number-determining field does), and the committed smoke-suite
      hashes are pinned;
    - the scheduler serves repeat submissions from the result cache and
-     piggybacks in-flight duplicates, asserted by its counters;
+     piggybacks in-flight duplicates, asserted by its counters, and a
+     4-worker pool fed N submissions over d distinct grids completes N
+     with exactly N - d cache hits;
    - the kill-and-resume differential proof: a job whose worker dies
      mid-sweep resumes from its checkpoint and finishes bit-identical
      to an uninterrupted measurement, with one worker and with a
@@ -216,6 +218,38 @@ let test_inflight_duplicate_piggybacks () =
          Alcotest.(check bool) "follower marked cached" true
            (Obs.Json.member "cached" json = Some (Obs.Json.Bool true))
        | Error msg -> Alcotest.fail msg);
+      Serve.Sched.shutdown sched)
+
+(* N submissions over d distinct grids through a 4-worker pool: the
+   first wave arrives all at once, so duplicates race the leaders on
+   other workers and piggyback or hit the worker-side lookup; the
+   second wave lands after the drain and is answered at submit time.
+   However the race goes, each distinct grid is swept exactly once. *)
+let test_pool_dedup_exact () =
+  with_spool (fun dir ->
+      let sched = Serve.Sched.create ~config:(quiet_config 4) dir in
+      let distinct = 5 and per_wave = 15 in
+      let caches = [| 16384; 32768; 65536; 131072; 262144 |] in
+      let submit i =
+        ignore
+          (submit_ok sched
+             (small_run
+                ~name:(Printf.sprintf "pool-%02d" i)
+                ~cache:caches.(i mod distinct) ()))
+      in
+      for i = 0 to per_wave - 1 do
+        submit i
+      done;
+      Serve.Sched.drain sched;
+      for i = per_wave to (2 * per_wave) - 1 do
+        submit i
+      done;
+      Serve.Sched.drain sched;
+      let total = 2 * per_wave in
+      Alcotest.(check int) "completed = N" total
+        (Serve.Sched.counter_value sched "completed");
+      Alcotest.(check int) "cache hits = N - d" (total - distinct)
+        (Serve.Sched.counter_value sched "cache_hits");
       Serve.Sched.shutdown sched)
 
 (* --- Scheduler: kill and resume ------------------------------------------ *)
@@ -575,7 +609,9 @@ let () =
         [ Alcotest.test_case "repeat submission served from cache" `Quick
             test_repeat_submission_cached;
           Alcotest.test_case "in-flight duplicate piggybacks" `Quick
-            test_inflight_duplicate_piggybacks
+            test_inflight_duplicate_piggybacks;
+          Alcotest.test_case "4-worker pool sweeps each grid once" `Quick
+            test_pool_dedup_exact
         ] );
       ( "resume",
         [ Alcotest.test_case "kill and resume = uninterrupted (serial)" `Quick
