@@ -179,120 +179,123 @@ let list_workloads () =
          Workloads.Workload.all);
   0
 
-(* A workload through a full per-CPU hierarchy preset: the fused
-   engine consumes the live trace through a chunked sink, then the
-   per-level table and disjoint overheads are printed. *)
-let run_workload_hier w cpu policy gc scale metrics trace_events =
-  let tel =
-    if metrics <> None || trace_events <> None then
-      Some (Core.Telemetry.create ())
-    else None
-  in
-  let events = Option.map Core.Telemetry.timeline tel in
-  let h = Memsim.Hier.create (Memsim.Hier.preset ~write_miss_policy:policy cpu) in
-  let sink, flush = Memsim.Hier.chunked_sink h in
-  let r = Core.Runner.run ~gc ?events ?scale ~sinks:[ sink ] w in
-  flush ();
-  let insns = r.Core.Runner.stats.Vscheme.Machine.mutator_insns in
-  Core.Report.table ppf ~headers:[ "metric"; "value" ]
-    ~rows:
-      [ [ "workload"; w.Workloads.Workload.name ];
-        [ "hierarchy";
-          Printf.sprintf "%s (%s)" (Memsim.Hier.cpu_label cpu)
-            (Memsim.Hier.cpu_title cpu) ];
-        [ "scale"; string_of_int r.Core.Runner.scale ];
-        [ "result"; r.Core.Runner.value ];
-        [ "instructions"; Core.Report.eng insns ];
-        [ "references"; Core.Report.eng r.Core.Runner.refs ];
-        [ "O_cache slow";
-          Core.Report.pct
-            (Memsim.Hier.overhead h Memsim.Timing.Slow ~instructions:insns) ];
-        [ "O_cache fast";
-          Core.Report.pct
-            (Memsim.Hier.overhead h Memsim.Timing.Fast ~instructions:insns) ]
-      ];
-  hier_report h;
-  (match tel with
-   | None -> ()
-   | Some t ->
-     Core.Telemetry.record_run t r;
-     Core.Telemetry.record_hier t h;
-     Core.Telemetry.set_meta t "hier"
-       (Obs.Json.Str (Memsim.Hier.cpu_label cpu)));
-  write_telemetry tel ~metrics ~trace_events
+(* --- the simulated cache ------------------------------------------------ *)
 
-let run_workload w hier cache_bytes block_bytes policy gc scale metrics
-    trace_events =
+(* What `repro run', `replay' and `stats' simulate: a --hier preset, or
+   the --cache/--block/--policy geometry as a one-level direct-mapped
+   hierarchy (a grid cell, as Golden.Fixture builds it). *)
+let build_hier hier (cache_bytes, block_bytes) policy =
   match hier with
-  | Some cpu -> run_workload_hier w cpu policy gc scale metrics trace_events
+  | Some cpu ->
+    Memsim.Hier.create (Memsim.Hier.preset ~write_miss_policy:policy cpu)
   | None ->
+    Memsim.Hier.create
+      (Memsim.Hier.config
+         ~levels:
+           [ Memsim.Level.config ~write_miss_policy:policy
+               ~size_bytes:cache_bytes ~block_bytes ~ways:1 ()
+           ]
+         ())
+
+(* Replay the whole recording into [h], resumably through
+   [Sweep.hier_run_resumable] when [checkpoint] names a file.
+   @raise Failure on a stale or foreign checkpoint. *)
+let replay_into ?checkpoint ?checkpoint_every h recording =
+  match checkpoint with
+  | None -> Memsim.Sweep.hier_run_serial [| h |] recording
+  | Some ck ->
+    let resumed = Sys.file_exists ck in
+    Memsim.Sweep.hier_run_resumable ?checkpoint_every ~checkpoint:ck [| h |]
+      recording;
+    Format.fprintf ppf "%s checkpoint %s (remove it to replay from the start)@."
+      (if resumed then "resumed from" else "wrote")
+      ck
+
+let miss_ratio (s : Memsim.Cache.stats) =
+  Format.sprintf "%.4f"
+    (float_of_int s.Memsim.Cache.misses
+     /. float_of_int (max 1 s.Memsim.Cache.refs))
+
+(* A workload recorded, then replayed into the simulated cache: the
+   run's vital statistics and overheads, plus the per-level table for
+   a hierarchy preset. *)
+let run_workload w hier ((cache_bytes, block_bytes) as geometry) policy gc
+    scale metrics trace_events =
   let tel =
     if metrics <> None || trace_events <> None then
       Some (Core.Telemetry.create ())
     else None
   in
   let events = Option.map Core.Telemetry.timeline tel in
-  let level =
-    Memsim.Level.create
-      (Memsim.Level.config ~write_miss_policy:policy ~size_bytes:cache_bytes
-         ~block_bytes ~ways:1 ())
-  in
-  let r =
-    Core.Runner.run ~gc ?events ?scale ~sinks:[ Memsim.Level.sink level ] w
-  in
-  let s = Memsim.Level.stats level in
+  let h = build_hier hier geometry policy in
+  let r, recording = Core.Runner.record ~gc ?events ?scale w in
+  replay_into h recording;
   let insns = r.Core.Runner.stats.Vscheme.Machine.mutator_insns in
-  Core.Report.table ppf ~headers:[ "metric"; "value" ]
-    ~rows:
-      [ [ "workload"; w.Workloads.Workload.name ];
-        [ "scale"; string_of_int r.Core.Runner.scale ];
-        [ "result"; r.Core.Runner.value ];
-        [ "instructions"; Core.Report.eng insns ];
-        [ "references"; Core.Report.eng r.Core.Runner.refs ];
-        [ "collector refs"; Core.Report.eng s.Memsim.Cache.collector_refs ];
-        [ "allocated";
-          Core.Report.mb r.Core.Runner.stats.Vscheme.Machine.bytes_allocated
-        ];
-        [ "collections";
-          string_of_int r.Core.Runner.stats.Vscheme.Machine.collections ];
-        [ "misses"; Core.Report.eng s.Memsim.Cache.misses ];
-        [ "collector misses"; Core.Report.eng s.Memsim.Cache.collector_misses ];
-        [ "alloc misses"; Core.Report.eng s.Memsim.Cache.alloc_misses ];
-        [ "fetches"; Core.Report.eng s.Memsim.Cache.fetches ];
-        [ "miss ratio";
-          Format.sprintf "%.4f"
-            (float_of_int s.Memsim.Cache.misses
-             /. float_of_int (max 1 s.Memsim.Cache.refs))
-        ];
-        [ "O_cache slow";
-          Core.Report.pct
-            (Memsim.Timing.cache_overhead Memsim.Timing.Slow ~block_bytes
-               ~fetches:s.Memsim.Cache.fetches ~instructions:insns)
-        ];
-        [ "O_cache fast";
-          Core.Report.pct
-            (Memsim.Timing.cache_overhead Memsim.Timing.Fast ~block_bytes
-               ~fetches:s.Memsim.Cache.fetches ~instructions:insns)
-        ]
-      ];
-  (match tel with
-   | None -> ()
-   | Some t ->
-     Core.Telemetry.record_run t r;
-     Core.Telemetry.record_cache t s;
-     Core.Telemetry.set_meta t "cache_bytes" (Obs.Json.Int cache_bytes);
-     Core.Telemetry.set_meta t "block_bytes" (Obs.Json.Int block_bytes));
+  let s = Memsim.Hier.level_stats h 0 in
+  let overhead cpu =
+    Core.Report.pct (Memsim.Hier.overhead h cpu ~instructions:insns)
+  in
+  let table rows =
+    Core.Report.table ppf ~headers:[ "metric"; "value" ]
+      ~rows:
+        (([ "workload"; w.Workloads.Workload.name ] :: rows)
+         @ [ [ "O_cache slow"; overhead Memsim.Timing.Slow ];
+             [ "O_cache fast"; overhead Memsim.Timing.Fast ]
+           ])
+  in
+  let run_rows =
+    [ [ "scale"; string_of_int r.Core.Runner.scale ];
+      [ "result"; r.Core.Runner.value ];
+      [ "instructions"; Core.Report.eng insns ];
+      [ "references"; Core.Report.eng r.Core.Runner.refs ]
+    ]
+  in
+  Option.iter (fun t -> Core.Telemetry.record_run t r) tel;
+  (match hier with
+   | Some cpu ->
+     table
+       ([ "hierarchy";
+          Printf.sprintf "%s (%s)" (Memsim.Hier.cpu_label cpu)
+            (Memsim.Hier.cpu_title cpu) ]
+        :: run_rows);
+     hier_report h;
+     Option.iter
+       (fun t ->
+         Core.Telemetry.record_hier t h;
+         Core.Telemetry.set_meta t "hier"
+           (Obs.Json.Str (Memsim.Hier.cpu_label cpu)))
+       tel
+   | None ->
+     table
+       (run_rows
+        @ [ [ "collector refs"; Core.Report.eng s.Memsim.Cache.collector_refs ];
+            [ "allocated";
+              Core.Report.mb
+                r.Core.Runner.stats.Vscheme.Machine.bytes_allocated ];
+            [ "collections";
+              string_of_int r.Core.Runner.stats.Vscheme.Machine.collections ];
+            [ "misses"; Core.Report.eng s.Memsim.Cache.misses ];
+            [ "collector misses";
+              Core.Report.eng s.Memsim.Cache.collector_misses ];
+            [ "alloc misses"; Core.Report.eng s.Memsim.Cache.alloc_misses ];
+            [ "fetches"; Core.Report.eng s.Memsim.Cache.fetches ];
+            [ "miss ratio"; miss_ratio s ]
+          ]);
+     Option.iter
+       (fun t ->
+         Core.Telemetry.record_cache t s;
+         Core.Telemetry.set_meta t "cache_bytes" (Obs.Json.Int cache_bytes);
+         Core.Telemetry.set_meta t "block_bytes" (Obs.Json.Int block_bytes))
+       tel);
   write_telemetry tel ~metrics ~trace_events
 
-let simulate name hier (cache_bytes, block_bytes) policy gc scale metrics
-    trace_events =
+let simulate name hier geometry policy gc scale metrics trace_events =
   match Workloads.Workload.find name with
   | None ->
     Format.eprintf "unknown workload %S (try `repro workloads')@." name;
     1
   | Some w ->
-    run_workload w hier cache_bytes block_bytes policy gc scale metrics
-      trace_events
+    run_workload w hier geometry policy gc scale metrics trace_events
 
 (* [repro run] targets are experiment ids or workload names (none: every
    experiment); workloads go through the simulated cache with the
@@ -301,8 +304,8 @@ let simulate name hier (cache_bytes, block_bytes) policy gc scale metrics
    carries every sweep.* gauge they publish (wall time, throughput, the
    producer/consumer rates); each workload writes its own, so the two
    kinds cannot share a --metrics or --trace-events file. *)
-let run_targets targets hier (cache_bytes, block_bytes) policy gc scale metrics
-    trace_events jobs =
+let run_targets targets hier geometry policy gc scale metrics trace_events
+    jobs =
   Option.iter Core.Runner.set_jobs jobs;
   let classified =
     if targets = [] then
@@ -366,8 +369,8 @@ let run_targets targets hier (cache_bytes, block_bytes) policy gc scale metrics
             rc
           | `Workload w ->
             max rc
-              (run_workload w hier cache_bytes block_bytes policy gc scale
-                 metrics trace_events)
+              (run_workload w hier geometry policy gc scale metrics
+                 trace_events)
           | `Unknown _ -> assert false)
         0 classified
     in
@@ -440,102 +443,51 @@ let record names out_path scale format gc heap_bytes attr_out jobs =
         ws;
       0
 
-(* Replay through a fused per-CPU hierarchy instead of a single
-   cache; the checkpoint machinery snapshots every level. *)
-let replay_hier recording cpu policy checkpoint checkpoint_every =
-  let h = Memsim.Hier.create (Memsim.Hier.preset ~write_miss_policy:policy cpu) in
-  match
-    match checkpoint with
-    | None ->
-      Memsim.Recording.iter_chunks recording (fun buf len ->
-          Memsim.Hier.access_chunk h buf 0 len)
-    | Some ck ->
-      let resumed = Sys.file_exists ck in
-      Memsim.Sweep.hier_run_resumable ?checkpoint_every ~checkpoint:ck
-        [| h |] recording;
-      Format.fprintf ppf
-        "%s checkpoint %s (remove it to replay from the start)@."
-        (if resumed then "resumed from" else "wrote")
-        ck
-  with
-  | exception Failure msg ->
-    Format.eprintf "replay: %s@." msg;
-    1
-  | () ->
-    Format.fprintf ppf "%s events through %s (%s)@."
-      (Core.Report.eng (Memsim.Recording.length recording))
-      (Memsim.Hier.cpu_label cpu)
-      (Memsim.Hier.cpu_title cpu);
-    hier_report h;
-    0
-
-let replay path hier (cache_bytes, block_bytes) policy checkpoint checkpoint_every
-    =
+let replay path hier geometry policy checkpoint checkpoint_every =
   match Memsim.Recording.load path with
   | exception Sys_error msg | exception Failure msg ->
     Format.eprintf "replay: %s@." msg;
     1
-  | recording when hier <> None ->
-    (match hier with
-     | Some cpu -> replay_hier recording cpu policy checkpoint checkpoint_every
-     | None -> assert false)
-  | recording ->
-    let sweep =
-      Memsim.Sweep.create
-        [ Memsim.Level.config ~write_miss_policy:policy
-            ~size_bytes:cache_bytes ~block_bytes ~ways:1 ()
-        ]
-    in
-    match
-      match checkpoint with
-      | None -> Memsim.Sweep.run_serial sweep recording
-      | Some ck ->
-        let resumed = Sys.file_exists ck in
-        Memsim.Sweep.hier_run_resumable ?checkpoint_every ~checkpoint:ck
-          (Memsim.Sweep.hiers sweep) recording;
-        Format.fprintf ppf
-          "%s checkpoint %s (remove it to replay from the start)@."
-          (if resumed then "resumed from" else "wrote")
-          ck
-    with
+  | recording -> (
+    let h = build_hier hier geometry policy in
+    match replay_into ?checkpoint ?checkpoint_every h recording with
     | exception Failure msg ->
       Format.eprintf "replay: %s@." msg;
       1
     | () ->
-    let s =
-      Memsim.Level.stats
-        (Memsim.Sweep.find sweep ~size_bytes:cache_bytes ~block_bytes)
-    in
-    Core.Report.table ppf ~headers:[ "metric"; "value" ]
-      ~rows:
-        [ [ "events"; Core.Report.eng (Memsim.Recording.length recording) ];
-          [ "mutator refs"; Core.Report.eng s.Memsim.Cache.refs ];
-          [ "collector refs"; Core.Report.eng s.Memsim.Cache.collector_refs ];
-          [ "misses"; Core.Report.eng s.Memsim.Cache.misses ];
-          [ "fetches"; Core.Report.eng s.Memsim.Cache.fetches ];
-          [ "miss ratio";
-            Format.sprintf "%.4f"
-              (float_of_int s.Memsim.Cache.misses
-               /. float_of_int (max 1 s.Memsim.Cache.refs))
-          ]
-        ];
-    0
+      let events = Core.Report.eng (Memsim.Recording.length recording) in
+      (match hier with
+       | Some cpu ->
+         Format.fprintf ppf "%s events through %s (%s)@." events
+           (Memsim.Hier.cpu_label cpu)
+           (Memsim.Hier.cpu_title cpu);
+         hier_report h
+       | None ->
+         let s = Memsim.Hier.level_stats h 0 in
+         Core.Report.table ppf ~headers:[ "metric"; "value" ]
+           ~rows:
+             [ [ "events"; events ];
+               [ "mutator refs"; Core.Report.eng s.Memsim.Cache.refs ];
+               [ "collector refs";
+                 Core.Report.eng s.Memsim.Cache.collector_refs ];
+               [ "misses"; Core.Report.eng s.Memsim.Cache.misses ];
+               [ "fetches"; Core.Report.eng s.Memsim.Cache.fetches ];
+               [ "miss ratio"; miss_ratio s ]
+             ]);
+      0)
 
 (* Replay a saved trace and dump the telemetry document: per-phase
    cache counters as metrics, collector activity reconstructed from
    the trace's phase bits as gc.collection spans. *)
-let stats_of_trace path (cache_bytes, block_bytes) policy metrics trace_events =
+let stats_of_trace path ((cache_bytes, block_bytes) as geometry) policy metrics
+    trace_events =
   match Memsim.Recording.load path with
   | exception Sys_error msg | exception Failure msg ->
     Format.eprintf "stats: %s@." msg;
     1
   | recording ->
-    let level =
-      Memsim.Level.create
-        (Memsim.Level.config ~write_miss_policy:policy ~size_bytes:cache_bytes
-           ~block_bytes ~ways:1 ())
-    in
-    Memsim.Recording.replay recording (Memsim.Level.sink level);
+    let h = build_hier None geometry policy in
+    replay_into h recording;
     let t =
       Core.Telemetry.create
         ~timeline:(Core.Telemetry.of_recording recording) ()
@@ -548,7 +500,7 @@ let stats_of_trace path (cache_bytes, block_bytes) policy metrics trace_events =
       (Obs.Json.Int (Memsim.Recording.length recording));
     Core.Telemetry.set_meta t "cache_bytes" (Obs.Json.Int cache_bytes);
     Core.Telemetry.set_meta t "block_bytes" (Obs.Json.Int block_bytes);
-    Core.Telemetry.record_cache t (Memsim.Level.stats level);
+    Core.Telemetry.record_cache t (Memsim.Hier.level_stats h 0);
     (match metrics with
      | None ->
        print_string (Obs.Json.to_pretty_string (Core.Telemetry.to_json t));
@@ -1556,47 +1508,23 @@ let spool_arg =
                  cache, and per-job sweep checkpoints (default \
                  ./serve-spool)")
 
-let parse_tcp spec =
-  match String.rindex_opt spec ':' with
-  | Some i -> (
-    let host = String.sub spec 0 i in
-    let port = String.sub spec (i + 1) (String.length spec - i - 1) in
-    match int_of_string_opt port with
-    | Some port -> Ok ((if host = "" then "127.0.0.1" else host), port)
-    | None -> Error (Printf.sprintf "bad --tcp port %S" port))
-  | None -> (
-    match int_of_string_opt spec with
-    | Some port -> Ok ("127.0.0.1", port)
-    | None -> Error (Printf.sprintf "bad --tcp spec %S (want HOST:PORT)" spec))
-
-let serve_daemon socket dir workers checkpoint_every tcp =
-  match
-    match tcp with
-    | None -> Ok None
-    | Some spec -> Result.map Option.some (parse_tcp spec)
-  with
-  | Error msg ->
-    Printf.eprintf "repro serve: %s\n" msg;
-    1
-  | Ok tcp ->
-    let config =
-      { Serve.Sched.default_config with workers; checkpoint_every }
-    in
-    let sched = Serve.Sched.create ~config dir in
-    let server = Serve.Server.create ?tcp ~socket sched in
-    List.iter
-      (fun s ->
-        try
-          Sys.set_signal s
-            (Sys.Signal_handle
-               (fun _ -> Serve.Server.request_shutdown server ~drain:false))
-        with Invalid_argument _ -> ())
-      [ Sys.sigterm; Sys.sigint ];
-    Printf.printf "repro serve: listening on %s (%d workers, spool %s)\n%!"
-      socket workers dir;
-    Serve.Server.run server;
-    Printf.printf "repro serve: stopped\n%!";
-    0
+let serve_daemon socket dir workers checkpoint_every =
+  let config = { Serve.Sched.default_config with workers; checkpoint_every } in
+  let sched = Serve.Sched.create ~config dir in
+  let server = Serve.Server.create ~socket sched in
+  List.iter
+    (fun s ->
+      try
+        Sys.set_signal s
+          (Sys.Signal_handle
+             (fun _ -> Serve.Server.request_shutdown server ~drain:false))
+      with Invalid_argument _ -> ())
+    [ Sys.sigterm; Sys.sigint ];
+  Printf.printf "repro serve: listening on %s (%d workers, spool %s)\n%!"
+    socket workers dir;
+  Serve.Server.run server;
+  Printf.printf "repro serve: stopped\n%!";
+  0
 
 let serve_cmd =
   let workers =
@@ -1609,20 +1537,15 @@ let serve_cmd =
              ~doc:"Replay events between sweep checkpoints (default: the \
                    sweep's own cadence)")
   in
-  let tcp =
-    Arg.(value & opt (some string) None
-         & info [ "tcp" ] ~docv:"HOST:PORT"
-             ~doc:"Additionally listen on a TCP socket")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the sweep daemon: accept manifest jobs over a socket, \
-             schedule them across a worker-domain pool with work stealing, \
-             checkpoint running sweeps so a killed worker's job resumes \
+             schedule them in submission order across a worker-domain \
+             pool, checkpoint running sweeps so a killed worker's job resumes \
              rather than restarts, and serve repeat submissions from a \
              content-hash result cache")
     Term.(const serve_daemon $ socket_arg $ spool_arg $ workers
-          $ checkpoint_every $ tcp)
+          $ checkpoint_every)
 
 (* --- client helpers --- *)
 

@@ -135,6 +135,13 @@ let table_placement ppf =
      objects so that they@.do not collide\", not a specialized garbage \
      collector.@."
 
+(* One recording of [w], replayed into every hierarchy, as Exp_hier
+   does: at most one recording is live at a time. *)
+let replay_workload w hiers =
+  let r, recording = (Runner.record_grid [ Runner.cell w ]).(0) in
+  Memsim.Sweep.hier_run_parallel ~jobs:(Runner.jobs ()) hiers recording;
+  r
+
 let table_associativity ppf =
   Report.heading ppf
     "E-A3 (extension): associativity (the sec. 4 design point set aside); \
@@ -144,31 +151,27 @@ let table_associativity ppf =
   let rows =
     List.concat_map
       (fun w ->
-        let caches =
-          List.concat_map
-            (fun size ->
-              List.map
-                (fun ways ->
-                  ( size,
-                    Memsim.Level.create
-                      (Memsim.Level.config ~policy:Memsim.Level.Lru
-                         ~size_bytes:size ~block_bytes:block ~ways ()) ))
-                ways_list)
-            sizes
+        let sw =
+          Memsim.Sweep.create
+            (List.concat_map
+               (fun size ->
+                 List.map
+                   (fun ways ->
+                     Memsim.Level.config ~policy:Memsim.Level.Lru
+                       ~size_bytes:size ~block_bytes:block ~ways ())
+                   ways_list)
+               sizes)
         in
-        let r =
-          Runner.run ~sinks:(List.map (fun (_, c) -> Memsim.Level.sink c) caches) w
-        in
+        let r = replay_workload w (Memsim.Sweep.hiers sw) in
         let insns = r.Runner.stats.Vscheme.Machine.mutator_insns in
         List.map
           (fun size ->
             w.Workloads.Workload.name
             :: Report.size_label size
             :: List.concat_map
-                 (fun (csize, cache) ->
-                   if csize <> size then []
-                   else begin
-                     let s = Memsim.Level.stats cache in
+                 (fun (cfg, s) ->
+                   if cfg.Memsim.Level.size_bytes <> size then []
+                   else
                      [ Format.sprintf "%.4f"
                          (float_of_int s.Memsim.Cache.misses
                           /. float_of_int (max 1 s.Memsim.Cache.refs));
@@ -177,9 +180,8 @@ let table_associativity ppf =
                             ~block_bytes:block
                             ~fetches:s.Memsim.Cache.fetches
                             ~instructions:insns)
-                     ]
-                   end)
-                 caches)
+                     ])
+                 (Memsim.Sweep.results sw))
           sizes)
       Workloads.Workload.all
   in
@@ -222,25 +224,14 @@ let table_two_level ppf =
                  [ direct (Memsim.Sweep.kb 32); direct (Memsim.Sweep.mb 1) ]
                ())
         in
-        let sinks, flushes =
-          List.split
-            (List.map Memsim.Hier.chunked_sink [ l1_only; l2_only; hierarchy ])
-        in
-        let r = Runner.run ~sinks w in
-        List.iter (fun flush -> flush ()) flushes;
+        let r = replay_workload w [| l1_only; l2_only; hierarchy |] in
         let insns = r.Runner.stats.Vscheme.Machine.mutator_insns in
-        let flat h =
-          Memsim.Timing.cache_overhead Memsim.Timing.Fast ~block_bytes:block
-            ~fetches:(Memsim.Hier.level_stats h 0).Memsim.Cache.fetches
-            ~instructions:insns
-        in
-        [ w.Workloads.Workload.name;
-          Report.pct (flat l1_only);
+        let fast h =
           Report.pct
-            (Memsim.Hier.overhead hierarchy Memsim.Timing.Fast
-               ~instructions:insns);
-          Report.pct (flat l2_only)
-        ])
+            (Memsim.Hier.overhead h Memsim.Timing.Fast ~instructions:insns)
+        in
+        [ w.Workloads.Workload.name; fast l1_only; fast hierarchy;
+          fast l2_only ])
       Workloads.Workload.all
   in
   Report.table ppf

@@ -85,8 +85,6 @@ let write_metrics t path =
 
 let write_chrome_trace t path = Obs.Events.write_chrome_trace t.timeline path
 
-let write_events_jsonl t path = Obs.Events.write_jsonl t.timeline path
-
 (* GC pause sizes (in collector references) land in a log-spaced
    histogram so stats exports carry p50/p90/p99 pause figures, not just
    the total. *)

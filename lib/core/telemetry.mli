@@ -45,11 +45,6 @@ val write_chrome_trace : t -> string -> unit
 (** The timeline in Chrome trace-event format (chrome://tracing,
     Perfetto). *)
 
-val write_events_jsonl : t -> string -> unit
-(** The timeline as JSONL, streamed through {!Obs.Jsonl} in bounded
-    batches (one event per line; {!Obs.Events.of_jsonl_string} reads
-    it back). *)
-
 val observe_gc_pauses : t -> unit
 (** Fold every completed ["gc.collection"] span on the timeline into
     the ["gc.pause_refs"] histogram (log-spaced buckets of collector

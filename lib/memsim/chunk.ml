@@ -2,8 +2,8 @@
 
    The codec is the historical Recording encoding: one native int per
    event, bits [63:3] byte address, [2:1] kind, [0] phase.  Recording
-   slabs and live chunking producers share it, so a recording's internal
-   buffers can be consumed by [Level.access_chunk] without copying.
+   slabs use it, so a recording's internal buffers can be consumed by
+   [Level.access_chunk] without copying.
 
    Buffers live off the OCaml heap as int-kind Bigarrays: the producer
    fast path is one unsafe store with no write barrier and no GC
@@ -22,7 +22,7 @@ let create_buf n =
   b
 
 (* For buffers whose written prefix is tracked by the caller (recording
-   slabs, chunking producers): every consumer reads only [0, len), so
+   slabs, miss streams): every consumer reads only [0, len), so
    the zero fill — a whole extra pass over the slab's memory — buys
    nothing.  Contents beyond the written prefix are unspecified. *)
 let create_buf_uninit n =
@@ -63,30 +63,8 @@ let[@hot] pack addr kind phase =
   | Trace.Collector -> 1
 
 let addr word = word lsr 3
-let is_mutator word = word land 1 = 0
 
 let unpack word =
   ( word lsr 3,
     kind_of_code ((word lsr 1) land 3),
     if word land 1 = 0 then Trace.Mutator else Trace.Collector )
-
-(* --- Chunking producer ------------------------------------------------- *)
-
-let producer ?(chunk_events = default_chunk_events) emit =
-  if chunk_events <= 0 then invalid_arg "Chunk.producer: chunk_events <= 0";
-  (* [flush] hands consumers only the written prefix. *)
-  let buf = create_buf_uninit chunk_events in
-  let len = ref 0 in
-  let flush () =
-    if !len > 0 then begin
-      let n = !len in
-      len := 0;
-      emit buf n
-    end
-  in
-  let access a kind phase =
-    Bigarray.Array1.unsafe_set buf !len (pack a kind phase);
-    incr len;
-    if !len = chunk_events then flush ()
-  in
-  ({ Trace.access }, flush)

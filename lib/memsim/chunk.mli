@@ -9,10 +9,7 @@
 
     Buffers are off-heap int-kind Bigarrays: stores skip the OCaml
     write barrier, the GC never scans slab contents, and an mmap-backed
-    v3 trace file is consumed through the same type with zero copies.
-
-    The module provides the codec and a {!producer} that turns a live
-    event stream into chunks. *)
+    v3 trace file is consumed through the same type with zero copies. *)
 
 type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Packed events; only a prefix may be meaningful (paired with a
@@ -53,21 +50,8 @@ val unpack : int -> int * Trace.kind * Trace.phase
 val addr : int -> int
 (** Byte address of a packed event. *)
 
-val is_mutator : int -> bool
-(** Phase bit of a packed event. *)
-
 val kind_code : Trace.kind -> int
 (** 0 = read, 1 = write, 2 = alloc-write. *)
 
 val kind_of_code : int -> Trace.kind
 (** @raise Failure on codes outside 0–2. *)
-
-(** {1 Chunking producer} *)
-
-val producer :
-  ?chunk_events:int -> (buf -> int -> unit) -> Trace.sink * (unit -> unit)
-(** [producer emit] is a sink that packs events into an internal buffer
-    and calls [emit buf len] each time it fills, plus a [flush] for the
-    final partial chunk.  The buffer is reused across emissions: [emit]
-    must finish with it (or copy it) before returning.
-    @raise Invalid_argument when [chunk_events <= 0]. *)

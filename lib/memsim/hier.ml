@@ -74,8 +74,6 @@ let create ?(fused = true) (cfg : config) =
     streams = Array.init (max 0 (n - 1)) (fun _ -> Chunk.empty)
   }
 
-let is_fused t = t.fused
-let num_levels t = Array.length t.levels
 let geometry t = t.cfg
 
 let ensure_stream t i cap =
@@ -105,14 +103,11 @@ let access_chunk t buf off len =
 let access t addr kind phase =
   if t.fused then
     invalid_arg
-      "Hier.access: the fused engine is chunk-only; use chunked_sink or a \
+      "Hier.access: the fused engine is chunk-only; use access_chunk or a \
        hooked hierarchy";
   Level.access t.levels.(0) addr kind phase
 
 let sink t = { Trace.access = (fun addr kind phase -> access t addr kind phase) }
-
-let chunked_sink ?chunk_events t =
-  Chunk.producer ?chunk_events (fun buf len -> access_chunk t buf 0 len)
 
 let level t i = t.levels.(i)
 let stats t = Array.map Level.stats t.levels

@@ -32,8 +32,6 @@ val create : ?fused:bool -> config -> t
     @raise Invalid_argument on an empty level list, a latency count
     mismatch, or blocks that shrink down the hierarchy. *)
 
-val is_fused : t -> bool
-val num_levels : t -> int
 val geometry : t -> config
 
 val access_chunk : t -> Chunk.buf -> int -> int -> unit
@@ -48,11 +46,6 @@ val access : t -> int -> Trace.kind -> Trace.phase -> unit
 
 val sink : t -> Trace.sink
 (** Per-event sink over {!access}; hooked engine only. *)
-
-val chunked_sink : ?chunk_events:int -> t -> Trace.sink * (unit -> unit)
-(** A sink that batches events into chunks and a flush function;
-    works on both engines and is how live runs feed a fused
-    hierarchy. *)
 
 val level : t -> int -> Level.t
 (** [level t i] is level [i] (L1 is 0) itself, for per-level work the

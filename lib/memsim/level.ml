@@ -64,13 +64,6 @@ let policy_label = function
 let all_policies =
   [ Lru; Tree_plru; Mru; Qlru_h11_m1_r1_u2; Qlru_h11_m1_r0_u0 ]
 
-let policy_of_label s =
-  let rec find = function
-    | [] -> None
-    | p :: rest -> if String.equal (policy_label p) s then Some p else find rest
-  in
-  find all_policies
-
 type config = {
   size_bytes : int;
   block_bytes : int;

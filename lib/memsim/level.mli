@@ -49,11 +49,7 @@ type policy =
   | Qlru_h11_m1_r1_u2    (** QLRU, highest-index age-3 victim, eager aging *)
   | Qlru_h11_m1_r0_u0    (** QLRU, lowest-index age-3 victim, lazy aging *)
 
-val policy_code : policy -> int
-(** Stable small-int encoding used by snapshots. *)
-
 val policy_label : policy -> string
-val policy_of_label : string -> policy option
 val all_policies : policy list
 
 type config = {

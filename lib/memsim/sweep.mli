@@ -154,9 +154,6 @@ val load_hier_checkpoint :
     produce — located by file byte offset); [ctx] prefixes the
     message as in {!find}. *)
 
-val default_checkpoint_events : int
-(** Events between checkpoints when unspecified (4 Mi). *)
-
 val hier_run_resumable :
   ?ctx:string ->
   ?jobs:int ->
@@ -170,9 +167,10 @@ val hier_run_resumable :
     fault-tolerant: if [checkpoint] exists the hierarchies are
     restored from it and replay continues at its cursor; the
     recording is then consumed in epochs of [checkpoint_every] events
-    with a fresh checkpoint written after each.  Per-level statistics
-    are bit-identical to an uninterrupted serial run regardless of how
-    many times the process died and resumed, and of [jobs].
+    (default 4 Mi) with a fresh checkpoint written after each.
+    Per-level statistics are bit-identical to an uninterrupted serial
+    run regardless of how many times the process died and resumed,
+    and of [jobs].
     [progress] is called with the cursor after the restore and after
     every epoch.  The final checkpoint (cursor = event count) is left
     on disk; remove it to start over.

@@ -20,15 +20,12 @@ val all_processors : processor list
 val cycle_ns : processor -> float
 (** Cycle time in nanoseconds. *)
 
-val penalty_ns : block_bytes:int -> float
-(** Time to fetch one block of [block_bytes] bytes from main memory.
-
-    Raises [Invalid_argument] if [block_bytes] is not positive. *)
-
 val miss_penalty : processor -> block_bytes:int -> float
-(** Miss penalty in processor cycles: [penalty_ns / cycle_ns].  Not
+(** Miss penalty in processor cycles: the time to fetch one block of
+    [block_bytes] bytes from main memory over {!cycle_ns}.  Not
     rounded; overheads are ratios and the paper's table is in whole
-    cycles only for presentation. *)
+    cycles only for presentation.
+    @raise Invalid_argument if [block_bytes] is not positive. *)
 
 val miss_penalty_cycles : processor -> block_bytes:int -> int
 (** The paper's presentation form: [miss_penalty] rounded to the

@@ -48,16 +48,3 @@ let counting_by_phase () =
     }
   in
   (sink, fun () -> (!mut, !col))
-
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-     | Read -> "read"
-     | Write -> "write"
-     | Alloc_write -> "alloc-write")
-
-let pp_phase ppf p =
-  Format.pp_print_string ppf
-    (match p with
-     | Mutator -> "mutator"
-     | Collector -> "collector")

@@ -41,6 +41,3 @@ val counting_by_phase : unit -> sink * (unit -> int * int)
     [(mutator, collector)] event counts — the mutator/collector
     reference split every runner needs, without hand-rolling two
     refs. *)
-
-val pp_kind : Format.formatter -> kind -> unit
-val pp_phase : Format.formatter -> phase -> unit

@@ -11,14 +11,6 @@ let connect_unix path =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
-let connect_tcp ~host ~port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port)) with
-  | () -> { fd }
-  | exception e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e
-
 let close conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
 let error_of_reply reply =

@@ -5,7 +5,6 @@ type conn
 val connect_unix : string -> conn
 (** @raise Unix.Unix_error when the daemon is not listening. *)
 
-val connect_tcp : host:string -> port:int -> conn
 val close : conn -> unit
 
 val request : conn -> Proto.request -> (Obs.Json.t, string) result

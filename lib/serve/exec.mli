@@ -4,11 +4,6 @@ exception Cancelled
 (** Raised from the progress callback to abandon a sweep whose job has
     been cancelled; propagates out of {!run}. *)
 
-val ctx_of : Job.t -> string
-(** ["job <id> (<name>)"] — the error-context prefix threaded through
-    {!Golden.Fixture.measure} so sweep and checkpoint failures name
-    the job they belong to. *)
-
 val run :
   store:Store.t ->
   checkpoint_every:int option ->

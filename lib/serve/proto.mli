@@ -2,14 +2,12 @@
     request vocabulary.
 
     A frame is a 4-byte big-endian payload length followed by that
-    many bytes of compact JSON.  Requests are objects with an ["op"]
+    many bytes of compact JSON; frames above 16 MB are rejected on
+    both sides.  Requests are objects with an ["op"]
     field; replies are objects with an ["ok"] boolean — [false]
     carries an ["error"] message plus, when the failure belongs to a
     job, its ["job"] id and manifest ["name"], so a client never has
     to guess which submission an error is about. *)
-
-val max_frame_bytes : int
-(** Frames above this are rejected on both sides (16 MB). *)
 
 exception Closed
 (** Raised by the write path when the peer has gone away. *)

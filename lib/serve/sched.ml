@@ -1,6 +1,6 @@
-(* The job scheduler: a Domain.spawn worker pool over per-worker
-   queue shards with work stealing, fronted by a content-hash result
-   cache and backed by the spool's journal and checkpoint files.
+(* The job scheduler: a Domain.spawn worker pool over one FIFO job
+   queue, fronted by a content-hash result cache and backed by the
+   spool's journal and checkpoint files.
 
    Concurrency discipline: every mutable field of [t] and of the jobs
    it owns is read and written under [t.mutex], with two exceptions
@@ -42,12 +42,11 @@ type t = {
   mutex : Mutex.t;
   work : Condition.t;
   change : Condition.t;
-  shards : Job.t Queue.t array;
+  queue : Job.t Queue.t;
   jobs : (int, Job.t) Hashtbl.t;
   by_hash : (string, int) Hashtbl.t;
   followers : (int, int list) Hashtbl.t;
   mutable next_id : int;
-  mutable next_shard : int;
   mutable stop : [ `No | `Drain | `Now ];
   mutable domains : unit Domain.t list;
   listeners : (int, Obs.Json.t -> unit) Hashtbl.t;
@@ -127,8 +126,7 @@ let update_gauges t =
   Obs.Metrics.Gauge.set t.g_running (float_of_int !running)
 
 let enqueue t job =
-  Queue.push job t.shards.(t.next_shard);
-  t.next_shard <- (t.next_shard + 1) mod Array.length t.shards;
+  Queue.push job t.queue;
   Condition.signal t.work
 
 let finish t pending job state ~cached =
@@ -283,7 +281,7 @@ let cancel t id =
       | Job.Queued ->
         job.Job.cancel_requested <- true;
         finish t pending job Job.Cancelled ~cached:false;
-        (* A queued leader may still sit in a shard; workers skip
+        (* A queued leader may still sit in the queue; workers skip
            non-Queued entries on pop, but its followers must not wait
            on a corpse. *)
         release_hash t pending job ~success:false;
@@ -366,26 +364,13 @@ let unsubscribe t id = locked t (fun _ -> Hashtbl.remove t.listeners id)
 
 (* --- Workers ------------------------------------------------------------- *)
 
-(* Pop the next Queued job, scanning this worker's shard first and
-   then stealing from the others.  Entries whose job has left the
-   Queued state (cancelled while queued) are dropped in passing. *)
-let pop_any t w =
-  let n = Array.length t.shards in
-  let found = ref None in
-  let i = ref 0 in
-  while !found = None && !i < n do
-    let shard = t.shards.((w + !i) mod n) in
-    (try
-       while !found = None do
-         let job = Queue.pop shard in
-         match job.Job.state with
-         | Job.Queued -> found := Some job
-         | Job.Running _ | Job.Done | Job.Failed _ | Job.Cancelled -> ()
-       done
-     with Queue.Empty -> ());
-    incr i
-  done;
-  !found
+(* Pop the oldest Queued job.  Entries whose job has left the Queued
+   state (cancelled while queued) are dropped in passing. *)
+let rec pop t =
+  match Queue.take_opt t.queue with
+  | None -> None
+  | Some ({ Job.state = Job.Queued; _ } as job) -> Some job
+  | Some _ -> pop t
 
 let run_job t w job =
   let resumed_now = Sys.file_exists (Store.checkpoint_path t.store ~id:job.Job.id) in
@@ -451,7 +436,7 @@ let worker t w =
       let rec take () =
         if t.stop = `Now then None
         else
-          match pop_any t w with
+          match pop t with
           | Some job -> Some job
           | None ->
             if t.stop = `Drain then None
@@ -587,12 +572,11 @@ let create ?(config = default_config) dir =
       mutex = Mutex.create ();
       work = Condition.create ();
       change = Condition.create ();
-      shards = Array.init config.workers (fun _ -> Queue.create ());
+      queue = Queue.create ();
       jobs = Hashtbl.create 64;
       by_hash = Hashtbl.create 64;
       followers = Hashtbl.create 16;
       next_id = 1;
-      next_shard = 0;
       stop = `No;
       domains = [];
       listeners = Hashtbl.create 4;

@@ -1,6 +1,6 @@
-(** The job scheduler: a [Domain.spawn] worker pool over per-worker
-    queue shards with work stealing, a content-hash result cache, and
-    journal-backed crash recovery.
+(** The job scheduler: a [Domain.spawn] worker pool over one FIFO job
+    queue (submission and recovery order), a content-hash result
+    cache, and journal-backed crash recovery.
 
     Submitting a manifest whose content hash is already in the result
     store completes immediately as a cache hit; one that matches a

@@ -1,7 +1,7 @@
-(* The socket front end: a Unix-domain listener (and optionally a TCP
-   one) accepting length-prefixed JSON requests, one systhread per
-   connection.  Domains do the sweeping; threads only shuffle frames,
-   so a blocked client never costs a core.
+(* The socket front end: a Unix-domain listener accepting
+   length-prefixed JSON requests, one systhread per connection.
+   Domains do the sweeping; threads only shuffle frames, so a blocked
+   client never costs a core.
 
    Each connection owns a write mutex: replies from the request loop
    and events pushed by a subscription (which arrive on scheduler
@@ -10,7 +10,7 @@
 type t = {
   sched : Sched.t;
   socket_path : string;
-  listen_fds : Unix.file_descr list;
+  listen_fd : Unix.file_descr;
   mutex : Mutex.t;
   mutable shutdown_requested : bool option; (* Some drain *)
 }
@@ -22,26 +22,13 @@ let listen_unix path =
   Unix.listen fd 64;
   fd
 
-let listen_tcp host port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen fd 64;
-  fd
-
-let create ?tcp ~socket sched =
+let create ~socket sched =
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
    | _ -> ()
    | exception Invalid_argument _ -> () (* not on this platform *));
-  let fds =
-    listen_unix socket
-    :: (match tcp with
-        | Some (host, port) -> [ listen_tcp host port ]
-        | None -> [])
-  in
   { sched;
     socket_path = socket;
-    listen_fds = fds;
+    listen_fd = listen_unix socket;
     mutex = Mutex.create ();
     shutdown_requested = None
   }
@@ -168,21 +155,17 @@ let run t =
   let rec loop () =
     match shutdown_state t with
     | Some drain ->
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        t.listen_fds;
+      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
       (try Sys.remove t.socket_path with Sys_error _ -> ());
       Sched.shutdown ~drain t.sched
     | None ->
-      (match Unix.select t.listen_fds [] [] 0.2 with
-       | ready, _, _ ->
-         List.iter
-           (fun lfd ->
-             match Unix.accept lfd with
-             | fd, _ ->
-               ignore (Thread.create (fun () -> handle_connection t fd) ())
-             | exception Unix.Unix_error _ -> ())
-           ready
+      (match Unix.select [ t.listen_fd ] [] [] 0.2 with
+       | [], _, _ -> ()
+       | _ -> (
+         match Unix.accept t.listen_fd with
+         | fd, _ ->
+           ignore (Thread.create (fun () -> handle_connection t fd) ())
+         | exception Unix.Unix_error _ -> ())
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       loop ()
   in

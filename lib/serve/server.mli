@@ -1,16 +1,16 @@
-(** The daemon's socket front end: a Unix-domain listener (plus an
-    optional TCP one), one thread per connection, speaking the
-    {!Proto} frame protocol against a {!Sched.t}. *)
+(** The daemon's socket front end: a Unix-domain listener, one thread
+    per connection, speaking the {!Proto} frame protocol against a
+    {!Sched.t}. *)
 
 type t
 
-val create : ?tcp:string * int -> socket:string -> Sched.t -> t
-(** Bind the listeners (removing a stale socket file) and ignore
-    SIGPIPE.  [tcp] is a [(host, port)] to additionally listen on. *)
+val create : socket:string -> Sched.t -> t
+(** Bind the listener (removing a stale socket file) and ignore
+    SIGPIPE. *)
 
 val run : t -> unit
 (** Accept-and-serve until a [shutdown] request arrives, then close
-    the listeners, remove the socket file, and shut the scheduler
+    the listener, remove the socket file, and shut the scheduler
     down (draining or not as the request asked).  Returns when the
     scheduler has stopped. *)
 

@@ -25,10 +25,6 @@ val read_journal : string -> Obs.Json.t list
     file directly — call before {!create} opens it for appending or on
     a quiesced store. *)
 
-val result_path : t -> string -> string
-(** Where the fixture for this content hash lives (whether or not it
-    exists yet). *)
-
 val lookup : t -> string -> Golden.Fixture.t option
 (** The cached fixture for a content hash, or [None] if absent or
     unreadable. *)

@@ -94,13 +94,7 @@ let test_workload w () =
       let fused = Hier.create ~fused:true cfg in
       drive_chunks hooked recording;
       drive_chunks fused recording;
-      check_levels_identical name hooked fused;
-      (* the chunked sink is the live-run delivery path *)
-      let live = Hier.create ~fused:true cfg in
-      let sink, flush = Hier.chunked_sink ~chunk_events:1021 live in
-      Memsim.Recording.replay recording sink;
-      flush ();
-      check_levels_identical (name ^ " via chunked_sink") hooked live)
+      check_levels_identical name hooked fused)
     hier_configs
 
 (* --- the direct-mapped loop against the per-event oracle ------------- *)

@@ -1109,30 +1109,6 @@ let test_chunk_codec () =
    | exception Failure _ -> ()
    | _ -> Alcotest.fail "bad kind code must be rejected")
 
-let test_chunk_producer () =
-  let emitted = ref [] in
-  let sink, flush =
-    Memsim.Chunk.producer ~chunk_events:8 (fun buf len ->
-        emitted :=
-          Array.to_list (Array.sub (Memsim.Chunk.to_array buf) 0 len)
-          :: !emitted)
-  in
-  for i = 0 to 19 do
-    sink.Memsim.Trace.access (i * 4) Memsim.Trace.Read mutator
-  done;
-  Alcotest.(check int) "two full chunks" 2 (List.length !emitted);
-  flush ();
-  Alcotest.(check (list int)) "chunk sizes" [ 4; 8; 8 ]
-    (List.map List.length !emitted);
-  let events = List.concat (List.rev !emitted) in
-  Alcotest.(check int) "no event lost" 20 (List.length events);
-  List.iteri
-    (fun i w ->
-      Alcotest.(check int) "in order" (i * 4) (Memsim.Chunk.addr w))
-    events;
-  flush ();
-  Alcotest.(check int) "flush is idempotent" 3 (List.length !emitted)
-
 (* A deterministic pseudo-random trace long enough to exercise every
    cache path: reads, stores, allocation, both phases, evictions. *)
 let synth_trace n =
@@ -1190,26 +1166,6 @@ let test_run_parallel_matches_serial () =
         true
         (Memsim.Sweep.results serial = Memsim.Sweep.results parallel))
     [ 2; 4; 64 (* clamped to the cache count *) ]
-
-(* A live event stream batched by the chunking producer, with the
-   partial last chunk delivered by [flush], equals per-event delivery. *)
-let test_chunked_sink_flush () =
-  let events = synth_trace 1000 in
-  let serial = small_grid () in
-  List.iter
-    (fun (a, k, p) -> (Memsim.Sweep.sink serial).Memsim.Trace.access a k p)
-    events;
-  let chunked = small_grid () in
-  let deliver buf len =
-    Array.iter
-      (fun h -> Memsim.Hier.access_chunk h buf 0 len)
-      (Memsim.Sweep.hiers chunked)
-  in
-  let sink, flush = Memsim.Chunk.producer ~chunk_events:300 deliver in
-  List.iter (fun (a, k, p) -> sink.Memsim.Trace.access a k p) events;
-  flush ();
-  Alcotest.(check bool) "chunked sink = per-event" true
-    (Memsim.Sweep.results serial = Memsim.Sweep.results chunked)
 
 (* --- Properties -------------------------------------------------------- *)
 
@@ -1473,14 +1429,10 @@ let () =
           Alcotest.test_case "size labels" `Quick test_size_labels;
           Alcotest.test_case "tee and counting" `Quick test_tee_and_counting;
           Alcotest.test_case "run_parallel = serial" `Quick
-            test_run_parallel_matches_serial;
-          Alcotest.test_case "chunked sink and flush" `Quick
-            test_chunked_sink_flush
+            test_run_parallel_matches_serial
         ] );
       ( "chunks",
-        [ Alcotest.test_case "codec roundtrip" `Quick test_chunk_codec;
-          Alcotest.test_case "producer batching" `Quick test_chunk_producer
-        ] );
+        [ Alcotest.test_case "codec roundtrip" `Quick test_chunk_codec ] );
       ( "assoc",
         [ Alcotest.test_case "LRU replacement" `Quick test_assoc_lru;
           Alcotest.test_case "conflict elimination" `Quick

@@ -11,7 +11,7 @@
    - the kill-and-resume differential proof: a job whose worker dies
      mid-sweep resumes from its checkpoint and finishes bit-identical
      to an uninterrupted measurement, with one worker and with a
-     stealing pool;
+     2-worker pool;
    - malformed manifests are structured errors, never crashes, and
      execution failures carry the job id and manifest name;
    - journal recovery re-enqueues what a killed daemon left behind
