@@ -289,14 +289,6 @@ let run_workload w hier ((cache_bytes, block_bytes) as geometry) policy gc
        tel);
   write_telemetry tel ~metrics ~trace_events
 
-let simulate name hier geometry policy gc scale metrics trace_events =
-  match Workloads.Workload.find name with
-  | None ->
-    Format.eprintf "unknown workload %S (try `repro workloads')@." name;
-    1
-  | Some w ->
-    run_workload w hier geometry policy gc scale metrics trace_events
-
 (* [repro run] targets are experiment ids or workload names (none: every
    experiment); workloads go through the simulated cache with the
    telemetry flags.  The experiments of one invocation share a single
@@ -647,11 +639,7 @@ let check_files files gc heap_bytes static_bytes stack_bytes raw json_out =
     in
     let expect =
       match (doc_results, traces) with
-      | [ (_, (e, _)) ], [ _ ] ->
-        { Check.Stream_check.mutator_refs = e.Check.Doc_check.mutator_refs;
-          collector_refs = e.Check.Doc_check.collector_refs;
-          collections = e.Check.Doc_check.collections
-        }
+      | [ (_, (e, _)) ], [ _ ] -> e
       | _ -> Check.Stream_check.no_expect
     in
     let trace_results =
@@ -1189,15 +1177,6 @@ let workloads_cmd =
   Cmd.v (Cmd.info "workloads" ~doc:"List the five test-program workloads")
     Term.(const list_workloads $ const ())
 
-let simulate_cmd =
-  let workload_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc:"Workload name")
-  in
-  Cmd.v
-    (Cmd.info "simulate" ~doc:"Run one workload through one cache configuration")
-    Term.(const simulate $ workload_arg $ hier_arg $ geometry_arg
-          $ policy_arg $ gc_arg $ scale_arg $ metrics_arg $ trace_events_arg)
-
 let record_cmd =
   let workload_arg =
     Arg.(non_empty & pos_all string []
@@ -1661,18 +1640,6 @@ let client_ping socket timeout =
     1
   end
 
-let client_watch socket =
-  with_conn socket (fun conn ->
-    match Serve.Client.request conn Serve.Proto.Subscribe with
-    | Error msg ->
-      Printf.eprintf "repro client: %s\n" msg;
-      1
-    | Ok _ ->
-      Serve.Client.stream conn (fun ev ->
-        print_endline (Obs.Json.to_string ev);
-        flush stdout);
-      0)
-
 let live_jobs stats_reply =
   let jobs = Obs.Json.member "jobs" stats_reply in
   let count st =
@@ -1758,45 +1725,7 @@ let client_load socket n distinct wait =
    (not from the cache) is re-measured uninterrupted and compared
    bit-for-bit against the fixture the daemon stored. *)
 let client_verify_resumed dir require =
-  let events = Serve.Store.read_journal dir in
-  let runs : (int, string) Hashtbl.t = Hashtbl.create 32 in
-  let resumed : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let fresh_done : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun ev ->
-      let str name =
-        match Obs.Json.member name ev with
-        | Some (Obs.Json.Str s) -> Some s
-        | Some _ | None -> None
-      in
-      let flag name =
-        match Obs.Json.member name ev with
-        | Some (Obs.Json.Bool b) -> b
-        | Some _ | None -> false
-      in
-      let id =
-        match Obs.Json.member "job" ev with
-        | Some (Obs.Json.Int id) -> Some id
-        | Some _ | None -> None
-      in
-      match (str "ev", id) with
-      | Some "submitted", Some id -> (
-        match str "run" with
-        | Some text -> Hashtbl.replace runs id text
-        | None -> ())
-      | Some "started", Some id ->
-        if flag "resumed" then Hashtbl.replace resumed id ()
-      | Some "done", Some id ->
-        if not (flag "cached") then Hashtbl.replace fresh_done id ()
-      | _ -> ())
-    events;
-  let candidates =
-    List.sort compare
-      (Hashtbl.fold
-         (fun id () acc ->
-           if Hashtbl.mem fresh_done id then id :: acc else acc)
-         resumed [])
-  in
+  let candidates = (Check.Serve_check.scan dir).Check.Serve_check.resumed in
   if List.length candidates < require then begin
     Printf.eprintf
       "verify-resumed: only %d resumed-and-completed jobs in %s (need %d)\n"
@@ -1806,40 +1735,37 @@ let client_verify_resumed dir require =
   else begin
     let failures = ref 0 in
     List.iter
-      (fun id ->
-        match Hashtbl.find_opt runs id with
-        | None -> ()
-        | Some run_text -> (
-          let run =
-            Golden.Manifest.run_of_datum ~file:"<journal>"
-              (Sexp.Parser.parse_one ~filename:"<journal>" run_text)
+      (fun (id, run_text) ->
+        let run =
+          Golden.Manifest.run_of_datum ~file:"<journal>"
+            (Sexp.Parser.parse_one ~filename:"<journal>" run_text)
+        in
+        let hash = Golden.Manifest.content_hash run in
+        let path =
+          Filename.concat (Filename.concat dir "results") (hash ^ ".sexp")
+        in
+        match Golden.Fixture.load path with
+        | exception Golden.Sx.Parse_error msg ->
+          incr failures;
+          Printf.printf "job %d (%s): stored result unreadable: %s\n" id
+            run.Golden.Manifest.name msg
+        | stored ->
+          let fresh = Golden.Fixture.measure run in
+          let findings =
+            Golden.Fixture.compare ~file:path ~expected:fresh ~actual:stored
+              ()
           in
-          let hash = Golden.Manifest.content_hash run in
-          let path =
-            Filename.concat (Filename.concat dir "results") (hash ^ ".sexp")
-          in
-          match Golden.Fixture.load path with
-          | exception Golden.Sx.Parse_error msg ->
+          if Check.Finding.has_errors findings then begin
             incr failures;
-            Printf.printf "job %d (%s): stored result unreadable: %s\n" id
-              run.Golden.Manifest.name msg
-          | stored ->
-            let fresh = Golden.Fixture.measure run in
-            let findings =
-              Golden.Fixture.compare ~file:path ~expected:fresh ~actual:stored
-                ()
-            in
-            if Check.Finding.has_errors findings then begin
-              incr failures;
-              Printf.printf "job %d (%s): RESUMED RESULT DIFFERS\n" id
-                run.Golden.Manifest.name;
-              List.iter
-                (fun f -> Format.printf "  %a@." Check.Finding.pp f)
-                findings
-            end
-            else
-              Printf.printf "job %d (%s): resumed result bit-identical\n" id
-                run.Golden.Manifest.name))
+            Printf.printf "job %d (%s): RESUMED RESULT DIFFERS\n" id
+              run.Golden.Manifest.name;
+            List.iter
+              (fun f -> Format.printf "  %a@." Check.Finding.pp f)
+              findings
+          end
+          else
+            Printf.printf "job %d (%s): resumed result bit-identical\n" id
+              run.Golden.Manifest.name)
       candidates;
     if !failures = 0 then begin
       Printf.printf "verify-resumed: %d resumed jobs verified\n"
@@ -1923,12 +1849,6 @@ let client_cmd =
     Cmd.v (Cmd.info "ping" ~doc:"Wait until the daemon answers")
       Term.(const client_ping $ socket_arg $ timeout)
   in
-  let watch =
-    Cmd.v
-      (Cmd.info "watch"
-         ~doc:"Subscribe to the daemon's event stream and print it as JSONL")
-      Term.(const client_watch $ socket_arg)
-  in
   let drain =
     let timeout =
       Arg.(value & opt float 600.0
@@ -1973,16 +1893,16 @@ let client_cmd =
   in
   Cmd.group
     (Cmd.info "client" ~doc:"Talk to a running `repro serve' daemon")
-    [ submit; status; result; cancel; stats; shutdown; ping; watch; drain;
-      load; verify_resumed ]
+    [ submit; status; result; cancel; stats; shutdown; ping; drain; load;
+      verify_resumed ]
 
 let main =
   Cmd.group
     (Cmd.info "repro" ~version:"1.0.0"
        ~doc:"Cache Performance of Garbage-Collected Programs (PLDI 1994), \
              reproduced")
-    [ experiments_cmd; run_cmd; scheme_cmd; workloads_cmd; simulate_cmd;
-      record_cmd; replay_cmd; stats_cmd; profile_cmd; check_cmd; golden_cmd;
+    [ experiments_cmd; run_cmd; scheme_cmd; workloads_cmd; record_cmd;
+      replay_cmd; stats_cmd; profile_cmd; check_cmd; golden_cmd;
       serve_cmd; client_cmd ]
 
 let () = exit (Cmd.eval' main)

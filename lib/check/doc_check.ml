@@ -8,19 +8,10 @@
    collectors emit.  Timestamps ride the simulated instruction clock
    and must never decrease.
 
-   The extracted [expectations] let `repro check` cross-validate a
-   recording against the document that was exported alongside it:
+   The extracted [Stream_check.expect] totals let `repro check`
+   cross-validate a recording against the document that was exported alongside it:
    run.mutator_refs / run.collector_refs must equal the trace's phase
    tallies, run.collections its collector-run count. *)
-
-type expectations = {
-  mutator_refs : int option;
-  collector_refs : int option;
-  collections : int option;
-}
-
-let no_expectations =
-  { mutator_refs = None; collector_refs = None; collections = None }
 
 let counter_value metrics name =
   match Obs.Json.member name metrics with
@@ -29,9 +20,9 @@ let counter_value metrics name =
 
 let expectations_of_json doc =
   match Obs.Json.member "metrics" doc with
-  | None -> no_expectations
+  | None -> Stream_check.no_expect
   | Some metrics ->
-    { mutator_refs = counter_value metrics "run.mutator_refs";
+    { Stream_check.mutator_refs = counter_value metrics "run.mutator_refs";
       collector_refs = counter_value metrics "run.collector_refs";
       collections = counter_value metrics "run.collections"
     }
@@ -122,7 +113,7 @@ let check_doc ~file doc =
         in
         (expectations, List.rev !findings @ check_events ~file events)))
   | _ ->
-    ( no_expectations,
+    ( Stream_check.no_expect,
       [ Finding.v ~rule:"doc.shape" ~file "not a JSON object" ] )
 
 let load_doc ~file =
@@ -144,5 +135,5 @@ let load_doc ~file =
 
 let check_file ~file =
   match load_doc ~file with
-  | Error f -> (no_expectations, [ f ])
+  | Error f -> (Stream_check.no_expect, [ f ])
   | Ok doc -> check_doc ~file doc

@@ -14,24 +14,15 @@
       a span never closed;
     - [doc.timestamps] — warning: the logical clock decreases. *)
 
-type expectations = {
-  mutator_refs : int option;
-  collector_refs : int option;
-  collections : int option;
-}
-(** Totals the document declares ([run.*] counters), for
-    cross-validation against a recording's stream summary. *)
-
-val no_expectations : expectations
-
-val expectations_of_json : Obs.Json.t -> expectations
-
 val check_events :
   file:string -> Obs.Events.event list -> Finding.t list
 (** Span discipline and clock monotonicity over a bare event list. *)
 
 val check_doc :
-  file:string -> Obs.Json.t -> expectations * Finding.t list
+  file:string -> Obs.Json.t -> Stream_check.expect * Finding.t list
+(** Verify one parsed document; also returns the totals it declares
+    (its [run.*] counters), for cross-validation against a
+    recording's stream summary. *)
 
-val check_file : file:string -> expectations * Finding.t list
+val check_file : file:string -> Stream_check.expect * Finding.t list
 (** Load, parse and verify one telemetry JSON document. *)

@@ -17,6 +17,7 @@ type result = {
   dangling : int;
   results : int;
   checkpoints : int;
+  resumed : (int * string) list;
   findings : Finding.t list;
 }
 
@@ -61,6 +62,9 @@ let scan_journal dir =
   let findings = ref [] in
   let add f = findings := f :: !findings in
   let states : (int, job_state) Hashtbl.t = Hashtbl.create 32 in
+  let runs : (int, string) Hashtbl.t = Hashtbl.create 32 in
+  let resumed_ids : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let fresh_done : (int, unit) Hashtbl.t = Hashtbl.create 32 in
   let events = ref 0 in
   (match read_lines file with
    | Error msg -> add (Finding.v ~rule:"serve.journal.io" ~file msg)
@@ -92,11 +96,12 @@ let scan_journal dir =
                | Some (Obs.Json.Str s) -> Some s
                | Some _ | None -> None
              in
-             let has_bool name =
+             let bool name =
                match Obs.Json.member name ev with
-               | Some (Obs.Json.Bool _) -> true
-               | Some _ | None -> false
+               | Some (Obs.Json.Bool b) -> Some b
+               | Some _ | None -> None
              in
+             let has_bool name = Option.is_some (bool name) in
              let id =
                match Obs.Json.member "job" ev with
                | Some (Obs.Json.Int id) -> Some id
@@ -135,7 +140,7 @@ let scan_journal dir =
                match kind with
                | "submitted" ->
                  (match str "run" with
-                  | Some _ -> ()
+                  | Some text -> Hashtbl.replace runs id text
                   | None ->
                     add
                       (Finding.v ~rule:"serve.journal.fields" ~file ~where
@@ -153,6 +158,8 @@ let scan_journal dir =
                            "job %d: \"started\" without a boolean \
                             \"resumed\" flag"
                            id));
+                 if bool "resumed" = Some true then
+                   Hashtbl.replace resumed_ids id ();
                  require_live "started" (fun () ->
                    (match state with
                     | Some Running -> order "started while already running"
@@ -166,6 +173,8 @@ let scan_journal dir =
                            "job %d: \"done\" without a boolean \"cached\" \
                             flag"
                            id));
+                 if bool "cached" = Some false then
+                   Hashtbl.replace fresh_done id ();
                  require_live "done" (fun () ->
                    Hashtbl.replace states id (Terminal "done"))
                | "failed" | "cancelled" ->
@@ -201,7 +210,21 @@ let scan_journal dir =
                  restart will recover it)"
                 id)))
     states;
-  (!events, Hashtbl.length states, !dangling, states, List.rev !findings)
+  let resumed =
+    Hashtbl.fold
+      (fun id () acc ->
+        match Hashtbl.find_opt runs id with
+        | Some text when Hashtbl.mem fresh_done id -> (id, text) :: acc
+        | Some _ | None -> acc)
+      resumed_ids []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  ( !events,
+    Hashtbl.length states,
+    !dangling,
+    states,
+    resumed,
+    List.rev !findings )
 
 (* --- Store scan ---------------------------------------------------------- *)
 
@@ -287,13 +310,16 @@ let scan dir =
       dangling = 0;
       results = 0;
       checkpoints = 0;
+      resumed = [];
       findings =
         [ Finding.v ~rule:"serve.journal.io" ~file:(journal_path dir)
             "no journal.jsonl: not a serve spool directory"
         ]
     }
   else begin
-    let events, jobs, dangling, states, journal_findings = scan_journal dir in
+    let events, jobs, dangling, states, resumed, journal_findings =
+      scan_journal dir
+    in
     let results, result_findings = scan_results dir in
     let terminal_of id =
       match Hashtbl.find_opt states id with
@@ -307,6 +333,7 @@ let scan dir =
       dangling;
       results;
       checkpoints;
+      resumed;
       findings = journal_findings @ result_findings @ ckpt_findings
     }
   end

@@ -38,6 +38,11 @@ type result = {
   dangling : int;      (** jobs left non-terminal *)
   results : int;       (** entries in the result store *)
   checkpoints : int;   (** well-named checkpoint files *)
+  resumed : (int * string) list;
+      (** jobs with a ["started"] event flagged [resumed] and a
+          ["done"] event not [cached], in id order, each with its
+          ["submitted"] manifest text: the ones that finished by
+          sweeping on from a checkpoint *)
   findings : Finding.t list;
 }
 

@@ -70,18 +70,11 @@ type config = {
   ways : int;
   policy : policy;
   write_miss_policy : Cache.write_miss_policy;
-  collector_fetch_on_write : bool;
 }
 
 let config ?(policy = Lru) ?(write_miss_policy = Cache.Write_validate)
-    ?(collector_fetch_on_write = true) ~size_bytes ~block_bytes ~ways () =
-  { size_bytes;
-    block_bytes;
-    ways;
-    policy;
-    write_miss_policy;
-    collector_fetch_on_write
-  }
+    ~size_bytes ~block_bytes ~ways () =
+  { size_bytes; block_bytes; ways; policy; write_miss_policy }
 
 type t = {
   cfg : config;
@@ -445,7 +438,7 @@ let[@hot] access t addr kind phase =
       (match t.cfg.write_miss_policy with
        | Cache.Write_validate -> true
        | Cache.Fetch_on_write -> false)
-      && not ((not mutator) && t.cfg.collector_fetch_on_write)
+      && mutator (* collector stores always fetch on write *)
     in
     if is_store && wv then begin
       if high then begin
@@ -697,7 +690,6 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
     | Cache.Write_validate -> true
     | Cache.Fetch_on_write -> false
   in
-  let collector_fow = t.cfg.collector_fetch_on_write in
   let collector_refs = ref 0
   and misses = ref 0
   and collector_misses = ref 0
@@ -909,10 +901,7 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
         Array.unsafe_set tags li mem_block;
         fill_state t set v;
         Array.unsafe_set hint set li;
-        if
-          is_store && write_validate
-          && not ((not mutator) && collector_fow)
-        then begin
+        if is_store && write_validate && mutator then begin
           if high then begin
             Array.unsafe_set valid_lo li 0;
             Array.unsafe_set valid_hi li wbit
@@ -1049,7 +1038,6 @@ let[@inline] direct_loop t (buf : Chunk.buf) off len emit polk
     | Cache.Write_validate -> true
     | Cache.Fetch_on_write -> false
   in
-  let collector_fow = t.cfg.collector_fetch_on_write in
   let collector_refs = ref 0
   and misses = ref 0
   and collector_misses = ref 0
@@ -1248,10 +1236,7 @@ let[@inline] direct_loop t (buf : Chunk.buf) off len emit polk
       end;
       Array.unsafe_set tags idx mem_block;
       if polk <> 0 then fill_direct pol polk idx;
-      if
-        is_store && write_validate
-        && not ((not mutator) && collector_fow)
-      then begin
+      if is_store && write_validate && mutator then begin
         (* allocate the line, validate just this word, fetch nothing *)
         if high then begin
           Array.unsafe_set valid_lo idx 0;
@@ -1470,7 +1455,7 @@ let snapshot t buf =
   add (match t.cfg.write_miss_policy with
        | Cache.Write_validate -> 0
        | Cache.Fetch_on_write -> 1);
-  add (if t.cfg.collector_fetch_on_write then 1 else 0);
+  add 1 (* collector fetch-on-write, always on *);
   add t.refs;
   add t.collector_refs;
   add t.misses;
@@ -1526,9 +1511,7 @@ let restore t src pos =
      | Cache.Write_validate -> 0
      | Cache.Fetch_on_write -> 1)
     (word ());
-  geom "collector_fetch_on_write"
-    (if t.cfg.collector_fetch_on_write then 1 else 0)
-    (word ());
+  geom "collector_fetch_on_write" 1 (word ());
   (* Reject line state no access could have produced before loading
      any of it: the fast loops trust tags, valid masks and dirty bytes,
      and a dirty byte of 2, say, would silently drop a write-back.  A

@@ -59,22 +59,19 @@ type config = {
   ways : int;         (** associativity, 1–32 *)
   policy : policy;
   write_miss_policy : Cache.write_miss_policy;
-  collector_fetch_on_write : bool;
-      (** when true, accesses in the {!Trace.Collector} phase use
-          fetch-on-write regardless of [write_miss_policy], as in the
-          §6 footnote *)
+      (** the mutator's; accesses in the {!Trace.Collector} phase
+          always use fetch-on-write, as in the §6 footnote *)
 }
 
 val config :
   ?policy:policy ->
   ?write_miss_policy:Cache.write_miss_policy ->
-  ?collector_fetch_on_write:bool ->
   size_bytes:int ->
   block_bytes:int ->
   ways:int ->
   unit ->
   config
-(** Defaults: LRU, write-validate, collector fetch-on-write. *)
+(** Defaults: LRU, write-validate. *)
 
 type t
 

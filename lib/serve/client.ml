@@ -1,5 +1,5 @@
-(* Client side of the frame protocol: connect, one request / one
-   reply, plus a streaming reader for subscriptions. *)
+(* Client side of the frame protocol: connect, then one request / one
+   reply at a time. *)
 
 type conn = { fd : Unix.file_descr }
 
@@ -38,18 +38,6 @@ let request conn req =
   | () -> read_reply conn
   | exception Proto.Closed -> Error "connection closed by the daemon"
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-
-(* After a successful [Subscribe], every further frame is an event. *)
-let stream conn on_event =
-  let rec loop () =
-    match Proto.read_frame conn.fd with
-    | Error `Closed -> ()
-    | Error (`Error _) -> ()
-    | Ok ev ->
-      on_event ev;
-      loop ()
-  in
-  loop ()
 
 let wait_ready ?(timeout_s = 10.0) path =
   let deadline = Unix.gettimeofday () +. timeout_s in

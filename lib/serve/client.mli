@@ -12,10 +12,6 @@ val request : conn -> Proto.request -> (Obs.Json.t, string) result
     is the daemon's message, prefixed with the job id when it named
     one. *)
 
-val stream : conn -> (Obs.Json.t -> unit) -> unit
-(** After a successful [Subscribe] request: deliver every further
-    frame until the daemon closes the connection. *)
-
 val wait_ready : ?timeout_s:float -> string -> bool
 (** Poll connect-and-ping on a Unix socket path until the daemon
     answers or the timeout passes. *)

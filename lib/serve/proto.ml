@@ -77,7 +77,6 @@ type request =
   | Result of int
   | Cancel of int
   | Stats
-  | Subscribe
   | Shutdown of { drain : bool }
   | Ping
 
@@ -95,7 +94,6 @@ let request_to_json = function
   | Cancel id ->
     Obs.Json.Obj [ ("op", Obs.Json.Str "cancel"); ("job", Obs.Json.Int id) ]
   | Stats -> Obs.Json.Obj [ ("op", Obs.Json.Str "stats") ]
-  | Subscribe -> Obs.Json.Obj [ ("op", Obs.Json.Str "subscribe") ]
   | Shutdown { drain } ->
     Obs.Json.Obj
       [ ("op", Obs.Json.Str "shutdown"); ("drain", Obs.Json.Bool drain) ]
@@ -133,7 +131,6 @@ let request_of_json json =
       | "result" -> with_job (fun id -> Result id)
       | "cancel" -> with_job (fun id -> Cancel id)
       | "stats" -> Ok Stats
-      | "subscribe" -> Ok Subscribe
       | "shutdown" ->
         Ok (Shutdown { drain = bool_member "drain" ~default:true json })
       | "ping" -> Ok Ping

@@ -32,7 +32,6 @@ type request =
   | Result of int
   | Cancel of int
   | Stats
-  | Subscribe  (** switch this connection to a JSONL event stream *)
   | Shutdown of { drain : bool }
   | Ping
 

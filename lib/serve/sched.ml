@@ -3,14 +3,14 @@
    spool's journal and checkpoint files.
 
    Concurrency discipline: every mutable field of [t] and of the jobs
-   it owns is read and written under [t.mutex], with two exceptions
-   that are deliberate and benign — the progress callback polls
+   it owns is read and written under [t.mutex], with one exception
+   that is deliberate and benign — the progress callback polls
    [job.cancel_requested] and [t.stop] without the lock (a stale read
    just delays cancellation by one epoch; OCaml's memory model makes
-   the racy bool read well-defined), and listeners are invoked outside
-   the lock so a slow subscriber socket cannot stall the scheduler.
-   Journal appends happen inside the lock, so the journal's event
-   order always agrees with the state transitions it records.
+   the racy bool read well-defined).  Journal appends happen inside
+   the lock, so the journal's event order always agrees with the state
+   transitions it records; the journal is the daemon's one event
+   stream ([tail -f] it to watch).
 
    Jobs with the same content hash dedup two ways: a repeat of an
    already-measured manifest is answered from the result store at
@@ -49,8 +49,6 @@ type t = {
   mutable next_id : int;
   mutable stop : [ `No | `Drain | `Now ];
   mutable domains : unit Domain.t list;
-  listeners : (int, Obs.Json.t -> unit) Hashtbl.t;
-  mutable next_listener : int;
   registry : Obs.Metrics.registry;
   m_submitted : Obs.Metrics.Counter.t;
   m_completed : Obs.Metrics.Counter.t;
@@ -59,8 +57,6 @@ type t = {
   m_cache_hits : Obs.Metrics.Counter.t;
   m_resumed : Obs.Metrics.Counter.t;
   m_requeued : Obs.Metrics.Counter.t;
-  g_queued : Obs.Metrics.Gauge.t;
-  g_running : Obs.Metrics.Gauge.t;
   h_latency : Obs.Metrics.Histogram.t;
 }
 
@@ -76,60 +72,20 @@ let event kind job fields =
      :: fields)
 
 (* Called with [t.mutex] held: the journal line lands in transition
-   order.  Listener delivery is deferred to [deliver] after unlock. *)
-let emit t pending ev =
-  Store.append t.store ev;
-  pending := ev :: !pending
-
-let deliver t pending =
-  match List.rev !pending with
-  | [] -> ()
-  | events ->
-    Mutex.lock t.mutex;
-    let ls = Hashtbl.fold (fun id cb acc -> (id, cb) :: acc) t.listeners [] in
-    Mutex.unlock t.mutex;
-    List.iter
-      (fun ev ->
-        List.iter
-          (fun (id, cb) ->
-            try cb ev
-            with _ ->
-              Mutex.lock t.mutex;
-              Hashtbl.remove t.listeners id;
-              Mutex.unlock t.mutex)
-          ls)
-      events
+   order. *)
+let emit t ev = Store.append t.store ev
 
 let locked t f =
   Mutex.lock t.mutex;
-  let pending = ref [] in
-  let result =
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mutex)
-      (fun () -> f pending)
-  in
-  deliver t pending;
-  result
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 (* --- Job-state transitions (all with t.mutex held) ----------------------- *)
-
-let update_gauges t =
-  let queued = ref 0 and running = ref 0 in
-  Hashtbl.iter
-    (fun _ j ->
-      match j.Job.state with
-      | Job.Queued -> incr queued
-      | Job.Running _ -> incr running
-      | Job.Done | Job.Failed _ | Job.Cancelled -> ())
-    t.jobs;
-  Obs.Metrics.Gauge.set t.g_queued (float_of_int !queued);
-  Obs.Metrics.Gauge.set t.g_running (float_of_int !running)
 
 let enqueue t job =
   Queue.push job t.queue;
   Condition.signal t.work
 
-let finish t pending job state ~cached =
+let finish t job state ~cached =
   job.Job.state <- state;
   job.Job.cached <- cached;
   job.Job.finished_at <- Some (now ());
@@ -138,28 +94,27 @@ let finish t pending job state ~cached =
    | Job.Done ->
      Obs.Metrics.Counter.incr t.m_completed;
      if cached then Obs.Metrics.Counter.incr t.m_cache_hits;
-     emit t pending
+     emit t
        (event "done" job
           [ ("cached", Obs.Json.Bool cached);
             ("latency_ms", Obs.Json.Float (Job.latency_ms ~now:(now ()) job))
           ])
    | Job.Failed msg ->
      Obs.Metrics.Counter.incr t.m_failed;
-     emit t pending
+     emit t
        (event "failed" job
           [ ("name", Obs.Json.Str job.Job.name); ("error", Obs.Json.Str msg) ])
    | Job.Cancelled ->
      Obs.Metrics.Counter.incr t.m_cancelled;
-     emit t pending (event "cancelled" job [])
+     emit t (event "cancelled" job [])
    | Job.Queued | Job.Running _ -> assert false);
-  update_gauges t;
   Condition.broadcast t.change
 
 (* The leader for [job.hash] is done with the hash (finished,
    cancelled, or failed).  On success every live follower completes as
    a cache hit; otherwise the first live follower is promoted to
    leader and enqueued, inheriting the rest. *)
-let release_hash t pending job ~success =
+let release_hash t job ~success =
   (match Hashtbl.find_opt t.by_hash job.Job.hash with
    | Some leader when leader = job.Job.id -> Hashtbl.remove t.by_hash job.Job.hash
    | Some _ | None -> ());
@@ -174,7 +129,7 @@ let release_hash t pending job ~success =
       ids
   in
   if success then
-    List.iter (fun f -> finish t pending f Job.Done ~cached:true) live
+    List.iter (fun f -> finish t f Job.Done ~cached:true) live
   else
     match live with
     | [] -> ()
@@ -204,7 +159,7 @@ let submit t run_text =
        race just means the worker-side lookup answers instead. *)
     let hash = Golden.Manifest.content_hash run in
     let cached = Store.lookup t.store hash in
-    locked t (fun pending ->
+    locked t (fun () ->
       if t.stop <> `No then Error "daemon is shutting down"
       else begin
         let id = t.next_id in
@@ -212,14 +167,14 @@ let submit t run_text =
         let job = Job.make ~id ~now:(now ()) ~run ~run_text in
         Hashtbl.replace t.jobs id job;
         Obs.Metrics.Counter.incr t.m_submitted;
-        emit t pending
+        emit t
           (event "submitted" job
              [ ("name", Obs.Json.Str job.Job.name);
                ("hash", Obs.Json.Str job.Job.hash);
                ("run", Obs.Json.Str run_text)
              ]);
         (match cached with
-         | Some _ -> finish t pending job Job.Done ~cached:true
+         | Some _ -> finish t job Job.Done ~cached:true
          | None -> (
            match Hashtbl.find_opt t.by_hash job.Job.hash with
            | Some leader ->
@@ -229,21 +184,20 @@ let submit t run_text =
            | None ->
              Hashtbl.replace t.by_hash job.Job.hash id;
              enqueue t job));
-        update_gauges t;
         Ok id
       end)
 
 (* --- Queries ------------------------------------------------------------- *)
 
 let job_json t id =
-  locked t (fun _ ->
+  locked t (fun () ->
     match Hashtbl.find_opt t.jobs id with
     | Some job -> Ok (Job.to_json ~now:(now ()) job)
     | None -> Error (Printf.sprintf "no such job %d" id))
 
 let result t id =
   let info =
-    locked t (fun _ ->
+    locked t (fun () ->
       match Hashtbl.find_opt t.jobs id with
       | None -> Error (Printf.sprintf "no such job %d" id)
       | Some job -> (
@@ -269,7 +223,7 @@ let result t id =
            hash))
 
 let cancel t id =
-  locked t (fun pending ->
+  locked t (fun () ->
     match Hashtbl.find_opt t.jobs id with
     | None -> Error (Printf.sprintf "no such job %d" id)
     | Some job -> (
@@ -280,11 +234,11 @@ let cancel t id =
              (Job.state_string job))
       | Job.Queued ->
         job.Job.cancel_requested <- true;
-        finish t pending job Job.Cancelled ~cached:false;
+        finish t job Job.Cancelled ~cached:false;
         (* A queued leader may still sit in the queue; workers skip
            non-Queued entries on pop, but its followers must not wait
            on a corpse. *)
-        release_hash t pending job ~success:false;
+        release_hash t job ~success:false;
         Ok "cancelled"
       | Job.Running _ ->
         job.Job.cancel_requested <- true;
@@ -302,8 +256,7 @@ let counters_json t =
     ]
 
 let stats t =
-  locked t (fun _ ->
-    update_gauges t;
+  locked t (fun () ->
     let count st =
       Hashtbl.fold
         (fun _ j acc -> if Job.state_string j = st then acc + 1 else acc)
@@ -323,44 +276,25 @@ let stats t =
 (* --- Waiting ------------------------------------------------------------- *)
 
 let wait t id =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      let rec loop () =
-        match Hashtbl.find_opt t.jobs id with
-        | None -> Error (Printf.sprintf "no such job %d" id)
-        | Some job when Job.terminal job -> Ok (Job.to_json ~now:(now ()) job)
-        | Some _ ->
-          Condition.wait t.change t.mutex;
-          loop ()
-      in
-      loop ())
+  locked t (fun () ->
+    let rec loop () =
+      match Hashtbl.find_opt t.jobs id with
+      | None -> Error (Printf.sprintf "no such job %d" id)
+      | Some job when Job.terminal job -> Ok (Job.to_json ~now:(now ()) job)
+      | Some _ ->
+        Condition.wait t.change t.mutex;
+        loop ()
+    in
+    loop ())
 
 let drain t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      let live () =
-        Hashtbl.fold
-          (fun _ j acc -> acc || not (Job.terminal j))
-          t.jobs false
-      in
-      while live () do
-        Condition.wait t.change t.mutex
-      done)
-
-(* --- Subscriptions ------------------------------------------------------- *)
-
-let subscribe t cb =
-  locked t (fun _ ->
-    let id = t.next_listener in
-    t.next_listener <- id + 1;
-    Hashtbl.replace t.listeners id cb;
-    id)
-
-let unsubscribe t id = locked t (fun _ -> Hashtbl.remove t.listeners id)
+  locked t (fun () ->
+    let live () =
+      Hashtbl.fold (fun _ j acc -> acc || not (Job.terminal j)) t.jobs false
+    in
+    while live () do
+      Condition.wait t.change t.mutex
+    done)
 
 (* --- Workers ------------------------------------------------------------- *)
 
@@ -374,15 +308,14 @@ let rec pop t =
 
 let run_job t w job =
   let resumed_now = Sys.file_exists (Store.checkpoint_path t.store ~id:job.Job.id) in
-  locked t (fun pending ->
+  locked t (fun () ->
     job.Job.state <- Job.Running w;
     job.Job.attempts <- job.Job.attempts + 1;
     if resumed_now && not job.Job.resumed then begin
       job.Job.resumed <- true;
       Obs.Metrics.Counter.incr t.m_resumed
     end;
-    update_gauges t;
-    emit t pending
+    emit t
       (event "started" job
          [ ("worker", Obs.Json.Int w);
            ("attempt", Obs.Json.Int job.Job.attempts);
@@ -404,30 +337,29 @@ let run_job t w job =
   | fx ->
     Store.put t.store fx;
     Store.remove_checkpoint t.store ~id:job.Job.id;
-    locked t (fun pending ->
-      finish t pending job Job.Done ~cached:false;
-      release_hash t pending job ~success:true)
+    locked t (fun () ->
+      finish t job Job.Done ~cached:false;
+      release_hash t job ~success:true)
   | exception Exec.Cancelled ->
     Store.remove_checkpoint t.store ~id:job.Job.id;
-    locked t (fun pending ->
-      finish t pending job Job.Cancelled ~cached:false;
-      release_hash t pending job ~success:false)
+    locked t (fun () ->
+      finish t job Job.Cancelled ~cached:false;
+      release_hash t job ~success:false)
   | exception Killed ->
     (* The checkpoint stays; the next attempt resumes from it. *)
-    locked t (fun pending ->
+    locked t (fun () ->
       job.Job.state <- Job.Queued;
       Obs.Metrics.Counter.incr t.m_requeued;
-      emit t pending (event "requeued" job [ ("reason", Obs.Json.Str "killed") ]);
-      enqueue t job;
-      update_gauges t)
+      emit t (event "requeued" job [ ("reason", Obs.Json.Str "killed") ]);
+      enqueue t job)
   | exception exn ->
     let msg =
       match exn with Failure m -> m | exn -> Printexc.to_string exn
     in
     Store.remove_checkpoint t.store ~id:job.Job.id;
-    locked t (fun pending ->
-      finish t pending job (Job.Failed msg) ~cached:false;
-      release_hash t pending job ~success:false)
+    locked t (fun () ->
+      finish t job (Job.Failed msg) ~cached:false;
+      release_hash t job ~success:false)
 
 let worker t w =
   let rec loop () =
@@ -455,10 +387,10 @@ let worker t w =
          submit-side lookup can miss (e.g. a recovered duplicate). *)
       (match Store.lookup t.store job.Job.hash with
        | Some _ ->
-         locked t (fun pending ->
+         locked t (fun () ->
            if job.Job.state = Job.Queued then begin
-             finish t pending job Job.Done ~cached:true;
-             release_hash t pending job ~success:true
+             finish t job Job.Done ~cached:true;
+             release_hash t job ~success:true
            end)
        | None -> run_job t w job);
       loop ()
@@ -539,11 +471,11 @@ let recover t events =
          (fun _ j acc -> if Job.terminal j then acc else j :: acc)
          t.jobs [])
   in
-  locked t (fun pending ->
+  locked t (fun () ->
     List.iter
       (fun job ->
         job.Job.state <- Job.Queued;
-        emit t pending (event "recovered" job []);
+        emit t (event "recovered" job []);
         match Hashtbl.find_opt t.by_hash job.Job.hash with
         | Some leader ->
           Hashtbl.replace t.followers leader
@@ -552,8 +484,7 @@ let recover t events =
         | None ->
           Hashtbl.replace t.by_hash job.Job.hash job.Job.id;
           enqueue t job)
-      live;
-    update_gauges t)
+      live)
 
 (* --- Lifecycle ----------------------------------------------------------- *)
 
@@ -579,8 +510,6 @@ let create ?(config = default_config) dir =
       next_id = 1;
       stop = `No;
       domains = [];
-      listeners = Hashtbl.create 4;
-      next_listener = 1;
       registry;
       m_submitted = Obs.Metrics.counter registry "serve.submitted";
       m_completed = Obs.Metrics.counter registry "serve.completed";
@@ -589,8 +518,6 @@ let create ?(config = default_config) dir =
       m_cache_hits = Obs.Metrics.counter registry "serve.cache_hits";
       m_resumed = Obs.Metrics.counter registry "serve.resumed";
       m_requeued = Obs.Metrics.counter registry "serve.requeued";
-      g_queued = Obs.Metrics.gauge registry "serve.queued";
-      g_running = Obs.Metrics.gauge registry "serve.running";
       h_latency =
         Obs.Metrics.histogram registry "serve.latency_ms"
           ~buckets:latency_buckets
@@ -602,7 +529,7 @@ let create ?(config = default_config) dir =
   t
 
 let shutdown ?(drain = true) t =
-  locked t (fun pending ->
+  locked t (fun () ->
     if t.stop = `No then begin
       t.stop <- (if drain then `Drain else `Now);
       if not drain then
@@ -611,8 +538,8 @@ let shutdown ?(drain = true) t =
             match job.Job.state with
             | Job.Queued ->
               job.Job.cancel_requested <- true;
-              finish t pending job Job.Cancelled ~cached:false;
-              release_hash t pending job ~success:false
+              finish t job Job.Cancelled ~cached:false;
+              release_hash t job ~success:false
             | Job.Running _ -> job.Job.cancel_requested <- true
             | Job.Done | Job.Failed _ | Job.Cancelled -> ())
           t.jobs;

@@ -49,13 +49,6 @@ val wait : t -> int -> (Obs.Json.t, string) result
 val drain : t -> unit
 (** Block until every submitted job is terminal. *)
 
-val subscribe : t -> (Obs.Json.t -> unit) -> int
-(** Register an event listener (called outside the scheduler lock; a
-    raising listener is dropped).  Returns a token for
-    {!unsubscribe}. *)
-
-val unsubscribe : t -> int -> unit
-
 val shutdown : ?drain:bool -> t -> unit
 (** Stop the pool and join the workers.  With [drain] (default) the
     queue empties first; without it, queued jobs are cancelled and

@@ -1,11 +1,8 @@
 (* The socket front end: a Unix-domain listener accepting
    length-prefixed JSON requests, one systhread per connection.
    Domains do the sweeping; threads only shuffle frames, so a blocked
-   client never costs a core.
-
-   Each connection owns a write mutex: replies from the request loop
-   and events pushed by a subscription (which arrive on scheduler
-   threads) interleave frame-atomically on the same socket. *)
+   client never costs a core.  Only a connection's own thread writes
+   to its socket, one reply per request. *)
 
 type t = {
   sched : Sched.t;
@@ -48,7 +45,7 @@ let fields_of = function
   | Obs.Json.Obj fields -> fields
   | json -> [ ("value", json) ]
 
-let handle_request t ~write ~subscription req =
+let handle_request t ~write req =
   match (req : Proto.request) with
   | Proto.Ping ->
     write (Proto.ok_reply [ ("pong", Obs.Json.Bool true) ]);
@@ -94,17 +91,6 @@ let handle_request t ~write ~subscription req =
   | Proto.Stats ->
     write (Proto.ok_reply (fields_of (Sched.stats t.sched)));
     `Continue
-  | Proto.Subscribe ->
-    (match !subscription with
-     | Some _ -> write (Proto.error_reply "already subscribed")
-     | None ->
-       write (Proto.ok_reply [ ("subscribed", Obs.Json.Bool true) ]);
-       let token =
-         Sched.subscribe t.sched (fun ev ->
-           write (Obs.Json.Obj (("event", Obs.Json.Bool true) :: fields_of ev)))
-       in
-       subscription := Some token);
-    `Continue
   | Proto.Shutdown { drain } ->
     write
       (Proto.ok_reply
@@ -115,14 +101,7 @@ let handle_request t ~write ~subscription req =
     `Close
 
 let handle_connection t fd =
-  let wmutex = Mutex.create () in
-  let write json =
-    Mutex.lock wmutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock wmutex)
-      (fun () -> Proto.write_frame fd json)
-  in
-  let subscription = ref None in
+  let write = Proto.write_frame fd in
   (try
      let rec loop () =
        match Proto.read_frame fd with
@@ -137,15 +116,12 @@ let handle_connection t fd =
            write (Proto.error_reply msg);
            loop ()
          | Ok req -> (
-           match handle_request t ~write ~subscription req with
+           match handle_request t ~write req with
            | `Continue -> loop ()
            | `Close -> ()))
      in
      loop ()
    with Proto.Closed | Unix.Unix_error _ -> ());
-  (match !subscription with
-   | Some token -> Sched.unsubscribe t.sched token
-   | None -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* Accept with a short select timeout so a shutdown requested on a

@@ -19,8 +19,8 @@ expect() {
     status=1
   fi
 }
-expect --cache simulate nbody --cache 3000
-expect --block simulate nbody --block 512
+expect --cache run nbody --cache 3000
+expect --block run nbody --block 512
 expect --cache replay "$file" --cache 3000
 expect --block replay "$file" --block 512
 expect --cache stats "$file" --cache 3000
@@ -28,5 +28,5 @@ expect --block stats "$file" --block 2
 expect --cache profile nbody --cache 3000
 expect --block profile nbody --block 512
 expect --block run nbody --cache 1k --block 2048
-expect --block simulate nbody --cache 64 --block 128
+expect --block run nbody --cache 64 --block 128
 exit $status

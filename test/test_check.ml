@@ -444,11 +444,11 @@ let test_doc_expectations () =
       let e, findings = Check.Doc_check.check_file ~file:path in
       check_clean "expectations document" findings;
       Alcotest.(check (option int)) "mutator" (Some 123)
-        e.Check.Doc_check.mutator_refs;
+        e.Check.Stream_check.mutator_refs;
       Alcotest.(check (option int)) "collector" (Some 45)
-        e.Check.Doc_check.collector_refs;
+        e.Check.Stream_check.collector_refs;
       Alcotest.(check (option int)) "collections" (Some 6)
-        e.Check.Doc_check.collections)
+        e.Check.Stream_check.collections)
 
 (* --- Properties ----------------------------------------------------------- *)
 

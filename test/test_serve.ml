@@ -14,6 +14,9 @@
      2-worker pool;
    - malformed manifests are structured errors, never crashes, and
      execution failures carry the job id and manifest name;
+   - cancelling a queued leader promotes its in-flight follower, and
+     cancelling a running job stops it at its next progress tick and
+     removes its checkpoint;
    - journal recovery re-enqueues what a killed daemon left behind
      (skipping the torn final line) and continues the id sequence;
    - the wire protocol round-trips and rejects oversized or garbage
@@ -371,6 +374,126 @@ let test_failure_names_job () =
        | Error msg -> Alcotest.fail msg);
       Serve.Sched.shutdown sched)
 
+(* --- Scheduler: cancellation ----------------------------------------------- *)
+
+(* A kill hook that never kills: the first progress tick at a cursor
+   of at least [at] parks its worker until [release].  [wait_held]
+   blocks until a job is parked, so the test acts while that job is
+   known to be running and every later one is known to be queued. *)
+type hold = { reached : bool Atomic.t; released : bool Atomic.t }
+
+let hold_at at =
+  let h = { reached = Atomic.make false; released = Atomic.make false } in
+  let hook _job cursor =
+    if cursor >= at && Atomic.compare_and_set h.reached false true then
+      while not (Atomic.get h.released) do
+        Unix.sleepf 0.001
+      done;
+    false
+  in
+  (h, Some hook)
+
+let wait_held h =
+  while not (Atomic.get h.reached) do
+    Unix.sleepf 0.001
+  done
+
+let release h = Atomic.set h.released true
+
+let check_state sched id ~state ~cached =
+  match Serve.Sched.job_json sched id with
+  | Ok json ->
+    Alcotest.(check bool)
+      (Printf.sprintf "job %d %s" id state)
+      true
+      (Obs.Json.member "state" json = Some (Obs.Json.Str state));
+    Alcotest.(check bool)
+      (Printf.sprintf "job %d cached = %b" id cached)
+      true
+      (Obs.Json.member "cached" json = Some (Obs.Json.Bool cached))
+  | Error msg -> Alcotest.fail msg
+
+let check_spool_clean dir =
+  let fs = (Check.Serve_check.scan dir).Check.Serve_check.findings in
+  List.iter (fun f -> Format.printf "%a@." Check.Finding.pp f) fs;
+  Alcotest.(check int) "spool check finds no errors" 0 (findings_errors fs)
+
+(* One worker, parked on a blocker: a leader and its in-flight
+   duplicate wait in the queue.  Cancelling the leader must not take
+   the follower with it: the follower is promoted and sweeps itself. *)
+let test_cancel_queued_leader () =
+  with_spool (fun dir ->
+      let h, kill = hold_at 0 in
+      let sched =
+        Serve.Sched.create ~config:{ (quiet_config 1) with Serve.Sched.kill } dir
+      in
+      Fun.protect
+        ~finally:(fun () -> release h)
+        (fun () ->
+          let blocker =
+            submit_ok sched (small_run ~name:"blocker" ~cache:32768 ())
+          in
+          wait_held h;
+          let r = small_run () in
+          let leader = submit_ok sched r in
+          let follower = submit_ok sched r in
+          (match Serve.Sched.cancel sched leader with
+           | Ok status ->
+             Alcotest.(check string) "a queued job is cancelled at once"
+               "cancelled" status
+           | Error msg -> Alcotest.fail msg);
+          release h;
+          Serve.Sched.drain sched;
+          check_state sched blocker ~state:"done" ~cached:false;
+          check_state sched leader ~state:"cancelled" ~cached:false;
+          check_state sched follower ~state:"done" ~cached:false);
+      Alcotest.(check int) "one cancelled" 1
+        (Serve.Sched.counter_value sched "cancelled");
+      Alcotest.(check int) "blocker and promoted follower completed" 2
+        (Serve.Sched.counter_value sched "completed");
+      Alcotest.(check int) "no cache hits" 0
+        (Serve.Sched.counter_value sched "cache_hits");
+      Serve.Sched.shutdown sched;
+      check_spool_clean dir)
+
+(* Parked after its first checkpoint epoch, a running job is asked to
+   cancel; it stops at its next progress tick and its checkpoint goes
+   with it. *)
+let test_cancel_running () =
+  with_spool (fun dir ->
+      let h, kill = hold_at 1 in
+      let config =
+        { (quiet_config 1) with
+          Serve.Sched.checkpoint_every = Some 50_000;
+          kill
+        }
+      in
+      let sched = Serve.Sched.create ~config dir in
+      Fun.protect
+        ~finally:(fun () -> release h)
+        (fun () ->
+          let id = submit_ok sched (small_run ()) in
+          wait_held h;
+          let ckpt = Serve.Store.checkpoint_path (Serve.Sched.store sched) ~id in
+          Alcotest.(check bool) "epoch checkpoint written" true
+            (Sys.file_exists ckpt);
+          (match Serve.Sched.cancel sched id with
+           | Ok status ->
+             Alcotest.(check string) "a running job is asked to stop"
+               "cancelling" status
+           | Error msg -> Alcotest.fail msg);
+          release h;
+          Serve.Sched.drain sched;
+          check_state sched id ~state:"cancelled" ~cached:false;
+          Alcotest.(check bool) "checkpoint removed" false
+            (Sys.file_exists ckpt));
+      Alcotest.(check int) "one cancelled" 1
+        (Serve.Sched.counter_value sched "cancelled");
+      Alcotest.(check int) "none completed" 0
+        (Serve.Sched.counter_value sched "completed");
+      Serve.Sched.shutdown sched;
+      check_spool_clean dir)
+
 (* --- Journal recovery ----------------------------------------------------- *)
 
 let write_journal dir events_and_garbage =
@@ -450,7 +573,6 @@ let test_proto_roundtrip () =
       Serve.Proto.Result 7;
       Serve.Proto.Cancel 7;
       Serve.Proto.Stats;
-      Serve.Proto.Subscribe;
       Serve.Proto.Shutdown { drain = false };
       Serve.Proto.Ping
     ]
@@ -624,6 +746,12 @@ let () =
             test_malformed_submission_is_error;
           Alcotest.test_case "failures carry job id and name" `Quick
             test_failure_names_job
+        ] );
+      ( "cancel",
+        [ Alcotest.test_case "queued leader promotes its follower" `Quick
+            test_cancel_queued_leader;
+          Alcotest.test_case "running job stops at its next tick" `Quick
+            test_cancel_running
         ] );
       ( "recovery",
         [ Alcotest.test_case "journal recovery resumes the spool" `Quick
