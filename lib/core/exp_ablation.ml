@@ -18,6 +18,7 @@ let table_collector_families ppf =
     let label = "sweep.a1" in
     let r, recording = (Runner.record_grid [ Runner.cell ~gc ~label w ]).(0) in
     Runner.sweep_recording ~label sw recording;
+    Memsim.Recording.release recording;
     (r, sw)
   in
   let baseline, base_sw = measure Vscheme.Machine.No_gc in
@@ -140,6 +141,7 @@ let table_placement ppf =
 let replay_workload w hiers =
   let r, recording = (Runner.record_grid [ Runner.cell w ]).(0) in
   Memsim.Sweep.hier_run_parallel ~jobs:(Runner.jobs ()) hiers recording;
+  Memsim.Recording.release recording;
   r
 
 let table_associativity ppf =

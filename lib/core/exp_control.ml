@@ -32,6 +32,7 @@ let run_pass () =
     Runner.sweep_recording ~label:(label "wv") sw_wv recording;
     let sw_fow = grid Memsim.Cache.Fetch_on_write in
     Runner.sweep_recording ~label:(label "fow") sw_fow recording;
+    Memsim.Recording.release recording;
     ( r.Runner.stats.Vscheme.Machine.mutator_insns,
       Memsim.Sweep.results sw_wv,
       Memsim.Sweep.results sw_fow )

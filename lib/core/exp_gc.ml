@@ -22,6 +22,7 @@ let measure ?gc ?scale w =
   let recorded = Runner.record_grid [ Runner.cell ?gc ?scale ~label w ] in
   let r, recording = recorded.(0) in
   Runner.sweep_recording ~label sweep recording;
+  Memsim.Recording.release recording;
   { insns = r.Runner.stats.Vscheme.Machine.mutator_insns;
     collector_insns = r.Runner.stats.Vscheme.Machine.collector_insns;
     collections = r.Runner.stats.Vscheme.Machine.collections;

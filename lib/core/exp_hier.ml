@@ -69,6 +69,7 @@ let measure ?gc w =
   Memsim.Sweep.hier_run_parallel ~jobs:(Runner.jobs ())
     (Array.of_list (List.map snd hiers))
     recording;
+  Memsim.Recording.release recording;
   (* Per-level miss counts land in the metrics registry so a --metrics
      export of an experiment run carries the whole grid. *)
   List.iter

@@ -107,7 +107,7 @@ let run ?(gc = Vscheme.Machine.No_gc) ?heap_bytes ?(pathological_layout = false)
     | Some (_, counts) -> counts ()
     | None ->
       let mem = Vscheme.Machine.mem machine in
-      Vscheme.Mem.sync_recording mem;
+      Vscheme.Mem.finish_recording mem;
       Vscheme.Mem.recorded_counts mem
   in
   { workload = w;

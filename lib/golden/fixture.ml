@@ -24,17 +24,6 @@ type t = {
 
 (* --- Measuring ---------------------------------------------------------- *)
 
-let saved_bytes recording format =
-  let path = Filename.temp_file "repro-golden" ".trace" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Memsim.Recording.save ~format recording path;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> in_channel_length ic))
-
 let measure ?ctx ?checkpoint ?checkpoint_every ?progress (run : Manifest.run) =
   let w =
     match Workloads.Workload.find run.Manifest.workload with
@@ -86,13 +75,24 @@ let measure ?ctx ?checkpoint ?checkpoint_every ?progress (run : Manifest.run) =
               ~cache_sizes:run.Manifest.cache_sizes
               ~block_sizes:run.Manifest.block_sizes ()))
   in
-  (match checkpoint with
-   | Some ck ->
-     (* Statistics are bit-identical to the serial replay no matter how
-        often the measurement died and resumed from [ck]. *)
-     Memsim.Sweep.hier_run_resumable ?ctx ?checkpoint_every ?progress
-       ~jobs:run.Manifest.jobs ~checkpoint:ck hiers recording
-   | None -> Memsim.Sweep.hier_run_parallel ~jobs:run.Manifest.jobs hiers recording);
+  let trace_events = Memsim.Recording.length recording in
+  let trace_bytes =
+    Memsim.Recording.saved_bytes ~format:run.Manifest.trace_format recording
+  in
+  (* The replay is the recording's last reader: its slabs go back to
+     the pool however the replay ends (a serve job is cancelled or
+     killed by raising out of [progress]). *)
+  Fun.protect
+    ~finally:(fun () -> Memsim.Recording.release recording)
+    (fun () ->
+      match checkpoint with
+      | Some ck ->
+        (* Statistics are bit-identical to the serial replay no matter
+           how often the measurement died and resumed from [ck]. *)
+        Memsim.Sweep.hier_run_resumable ?ctx ?checkpoint_every ?progress
+          ~jobs:run.Manifest.jobs ~checkpoint:ck hiers recording
+      | None ->
+        Memsim.Sweep.hier_run_parallel ~jobs:run.Manifest.jobs hiers recording);
   let caches =
     List.concat_map
       (fun h ->
@@ -113,8 +113,8 @@ let measure ?ctx ?checkpoint ?checkpoint_every ?progress (run : Manifest.run) =
     collector_instructions = stats.Vscheme.Machine.collector_insns;
     collections = stats.Vscheme.Machine.collections;
     bytes_allocated = stats.Vscheme.Machine.bytes_allocated;
-    trace_events = Memsim.Recording.length recording;
-    trace_bytes = saved_bytes recording run.Manifest.trace_format;
+    trace_events;
+    trace_bytes;
     caches
   }
 

@@ -48,8 +48,10 @@ val measure :
   Manifest.run ->
   t
 (** Run the workload, sweep the manifest grid over its recording
-    (with [run.jobs] worker domains), and measure the saved trace's
-    byte size.  With [checkpoint], the sweep goes through
+    (with [run.jobs] worker domains), and size the trace as
+    {!Memsim.Recording.saved_bytes} in [run.trace_format].  The
+    recording is released to the slab pool when the measurement
+    returns or raises.  With [checkpoint], the sweep goes through
     {!Memsim.Sweep.hier_run_resumable} (grid cells are one-level
     hierarchies): the replay snapshots every [checkpoint_every] events and, when the
     checkpoint file already exists, resumes from it bit-identically —

@@ -15,7 +15,15 @@
    the current slab and cursor ({!checkout}), appends with unsafe
    Bigarray stores, and goes out of line only to seal a full slab
    ({!seal_full}).  Vscheme.Mem's trace fast path is the direct writer;
-   the two produce bit-identical recordings. *)
+   the two produce bit-identical recordings.
+
+   Trace memory has an owner.  A recording's slabs come from a
+   process-wide pool of default-size slabs when it has one, and
+   {!release} hands them back the moment the recording's last replay
+   is done, instead of leaving them to Bigarray finalizers whose
+   timing the major GC decides.  A long-lived process that records
+   job after job (the serve daemon) then reuses already-faulted-in
+   memory and stays at the size of its largest recording. *)
 
 module BA1 = Bigarray.Array1
 
@@ -26,7 +34,29 @@ type t = {
   mutable cur : Chunk.buf;
   mutable cur_len : int;
   mutable direct : bool;           (* a direct writer owns [cur] *)
+  mutable owned : bool;
+      (* the slabs are this recording's own memory, not a mapped file *)
 }
+
+(* --- Slab pool ------------------------------------------------------------ *)
+
+(* Free default-size slabs, shared by every domain: the sharded
+   producer (Runner.record_grid) creates and seals recordings on
+   worker domains.  An immutable list behind one Atomic is a lock-free
+   stack with no ABA hazard, since every push allocates a fresh cons
+   cell.  Only [Chunk.default_chunk_events] slabs are pooled; other
+   capacities (tests, small benches) keep allocating. *)
+let pool : Chunk.buf list Atomic.t = Atomic.make []
+
+let rec take_slab n =
+  match Atomic.get pool with
+  | slab :: rest as seen when n = Chunk.default_chunk_events ->
+    if Atomic.compare_and_set pool seen rest then slab else take_slab n
+  | _ -> Chunk.create_buf_uninit n
+
+let rec give_slab slab =
+  let seen = Atomic.get pool in
+  if not (Atomic.compare_and_set pool seen (slab :: seen)) then give_slab slab
 
 let magic = 0x5243545243414345L (* "RCTRCACE" v1, arbitrary tag *)
 let magic_v2 = 0x3256545243414345L (* same tag family, "…V2" high byte pair *)
@@ -42,11 +72,13 @@ let create ?(initial_capacity = Chunk.default_chunk_events) () =
   { chunk_events;
     slabs = Array.make 8 Chunk.empty;
     nslabs = 0;
-    (* The recording tracks the written prefix of every slab, so the
-       zero-fill pass is skipped. *)
-    cur = Chunk.create_buf_uninit chunk_events;
+    (* The recording tracks the written prefix of every slab, so
+       neither a pooled slab's stale contents nor a fresh slab's
+       missing zero fill is ever read. *)
+    cur = take_slab chunk_events;
     cur_len = 0;
-    direct = false
+    direct = false;
+    owned = true
   }
 
 let chunk_events t = t.chunk_events
@@ -59,17 +91,19 @@ let seal_current t =
   end;
   t.slabs.(t.nslabs) <- t.cur;
   t.nslabs <- t.nslabs + 1;
-  t.cur <- Chunk.create_buf_uninit t.chunk_events;
+  t.cur <- take_slab t.chunk_events;
   t.cur_len <- 0
 
 let append t word =
   if t.direct then
     invalid_arg "Recording.append: recording is checked out by a direct writer";
-  (* A memory-mapped recording has a zero-capacity current slab: the
-     bound check turns an append into a clean error instead of a store
-     past the mapping. *)
+  (* A memory-mapped or released recording has a zero-capacity current
+     slab: the bound check turns an append into a clean error instead
+     of a store past the mapping. *)
   if t.cur_len >= BA1.dim t.cur then
-    invalid_arg "Recording.append: recording is read-only (memory-mapped)";
+    invalid_arg
+      (if t.nslabs = 0 then "Recording.append: recording was released"
+       else "Recording.append: recording is read-only (memory-mapped)");
   BA1.unsafe_set t.cur t.cur_len word;
   t.cur_len <- t.cur_len + 1;
   if t.cur_len = t.chunk_events then seal_current t
@@ -87,9 +121,27 @@ let clear t =
   t.cur_len <- 0;
   t.direct <- false
 
+let release t =
+  if t.owned && t.chunk_events = Chunk.default_chunk_events then begin
+    for i = 0 to t.nslabs - 1 do
+      give_slab t.slabs.(i)
+    done;
+    give_slab t.cur
+  end;
+  Array.fill t.slabs 0 t.nslabs Chunk.empty;
+  t.nslabs <- 0;
+  t.cur <- Chunk.empty;
+  t.cur_len <- 0;
+  t.direct <- false;
+  t.owned <- false
+
 (* --- Direct writer ------------------------------------------------------ *)
 
 let checkout t =
+  (* The direct writer stores without bound checks, so a recording
+     with no writable slab (mapped or released) must refuse it here. *)
+  if BA1.dim t.cur = 0 then
+    invalid_arg "Recording.checkout: recording is read-only";
   t.direct <- true;
   (t.cur, t.cur_len)
 
@@ -167,8 +219,10 @@ let output_words oc t =
 
 (* --- v1 on-disk format: 8 fixed little-endian bytes per event ----------- *)
 
+let v1_header_bytes = 16
+
 let save_v1 t oc =
-  let hdr = Bytes.create 16 in
+  let hdr = Bytes.create v1_header_bytes in
   Bytes.set_int64_le hdr 0 magic;
   Bytes.set_int64_le hdr 8 (Int64.of_int (length t));
   output_bytes oc hdr;
@@ -212,13 +266,13 @@ let load_v1 ic ~file_bytes =
   (* Validate the declared count against what the file actually
      holds before trusting it: a truncated or padded file fails
      cleanly instead of producing a garbage tail. *)
-  let payload = file_bytes - 16 in
+  let payload = file_bytes - v1_header_bytes in
   if payload mod 8 <> 0 || payload / 8 <> len then
     fail_at ~version:"v1" ~byte:8
       "header declares %d events but the %s payload holds %d%s" len
       (Size.to_string payload) (payload / 8)
       (if payload mod 8 = 0 then "" else " and a partial word");
-  load_words ic ~version:"v1" ~payload_base:16 ~len
+  load_words ic ~version:"v1" ~payload_base:v1_header_bytes ~len
 
 (* --- v2 on-disk format: delta + varint --------------------------------- *)
 
@@ -233,16 +287,18 @@ let load_v1 ic ~file_bytes =
 
 let io_buf_bytes = 1 lsl 16
 
-let save_v2 t oc =
+(* The one v2 encoder, writing through [out buf off len]: a channel
+   when saving, a byte counter when only the size is wanted. *)
+let encode_v2 t out =
   let hdr = Bytes.create 17 in
   Bytes.set_int64_le hdr 0 magic_v2;
   Bytes.set hdr 8 '\002';
   Bytes.set_int64_le hdr 9 (Int64.of_int (length t));
-  output_bytes oc hdr;
+  out hdr 0 17;
   let buf = Bytes.create io_buf_bytes in
   let pos = ref 0 in
   let flush () =
-    output oc buf 0 !pos;
+    out buf 0 !pos;
     pos := 0
   in
   let put b =
@@ -273,6 +329,8 @@ let save_v2 t oc =
         end
       done);
   flush ()
+
+let save_v2 t oc = encode_v2 t (output oc)
 
 let max_addr = max_int lsr 3
 
@@ -389,7 +447,10 @@ let of_mapped payload count =
       nslabs = 1;
       cur = Chunk.empty;
       cur_len = 0;
-      direct = false
+      direct = false;
+      (* A mapping of exactly [Chunk.default_chunk_events] events has a
+         pooled slab's shape; only this flag keeps it out of the pool. *)
+      owned = false
     }
 
 let map_v3 path count =
@@ -450,6 +511,15 @@ let save ?(format = V2) t path =
       | V1 -> save_v1 t oc
       | V2 -> save_v2 t oc
       | V3 -> save_v3 t oc)
+
+let saved_bytes ?(format = V2) t =
+  match format with
+  | V1 -> v1_header_bytes + (8 * length t)
+  | V3 -> v3_header_bytes + (8 * length t)
+  | V2 ->
+    let n = ref 0 in
+    encode_v2 t (fun _ _ len -> n := !n + len);
+    !n
 
 let load path =
   let ic = open_in_bin path in

@@ -29,7 +29,15 @@
     Format v3 trades that compression for zero-cost loading: the
     payload is the slab representation verbatim, and {!load} maps it
     with [Unix.map_file] so the sweep consumes the file pages in
-    place.  {!load} reads all three formats transparently. *)
+    place.  {!load} reads all three formats transparently.
+
+    Slab memory has an owner.  Default-size slabs
+    ({!Chunk.default_chunk_events}) are drawn from a process-wide
+    free pool before any fresh allocation, and {!release} returns a
+    finished recording's slabs to it; the pool is safe to use from
+    several domains at once.  Whoever replays a recording for the last
+    time releases it; a recording nobody releases is reclaimed by the
+    GC's Bigarray finalizers. *)
 
 type t
 
@@ -57,9 +65,18 @@ val chunk_events : t -> int
     except the last. *)
 
 val clear : t -> unit
-(** Drop every recorded event (slab storage for sealed chunks is
-    released; the current slab is kept) and release any direct-writer
+(** Drop every recorded event (sealed slabs are left to the GC, not
+    pooled; the current slab is kept) and release any direct-writer
     checkout.  The recording is reusable afterwards. *)
+
+val release : t -> unit
+(** Hand every slab [t] owns back to the pool and leave [t] empty:
+    {!length} is 0 and a later append or {!checkout} raises
+    [Invalid_argument], as on a mapped recording.  Call it once no
+    reader will touch [t] or any buffer {!iter_chunks} gave out from
+    it again — the slabs are rewritten by the next recording.  A
+    recording {!load} memory-mapped owns no slab and pools nothing;
+    releasing twice is harmless. *)
 
 (** {1 Direct writer}
 
@@ -73,7 +90,8 @@ val clear : t -> unit
 
 val checkout : t -> Chunk.buf * int
 (** [checkout t] is the current slab and the cursor to continue at
-    (always < {!chunk_events}).  Marks the recording checked out. *)
+    (always < {!chunk_events}).  Marks the recording checked out.
+    @raise Invalid_argument on a mapped or released recording. *)
 
 val seal_full : t -> Chunk.buf
 (** Seal the current slab — the caller asserts it wrote all
@@ -118,6 +136,11 @@ val save : ?format:format -> t -> string -> unit
     {!V3} writes a 24-byte header (magic; version 3; stride 8; event
     count) followed by the packed words verbatim, 8 LE bytes each —
     the layout {!load} can memory-map. *)
+
+val saved_bytes : ?format:format -> t -> int
+(** The size in bytes of the file {!save} would write, without writing
+    it.  v1 and v3 are a fixed header plus 8 bytes per event; v2 runs
+    the {!save} encoder into a byte counter. *)
 
 val load : string -> t
 (** Read a recording written by {!save}, any format (distinguished by

@@ -110,8 +110,17 @@ let parallel_for ~jobs n f =
       end
     in
     let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join domains
+    (* Join every worker before re-raising: a caller that releases the
+       recording on the way out must not race a domain still reading
+       its slabs. *)
+    let first = ref (match worker () with () -> None | exception e -> Some e) in
+    Array.iter
+      (fun d ->
+        match Domain.join d with
+        | () -> ()
+        | exception e -> if Option.is_none !first then first := Some e)
+      domains;
+    Option.iter raise !first
   end
 
 (* --- The replay driver ------------------------------------------------ *)

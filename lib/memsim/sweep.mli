@@ -73,9 +73,9 @@ val parallel_for : jobs:int -> int -> (int -> unit) -> unit
     once, on up to [jobs] domains (the caller's included; clamped to
     [1 .. n]) that claim indices off one atomic cursor.  [f i] must
     touch only state that belongs to index [i]; results then do not
-    depend on [jobs].  An exception from [f] reaches the caller: at
-    once when raised on the caller's domain, at the join when raised
-    on a worker. *)
+    depend on [jobs].  An exception from [f] reaches the caller only
+    after every domain has joined, so no worker is still running when
+    the caller handles it; if several raise, one is re-raised. *)
 
 val run_serial : t -> Recording.t -> unit
 (** [hier_run_serial (hiers t)]: replay every recorded event into

@@ -106,6 +106,19 @@ let sync_recording t =
     Memsim.Recording.set_tail r t.cursor;
     flush_phase_counts t
 
+(* Once the recording's owner may release it, this memory must stop
+   aliasing its current slab: later traced accesses (a printer, a test
+   poking the returned machine) would otherwise store into a slab
+   that already belongs to another recording. *)
+let finish_recording t =
+  sync_recording t;
+  t.recording <- None;
+  t.direct <- false;
+  t.slab <- Memsim.Chunk.empty;
+  t.sealed_events <- recorded_position t;
+  t.cursor <- 0;
+  t.cap <- 0
+
 let recorded_counts t = (t.mut_events, t.col_events)
 
 (* Out of line on purpose: the per-event path stays small enough to

@@ -45,6 +45,13 @@ val sync_recording : t -> unit
     counts) into the recording so that [length]/[iter_chunks]/[save]
     see every appended event.  No-op when not direct recording. *)
 
+val finish_recording : t -> unit
+(** {!sync_recording}, then leave direct recording for good: the memory
+    drops its reference to the recording and its current slab, and
+    later accesses are untraced.  {!recorded_position} and
+    {!recorded_counts} keep their final values.  Call it before the
+    recording can be released. *)
+
 val recorded_position : t -> int
 (** Number of events appended by the fast path so far — the index the
     {e next} traced access will occupy in the recording.  Exact without

@@ -71,25 +71,35 @@ let test_format_roundtrip () =
      unchanged (the v3 leg exercises the mmap loader).  The file sizes
      are exact: v1 is a 16-byte header plus 8 bytes per event, and the
      v2 size pins the varint+delta codec's compression (2.245 B/event,
-     3.563x smaller than v1) byte for byte. *)
+     3.563x smaller than v1) byte for byte.  [Recording.saved_bytes]
+     must predict each file's size without writing it. *)
   let _, recording = Core.Runner.record ~scale:1 Workloads.Workload.nbody in
   Alcotest.(check int) "events" 2_115_056 (Memsim.Recording.length recording);
   let path = Filename.temp_file "repro" ".trace" in
   let size () = (Unix.stat path).Unix.st_size in
+  let predicted format rc =
+    Alcotest.(check int)
+      (Golden.Manifest.format_string format ^ " saved_bytes = file size")
+      (size ())
+      (Memsim.Recording.saved_bytes ~format rc)
+  in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Memsim.Recording.save ~format:Memsim.Recording.V1 recording path;
       Alcotest.(check int) "v1 bytes" 16_920_464 (size ());
+      predicted Memsim.Recording.V1 recording;
       let as_v1 = Memsim.Recording.load path in
       Memsim.Recording.save ~format:Memsim.Recording.V2 as_v1 path;
       Alcotest.(check int) "v2 bytes" 4_748_446 (size ());
+      predicted Memsim.Recording.V2 as_v1;
       let as_v2 = Memsim.Recording.load path in
       Alcotest.(check bool)
         "v1 -> v2 round trip" true
         (Memsim.Recording.equal recording as_v2);
       Memsim.Recording.save ~format:Memsim.Recording.V3 as_v2 path;
       Alcotest.(check int) "v3 bytes" 16_920_472 (size ());
+      predicted Memsim.Recording.V3 as_v2;
       let as_v3 = Memsim.Recording.load path in
       Alcotest.(check bool)
         "v2 -> v3 round trip" true

@@ -73,6 +73,43 @@ let test_fixture_roundtrip () =
       let back = Golden.Fixture.load path in
       Alcotest.(check bool) "fixture survives its file" true (back = fx))
 
+(* Measuring releases each recording to the slab pool, so a second
+   measurement in the same process records into slabs the first ones
+   wrote (the pool already holds a trace's worth once both runs have
+   been measured).  Stale slab contents must be invisible: every
+   measurement, first or pooled, compares clean against the committed
+   fixture. *)
+let test_pooled_remeasure () =
+  (* dune runs the test from _build/default/test; by hand it may run
+     from the repository root. *)
+  let committed_dir = List.find Sys.file_exists [ "../golden"; "golden" ] in
+  let runs =
+    List.map
+      (fun name ->
+        match Golden.Manifest.(find default name) with
+        | Some r -> r
+        | None -> assert false)
+      [ "nbody"; "prover" ]
+  in
+  List.iter
+    (fun round ->
+      List.iter
+        (fun (r : Golden.Manifest.run) ->
+          let name = r.Golden.Manifest.name in
+          let expected =
+            Golden.Fixture.load (Golden.Suite.fixture_path ~dir:committed_dir name)
+          in
+          let fs =
+            Golden.Fixture.compare ~file:name ~expected
+              ~actual:(Golden.Fixture.measure r) ()
+          in
+          List.iter (fun f -> Format.printf "%a@." Check.Finding.pp f) fs;
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %s measurement: no findings" name round)
+            0 (List.length fs))
+        runs)
+    [ "first"; "pooled" ]
+
 (* --- Comparator ---------------------------------------------------------- *)
 
 let rules fs = List.map (fun f -> f.Check.Finding.rule) fs
@@ -338,7 +375,9 @@ let () =
           Alcotest.test_case "grid mismatch located" `Quick
             test_compare_grid_mismatch;
           Alcotest.test_case "manifest drift located" `Quick
-            test_compare_run_drift
+            test_compare_run_drift;
+          Alcotest.test_case "pooled re-measure = committed" `Quick
+            test_pooled_remeasure
         ] );
       ( "checkpoint",
         [ Alcotest.test_case "kill-and-resume = uninterrupted" `Quick

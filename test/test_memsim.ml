@@ -1057,6 +1057,98 @@ let test_recording_v3_read_only () =
         "mapped recording intact" true
         (Memsim.Recording.equal rec_ mapped))
 
+(* --- Slab pool -------------------------------------------------------------- *)
+
+(* A released recording's slabs are rewritten by the next recording.
+   Poison them with a word no recording can hold (kind code 3): a
+   re-recording that read or kept any stale word would differ from the
+   reference, on the direct-writer path and on the closure-sink path.
+   The released recording's machine stays in use meanwhile: it must no
+   longer write into what was its current slab. *)
+let test_pool_poisoned_slabs () =
+  let record ~direct =
+    Core.Runner.record ~direct ~scale:1 Workloads.Workload.nbody
+  in
+  let _, reference = record ~direct:true in
+  let victim_run, victim = record ~direct:true in
+  let slabs = ref [] in
+  Memsim.Recording.iter_chunks victim (fun buf _ -> slabs := buf :: !slabs);
+  let poison () =
+    List.iter (fun buf -> Bigarray.Array1.fill buf ((1 lsl 3) lor 6)) !slabs
+  in
+  Memsim.Recording.release victim;
+  poison ();
+  List.iter
+    (fun direct ->
+      let path = if direct then "direct" else "sink" in
+      let _, again = record ~direct in
+      ignore
+        (Vscheme.Machine.eval_string victim_run.Core.Runner.machine
+           "(define (poke n) (if (= n 0) 0 (+ 1 (poke (- n 1))))) (poke 100)");
+      (* The pool is a stack, so the poisoned slabs are drawn first and
+         the same-length re-recording needs no other. *)
+      Memsim.Recording.iter_chunks again (fun buf _ ->
+          if not (List.memq buf !slabs) then
+            Alcotest.fail (path ^ ": re-recording drew a slab from outside the pool"));
+      Alcotest.(check bool)
+        (path ^ ": re-recording over poisoned slabs = reference")
+        true
+        (Memsim.Recording.equal reference again);
+      Memsim.Recording.release again;
+      poison ())
+    [ true; false ]
+
+(* A v3 mapping of exactly one default slab's worth of events has a
+   pooled slab's shape, but it is the file's pages: releasing it must
+   not pool it, or the next recording would write into the file. *)
+let test_pool_skips_mapped_view () =
+  let n = Memsim.Chunk.default_chunk_events in
+  let rec_ = Memsim.Recording.create () in
+  let sink = Memsim.Recording.sink rec_ in
+  for i = 0 to n - 1 do
+    sink.Memsim.Trace.access (i * 8) Memsim.Trace.Read mutator
+  done;
+  let path = Filename.temp_file "repro" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Memsim.Recording.save ~format:Memsim.Recording.V3 rec_ path;
+      let mapped = Memsim.Recording.load path in
+      let payload = ref Memsim.Chunk.empty in
+      Memsim.Recording.iter_chunks mapped (fun buf len ->
+          Alcotest.(check int) "one slab-sized chunk" n len;
+          payload := buf);
+      Memsim.Recording.release mapped;
+      let later = Memsim.Recording.create () in
+      let sink = Memsim.Recording.sink later in
+      for i = 0 to (3 * n) - 1 do
+        sink.Memsim.Trace.access (i * 4) Memsim.Trace.Write collector
+      done;
+      Memsim.Recording.iter_chunks later (fun buf _ ->
+          Alcotest.(check bool) "mapped payload never pooled" false
+            (buf == !payload));
+      Alcotest.(check bool)
+        "file untouched" true
+        (Memsim.Recording.equal rec_ (Memsim.Recording.load path)))
+
+let test_released_recording_is_empty () =
+  let rec_ = Memsim.Recording.create () in
+  let sink = Memsim.Recording.sink rec_ in
+  for i = 0 to 99 do
+    sink.Memsim.Trace.access (i * 8) Memsim.Trace.Read mutator
+  done;
+  Memsim.Recording.release rec_;
+  Alcotest.(check int) "length" 0 (Memsim.Recording.length rec_);
+  (match sink.Memsim.Trace.access 0 Memsim.Trace.Read mutator with
+   | exception Invalid_argument _ -> ()
+   | () -> Alcotest.fail "append to a released recording must fail");
+  (match Memsim.Recording.checkout rec_ with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "checkout of a released recording must fail");
+  Memsim.Recording.release rec_;
+  Alcotest.(check int) "second release is harmless" 0
+    (Memsim.Recording.length rec_)
+
 (* Error messages name the detected format and the failing byte, so a
    corrupt trace can be diagnosed with `dd'. *)
 let test_recording_error_messages () =
@@ -1471,7 +1563,13 @@ let () =
           Alcotest.test_case "v3 mapped recording is read-only" `Quick
             test_recording_v3_read_only;
           Alcotest.test_case "load errors name format and byte" `Quick
-            test_recording_error_messages
+            test_recording_error_messages;
+          Alcotest.test_case "pooled slabs poisoned, re-record equal" `Quick
+            test_pool_poisoned_slabs;
+          Alcotest.test_case "mapped v3 view never pooled" `Quick
+            test_pool_skips_mapped_view;
+          Alcotest.test_case "released recording is empty" `Quick
+            test_released_recording_is_empty
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest invariants_prop;

@@ -17,6 +17,8 @@
    - cancelling a queued leader promotes its in-flight follower, and
      cancelling a running job stops it at its next progress tick and
      removes its checkpoint;
+   - fresh jobs recycle the trace memory earlier jobs released, so the
+     resident set stays flat;
    - journal recovery re-enqueues what a killed daemon left behind
      (skipping the torn final line) and continues the id sequence;
    - the wire protocol round-trips and rejects oversized or garbage
@@ -253,6 +255,72 @@ let test_pool_dedup_exact () =
         (Serve.Sched.counter_value sched "completed");
       Alcotest.(check int) "cache hits = N - d" (total - distinct)
         (Serve.Sched.counter_value sched "cache_hits");
+      Serve.Sched.shutdown sched)
+
+(* --- Scheduler: trace memory ------------------------------------------------ *)
+
+let vm_rss_bytes () =
+  let ic = open_in "/proc/self/status" in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec scan () =
+        let line = input_line ic in
+        match Scanf.sscanf_opt line "VmRSS: %d kB" (fun kb -> kb * 1024) with
+        | Some b -> b
+        | None -> scan ()
+      in
+      scan ())
+
+(* Every fresh job records its whole trace (8 bytes per event) and
+   hands the slabs back to the pool when its replay ends, so the next
+   job records into memory the daemon already holds.  The jobs differ
+   only in heap size, so none is a cache hit.  From the second job on,
+   the resident set must not grow by as much as one job's recording;
+   when each recording waited for the GC's finalizers instead, it grew
+   by about that much per job. *)
+let test_rss_flat_over_fresh_jobs () =
+  if not (Sys.file_exists "/proc/self/status") then Alcotest.skip ();
+  with_spool (fun dir ->
+      let sched = Serve.Sched.create ~config:(quiet_config 1) dir in
+      let nbody =
+        match Golden.Manifest.(find default "nbody") with
+        | Some r -> r
+        | None -> assert false
+      in
+      let jobs = 6 in
+      let events = ref 0 in
+      let rss = Array.make (jobs + 1) 0 in
+      for i = 1 to jobs do
+        let r =
+          { nbody with
+            Golden.Manifest.name = Printf.sprintf "rss-%d" i;
+            heap_bytes = Some ((8 + i) * 1024 * 1024);
+            cache_sizes = [ 65536 ];
+            block_sizes = [ 32 ];
+            jobs = 1
+          }
+        in
+        ignore (submit_ok sched r);
+        Serve.Sched.drain sched;
+        (match
+           Serve.Store.lookup (Serve.Sched.store sched)
+             (Golden.Manifest.content_hash r)
+         with
+         | Some fx -> events := max !events fx.Golden.Fixture.trace_events
+         | None -> Alcotest.fail ("no stored result for " ^ r.Golden.Manifest.name));
+        rss.(i) <- vm_rss_bytes ()
+      done;
+      Alcotest.(check int) "every job ran fresh" 0
+        (Serve.Sched.counter_value sched "cache_hits");
+      let growth = rss.(jobs) - rss.(2) in
+      let recording = 8 * !events in
+      Printf.printf "VmRSS after job 2: %d B; after job %d: %d B; one recording: %d B\n"
+        rss.(2) jobs rss.(jobs) recording;
+      Alcotest.(check bool)
+        (Printf.sprintf "RSS growth %d B over jobs 3..%d < one recording (%d B)"
+           growth jobs recording)
+        true (growth < recording);
       Serve.Sched.shutdown sched)
 
 (* --- Scheduler: kill and resume ------------------------------------------ *)
@@ -752,6 +820,10 @@ let () =
             test_cancel_queued_leader;
           Alcotest.test_case "running job stops at its next tick" `Quick
             test_cancel_running
+        ] );
+      ( "memory",
+        [ Alcotest.test_case "RSS flat over fresh jobs" `Quick
+            test_rss_flat_over_fresh_jobs
         ] );
       ( "recovery",
         [ Alcotest.test_case "journal recovery resumes the spool" `Quick
