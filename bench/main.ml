@@ -418,16 +418,19 @@ let measure_recording_formats () =
   let v3_bytes, v3_save_s, v3_load_s = measure Memsim.Recording.V3 "v3" in
   let ratio = float_of_int v1_bytes /. float_of_int (max 1 v2_bytes) in
   let per_event b = float_of_int b /. float_of_int (max 1 events) in
+  let ns_per_event s = s *. 1e9 /. float_of_int (max 1 events) in
   Format.fprintf ppf
     "@.==== recording-save-load (%s, %d events) ====@." w.Workloads.Workload.name
     events;
   Format.fprintf ppf
     "v1 %d bytes (%.2f b/event, save %.3fs, load %.3fs)   v2 %d bytes \
      (%.2f b/event, save %.3fs, load %.3fs)   v3 %d bytes (%.2f b/event, \
-     save %.3fs, mmap load %.3fs)   v1/v2 = %.2fx@."
+     save %.3fs, mmap load %.3fs)   v1/v2 = %.2fx@.v2 codec: save %.1f \
+     ns/event, load %.1f ns/event@."
     v1_bytes (per_event v1_bytes) v1_save_s v1_load_s v2_bytes
     (per_event v2_bytes) v2_save_s v2_load_s v3_bytes (per_event v3_bytes)
-    v3_save_s v3_load_s ratio;
+    v3_save_s v3_load_s ratio (ns_per_event v2_save_s)
+    (ns_per_event v2_load_s);
   ( "recording-save-load",
     Obs.Json.Obj
       [ ("workload", Obs.Json.Str w.Workloads.Workload.name);
@@ -442,6 +445,8 @@ let measure_recording_formats () =
         ("v1_load_s", Obs.Json.Float v1_load_s);
         ("v2_save_s", Obs.Json.Float v2_save_s);
         ("v2_load_s", Obs.Json.Float v2_load_s);
+        ("v2_save_ns_per_event", Obs.Json.Float (ns_per_event v2_save_s));
+        ("v2_load_ns_per_event", Obs.Json.Float (ns_per_event v2_load_s));
         ("v3_save_s", Obs.Json.Float v3_save_s);
         ("v3_mmap_load_s", Obs.Json.Float v3_load_s);
         ("compression_v1_over_v2", Obs.Json.Float ratio)
@@ -586,6 +591,7 @@ let soft_bounds =
   [ ("benchmarks.perf cache-access-chunk-1k.ns_per_run", At_most 2e5);
     ("benchmarks.perf trace-append-bigarray-1k.ns_per_run", At_most 2e5);
     ("benchmarks.perf vscheme-fib-15.ns_per_run", At_most 1e8);
+    ("recording-save-load.v2_load_ns_per_event", At_most 30.0);
     ("serve.jobs_per_s", At_least 2.0);
     ("serve.p99_latency_ms", At_most 60000.0)
   ]

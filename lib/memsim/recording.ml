@@ -15,7 +15,9 @@
    the current slab and cursor ({!checkout}), appends with unsafe
    Bigarray stores, and goes out of line only to seal a full slab
    ({!seal_full}).  Vscheme.Mem's trace fast path is the direct writer;
-   the two produce bit-identical recordings.
+   the two produce bit-identical recordings.  The heap decoders of
+   {!load} fill slabs the same way, storing into the current slab and
+   sealing it when full.
 
    Trace memory has an owner.  A recording's slabs come from a
    process-wide pool of default-size slabs when it has one, and
@@ -233,28 +235,31 @@ let save_v1 t oc =
    each word round-trips through the native int (a file written on a
    platform with wider ints, or a corrupt word using bit 63, would
    otherwise be silently truncated) and that no event carries the
-   invalid kind code 3. *)
+   invalid kind code 3.  Each batch is one slab's worth of words,
+   stored straight into the current slab, which is sealed when full. *)
 let load_words ic ~version ~payload_base ~len =
   let t = create ~initial_capacity:Chunk.default_chunk_events () in
   let buf = Bytes.create (8 * t.chunk_events) in
-  let remaining = ref len in
-  while !remaining > 0 do
-    let n = min !remaining t.chunk_events in
+  let decoded = ref 0 in
+  while !decoded < len do
+    let n = min (len - !decoded) t.chunk_events in
     really_input ic buf 0 (8 * n);
+    let slab = t.cur in
     for i = 0 to n - 1 do
       let w64 = Bytes.get_int64_le buf (8 * i) in
       let w = Int64.to_int w64 in
       if not (Int64.equal (Int64.of_int w) w64) then
-        fail_at ~version ~byte:(payload_base + (8 * length t))
+        fail_at ~version ~byte:(payload_base + (8 * (!decoded + i)))
           "event %d does not fit a native int (written on a wider platform, \
            or corrupt)"
-          (length t);
+          (!decoded + i);
       if w land 6 = 6 then
-        fail_at ~version ~byte:(payload_base + (8 * length t))
-          "event %d has corrupt kind bits" (length t);
-      append t w
+        fail_at ~version ~byte:(payload_base + (8 * (!decoded + i)))
+          "event %d has corrupt kind bits" (!decoded + i);
+      BA1.unsafe_set slab i w
     done;
-    remaining := !remaining - n
+    decoded := !decoded + n;
+    if n = t.chunk_events then seal_current t else t.cur_len <- n
   done;
   t
 
@@ -287,8 +292,14 @@ let load_v1 ic ~file_bytes =
 
 let io_buf_bytes = 1 lsl 16
 
+(* The longest event a legal file holds: the first byte carries 4 of
+   the zigzag delta's 63 bits, and 9 LEB128 bytes carry the other 59. *)
+let max_event_bytes = 10
+
 (* The one v2 encoder, writing through [out buf off len]: a channel
-   when saving, a byte counter when only the size is wanted. *)
+   when saving, a byte counter when only the size is wanted.  Bytes go
+   into a local window through a local cursor, flushed whenever an
+   event might not fit. *)
 let encode_v2 t out =
   let hdr = Bytes.create 17 in
   Bytes.set_int64_le hdr 0 magic_v2;
@@ -297,43 +308,126 @@ let encode_v2 t out =
   out hdr 0 17;
   let buf = Bytes.create io_buf_bytes in
   let pos = ref 0 in
-  let flush () =
-    out buf 0 !pos;
-    pos := 0
-  in
-  let put b =
-    if !pos = io_buf_bytes then flush ();
-    Bytes.unsafe_set buf !pos (Char.unsafe_chr b);
-    incr pos
-  in
   let prev = ref 0 in
-  iter_chunks t (fun slab len ->
-      for i = 0 to len - 1 do
-        let w = BA1.unsafe_get slab i in
-        let addr = w lsr 3 in
-        let tag = w land 7 in
-        let delta = addr - !prev in
-        prev := addr;
-        let zz = (delta lsl 1) lxor (delta asr 62) in
-        let b0 = ((zz land 0xf) lsl 3) lor tag in
-        let rest = zz lsr 4 in
-        if rest = 0 then put b0
-        else begin
-          put (b0 lor 0x80);
-          let r = ref rest in
-          while !r >= 0x80 do
-            put ((!r land 0x7f) lor 0x80);
-            r := !r lsr 7
-          done;
-          put !r
-        end
-      done);
-  flush ()
+  for s = 0 to t.nslabs do
+    let slab = if s < t.nslabs then t.slabs.(s) else t.cur in
+    let len = if s < t.nslabs then t.chunk_events else t.cur_len in
+    for i = 0 to len - 1 do
+      if !pos > io_buf_bytes - max_event_bytes then begin
+        out buf 0 !pos;
+        pos := 0
+      end;
+      let w = BA1.unsafe_get slab i in
+      let addr = w lsr 3 in
+      let delta = addr - !prev in
+      prev := addr;
+      let zz = (delta lsl 1) lxor (delta asr 62) in
+      let b0 = ((zz land 0xf) lsl 3) lor (w land 7) in
+      let rest = zz lsr 4 in
+      if rest = 0 then begin
+        Bytes.unsafe_set buf !pos (Char.unsafe_chr b0);
+        incr pos
+      end
+      else begin
+        Bytes.unsafe_set buf !pos (Char.unsafe_chr (b0 lor 0x80));
+        let r = ref rest in
+        let p = ref (!pos + 1) in
+        while !r >= 0x80 do
+          Bytes.unsafe_set buf !p (Char.unsafe_chr ((!r land 0x7f) lor 0x80));
+          r := !r lsr 7;
+          incr p
+        done;
+        Bytes.unsafe_set buf !p (Char.unsafe_chr !r);
+        pos := !p + 1
+      end
+    done
+  done;
+  out buf 0 !pos
 
 let save_v2 t oc = encode_v2 t (output oc)
 
 let max_addr = max_int lsr 3
 
+(* Read from [ic] into [buf] after its first [keep] bytes until the
+   window ([io_buf_bytes]) is full or the channel is at end of file;
+   return the fill. *)
+let rec fill_window ic buf keep =
+  if keep = io_buf_bytes then keep
+  else
+    match input ic buf keep (io_buf_bytes - keep) with
+    | 0 -> keep
+    | n -> fill_window ic buf (keep + n)
+
+(* Where the v2 decoder stands between runs of {!decode_v2_run}. *)
+type v2_cursor = {
+  mutable pos : int;   (* window index of the next event's first byte *)
+  mutable prev : int;  (* the previous event's address *)
+}
+
+type v2_stop =
+  | Boundary     (* at [limit], or the slab holds [last] events *)
+  | Bad_kind
+  | Bad_varint
+  | Bad_address
+  | Cut_short    (* the file ends inside the event *)
+
+(* Decode events into the current slab of [t] while they start
+   before window index [limit] and it holds fewer than [last].  No
+   byte read is
+   bounds-checked: the caller keeps every event that starts before
+   [limit] inside [buf.[0 .. avail]], and [buf.[avail]] is 0, which
+   ends any varint, so an event that reads it is cut short.  The loop
+   makes no call, so the compiler need not spill its state around one.
+   On an error the cursor rests on the bad event. *)
+let decode_v2_run c buf t ~avail ~limit ~last =
+  let slab = t.cur in
+  let p = ref c.pos and prev = ref c.prev and n = ref t.cur_len in
+  let stop = ref Boundary in
+  while !stop == Boundary && !p < limit && !n < last do
+    let b0 = Char.code (Bytes.unsafe_get buf !p) in
+    let tag = b0 land 7 in
+    let zz = ref ((b0 lsr 3) land 0xf) in
+    let q = ref (!p + 1) in
+    if tag land 6 = 6 then stop := Bad_kind
+    else if b0 land 0x80 <> 0 then begin
+      let shift = ref 4 and more = ref true in
+      while !more do
+        let b = Char.code (Bytes.unsafe_get buf !q) in
+        incr q;
+        if !shift > 62 then begin
+          stop := Bad_varint;
+          more := false
+        end
+        else begin
+          zz := !zz lor ((b land 0x7f) lsl !shift);
+          shift := !shift + 7;
+          more := b land 0x80 <> 0
+        end
+      done
+    end;
+    if !q > avail then stop := Cut_short
+    else if !stop == Boundary then begin
+      let addr = !prev + ((!zz lsr 1) lxor (- (!zz land 1))) in
+      if addr < 0 || addr > max_addr then stop := Bad_address
+      else begin
+        BA1.unsafe_set slab !n ((addr lsl 3) lor tag);
+        prev := addr;
+        p := !q;
+        incr n
+      end
+    end
+  done;
+  c.pos <- !p;
+  c.prev <- !prev;
+  t.cur_len <- !n;
+  !stop
+
+(* The decoder reads a 64 KB window [buf] whose byte [pos] is file
+   offset [base + pos].  At every event boundary it refills unless
+   [max_event_bytes + 1] bytes are buffered or the file is exhausted,
+   so an event can run past the buffered bytes only at the end of the
+   file, where that is a truncation.  Events are stored straight into
+   the current slab, which is sealed when full. *)
 let load_v2 ic ~file_bytes =
   if file_bytes < 17 then
     fail_at ~version:"v2" ~byte:file_bytes
@@ -347,59 +441,44 @@ let load_v2 ic ~file_bytes =
   let len = Int64.to_int (Bytes.get_int64_le hdr 1) in
   if len < 0 then fail_at ~version:"v2" ~byte:9 "corrupt event count";
   let t = create ~initial_capacity:Chunk.default_chunk_events () in
-  let buf = Bytes.create io_buf_bytes in
-  let avail = ref 0 in
-  let pos = ref 0 in
-  (* File offset of the next byte the decoder will consume: what the
-     channel has read, minus what is still buffered. *)
-  let consumed () = pos_in ic - !avail + !pos in
-  let byte () =
-    if !pos = !avail then begin
-      let n = input ic buf 0 io_buf_bytes in
-      if n = 0 then
-        fail_at ~version:"v2" ~byte:file_bytes
-          "truncated file (%d of %d events)" (length t) len;
-      avail := n;
-      pos := 0
+  let buf = Bytes.create (io_buf_bytes + 1) in
+  let c = { pos = 0; prev = 0 } in
+  let base = ref 17 and avail = ref 0 and eof = ref false in
+  while length t < len do
+    if !avail - c.pos <= max_event_bytes && not !eof then begin
+      let keep = !avail - c.pos in
+      Bytes.blit buf c.pos buf 0 keep;
+      base := !base + c.pos;
+      c.pos <- 0;
+      avail := fill_window ic buf keep;
+      Bytes.set buf !avail '\000';
+      eof := !avail < io_buf_bytes
     end;
-    let b = Char.code (Bytes.unsafe_get buf !pos) in
-    incr pos;
-    b
-  in
-  let prev = ref 0 in
-  for _ = 1 to len do
-    let ev_off = consumed () in
-    let b0 = byte () in
-    let tag = b0 land 7 in
-    if tag land 6 = 6 then
-      fail_at ~version:"v2" ~byte:ev_off "event %d has corrupt kind bits"
-        (length t);
-    let zz = ref ((b0 lsr 3) land 0xf) in
-    if b0 land 0x80 <> 0 then begin
-      let shift = ref 4 in
-      let continue = ref true in
-      while !continue do
-        let b = byte () in
-        if !shift > 62 then
-          fail_at ~version:"v2" ~byte:ev_off "event %d varint overflows"
-            (length t);
-        zz := !zz lor ((b land 0x7f) lsl !shift);
-        shift := !shift + 7;
-        continue := b land 0x80 <> 0
-      done
-    end;
-    let delta = (!zz lsr 1) lxor (- (!zz land 1)) in
-    let addr = !prev + delta in
-    if addr < 0 || addr > max_addr then
-      fail_at ~version:"v2" ~byte:ev_off "event %d has corrupt address"
-        (length t);
-    prev := addr;
-    append t ((addr lsl 3) lor tag)
+    let stop =
+      (* Only at end of file can the window run dry. *)
+      if c.pos = !avail then Cut_short
+      else
+        decode_v2_run c buf t ~avail:!avail
+          ~limit:(if !eof then !avail else !avail - max_event_bytes)
+          ~last:(min t.chunk_events (t.cur_len + len - length t))
+    in
+    let byte = !base + c.pos and event = length t in
+    (match stop with
+     | Boundary -> ()
+     | Bad_kind ->
+       fail_at ~version:"v2" ~byte "event %d has corrupt kind bits" event
+     | Bad_varint -> fail_at ~version:"v2" ~byte "event %d varint overflows" event
+     | Bad_address ->
+       fail_at ~version:"v2" ~byte "event %d has corrupt address" event
+     | Cut_short ->
+       fail_at ~version:"v2" ~byte:file_bytes "truncated file (%d of %d events)"
+         event len);
+    if t.cur_len = t.chunk_events then seal_current t
   done;
-  if !avail - !pos > 0 || pos_in ic < file_bytes then
-    fail_at ~version:"v2" ~byte:(consumed ())
-      "%d trailing bytes after the declared %d events"
-      ((!avail - !pos) + (file_bytes - pos_in ic))
+  let consumed = !base + c.pos in
+  if consumed < file_bytes then
+    fail_at ~version:"v2" ~byte:consumed
+      "%d trailing bytes after the declared %d events" (file_bytes - consumed)
       len;
   t
 

@@ -10,7 +10,10 @@
      references, count cross-check failures;
    - telemetry documents: span discipline over the event timeline;
    - properties: arbitrary event streams survive save/scan in both
-     formats, and `Runner.record' output always passes the checker. *)
+     formats, and `Runner.record' output always passes the checker;
+     the v2 encoder writes what a spec encoder writes, and the v2
+     loader accepts, rejects and locates exactly as the scanner does
+     on hostile files. *)
 
 let tmp_file =
   let n = ref 0 in
@@ -527,6 +530,267 @@ let prop_record_passes_checker =
         in
         Check.Finding.errors findings = [])
 
+(* --- v2 codec: a spec encoder and the scanner as the loader's oracle ------ *)
+
+(* Format v2 as DESIGN §4e lays it out, written independently of
+   [Recording.save]: a 17-byte header (magic, version byte 2, LE event
+   count), then per event the zigzag-coded delta from the previous
+   event's byte address.  The first byte holds bit 7 continuation,
+   bits [6:3] the delta's low 4 bits and bits [2:0] the tag (kind,
+   phase); the remaining delta bits follow as LEB128.  [pad] adds that
+   many redundant zero groups (a legal, non-canonical varint), up to
+   the 10-byte maximum. *)
+let spec_v2_event b ~prev ?(pad = 0) (addr, tag) =
+  let delta = addr - prev in
+  let zz = if delta >= 0 then 2 * delta else (-2 * delta) - 1 in
+  let rec groups r = if r = 0 then 0 else 1 + groups (r lsr 7) in
+  let n = min 9 (groups (zz lsr 4) + pad) in
+  let more last = if last then 0 else 0x80 in
+  Buffer.add_char b
+    (Char.chr (((zz land 15) lsl 3) lor tag lor more (n = 0)));
+  for j = 0 to n - 1 do
+    Buffer.add_char b
+      (Char.chr (((zz lsr (4 + (7 * j))) land 0x7f) lor more (j = n - 1)))
+  done
+
+let spec_v2_header b count =
+  Buffer.add_string b "ECACRTV2";
+  Buffer.add_char b '\002';
+  Buffer.add_int64_le b (Int64.of_int count)
+
+(* A walk over byte addresses [0, top] whose deltas take every varint
+   width: mostly short steps, random steps of random width, and jumps
+   to both ends of the range.  Tags are valid (kind 0-2, either
+   phase); [pad] is 0 unless [padded]. *)
+let gen_walk ~top ~padded ~bytes st =
+  let b = Buffer.create bytes in
+  let prev = ref 0 in
+  let events = ref [] in
+  while Buffer.length b < bytes do
+    let clamp a = max 0 (min top a) in
+    let addr =
+      match Random.State.int st 10 with
+      | 0 -> 0
+      | 1 -> top
+      | 2 | 3 | 4 | 5 ->
+        let width = Random.State.int st 61 in
+        let step = Random.State.full_int st (1 lsl width) in
+        clamp (if Random.State.bool st then !prev + step else !prev - step)
+      | _ -> clamp (!prev + Random.State.int st 17 - 8)
+    in
+    let tag = (Random.State.int st 3 lsl 1) lor Random.State.int st 2 in
+    let pad =
+      if padded && Random.State.int st 4 = 0 then Random.State.int st 10 else 0
+    in
+    spec_v2_event b ~prev:!prev ~pad (addr, tag);
+    events := (addr, tag, pad) :: !events;
+    prev := addr
+  done;
+  Array.of_list (List.rev !events)
+
+let print_events events = Printf.sprintf "%d events" (Array.length events)
+
+let recording_of_tagged events =
+  recording_of_events
+    (List.map
+       (fun (addr, tag, _) ->
+         ( addr,
+           Memsim.Chunk.kind_of_code (tag lsr 1),
+           if tag land 1 = 0 then Memsim.Trace.Mutator
+           else Memsim.Trace.Collector ))
+       (Array.to_list events))
+
+(* The round trip cannot tell an encoder from a decoder that are wrong
+   the same way; the spec encoder can.  Traces span several of the
+   encoder's 64 KB flushes and reach addresses 0, [max_int lsr 3] and
+   2^60 - 1 (so deltas of +-(2^60 - 1): 10-byte events). *)
+let prop_v2_encoder_spec =
+  QCheck.Test.make ~name:"save ~format:V2 = spec encoder" ~count:8
+    (QCheck.make ~print:print_events
+       (fun st ->
+         let events =
+           gen_walk ~top:((1 lsl 60) - 1) ~padded:false ~bytes:(300 * 1024) st
+         in
+         let ends =
+           [| (0, 0, 0); ((1 lsl 60) - 1, 2, 0); (0, 5, 0);
+              (max_int lsr 3, 1, 0) |]
+         in
+         Array.append ends events))
+    (fun events ->
+      let spec = Buffer.create (400 * 1024) in
+      spec_v2_header spec (Array.length events);
+      ignore
+        (Array.fold_left
+           (fun prev (addr, tag, _) ->
+             spec_v2_event spec ~prev (addr, tag);
+             addr)
+           0 events);
+      let r = recording_of_tagged events in
+      let path = save_recording ~format:Memsim.Recording.V2 r in
+      let saved = Bytes.to_string (read_bytes path) in
+      Sys.remove path;
+      String.equal saved (Buffer.contents spec)
+      && Memsim.Recording.saved_bytes r = Buffer.length spec)
+
+(* One structure-aware corruption of a generated v2 file, at event [i]. *)
+type mutation =
+  | Kind3 of int                 (* both kind bits set in the tag *)
+  | Flip_continuation of int * int  (* toggle bit 7 of the event's byte *)
+  | Overflow of int              (* a varint that runs past 63 bits *)
+  | Below_zero of int            (* a delta to a negative address *)
+  | Past_top of int              (* a delta past [max_int lsr 3] *)
+  | Trailing of string           (* bytes after the last event *)
+
+let show_mutation = function
+  | Kind3 i -> Printf.sprintf "kind 3 at event %d" i
+  | Flip_continuation (i, k) ->
+    Printf.sprintf "continuation flip at event %d byte %d" i k
+  | Overflow i -> Printf.sprintf "overflow at event %d" i
+  | Below_zero i -> Printf.sprintf "address below 0 at event %d" i
+  | Past_top i -> Printf.sprintf "address past the top at event %d" i
+  | Trailing s -> Printf.sprintf "%d trailing bytes" (String.length s)
+
+(* The file, and the offset of every event's first byte. *)
+let v2_bytes ?mutation events =
+  let b = Buffer.create (256 * 1024) in
+  spec_v2_header b (Array.length events);
+  let starts = Array.make (Array.length events + 1) 0 in
+  let top = max_int lsr 3 in
+  ignore
+    (Array.fold_left
+       (fun (i, prev) (addr, tag, pad) ->
+         starts.(i) <- Buffer.length b;
+         (match mutation with
+          | Some (Kind3 j) when j = i ->
+            spec_v2_event b ~prev ~pad (addr, tag lor 6)
+          | Some (Overflow j) when j = i ->
+            Buffer.add_string b ("\x80" ^ String.make 10 '\xff' ^ "\x01")
+          | Some (Below_zero j) when j = i ->
+            spec_v2_event b ~prev (-1 - (addr land 0xff), tag)
+          | Some (Past_top j) when j = i ->
+            spec_v2_event b ~prev (top + 1 + (addr land 0xff), tag)
+          | _ -> spec_v2_event b ~prev ~pad (addr, tag));
+         (i + 1, addr))
+       (0, 0) events);
+  starts.(Array.length events) <- Buffer.length b;
+  (match mutation with Some (Trailing s) -> Buffer.add_string b s | _ -> ());
+  let bytes = Buffer.to_bytes b in
+  (match mutation with
+   | Some (Flip_continuation (i, k)) ->
+     let at = starts.(i) + (k mod (starts.(i + 1) - starts.(i))) in
+     Bytes.set bytes at (Char.chr (Char.code (Bytes.get bytes at) lxor 0x80))
+   | _ -> ());
+  (bytes, starts)
+
+(* Where the loader's 64 KB window ends: it starts at the header's end
+   and, at the first event boundary with at most 10 bytes left in it,
+   slides to start at that boundary. *)
+let window_ends starts =
+  let window = 1 lsl 16 in
+  let file_end = starts.(Array.length starts - 1) in
+  let ends = ref [] in
+  let e = ref (17 + window) in
+  Array.iter
+    (fun s ->
+      if !e - s <= 10 && !e < file_end then begin
+        ends := !e :: !ends;
+        e := s + window
+      end)
+    starts;
+  !ends
+
+(* [Recording.load] succeeds iff [Trace_file.scan] reports no error,
+   with the scan's events; otherwise it raises [Failure] at the byte
+   the scan's first error locates (a [Byte] finding, or the "byte N:"
+   an event finding's message starts with). *)
+let load_agrees_with_scan what path =
+  let scan = Check.Trace_file.scan path in
+  match
+    ( Memsim.Recording.load path,
+      Check.Finding.errors scan.Check.Trace_file.findings )
+  with
+  | loaded, [] ->
+    Option.fold ~none:false
+      ~some:(Memsim.Recording.equal loaded)
+      scan.Check.Trace_file.recording
+    || QCheck.Test.fail_reportf "%s: loaded events differ from the scan's" what
+  | _, f :: _ ->
+    QCheck.Test.fail_reportf "%s: loaded, but the scan found %s" what
+      f.Check.Finding.message
+  | exception Failure msg -> (
+    match Check.Finding.errors scan.Check.Trace_file.findings with
+    | [] -> QCheck.Test.fail_reportf "%s: scan clean, load failed: %s" what msg
+    | f :: _ ->
+      let loader = Scanf.sscanf msg "Recording.load (v2, byte %d)" Fun.id in
+      let scanner =
+        match f.Check.Finding.where with
+        | Check.Finding.Byte n -> n
+        | _ -> Scanf.sscanf f.Check.Finding.message "byte %d:" Fun.id
+      in
+      loader = scanner
+      || QCheck.Test.fail_reportf "%s: loader says %S, scan says byte %d (%s)"
+           what msg scanner f.Check.Finding.message)
+
+let gen_hostile_v2 st =
+  let events =
+    gen_walk ~top:(max_int lsr 3) ~padded:true
+      ~bytes:(70_000 + Random.State.int st 130_000) st
+  in
+  let i = Random.State.int st (Array.length events) in
+  let mutation =
+    match Random.State.int st 6 with
+    | 0 -> Kind3 i
+    | 1 -> Flip_continuation (i, Random.State.int st 10)
+    | 2 -> Overflow i
+    | 3 -> Below_zero i
+    | 4 -> Past_top i
+    | _ ->
+      Trailing
+        (String.init
+           (1 + Random.State.int st 12)
+           (fun _ -> Char.chr (Random.State.int st 256)))
+  in
+  (events, mutation)
+
+let prop_v2_load_vs_scan =
+  QCheck.Test.make ~name:"v2 load = scan on hostile files" ~count:20
+    (QCheck.make
+       ~print:(fun (events, m) -> print_events events ^ ", " ^ show_mutation m)
+       gen_hostile_v2)
+    (fun (events, mutation) ->
+      with_tmp ".trace" (fun path ->
+          let agrees what bytes =
+            write_bytes path bytes;
+            load_agrees_with_scan what path
+          in
+          let clean, starts = v2_bytes events in
+          let loads_clean =
+            agrees "clean file" clean
+            && Memsim.Recording.equal (Memsim.Recording.load path)
+                 (recording_of_tagged events)
+          in
+          (* Around every refill: cut the file at each offset within 11
+             bytes, and start an overlong varint (11 bytes read before
+             it is rejected) at each event that starts within 11. *)
+          let agrees_near e =
+            List.for_all
+              (fun cut ->
+                cut >= Bytes.length clean
+                || agrees (Printf.sprintf "cut at byte %d" cut)
+                     (Bytes.sub clean 0 cut))
+              (List.init 23 (fun d -> e - 11 + d))
+            && List.for_all
+                 (fun i ->
+                   abs (starts.(i) - e) > 11
+                   || agrees
+                        (Printf.sprintf "overflow at byte %d" starts.(i))
+                        (fst (v2_bytes ~mutation:(Overflow i) events)))
+                 (List.init (Array.length events) Fun.id)
+          in
+          loads_clean
+          && agrees (show_mutation mutation) (fst (v2_bytes ~mutation events))
+          && List.for_all agrees_near (window_ends starts)))
+
 let () =
   Alcotest.run "check"
     [ ("workloads",
@@ -572,6 +836,8 @@ let () =
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_save_scan_roundtrip;
          QCheck_alcotest.to_alcotest prop_v2_v3_roundtrip;
-         QCheck_alcotest.to_alcotest prop_record_passes_checker
+         QCheck_alcotest.to_alcotest prop_record_passes_checker;
+         QCheck_alcotest.to_alcotest prop_v2_encoder_spec;
+         QCheck_alcotest.to_alcotest prop_v2_load_vs_scan
        ])
     ]

@@ -842,6 +842,18 @@ let expect_failure path what =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail (what ^ " must be rejected")
 
+(* A load failure whose message starts with [prefix]: the format, the
+   byte offset and, where given, the text are part of the contract. *)
+let expect_load_error path what prefix =
+  match Memsim.Recording.load path with
+  | exception Failure msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %S starts with %S" what msg prefix)
+      true
+      (String.length msg >= String.length prefix
+       && String.sub msg 0 (String.length prefix) = prefix)
+  | _ -> Alcotest.fail (what ^ " must be rejected")
+
 let test_recording_v1_legacy_load () =
   let rec_ = Memsim.Recording.create ~initial_capacity:16 () in
   let sink = Memsim.Recording.sink rec_ in
@@ -898,10 +910,12 @@ let test_recording_v1_corrupt_word () =
       (* bit 62 set: the word does not round-trip through the 63-bit
          native int, so it must be rejected, not silently truncated *)
       write_file path (base 0x4000000000000000L);
-      expect_failure path "word wider than a native int";
+      expect_load_error path "word wider than a native int"
+        "Recording.load (v1, byte 16): event 0 does not fit a native int";
       (* kind code 3 does not exist *)
       write_file path (base (Int64.of_int ((64 lsl 3) lor 6)));
-      expect_failure path "corrupt kind bits (v1)")
+      expect_load_error path "corrupt kind bits (v1)"
+        "Recording.load (v1, byte 16): event 0 has corrupt kind bits")
 
 let v2_file ~count payload =
   let n = Bytes.length payload in
@@ -926,32 +940,66 @@ let test_recording_v2_corrupt () =
       let ic = open_in_bin path in
       let full = really_input_string ic (in_channel_length ic) in
       close_in ic;
+      (* 100 one-byte events (delta 4) after the 17-byte header *)
+      Alcotest.(check int) "v2 file size" 117 (String.length full);
       (* cut mid-payload: the header still declares 100 events *)
       write_file path
         (Bytes.of_string (String.sub full 0 (String.length full - 20)));
-      expect_failure path "truncated v2 payload";
+      expect_load_error path "truncated v2 payload"
+        "Recording.load (v2, byte 97): truncated file (80 of 100 events)";
       (* trailing garbage after the declared events *)
       write_file path (Bytes.of_string (full ^ "xxxx"));
-      expect_failure path "v2 trailing bytes";
+      expect_load_error path "v2 trailing bytes"
+        "Recording.load (v2, byte 117): 4 trailing bytes after the declared \
+         100 events";
       (* unknown version byte *)
       let bad_version = Bytes.of_string full in
       Bytes.set bad_version 8 '\003';
       write_file path bad_version;
-      expect_failure path "unsupported v2 version";
+      expect_load_error path "unsupported v2 version"
+        "Recording.load (v2, byte 8): unsupported format version 3";
       (* kind code 3 in an event tag *)
       write_file path (v2_file ~count:1 (Bytes.make 1 '\006'));
-      expect_failure path "corrupt kind bits (v2)";
+      expect_load_error path "corrupt kind bits (v2)"
+        "Recording.load (v2, byte 17): event 0 has corrupt kind bits";
+      (* ... and in the 51st event, located at that event's first byte *)
+      let bad_tag = Bytes.of_string full in
+      Bytes.set bad_tag (17 + 50) (Char.chr (Char.code full.[17 + 50] lor 6));
+      write_file path bad_tag;
+      expect_load_error path "corrupt kind bits mid-file (v2)"
+        "Recording.load (v2, byte 67): event 50 has corrupt kind bits";
       (* a varint running past 63 bits: a valid first byte with the
          continuation bit, then continuation bytes without end *)
       write_file path
         (v2_file ~count:1
            (Bytes.init 12 (fun i ->
                 if i = 0 then '\x80' else if i < 11 then '\xff' else '\x01')));
-      expect_failure path "varint overflow";
+      expect_load_error path "varint overflow"
+        "Recording.load (v2, byte 17): event 0 varint overflows";
+      (* the same varint cut one byte before the overflow is detected:
+         the truncation wins, located at the end of the file *)
+      write_file path
+        (v2_file ~count:1
+           (Bytes.init 10 (fun i -> if i = 0 then '\x80' else '\xff')));
+      expect_load_error path "varint cut short"
+        "Recording.load (v2, byte 27): truncated file (0 of 1 events)";
       (* a delta stepping below address zero *)
       let neg = (1 lsl 3) lor 0 in
       write_file path (v2_file ~count:1 (Bytes.make 1 (Char.chr neg)));
-      expect_failure path "negative address")
+      expect_load_error path "negative address"
+        "Recording.load (v2, byte 17): event 0 has corrupt address";
+      (* and one stepping past the largest address, 2^59 - 1: from 0, a
+         zigzag delta of 2^60 is a 10-byte varint *)
+      let zz = 1 lsl 60 in
+      write_file path
+        (v2_file ~count:1
+           (Bytes.init 10 (fun i ->
+                if i = 0 then Char.chr (((zz land 0xf) lsl 3) lor 0x80)
+                else
+                  let g = (zz lsr (4 + (7 * (i - 1)))) land 0x7f in
+                  Char.chr (if i < 9 then g lor 0x80 else g))));
+      expect_load_error path "address past the top"
+        "Recording.load (v2, byte 17): event 0 has corrupt address")
 
 let v3_magic = 0x3356545243414345L
 
@@ -1156,16 +1204,7 @@ let test_recording_error_messages () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let expect_prefix what prefix =
-        match Memsim.Recording.load path with
-        | exception Failure msg ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: %S starts with %S" what msg prefix)
-            true
-            (String.length msg >= String.length prefix
-             && String.sub msg 0 (String.length prefix) = prefix)
-        | _ -> Alcotest.fail (what ^ " must be rejected")
-      in
+      let expect_prefix = expect_load_error path in
       write_file path (Bytes.make 10 '\xab');
       expect_prefix "short file" "Recording.load (byte 0): truncated file";
       write_file path (Bytes.make 32 '\xab');
