@@ -502,7 +502,7 @@ let stats_of_trace path ((cache_bytes, block_bytes) as geometry) policy metrics
 
 (* --- check: static trace / telemetry-document verification --------------- *)
 
-(* Geometry mirrors what Runner.run builds for these flags, so a trace
+(* Geometry mirrors what Runner.record builds for these flags, so a trace
    from `repro record` verifies with the same defaults it was recorded
    under (48 MB dynamic area scaled by REPRO_SCALE, Machine's static
    and stack reservations). *)

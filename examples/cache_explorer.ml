@@ -19,7 +19,7 @@ let () =
   let sweep =
     Memsim.Sweep.create (Memsim.Sweep.grid ~cache_sizes ~block_sizes ())
   in
-  (* One run feeds every cache in the grid plus the sweep plot. *)
+  (* One recording feeds every cache in the grid plus the sweep plot. *)
   let plot_level =
     Memsim.Level.create
       (Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:64 ~ways:1 ())
@@ -28,11 +28,10 @@ let () =
     Analysis.Miss_plot.create ~level:plot_level ~rows:24 ~refs_per_col:131072
       ()
   in
-  let r =
-    Core.Runner.run
-      ~sinks:[ Memsim.Sweep.sink sweep; Analysis.Miss_plot.sink plot ]
-      w
-  in
+  let r, recording = Core.Runner.record w in
+  Memsim.Sweep.run_serial sweep recording;
+  Memsim.Recording.replay recording (Analysis.Miss_plot.sink plot);
+  Memsim.Recording.release recording;
   let insns = r.Core.Runner.stats.Vscheme.Machine.mutator_insns in
   Printf.printf "workload %s: %d instructions, %d references\n\n"
     w.Workloads.Workload.name insns r.Core.Runner.refs;

@@ -9,13 +9,16 @@
 let block_bytes = 64
 let cache_bytes = 64 * 1024
 
+(* Record one run, replay it into the cache, release the recording. *)
 let measure gc w =
-  let cache =
-    Memsim.Level.create
-      (Memsim.Level.config ~size_bytes:cache_bytes ~block_bytes ~ways:1 ())
+  let sweep =
+    Memsim.Sweep.create
+      [ Memsim.Level.config ~size_bytes:cache_bytes ~block_bytes ~ways:1 () ]
   in
-  let r = Core.Runner.run ~gc ~sinks:[ Memsim.Level.sink cache ] w in
-  (r, Memsim.Level.stats cache)
+  let r, recording = Core.Runner.record ~gc w in
+  Memsim.Sweep.run_serial sweep recording;
+  Memsim.Recording.release recording;
+  (r, snd (List.hd (Memsim.Sweep.results sweep)))
 
 let () =
   let w =

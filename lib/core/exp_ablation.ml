@@ -100,11 +100,9 @@ let table_placement ppf =
            ~block_bytes:block ~ways:1 ())
     in
     let activity = Analysis.Activity.create level in
-    let r =
-      Runner.run ~pathological_layout
-        ~sinks:[ Analysis.Activity.sink activity ]
-        w
-    in
+    let r, recording = Runner.record ~pathological_layout w in
+    Memsim.Recording.replay recording (Analysis.Activity.sink activity);
+    Memsim.Recording.release recording;
     (r, Memsim.Level.stats level, Analysis.Activity.analyze activity)
   in
   let r0, s0, a0 = measure ~pathological_layout:false in

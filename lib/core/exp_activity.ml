@@ -6,23 +6,27 @@ let make_analyzer size_kb =
        (Memsim.Level.config ~size_bytes:(size_kb * 1024) ~block_bytes ~ways:1
           ()))
 
-(* selfcomp feeds both the 64k (F5) and 128k (F8) caches in one run. *)
+(* Record [w]'s default cell, replay the recording into each analyzer,
+   then release it. *)
+let replay_into w analyzers =
+  let _, recording = Runner.record w in
+  List.iter
+    (fun a -> Memsim.Recording.replay recording (Analysis.Activity.sink a))
+    analyzers;
+  Memsim.Recording.release recording
+
+(* One selfcomp recording feeds both the 64k (F5) and 128k (F8)
+   caches. *)
 let selfcomp_pass =
   lazy
     (let c64 = make_analyzer 64 in
      let c128 = make_analyzer 128 in
-     let r =
-       Runner.run
-         ~sinks:[ Analysis.Activity.sink c64; Analysis.Activity.sink c128 ]
-         Workloads.Workload.selfcomp
-     in
-     ignore r;
+     replay_into Workloads.Workload.selfcomp [ c64; c128 ];
      (Analysis.Activity.analyze c64, Analysis.Activity.analyze c128))
 
 let run_one w =
   let a = make_analyzer 64 in
-  let r = Runner.run ~sinks:[ Analysis.Activity.sink a ] w in
-  ignore r;
+  replay_into w [ a ];
   Analysis.Activity.analyze a
 
 let figure_selfcomp_64k ppf =

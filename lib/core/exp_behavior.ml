@@ -16,8 +16,9 @@ let pass =
     (List.map
        (fun w ->
          let bs = Analysis.Block_stats.create (stats_config ()) in
-         let r = Runner.run ~sinks:[ Analysis.Block_stats.sink bs ] w in
-         ignore r;
+         let _, recording = Runner.record w in
+         Memsim.Recording.replay recording (Analysis.Block_stats.sink bs);
+         Memsim.Recording.release recording;
          (w.Workloads.Workload.name, bs))
        Workloads.Workload.all)
 
@@ -32,11 +33,9 @@ let figure_miss_plot ppf =
   let plot =
     Analysis.Miss_plot.create ~level ~rows:32 ~refs_per_col:65536 ()
   in
-  let r =
-    Runner.run ~sinks:[ Analysis.Miss_plot.sink plot ]
-      Workloads.Workload.selfcomp
-  in
-  ignore r;
+  let _, recording = Runner.record Workloads.Workload.selfcomp in
+  Memsim.Recording.replay recording (Analysis.Miss_plot.sink plot);
+  Memsim.Recording.release recording;
   Analysis.Miss_plot.render ppf plot;
   Format.fprintf ppf
     "@.paper shape: broken diagonal lines - the allocation pointer \

@@ -48,8 +48,21 @@ let layout machine ~dynamic_base =
   in
   words * Memsim.Trace.word_bytes
 
-let run ?(gc = Vscheme.Machine.No_gc) ?heap_bytes ?(pathological_layout = false)
-    ?(sinks = []) ?events ?scale ?record ?(direct = true) ?attr w =
+(* [(mutator, collector)] counted from the phase bits of a recording —
+   the closure-sink path's split, independent of [Mem]'s phase-flip
+   counters. *)
+let phase_counts recording =
+  let col = ref 0 in
+  Memsim.Recording.replay recording
+    { Memsim.Trace.access =
+        (fun _ _ phase -> if phase = Memsim.Trace.Collector then incr col)
+    };
+  (Memsim.Recording.length recording - !col, !col)
+
+let record ?(gc = Vscheme.Machine.No_gc) ?heap_bytes
+    ?(pathological_layout = false) ?events ?scale ?(direct = true) ?attr w =
+  if (not direct) && Option.is_some attr then
+    invalid_arg "Runner.record: ~attr needs the direct path";
   let heap_bytes =
     match heap_bytes with
     | Some b -> b
@@ -60,34 +73,21 @@ let run ?(gc = Vscheme.Machine.No_gc) ?heap_bytes ?(pathological_layout = false)
     | Some s -> s
     | None -> base_scale w * scale_factor ()
   in
-  (* Fast path: no extra sinks means nothing needs a per-event closure
-     — the memory appends straight into the recording and the
-     mutator/collector split comes from its phase-flip counters.  Any
-     sink (or ~direct:false) falls back to the generic tee. *)
-  let use_direct = direct && sinks = [] && record <> None in
-  let counter =
-    if use_direct then None else Some (Memsim.Trace.counting_by_phase ())
-  in
-  let sink =
-    match counter with
-    | None -> Memsim.Trace.null
-    | Some (c, _) ->
-      let sinks =
-        match record with
-        | Some r -> Memsim.Recording.sink r :: sinks
-        | None -> sinks
-      in
-      Memsim.Trace.tee (c :: sinks)
-  in
+  let recording = Memsim.Recording.create () in
+  (* The direct path appends packed events straight into the recording
+     slabs; [~direct:false] routes every event through the recording's
+     generic closure sink instead — the direct writer's oracle. *)
   let cfg =
     { Vscheme.Machine.default_config with
       gc;
       heap_bytes;
       pathological_layout;
-      sink;
+      sink =
+        (if direct then Memsim.Trace.null
+         else Memsim.Recording.sink recording);
       telemetry = events;
-      record = (if use_direct then record else None);
-      attr = (if use_direct then attr else None)
+      record = (if direct then Some recording else None);
+      attr
     }
   in
   let mark kind name =
@@ -103,30 +103,27 @@ let run ?(gc = Vscheme.Machine.No_gc) ?heap_bytes ?(pathological_layout = false)
   let value = Workloads.Workload.run machine w ~scale in
   mark Obs.Events.End "phase.run";
   let mut, col =
-    match counter with
-    | Some (_, counts) -> counts ()
-    | None ->
+    if direct then begin
       let mem = Vscheme.Machine.mem machine in
       Vscheme.Mem.finish_recording mem;
       Vscheme.Mem.recorded_counts mem
+    end
+    else phase_counts recording
   in
-  { workload = w;
-    scale;
-    value = Vscheme.Machine.value_to_string machine value;
-    refs = mut;
-    collector_refs = col;
-    stats = Vscheme.Machine.stats machine;
-    machine
-  }
+  ( { workload = w;
+      scale;
+      value = Vscheme.Machine.value_to_string machine value;
+      refs = mut;
+      collector_refs = col;
+      stats = Vscheme.Machine.stats machine;
+      machine
+    },
+    recording )
 
-let record ?gc ?heap_bytes ?pathological_layout ?(sinks = []) ?events ?scale
-    ?(direct = true) ?attr w =
-  let recording = Memsim.Recording.create () in
-  let r =
-    run ?gc ?heap_bytes ?pathological_layout ~sinks ?events ?scale
-      ~record:recording ~direct ?attr w
-  in
-  (r, recording)
+let run ?gc ?events ?scale w =
+  let r, recording = record ?gc ?events ?scale w in
+  Memsim.Recording.release recording;
+  r
 
 (* Trace-once-sweep-many: replay a recording into a sweep grid with
    the configured job count, publishing wall time and throughput to the

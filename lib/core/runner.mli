@@ -1,10 +1,10 @@
 (** Run workloads on instrumented machines.
 
-    One call builds a fresh vscheme machine wired to the given trace
-    sinks, loads the prelude and the workload, runs it, and returns
-    the run's vital statistics.  Loading is part of the measured run,
-    as in the paper (programs were measured "together with the T
-    system itself"). *)
+    One call builds a fresh vscheme machine that records its reference
+    trace, loads the prelude and the workload, runs it, and returns
+    the run's vital statistics with the recording.  Loading is part
+    of the measured run, as in the paper (programs were measured
+    "together with the T system itself"). *)
 
 type result = {
   workload : Workloads.Workload.t;
@@ -39,56 +39,52 @@ val layout : Vscheme.Machine.t -> dynamic_base:bool -> int
     [dynamic_base] true, the start of the dynamic area, else the
     start of the stack area. *)
 
-val run :
-  ?gc:Vscheme.Machine.gc_spec ->
-  ?heap_bytes:int ->
-  ?pathological_layout:bool ->
-  ?sinks:Memsim.Trace.sink list ->
-  ?events:Obs.Events.timeline ->
-  ?scale:int ->
-  ?record:Memsim.Recording.t ->
-  ?direct:bool ->
-  ?attr:Memsim.Attr.table ->
-  Workloads.Workload.t ->
-  result
-(** Run a workload to completion.  [scale] defaults to
-    [base_scale w * scale_factor ()].  [pathological_layout] selects
-    the stack-aliasing static layout of experiment A2.  [events], when
-    given, becomes the machine's telemetry timeline (GC lifecycle
-    events) and additionally receives [phase.load] / [phase.run]
-    markers around workload loading and execution.
-
-    [record], when given, captures the full reference trace into the
-    recording.  With no [sinks] and [direct] true (the default) it
-    uses the fast path — the memory appends packed events straight
-    into recording slabs, no per-event closure, and the
-    mutator/collector reference split comes from phase-flip counters;
-    otherwise the recording is one more sink on the generic tee.
-    Both paths yield bit-identical recordings and counts.
-
-    [attr], when given alongside a direct [record], is kept in step
-    with the run: the heap publishes region-map epochs and the VM
-    stamps allocation sites into it, keyed by recording position
-    (see {!Memsim.Attr}).  It is silently dropped on the closure-sink
-    path, whose positions would not match. *)
-
 val record :
   ?gc:Vscheme.Machine.gc_spec ->
   ?heap_bytes:int ->
   ?pathological_layout:bool ->
-  ?sinks:Memsim.Trace.sink list ->
   ?events:Obs.Events.timeline ->
   ?scale:int ->
   ?direct:bool ->
   ?attr:Memsim.Attr.table ->
   Workloads.Workload.t ->
   result * Memsim.Recording.t
-(** Like {!run} with a fresh [record]: run the workload once and
-    capture its full reference trace, the trace-once-sweep-many
-    workflow.  The recording costs 8 host bytes per reference in
-    memory (much less on disk with {!Memsim.Recording.save}'s default
-    v2 format).  [direct] as in {!run}; [~direct:false] forces the
-    closure-sink path (the differential-test oracle). *)
+(** Run a workload to completion and capture its full reference trace
+    — the one way a workload is run, the trace-once-replay-many
+    workflow: every consumer (cache sweeps, hierarchies, the §7
+    analyzers) replays the recording afterwards.  The recording costs
+    8 host bytes per reference in memory (much less on disk with
+    {!Memsim.Recording.save}'s default v2 format); whoever replays it
+    last calls {!Memsim.Recording.release}.
+
+    [scale] defaults to [base_scale w * scale_factor ()].
+    [pathological_layout] selects the stack-aliasing static layout of
+    experiment A2.  [events], when given, becomes the machine's
+    telemetry timeline (GC lifecycle events) and additionally receives
+    [phase.load] / [phase.run] markers around workload loading and
+    execution.
+
+    With [direct] true (the default) the memory appends packed events
+    straight into the recording slabs, no per-event closure, and the
+    mutator/collector reference split comes from its phase-flip
+    counters.  [~direct:false] is the differential-test oracle: the
+    machine's sink is {!Memsim.Recording.sink} and the split is
+    counted from the phase bits of the recording it wrote.  Both paths
+    yield bit-identical recordings and counts.
+
+    [attr], when given, is kept in step with the run: the heap
+    publishes region-map epochs and the VM stamps allocation sites
+    into it, keyed by recording position (see {!Memsim.Attr}).
+    @raise Invalid_argument when [attr] is given with [~direct:false]. *)
+
+val run :
+  ?gc:Vscheme.Machine.gc_spec ->
+  ?events:Obs.Events.timeline ->
+  ?scale:int ->
+  Workloads.Workload.t ->
+  result
+(** {!record}, then {!Memsim.Recording.release}: for callers that need
+    only the run's statistics, not its trace. *)
 
 val sweep_recording :
   ?label:string -> Memsim.Sweep.t -> Memsim.Recording.t -> unit

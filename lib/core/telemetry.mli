@@ -2,7 +2,7 @@
 
     A [Telemetry.t] couples the process-wide metrics registry (reset
     and enabled on [create]) with a fresh event timeline.  Hand the
-    timeline to {!Runner.run} (or a machine config) so the VM and
+    timeline to {!Runner.record} (or a machine config) so the VM and
     collector publish GC lifecycle events to it; after the run, record
     the machine and cache statistics and export everything as one JSON
     document: [{meta, metrics, events}]. *)

@@ -1,8 +1,8 @@
 (** Flat batches of packed trace events.
 
     Per-event sinks ({!Trace.sink}) cost a closure dispatch per
-    reference per consumer — the dominant host-time cost of fanning one
-    trace out to a 40-configuration sweep.  A chunk is a flat buffer of
+    reference per consumer, which would dominate replaying one trace
+    into a 40-configuration sweep.  A chunk is a flat buffer of
     packed events (the {!Recording} encoding: bits [63:3] byte address,
     [2:1] kind, [0] phase) that batched consumers such as
     {!Level.access_chunk} iterate with a tight decode loop instead.

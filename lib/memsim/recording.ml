@@ -163,11 +163,16 @@ let iter_chunks t f =
   done;
   if t.cur_len > 0 then f t.cur t.cur_len
 
+(* Decoded in place rather than through [Chunk.unpack]: no tuple per
+   event.  [Chunk.kind_of_code] still rejects kind code 3. *)
 let replay t sink =
+  let access = sink.Trace.access in
   iter_chunks t (fun buf len ->
       for i = 0 to len - 1 do
-        let addr, kind, phase = Chunk.unpack (BA1.unsafe_get buf i) in
-        sink.Trace.access addr kind phase
+        let w = BA1.unsafe_get buf i in
+        access (w lsr 3)
+          (Chunk.kind_of_code ((w lsr 1) land 3))
+          (if w land 1 = 0 then Trace.Mutator else Trace.Collector)
       done)
 
 let word t i =

@@ -2,8 +2,11 @@
 
     The vscheme virtual machine (and any other trace source) describes
     each data reference by a byte address, an access {!kind} and the
-    {!phase} of execution that issued it.  Consumers — caches, behavior
-    analyzers, plotters — receive the stream through a {!sink}.
+    {!phase} of execution that issued it.  Every run is recorded
+    ({!Recording}) and consumers read the recording afterwards: caches
+    and sweeps a chunk at a time, the §7 behavior analyzers and test
+    oracles one event at a time through a {!sink}
+    ({!Recording.replay}).
 
     Addresses are byte addresses into the simulated address space; every
     access touches one 4-byte word ({!word_bytes}). *)
@@ -26,18 +29,3 @@ type sink = { access : int -> kind -> phase -> unit }
 
 val null : sink
 (** Sink that discards every event. *)
-
-val tee : sink list -> sink
-(** [tee sinks] forwards every event to each sink in order.  The
-    one- and two-element cases are specialized to avoid per-event list
-    traversal on hot paths. *)
-
-val counting : unit -> sink * (unit -> int)
-(** [counting ()] is a sink plus a function returning how many events
-    it has received; useful in tests. *)
-
-val counting_by_phase : unit -> sink * (unit -> int * int)
-(** [counting_by_phase ()] is a sink plus a function returning
-    [(mutator, collector)] event counts — the mutator/collector
-    reference split every runner needs, without hand-rolling two
-    refs. *)

@@ -1,12 +1,13 @@
 (** A complete vscheme system instance: simulated memory, heap,
-    collector, compiler linkage and virtual machine, wired to a trace
-    sink.
+    collector, compiler linkage and virtual machine, wired to a
+    recording or a trace sink.
 
     This is the analogue of "version 3.1 of the T system running on a
     MIPS R3000 under an instruction-level emulator" (§3): create a
     machine with the collector configuration under study, evaluate
     Scheme programs on it, and every data reference the system makes
-    streams to the sink. *)
+    is appended to the recording ([record]) or streams to the
+    [sink]. *)
 
 type gc_spec =
   | No_gc
@@ -43,10 +44,9 @@ type config = {
   record : Memsim.Recording.t option;
       (** when given, the machine's memory records every traced access
           directly into this recording ({!Mem.record_into} — no
-          per-event closure call) and [sink] is {e not} called; use
-          the sink path instead when hooks or tees must observe the
-          stream.  Call {!Mem.sync_recording} on {!mem} before
-          reading the recording. *)
+          per-event closure call) and [sink] is {e not} called.  Call
+          {!Mem.sync_recording} on {!mem} before reading the
+          recording. *)
   attr : Memsim.Attr.table option;
       (** when given, the heap keeps this attribution side table's
           region map current and the VM stamps allocation sites into

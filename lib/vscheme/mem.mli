@@ -61,9 +61,9 @@ val recorded_position : t -> int
 
 val recorded_counts : t -> int * int
 (** [(mutator, collector)] events appended by the fast path, valid
-    after {!sync_recording} — the same split
-    {!Memsim.Trace.counting_by_phase} gives on the sink path, tracked
-    here at phase flips instead of per event. *)
+    after {!sync_recording}, tracked at phase flips instead of per
+    event.  The sink path's oracle counts the same split from the
+    phase bits of its recording. *)
 
 val read : t -> int -> int
 (** Traced load of one word. *)

@@ -167,6 +167,100 @@ let test_ascii () =
   Alcotest.(check int) "three rows plus trailing" 4 (List.length lines);
   Alcotest.(check string) "first row" "|a" (List.nth lines 0)
 
+(* --- Recorded vs live ---------------------------------------------------- *)
+
+(* The §7 drivers record a run and replay the recording into the
+   analyzers.  On every workload that must give exactly what the
+   analyzers compute when they hang off a live machine's sink. *)
+
+let heap_bytes = 48 * 1024 * 1024
+
+let analyzers () =
+  let dm size_bytes =
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes ~block_bytes:64 ~ways:1 ())
+  in
+  let mcfg = Vscheme.Machine.default_config in
+  ( Analysis.Activity.create (dm (64 * 1024)),
+    Analysis.Miss_plot.create ~level:(dm (64 * 1024)) ~rows:32
+      ~refs_per_col:16384 (),
+    Analysis.Block_stats.create
+      { Analysis.Block_stats.block_bytes = 64;
+        cache_bytes = 64 * 1024;
+        dynamic_base = Vscheme.Machine.dynamic_base_bytes mcfg;
+        stack_base = Vscheme.Machine.stack_base_bytes mcfg;
+        stack_limit = Vscheme.Machine.dynamic_base_bytes mcfg
+      } )
+
+let sinks (activity, plot, bs) =
+  [ Analysis.Activity.sink activity;
+    Analysis.Miss_plot.sink plot;
+    Analysis.Block_stats.sink bs
+  ]
+
+(* Run [w] on a fresh machine whose sink feeds every one of [sinks]. *)
+let run_live ?(pathological_layout = false) w sinks =
+  let machine =
+    Vscheme.Machine.create
+      { Vscheme.Machine.default_config with
+        heap_bytes;
+        pathological_layout;
+        sink =
+          { Memsim.Trace.access =
+              (fun addr kind phase ->
+                List.iter (fun s -> s.Memsim.Trace.access addr kind phase) sinks)
+          }
+      }
+  in
+  Workloads.Workload.load machine w;
+  ignore (Workloads.Workload.run machine w ~scale:1)
+
+let replay_recorded ?pathological_layout w sinks =
+  let _, recording =
+    Core.Runner.record ?pathological_layout ~heap_bytes ~scale:1 w
+  in
+  List.iter (Memsim.Recording.replay recording) sinks;
+  Memsim.Recording.release recording
+
+let rendered plot =
+  Format.asprintf "%a" (fun ppf p -> Analysis.Miss_plot.render ppf p) plot
+
+let test_recorded_matches_live w () =
+  let ((la, lp, lb) as live) = analyzers () in
+  let ((ra, rp, rb) as recorded) = analyzers () in
+  run_live w (sinks live);
+  replay_recorded w (sinks recorded);
+  Alcotest.(check bool) "activity" true
+    (Analysis.Activity.analyze la = Analysis.Activity.analyze ra);
+  Alcotest.(check int) "miss-plot columns" (Analysis.Miss_plot.columns lp)
+    (Analysis.Miss_plot.columns rp);
+  Alcotest.(check string) "miss-plot grid" (rendered lp) (rendered rp);
+  Alcotest.(check int) "block-stats refs"
+    (Analysis.Block_stats.total_refs lb)
+    (Analysis.Block_stats.total_refs rb);
+  Alcotest.(check bool) "block-stats dynamic summary" true
+    (Analysis.Block_stats.dynamic_summary lb
+     = Analysis.Block_stats.dynamic_summary rb);
+  Alcotest.(check bool) "block-stats busy summary" true
+    (Analysis.Block_stats.busy_summary lb = Analysis.Block_stats.busy_summary rb);
+  Alcotest.(check (array int)) "block-stats lifetimes"
+    (Analysis.Block_stats.lifetimes lb)
+    (Analysis.Block_stats.lifetimes rb);
+  Alcotest.(check (array int)) "block-stats refcounts"
+    (Analysis.Block_stats.refcount_histogram lb)
+    (Analysis.Block_stats.refcount_histogram rb)
+
+(* E-A2's stack-aliasing layout is just another recorded cell. *)
+let test_recorded_matches_live_pathological () =
+  let w = Workloads.Workload.selfcomp in
+  let live, _, _ = analyzers () in
+  let recorded, _, _ = analyzers () in
+  run_live ~pathological_layout:true w [ Analysis.Activity.sink live ];
+  replay_recorded ~pathological_layout:true w
+    [ Analysis.Activity.sink recorded ];
+  Alcotest.(check bool) "activity" true
+    (Analysis.Activity.analyze live = Analysis.Activity.analyze recorded)
+
 (* Property: the one-cycle count never exceeds the block count, and the
    CDF is monotone. *)
 let summary_prop =
@@ -217,5 +311,14 @@ let () =
       ("activity", [ Alcotest.test_case "activity analysis" `Quick test_activity ]);
       ("miss-plot", [ Alcotest.test_case "sweep plot" `Quick test_miss_plot ]);
       ("ascii", [ Alcotest.test_case "canvas" `Quick test_ascii ]);
+      ( "recorded",
+        List.map
+          (fun w ->
+            Alcotest.test_case w.Workloads.Workload.name `Quick
+              (test_recorded_matches_live w))
+          Workloads.Workload.all
+        @ [ Alcotest.test_case "selfcomp, stack-aliasing layout" `Quick
+              test_recorded_matches_live_pathological
+          ] );
       ("properties", [ QCheck_alcotest.to_alcotest summary_prop ])
     ]

@@ -6,11 +6,9 @@ let test_runner () =
     Memsim.Level.create
       (Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:64 ~ways:1 ())
   in
-  let r =
-    Core.Runner.run ~scale:1
-      ~sinks:[ Memsim.Level.sink cache ]
-      Workloads.Workload.prover
-  in
+  let r, recording = Core.Runner.record ~scale:1 Workloads.Workload.prover in
+  Memsim.Recording.replay recording (Memsim.Level.sink cache);
+  Memsim.Recording.release recording;
   let s = Memsim.Level.stats cache in
   Alcotest.(check int) "cache saw every mutator ref" r.Core.Runner.refs
     s.Memsim.Cache.refs;

@@ -325,15 +325,6 @@ let test_size_labels () =
   Alcotest.(check string) "non-multiples stay exact" "1536b" (label 1536);
   Alcotest.(check string) "zero" "0b" (label 0)
 
-let test_tee_and_counting () =
-  let s1, n1 = Memsim.Trace.counting () in
-  let s2, n2 = Memsim.Trace.counting () in
-  let s3, n3 = Memsim.Trace.counting () in
-  let tee = Memsim.Trace.tee [ s1; s2; s3 ] in
-  tee.Memsim.Trace.access 0 Memsim.Trace.Read mutator;
-  tee.Memsim.Trace.access 4 Memsim.Trace.Write mutator;
-  Alcotest.(check (list int)) "all counted" [ 2; 2; 2 ] [ n1 (); n2 (); n3 () ]
-
 (* --- Set-associative cache --------------------------------------------- *)
 
 let test_assoc_lru () =
@@ -750,6 +741,34 @@ let test_recording_replay () =
   let replayed = mk () in
   Memsim.Recording.replay rec_ (Memsim.Level.sink replayed);
   Alcotest.(check bool) "replay = live" true (stats live = stats replayed)
+
+(* [Recording.replay] decodes each packed word in place: it must hand
+   the sink exactly what [Recording.event] decodes, for every kind and
+   phase, and still reject kind code 3. *)
+let test_recording_replay_decode () =
+  let rec_ = Memsim.Recording.create ~initial_capacity:16 () in
+  let sink = Memsim.Recording.sink rec_ in
+  let n = 40 in
+  for i = 0 to n - 1 do
+    sink.Memsim.Trace.access
+      ((i * 4) + (1 lsl 40))
+      (List.nth
+         [ Memsim.Trace.Read; Memsim.Trace.Write; Memsim.Trace.Alloc_write ]
+         (i mod 3))
+      (if i land 1 = 0 then mutator else collector)
+  done;
+  let seen = ref [] in
+  Memsim.Recording.replay rec_
+    { Memsim.Trace.access = (fun a k p -> seen := (a, k, p) :: !seen) };
+  Alcotest.(check bool) "replay = event" true
+    (List.rev !seen = List.init n (Memsim.Recording.event rec_));
+  let bad = Memsim.Recording.create ~initial_capacity:16 () in
+  let buf, cur = Memsim.Recording.checkout bad in
+  Bigarray.Array1.set buf cur ((64 lsl 3) lor (3 lsl 1));
+  Memsim.Recording.set_tail bad (cur + 1);
+  match Memsim.Recording.replay bad Memsim.Trace.null with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "kind code 3 must be rejected on replay"
 
 let test_recording_file_roundtrip () =
   let rec_ = Memsim.Recording.create ~initial_capacity:4 () in
@@ -1558,7 +1577,6 @@ let () =
       ( "sweep",
         [ Alcotest.test_case "fan-out" `Quick test_sweep;
           Alcotest.test_case "size labels" `Quick test_size_labels;
-          Alcotest.test_case "tee and counting" `Quick test_tee_and_counting;
           Alcotest.test_case "run_parallel = serial" `Quick
             test_run_parallel_matches_serial
         ] );
@@ -1584,6 +1602,8 @@ let () =
         ] );
       ( "recording",
         [ Alcotest.test_case "record and replay" `Quick test_recording_replay;
+          Alcotest.test_case "replay decodes in place" `Quick
+            test_recording_replay_decode;
           Alcotest.test_case "file roundtrip" `Quick
             test_recording_file_roundtrip;
           Alcotest.test_case "bad file rejected" `Quick test_recording_bad_file;

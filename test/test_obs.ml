@@ -492,12 +492,13 @@ let test_telemetry_document () =
     Memsim.Level.create
       (Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:64 ~ways:1 ())
   in
-  let r =
-    Core.Runner.run ~scale:1
+  let r, recording =
+    Core.Runner.record ~scale:1
       ~gc:(Vscheme.Machine.Cheney { semispace_bytes = 256 * 1024 })
-      ~sinks:[ Memsim.Level.sink cache ]
       ~events:(Core.Telemetry.timeline tel) Workloads.Workload.lred
   in
+  Memsim.Recording.replay recording (Memsim.Level.sink cache);
+  Memsim.Recording.release recording;
   Core.Telemetry.record_run tel r;
   Core.Telemetry.record_cache tel (Memsim.Level.stats cache);
   let j = Core.Telemetry.to_json tel in
