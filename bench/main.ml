@@ -390,11 +390,10 @@ let measure_attribution () =
         ("identical_stats", Obs.Json.Bool identical)
       ] )
 
-(* On-disk formats: save/load one real trace in fixed-width v1,
-   varint+delta v2 and mmap-native v3, verifying all three round trip
-   (the v3 load is the zero-copy mmap path, so its equality check is
-   the mmap-vs-heap differential), and report sizes, wall times, and
-   the v1/v2 compression ratio. *)
+(* On-disk formats: save/load one real trace in varint+delta v2 and
+   mmap-native v3, verifying both round trip (the v3 load is the
+   zero-copy mmap path, so its equality check is the mmap-vs-heap
+   differential), and report sizes and wall times. *)
 let measure_recording_formats () =
   let w = Workloads.Workload.nbody in
   let _, recording = Core.Runner.record ~scale:1 w in
@@ -413,43 +412,34 @@ let measure_recording_formats () =
     Sys.remove path;
     (bytes, save_s, load_s)
   in
-  let v1_bytes, v1_save_s, v1_load_s = measure Memsim.Recording.V1 "v1" in
   let v2_bytes, v2_save_s, v2_load_s = measure Memsim.Recording.V2 "v2" in
   let v3_bytes, v3_save_s, v3_load_s = measure Memsim.Recording.V3 "v3" in
-  let ratio = float_of_int v1_bytes /. float_of_int (max 1 v2_bytes) in
   let per_event b = float_of_int b /. float_of_int (max 1 events) in
   let ns_per_event s = s *. 1e9 /. float_of_int (max 1 events) in
   Format.fprintf ppf
     "@.==== recording-save-load (%s, %d events) ====@." w.Workloads.Workload.name
     events;
   Format.fprintf ppf
-    "v1 %d bytes (%.2f b/event, save %.3fs, load %.3fs)   v2 %d bytes \
-     (%.2f b/event, save %.3fs, load %.3fs)   v3 %d bytes (%.2f b/event, \
-     save %.3fs, mmap load %.3fs)   v1/v2 = %.2fx@.v2 codec: save %.1f \
+    "v2 %d bytes (%.2f b/event, save %.3fs, load %.3fs)   v3 %d bytes \
+     (%.2f b/event, save %.3fs, mmap load %.3fs)@.v2 codec: save %.1f \
      ns/event, load %.1f ns/event@."
-    v1_bytes (per_event v1_bytes) v1_save_s v1_load_s v2_bytes
-    (per_event v2_bytes) v2_save_s v2_load_s v3_bytes (per_event v3_bytes)
-    v3_save_s v3_load_s ratio (ns_per_event v2_save_s)
+    v2_bytes (per_event v2_bytes) v2_save_s v2_load_s v3_bytes
+    (per_event v3_bytes) v3_save_s v3_load_s (ns_per_event v2_save_s)
     (ns_per_event v2_load_s);
   ( "recording-save-load",
     Obs.Json.Obj
       [ ("workload", Obs.Json.Str w.Workloads.Workload.name);
         ("events", Obs.Json.Int events);
-        ("v1_bytes", Obs.Json.Int v1_bytes);
         ("v2_bytes", Obs.Json.Int v2_bytes);
         ("v3_bytes", Obs.Json.Int v3_bytes);
-        ("v1_bytes_per_event", Obs.Json.Float (per_event v1_bytes));
         ("v2_bytes_per_event", Obs.Json.Float (per_event v2_bytes));
         ("v3_bytes_per_event", Obs.Json.Float (per_event v3_bytes));
-        ("v1_save_s", Obs.Json.Float v1_save_s);
-        ("v1_load_s", Obs.Json.Float v1_load_s);
         ("v2_save_s", Obs.Json.Float v2_save_s);
         ("v2_load_s", Obs.Json.Float v2_load_s);
         ("v2_save_ns_per_event", Obs.Json.Float (ns_per_event v2_save_s));
         ("v2_load_ns_per_event", Obs.Json.Float (ns_per_event v2_load_s));
         ("v3_save_s", Obs.Json.Float v3_save_s);
-        ("v3_mmap_load_s", Obs.Json.Float v3_load_s);
-        ("compression_v1_over_v2", Obs.Json.Float ratio)
+        ("v3_mmap_load_s", Obs.Json.Float v3_load_s)
       ] )
 
 (* Fold the two trace-append estimates into one summary entry so

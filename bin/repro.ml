@@ -4,6 +4,26 @@
 
 let ppf = Format.std_formatter
 
+(* Every "FILE or -" output: [-] is stdout; a file is written to
+   FILE.tmp and renamed into place, so no reader sees it half
+   written.  Returns the exit status. *)
+let write_out path content =
+  if path = "-" then begin
+    print_string content;
+    0
+  end
+  else
+    let tmp = path ^ ".tmp" in
+    match
+      Out_channel.with_open_bin tmp (fun oc ->
+          Out_channel.output_string oc content);
+      Sys.rename tmp path
+    with
+    | () -> 0
+    | exception Sys_error msg ->
+      Format.eprintf "repro: %s@." msg;
+      1
+
 (* --- Shared argument conversions ------------------------------------- *)
 
 let size_conv =
@@ -370,18 +390,14 @@ let run_targets targets hier geometry policy gc scale metrics trace_events
 
 (* --- record / replay ----------------------------------------------------- *)
 
-let format_name = function
-  | Memsim.Recording.V1 -> "v1"
-  | Memsim.Recording.V2 -> "v2"
-  | Memsim.Recording.V3 -> "v3"
-
 let record_report format out_path w (r, recording) =
   Memsim.Recording.save ~format recording out_path;
   let bytes = (Unix.stat out_path).Unix.st_size in
   Format.fprintf ppf
     "recorded %d references of %s (scale %d) to %s (%s, %.2f bytes/event)@."
     (Memsim.Recording.length recording)
-    w.Workloads.Workload.name r.Core.Runner.scale out_path (format_name format)
+    w.Workloads.Workload.name r.Core.Runner.scale out_path
+    (Memsim.Recording.format_label format)
     (float_of_int bytes
      /. float_of_int (max 1 (Memsim.Recording.length recording)))
 
@@ -537,13 +553,35 @@ let check_geometry gc heap_bytes static_bytes stack_bytes =
        | Vscheme.Machine.Mark_sweep _ -> None)
   }
 
-let summary_json (s : Check.Stream_check.summary) =
-  Obs.Json.Obj
-    [ ("events", Obs.Json.Int s.Check.Stream_check.events);
-      ("mutator_events", Obs.Json.Int s.Check.Stream_check.mutator_events);
-      ("collector_events", Obs.Json.Int s.Check.Stream_check.collector_events);
-      ("collector_runs", Obs.Json.Int s.Check.Stream_check.collector_runs)
-    ]
+(* A stored fixture's content must re-hash to its file name: the one
+   serve-spool rule that needs the golden library. *)
+let spool_hash_findings dir =
+  let results = Filename.concat dir "results" in
+  let entries =
+    match Sys.readdir results with
+    | entries -> List.sort String.compare (Array.to_list entries)
+    | exception Sys_error _ -> []
+  in
+  List.concat_map
+    (fun name ->
+      if not (Filename.check_suffix name ".sexp") then []
+      else
+        let file = Filename.concat results name in
+        let stem = Filename.chop_suffix name ".sexp" in
+        match Golden.Fixture.load file with
+        | exception Golden.Sx.Parse_error msg ->
+          [ Check.Finding.v ~rule:"serve.result.parse" ~file msg ]
+        | fx ->
+          let hash = Golden.Manifest.content_hash fx.Golden.Fixture.run in
+          if hash = stem then []
+          else
+            [ Check.Finding.v ~rule:"serve.result.hash" ~file
+                (Printf.sprintf
+                   "stored fixture's manifest re-hashes to %s, not the \
+                    file's %s"
+                   hash stem)
+            ])
+    entries
 
 let check_files files gc heap_bytes static_bytes stack_bytes raw json_out =
   if files = [] then begin
@@ -559,53 +597,12 @@ let check_files files gc heap_bytes static_bytes stack_bytes raw json_out =
       if raw then None
       else Some (check_geometry gc heap_bytes static_bytes stack_bytes)
     in
-    (* A directory with a journal.jsonl is a serve spool: the journal
-       and store layout go through Serve_check, and each stored
-       fixture's content is re-hashed against its file name (the one
-       spool rule that needs the golden library). *)
+    (* A directory with a journal.jsonl is a serve spool. *)
     let is_spool f =
       Sys.file_exists f && Sys.is_directory f
       && Sys.file_exists (Filename.concat f "journal.jsonl")
     in
-    let spools = List.filter is_spool files in
-    let files = List.filter (fun f -> not (is_spool f)) files in
-    let spool_hash_findings dir =
-      let results = Filename.concat dir "results" in
-      let entries =
-        match Sys.readdir results with
-        | entries ->
-          let l = Array.to_list entries in
-          List.sort String.compare l
-        | exception Sys_error _ -> []
-      in
-      List.concat_map
-        (fun name ->
-          if not (Filename.check_suffix name ".sexp") then []
-          else
-            let file = Filename.concat results name in
-            let stem = Filename.chop_suffix name ".sexp" in
-            match Golden.Fixture.load file with
-            | exception Golden.Sx.Parse_error msg ->
-              [ Check.Finding.v ~rule:"serve.result.parse" ~file msg ]
-            | fx ->
-              let hash = Golden.Manifest.content_hash fx.Golden.Fixture.run in
-              if hash = stem then []
-              else
-                [ Check.Finding.v ~rule:"serve.result.hash" ~file
-                    (Printf.sprintf
-                       "stored fixture's manifest re-hashes to %s, not the \
-                        file's %s"
-                       hash stem)
-                ])
-        entries
-    in
-    let spool_results =
-      List.map
-        (fun dir ->
-          let r = Check.Serve_check.scan dir in
-          (dir, r, spool_hash_findings dir))
-        spools
-    in
+    let spools, files = List.partition is_spool files in
     let is_doc f = Filename.check_suffix f ".json" in
     let is_attr f = Filename.check_suffix f ".attr" in
     (* Checkpoints have no fixed extension (--checkpoint takes any
@@ -613,16 +610,13 @@ let check_files files gc heap_bytes static_bytes stack_bytes raw json_out =
     let is_ckpt f =
       (not (is_doc f)) && (not (is_attr f))
       &&
-      match open_in_bin f with
+      match
+        In_channel.with_open_bin f (fun ic ->
+            In_channel.really_input_string ic 8)
+      with
+      | Some ("SWPCKPT1" | "SWHCKPT1") -> true
+      | Some _ | None -> false
       | exception Sys_error _ -> false
-      | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            match really_input_string ic 8 with
-            | "SWPCKPT1" | "SWHCKPT1" -> true
-            | _ -> false
-            | exception End_of_file -> false)
     in
     let ckpts = List.filter is_ckpt files in
     let traces =
@@ -630,243 +624,69 @@ let check_files files gc heap_bytes static_bytes stack_bytes raw json_out =
         (fun f -> (not (is_doc f)) && (not (is_attr f)) && not (is_ckpt f))
         files
     in
-    let docs = List.filter is_doc files in
-    let attrs = List.filter is_attr files in
+    let docs =
+      List.map (fun f -> (f, Check.Doc_check.check_file ~file:f))
+        (List.filter is_doc files)
+    in
     (* Expectations from a telemetry document cross-check the trace's
        phase tallies — but only when exactly one trace is given. *)
-    let doc_results =
-      List.map (fun f -> (f, Check.Doc_check.check_file ~file:f)) docs
-    in
     let expect =
-      match (doc_results, traces) with
+      match (docs, traces) with
       | [ (_, (e, _)) ], [ _ ] -> e
       | _ -> Check.Stream_check.no_expect
     in
-    let trace_results =
-      List.map
-        (fun f ->
-          let scan = Check.Trace_file.scan f in
-          let summary, stream_findings =
-            match scan.Check.Trace_file.recording with
-            | Some recording
-              when not (Check.Finding.has_errors scan.Check.Trace_file.findings)
-              ->
-              let s, fs =
-                Check.Stream_check.check ?geometry ~expect ~file:f recording
-              in
-              (Some s, fs)
-            | Some _ | None -> (None, [])
-          in
-          (f, scan, summary, stream_findings))
-        traces
-    in
-    (* An attribution sidecar's positions are bounded by its
-       recording's event count — known when exactly one trace is on
-       the command line. *)
-    let trace_event_count =
-      match trace_results with
-      | [ (_, scan, _, _) ] ->
-        Option.map Memsim.Recording.length scan.Check.Trace_file.recording
+    let traces = List.map (Check.Trace_file.check ~geometry ~expect) traces in
+    (* A sidecar's positions and a checkpoint's header are bounded by
+       the recording's event count — known when exactly one trace is
+       on the command line. *)
+    let events =
+      match traces with
+      | [ (_, n) ] -> n
       | _ -> None
     in
-    let attr_results =
-      List.map
-        (fun f -> (f, Check.Attr_check.scan ?events:trace_event_count f))
-        attrs
+    let reports =
+      List.map fst traces
+      @ List.map
+          (fun (file, (_, findings)) ->
+            { Check.Report.file;
+              ok = Some "telemetry document";
+              fields = [];
+              findings
+            })
+          docs
+      @ List.map
+          (fun f -> Check.Attr_check.report (Check.Attr_check.scan ?events f))
+          (List.filter is_attr files)
+      @ List.map
+          (fun f -> Check.Ckpt_check.report (Check.Ckpt_check.scan ?events f))
+          ckpts
+      @ List.map
+          (fun dir ->
+            let r = Check.Serve_check.scan dir in
+            Check.Serve_check.report
+              { r with
+                Check.Serve_check.findings =
+                  r.Check.Serve_check.findings @ spool_hash_findings dir
+              })
+          spools
     in
-    (* A checkpoint's header pins the event count of the recording it
-       was taken over — cross-checked the same way as sidecars. *)
-    let ckpt_results =
-      List.map
-        (fun f -> (f, Check.Ckpt_check.scan ?events:trace_event_count f))
-        ckpts
+    Check.Report.print ppf reports;
+    let rc_json =
+      match json_out with
+      | None -> 0
+      | Some path ->
+        let rc =
+          write_out path
+            (Obs.Json.to_pretty_string (Check.Report.to_json reports) ^ "\n")
+        in
+        if rc = 0 && path <> "-" then
+          Format.fprintf ppf "wrote findings to %s@." path;
+        rc
     in
-    let all_findings =
-      List.concat_map (fun (_, (_, fs)) -> fs) doc_results
-      @ List.concat_map
-          (fun (_, scan, _, fs) -> scan.Check.Trace_file.findings @ fs)
-          trace_results
-      @ List.concat_map
-          (fun (_, r) -> r.Check.Attr_check.findings)
-          attr_results
-      @ List.concat_map
-          (fun (_, r) -> r.Check.Ckpt_check.findings)
-          ckpt_results
-      @ List.concat_map
-          (fun (_, r, hash_fs) -> r.Check.Serve_check.findings @ hash_fs)
-          spool_results
-    in
-    List.iter (fun f -> Format.fprintf ppf "%a@." Check.Finding.pp f)
-      all_findings;
-    List.iter
-      (fun (f, scan, summary, fs) ->
-        if
-          not
-            (Check.Finding.has_errors (scan.Check.Trace_file.findings @ fs))
-        then
-          match summary with
-          | Some s ->
-            Format.fprintf ppf
-              "%s: ok: %s, %d events (%d mutator / %d collector, %d \
-               collection run%s)@."
-              f
-              (match scan.Check.Trace_file.format with
-               | Some fmt -> Check.Trace_file.format_string fmt
-               | None -> "?")
-              s.Check.Stream_check.events s.Check.Stream_check.mutator_events
-              s.Check.Stream_check.collector_events
-              s.Check.Stream_check.collector_runs
-              (if s.Check.Stream_check.collector_runs = 1 then "" else "s")
-          | None -> Format.fprintf ppf "%s: ok@." f)
-      trace_results;
-    List.iter
-      (fun (f, (_, fs)) ->
-        if not (Check.Finding.has_errors fs) then
-          Format.fprintf ppf "%s: ok: telemetry document@." f)
-      doc_results;
-    List.iter
-      (fun (f, r) ->
-        if not (Check.Finding.has_errors r.Check.Attr_check.findings) then
-          match r.Check.Attr_check.table with
-          | Some t ->
-            Format.fprintf ppf
-              "%s: ok: attribution table (%d region epochs, %d site runs, %d \
-               sites)@."
-              f (Memsim.Attr.num_epochs t) (Memsim.Attr.num_runs t)
-              (Memsim.Attr.num_sites t)
-          | None -> Format.fprintf ppf "%s: ok@." f)
-      attr_results;
-    List.iter
-      (fun (f, r) ->
-        if not (Check.Finding.has_errors r.Check.Ckpt_check.findings) then
-          Format.fprintf ppf
-            "%s: ok: %s checkpoint (%d snapshot%s, cursor %d of %d events)@."
-            f
-            (match r.Check.Ckpt_check.kind with
-             | Some k -> Check.Ckpt_check.kind_string k
-             | None -> "?")
-            r.Check.Ckpt_check.snapshots
-            (if r.Check.Ckpt_check.snapshots = 1 then "" else "s")
-            (Option.value ~default:0 r.Check.Ckpt_check.cursor)
-            (Option.value ~default:0 r.Check.Ckpt_check.events))
-      ckpt_results;
-    List.iter
-      (fun (dir, r, hash_fs) ->
-        if
-          not (Check.Finding.has_errors (r.Check.Serve_check.findings @ hash_fs))
-        then
-          Format.fprintf ppf
-            "%s: ok: serve spool (%d events, %d jobs, %d dangling, %d \
-             results, %d checkpoints)@."
-            dir r.Check.Serve_check.events r.Check.Serve_check.jobs
-            r.Check.Serve_check.dangling r.Check.Serve_check.results
-            r.Check.Serve_check.checkpoints)
-      spool_results;
-    (match json_out with
-     | None -> ()
-     | Some path ->
-       let file_json (f, scan, summary, fs) =
-         Obs.Json.Obj
-           ([ ("file", Obs.Json.Str f) ]
-            @ (match scan.Check.Trace_file.format with
-               | Some fmt ->
-                 [ ("format",
-                    Obs.Json.Str (Check.Trace_file.format_string fmt)) ]
-               | None -> [])
-            @ (match summary with
-               | Some s -> [ ("summary", summary_json s) ]
-               | None -> [])
-            @ [ ("findings",
-                 Check.Finding.list_to_json
-                   (scan.Check.Trace_file.findings @ fs)) ])
-       in
-       let doc_json (f, (_, fs)) =
-         Obs.Json.Obj
-           [ ("file", Obs.Json.Str f);
-             ("findings", Check.Finding.list_to_json fs)
-           ]
-       in
-       let attr_json (f, r) =
-         Obs.Json.Obj
-           [ ("file", Obs.Json.Str f);
-             ("findings",
-              Check.Finding.list_to_json r.Check.Attr_check.findings)
-           ]
-       in
-       let ckpt_json (f, r) =
-         Obs.Json.Obj
-           ([ ("file", Obs.Json.Str f) ]
-            @ (match r.Check.Ckpt_check.kind with
-               | Some k ->
-                 [ ("kind", Obs.Json.Str (Check.Ckpt_check.kind_string k)) ]
-               | None -> [])
-            @ (match r.Check.Ckpt_check.cursor with
-               | Some c -> [ ("cursor", Obs.Json.Int c) ]
-               | None -> [])
-            @ (match r.Check.Ckpt_check.events with
-               | Some e -> [ ("events", Obs.Json.Int e) ]
-               | None -> [])
-            @ [ ("snapshots", Obs.Json.Int r.Check.Ckpt_check.snapshots);
-                ("findings",
-                 Check.Finding.list_to_json r.Check.Ckpt_check.findings)
-              ])
-       in
-       let spool_json (dir, r, hash_fs) =
-         Obs.Json.Obj
-           [ ("file", Obs.Json.Str dir);
-             ("events", Obs.Json.Int r.Check.Serve_check.events);
-             ("jobs", Obs.Json.Int r.Check.Serve_check.jobs);
-             ("dangling", Obs.Json.Int r.Check.Serve_check.dangling);
-             ("results", Obs.Json.Int r.Check.Serve_check.results);
-             ("checkpoints", Obs.Json.Int r.Check.Serve_check.checkpoints);
-             ("findings",
-              Check.Finding.list_to_json
-                (r.Check.Serve_check.findings @ hash_fs))
-           ]
-       in
-       let doc =
-         Obs.Json.Obj
-           [ ("files",
-              Obs.Json.List
-                (List.map file_json trace_results
-                 @ List.map doc_json doc_results
-                 @ List.map attr_json attr_results
-                 @ List.map ckpt_json ckpt_results
-                 @ List.map spool_json spool_results))
-           ]
-       in
-       let out = Obs.Json.to_pretty_string doc in
-       if path = "-" then (print_string out; print_newline ())
-       else begin
-         let oc = open_out path in
-         Fun.protect
-           ~finally:(fun () -> close_out oc)
-           (fun () ->
-             output_string oc out;
-             output_char oc '\n');
-         Format.fprintf ppf "wrote findings to %s@." path
-       end);
-    if Check.Finding.has_errors all_findings then 1 else 0
+    max rc_json (if List.for_all Check.Report.passed reports then 0 else 1)
   end
 
 (* --- profile: cache-miss attribution ------------------------------------- *)
-
-let write_text path content done_msg =
-  if path = "-" then begin
-    print_string content;
-    0
-  end
-  else
-    try
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc content);
-      Format.fprintf ppf "%s@." done_msg;
-      0
-    with Sys_error msg ->
-      Format.eprintf "repro: %s@." msg;
-      1
 
 (* Address-space size for a loaded sidecar: the largest bound any
    epoch ever published (the heap publishes its full window, so this
@@ -1020,18 +840,23 @@ let profile_target name trace attr_path (cache_bytes, block_bytes) policy gc
           match json_out with
           | None -> 0
           | Some path ->
-            write_text path
-              (Obs.Json.to_pretty_string (Obs.Profile.to_json p) ^ "\n")
-              (Printf.sprintf "wrote profile to %s" path)
+            let rc =
+              write_out path
+                (Obs.Json.to_pretty_string (Obs.Profile.to_json p) ^ "\n")
+            in
+            if rc = 0 && path <> "-" then
+              Format.fprintf ppf "wrote profile to %s@." path;
+            rc
         in
         let rc_folded =
           match folded_out with
           | None -> 0
           | Some path ->
-            write_text path
-              (Obs.Profile.collapsed_stacks p)
-              (Printf.sprintf
-                 "wrote collapsed stacks to %s (feed to flamegraph.pl)" path)
+            let rc = write_out path (Obs.Profile.collapsed_stacks p) in
+            if rc = 0 && path <> "-" then
+              Format.fprintf ppf
+                "wrote collapsed stacks to %s (feed to flamegraph.pl)@." path;
+            rc
         in
         let rc_trace =
           match trace_events with
@@ -1194,17 +1019,16 @@ let record_cmd =
   let format =
     let format_conv =
       Arg.enum
-        [ ("v1", Memsim.Recording.V1);
-          ("v2", Memsim.Recording.V2);
-          ("v3", Memsim.Recording.V3)
-        ]
+        (List.map
+           (fun f -> (Memsim.Recording.format_label f, f))
+           [ Memsim.Recording.V2; Memsim.Recording.V3 ])
     in
     Arg.(value & opt format_conv Memsim.Recording.V2
          & info [ "format" ] ~docv:"FMT"
-             ~doc:"On-disk format: v2 (delta+varint, default), v1 \
-                   (fixed 8 bytes/event) or v3 (mmap-native fixed \
-                   stride, zero-copy load); `repro replay' and `repro \
-                   stats' load any")
+             ~doc:"On-disk format: v2 (delta+varint, default) or v3 \
+                   (mmap-native fixed 8 bytes/event, zero-copy load); \
+                   `repro replay' and `repro stats' load both, and old \
+                   v1 files")
   in
   let heap =
     Arg.(value & opt (some size_conv) None
@@ -1398,39 +1222,28 @@ let golden_record dir =
   Golden.Suite.record ~dir ppf;
   0
 
-let with_sink path f =
-  if path = "-" then f Format.std_formatter
-  else begin
-    let oc = open_out (path ^ ".tmp") in
-    let ppf = Format.formatter_of_out_channel oc in
-    f ppf;
-    Format.pp_print_flush ppf ();
-    close_out oc;
-    Sys.rename (path ^ ".tmp") path
-  end
-
 let golden_verify dir summary json =
   let ppf = Format.std_formatter in
   let vs = Golden.Suite.verify ~dir ppf in
-  (match summary with
-   | None -> ()
-   | Some path -> with_sink path (fun ppf -> Golden.Suite.summary_markdown ppf vs));
-  (match json with
-   | None -> ()
-   | Some path ->
-     with_sink path (fun ppf ->
-         Format.fprintf ppf "%s@."
-           (Obs.Json.to_pretty_string (Golden.Suite.findings_json vs))));
+  let write path content =
+    Option.fold ~none:0 ~some:(fun p -> write_out p content) path
+  in
+  let rc_summary =
+    write summary (Format.asprintf "%a" Golden.Suite.summary_markdown vs)
+  in
+  let rc_json =
+    write json
+      (Obs.Json.to_pretty_string
+         (Check.Report.to_json (List.map Golden.Suite.report vs))
+       ^ "\n")
+  in
   let failed = List.filter (fun v -> not (Golden.Suite.passed v)) vs in
-  if failed = [] then begin
-    Format.fprintf ppf "golden: all %d runs match@." (List.length vs);
-    0
-  end
-  else begin
+  if failed = [] then
+    Format.fprintf ppf "golden: all %d runs match@." (List.length vs)
+  else
     Format.fprintf ppf "golden: %d of %d runs FAILED@." (List.length failed)
       (List.length vs);
-    1
-  end
+  max (max rc_summary rc_json) (if failed = [] then 0 else 1)
 
 let golden_cmd =
   let record =
@@ -1602,13 +1415,7 @@ let client_result socket id out =
     | Ok reply -> (
       match Obs.Json.member "fixture" reply with
       | Some (Obs.Json.Str text) ->
-        (match out with
-         | None -> print_endline text
-         | Some path ->
-           Out_channel.with_open_bin path (fun oc ->
-             Out_channel.output_string oc text;
-             Out_channel.output_string oc "\n"));
-        0
+        write_out (Option.value out ~default:"-") (text ^ "\n")
       | Some _ | None ->
         Printf.eprintf "repro client: reply without a fixture\n";
         1))
@@ -1620,14 +1427,8 @@ let client_stats socket json =
       Printf.eprintf "repro client: %s\n" msg;
       1
     | Ok reply ->
-      let text = Obs.Json.to_pretty_string reply in
-      (match json with
-       | None -> print_endline text
-       | Some path ->
-         Out_channel.with_open_bin path (fun oc ->
-           Out_channel.output_string oc text;
-           Out_channel.output_string oc "\n"));
-      0)
+      write_out (Option.value json ~default:"-")
+        (Obs.Json.to_pretty_string reply ^ "\n"))
 
 let client_ping socket timeout =
   if Serve.Client.wait_ready ~timeout_s:timeout socket then begin

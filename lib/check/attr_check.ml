@@ -66,3 +66,17 @@ let scan ?events file =
       table = None;
       findings = [ Finding.v ~rule:"attr.format" ~file msg ]
     }
+
+let report r =
+  { Report.file = r.file;
+    ok =
+      Option.map
+        (fun t ->
+          Printf.sprintf
+            "attribution table (%d region epochs, %d site runs, %d sites)"
+            (Memsim.Attr.num_epochs t) (Memsim.Attr.num_runs t)
+            (Memsim.Attr.num_sites t))
+        r.table;
+    fields = [];
+    findings = r.findings
+  }

@@ -32,3 +32,7 @@ val scan : ?events:int -> string -> result
     recording the sidecar accompanies, when known; without it the
     [attr.events-bound] rule is skipped.  Never raises: I/O and format
     errors become findings. *)
+
+val report : result -> Report.t
+(** The ok summary counts the table's epochs, site runs and sites; no
+    JSON fields besides the file and its findings. *)

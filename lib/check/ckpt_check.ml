@@ -7,8 +7,6 @@
 
 type kind = Grid | Hier
 
-let kind_string = function Grid -> "grid" | Hier -> "hierarchy"
-
 let retired_grid_magic = "SWPCKPT1"
 let hier_magic = "SWHCKPT1"
 let hier_snapshot_magic = 0x52454948534E4150L
@@ -312,3 +310,27 @@ let scan ?events:expect_events file =
           finish ~kind:k ~cursor ~events ~snapshots ()
         end
     end
+
+let report r =
+  let kind =
+    Option.map (function Grid -> "grid" | Hier -> "hierarchy") r.kind
+  in
+  let int name = Option.map (fun n -> (name, Obs.Json.Int n)) in
+  { Report.file = r.file;
+    ok =
+      Some
+        (Printf.sprintf "%s checkpoint (%d snapshot%s, cursor %d of %d events)"
+           (Option.value kind ~default:"?")
+           r.snapshots
+           (if r.snapshots = 1 then "" else "s")
+           (Option.value ~default:0 r.cursor)
+           (Option.value ~default:0 r.events));
+    fields =
+      List.filter_map Fun.id
+        [ Option.map (fun k -> ("kind", Obs.Json.Str k)) kind;
+          int "cursor" r.cursor;
+          int "events" r.events;
+          Some ("snapshots", Obs.Json.Int r.snapshots)
+        ];
+    findings = r.findings
+  }

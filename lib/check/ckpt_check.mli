@@ -53,4 +53,7 @@ val scan : ?events:int -> string -> result
     header against the event count of the recording being swept.
     Never raises: I/O errors become [ckpt.io] findings. *)
 
-val kind_string : kind -> string
+val report : result -> Report.t
+(** The ok summary names the kind, snapshot count and cursor; the JSON
+    fields are ["kind"], ["cursor"], ["events"] (each when known) and
+    ["snapshots"]. *)

@@ -337,3 +337,21 @@ let scan dir =
       findings = journal_findings @ result_findings @ ckpt_findings
     }
   end
+
+let report r =
+  { Report.file = r.dir;
+    ok =
+      Some
+        (Printf.sprintf
+           "serve spool (%d events, %d jobs, %d dangling, %d results, %d \
+            checkpoints)"
+           r.events r.jobs r.dangling r.results r.checkpoints);
+    fields =
+      [ ("events", Obs.Json.Int r.events);
+        ("jobs", Obs.Json.Int r.jobs);
+        ("dangling", Obs.Json.Int r.dangling);
+        ("results", Obs.Json.Int r.results);
+        ("checkpoints", Obs.Json.Int r.checkpoints)
+      ];
+    findings = r.findings
+  }

@@ -49,3 +49,7 @@ type result = {
 val scan : string -> result
 (** Verify one spool directory.  Never raises: I/O problems become
     findings. *)
+
+val report : result -> Report.t
+(** The ok summary and the JSON fields carry the journal and store
+    counts. *)

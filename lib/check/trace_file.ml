@@ -22,8 +22,9 @@ type result = {
   findings : Finding.t list;
 }
 
-(* Recording.save_v1 / save_v2 write these magics (kept in sync by
-   test_check's round-trip cases). *)
+(* Recording.load reads these magics, and save writes the v2/v3 ones
+   (kept in sync by test_check's round-trip cases; v1 files there come
+   from the test-local writer). *)
 let magic_v1 = 0x5243545243414345L
 let magic_v2 = 0x3256545243414345L
 let magic_v3 = 0x3356545243414345L
@@ -336,7 +337,40 @@ let scan path =
       }
     end
 
-let format_string = function
-  | V1 -> "v1"
-  | V2 -> "v2"
-  | V3 -> "v3"
+let summary_json (s : Stream_check.summary) =
+  Obs.Json.Obj
+    [ ("events", Obs.Json.Int s.events);
+      ("mutator_events", Obs.Json.Int s.mutator_events);
+      ("collector_events", Obs.Json.Int s.collector_events);
+      ("collector_runs", Obs.Json.Int s.collector_runs)
+    ]
+
+let check ~geometry ~expect path =
+  let scan = scan path in
+  let summary, stream_findings =
+    match scan.recording with
+    | Some recording when not (Finding.has_errors scan.findings) ->
+      let s, fs = Stream_check.check ?geometry ~expect ~file:path recording in
+      (Some s, fs)
+    | Some _ | None -> (None, [])
+  in
+  let format =
+    Option.map (function V1 -> "v1" | V2 -> "v2" | V3 -> "v3") scan.format
+  in
+  let ok (s : Stream_check.summary) =
+    Printf.sprintf
+      "%s, %d events (%d mutator / %d collector, %d collection run%s)"
+      (Option.value format ~default:"?")
+      s.events s.mutator_events s.collector_events s.collector_runs
+      (if s.collector_runs = 1 then "" else "s")
+  in
+  ( { Report.file = path;
+      ok = Option.map ok summary;
+      fields =
+        List.filter_map Fun.id
+          [ Option.map (fun f -> ("format", Obs.Json.Str f)) format;
+            Option.map (fun s -> ("summary", summary_json s)) summary
+          ];
+      findings = scan.findings @ stream_findings
+    },
+    Option.map Memsim.Recording.length scan.recording )

@@ -44,4 +44,13 @@ val scan : string -> result
 (** Read and verify one trace file.  Never raises: I/O errors become
     [trace.io] findings. *)
 
-val format_string : format -> string
+val check :
+  geometry:Stream_check.geometry option ->
+  expect:Stream_check.expect ->
+  string ->
+  Report.t * int option
+(** {!scan} one file and, when it decodes without errors, run
+    {!Stream_check.check} over the events.  The report's ok summary
+    names the format and the stream tallies; its JSON fields are
+    ["format"] and ["summary"].  Also returns the number of events
+    decoded (possibly a partial count), [None] when nothing decoded. *)

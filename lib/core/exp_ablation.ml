@@ -11,13 +11,12 @@ let table_collector_families ppf =
          ~cache_sizes:[ Memsim.Sweep.kb 64; Memsim.Sweep.mb 1 ]
          ~block_sizes:[ block ] ())
   in
-  (* One cell recorded, then replayed into the grid, as Exp_gc does:
+  (* One run recorded, then replayed into the grid, as Exp_gc does:
      at most one recording is live at a time. *)
   let measure gc =
     let sw = sweep () in
-    let label = "sweep.a1" in
-    let r, recording = (Runner.record_grid [ Runner.cell ~gc ~label w ]).(0) in
-    Runner.sweep_recording ~label sw recording;
+    let r, recording = Runner.record ~gc w in
+    Memsim.Sweep.run_parallel ~jobs:(Runner.jobs ()) sw recording;
     Memsim.Recording.release recording;
     (r, sw)
   in
@@ -137,7 +136,7 @@ let table_placement ppf =
 (* One recording of [w], replayed into every hierarchy, as Exp_hier
    does: at most one recording is live at a time. *)
 let replay_workload w hiers =
-  let r, recording = (Runner.record_grid [ Runner.cell w ]).(0) in
+  let r, recording = Runner.record w in
   Memsim.Sweep.hier_run_parallel ~jobs:(Runner.jobs ()) hiers recording;
   Memsim.Recording.release recording;
   r

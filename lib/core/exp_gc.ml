@@ -16,12 +16,11 @@ type measured = {
 
 let measure ?gc ?scale w =
   let sweep = sweep_64b () in
-  (* Record via the sharded producer (pure production timing under the
-     gauge label), then replay the completed recording into the grid. *)
-  let label = "sweep." ^ w.Workloads.Workload.name ^ ".gc64b" in
-  let recorded = Runner.record_grid [ Runner.cell ?gc ?scale ~label w ] in
-  let r, recording = recorded.(0) in
-  Runner.sweep_recording ~label sweep recording;
+  (* Record, then replay the completed recording into the grid.  No
+     gauges: a workload is measured under several collectors, and one
+     label per workload would keep only the last cell's numbers. *)
+  let r, recording = Runner.record ?gc ?scale w in
+  Memsim.Sweep.run_parallel ~jobs:(Runner.jobs ()) sweep recording;
   Memsim.Recording.release recording;
   { insns = r.Runner.stats.Vscheme.Machine.mutator_insns;
     collector_insns = r.Runner.stats.Vscheme.Machine.collector_insns;

@@ -58,9 +58,7 @@ let gc_overhead cpu ~baseline ~collected ~hier_cpu =
   (stall +. work) /. float_of_int baseline.insns
 
 let measure ?gc w =
-  let label = "hier." ^ w.Workloads.Workload.name in
-  let recorded = Runner.record_grid [ Runner.cell ?gc ~label w ] in
-  let r, recording = recorded.(0) in
+  let r, recording = Runner.record ?gc w in
   let hiers =
     List.map
       (fun cpu -> (cpu, Memsim.Hier.create (Memsim.Hier.preset cpu)))
@@ -70,8 +68,16 @@ let measure ?gc w =
     (Array.of_list (List.map snd hiers))
     recording;
   Memsim.Recording.release recording;
-  (* Per-level miss counts land in the metrics registry so a --metrics
-     export of an experiment run carries the whole grid. *)
+  { insns = r.Runner.stats.Vscheme.Machine.mutator_insns;
+    collector_insns = r.Runner.stats.Vscheme.Machine.collector_insns;
+    collections = r.Runner.stats.Vscheme.Machine.collections;
+    bytes_allocated = r.Runner.stats.Vscheme.Machine.bytes_allocated;
+    per_cpu = hiers
+  }
+
+(* Per-level miss counts of the collected run land in the metrics
+   registry, so a --metrics export carries the whole grid. *)
+let publish_levels w hiers =
   List.iter
     (fun (cpu, h) ->
       Array.iteri
@@ -91,13 +97,7 @@ let measure ?gc w =
             (Obs.Metrics.counter Obs.Metrics.default (name "misses"))
             misses)
         (Memsim.Hier.stats h))
-    hiers;
-  { insns = r.Runner.stats.Vscheme.Machine.mutator_insns;
-    collector_insns = r.Runner.stats.Vscheme.Machine.collector_insns;
-    collections = r.Runner.stats.Vscheme.Machine.collections;
-    bytes_allocated = r.Runner.stats.Vscheme.Machine.bytes_allocated;
-    per_cpu = hiers
-  }
+    hiers
 
 let miss_ratio (s : Memsim.Cache.stats) =
   let refs = s.Memsim.Cache.refs + s.Memsim.Cache.collector_refs in
@@ -117,6 +117,7 @@ let grid ppf =
       let collected =
         measure ~gc:(Vscheme.Machine.Cheney { semispace_bytes }) w
       in
+      publish_levels w collected.per_cpu;
       Format.fprintf ppf
         "@.%s: %s allocated, %s semispaces, %d collections@."
         w.Workloads.Workload.name

@@ -165,7 +165,7 @@ let compare ?(tolerance = default_tolerance) ~file ~expected ~actual () =
   exact "trace events" expected.trace_events actual.trace_events;
   exact
     (Printf.sprintf "trace bytes (%s)"
-       (Manifest.format_string expected.run.Manifest.trace_format))
+       (Memsim.Recording.format_label expected.run.Manifest.trace_format))
     expected.trace_bytes actual.trace_bytes;
   List.iter
     (fun (e : cache_result) ->

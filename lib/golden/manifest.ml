@@ -73,16 +73,10 @@ let policy_of_string ~file s =
   | None ->
     raise (Sx.Parse_error (Printf.sprintf "%s: unknown policy %S" file s))
 
-let format_string = function
-  | Memsim.Recording.V1 -> "v1"
-  | Memsim.Recording.V2 -> "v2"
-  | Memsim.Recording.V3 -> "v3"
-
-let format_of_string ~file = function
-  | "v1" -> Memsim.Recording.V1
-  | "v2" -> Memsim.Recording.V2
-  | "v3" -> Memsim.Recording.V3
-  | s ->
+let format_of_string ~file s =
+  match Memsim.Recording.format_of_label s with
+  | Some f -> f
+  | None ->
     raise (Sx.Parse_error (Printf.sprintf "%s: unknown trace format %S" file s))
 
 let run_to_datum r =
@@ -99,7 +93,7 @@ let run_to_datum r =
          Sx.int_list "block-sizes" r.block_sizes;
          Sx.str "policy" (Memsim.Cache.write_miss_label r.write_miss_policy);
          Sx.int "jobs" r.jobs;
-         Sx.str "format" (format_string r.trace_format)
+         Sx.str "format" (Memsim.Recording.format_label r.trace_format)
        ]
      (* Optional so fixtures recorded before hierarchies existed parse
         and re-serialize byte-identically. *)

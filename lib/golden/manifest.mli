@@ -65,8 +65,6 @@ val content_hash : run -> string
     measurement; renaming a run or changing its worker count does not
     change its hash. *)
 
-val format_string : Memsim.Recording.format -> string
-
 val save : t -> string -> unit
 val load : string -> t
 (** @raise Sx.Parse_error on I/O or parse errors. *)

@@ -11,6 +11,21 @@ type verification = {
 
 let passed v = not (Check.Finding.has_errors v.findings)
 
+let report v =
+  { Check.Report.file = v.fixture;
+    ok =
+      Option.map
+        (fun a ->
+          Printf.sprintf "%d events, %d caches pinned" a.Fixture.trace_events
+            (List.length a.Fixture.caches))
+        v.actual;
+    fields =
+      [ ("run", Obs.Json.Str v.run.Manifest.name);
+        ("passed", Obs.Json.Bool (passed v))
+      ];
+    findings = v.findings
+  }
+
 let record ?(manifest = Manifest.default) ~dir ppf =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   Manifest.save manifest (manifest_path ~dir);
@@ -92,19 +107,11 @@ let verify ~dir ppf =
                 findings = Fixture.compare ~file:fixture ~expected ~actual ()
               })
         in
-        List.iter (fun f -> Format.fprintf ppf "%a@." Check.Finding.pp f)
-          v.findings;
-        (match (passed v, v.actual) with
-         | true, Some a ->
-           Format.fprintf ppf "%s: ok: %d events, %d caches pinned@."
-             v.fixture a.Fixture.trace_events
-             (List.length a.Fixture.caches)
-         | true, None -> Format.fprintf ppf "%s: ok@." v.fixture
-         | false, _ ->
-           Format.fprintf ppf "%s: FAILED (%d finding%s)@." v.fixture
-             (List.length (Check.Finding.errors v.findings))
-             (if List.length (Check.Finding.errors v.findings) = 1 then ""
-              else "s"));
+        Check.Report.print ppf [ report v ];
+        (let errors = List.length (Check.Finding.errors v.findings) in
+         if errors > 0 then
+           Format.fprintf ppf "%s: FAILED (%d finding%s)@." v.fixture errors
+             (if errors = 1 then "" else "s"));
         v)
       manifest.Manifest.runs
 
@@ -158,18 +165,3 @@ let summary_markdown ppf vs =
       failed;
     Format.fprintf ppf "@.</details>@."
   end
-
-let findings_json vs =
-  Obs.Json.Obj
-    [ ( "files",
-        Obs.Json.List
-          (List.map
-             (fun v ->
-               Obs.Json.Obj
-                 [ ("file", Obs.Json.Str v.fixture);
-                   ("run", Obs.Json.Str v.run.Manifest.name);
-                   ("passed", Obs.Json.Bool (passed v));
-                   ("findings", Check.Finding.list_to_json v.findings)
-                 ])
-             vs) )
-    ]

@@ -20,6 +20,11 @@ type verification = {
 
 val passed : verification -> bool
 
+val report : verification -> Check.Report.t
+(** The run's outcome for {!Check.Report}: the fixture file, an ok
+    summary of the events and caches pinned, and the JSON fields
+    ["run"] (the manifest name) and ["passed"]. *)
+
 val record : ?manifest:Manifest.t -> dir:string -> Format.formatter -> unit
 (** Measure every run of the manifest (default {!Manifest.default})
     and write the manifest and all fixtures into [dir], creating it if
@@ -36,7 +41,3 @@ val summary_markdown : Format.formatter -> verification list -> unit
 (** A GitHub-flavoured Markdown table of per-run outcomes with
     expected-vs-actual deltas — written to the Actions job summary so
     perf movement is visible without downloading artifacts. *)
-
-val findings_json : verification list -> Obs.Json.t
-(** Machine-readable outcomes, in the shape of [repro check --json]:
-    [{files: [{file, findings}]}]. *)

@@ -65,9 +65,17 @@ let magic_v2 = 0x3256545243414345L (* same tag family, "…V2" high byte pair *)
 let magic_v3 = 0x3356545243414345L (* same tag family, "…V3" high byte pair *)
 
 type format =
-  | V1
   | V2
   | V3
+
+let format_label = function
+  | V2 -> "v2"
+  | V3 -> "v3"
+
+let format_of_label = function
+  | "v2" -> Some V2
+  | "v3" -> Some V3
+  | _ -> None
 
 let create ?(initial_capacity = Chunk.default_chunk_events) () =
   let chunk_events = max 16 initial_capacity in
@@ -203,7 +211,7 @@ let fail_at ~version ~byte fmt =
       failwith (Printf.sprintf "Recording.load (%s, byte %d): %s" version byte msg))
     fmt
 
-(* --- Fixed-stride writer (shared by v1 and v3) --------------------------- *)
+(* --- Fixed-stride writer (v3) -------------------------------------------- *)
 
 (* One bounded scratch buffer for the whole file, not a fresh Bytes
    per chunk: a long recording is thousands of chunks, and an
@@ -226,14 +234,9 @@ let output_words oc t =
 
 (* --- v1 on-disk format: 8 fixed little-endian bytes per event ----------- *)
 
+(* Read-only: nothing writes v1 any more (v3 is the same fixed stride
+   and maps zero-copy), but old files still load. *)
 let v1_header_bytes = 16
-
-let save_v1 t oc =
-  let hdr = Bytes.create v1_header_bytes in
-  Bytes.set_int64_le hdr 0 magic;
-  Bytes.set_int64_le hdr 8 (Int64.of_int (length t));
-  output_bytes oc hdr;
-  output_words oc t
 
 (* Decode a fixed-stride 8-byte-LE payload of [len] words starting at
    file offset [payload_base] into a fresh recording, validating that
@@ -592,13 +595,11 @@ let save ?(format = V2) t path =
     ~finally:(fun () -> close_out oc)
     (fun () ->
       match format with
-      | V1 -> save_v1 t oc
       | V2 -> save_v2 t oc
       | V3 -> save_v3 t oc)
 
 let saved_bytes ?(format = V2) t =
   match format with
-  | V1 -> v1_header_bytes + (8 * length t)
   | V3 -> v3_header_bytes + (8 * length t)
   | V2 ->
     let n = ref 0 in

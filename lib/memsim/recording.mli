@@ -25,11 +25,12 @@
 
     On disk, recordings are saved in format v2 by default — a
     delta+varint encoding exploiting the sequential allocation sweeps
-    of §7, typically 3–6x smaller than the v1 fixed-8-byte format.
+    of §7, typically 3–6x smaller than a fixed 8 bytes per event.
     Format v3 trades that compression for zero-cost loading: the
     payload is the slab representation verbatim, and {!load} maps it
     with [Unix.map_file] so the sweep consumes the file pages in
-    place.  {!load} reads all three formats transparently.
+    place.  {!load} reads both, and the retired fixed-stride v1
+    format of older files, transparently.
 
     Slab memory has an owner.  Default-size slabs
     ({!Chunk.default_chunk_events}) are drawn from a process-wide
@@ -42,9 +43,15 @@
 type t
 
 type format =
-  | V1  (** 8 fixed little-endian bytes per event *)
   | V2  (** zigzag address delta + kind/phase tag, LEB128 varint *)
   | V3  (** mmap-native: fixed 8-byte stride, loaded zero-copy *)
+
+val format_label : format -> string
+(** ["v2"] or ["v3"]: the one spelling used by the CLI, manifests
+    (whose content hashes cover it) and messages. *)
+
+val format_of_label : string -> format option
+(** Inverse of {!format_label}. *)
 
 val create : ?initial_capacity:int -> unit -> t
 (** An empty recording.  [initial_capacity] (clamped to at least 16,
@@ -132,14 +139,13 @@ val save : ?format:format -> t -> string -> unit
     varint-coded event each — the zigzag delta of the byte address
     from the previous event with kind and phase folded into the low
     bits of the first byte.  Sequential traces cost 1–2 bytes per
-    event.  {!V1} writes the legacy fixed 8-bytes-per-event layout.
-    {!V3} writes a 24-byte header (magic; version 3; stride 8; event
+    event.  {!V3} writes a 24-byte header (magic; version 3; stride 8; event
     count) followed by the packed words verbatim, 8 LE bytes each —
     the layout {!load} can memory-map. *)
 
 val saved_bytes : ?format:format -> t -> int
 (** The size in bytes of the file {!save} would write, without writing
-    it.  v1 and v3 are a fixed header plus 8 bytes per event; v2 runs
+    it.  v3 is a fixed header plus 8 bytes per event; v2 runs
     the {!save} encoder into a byte counter. *)
 
 val load : string -> t

@@ -5,8 +5,8 @@
      store into an off-heap Bigarray slab (no write barrier, nothing
      for the GC to scan) plus a cursor bump; only a full slab goes
      out of line ([refill]).  No closure is called per event.
-   - the generic sink: one closure call per event, for hooks, tees,
-     analyzers and telemetry.
+   - the generic sink: one closure call per event, for hooks,
+     analyzers and the differential-test oracle.
 
    [direct]/[sinked] are mutually exclusive; both false means
    untraced, which costs two predictable branches and nothing else. *)

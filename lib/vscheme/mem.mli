@@ -9,7 +9,7 @@
 
     Two trace paths exist.  The generic path delivers each event to
     the configured {!Memsim.Trace.sink} — one closure call per event,
-    composable with tees, hooks and analyzers.  The {e fast path}
+    for hooks, analyzers and the differential-test oracle.  The {e fast path}
     ({!record_into}) appends the packed event straight into a
     {!Memsim.Recording} slab whose buffer and cursor are hoisted into
     this record: one array store per event, out of line only when a

@@ -71,6 +71,14 @@ let save_recording ~format r =
   Memsim.Recording.save ~format r path;
   path
 
+(* Every layout the scanner reads: v1 as old files hold it, v2 and v3
+   as [Recording.save] writes them. *)
+let savers =
+  [ V1_file.save;
+    Memsim.Recording.save ~format:Memsim.Recording.V2;
+    Memsim.Recording.save ~format:Memsim.Recording.V3
+  ]
+
 (* Geometry `repro record' defaults imply (No_gc, 48 MB dynamic). *)
 let record_geometry ?gc () =
   let gc = Option.value gc ~default:Vscheme.Machine.No_gc in
@@ -97,9 +105,9 @@ let test_workloads_scan_clean () =
     (fun (w : Workloads.Workload.t) ->
       let _, recording = Core.Runner.record ~scale:1 w in
       List.iter
-        (fun format ->
+        (fun save ->
           with_tmp ".trace" (fun path ->
-              Memsim.Recording.save ~format recording path;
+              save recording path;
               let scan = Check.Trace_file.scan path in
               check_clean (w.Workloads.Workload.name ^ " scan") scan.Check.Trace_file.findings;
               match scan.Check.Trace_file.recording with
@@ -113,7 +121,7 @@ let test_workloads_scan_clean () =
                     ~file:path decoded
                 in
                 check_clean (w.Workloads.Workload.name ^ " stream") findings))
-        [ Memsim.Recording.V1; Memsim.Recording.V2; Memsim.Recording.V3 ])
+        savers)
     Workloads.Workload.all
 
 let test_cheney_scan_clean () =
@@ -224,7 +232,8 @@ let test_address_range_v2 () =
       check_has "trace.address-range" scan.Check.Trace_file.findings)
 
 let test_corrupt_kind_v1 () =
-  let path = save_recording ~format:Memsim.Recording.V1 (sample_recording ()) in
+  let path = tmp_file ".trace" in
+  V1_file.save (sample_recording ()) path;
   let b = read_bytes path in
   (* Set both kind bits of the first event: code 3 is unassigned. *)
   Bytes.set b 16 (Char.chr (Char.code (Bytes.get b 16) lor 6));
@@ -286,7 +295,8 @@ let test_word_width_v3 () =
       b)
 
 let test_declared_count_v1 () =
-  let path = save_recording ~format:Memsim.Recording.V1 (sample_recording ()) in
+  let path = tmp_file ".trace" in
+  V1_file.save (sample_recording ()) path;
   let b = read_bytes path in
   Bytes.set_int64_le b 8 7L;
   with_tmp ".trace" (fun bad ->
@@ -479,8 +489,9 @@ let prop_save_scan_roundtrip =
     arbitrary_events (fun events ->
       let r = recording_of_events events in
       List.for_all
-        (fun format ->
-          let path = save_recording ~format r in
+        (fun save ->
+          let path = tmp_file ".trace" in
+          save r path;
           let scan = Check.Trace_file.scan path in
           Sys.remove path;
           Check.Finding.errors scan.Check.Trace_file.findings = []
@@ -488,7 +499,7 @@ let prop_save_scan_roundtrip =
           match scan.Check.Trace_file.recording with
           | Some decoded -> Memsim.Recording.equal r decoded
           | None -> false)
-        [ Memsim.Recording.V1; Memsim.Recording.V2; Memsim.Recording.V3 ])
+        savers)
 
 (* The packed stream survives a change of container: v2's
    delta+varint encoding and v3's fixed-stride mmap layout agree on

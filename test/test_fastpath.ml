@@ -68,8 +68,10 @@ let test_record_then_replay w () =
 
 let test_format_roundtrip () =
   (* a real trace survives v1 -> load -> v2 -> load -> v3 -> load
-     unchanged (the v3 leg exercises the mmap loader).  The file sizes
-     are exact: v1 is a 16-byte header plus 8 bytes per event, and the
+     unchanged (the v3 leg exercises the mmap loader; v1 files come
+     from the test-local writer, as nothing writes v1 any more).  The
+     file sizes are exact: v1 is a 16-byte header plus 8 bytes per
+     event, and the
      v2 size pins the varint+delta codec's compression (2.245 B/event,
      3.563x smaller than v1) byte for byte.  [Recording.saved_bytes]
      must predict each file's size without writing it. *)
@@ -79,16 +81,15 @@ let test_format_roundtrip () =
   let size () = (Unix.stat path).Unix.st_size in
   let predicted format rc =
     Alcotest.(check int)
-      (Golden.Manifest.format_string format ^ " saved_bytes = file size")
+      (Memsim.Recording.format_label format ^ " saved_bytes = file size")
       (size ())
       (Memsim.Recording.saved_bytes ~format rc)
   in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Memsim.Recording.save ~format:Memsim.Recording.V1 recording path;
+      V1_file.save recording path;
       Alcotest.(check int) "v1 bytes" 16_920_464 (size ());
-      predicted Memsim.Recording.V1 recording;
       let as_v1 = Memsim.Recording.load path in
       Memsim.Recording.save ~format:Memsim.Recording.V2 as_v1 path;
       Alcotest.(check int) "v2 bytes" 4_748_446 (size ());

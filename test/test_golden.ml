@@ -60,9 +60,26 @@ let test_manifest_rejects_garbage () =
       (match Golden.Manifest.load path with
        | exception Golden.Sx.Parse_error _ -> ()
        | _ -> Alcotest.fail "expected Parse_error");
-      match Golden.Manifest.load (path ^ ".does-not-exist") with
-      | exception Golden.Sx.Parse_error _ -> ()
-      | _ -> Alcotest.fail "expected Parse_error for a missing file")
+      (match Golden.Manifest.load (path ^ ".does-not-exist") with
+       | exception Golden.Sx.Parse_error _ -> ()
+       | _ -> Alcotest.fail "expected Parse_error for a missing file");
+      (* Nothing writes v1 traces any more, so a manifest cannot ask
+         for one. *)
+      Golden.Manifest.(save default path);
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let v2 = {|(format "v2")|} in
+      let n = String.length v2 in
+      let rec at i = if String.sub text i n = v2 then i else at (i + 1) in
+      let i = at 0 in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (String.sub text 0 i ^ {|(format "v1")|}
+             ^ String.sub text (i + n) (String.length text - i - n)));
+      match Golden.Manifest.load path with
+      | exception Golden.Sx.Parse_error msg ->
+        Alcotest.(check bool) ("v1 rejected: " ^ msg) true
+          (contains msg {|unknown trace format "v1"|})
+      | _ -> Alcotest.fail "expected Parse_error for a v1 manifest")
 
 let measured = lazy (Golden.Fixture.measure smoke_run)
 

@@ -814,7 +814,7 @@ let test_recording_truncated_file () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Memsim.Recording.save ~format:Memsim.Recording.V1 rec_ path;
+      V1_file.save rec_ path;
       (* cut the file mid-payload: the header still declares 100 events *)
       let ic = open_in_bin path in
       let keep = really_input_string ic (16 + (8 * 50)) in
@@ -889,7 +889,7 @@ let test_recording_v1_legacy_load () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       (* a file saved in the legacy format still loads *)
-      Memsim.Recording.save ~format:Memsim.Recording.V1 rec_ path;
+      V1_file.save rec_ path;
       let back = Memsim.Recording.load path in
       Alcotest.(check bool)
         "v1 load = original" true
@@ -1531,7 +1531,7 @@ let recording_roundtrip_prop =
         (fun () ->
           Memsim.Recording.save ~format:Memsim.Recording.V2 rec_ path;
           let v2 = Memsim.Recording.load path in
-          Memsim.Recording.save ~format:Memsim.Recording.V1 rec_ path;
+          V1_file.save rec_ path;
           let v1 = Memsim.Recording.load path in
           Memsim.Recording.equal rec_ v2 && Memsim.Recording.equal rec_ v1))
 
