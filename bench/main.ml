@@ -234,6 +234,22 @@ let measure_sweep () =
         ("identical_stats", Obs.Json.Bool identical)
       ] )
 
+(* Time [drive] [runs] times, each on fresh state from [make] and
+   after settling the GC so no inherited collection debt lands inside
+   the window, and keep the best time with the last state: the
+   simulation is deterministic, so repetition only strips scheduler
+   and allocator noise. *)
+let best ?(runs = 5) make drive =
+  let rec go k best_s last =
+    if k = 0 then (best_s, last)
+    else
+      let e = make () in
+      Gc.full_major ();
+      let (), s = time (fun () -> drive e) in
+      go (k - 1) (Float.min best_s s) e
+  in
+  go runs infinity (make ())
+
 (* Fused miss-stream hierarchy vs the hooked per-event oracle: every
    workload through the 3-level Coffee Lake preset.  Per-level
    statistics are asserted bit-identical before any timing is
@@ -248,23 +264,7 @@ let measure_hierarchy () =
         let _, recording = Core.Runner.record ~scale:1 w in
         let events = Memsim.Recording.length recording in
         (* The hooked oracle consumes traces per event through its
-           sink; the fused engine takes the same recording by chunk.  Each
-           engine is timed five times on fresh state — after settling
-           the GC so no inherited collection debt lands inside the
-           window — and the best run kept: the simulation is
-           deterministic, so repetition only strips scheduler and
-           allocator noise. *)
-        let best make drive =
-          let rec go k best_s last =
-            if k = 0 then (best_s, last)
-            else
-              let e = make () in
-              Gc.full_major ();
-              let (), s = time (fun () -> drive e) in
-              go (k - 1) (Float.min best_s s) e
-          in
-          go 5 infinity (make ())
-        in
+           sink; the fused engine takes the same recording by chunk. *)
         let hooked_s, hooked =
           best
             (fun () -> Memsim.Hier.create ~fused:false cfg)
@@ -321,6 +321,86 @@ let measure_hierarchy () =
         ("hooked_total_s", Obs.Json.Float hooked_total);
         ("fused_total_s", Obs.Json.Float fused_total);
         ("hierarchy_speedup", Obs.Json.Float speedup);
+        ("identical_stats", Obs.Json.Bool true)
+      ] )
+
+(* The five CPU presets share one L1 and two L2s.  A fleet replay
+   simulates each shared prefix once (7 level simulations instead of
+   15); replaying each preset alone through its own one-hierarchy
+   [hier_run_serial] is its oracle.  Every level's statistics are
+   asserted identical before the timing is reported; the aggregate
+   alone/fleet ratio is fleet_speedup, held to a hard bound. *)
+let measure_fleet () =
+  Format.fprintf ppf
+    "@.==== hierarchy-fleet (five presets, one fleet vs each alone) ====@.";
+  let make () =
+    Array.of_list
+      (List.map
+         (fun cpu -> Memsim.Hier.create (Memsim.Hier.preset cpu))
+         Memsim.Hier.all_cpus)
+  in
+  let rows =
+    List.map
+      (fun (w : Workloads.Workload.t) ->
+        let _, recording = Core.Runner.record ~scale:1 w in
+        let events = Memsim.Recording.length recording in
+        let alone_s, alone =
+          best ~runs:3 make (fun hs ->
+              Array.iter
+                (fun h -> Memsim.Sweep.hier_run_serial [| h |] recording)
+                hs)
+        in
+        let fleet_s, fleet =
+          best ~runs:3 make (fun hs -> Memsim.Sweep.hier_run_serial hs recording)
+        in
+        Memsim.Recording.release recording;
+        if Array.map Memsim.Hier.stats alone <> Array.map Memsim.Hier.stats fleet
+        then
+          failwith
+            ("hierarchy-fleet: shared-prefix statistics diverged from the \
+              one-hierarchy replays on " ^ w.Workloads.Workload.name);
+        Format.fprintf ppf
+          "%-10s %9d events   alone %.3fs   fleet %.3fs (%.2fx)   stats \
+           identical@."
+          w.Workloads.Workload.name events alone_s fleet_s
+          (alone_s /. fleet_s);
+        (w.Workloads.Workload.name, events, alone_s, fleet_s))
+      Workloads.Workload.all
+  in
+  let total f = List.fold_left (fun acc row -> acc +. f row) 0.0 rows in
+  let alone_total = total (fun (_, _, a, _) -> a) in
+  let fleet_total = total (fun (_, _, _, f) -> f) in
+  let events = List.fold_left (fun acc (_, e, _, _) -> acc + e) 0 rows in
+  let ns_per_event s = s *. 1e9 /. float_of_int events in
+  let speedup = alone_total /. fleet_total in
+  Format.fprintf ppf
+    "fleet speedup (all workloads): %.2fx   alone %.1f ns/event   fleet %.1f \
+     ns/event@."
+    speedup (ns_per_event alone_total) (ns_per_event fleet_total);
+  ( "hierarchy-fleet",
+    Obs.Json.Obj
+      [ ("cpus",
+         Obs.Json.List
+           (List.map
+              (fun c -> Obs.Json.Str (Memsim.Hier.cpu_label c))
+              Memsim.Hier.all_cpus));
+        ("workloads",
+         Obs.Json.Obj
+           (List.map
+              (fun (name, events, alone_s, fleet_s) ->
+                ( name,
+                  Obs.Json.Obj
+                    [ ("events", Obs.Json.Int events);
+                      ("alone_s", Obs.Json.Float alone_s);
+                      ("fleet_s", Obs.Json.Float fleet_s);
+                      ("speedup", Obs.Json.Float (alone_s /. fleet_s))
+                    ] ))
+              rows));
+        ("alone_total_s", Obs.Json.Float alone_total);
+        ("fleet_total_s", Obs.Json.Float fleet_total);
+        ("alone_ns_per_event", Obs.Json.Float (ns_per_event alone_total));
+        ("fleet_ns_per_event", Obs.Json.Float (ns_per_event fleet_total));
+        ("fleet_speedup", Obs.Json.Float speedup);
         ("identical_stats", Obs.Json.Bool true)
       ] )
 
@@ -572,6 +652,7 @@ type bound = At_least of float | At_most of float
 
 let hard_bounds =
   [ ("hierarchy-sweep.hierarchy_speedup", At_least 2.0);
+    ("hierarchy-fleet.fleet_speedup", At_least 2.0);
     ("sweep-serial-vs-parallel.speedup_chunk_vs_per_event", At_least 1.0);
     ("attribution-overhead.overhead_full", At_most 3.0);
     ("trace-append.speedup_direct_vs_sink", At_least 1.0)
@@ -637,7 +718,7 @@ let () =
   let measured =
     List.map
       (fun measure -> measure ())
-      [ measure_sweep; measure_hierarchy; measure_attribution;
+      [ measure_sweep; measure_hierarchy; measure_fleet; measure_attribution;
         measure_recording_formats; measure_serve ]
   in
   let doc =

@@ -597,11 +597,10 @@ let check_files files gc heap_bytes static_bytes stack_bytes raw json_out =
       if raw then None
       else Some (check_geometry gc heap_bytes static_bytes stack_bytes)
     in
-    (* A directory with a journal.jsonl is a serve spool. *)
-    let is_spool f =
-      Sys.file_exists f && Sys.is_directory f
-      && Sys.file_exists (Filename.concat f "journal.jsonl")
-    in
+    (* Every directory is checked as a serve spool, so one without a
+       journal.jsonl gets a finding that says so rather than an I/O
+       error from reading it as a trace. *)
+    let is_spool f = Sys.file_exists f && Sys.is_directory f in
     let spools, files = List.partition is_spool files in
     let is_doc f = Filename.check_suffix f ".json" in
     let is_attr f = Filename.check_suffix f ".attr" in
@@ -638,10 +637,12 @@ let check_files files gc heap_bytes static_bytes stack_bytes raw json_out =
     let traces = List.map (Check.Trace_file.check ~geometry ~expect) traces in
     (* A sidecar's positions and a checkpoint's header are bounded by
        the recording's event count — known when exactly one trace is
-       on the command line. *)
+       on the command line and it decoded without errors (a truncated
+       trace's partial count would put every later position out of
+       bounds). *)
     let events =
       match traces with
-      | [ (_, n) ] -> n
+      | [ (report, n) ] when Check.Report.passed report -> n
       | _ -> None
     in
     let reports =

@@ -4,6 +4,39 @@ type result = {
   findings : Finding.t list;
 }
 
+(* Cap each rule's findings, as the trace and checkpoint scanners do:
+   one systematic fault (a sidecar checked against a shorter trace
+   puts every later epoch and site run out of bounds) would otherwise
+   print one line per position.  The rest of a rule's findings are
+   counted in one warning after them. *)
+let per_rule_cap = 8
+
+let cap file findings =
+  let counts = Hashtbl.create 4 in
+  let kept =
+    List.filter
+      (fun (f : Finding.t) ->
+        let n = Option.value ~default:0 (Hashtbl.find_opt counts f.rule) in
+        Hashtbl.replace counts f.rule (n + 1);
+        n < per_rule_cap)
+      findings
+  in
+  let rules =
+    List.sort_uniq String.compare
+      (List.map (fun (f : Finding.t) -> f.rule) findings)
+  in
+  kept
+  @ List.filter_map
+      (fun rule ->
+        let n = Hashtbl.find counts rule in
+        if n <= per_rule_cap then None
+        else
+          Some
+            (Finding.v ~severity:Finding.Warning ~rule ~file
+               (Printf.sprintf "%d further %s finding(s) suppressed"
+                  (n - per_rule_cap) rule)))
+      rules
+
 let semantic_findings ?events file (t : Memsim.Attr.table) =
   let findings = ref [] in
   let add f = findings := f :: !findings in
@@ -54,7 +87,7 @@ let semantic_findings ?events file (t : Memsim.Attr.table) =
          (Printf.sprintf
             "site table hit the %d-entry cap at capture; \"(overflow)\" \
              aggregates the rest" Memsim.Attr.max_sites));
-  List.rev !findings
+  cap file (List.rev !findings)
 
 let scan ?events file =
   match Memsim.Attr.load file with

@@ -19,7 +19,10 @@
       classifies every address as free;
     - [attr.sites-clipped] — warning: the site table overflowed at
       capture time and the ["(overflow)"] bucket aggregates the
-      rest. *)
+      rest.
+
+    Each rule reports at most 8 findings; a warning under the same
+    rule counts the ones suppressed beyond that. *)
 
 type result = {
   file : string;

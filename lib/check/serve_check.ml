@@ -312,8 +312,8 @@ let scan dir =
       checkpoints = 0;
       resumed = [];
       findings =
-        [ Finding.v ~rule:"serve.journal.io" ~file:(journal_path dir)
-            "no journal.jsonl: not a serve spool directory"
+        [ Finding.v ~rule:"serve.journal.io" ~file:dir
+            "a directory without a journal.jsonl, so not a serve spool"
         ]
     }
   else begin

@@ -284,6 +284,9 @@ let scan_v3 sc =
 (* --- Entry point -------------------------------------------------------- *)
 
 let read_file path =
+  (* Opening a directory succeeds, and reading its length then fails
+     with an errno message (EOVERFLOW) that does not name the cause. *)
+  if Sys.is_directory path then raise (Sys_error (path ^ ": is a directory"));
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)

@@ -1397,6 +1397,68 @@ let reset_stats t =
   t.writes <- 0;
   t.collector_writes <- 0
 
+(* --- Prefix sharing ------------------------------------------------------ *)
+
+(* What [Sweep] groups levels by: a level's future is a function of its
+   config, its line and policy state and the ordered stream it
+   receives, so two [same] levels fed one stream stay [same], and
+   [copy] can stand in for replaying the follower.  Field by field:
+   the lint forbids polymorphic compare in this module. *)
+let config_equal (a : config) (b : config) =
+  a.size_bytes = b.size_bytes
+  && a.block_bytes = b.block_bytes
+  && a.ways = b.ways
+  && policy_code a.policy = policy_code b.policy
+  &&
+  match (a.write_miss_policy, b.write_miss_policy) with
+  | Cache.Write_validate, Cache.Write_validate
+  | Cache.Fetch_on_write, Cache.Fetch_on_write -> true
+  | (Cache.Write_validate | Cache.Fetch_on_write), _ -> false
+
+let same a b =
+  (not (hooked a || hooked b))
+  && config_equal a.cfg b.cfg
+  && a.refs = b.refs
+  && a.collector_refs = b.collector_refs
+  && a.misses = b.misses
+  && a.collector_misses = b.collector_misses
+  && a.alloc_misses = b.alloc_misses
+  && a.fetches = b.fetches
+  && a.collector_fetches = b.collector_fetches
+  && a.writebacks = b.writebacks
+  && a.collector_writebacks = b.collector_writebacks
+  && a.writes = b.writes
+  && a.collector_writes = b.collector_writes
+  && Array.for_all2 Int.equal a.tags b.tags
+  && Array.for_all2 Int.equal a.valid_lo b.valid_lo
+  && Array.for_all2 Int.equal a.valid_hi b.valid_hi
+  && Bytes.equal a.dirty b.dirty
+  && Array.for_all2 Int.equal a.pol b.pol
+
+(* The hint is copied with the state it describes, so it stays a
+   sound accelerator for [dst]. *)
+let copy ~src dst =
+  if not (config_equal src.cfg dst.cfg) then
+    invalid_arg "Level.copy: the levels' configurations differ";
+  let blit a b = Array.blit a 0 b 0 (Array.length a) in
+  blit src.tags dst.tags;
+  blit src.valid_lo dst.valid_lo;
+  blit src.valid_hi dst.valid_hi;
+  Bytes.blit src.dirty 0 dst.dirty 0 (Bytes.length src.dirty);
+  blit src.pol dst.pol;
+  blit src.hint dst.hint;
+  dst.refs <- src.refs;
+  dst.collector_refs <- src.collector_refs;
+  dst.misses <- src.misses;
+  dst.collector_misses <- src.collector_misses;
+  dst.alloc_misses <- src.alloc_misses;
+  dst.fetches <- src.fetches;
+  dst.collector_fetches <- src.collector_fetches;
+  dst.writebacks <- src.writebacks;
+  dst.collector_writebacks <- src.collector_writebacks;
+  dst.writes <- src.writes;
+  dst.collector_writes <- src.collector_writes
+
 (* --- Test introspection -------------------------------------------------- *)
 
 let line_valid t ~set ~way =

@@ -161,6 +161,25 @@ val stats : t -> Cache.stats
 val reset_stats : t -> unit
 (** Zero every counter (contents, tags and policy state are kept). *)
 
+(** {1 Prefix sharing}
+
+    A level's behaviour is a function of its configuration, its state
+    and the ordered stream it receives.  Two {!same} levels fed the
+    same stream therefore end {!same}, so a replay may simulate one
+    and {!copy} it into the other ([Sweep] does this for hierarchies
+    that share a prefix). *)
+
+val same : t -> t -> bool
+(** Equal configuration, counters, tags, valid masks, dirty bits and
+    packed policy words: everything {!snapshot} captures.  A level
+    with fill hooks is never [same] as another: a replay that skipped
+    it would skip its hooks. *)
+
+val copy : src:t -> t -> unit
+(** [copy ~src dst] makes [dst] {!same} as [src]: line state, policy
+    words and counters.  Hooks are left as they are.
+    @raise Invalid_argument when the configurations differ. *)
+
 val line_valid : t -> set:int -> way:int -> bool
 (** Whether the line currently holds a block (test introspection). *)
 

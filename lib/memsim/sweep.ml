@@ -91,7 +91,8 @@ let results t =
 (* Every replay below, and the sharded producer in [Runner.record_grid],
    parallelizes the same way: indices are claimed off one atomic
    cursor by [jobs] domains (the caller's included), and [f i] touches
-   only index i's simulator, profile or slot.  Nothing mutable is
+   only what claim i owns: index i's profile or slot, or the prefix
+   tree of hierarchies that hierarchy i leads.  Nothing mutable is
    shared between two claims, so the result is bit-identical to the
    serial loop. *)
 let parallel_for ~jobs n f =
@@ -138,14 +139,103 @@ let replay_range recording ~from_ ~until step =
       let hi = min until (b + len) in
       if lo < hi then step ~base:lo buf (lo - b) (hi - lo))
 
-(* Every hierarchy is an independent simulator over a read-only
-   sealed recording, which is what makes every path below
-   bit-identical to a serial replay. *)
+(* --- Prefix sharing --------------------------------------------------- *)
+
+(* A node of a prefix tree: level [depth] of hierarchy [lead] and of
+   each of its [followers] (indices into the replayed array).  When a
+   range starts these levels are [Level.same] and their parents share
+   a node, so over the range they would all receive one stream and end
+   [same] again: only the leader's level is simulated, and the
+   followers' levels copy its state when the range ends.  [below]
+   partitions the members that have a level under [depth]. *)
+type node = { depth : int; lead : int; followers : int list; below : node list }
+
+let depth_of h = Array.length (Hier.geometry h).Hier.levels
+
+(* A stable partition of [ks] by [Level.same] on level [depth] (an
+   equivalence, so the leader stands for its group), recursing into
+   the members that go deeper. *)
+let rec nodes hiers depth ks =
+  let level k = Hier.level hiers.(k) depth in
+  let groups =
+    List.fold_left
+      (fun groups k ->
+        let rec place = function
+          | [] -> [ (k, []) ]
+          | (lead, rev) :: rest ->
+            if Level.same (level lead) (level k) then (lead, k :: rev) :: rest
+            else (lead, rev) :: place rest
+        in
+        place groups)
+      [] ks
+  in
+  List.map
+    (fun (lead, rev) ->
+      let followers = List.rev rev in
+      { depth;
+        lead;
+        followers;
+        below =
+          nodes hiers (depth + 1)
+            (List.filter
+               (fun k -> depth_of hiers.(k) > depth + 1)
+               (lead :: followers))
+      })
+    groups
+
+(* Replay one prefix tree over [from_, until).  A node runs its
+   leader's level once per chunk, emitting into its depth's stream
+   buffer when levels hang below it; each child drains that stream in
+   turn, so siblings reuse the next depth's buffer.  The buffers
+   belong to the claim. *)
+let replay_tree hiers recording ~from_ ~until root =
+  let level node k = Hier.level hiers.(k) node.depth in
+  let streams =
+    Array.make
+      (List.fold_left
+         (fun d k -> max d (depth_of hiers.(k)))
+         0 (root.lead :: root.followers))
+      Chunk.empty
+  in
+  let rec run node buf off len =
+    let l = level node node.lead in
+    match node.below with
+    | [] -> Level.access_chunk l buf off len
+    | below ->
+      let d = node.depth in
+      if Bigarray.Array1.dim streams.(d) < 2 * len then
+        streams.(d) <- Chunk.create_buf_uninit (2 * len);
+      let out = streams.(d) in
+      let m = Level.access_chunk_emit l buf off len ~out ~pos:0 in
+      List.iter (fun child -> run child out 0 m) below
+  in
+  replay_range recording ~from_ ~until (fun ~base:_ buf off len ->
+      run root buf off len);
+  let rec settle node =
+    let src = level node node.lead in
+    List.iter (fun k -> Level.copy ~src (level node k)) node.followers;
+    List.iter settle node.below
+  in
+  settle root
+
+(* The pool claims hierarchies by index.  The claim of a tree's root
+   leader replays the whole tree, and a root follower's claim has
+   nothing to do.  A root without followers shares nothing and
+   replays through its own [Hier.access_chunk]: every one-hierarchy
+   replay, and every hooked hierarchy (hooked levels are never
+   [same]), takes the unshared path that is the shared one's oracle.
+   Trees touch disjoint hierarchies over a read-only sealed recording,
+   so every path below is bit-identical to a serial replay of each
+   hierarchy alone. *)
 let replay ~jobs hiers recording ~from_ ~until =
+  let roots = nodes hiers 0 (List.init (Array.length hiers) Fun.id) in
   parallel_for ~jobs (Array.length hiers) (fun i ->
-      let h = hiers.(i) in
-      replay_range recording ~from_ ~until (fun ~base:_ buf off len ->
-          Hier.access_chunk h buf off len))
+      match List.find_opt (fun root -> root.lead = i) roots with
+      | None -> ()
+      | Some { followers = []; _ } ->
+        replay_range recording ~from_ ~until (fun ~base:_ buf off len ->
+            Hier.access_chunk hiers.(i) buf off len)
+      | Some root -> replay_tree hiers recording ~from_ ~until root)
 
 let hier_run_parallel ~jobs hiers recording =
   replay ~jobs hiers recording ~from_:0 ~until:(Recording.length recording)
@@ -193,13 +283,14 @@ let run_attributed ?(jobs = 1) ?(sample_every = 1) ?heat_rows ?heat_cols
 
 (* A checkpoint pins an in-flight replay: the number of events every
    hierarchy has consumed (the cursor) plus a full snapshot of each.
-   Replay is deterministic and the hierarchies are independent, so
-   restoring the snapshots and continuing from the cursor is
-   bit-identical to never having stopped.  Layout: the 8-byte magic,
-   cursor, event count and hierarchy count as little-endian 64-bit
-   words, then the snapshots back to back.  The file is written to a
-   temp name and renamed so a crash mid-checkpoint can never leave a
-   torn file where a resume would find it. *)
+   Replay is deterministic and leaves every hierarchy in the state it
+   would reach alone, so restoring the snapshots and continuing from
+   the cursor is bit-identical to never having stopped.  Layout: the
+   8-byte magic, cursor, event count and hierarchy count as
+   little-endian 64-bit words, then the snapshots back to back.  The
+   file is written to a temp name and renamed so a crash
+   mid-checkpoint can never leave a torn file where a resume would
+   find it. *)
 
 let checkpoint_magic = "SWHCKPT1"
 let header_bytes = 32
@@ -274,9 +365,11 @@ let load_hier_checkpoint ?ctx hiers ~events path =
 let default_checkpoint_events = 1 lsl 22
 
 (* Epochs with a barrier at each checkpoint: within an epoch the
-   hierarchies progress independently (possibly on worker domains),
-   but a checkpoint is only taken when every one has consumed exactly
-   [cursor] events, so one cursor describes them all. *)
+   prefix trees progress independently (possibly on worker domains),
+   but a checkpoint is only taken when every hierarchy has consumed
+   exactly [cursor] events and every follower holds its leader's
+   state, so one cursor describes them all.  Each epoch regroups the
+   trees, restored or not. *)
 let hier_run_resumable ?ctx ?(jobs = 1)
     ?(checkpoint_every = default_checkpoint_events) ?progress ~checkpoint
     hiers recording =

@@ -6,16 +6,18 @@
     a one-level {!Hier} over a {!Level} (1-way for the paper's
     direct-mapped grids), so grids and multi-level hierarchy fleets
     replay, checkpoint and resume through the same [hier_*] path.
-    Every hierarchy is independent and a sealed recording is
-    read-only, so serial, parallel and resumed runs are bit-identical.
-    A trace is recorded first and replayed afterwards; nothing sweeps
+    Hierarchies whose leading levels have equal configurations and
+    equal state share those levels' simulation (see below), and a
+    sealed recording is read-only, so serial, parallel and resumed
+    runs are bit-identical to replaying each hierarchy alone.  A
+    trace is recorded first and replayed afterwards; nothing sweeps
     while the mutator runs.
 
     - {!sink}: per-event fan-out (one {!Level.access} per cell per
       event).  The oracle the others are tested against.
     - {!run_serial} / {!run_parallel}: replay a completed {!Recording},
-      whole hierarchies claimed across [jobs] domains by
-      {!parallel_for}. *)
+      whole prefix trees of hierarchies claimed across [jobs] domains
+      by {!parallel_for}. *)
 
 val paper_cache_sizes : int list
 (** The §4 cache sizes: 32 KB to 4 MB in powers of two. *)
@@ -115,11 +117,27 @@ val run_attributed :
 (** {1 Hierarchy replay, checkpoint and resume}
 
     The one replay path, over fused hierarchies ({!Hier}) — a grid's
-    cells ({!hiers}) or multi-level fleets alike.  Hierarchies are
-    independent simulators and a sealed recording is read-only, so
-    parallel and resumable runs are bit-identical to serial ones, per
-    level.  The hierarchies must be fused ([Hier.create ~fused:true]);
-    the hooked oracle exists for differential tests, not for sweeps.
+    cells ({!hiers}) or multi-level fleets alike.
+
+    Each shared hierarchy prefix is simulated once.  When a replay
+    range starts, the hierarchies are grouped into prefix trees: level
+    i of two hierarchies shares a tree node when their levels i-1
+    share one and the two levels are {!Level.same} (equal
+    configuration, line state and counters).  A node simulates its
+    first member's level once per chunk and feeds that level's miss
+    stream to each child; when the range ends, the other members'
+    levels receive its state through {!Level.copy}.  A level's future
+    depends only on its configuration, its state and the stream it
+    receives, so per-level statistics, snapshots and checkpoints are
+    bit-identical to replaying each hierarchy alone, which is what a
+    one-hierarchy array does.  The five {!Hier.preset}s share one L1
+    and two L2s: 7 level simulations instead of 15.  Each tree is one
+    claim of {!parallel_for}, so parallel and resumable runs are
+    bit-identical to serial ones, per level.
+
+    The hierarchies should be fused ([Hier.create ~fused:true]); the
+    hooked oracle exists for differential tests, never shares a level,
+    and replays alone.
 
     A long replay can be snapshotted periodically — the full state of
     every hierarchy ({!Hier.snapshot}) plus the number of events all
@@ -133,8 +151,10 @@ val hier_run_serial : Hier.t array -> Recording.t -> unit
 (** Replay the whole recording into every hierarchy, one domain. *)
 
 val hier_run_parallel : jobs:int -> Hier.t array -> Recording.t -> unit
-(** Like {!hier_run_serial} with the hierarchies dynamically claimed
-    across [jobs] domains (clamped to the hierarchy count). *)
+(** Like {!hier_run_serial} with the prefix trees dynamically claimed
+    across [jobs] domains (clamped to the hierarchy count); a fleet
+    whose hierarchies all share an L1 is one tree and runs on one
+    domain. *)
 
 val save_hier_checkpoint :
   Hier.t array -> events:int -> cursor:int -> string -> unit

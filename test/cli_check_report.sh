@@ -4,7 +4,8 @@
 # the `--json` document, member order included.  Inputs: a v2 and a v3
 # Cheney trace of lred with its attribution sidecar, a replay
 # checkpoint, a `run T2 --metrics` telemetry document, a one-line
-# hand-made serve spool and a truncated trace.
+# hand-made serve spool, a truncated trace and a directory that is not
+# a spool.
 # Usage: cli_check_report.sh REPRO_EXE
 repro=$1
 case $repro in /*) ;; *) repro=$PWD/$repro ;; esac
@@ -23,6 +24,7 @@ mkdir spool
 printf '{"ev":"submitted","job":1,"t":0,"run":"(run (name x))"}\n' \
   > spool/journal.jsonl
 head -c 100000 v2.trace > cut.trace
+mkdir notspool
 
 # One transcript: the command, its exit status, stdout, then stderr.
 check() {
@@ -40,6 +42,8 @@ check() {
   check grid.ckpt
   check spool
   check cut.trace
+  check cut.trace lred.attr grid.ckpt
+  check notspool
   check --gc cheney:1m v2.trace t2.json
   check v2.trace lred.attr grid.ckpt
   check --gc cheney:1m v2.trace v3.trace t2.json lred.attr grid.ckpt spool \
@@ -73,6 +77,14 @@ spool: ok: serve spool (1 events, 1 jobs, 1 dangling, 0 results, 0 checkpoints)
 == check cut.trace
 rc=1
 cut.trace: error: [trace.truncated] byte 100000: file ends inside event 42428 (42428 of 9095388 events decoded)
+== check cut.trace lred.attr grid.ckpt
+rc=1
+cut.trace: error: [trace.truncated] byte 100000: file ends inside event 42428 (42428 of 9095388 events decoded)
+lred.attr: ok: attribution table (4 region epochs, 1383 site runs, 81 sites)
+grid.ckpt: ok: hierarchy checkpoint (1 snapshot, cursor 9095388 of 9095388 events)
+== check notspool
+rc=1
+notspool: error: [serve.journal.io] a directory without a journal.jsonl, so not a serve spool
 == check --gc cheney:1m v2.trace t2.json
 rc=0
 v2.trace: ok: v2, 9095388 events (8875952 mutator / 219436 collector, 1 collection run)

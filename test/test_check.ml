@@ -252,6 +252,19 @@ let test_trailing_bytes_v2 () =
       check_has "trace.trailing-bytes" scan.Check.Trace_file.findings);
   Sys.remove path
 
+(* A directory is not read: the finding says what the path is. *)
+let test_directory () =
+  let dir = Filename.temp_file "check" ".dir" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let scan = Check.Trace_file.scan dir in
+  Sys.rmdir dir;
+  Alcotest.(check (list string)) "one trace.io finding naming a directory"
+    [ "trace.io: " ^ dir ^ ": is a directory" ]
+    (List.map
+       (fun f -> f.Check.Finding.rule ^ ": " ^ f.Check.Finding.message)
+       scan.Check.Trace_file.findings)
+
 (* --- v3 negatives: every header field and both word-level rules ---------- *)
 
 (* Patch one byte of a freshly saved v3 file and expect one rule. *)
@@ -825,7 +838,8 @@ let () =
          Alcotest.test_case "trailing bytes v3" `Quick test_trailing_bytes_v3;
          Alcotest.test_case "declared count v3" `Quick test_declared_count_v3;
          Alcotest.test_case "corrupt kind bits v3" `Quick test_corrupt_kind_v3;
-         Alcotest.test_case "word width v3" `Quick test_word_width_v3
+         Alcotest.test_case "word width v3" `Quick test_word_width_v3;
+         Alcotest.test_case "directory" `Quick test_directory
        ]);
       ("stream",
        [ Alcotest.test_case "alloc monotonicity violation" `Quick

@@ -207,6 +207,135 @@ let test_kill_and_resume () =
   check_fleets_identical "resume of a finished run" uninterrupted idem;
   Sys.remove ckpt
 
+(* --- shared hierarchy prefixes ----------------------------------------- *)
+
+(* A fleet replay simulates each shared prefix once (the five presets
+   share one L1 and two L2s) and copies the leader's state into the
+   followers; a one-hierarchy replay never shares, so replaying each
+   hierarchy alone is the oracle.  Both must leave the same per-level
+   counters and the same snapshot bytes. *)
+
+let snapshot_string h =
+  let b = Buffer.create (Hier.snapshot_bytes h) in
+  Hier.snapshot h b;
+  Buffer.contents b
+
+let check_same_as_alone name fleet alone =
+  Array.iteri
+    (fun i h ->
+      let what = Printf.sprintf "%s: hier %d" name i in
+      check_levels_identical what h alone.(i);
+      Alcotest.(check bool) (what ^ ": snapshot bytes") true
+        (String.equal (snapshot_string h) (snapshot_string alone.(i))))
+    fleet
+
+let run_alone hiers recording =
+  Array.iter (fun h -> Memsim.Sweep.hier_run_serial [| h |] recording) hiers
+
+(* Build a fleet twice from [make], replay one copy as a fleet (serial
+   and on two domains) and the other hierarchy by hierarchy. *)
+let check_fleet name make recording =
+  let alone = make () in
+  run_alone alone recording;
+  let serial = make () in
+  Memsim.Sweep.hier_run_serial serial recording;
+  check_same_as_alone (name ^ " serial") serial alone;
+  let parallel = make () in
+  Memsim.Sweep.hier_run_parallel ~jobs:2 parallel recording;
+  check_same_as_alone (name ^ " jobs=2") parallel alone
+
+let presets ?(fused = true) cpus =
+  Array.of_list (List.map (fun c -> Hier.create ~fused (Hier.preset c)) cpus)
+
+(* Warm [h] on the recording's first chunk only, so it enters the
+   replay in a different state from a fresh hierarchy of the same
+   configuration. *)
+let warm_first_chunk h recording =
+  let first = ref true in
+  Memsim.Recording.iter_chunks recording (fun buf len ->
+      if !first then Hier.access_chunk h buf 0 len;
+      first := false)
+
+(* Closed forms for "L2 sees exactly the L1 miss stream", from the
+   [Level.access_chunk_emit] and [Level.write_back] contracts: level
+   i emits one read per block fetch and one write-back per dirty
+   eviction, each in the phase of the access that caused it; level
+   i+1 counts each as one reference of that phase, each write-back
+   also as one write, and never sees an allocation.  [refs], [misses]
+   and [fetches] are split by phase into disjoint mutator/collector
+   counters; [writes] and [writebacks] are totals with a collector
+   part. *)
+let check_miss_stream_identities name h =
+  let st = Hier.stats h in
+  for i = 0 to Array.length st - 2 do
+    let up = st.(i) and down = st.(i + 1) in
+    let what fmt =
+      Printf.ksprintf (fun s -> Printf.sprintf "%s: L%d<-L%d %s" name (i + 2)
+                          (i + 1) s) fmt
+    in
+    let open Memsim.Cache in
+    let mutator_wbs = up.writebacks - up.collector_writebacks in
+    Alcotest.(check int) (what "mutator refs = fetches + write-backs")
+      (up.fetches + mutator_wbs) down.refs;
+    Alcotest.(check int) (what "collector refs = fetches + write-backs")
+      (up.collector_fetches + up.collector_writebacks) down.collector_refs;
+    Alcotest.(check int) (what "mutator writes = write-backs") mutator_wbs
+      (down.writes - down.collector_writes);
+    Alcotest.(check int) (what "collector writes = write-backs")
+      up.collector_writebacks down.collector_writes;
+    Alcotest.(check int) (what "no allocation misses") 0 down.alloc_misses
+  done
+
+let test_shared_prefix w () =
+  let _, recording = Core.Runner.record ~scale:1 w in
+  let name = w.Workloads.Workload.name in
+  check_fleet (name ^ ": five presets") (fun () -> presets Hier.all_cpus)
+    recording;
+  check_fleet (name ^ ": ivb twice")
+    (fun () -> presets [ Hier.Ivb; Hier.Nhm; Hier.Ivb ])
+    recording;
+  check_fleet (name ^ ": ivb pre-warmed beside hsw")
+    (fun () ->
+      let fleet = presets [ Hier.Ivb; Hier.Hsw; Hier.Skl ] in
+      warm_first_chunk fleet.(0) recording;
+      fleet)
+    recording;
+  check_fleet (name ^ ": hooked ivb among fused presets")
+    (fun () ->
+      [| Hier.create (Hier.preset Hier.Nhm);
+         Hier.create ~fused:false (Hier.preset Hier.Ivb);
+         Hier.create (Hier.preset Hier.Hsw)
+      |])
+    recording;
+  let fleet = presets Hier.all_cpus in
+  Memsim.Sweep.hier_run_serial fleet recording;
+  Array.iteri
+    (fun i h ->
+      check_miss_stream_identities
+        (Printf.sprintf "%s %s" name (Hier.cpu_label (List.nth Hier.all_cpus i)))
+        h)
+    fleet
+
+(* Kill-and-resume through the shared replay: every epoch regroups
+   the hierarchies by their restored state. *)
+let test_shared_kill_and_resume () =
+  let _, recording = Core.Runner.record ~scale:1 Workloads.Workload.nbody in
+  let alone = presets Hier.all_cpus in
+  run_alone alone recording;
+  let ckpt = Filename.temp_file "shared" ".ckpt" in
+  Sys.remove ckpt;
+  let every = max 1 (Memsim.Recording.length recording / 5) in
+  (try
+     Memsim.Sweep.hier_run_resumable ~checkpoint_every:every
+       ~progress:(fun cursor -> if cursor >= 2 * every then raise Exit)
+       ~checkpoint:ckpt (presets Hier.all_cpus) recording
+   with Exit -> ());
+  let resumed = presets Hier.all_cpus in
+  Memsim.Sweep.hier_run_resumable ~jobs:2 ~checkpoint_every:every
+    ~checkpoint:ckpt resumed recording;
+  Sys.remove ckpt;
+  check_same_as_alone "five presets killed and resumed" resumed alone
+
 (* --- checkpoint bytes are pinned --------------------------------------- *)
 
 (* A fixed synthetic recording: xorshift addresses over 64 KB, every
@@ -392,6 +521,17 @@ let workload_cases =
         `Slow (test_workload w))
     Workloads.Workload.all
 
+let shared_cases =
+  List.map
+    (fun (w : Workloads.Workload.t) ->
+      Alcotest.test_case
+        (Printf.sprintf "shared prefixes = each alone: %s" w.name)
+        `Slow (test_shared_prefix w))
+    Workloads.Workload.all
+  @ [ Alcotest.test_case "shared prefixes: kill-and-resume" `Slow
+        test_shared_kill_and_resume
+    ]
+
 let () =
   Alcotest.run "hier"
     [ ("differential", workload_cases);
@@ -409,6 +549,7 @@ let () =
          Alcotest.test_case "checkpoint bytes pinned" `Quick
            test_checkpoint_bytes_pinned
        ]);
+      ("shared", shared_cases);
       ("overhead",
        [ Alcotest.test_case "Hierarchy.overhead charges disjointly" `Quick
            test_hierarchy_overhead_disjoint

@@ -316,6 +316,40 @@ let test_attr_check_rules () =
       Alcotest.(check bool) "attr.format fires" true
         (List.mem "attr.format" (rules r.Check.Attr_check.findings)))
 
+(* A sidecar checked against too short a trace: 20 site runs out of
+   bounds print 8 findings and one warning counting the other 12. *)
+let test_attr_check_cap () =
+  let t = Memsim.Attr.create () in
+  Memsim.Attr.publish_map t ~pos:0 ~stack_lo:100 ~dynamic_lo:200 ~to_lo:200
+    ~to_hi:300 ~from_lo:300 ~from_hi:400;
+  let a = Memsim.Attr.intern_site t "prim:cons" in
+  let b = Memsim.Attr.intern_site t "prim:vector" in
+  for i = 0 to 19 do
+    Memsim.Attr.note_site t ~pos:(100 + i) (if i land 1 = 0 then a else b)
+  done;
+  let path = temp_path ".attr" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Memsim.Attr.save t path;
+      let r = Check.Attr_check.scan ~events:50 path in
+      let bound =
+        List.filter
+          (fun f -> String.equal f.Check.Finding.rule "attr.events-bound")
+          r.Check.Attr_check.findings
+      in
+      Alcotest.(check int) "8 errors and a suppression warning" 9
+        (List.length bound);
+      Alcotest.(check int) "8 of them errors" 8
+        (List.length (Check.Finding.errors bound));
+      Alcotest.(check (list string)) "the warning counts the rest"
+        [ "12 further attr.events-bound finding(s) suppressed" ]
+        (List.filter_map
+           (fun f ->
+             if Check.Finding.is_error f then None
+             else Some f.Check.Finding.message)
+           bound))
+
 (* --- Heatmap rendering --------------------------------------------- *)
 
 let test_heatmap_render () =
@@ -501,7 +535,8 @@ let () =
         ] );
       ( "checker",
         [ Alcotest.test_case "clean sidecar" `Quick test_attr_check_clean;
-          Alcotest.test_case "rules fire" `Quick test_attr_check_rules
+          Alcotest.test_case "rules fire" `Quick test_attr_check_rules;
+          Alcotest.test_case "per-rule finding cap" `Quick test_attr_check_cap
         ] );
       ( "render",
         [ Alcotest.test_case "heatmap" `Quick test_heatmap_render;
