@@ -10,7 +10,14 @@ type measured = {
   collector_insns : int;
   collections : int;
   bytes_allocated : int;
-  per_cpu : (Memsim.Hier.cpu * Memsim.Hier.t) list;
+  per_cpu : (Memsim.Hier.cpu * replayed) list;
+}
+
+(* What a replayed hierarchy leaves behind: its geometry and per-level
+   counters, not its line state, so ten measured cells stay small. *)
+and replayed = {
+  geometry : Memsim.Hier.config;
+  levels : Memsim.Cache.stats array;
 }
 
 (* Disjoint-charged service time of the recorded traffic, in cycles:
@@ -19,8 +26,8 @@ type measured = {
    level's block.  [collector] selects which phase's fetches are
    charged. *)
 let service_cycles cpu h ~collector =
-  let cfg = Memsim.Hier.geometry h in
-  let stats = Memsim.Hier.stats h in
+  let cfg = h.geometry in
+  let stats = h.levels in
   let n = Array.length stats in
   let fetches i =
     let s = stats.(i) in
@@ -64,16 +71,31 @@ let measure ?gc w =
       (fun cpu -> (cpu, Memsim.Hier.create (Memsim.Hier.preset cpu)))
       Memsim.Hier.all_cpus
   in
-  Memsim.Sweep.hier_run_parallel ~jobs:(Runner.jobs ())
-    (Array.of_list (List.map snd hiers))
-    recording;
+  Memsim.Sweep.hier_run_serial (Array.of_list (List.map snd hiers)) recording;
   Memsim.Recording.release recording;
   { insns = r.Runner.stats.Vscheme.Machine.mutator_insns;
     collector_insns = r.Runner.stats.Vscheme.Machine.collector_insns;
     collections = r.Runner.stats.Vscheme.Machine.collections;
     bytes_allocated = r.Runner.stats.Vscheme.Machine.bytes_allocated;
-    per_cpu = hiers
+    per_cpu =
+      List.map
+        (fun (cpu, h) ->
+          ( cpu,
+            { geometry = Memsim.Hier.geometry h;
+              levels = Memsim.Hier.stats h } ))
+        hiers
   }
+
+(* One cell per workload, [gc i] giving workload i's collector.  A
+   cell's five presets share one L1 and so form one prefix tree, a
+   single claim for the replay pool; parallelism comes from claiming
+   whole cells instead, each recorded and replayed on one domain. *)
+let measure_all gc =
+  let ws = Array.of_list Workloads.Workload.all in
+  let cells = Array.make (Array.length ws) None in
+  Memsim.Sweep.parallel_for ~jobs:(Runner.jobs ()) (Array.length ws) (fun i ->
+      cells.(i) <- Some (measure ?gc:(gc i) ws.(i)));
+  Array.map (function Some m -> m | None -> assert false) cells
 
 (* Per-level miss counts of the collected run land in the metrics
    registry, so a --metrics export carries the whole grid. *)
@@ -96,7 +118,7 @@ let publish_levels w hiers =
           Obs.Metrics.Counter.set
             (Obs.Metrics.counter Obs.Metrics.default (name "misses"))
             misses)
-        (Memsim.Hier.stats h))
+        h.levels)
     hiers
 
 let miss_ratio (s : Memsim.Cache.stats) =
@@ -108,15 +130,20 @@ let grid ppf =
   Report.heading ppf
     "E-H1 (extension of sec. 4): GC overhead under modern 3-level \
      hierarchies (fused engine)";
-  List.iter
-    (fun w ->
-      let baseline = measure w in
-      let semispace_bytes =
-        max (512 * 1024) (baseline.bytes_allocated / 8)
-      in
-      let collected =
-        measure ~gc:(Vscheme.Machine.Cheney { semispace_bytes }) w
-      in
+  let baselines = measure_all (fun _ -> None) in
+  let semispace_bytes i =
+    max (512 * 1024) (baselines.(i).bytes_allocated / 8)
+  in
+  let collecteds =
+    measure_all (fun i ->
+        Some (Vscheme.Machine.Cheney { semispace_bytes = semispace_bytes i }))
+  in
+  (* Gauges are published from this domain, after the pool has joined:
+     the metrics registry is not synchronized. *)
+  List.iteri
+    (fun i w ->
+      let baseline = baselines.(i) and collected = collecteds.(i) in
+      let semispace_bytes = semispace_bytes i in
       publish_levels w collected.per_cpu;
       Format.fprintf ppf
         "@.%s: %s allocated, %s semispaces, %d collections@."
@@ -126,8 +153,7 @@ let grid ppf =
       let rows =
         List.map
           (fun cpu ->
-            let h = List.assoc cpu collected.per_cpu in
-            let stats = Memsim.Hier.stats h in
+            let stats = (List.assoc cpu collected.per_cpu).levels in
             [ Memsim.Hier.cpu_label cpu;
               miss_ratio stats.(0);
               miss_ratio stats.(1);

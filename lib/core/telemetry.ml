@@ -54,17 +54,17 @@ let record_run t (r : Runner.result) =
   set_counter t "run.collector_insns" r.stats.Vscheme.Machine.collector_insns;
   set_counter t "run.collections" r.stats.Vscheme.Machine.collections;
   set_counter t "run.bytes_allocated" r.stats.Vscheme.Machine.bytes_allocated;
-  match Vscheme.Heap.collector_name heap with
-  | "generational" ->
-    let s = Vscheme.Gc_generational.stats heap in
+  match Vscheme.Machine.collector r.machine with
+  | Vscheme.Machine.Generational_collector gc ->
+    let s = Vscheme.Gc_generational.stats gc in
     set_counter t "gc.barrier_hits" s.Vscheme.Gc_generational.barrier_hits;
     set_counter t "gc.ssb_overflows" s.Vscheme.Gc_generational.ssb_overflows
-  | "mark-sweep" ->
-    let s = Vscheme.Gc_marksweep.stats heap in
+  | Vscheme.Machine.Mark_sweep_collector gc ->
+    let s = Vscheme.Gc_marksweep.stats gc in
     set_counter t "gc.barrier_hits" s.Vscheme.Gc_marksweep.barrier_hits;
     set_counter t "gc.free_bytes"
-      (Vscheme.Gc_marksweep.free_words heap * Memsim.Trace.word_bytes)
-  | _ -> ()
+      (Vscheme.Gc_marksweep.free_words gc * Memsim.Trace.word_bytes)
+  | Vscheme.Machine.No_collector | Vscheme.Machine.Cheney_collector _ -> ()
 
 let to_json t =
   Obs.Json.Obj

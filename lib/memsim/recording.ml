@@ -21,11 +21,12 @@
 
    Trace memory has an owner.  A recording's slabs come from a
    process-wide pool of default-size slabs when it has one, and
-   {!release} hands them back the moment the recording's last replay
-   is done, instead of leaving them to Bigarray finalizers whose
-   timing the major GC decides.  A long-lived process that records
-   job after job (the serve daemon) then reuses already-faulted-in
-   memory and stays at the size of its largest recording. *)
+   {!release} (or {!clear}, to record again) hands them back the
+   moment the recording's last replay is done, instead of leaving them
+   to Bigarray finalizers whose timing the major GC decides.  A
+   long-lived process that records job after job (the serve daemon)
+   then reuses already-faulted-in memory and stays at the size of its
+   largest recording. *)
 
 module BA1 = Bigarray.Array1
 
@@ -123,26 +124,24 @@ let sink t =
 
 let length t = (t.nslabs * t.chunk_events) + t.cur_len
 
+(* Only a recording's own default-size slabs go to the pool: a
+   mapped v3 view ([owned = false]) aliases file pages. *)
+let poolable t = t.owned && t.chunk_events = Chunk.default_chunk_events
+
 let clear t =
-  for i = 0 to t.nslabs - 1 do
-    t.slabs.(i) <- Chunk.empty
-  done;
+  if poolable t then
+    for i = 0 to t.nslabs - 1 do
+      give_slab t.slabs.(i)
+    done;
+  Array.fill t.slabs 0 t.nslabs Chunk.empty;
   t.nslabs <- 0;
   t.cur_len <- 0;
   t.direct <- false
 
 let release t =
-  if t.owned && t.chunk_events = Chunk.default_chunk_events then begin
-    for i = 0 to t.nslabs - 1 do
-      give_slab t.slabs.(i)
-    done;
-    give_slab t.cur
-  end;
-  Array.fill t.slabs 0 t.nslabs Chunk.empty;
-  t.nslabs <- 0;
+  if poolable t then give_slab t.cur;
+  clear t;
   t.cur <- Chunk.empty;
-  t.cur_len <- 0;
-  t.direct <- false;
   t.owned <- false
 
 (* --- Direct writer ------------------------------------------------------ *)

@@ -36,8 +36,10 @@
     ({!Chunk.default_chunk_events}) are drawn from a process-wide
     free pool before any fresh allocation, and {!release} returns a
     finished recording's slabs to it; the pool is safe to use from
-    several domains at once.  Whoever replays a recording for the last
-    time releases it; a recording nobody releases is reclaimed by the
+    several domains at once.  Whoever reads a recording for the last
+    time releases it, or clears it to record again into the same
+    recording; {!clear} pools the sealed slabs just as {!release}
+    does.  A recording nobody releases or clears is reclaimed by the
     GC's Bigarray finalizers. *)
 
 type t
@@ -72,9 +74,13 @@ val chunk_events : t -> int
     except the last. *)
 
 val clear : t -> unit
-(** Drop every recorded event (sealed slabs are left to the GC, not
-    pooled; the current slab is kept) and release any direct-writer
-    checkout.  The recording is reusable afterwards. *)
+(** Drop every recorded event and release any direct-writer checkout:
+    the sealed slabs go back to the pool as in {!release}, and the
+    current slab is kept, so the recording stays writable and is
+    reusable afterwards.  The same rule as for {!release} applies: no
+    reader may touch [t]'s old events or a buffer {!iter_chunks} gave
+    out from it again.  A memory-mapped recording pools nothing; it is
+    left empty and read-only. *)
 
 val release : t -> unit
 (** Hand every slab [t] owns back to the pool and leave [t] empty:

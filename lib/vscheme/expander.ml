@@ -2,11 +2,12 @@ exception Syntax_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Syntax_error s)) fmt
 
-let gensym_counter = ref 0
+(* Shared by every machine in the process, including machines that
+   record_grid's worker domains expand programs on at once. *)
+let gensym_counter = Atomic.make 0
 
 let gensym prefix =
-  incr gensym_counter;
-  Format.sprintf "%%%s%d" prefix !gensym_counter
+  Format.sprintf "%%%s%d" prefix (1 + Atomic.fetch_and_add gensym_counter 1)
 
 let datum_list who d =
   match Sexp.Datum.list_opt d with

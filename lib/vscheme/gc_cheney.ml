@@ -4,7 +4,7 @@ type stats = {
   objects_copied : int;
 }
 
-type instance = {
+type t = {
   heap : Heap.t;
   semi : int;
   space0 : int;  (* base of semispace 0 *)
@@ -14,9 +14,6 @@ type instance = {
   mutable words_copied : int;
   mutable objects_copied : int;
 }
-
-(* One instance per heap; looked up by [stats]. *)
-let instances : (Heap.t * instance) list ref = ref []
 
 let space_base inst which = if which = 0 then inst.space0 else inst.space1
 
@@ -78,13 +75,12 @@ let install heap ~semispace_words =
       objects_copied = 0
     }
   in
-  instances := (heap, inst) :: !instances;
   Heap.set_dynamic_window heap ~base ~limit:(base + semispace_words);
   Heap.set_collector heap ~name:"cheney" (fun ~requested_words ->
-      collect inst ~requested_words)
+      collect inst ~requested_words);
+  inst
 
-let stats heap =
-  let inst = List.assq heap !instances in
+let stats inst =
   { collections = inst.collections;
     words_copied = inst.words_copied;
     objects_copied = inst.objects_copied

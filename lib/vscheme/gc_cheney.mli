@@ -14,7 +14,12 @@ type stats = {
   objects_copied : int;
 }
 
-val install : Heap.t -> semispace_words:int -> unit
+type t
+(** The collector installed on one heap.  The heap's collection entry
+    point and whoever {!install} returns it to (the machine) are its
+    only references, so it lives exactly as long as they do. *)
+
+val install : Heap.t -> semispace_words:int -> t
 (** Configure the heap's dynamic area as two [semispace_words]
     semispaces and install the collection entry point.
 
@@ -24,6 +29,5 @@ val install : Heap.t -> semispace_words:int -> unit
 val required_dynamic_words : semispace_words:int -> int
 (** Dynamic-area size needed by {!install}: [2 * semispace_words]. *)
 
-val stats : Heap.t -> stats
-(** Statistics for the collector installed on this heap.
-    @raise Not_found if no Cheney collector was installed. *)
+val stats : t -> stats
+(** Statistics accumulated by this collector so far. *)

@@ -16,7 +16,7 @@ type stats = {
   ssb_overflows : int;
 }
 
-type instance = {
+type t = {
   heap : Heap.t;
   cfg : config;
   n_base : int;
@@ -35,8 +35,6 @@ type instance = {
   mutable barrier_hits : int;
   mutable ssb_overflows : int;
 }
-
-let instances : (Heap.t * instance) list ref = ref []
 
 let old_base inst = if inst.cur_old = 0 then inst.old0 else inst.old1
 let other_old inst = if inst.cur_old = 0 then inst.old1 else inst.old0
@@ -199,15 +197,14 @@ let install heap cfg =
       ssb_overflows = 0
     }
   in
-  instances := (heap, inst) :: !instances;
   Heap.set_dynamic_window heap ~base ~limit:inst.n_limit;
   Heap.set_write_barrier heap (fun ~field_addr ~value ->
       barrier inst ~field_addr ~value);
   Heap.set_collector heap ~name:"generational" (fun ~requested_words ->
-      collect inst ~requested_words)
+      collect inst ~requested_words);
+  inst
 
-let stats heap =
-  let inst = List.assq heap !instances in
+let stats inst =
   { minor_collections = inst.minor_collections;
     major_collections = inst.major_collections;
     words_promoted = inst.words_promoted;

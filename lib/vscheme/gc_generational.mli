@@ -32,7 +32,11 @@ type stats = {
   ssb_overflows : int;
 }
 
-val install : Heap.t -> config -> unit
+type t
+(** The collector installed on one heap, reachable only from that
+    heap and from whoever {!install} returns it to. *)
+
+val install : Heap.t -> config -> t
 (** Lay out the nursery and the two old semispaces in the heap's
     dynamic area, install the write barrier and the collection entry
     point.
@@ -42,5 +46,5 @@ val install : Heap.t -> config -> unit
 val required_dynamic_words : config -> int
 (** [nursery_words + 2 * old_words]. *)
 
-val stats : Heap.t -> stats
-(** @raise Not_found if no generational collector is installed. *)
+val stats : t -> stats
+(** Statistics accumulated by this collector so far. *)

@@ -34,7 +34,7 @@ let class_of_size n =
   else if n <= 65536 then 22
   else 23
 
-type instance = {
+type t = {
   heap : Heap.t;
   cfg : config;
   n_base : int;
@@ -53,8 +53,6 @@ type instance = {
   mutable words_swept : int;
   mutable barrier_hits : int;
 }
-
-let instances : (Heap.t * instance) list ref = ref []
 
 let in_nursery inst a = a >= inst.n_base && a < inst.n_limit
 let in_old inst a = a >= inst.old_base && a < inst.old_limit
@@ -445,19 +443,16 @@ let install heap cfg =
     }
   in
   push_free inst old_base cfg.old_words;
-  instances := (heap, inst) :: !instances;
   Heap.set_dynamic_window heap ~base ~limit:inst.n_limit;
   Heap.set_write_barrier heap (fun ~field_addr ~value ->
       barrier inst ~field_addr ~value);
   Heap.set_collector heap ~name:"mark-sweep" (fun ~requested_words ->
-      collect inst ~requested_words)
+      collect inst ~requested_words);
+  inst
 
-let free_words heap =
-  let inst = List.assq heap !instances in
-  inst.free_total
+let free_words inst = inst.free_total
 
-let stats heap =
-  let inst = List.assq heap !instances in
+let stats inst =
   { minor_collections = inst.minor_collections;
     major_collections = inst.major_collections;
     words_promoted = inst.words_promoted;

@@ -32,7 +32,11 @@ type stats = {
   barrier_hits : int;
 }
 
-val install : Heap.t -> config -> unit
+type t
+(** The collector installed on one heap, reachable only from that
+    heap and from whoever {!install} returns it to. *)
+
+val install : Heap.t -> config -> t
 (** Lay out the nursery and the free-list old generation, install the
     write barrier and the collection entry point.
 
@@ -42,8 +46,8 @@ val required_dynamic_words : config -> int
 (** [nursery_words + old_words] — no second semispace, the space
     advantage Zorn claimed for mark-sweep. *)
 
-val free_words : Heap.t -> int
+val free_words : t -> int
 (** Words currently on the old generation's free lists. *)
 
-val stats : Heap.t -> stats
-(** @raise Not_found if no mark-sweep collector is installed. *)
+val stats : t -> stats
+(** Statistics accumulated by this collector so far. *)

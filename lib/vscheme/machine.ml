@@ -34,10 +34,17 @@ let default_config =
     attr = None
   }
 
+type collector =
+  | No_collector
+  | Cheney_collector of Gc_cheney.t
+  | Generational_collector of Gc_generational.t
+  | Mark_sweep_collector of Gc_marksweep.t
+
 type t = {
   cfg : config;
   mem : Mem.t;
   heap : Heap.t;
+  collector : collector;
   ctx : Primitives.ctx;
   vm : Vm.t;
   linkage : Compiler.linkage;
@@ -157,6 +164,7 @@ let dynamic_limit_bytes cfg =
   dynamic_base_bytes cfg + (dynamic_words cfg * Memsim.Trace.word_bytes)
 
 let heap t = t.heap
+let collector t = t.collector
 let vm t = t.vm
 let mem t = t.mem
 
@@ -247,23 +255,28 @@ let create cfg =
   Heap.add_roots heap
     (Heap.Range (fun () -> (globals_base, globals_base + Vm.globals_count vm)));
   Heap.add_roots heap (Heap.Registers (ctx.Primitives.reg, fun () -> 8));
-  (match cfg.gc with
-   | No_gc -> ()
-   | Cheney { semispace_bytes } ->
-     Gc_cheney.install heap
-       ~semispace_words:(words_of_bytes semispace_bytes)
-   | Generational { nursery_bytes; old_bytes } ->
-     Gc_generational.install heap
-       (Gc_generational.config
-          ~nursery_words:(words_of_bytes nursery_bytes)
-          ~old_words:(words_of_bytes old_bytes)
-          ())
-   | Mark_sweep { nursery_bytes; old_bytes } ->
-     Gc_marksweep.install heap
-       (Gc_marksweep.config
-          ~nursery_words:(words_of_bytes nursery_bytes)
-          ~old_words:(words_of_bytes old_bytes)
-          ()));
+  let collector =
+    match cfg.gc with
+    | No_gc -> No_collector
+    | Cheney { semispace_bytes } ->
+      Cheney_collector
+        (Gc_cheney.install heap
+           ~semispace_words:(words_of_bytes semispace_bytes))
+    | Generational { nursery_bytes; old_bytes } ->
+      Generational_collector
+        (Gc_generational.install heap
+           (Gc_generational.config
+              ~nursery_words:(words_of_bytes nursery_bytes)
+              ~old_words:(words_of_bytes old_bytes)
+              ()))
+    | Mark_sweep { nursery_bytes; old_bytes } ->
+      Mark_sweep_collector
+        (Gc_marksweep.install heap
+           (Gc_marksweep.config
+              ~nursery_words:(words_of_bytes nursery_bytes)
+              ~old_words:(words_of_bytes old_bytes)
+              ()))
+  in
   let constant_memo = Hashtbl.create 256 in
   let linkage =
     { Compiler.intern_constant = (fun d -> intern_datum heap constant_memo d);
@@ -282,7 +295,7 @@ let create cfg =
            ("static_bytes", Obs.Events.I cfg.static_bytes);
            ("stack_bytes", Obs.Events.I cfg.stack_bytes)
          ]);
-  let t = { cfg; mem; heap; ctx; vm; linkage; constant_memo } in
+  let t = { cfg; mem; heap; collector; ctx; vm; linkage; constant_memo } in
   install_primitive_globals heap vm;
   if cfg.load_prelude then begin
     (match cfg.telemetry with

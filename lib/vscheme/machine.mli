@@ -81,6 +81,19 @@ val dynamic_limit_bytes : config -> int
     nursery plus old space for the generational collectors). *)
 
 val heap : t -> Heap.t
+
+(** The collector {!create} installed, with its statistics.  The
+    machine (and its heap's collection entry point) is the instance's
+    only owner: nothing process-wide keeps a dropped machine, its
+    collector or its memory alive. *)
+type collector =
+  | No_collector
+  | Cheney_collector of Gc_cheney.t
+  | Generational_collector of Gc_generational.t
+  | Mark_sweep_collector of Gc_marksweep.t
+
+val collector : t -> collector
+
 val vm : t -> Vm.t
 
 val mem : t -> Mem.t

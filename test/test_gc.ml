@@ -13,6 +13,22 @@ let machine gc =
 let eval m src =
   Vscheme.Machine.value_to_string m (Vscheme.Machine.eval_string m src)
 
+let cheney_stats m =
+  match Vscheme.Machine.collector m with
+  | Vscheme.Machine.Cheney_collector gc -> Vscheme.Gc_cheney.stats gc
+  | _ -> Alcotest.fail "expected a Cheney collector"
+
+let generational_stats m =
+  match Vscheme.Machine.collector m with
+  | Vscheme.Machine.Generational_collector gc ->
+    Vscheme.Gc_generational.stats gc
+  | _ -> Alcotest.fail "expected a generational collector"
+
+let marksweep m =
+  match Vscheme.Machine.collector m with
+  | Vscheme.Machine.Mark_sweep_collector gc -> gc
+  | _ -> Alcotest.fail "expected a mark-sweep collector"
+
 let configs =
   [ ("no-gc", Vscheme.Machine.No_gc);
     ("cheney-128k", Vscheme.Machine.Cheney { semispace_bytes = 128 * 1024 });
@@ -103,7 +119,7 @@ let differential_cases =
 let test_cheney_collects () =
   let m = machine (Vscheme.Machine.Cheney { semispace_bytes = 64 * 1024 }) in
   ignore (Vscheme.Machine.eval_string m "(let loop ((i 0)) (when (< i 3000) (iota 50) (loop (+ i 1))))");
-  let st = Vscheme.Gc_cheney.stats (Vscheme.Machine.heap m) in
+  let st = cheney_stats m in
   Alcotest.(check bool) "collected at least once" true (st.Vscheme.Gc_cheney.collections > 0);
   Alcotest.(check bool) "copied some words" true (st.Vscheme.Gc_cheney.words_copied > 0);
   Alcotest.(check int) "machine agrees" st.Vscheme.Gc_cheney.collections
@@ -133,7 +149,7 @@ let test_generational_minor_and_major () =
         \    (set! keep (cons (vector i i i) keep))\n\
         \    (when (> (length keep) 600) (set! keep '()))\n\
         \    (loop (+ i 1))))");
-  let st = Vscheme.Gc_generational.stats (Vscheme.Machine.heap m) in
+  let st = generational_stats m in
   Alcotest.(check bool) "minor collections" true
     (st.Vscheme.Gc_generational.minor_collections > 0);
   Alcotest.(check bool) "major collections" true
@@ -156,7 +172,7 @@ let test_write_barrier_records () =
         (vector-set! old 1 (list 4 5))\n\
         (iota 20000)  ; another GC: the barrier must keep old's lists alive\n\
         #t");
-  let st = Vscheme.Gc_generational.stats (Vscheme.Machine.heap m) in
+  let st = generational_stats m in
   Alcotest.(check bool) "barrier hits recorded" true
     (st.Vscheme.Gc_generational.barrier_hits > 0);
   Alcotest.(check string) "old->new pointers survive" "(1 2 3) (4 5)"
@@ -244,7 +260,7 @@ let test_marksweep_reuses_storage () =
         \    (set! keep (cons (vector i i i) keep))\n\
         \    (when (> (length keep) 800) (set! keep '()))\n\
         \    (loop (+ i 1))))");
-  let st = Vscheme.Gc_marksweep.stats (Vscheme.Machine.heap m) in
+  let st = Vscheme.Gc_marksweep.stats (marksweep m) in
   Alcotest.(check bool) "minors ran" true
     (st.Vscheme.Gc_marksweep.minor_collections > 0);
   Alcotest.(check bool) "majors ran" true
@@ -252,7 +268,7 @@ let test_marksweep_reuses_storage () =
   Alcotest.(check bool) "sweeping recovered storage" true
     (st.Vscheme.Gc_marksweep.words_swept > 0);
   Alcotest.(check bool) "free lists non-empty afterwards" true
-    (Vscheme.Gc_marksweep.free_words (Vscheme.Machine.heap m) > 0)
+    (Vscheme.Gc_marksweep.free_words (marksweep m) > 0)
 
 let test_marksweep_barrier () =
   let m =
@@ -267,11 +283,103 @@ let test_marksweep_barrier () =
         (vector-set! old 0 (list 7 8 9))\n\
         (let loop ((i 0)) (when (< i 60) (iota 400) (loop (+ i 1))))\n\
         #t");
-  let st = Vscheme.Gc_marksweep.stats (Vscheme.Machine.heap m) in
+  let st = Vscheme.Gc_marksweep.stats (marksweep m) in
   Alcotest.(check bool) "barrier hits" true
     (st.Vscheme.Gc_marksweep.barrier_hits > 0);
   Alcotest.(check string) "old->new survives" "(7 8 9)"
     (eval m "(vector-ref old 0)")
+
+(* --- Ownership: a collector lives exactly as long as its machine ---- *)
+
+let small_collectors =
+  [ ("cheney", Vscheme.Machine.Cheney { semispace_bytes = 64 * 1024 });
+    ( "generational",
+      Vscheme.Machine.Generational
+        { nursery_bytes = 32 * 1024; old_bytes = 512 * 1024 } );
+    ( "mark-sweep",
+      Vscheme.Machine.Mark_sweep
+        { nursery_bytes = 32 * 1024; old_bytes = 512 * 1024 } ) ]
+
+(* Build [n] machines that each collect at least once, count their
+   heaps' finalisations, and drop them all: nothing process-wide may
+   keep a dropped machine (and its mapped word store) reachable. *)
+let collected_after_drop gc n =
+  let freed = ref 0 in
+  let[@inline never] build () =
+    let m = machine gc in
+    ignore
+      (Vscheme.Machine.eval_string m
+         "(let loop ((i 0)) (when (< i 300) (iota 50) (loop (+ i 1))))");
+    if (Vscheme.Machine.stats m).Vscheme.Machine.collections = 0 then
+      Alcotest.fail "the machine never collected";
+    Gc.finalise_last (fun () -> incr freed) (Vscheme.Machine.heap m)
+  in
+  for _ = 1 to n do
+    build ()
+  done;
+  Gc.full_major ();
+  Gc.full_major ();
+  !freed
+
+let test_dropped_machines_collected () =
+  List.iter
+    (fun (name, gc) ->
+      Alcotest.(check int)
+        (name ^ ": every dropped machine is collected")
+        20 (collected_after_drop gc 20))
+    small_collectors
+
+type collector_stats =
+  | Cheney_stats of Vscheme.Gc_cheney.stats
+  | Generational_stats of Vscheme.Gc_generational.stats
+  | Mark_sweep_stats of Vscheme.Gc_marksweep.stats * int
+  | No_stats
+
+let collector_stats m =
+  match Vscheme.Machine.collector m with
+  | Vscheme.Machine.Cheney_collector gc ->
+    Cheney_stats (Vscheme.Gc_cheney.stats gc)
+  | Vscheme.Machine.Generational_collector gc ->
+    Generational_stats (Vscheme.Gc_generational.stats gc)
+  | Vscheme.Machine.Mark_sweep_collector gc ->
+    Mark_sweep_stats
+      (Vscheme.Gc_marksweep.stats gc, Vscheme.Gc_marksweep.free_words gc)
+  | Vscheme.Machine.No_collector -> No_stats
+
+(* Machines built on record_grid's worker domains own their collector
+   stats: two domains at once give every machine the stats a serial
+   run gives it. *)
+let test_record_grid_collector_stats () =
+  let cells =
+    List.concat_map
+      (fun w ->
+        List.map
+          (fun gc -> Core.Runner.cell ~gc ~scale:1 w)
+          [ Vscheme.Machine.Generational
+              { nursery_bytes = 64 * 1024; old_bytes = 24 * 1024 * 1024 };
+            Vscheme.Machine.Mark_sweep
+              { nursery_bytes = 64 * 1024; old_bytes = 24 * 1024 * 1024 } ])
+      Workloads.Workload.[ nbody; mexpr ]
+  in
+  let stats jobs =
+    Array.map
+      (fun ((r : Core.Runner.result), recording) ->
+        Memsim.Recording.release recording;
+        (r.stats, collector_stats r.machine))
+      (Core.Runner.record_grid ~jobs cells)
+  in
+  let serial = stats 1 and parallel = stats 2 in
+  Array.iteri
+    (fun i (run, gc) ->
+      let run1, gc1 = serial.(i) in
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d collected" i)
+        true (run1.Vscheme.Machine.collections > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d machine stats" i) true (run1 = run);
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d collector stats" i) true (gc1 = gc))
+    parallel
 
 (* Property: random cons-tree construction with interleaved garbage is
    GC-invariant. *)
@@ -315,6 +423,12 @@ let () =
           Alcotest.test_case "mark-sweep reuses storage" `Quick
             test_marksweep_reuses_storage;
           Alcotest.test_case "mark-sweep barrier" `Quick test_marksweep_barrier
+        ] );
+      ( "ownership",
+        [ Alcotest.test_case "dropped machines are collected" `Quick
+            test_dropped_machines_collected;
+          Alcotest.test_case "record_grid collector stats" `Quick
+            test_record_grid_collector_stats
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest gc_invariance_prop ])
     ]

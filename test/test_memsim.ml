@@ -1165,9 +1165,63 @@ let test_pool_poisoned_slabs () =
       poison ())
     [ true; false ]
 
+(* [clear] pools a recording's sealed slabs as [release] does, and
+   keeps its current slab.  Poison every slab the cleared recording
+   had: a re-recording drawn from the pool, on either producer path,
+   and a re-recording into the cleared recording itself must still
+   equal the reference. *)
+let test_pool_clear_poisoned () =
+  let record ~direct =
+    Core.Runner.record ~direct ~scale:1 Workloads.Workload.nbody
+  in
+  let chunks rc =
+    let bufs = ref [] in
+    Memsim.Recording.iter_chunks rc (fun buf _ -> bufs := buf :: !bufs);
+    List.rev !bufs
+  in
+  let sealed rc =
+    match List.rev (chunks rc) with _current :: sealed -> sealed | [] -> []
+  in
+  let _, reference = record ~direct:true in
+  List.iter
+    (fun direct ->
+      let path = if direct then "direct" else "sink" in
+      let _, victim = record ~direct:true in
+      let pooled = sealed victim and all = chunks victim in
+      Memsim.Recording.clear victim;
+      Alcotest.(check int) (path ^ ": cleared") 0
+        (Memsim.Recording.length victim);
+      List.iter (fun buf -> Bigarray.Array1.fill buf ((1 lsl 3) lor 6)) all;
+      let _, again = record ~direct in
+      (* The pool is a stack: the cleared slabs are drawn first, for
+         every slab the re-recording sealed. *)
+      List.iter
+        (fun buf ->
+          if not (List.memq buf pooled) then
+            Alcotest.fail (path ^ ": a sealed slab did not come from clear"))
+        (sealed again);
+      Alcotest.(check bool)
+        (path ^ ": re-recording over cleared slabs = reference")
+        true
+        (Memsim.Recording.equal reference again);
+      Memsim.Recording.replay reference (Memsim.Recording.sink victim);
+      Alcotest.(check bool)
+        (path ^ ": the cleared recording records again")
+        true
+        (Memsim.Recording.equal reference victim);
+      Alcotest.(check bool)
+        (path ^ ": ... without touching the re-recording")
+        true
+        (Memsim.Recording.equal reference again);
+      Memsim.Recording.release again;
+      Memsim.Recording.release victim)
+    [ true; false ];
+  Memsim.Recording.release reference
+
 (* A v3 mapping of exactly one default slab's worth of events has a
-   pooled slab's shape, but it is the file's pages: releasing it must
-   not pool it, or the next recording would write into the file. *)
+   pooled slab's shape, but it is the file's pages: releasing or
+   clearing it must not pool it, or the next recording would write
+   into the file. *)
 let test_pool_skips_mapped_view () =
   let n = Memsim.Chunk.default_chunk_events in
   let rec_ = Memsim.Recording.create () in
@@ -1180,23 +1234,36 @@ let test_pool_skips_mapped_view () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Memsim.Recording.save ~format:Memsim.Recording.V3 rec_ path;
-      let mapped = Memsim.Recording.load path in
-      let payload = ref Memsim.Chunk.empty in
-      Memsim.Recording.iter_chunks mapped (fun buf len ->
-          Alcotest.(check int) "one slab-sized chunk" n len;
-          payload := buf);
-      Memsim.Recording.release mapped;
-      let later = Memsim.Recording.create () in
-      let sink = Memsim.Recording.sink later in
-      for i = 0 to (3 * n) - 1 do
-        sink.Memsim.Trace.access (i * 4) Memsim.Trace.Write collector
-      done;
-      Memsim.Recording.iter_chunks later (fun buf _ ->
-          Alcotest.(check bool) "mapped payload never pooled" false
-            (buf == !payload));
-      Alcotest.(check bool)
-        "file untouched" true
-        (Memsim.Recording.equal rec_ (Memsim.Recording.load path)))
+      List.iter
+        (fun (how, drop) ->
+          let mapped = Memsim.Recording.load path in
+          let payload = ref Memsim.Chunk.empty in
+          Memsim.Recording.iter_chunks mapped (fun buf len ->
+              Alcotest.(check int) "one slab-sized chunk" n len;
+              payload := buf);
+          drop mapped;
+          Alcotest.(check int) (how ^ ": empty") 0
+            (Memsim.Recording.length mapped);
+          (match
+             (Memsim.Recording.sink mapped).Memsim.Trace.access 0
+               Memsim.Trace.Read mutator
+           with
+           | exception Invalid_argument _ -> ()
+           | () -> Alcotest.fail (how ^ ": a dropped view took an append"));
+          let later = Memsim.Recording.create () in
+          let sink = Memsim.Recording.sink later in
+          for i = 0 to (3 * n) - 1 do
+            sink.Memsim.Trace.access (i * 4) Memsim.Trace.Write collector
+          done;
+          Memsim.Recording.iter_chunks later (fun buf _ ->
+              Alcotest.(check bool) (how ^ ": mapped payload never pooled")
+                false (buf == !payload));
+          Memsim.Recording.release later;
+          Alcotest.(check bool)
+            (how ^ ": file untouched") true
+            (Memsim.Recording.equal rec_ (Memsim.Recording.load path)))
+        [ ("release", Memsim.Recording.release);
+          ("clear", Memsim.Recording.clear) ])
 
 let test_released_recording_is_empty () =
   let rec_ = Memsim.Recording.create () in
@@ -1625,6 +1692,8 @@ let () =
             test_recording_error_messages;
           Alcotest.test_case "pooled slabs poisoned, re-record equal" `Quick
             test_pool_poisoned_slabs;
+          Alcotest.test_case "cleared slabs poisoned, re-record equal" `Quick
+            test_pool_clear_poisoned;
           Alcotest.test_case "mapped v3 view never pooled" `Quick
             test_pool_skips_mapped_view;
           Alcotest.test_case "released recording is empty" `Quick

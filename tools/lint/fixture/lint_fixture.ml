@@ -3,10 +3,10 @@
    Never linked into the simulator: when --self-test is given the lint
    scans this tree instead of lib/ and bin/, and succeeds iff every
    seeded violation below is caught while every clean_* function stays
-   clean.  Each seed targets one interprocedural rule, so a regression
-   in the call-graph closure, the Parsetree allocation scan or the
-   typed closure rules turns the self-test red instead of silently
-   blinding the real run. *)
+   clean.  Each seed targets one rule (three interprocedural ones and
+   the global-registry rule), so a regression in the call-graph
+   closure, the Parsetree scans or the typed closure rules turns the
+   self-test red instead of silently blinding the real run. *)
 
 type cell = { mutable count : int; mutable label : string }
 
@@ -28,6 +28,17 @@ let curried x = add3 x 1
 (* Seed 3 — lint.hot-write-barrier: storing a string into a mutable
    field runs caml_modify. *)
 let relabel c s = c.label <- s
+
+(* Seed 4 — lint.global-registry: a top-level table that a function
+   writes is process-wide state shared by every caller on every
+   domain, and it keeps everything registered in it alive. *)
+let registry : (int, cell) Hashtbl.t = Hashtbl.create 8
+let register k c = Hashtbl.replace registry k c
+
+(* Clean control: a top-level ref written only while the module
+   initializes is not a registry that grows at run time. *)
+let clean_init_only = ref 0
+let () = clean_init_only := 1
 
 (* Clean control: reachable from the root but allocation-free; any
    finding here is a false positive and fails the self-test.  The

@@ -90,7 +90,8 @@ let fixture_root = "tools/lint/fixture"
 
 (* Rules the fixture seeds; --self-test fails if any goes uncaught. *)
 let self_test_rules =
-  [ "lint.hot-alloc-deep"; "lint.hot-partial-app"; "lint.hot-write-barrier" ]
+  [ "lint.hot-alloc-deep"; "lint.hot-partial-app"; "lint.hot-write-barrier";
+    "lint.global-registry" ]
 
 let () =
   let allow_path = ref "lint.allow" in

@@ -20,7 +20,16 @@
                             being measured.  A tuple that is only the
                             scrutinee of a [match], or is destructured
                             on the spot by a tuple pattern, does not
-                            allocate and is exempt. *)
+                            allocate and is exempt;
+   - [lint.global-registry] — a top-level [ref] or [Hashtbl] in [lib/]
+                            that a function body writes ([:=], [incr],
+                            [decr], [Hashtbl.add]/[replace]): process-
+                            wide state that every caller shares, on
+                            every domain, and that keeps whatever it
+                            holds alive for the life of the process.
+                            Writes made while the module initializes
+                            are exempt; a legitimate registry is
+                            allowlisted with its justification. *)
 
 type finding = { ident : string; f : Check.Finding.t }
 
@@ -31,6 +40,10 @@ let hot_path_files =
 let partial_calls =
   [ ([ "List"; "hd" ], "List.hd"); ([ "List"; "tl" ], "List.tl");
     ([ "List"; "nth" ], "List.nth"); ([ "Option"; "get" ], "Option.get") ]
+
+(* Files the global-registry rule covers: the libraries, and the
+   self-test fixture that seeds a violation of it. *)
+let registry_roots = [ "lib/"; "tools/lint/fixture/" ]
 
 let pos_of_loc (loc : Location.t) =
   Check.Finding.Pos
@@ -56,6 +69,86 @@ let computed_index (e : Parsetree.expression) =
   match e.Parsetree.pexp_desc with
   | Parsetree.Pexp_apply _ -> true
   | _ -> false
+
+(* The name a top-level binding gives a fresh [ref] or [Hashtbl]. *)
+let registry_binding (vb : Parsetree.value_binding) =
+  let rec name (p : Parsetree.pattern) =
+    match p.Parsetree.ppat_desc with
+    | Parsetree.Ppat_var v -> Some v.Asttypes.txt
+    | Parsetree.Ppat_constraint (p, _) -> name p
+    | _ -> None
+  in
+  let rec mutable_init (e : Parsetree.expression) =
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_constraint (e, _) -> mutable_init e
+    | Parsetree.Pexp_apply
+        ({ Parsetree.pexp_desc = Parsetree.Pexp_ident f; _ }, _) -> (
+      match flatten f.Asttypes.txt with
+      | [ "ref" ] | [ "Stdlib"; "ref" ] | [ "Hashtbl"; "create" ] -> true
+      | _ -> false)
+    | _ -> false
+  in
+  if mutable_init vb.Parsetree.pvb_expr then name vb.Parsetree.pvb_pat
+  else None
+
+let scan_registries ~file ~add (str : Parsetree.structure) =
+  let rec registries (items : Parsetree.structure) =
+    List.concat_map
+      (fun (item : Parsetree.structure_item) ->
+        match item.Parsetree.pstr_desc with
+        | Parsetree.Pstr_value (_, vbs) -> List.filter_map registry_binding vbs
+        | Parsetree.Pstr_module
+            { Parsetree.pmb_expr =
+                { Parsetree.pmod_desc = Parsetree.Pmod_structure items; _ };
+              _
+            } ->
+          registries items
+        | _ -> [])
+      items
+  in
+  let names = registries str in
+  let depth = ref 0 in
+  let iter = Ast_iterator.default_iterator in
+  let written (target : Parsetree.expression) =
+    match target.Parsetree.pexp_desc with
+    | Parsetree.Pexp_ident { Asttypes.txt = Longident.Lident n; _ }
+      when List.mem n names ->
+      Some n
+    | _ -> None
+  in
+  let expr sub (e : Parsetree.expression) =
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ ->
+      incr depth;
+      iter.Ast_iterator.expr sub e;
+      decr depth
+    | Parsetree.Pexp_apply
+        ({ Parsetree.pexp_desc = Parsetree.Pexp_ident f; _ }, (_, target) :: _)
+      when !depth > 0 ->
+      (match (flatten f.Asttypes.txt, written target) with
+       | ( ([ ":=" ] | [ "incr" ] | [ "decr" ] | [ "Hashtbl"; "add" ]
+           | [ "Hashtbl"; "replace" ]),
+           Some n ) ->
+         add ~rule:"lint.global-registry" ~loc:e.Parsetree.pexp_loc ~ident:n
+           (Printf.sprintf
+              "top-level %s is written by a function: process-wide state \
+               shared by every caller and domain, and kept alive for the \
+               life of the process; give it an owner, or allowlist why it \
+               is safe"
+              n)
+       | _ -> ());
+      iter.Ast_iterator.expr sub e
+    | _ -> iter.Ast_iterator.expr sub e
+  in
+  if
+    names <> []
+    && List.exists
+         (fun prefix -> String.starts_with ~prefix file)
+         registry_roots
+  then begin
+    let sub = { iter with Ast_iterator.expr } in
+    sub.Ast_iterator.structure sub str
+  end
 
 let scan ~file (str : Parsetree.structure) =
   let out = ref [] in
@@ -190,4 +283,5 @@ let scan ~file (str : Parsetree.structure) =
     { iter with Ast_iterator.expr; value_binding; typ; module_expr }
   in
   sub.Ast_iterator.structure sub str;
+  scan_registries ~file ~add str;
   List.rev !out
