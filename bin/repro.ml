@@ -390,11 +390,13 @@ let run_targets targets hier geometry policy gc scale metrics trace_events
 
 (* --- record / replay ----------------------------------------------------- *)
 
+(* Save a recording and say so; the line is returned, not printed, so
+   worker domains can save and the main domain print in order. *)
 let record_report format out_path w (r, recording) =
   Memsim.Recording.save ~format recording out_path;
   let bytes = (Unix.stat out_path).Unix.st_size in
-  Format.fprintf ppf
-    "recorded %d references of %s (scale %d) to %s (%s, %.2f bytes/event)@."
+  Printf.sprintf
+    "recorded %d references of %s (scale %d) to %s (%s, %.2f bytes/event)"
     (Memsim.Recording.length recording)
     w.Workloads.Workload.name r.Core.Runner.scale out_path
     (Memsim.Recording.format_label format)
@@ -420,7 +422,8 @@ let record names out_path scale format gc heap_bytes attr_out jobs =
       let r, recording =
         Core.Runner.record ~gc ?heap_bytes ?scale ?attr:table w
       in
-      record_report format out_path w (r, recording);
+      Format.fprintf ppf "%s@."
+        (record_report format out_path w (r, recording));
       (match (attr_out, table) with
        | Some path, Some t ->
          Memsim.Attr.save t path;
@@ -437,18 +440,24 @@ let record names out_path scale format gc heap_bytes attr_out jobs =
       1
     | ws ->
       (* Several independent runs: shard them across the domain pool
-         (--jobs / REPRO_JOBS) with the sharded producer; each trace
-         lands in its own derived output file. *)
-      let recorded =
-        Core.Runner.record_grid
-          (List.map (fun w -> Core.Runner.cell ~gc ?heap_bytes ?scale w) ws)
-      in
-      List.iteri
-        (fun i w ->
-          record_report format
-            (out_path ^ "." ^ w.Workloads.Workload.name)
-            w recorded.(i))
-        ws;
+         (--jobs / REPRO_JOBS).  Each claim records, saves and releases
+         one trace into its own derived output file, so at most one
+         recording per domain is resident; the report lines are printed
+         in workload order after the join. *)
+      let ws = Array.of_list ws in
+      let n = Array.length ws in
+      let lines = Array.make n "" in
+      Memsim.Sweep.parallel_for ~jobs:(min (Core.Runner.jobs ()) n) n (fun i ->
+          let w = ws.(i) in
+          let ((_, recording) as recorded) =
+            Core.Runner.record ~gc ?heap_bytes ?scale w
+          in
+          lines.(i) <-
+            record_report format
+              (out_path ^ "." ^ w.Workloads.Workload.name)
+              w recorded;
+          Memsim.Recording.release recording);
+      Array.iter (fun line -> Format.fprintf ppf "%s@." line) lines;
       0
 
 let replay path hier geometry policy checkpoint checkpoint_every =

@@ -20,44 +20,17 @@ and replayed = {
   levels : Memsim.Cache.stats array;
 }
 
-(* Disjoint-charged service time of the recorded traffic, in cycles:
-   a fetch that hits level i+1 costs that level's latency; only
-   fetches missing every level pay the memory penalty of the last
-   level's block.  [collector] selects which phase's fetches are
-   charged. *)
-let service_cycles cpu h ~collector =
-  let cfg = h.geometry in
-  let stats = h.levels in
-  let n = Array.length stats in
-  let fetches i =
-    let s = stats.(i) in
-    if collector then s.Memsim.Cache.collector_fetches
-    else s.Memsim.Cache.fetches
-  in
-  let total = ref 0.0 in
-  for i = 0 to n - 2 do
-    let hits = fetches i - fetches (i + 1) in
-    total :=
-      !total
-      +. (float_of_int hits *. cfg.Memsim.Hier.hit_ns.(i)
-          /. Memsim.Timing.cycle_ns cpu)
-  done;
-  let last = cfg.Memsim.Hier.levels.(n - 1) in
-  !total
-  +. (float_of_int (fetches (n - 1))
-      *. Memsim.Timing.miss_penalty cpu
-           ~block_bytes:last.Memsim.Level.block_bytes)
-
 (* The sec. 6 O_gc formula lifted to hierarchies: collector stalls,
    the change in program stalls, and the collector's instructions,
    all relative to the baseline program's instruction count. *)
 let gc_overhead cpu ~baseline ~collected ~hier_cpu =
   let base = List.assoc hier_cpu baseline.per_cpu in
   let run = List.assoc hier_cpu collected.per_cpu in
+  let cycles h = Memsim.Hier.stall_cycles h.geometry h.levels cpu in
   let stall =
-    service_cycles cpu run ~collector:true
-    +. service_cycles cpu run ~collector:false
-    -. service_cycles cpu base ~collector:false
+    cycles run ~collector:true
+    +. cycles run ~collector:false
+    -. cycles base ~collector:false
   in
   let work =
     float_of_int (collected.collector_insns + collected.insns - baseline.insns)

@@ -115,29 +115,30 @@ let level_stats t i = Level.stats t.levels.(i)
 
 let reset_stats t = Array.iter Level.reset_stats t.levels
 
-(* Stall time as a fraction of idealized run time, mutator traffic
-   only.  Each level's fetches are charged disjointly: a fetch that
-   hits level i+1 costs that level's hit latency, and only the
-   fetches that miss every level pay the Przybylski main-memory
-   penalty of the last level's block. *)
-let overhead t cpu ~instructions =
-  if instructions <= 0 then invalid_arg "Hier.overhead";
-  let n = Array.length t.levels in
+(* Each level's fetches are charged disjointly: a fetch that hits
+   level i+1 costs that level's hit latency, and only the fetches that
+   miss every level pay the Przybylski main-memory penalty of the last
+   level's block. *)
+let stall_cycles cfg (stats : Cache.stats array) cpu ~collector =
+  let fetches (s : Cache.stats) =
+    if collector then s.Cache.collector_fetches else s.Cache.fetches
+  in
+  let n = Array.length stats in
   let cyc = Timing.cycle_ns cpu in
   let total = ref 0.0 in
   for i = 0 to n - 2 do
-    let si = Level.stats t.levels.(i) in
-    let sn = Level.stats t.levels.(i + 1) in
-    let hits = si.Cache.fetches - sn.Cache.fetches in
-    total := !total +. (float_of_int hits *. t.cfg.hit_ns.(i) /. cyc)
+    let hits = fetches stats.(i) - fetches stats.(i + 1) in
+    total := !total +. (float_of_int hits *. cfg.hit_ns.(i) /. cyc)
   done;
-  let last = Level.stats t.levels.(n - 1) in
-  let block = (Level.geometry t.levels.(n - 1)).Level.block_bytes in
-  total :=
-    !total
-    +. (float_of_int last.Cache.fetches
-        *. Timing.miss_penalty cpu ~block_bytes:block);
-  !total /. float_of_int instructions
+  let block = cfg.levels.(n - 1).Level.block_bytes in
+  !total
+  +. (float_of_int (fetches stats.(n - 1))
+      *. Timing.miss_penalty cpu ~block_bytes:block)
+
+let overhead t cpu ~instructions =
+  if instructions <= 0 then invalid_arg "Hier.overhead";
+  stall_cycles t.cfg (stats t) cpu ~collector:false
+  /. float_of_int instructions
 
 (* --- Per-CPU presets ----------------------------------------------------- *)
 

@@ -59,12 +59,19 @@ val stats : t -> Cache.stats array
 val level_stats : t -> int -> Cache.stats
 val reset_stats : t -> unit
 
+val stall_cycles :
+  config -> Cache.stats array -> Timing.processor -> collector:bool -> float
+(** [stall_cycles cfg stats cpu ~collector] is the stall time, in
+    cycles, of one phase's fetches through a hierarchy of geometry
+    [cfg] that left per-level counters [stats] (L1 first): the
+    collector's when [collector], else the mutator's.  Each fetch is
+    charged disjointly: a fetch that hits level i+1 costs
+    [hit_ns.(i)], and only fetches that miss every level pay the
+    main-memory penalty of the last level's block. *)
+
 val overhead : t -> Timing.processor -> instructions:int -> float
-(** Total stall time as a fraction of the idealized running time,
-    mutator traffic only, charging each fetch disjointly: a fetch
-    that hits level i+1 costs [hit_ns.(i)], and only fetches that
-    miss every level pay the main-memory penalty of the last level's
-    block. *)
+(** {!stall_cycles} of the mutator's traffic as a fraction of the
+    idealized running time, [instructions] cycles. *)
 
 (** {1 Per-CPU presets}
 

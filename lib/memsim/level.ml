@@ -38,7 +38,16 @@
 
    All updates are word ops on [pol] — no per-line timestamp arrays
    and no monotonically growing tick (the defect that capped an
-   earlier timestamp-based LRU cache at 16 ways). *)
+   earlier timestamp-based LRU cache at 16 ways).
+
+   The eleven counters are one vector, [cnt], whose slots are named
+   once below in the order [snapshot] writes them; [reset_stats],
+   [same], [copy], [snapshot] and [restore] each treat it whole, like
+   the line arrays, and both chunk loops fold their register
+   accumulators into it through one [commit].  The set-associative
+   loop probes a set's hint in one place only, [fast_span]: every
+   event the span hands back takes the way scan, which settles a hint
+   hit with the same effects. *)
 
 type policy =
   | Lru
@@ -100,20 +109,33 @@ type t = {
      for hit-idempotent policies.  Never serialized; [restore] resets
      it. *)
   hint : int array;
-  mutable refs : int;
-  mutable collector_refs : int;
-  mutable misses : int;
-  mutable collector_misses : int;
-  mutable alloc_misses : int;
-  mutable fetches : int;
-  mutable collector_fetches : int;
-  mutable writebacks : int;
-  mutable collector_writebacks : int;
-  mutable writes : int;
-  mutable collector_writes : int;
+  cnt : int array;         (* the counters, slots [c_refs] .. below *)
   mutable fetch_hook : (int -> Trace.phase -> unit) option;
   mutable writeback_hook : (int -> Trace.phase -> unit) option;
 }
+
+(* The counter slots, in the order [snapshot] writes them.  Refs,
+   misses and fetches split by phase, each mutator slot followed by
+   its collector slot, so [slot + phase bit] picks the event's;
+   writes and write-backs count every event and, in the next slot,
+   the collector's share. *)
+let c_refs = 0
+let c_collector_refs = 1
+let c_misses = 2
+let c_collector_misses = 3
+let c_alloc_misses = 4
+let c_fetches = 5
+let c_collector_fetches = 6
+let c_writebacks = 7
+let c_collector_writebacks = 8
+let c_writes = 9
+let c_collector_writes = 10
+let n_counters = 11
+
+let[@inline] bump_by (a : int array) i n =
+  Array.unsafe_set a i (Array.unsafe_get a i + n)
+
+let[@inline] bump a i = bump_by a i 1
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
@@ -199,17 +221,7 @@ let create cfg =
     dirty = Bytes.make lines '\000';
     pol;
     hint = Array.make nsets (-1);
-    refs = 0;
-    collector_refs = 0;
-    misses = 0;
-    collector_misses = 0;
-    alloc_misses = 0;
-    fetches = 0;
-    collector_fetches = 0;
-    writebacks = 0;
-    collector_writebacks = 0;
-    writes = 0;
-    collector_writes = 0;
+    cnt = Array.make n_counters 0;
     fetch_hook = None;
     writeback_hook = None
   }
@@ -351,6 +363,30 @@ let[@hot] choose_victim t set =
 
 (* --- Per-event access (the differential oracle) ------------------------- *)
 
+let[@inline] phase_bit (phase : Trace.phase) =
+  match phase with
+  | Trace.Mutator -> 0
+  | Trace.Collector -> 1
+
+(* A miss in [set]: write the victim back if it is dirty, then install
+   [mem_block] there with the policy's fill state.  Returns the line. *)
+let[@hot] fill t set mem_block phase =
+  let v = choose_victim t set in
+  let li = (set * t.ways) + v in
+  let old = Array.unsafe_get t.tags li in
+  if old >= 0 && Bytes.unsafe_get t.dirty li = '\001' then begin
+    bump t.cnt c_writebacks;
+    bump_by t.cnt c_collector_writebacks (phase_bit phase);
+    Bytes.unsafe_set t.dirty li '\000';
+    match t.writeback_hook with
+    | None -> ()
+    | Some hook -> hook (old lsl t.block_shift) phase
+  end;
+  Array.unsafe_set t.tags li mem_block;
+  fill_state t set v;
+  Array.unsafe_set t.hint set li;
+  li
+
 (* One access: the way scan, then the §4 block model with the
    policy's promote or fill.  Hook order on a dirty-victim miss is
    writeback first, then fetch — the order the chunk loops emit
@@ -362,21 +398,18 @@ let[@hot] access t addr kind phase =
   let word = (addr lsr 2) land t.word_mask in
   let high = word >= 32 in
   let wbit = 1 lsl (word land 31) in
-  let mutator =
-    match (phase : Trace.phase) with
-    | Trace.Mutator -> true
-    | Trace.Collector -> false
-  in
-  if mutator then t.refs <- t.refs + 1
-  else t.collector_refs <- t.collector_refs + 1;
+  let ph = phase_bit phase in
+  let mutator = ph = 0 in
+  let cnt = t.cnt in
+  bump cnt (c_refs + ph);
   let is_store =
     match (kind : Trace.kind) with
     | Trace.Read -> false
     | Trace.Write | Trace.Alloc_write -> true
   in
   if is_store then begin
-    t.writes <- t.writes + 1;
-    if not mutator then t.collector_writes <- t.collector_writes + 1
+    bump cnt c_writes;
+    bump_by cnt c_collector_writes ph
   end;
   let way = find_way t.tags base mem_block (t.ways - 1) in
   if way >= 0 then begin
@@ -393,14 +426,8 @@ let[@hot] access t addr kind phase =
     end
     else begin
       (* read of an unvalidated word in a resident block: fetch all *)
-      if mutator then begin
-        t.misses <- t.misses + 1;
-        t.fetches <- t.fetches + 1
-      end
-      else begin
-        t.collector_misses <- t.collector_misses + 1;
-        t.collector_fetches <- t.collector_fetches + 1
-      end;
+      bump cnt (c_misses + ph);
+      bump cnt (c_fetches + ph);
       Array.unsafe_set t.valid_lo li t.full_lo;
       Array.unsafe_set t.valid_hi li t.full_hi;
       match t.fetch_hook with
@@ -415,25 +442,9 @@ let[@hot] access t addr kind phase =
           | Trace.Alloc_write -> true
           | Trace.Read | Trace.Write -> false)
     in
-    if mutator then begin
-      t.misses <- t.misses + 1;
-      if alloc then t.alloc_misses <- t.alloc_misses + 1
-    end
-    else t.collector_misses <- t.collector_misses + 1;
-    let v = choose_victim t set in
-    let li = base + v in
-    let old = Array.unsafe_get t.tags li in
-    if old >= 0 && Bytes.unsafe_get t.dirty li = '\001' then begin
-      t.writebacks <- t.writebacks + 1;
-      if not mutator then t.collector_writebacks <- t.collector_writebacks + 1;
-      Bytes.unsafe_set t.dirty li '\000';
-      (match t.writeback_hook with
-       | None -> ()
-       | Some hook -> hook (old lsl t.block_shift) phase)
-    end;
-    Array.unsafe_set t.tags li mem_block;
-    fill_state t set v;
-    Array.unsafe_set t.hint set li;
+    bump cnt (c_misses + ph);
+    if alloc then bump cnt c_alloc_misses;
+    let li = fill t set mem_block phase in
     let wv =
       (match t.cfg.write_miss_policy with
        | Cache.Write_validate -> true
@@ -452,8 +463,7 @@ let[@hot] access t addr kind phase =
       Bytes.unsafe_set t.dirty li '\001'
     end
     else begin
-      if mutator then t.fetches <- t.fetches + 1
-      else t.collector_fetches <- t.collector_fetches + 1;
+      bump cnt (c_fetches + ph);
       (match t.fetch_hook with
        | None -> ()
        | Some hook -> hook (mem_block lsl t.block_shift) phase);
@@ -472,15 +482,11 @@ let[@hot] write_back t addr phase =
   let mem_block = addr lsr t.block_shift in
   let set = mem_block land t.set_mask in
   let base = set * t.ways in
-  let mutator =
-    match (phase : Trace.phase) with
-    | Trace.Mutator -> true
-    | Trace.Collector -> false
-  in
-  if mutator then t.refs <- t.refs + 1
-  else t.collector_refs <- t.collector_refs + 1;
-  t.writes <- t.writes + 1;
-  if not mutator then t.collector_writes <- t.collector_writes + 1;
+  let ph = phase_bit phase in
+  let cnt = t.cnt in
+  bump cnt (c_refs + ph);
+  bump cnt c_writes;
+  bump_by cnt c_collector_writes ph;
   let way = find_way t.tags base mem_block (t.ways - 1) in
   let li =
     if way >= 0 then begin
@@ -489,24 +495,8 @@ let[@hot] write_back t addr phase =
       base + way
     end
     else begin
-      if mutator then t.misses <- t.misses + 1
-      else t.collector_misses <- t.collector_misses + 1;
-      let v = choose_victim t set in
-      let li = base + v in
-      let old = Array.unsafe_get t.tags li in
-      if old >= 0 && Bytes.unsafe_get t.dirty li = '\001' then begin
-        t.writebacks <- t.writebacks + 1;
-        if not mutator then
-          t.collector_writebacks <- t.collector_writebacks + 1;
-        Bytes.unsafe_set t.dirty li '\000';
-        (match t.writeback_hook with
-         | None -> ()
-         | Some hook -> hook (old lsl t.block_shift) phase)
-      end;
-      Array.unsafe_set t.tags li mem_block;
-      fill_state t set v;
-      Array.unsafe_set t.hint set li;
-      li
+      bump cnt (c_misses + ph);
+      fill t set mem_block phase
     end
   in
   Array.unsafe_set t.valid_lo li t.full_lo;
@@ -533,10 +523,10 @@ let wb_code = 3
    word the access can settle in place, and returns the index of the
    first event it could not consume — hint miss, write-back word,
    high word of a wide block, or a read of an unvalidated word — for
-   the generic loop to resolve.  Only called for policies whose
-   promote is idempotent on repeated hits, so the pending promote is
-   provably a no-op and the whole event touches nothing but valid and
-   dirty bits.
+   the way scan in [run_sets] to resolve.  Only called for policies
+   whose promote is idempotent on repeated hits, so the pending
+   promote is provably a no-op and the whole event touches nothing
+   but valid and dirty bits.
 
    Kept small and first-order on purpose: without cross-module
    inlining the register allocator can only keep the per-event state
@@ -650,10 +640,29 @@ let[@hot] fast_span (buf : Chunk.buf) i0 limit (hint : int array)
   Array.unsafe_set acc_cell 0 !acc;
   !stop
 
+(* Add a chunk loop's register accumulators to the counters, one
+   argument per slot in slot order; the mutator refs are the [len]
+   events that were not collector refs. *)
+let[@inline] commit cnt len cr m cm am f cf wb cwb w cw =
+  bump_by cnt c_refs (len - cr);
+  bump_by cnt c_collector_refs cr;
+  bump_by cnt c_misses m;
+  bump_by cnt c_collector_misses cm;
+  bump_by cnt c_alloc_misses am;
+  bump_by cnt c_fetches f;
+  bump_by cnt c_collector_fetches cf;
+  bump_by cnt c_writebacks wb;
+  bump_by cnt c_collector_writebacks cwb;
+  bump_by cnt c_writes w;
+  bump_by cnt c_collector_writes cw
+
 (* [run_sets] is the set-associative hot loop behind both entry
    points; when [emit] is false [out] is never touched.  Input words
    with kind code 3 are consumed as write-backs, so a level's output
-   stream can be fed straight into the next level's [run_chunk]. *)
+   stream can be fed straight into the next level's [run_chunk].
+   Every event [fast_span] hands back, and every event of a policy it
+   does not serve (QLRU), takes the way scan below; on a hint hit the
+   scan's promote is the no-op [fast_span] skips, or QLRU's real one. *)
 let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
   let tags = t.tags
   and valid_lo = t.valid_lo
@@ -727,82 +736,54 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
       ip := j
     end;
     if !ip < limit then begin
-    let i = !ip in
-    incr ip;
-    let w = Bigarray.Array1.unsafe_get buf i in
-    let kcode = (w lsr 1) land 3 in
-    let mem_block = w lsr shift3 in
-    collector_refs := !collector_refs + (w land 1);
-    let set = mem_block land set_mask in
-    let li = Array.unsafe_get hint set in
-    (* Write-back words (kcode 3) must take the install path below;
-       oring an impossible high bit into the probe makes their tag
-       compare fail without a separate branch. *)
-    let probe = mem_block lor ((kcode land (kcode lsr 1)) lsl 60) in
-    if li >= 0 && Array.unsafe_get tags li = probe then begin
-      (* Hit in the set's most recently resolved line: the tag match
-         settles the scan, and the promote this hit owes is the one
-         that resolution already applied — a no-op unless the policy
-         decays on repeated hits. *)
-      if not promote_idem then promote t set (li - (set * ways));
-      let word = (w lsr 5) land word_mask in
-      let high = word >= 32 in
-      let wbit = 1 lsl (word land 31) in
-      (* kcode is 0..2 here, so [(kcode + 1) lsr 1] is 1 for the two
-         store kinds; anding with the phase bit counts collector
-         stores without a branch. *)
-      let st = (kcode + 1) lsr 1 in
-      writes := !writes + st;
-      collector_writes := !collector_writes + (st land w);
-      (* A store validates the word and dirties the line whether or
-         not the word was already valid, so both effects apply
-         unconditionally under a [-st] mask; the only branch left on
-         this path is the rare read of an unvalidated word. *)
-      let valid = if high then valid_hi else valid_lo in
-      let vword = Array.unsafe_get valid li lor (wbit land (-st)) in
-      Array.unsafe_set valid li vword;
-      Bytes.unsafe_set dirty li
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get dirty li) lor st));
-      if vword land wbit = 0 then begin
-        if w land 1 = 0 then begin
-          incr misses;
-          incr fetches
-        end
-        else begin
-          incr collector_misses;
-          incr collector_fetches
-        end;
-        Array.unsafe_set valid_lo li full_lo;
-        Array.unsafe_set valid_hi li full_hi;
-        if emit then begin
-          Bigarray.Array1.unsafe_set out !op
-            ((mem_block lsl shift3) lor (w land 1));
-          incr op
-        end
-      end
-    end
-    else begin
-    let mutator = w land 1 = 0 in
-    let base = set * ways in
-    let way =
-      let y = ref (ways - 1) in
-      while !y >= 0 && Array.unsafe_get tags (base + !y) <> mem_block do
-        decr y
-      done;
-      !y
-    in
-    if kcode = wb_code then begin
-      (* whole-block write-back from the level above *)
-      incr writes;
-      if not mutator then incr collector_writes;
+      let w = Bigarray.Array1.unsafe_get buf !ip in
+      incr ip;
+      let kcode = (w lsr 1) land 3 in
+      let mem_block = w lsr shift3 in
+      collector_refs := !collector_refs + (w land 1);
+      let set = mem_block land set_mask in
+      let mutator = w land 1 = 0 in
+      let base = set * ways in
+      let way =
+        let y = ref (ways - 1) in
+        while !y >= 0 && Array.unsafe_get tags (base + !y) <> mem_block do
+          decr y
+        done;
+        !y
+      in
+      (* kind codes 1 and 2 are stores, 3 a whole-block write-back *)
+      let is_store = kcode <> 0 in
+      if is_store then begin
+        incr writes;
+        if not mutator then incr collector_writes
+      end;
       let li =
         if way >= 0 then begin
-          promote t set way;
-          Array.unsafe_set hint set (base + way);
-          base + way
+          let li = base + way in
+          Array.unsafe_set hint set li;
+          if plru then begin
+            (* Tree-PLRU promote, inlined: point every ancestor node of
+               [way] away from it (pstride is 1, so pol.(set)). *)
+            let wd = ref (Array.unsafe_get pol set) in
+            let n = ref (way + ways) in
+            while !n > 1 do
+              let p = !n lsr 1 in
+              let bit = 1 lsl (p - 1) in
+              if !n land 1 = 0 then wd := !wd lor bit
+              else wd := !wd land lnot bit;
+              n := p
+            done;
+            Array.unsafe_set pol set !wd
+          end
+          else promote t set way;
+          li
         end
         else begin
-          if mutator then incr misses else incr collector_misses;
+          if mutator then begin
+            incr misses;
+            if kcode = 2 then incr alloc_misses
+          end
+          else incr collector_misses;
           let v = choose_victim t set in
           let li = base + v in
           let old = Array.unsafe_get tags li in
@@ -822,86 +803,44 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
           li
         end
       in
-      Array.unsafe_set valid_lo li full_lo;
-      Array.unsafe_set valid_hi li full_hi;
-      Bytes.unsafe_set dirty li '\001'
-    end
-    else begin
-      let word = (w lsr 5) land word_mask in
-      let high = word >= 32 in
-      let wbit = 1 lsl (word land 31) in
-      let is_store = kcode <> 0 in
-      if is_store then begin
-        incr writes;
-        if not mutator then incr collector_writes
-      end;
-      if way >= 0 then begin
-        let li = base + way in
-        Array.unsafe_set hint set li;
-        if plru then begin
-          (* Tree-PLRU promote, inlined: point every ancestor node of
-             [way] away from it (pstride is 1, so pol.(set)). *)
-          let wd = ref (Array.unsafe_get pol set) in
-          let n = ref (way + ways) in
-          while !n > 1 do
-            let p = !n lsr 1 in
-            let bit = 1 lsl (p - 1) in
-            if !n land 1 = 0 then wd := !wd lor bit
-            else wd := !wd land lnot bit;
-            n := p
-          done;
-          Array.unsafe_set pol set !wd
-        end
-        else promote t set way;
-        let valid = if high then valid_hi else valid_lo in
-        if Array.unsafe_get valid li land wbit <> 0 then begin
-          if is_store then Bytes.unsafe_set dirty li '\001'
-        end
-        else if is_store then begin
-          Array.unsafe_set valid li (Array.unsafe_get valid li lor wbit);
-          Bytes.unsafe_set dirty li '\001'
-        end
-        else begin
-          if mutator then begin
-            incr misses;
-            incr fetches
-          end
-          else begin
-            incr collector_misses;
-            incr collector_fetches
-          end;
-          Array.unsafe_set valid_lo li full_lo;
-          Array.unsafe_set valid_hi li full_hi;
-          if emit then begin
-            Bigarray.Array1.unsafe_set out !op
-              ((mem_block lsl shift3) lor (w land 1));
-            incr op
-          end
-        end
+      if kcode = wb_code then begin
+        (* whole-block write-back from the level above *)
+        Array.unsafe_set valid_lo li full_lo;
+        Array.unsafe_set valid_hi li full_hi;
+        Bytes.unsafe_set dirty li '\001'
       end
       else begin
-        if mutator then begin
-          incr misses;
-          if kcode = 2 then incr alloc_misses
-        end
-        else incr collector_misses;
-        let v = choose_victim t set in
-        let li = base + v in
-        let old = Array.unsafe_get tags li in
-        if old >= 0 && Bytes.unsafe_get dirty li = '\001' then begin
-          incr writebacks;
-          if not mutator then incr collector_writebacks;
-          Bytes.unsafe_set dirty li '\000';
-          if emit then begin
-            Bigarray.Array1.unsafe_set out !op
-              ((old lsl shift3) lor (wb_code lsl 1) lor (w land 1));
-            incr op
+        let word = (w lsr 5) land word_mask in
+        let high = word >= 32 in
+        let wbit = 1 lsl (word land 31) in
+        let valid = if high then valid_hi else valid_lo in
+        if way >= 0 then begin
+          if Array.unsafe_get valid li land wbit <> 0 then begin
+            if is_store then Bytes.unsafe_set dirty li '\001'
           end
-        end;
-        Array.unsafe_set tags li mem_block;
-        fill_state t set v;
-        Array.unsafe_set hint set li;
-        if is_store && write_validate && mutator then begin
+          else if is_store then begin
+            Array.unsafe_set valid li (Array.unsafe_get valid li lor wbit);
+            Bytes.unsafe_set dirty li '\001'
+          end
+          else begin
+            if mutator then begin
+              incr misses;
+              incr fetches
+            end
+            else begin
+              incr collector_misses;
+              incr collector_fetches
+            end;
+            Array.unsafe_set valid_lo li full_lo;
+            Array.unsafe_set valid_hi li full_hi;
+            if emit then begin
+              Bigarray.Array1.unsafe_set out !op
+                ((mem_block lsl shift3) lor (w land 1));
+              incr op
+            end
+          end
+        end
+        else if is_store && write_validate && mutator then begin
           if high then begin
             Array.unsafe_set valid_lo li 0;
             Array.unsafe_set valid_hi li wbit
@@ -925,20 +864,10 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
         end
       end
     end
-    end
-    end
   done;
-  t.refs <- t.refs + (len - !collector_refs);
-  t.collector_refs <- t.collector_refs + !collector_refs;
-  t.misses <- t.misses + !misses;
-  t.collector_misses <- t.collector_misses + !collector_misses;
-  t.alloc_misses <- t.alloc_misses + !alloc_misses;
-  t.fetches <- t.fetches + !fetches;
-  t.collector_fetches <- t.collector_fetches + !collector_fetches;
-  t.writebacks <- t.writebacks + !writebacks;
-  t.collector_writebacks <- t.collector_writebacks + !collector_writebacks;
-  t.writes <- t.writes + !writes;
-  t.collector_writes <- t.collector_writes + !collector_writes;
+  commit t.cnt len !collector_refs !misses !collector_misses !alloc_misses
+    !fetches !collector_fetches !writebacks !collector_writebacks !writes
+    !collector_writes;
   !op
 
 (* The direct-mapped loop: with one way the set index is the line
@@ -989,9 +918,6 @@ let[@inline] promote_direct pol polk idx =
 let[@inline] fill_direct pol polk idx =
   let a = Array.unsafe_get pol idx in
   Array.unsafe_set pol idx (if polk = 1 then a lor 1 else a land lnot 3 lor 1)
-
-let[@inline] bump (a : int array) i =
-  Array.unsafe_set a i (Array.unsafe_get a i + 1)
 
 (* The {!Attr} region of a byte address under one region map.  The
    [int] annotation matters: unannotated, the compares stay
@@ -1262,17 +1188,9 @@ let[@inline] direct_loop t (buf : Chunk.buf) off len emit polk
       end
     end
   done;
-  t.refs <- t.refs + (len - !collector_refs);
-  t.collector_refs <- t.collector_refs + !collector_refs;
-  t.misses <- t.misses + !misses;
-  t.collector_misses <- t.collector_misses + !collector_misses;
-  t.alloc_misses <- t.alloc_misses + !alloc_misses;
-  t.fetches <- t.fetches + !fetches;
-  t.collector_fetches <- t.collector_fetches + !collector_fetches;
-  t.writebacks <- t.writebacks + !writebacks;
-  t.collector_writebacks <- t.collector_writebacks + !collector_writebacks;
-  t.writes <- t.writes + !writes;
-  t.collector_writes <- t.collector_writes + !collector_writes;
+  commit t.cnt len !collector_refs !misses !collector_misses !alloc_misses
+    !fetches !collector_fetches !writebacks !collector_writebacks !writes
+    !collector_writes;
   if attr then begin
     cur.Attr.ei <- !ei;
     cur.Attr.si <- !si;
@@ -1371,31 +1289,21 @@ let access_chunk_emit t buf off len ~out ~pos =
 (* --- Stats -------------------------------------------------------------- *)
 
 let stats t : Cache.stats =
-  { Cache.refs = t.refs;
-    collector_refs = t.collector_refs;
-    misses = t.misses;
-    collector_misses = t.collector_misses;
-    alloc_misses = t.alloc_misses;
-    fetches = t.fetches;
-    collector_fetches = t.collector_fetches;
-    writebacks = t.writebacks;
-    collector_writebacks = t.collector_writebacks;
-    writes = t.writes;
-    collector_writes = t.collector_writes
+  let c = t.cnt in
+  { Cache.refs = c.(c_refs);
+    collector_refs = c.(c_collector_refs);
+    misses = c.(c_misses);
+    collector_misses = c.(c_collector_misses);
+    alloc_misses = c.(c_alloc_misses);
+    fetches = c.(c_fetches);
+    collector_fetches = c.(c_collector_fetches);
+    writebacks = c.(c_writebacks);
+    collector_writebacks = c.(c_collector_writebacks);
+    writes = c.(c_writes);
+    collector_writes = c.(c_collector_writes)
   }
 
-let reset_stats t =
-  t.refs <- 0;
-  t.collector_refs <- 0;
-  t.misses <- 0;
-  t.collector_misses <- 0;
-  t.alloc_misses <- 0;
-  t.fetches <- 0;
-  t.collector_fetches <- 0;
-  t.writebacks <- 0;
-  t.collector_writebacks <- 0;
-  t.writes <- 0;
-  t.collector_writes <- 0
+let reset_stats t = Array.fill t.cnt 0 n_counters 0
 
 (* --- Prefix sharing ------------------------------------------------------ *)
 
@@ -1418,17 +1326,7 @@ let config_equal (a : config) (b : config) =
 let same a b =
   (not (hooked a || hooked b))
   && config_equal a.cfg b.cfg
-  && a.refs = b.refs
-  && a.collector_refs = b.collector_refs
-  && a.misses = b.misses
-  && a.collector_misses = b.collector_misses
-  && a.alloc_misses = b.alloc_misses
-  && a.fetches = b.fetches
-  && a.collector_fetches = b.collector_fetches
-  && a.writebacks = b.writebacks
-  && a.collector_writebacks = b.collector_writebacks
-  && a.writes = b.writes
-  && a.collector_writes = b.collector_writes
+  && Array.for_all2 Int.equal a.cnt b.cnt
   && Array.for_all2 Int.equal a.tags b.tags
   && Array.for_all2 Int.equal a.valid_lo b.valid_lo
   && Array.for_all2 Int.equal a.valid_hi b.valid_hi
@@ -1447,17 +1345,7 @@ let copy ~src dst =
   Bytes.blit src.dirty 0 dst.dirty 0 (Bytes.length src.dirty);
   blit src.pol dst.pol;
   blit src.hint dst.hint;
-  dst.refs <- src.refs;
-  dst.collector_refs <- src.collector_refs;
-  dst.misses <- src.misses;
-  dst.collector_misses <- src.collector_misses;
-  dst.alloc_misses <- src.alloc_misses;
-  dst.fetches <- src.fetches;
-  dst.collector_fetches <- src.collector_fetches;
-  dst.writebacks <- src.writebacks;
-  dst.collector_writebacks <- src.collector_writebacks;
-  dst.writes <- src.writes;
-  dst.collector_writes <- src.collector_writes
+  blit src.cnt dst.cnt
 
 (* --- Test introspection -------------------------------------------------- *)
 
@@ -1507,29 +1395,25 @@ let line_valid_words t ~set ~way =
 
 let snapshot_magic = 0x4C45564C534E4150L (* "LEVLSNAP" *)
 
+(* The geometry header after the magic, with the names [restore]
+   reports a mismatch under. *)
+let header t =
+  [ ("size_bytes", t.cfg.size_bytes);
+    ("block_bytes", t.cfg.block_bytes);
+    ("ways", t.cfg.ways);
+    ("policy", policy_code t.cfg.policy);
+    ( "write_miss_policy",
+      match t.cfg.write_miss_policy with
+      | Cache.Write_validate -> 0
+      | Cache.Fetch_on_write -> 1 );
+    ("collector_fetch_on_write", 1 (* always on *)) ]
+
 let snapshot t buf =
   let add n = Buffer.add_int64_le buf (Int64.of_int n) in
   Buffer.add_int64_le buf snapshot_magic;
-  add t.cfg.size_bytes;
-  add t.cfg.block_bytes;
-  add t.cfg.ways;
-  add (policy_code t.cfg.policy);
-  add (match t.cfg.write_miss_policy with
-       | Cache.Write_validate -> 0
-       | Cache.Fetch_on_write -> 1);
-  add 1 (* collector fetch-on-write, always on *);
-  add t.refs;
-  add t.collector_refs;
-  add t.misses;
-  add t.collector_misses;
-  add t.alloc_misses;
-  add t.fetches;
-  add t.collector_fetches;
-  add t.writebacks;
-  add t.collector_writebacks;
-  add t.writes;
-  add t.collector_writes;
+  List.iter (fun (_, v) -> add v) (header t);
   let add_array a = Array.iter add a in
+  add_array t.cnt;
   add_array t.tags;
   add_array t.valid_lo;
   add_array t.valid_hi;
@@ -1538,8 +1422,8 @@ let snapshot t buf =
 
 let snapshot_bytes t =
   let lines = t.nsets * t.ways in
-  (* magic + 6 geometry words + 11 counters, then the arrays. *)
-  (8 * 18) + (8 * 3 * lines) + lines + (8 * Array.length t.pol)
+  (* magic, header and counters, then the arrays. *)
+  (8 * (1 + List.length (header t) + n_counters)) + (8 * 3 * lines) + lines + (8 * Array.length t.pol)
 
 let restore t src pos =
   let len = Bytes.length src in
@@ -1564,23 +1448,14 @@ let restore t src pos =
            "Level.restore: snapshot %s is %d but the level has %d" name
            actual expected)
   in
-  geom "size_bytes" t.cfg.size_bytes (word ());
-  geom "block_bytes" t.cfg.block_bytes (word ());
-  geom "ways" t.cfg.ways (word ());
-  geom "policy" (policy_code t.cfg.policy) (word ());
-  geom "write_miss_policy"
-    (match t.cfg.write_miss_policy with
-     | Cache.Write_validate -> 0
-     | Cache.Fetch_on_write -> 1)
-    (word ());
-  geom "collector_fetch_on_write" 1 (word ());
+  List.iter (fun (name, v) -> geom name v (word ())) (header t);
   (* Reject line state no access could have produced before loading
      any of it: the fast loops trust tags, valid masks and dirty bytes,
      and a dirty byte of 2, say, would silently drop a write-back.  A
      tag is a block number, so it belongs in the set its low bits
      index, and at most once there. *)
   let lines = t.nsets * t.ways in
-  let tags_at = !pos + (8 * 11) in
+  let tags_at = !pos + (8 * n_counters) in
   let lo_at = tags_at + (8 * lines) in
   let hi_at = lo_at + (8 * lines) in
   let dirty_at = hi_at + (8 * lines) in
@@ -1612,22 +1487,12 @@ let restore t src pos =
     let d = Char.code (Bytes.get src (dirty_at + i)) in
     if d > 1 then bad (dirty_at + i) "dirty byte %d is neither 0 nor 1" d
   done;
-  t.refs <- word ();
-  t.collector_refs <- word ();
-  t.misses <- word ();
-  t.collector_misses <- word ();
-  t.alloc_misses <- word ();
-  t.fetches <- word ();
-  t.collector_fetches <- word ();
-  t.writebacks <- word ();
-  t.collector_writebacks <- word ();
-  t.writes <- word ();
-  t.collector_writes <- word ();
   let read_array a =
     for i = 0 to Array.length a - 1 do
       Array.unsafe_set a i (word ())
     done
   in
+  read_array t.cnt;
   read_array t.tags;
   read_array t.valid_lo;
   read_array t.valid_hi;

@@ -164,11 +164,27 @@ let set_tail t n =
 
 (* --- In-memory access --------------------------------------------------- *)
 
+(* A slab wider than the default chunk (a mapped v3 file is one slab
+   as long as the trace) is handed out in default-size sub-views, so
+   every consumer sees the same chunk boundaries — attribution samples
+   by chunk, and miss-stream buffers are sized per chunk — whatever
+   format the trace was loaded from.  [BA1.sub] copies nothing. *)
 let iter_chunks t f =
+  let step = Chunk.default_chunk_events in
+  let chunks buf len =
+    if len <= step then f buf len
+    else
+      let off = ref 0 in
+      while !off < len do
+        let n = min step (len - !off) in
+        f (BA1.sub buf !off n) n;
+        off := !off + n
+      done
+  in
   for i = 0 to t.nslabs - 1 do
-    f t.slabs.(i) t.chunk_events
+    chunks t.slabs.(i) t.chunk_events
   done;
-  if t.cur_len > 0 then f t.cur t.cur_len
+  if t.cur_len > 0 then chunks t.cur t.cur_len
 
 (* Decoded in place rather than through [Chunk.unpack]: no tuple per
    event.  [Chunk.kind_of_code] still rejects kind code 3. *)
@@ -212,24 +228,15 @@ let fail_at ~version ~byte fmt =
 
 (* --- Fixed-stride writer (v3) -------------------------------------------- *)
 
-(* One bounded scratch buffer for the whole file, not a fresh Bytes
-   per chunk: a long recording is thousands of chunks, and an
-   mmap-backed recording is a single slab as large as the file. *)
+(* One scratch buffer for the whole file, not a fresh Bytes per
+   chunk: a long recording is thousands of chunks. *)
 let output_words oc t =
-  let scratch_cap = min t.chunk_events Chunk.default_chunk_events in
-  let scratch = Bytes.create (8 * scratch_cap) in
+  let scratch = Bytes.create (8 * Chunk.default_chunk_events) in
   iter_chunks t (fun buf len ->
-      let off = ref 0 in
-      while !off < len do
-        let n = min scratch_cap (len - !off) in
-        let base = !off in
-        for i = 0 to n - 1 do
-          Bytes.set_int64_le scratch (8 * i)
-            (Int64.of_int (BA1.unsafe_get buf (base + i)))
-        done;
-        output oc scratch 0 (8 * n);
-        off := base + n
-      done)
+      for i = 0 to len - 1 do
+        Bytes.set_int64_le scratch (8 * i) (Int64.of_int (BA1.unsafe_get buf i))
+      done;
+      output oc scratch 0 (8 * len))
 
 (* --- v1 on-disk format: 8 fixed little-endian bytes per event ----------- *)
 
@@ -522,8 +529,9 @@ let save_v3 t oc =
   output_bytes oc hdr;
   output_words oc t
 
-(* A mapped recording is a single full slab aliasing the file pages;
-   its current slab has zero capacity, so appends fail cleanly (see
+(* A mapped recording is a single full slab aliasing the file pages
+   ([iter_chunks] cuts it into default-size chunks); its current slab
+   has zero capacity, so appends fail cleanly (see
    [append]) and every read path works unchanged. *)
 let of_mapped payload count =
   if count = 0 then create ()

@@ -58,7 +58,7 @@ val format_of_label : string -> format option
 val create : ?initial_capacity:int -> unit -> t
 (** An empty recording.  [initial_capacity] (clamped to at least 16,
     default {!Chunk.default_chunk_events}) is the event capacity of
-    each internal slab and hence the granularity of {!iter_chunks}. *)
+    each internal slab. *)
 
 val sink : t -> Trace.sink
 (** Append every event to the recording.
@@ -70,8 +70,8 @@ val length : t -> int
     excludes its unsynced tail; see {!set_tail}. *)
 
 val chunk_events : t -> int
-(** Slab capacity: every chunk {!iter_chunks} yields is this long
-    except the last. *)
+(** Slab capacity.  A v3 file {!load} maps is one slab as long as the
+    trace. *)
 
 val clear : t -> unit
 (** Drop every recorded event and release any direct-writer checkout:
@@ -120,8 +120,11 @@ val set_tail : t -> int -> unit
 (** {1 In-memory access} *)
 
 val iter_chunks : t -> (Chunk.buf -> int -> unit) -> unit
-(** [iter_chunks t f] calls [f buf len] for each internal slab in
-    event order; only [buf.(0..len-1)] is meaningful.  The buffers are
+(** [iter_chunks t f] calls [f buf len] for each chunk in event
+    order: a slab, or a slab wider than {!Chunk.default_chunk_events}
+    (a mapped v3 file) cut into chunks of at most that many events, so
+    a trace yields the same chunks whichever format it was loaded
+    from.  Only [buf.(0..len-1)] is meaningful.  The buffers are
     the recording's own storage — do not mutate them.  On a recording
     that is no longer being appended to, concurrent iteration from
     several domains is safe. *)

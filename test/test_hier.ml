@@ -471,6 +471,15 @@ let test_hierarchy_overhead_disjoint () =
 
 let all_policies_arr = Array.of_list Level.all_policies
 
+(* Tree-PLRU's implicit heap needs a power-of-two arity: round its way
+   count down to one. *)
+let ways_for policy raw_ways =
+  match policy with
+  | Level.Tree_plru ->
+    let rec pow2 p = if p * 2 > raw_ways then p else pow2 (p * 2) in
+    pow2 1
+  | _ -> raw_ways
+
 let prop_victim_valid =
   QCheck.Test.make ~count:300
     ~name:"victim selection in range, invalid ways first, every policy"
@@ -480,14 +489,7 @@ let prop_victim_valid =
         (list_of_size Gen.(int_range 1 300) (int_range 0 4095)))
     (fun (pidx, raw_ways, addrs) ->
       let policy = all_policies_arr.(pidx) in
-      let ways =
-        (* Tree-PLRU's implicit heap needs a power-of-two arity. *)
-        match policy with
-        | Level.Tree_plru ->
-          let rec pow2 p = if p * 2 > raw_ways then p else pow2 (p * 2) in
-          pow2 1
-        | _ -> raw_ways
-      in
+      let ways = ways_for policy raw_ways in
       let nsets = 4 and block = 16 in
       let t =
         Level.create
@@ -512,6 +514,113 @@ let prop_victim_valid =
           done;
           !ok)
         addrs)
+
+(* --- snapshot equivalence properties ----------------------------------- *)
+
+(* A level of any policy and 1-8 ways ([ways_for]), 4 sets of 16-byte
+   blocks, replayed on a short random trace through the chunk loop.
+   Kind code 3 words are write-backs from a level above. *)
+let replayed_level pidx raw_ways wv events =
+  let policy = all_policies_arr.(pidx) in
+  let ways = ways_for policy raw_ways in
+  let l =
+    Level.create
+      (Level.config ~policy
+         ~write_miss_policy:
+           (if wv then Memsim.Cache.Write_validate
+            else Memsim.Cache.Fetch_on_write)
+         ~size_bytes:(4 * ways * 16) ~block_bytes:16 ~ways ())
+  in
+  let words =
+    List.map
+      (fun (a, kcode, ph) -> ((a * 4) lsl 3) lor (kcode lsl 1) lor ph)
+      events
+  in
+  let buf = Memsim.Chunk.of_array (Array.of_list words) in
+  Level.access_chunk l buf 0 (List.length words);
+  l
+
+let level_snapshot l =
+  let b = Buffer.create (Level.snapshot_bytes l) in
+  Level.snapshot l b;
+  Buffer.to_bytes b
+
+let gen_events =
+  QCheck.(
+    list_of_size Gen.(int_range 0 120)
+      (triple (int_range 0 255)
+         (make Gen.(frequency [ (6, int_range 0 2); (1, return 3) ]))
+         (int_range 0 1)))
+
+(* [same] is exactly snapshot byte equality.  The second trace is the
+   first, a prefix of it, or the first with one event changed, and the
+   second level's write-miss policy may differ, so both outcomes
+   occur. *)
+let prop_same_is_snapshot_equality =
+  QCheck.Test.make ~count:300
+    ~name:"Level.same a b <=> snapshots byte-equal, every policy, 1-8 ways"
+    QCheck.(
+      quad (int_range 0 (Array.length all_policies_arr - 1)) (int_range 1 8)
+        gen_events
+        (triple (int_range 0 3) small_nat (int_range 0 255)))
+    (fun (pidx, ways, events, (how, at, addr)) ->
+      let events' =
+        match how with
+        | 0 | 1 -> events
+        | 2 -> List.filteri (fun i _ -> i < at) events
+        | _ ->
+          List.mapi
+            (fun i (a, k, ph) -> if i = at then (addr, k, ph) else (a, k, ph))
+            events
+      in
+      let a = replayed_level pidx ways true events in
+      let b = replayed_level pidx ways (how <> 1) events' in
+      Bool.equal (Level.same a b)
+        (Bytes.equal (level_snapshot a) (level_snapshot b)))
+
+(* One tag, valid word, dirty byte or counter of a snapshot mutated:
+   [restore] either refuses it naming a byte offset, or loads a level
+   whose own snapshot is the mutated bytes. *)
+let prop_restore_mutated =
+  QCheck.Test.make ~count:500
+    ~name:"restore of a mutated snapshot: located refusal or exact load"
+    QCheck.(
+      quad (int_range 0 (Array.length all_policies_arr - 1)) (int_range 1 8)
+        gen_events
+        (triple (int_range 0 4) small_nat
+           (make
+              Gen.(
+                frequency
+                  [ (3, int_range (-3) 300);
+                    (1, map (fun b -> 1 lsl b) (int_range 0 40));
+                    (1, int) ]))))
+    (fun (pidx, ways, events, (field, idx, v)) ->
+      let l = replayed_level pidx ways true events in
+      let snap = level_snapshot l in
+      let lines = Level.num_sets l * Level.num_ways l in
+      (* magic and 6 geometry words, 11 counters, then the line arrays *)
+      let counters = 8 * 7 in
+      let tags = counters + (8 * 11) in
+      let lo = tags + (8 * lines) in
+      let hi = lo + (8 * lines) in
+      let dirty = hi + (8 * lines) in
+      let b = Bytes.copy snap in
+      let set_word at = Bytes.set_int64_le b at (Int64.of_int v) in
+      (match field with
+       | 0 -> set_word (tags + (8 * (idx mod lines)))
+       | 1 -> set_word (lo + (8 * (idx mod lines)))
+       | 2 -> set_word (hi + (8 * (idx mod lines)))
+       | 3 -> Bytes.set b (dirty + (idx mod lines)) (Char.chr (v land 255))
+       | _ -> set_word (counters + (8 * (idx mod 11))));
+      let fresh = replayed_level pidx ways true [] in
+      match Level.restore fresh b 0 with
+      | next ->
+        next = Bytes.length b && Bytes.equal (level_snapshot fresh) b
+      | exception Invalid_argument msg ->
+        (match Scanf.sscanf msg "Level.restore: byte %d:" (fun at -> at) with
+         | at -> at >= tags && at < Bytes.length b
+         | exception (Scanf.Scan_failure _ | End_of_file | Failure _) ->
+           QCheck.Test.fail_reportf "unlocated refusal: %s" msg))
 
 let workload_cases =
   List.map
@@ -554,5 +663,10 @@ let () =
        [ Alcotest.test_case "Hierarchy.overhead charges disjointly" `Quick
            test_hierarchy_overhead_disjoint
        ]);
-      ("properties", [ QCheck_alcotest.to_alcotest prop_victim_valid ])
+      ("properties",
+       List.map QCheck_alcotest.to_alcotest
+         [ prop_victim_valid;
+           prop_same_is_snapshot_equality;
+           prop_restore_mutated
+         ])
     ]
