@@ -422,21 +422,21 @@ let measure_attribution () =
     Memsim.Sweep.grid ~cache_sizes:Memsim.Sweep.paper_cache_sizes
       ~block_sizes:[ 32 ] ()
   in
-  let plain_sw = Memsim.Sweep.create configs in
-  let (), plain_s =
-    time (fun () -> Memsim.Sweep.run_serial plain_sw recording)
+  (* Best of five each: the overhead_full bound is a ratio of two
+     wall times, and one run of each is too noisy to hold it to. *)
+  let fresh () = Memsim.Sweep.create configs in
+  let plain_s, plain_sw =
+    best fresh (fun sw -> Memsim.Sweep.run_serial sw recording)
   in
-  let attr_sw = Memsim.Sweep.create configs in
-  let (), attr_s =
-    time (fun () ->
-        ignore (Memsim.Sweep.run_attributed ~addr_limit attr_sw table recording))
+  let attr_s, attr_sw =
+    best fresh (fun sw ->
+        ignore (Memsim.Sweep.run_attributed ~addr_limit sw table recording))
   in
-  let sampled_sw = Memsim.Sweep.create configs in
-  let (), sampled_s =
-    time (fun () ->
+  let sampled_s, sampled_sw =
+    best fresh (fun sw ->
         ignore
-          (Memsim.Sweep.run_attributed ~sample_every:8 ~addr_limit sampled_sw
-             table recording))
+          (Memsim.Sweep.run_attributed ~sample_every:8 ~addr_limit sw table
+             recording))
   in
   let identical =
     Memsim.Sweep.results plain_sw = Memsim.Sweep.results attr_sw

@@ -6,20 +6,6 @@
 
    Run with:  dune exec examples/gc_comparison.exe [workload] *)
 
-let block_bytes = 64
-let cache_bytes = 64 * 1024
-
-(* Record one run, replay it into the cache, release the recording. *)
-let measure gc w =
-  let sweep =
-    Memsim.Sweep.create
-      [ Memsim.Level.config ~size_bytes:cache_bytes ~block_bytes ~ways:1 () ]
-  in
-  let r, recording = Core.Runner.record ~gc w in
-  Memsim.Sweep.run_serial sweep recording;
-  Memsim.Recording.release recording;
-  (r, snd (List.hd (Memsim.Sweep.results sweep)))
-
 let () =
   let w =
     match Sys.argv with
@@ -33,21 +19,24 @@ let () =
   in
   Printf.printf "workload: %s (%s)\n\n" w.Workloads.Workload.name
     w.Workloads.Workload.paper_analogue;
-  let baseline, base_stats = measure Vscheme.Machine.No_gc w in
-  let base_insns = baseline.Core.Runner.stats.Vscheme.Machine.mutator_insns in
+  (* One direct-mapped 64k cache with 64-byte blocks. *)
+  let cache = Core.Exp_gc.caches [ 64 * 1024 ] in
+  let measure gc = Core.Exp_gc.measure ~jobs:1 ~gc w cache in
+  let baseline = measure Vscheme.Machine.No_gc in
   Printf.printf "baseline (no GC): %d instructions, %s allocated, result %s\n\n"
-    base_insns
-    (Core.Report.mb baseline.Core.Runner.stats.Vscheme.Machine.bytes_allocated)
-    baseline.Core.Runner.value;
-  let alloc = baseline.Core.Runner.stats.Vscheme.Machine.bytes_allocated in
+    baseline.Core.Exp_gc.insns
+    (Core.Report.mb baseline.Core.Exp_gc.bytes_allocated)
+    baseline.Core.Exp_gc.value;
+  let first_gen =
+    Core.Exp_gc.semispace_for
+      ~bytes_allocated:baseline.Core.Exp_gc.bytes_allocated
+  in
   let configs =
     [ ( "cheney (infrequent)",
-        Vscheme.Machine.Cheney { semispace_bytes = max (512 * 1024) (alloc / 8) } );
+        Vscheme.Machine.Cheney { semispace_bytes = first_gen } );
       ( "generational (infrequent)",
         Vscheme.Machine.Generational
-          { nursery_bytes = max (512 * 1024) (alloc / 8);
-            old_bytes = 16 * 1024 * 1024
-          } );
+          { nursery_bytes = first_gen; old_bytes = 16 * 1024 * 1024 } );
       ( "generational (aggressive)",
         Vscheme.Machine.Generational
           { nursery_bytes = 32 * 1024; old_bytes = 16 * 1024 * 1024 } )
@@ -59,23 +48,16 @@ let () =
     ~rows:
       (List.map
          (fun (name, gc) ->
-           let r, stats = measure gc w in
-           if not (String.equal r.Core.Runner.value baseline.Core.Runner.value)
+           let collected = measure gc in
+           if
+             not
+               (String.equal collected.Core.Exp_gc.value
+                  baseline.Core.Exp_gc.value)
            then failwith "collector changed the program's result!";
-           let o cpu =
-             Memsim.Timing.gc_overhead cpu ~block_bytes
-               ~collector_fetches:stats.Memsim.Cache.collector_fetches
-               ~program_fetch_delta:
-                 (stats.Memsim.Cache.fetches - base_stats.Memsim.Cache.fetches)
-               ~collector_instructions:
-                 r.Core.Runner.stats.Vscheme.Machine.collector_insns
-               ~program_instruction_delta:
-                 (r.Core.Runner.stats.Vscheme.Machine.mutator_insns - base_insns)
-               ~program_instructions:base_insns
-           in
+           let o cpu = Core.Exp_gc.o_gc cpu ~baseline ~collected 0 in
            [ name;
-             string_of_int r.Core.Runner.stats.Vscheme.Machine.collections;
-             Core.Report.eng r.Core.Runner.stats.Vscheme.Machine.collector_insns;
+             string_of_int collected.Core.Exp_gc.collections;
+             Core.Report.eng collected.Core.Exp_gc.collector_insns;
              Core.Report.pct (o Memsim.Timing.Slow);
              Core.Report.pct (o Memsim.Timing.Fast)
            ])

@@ -5,27 +5,13 @@ let table_collector_families ppf =
     "E-A1 (extension): collector families on an equal first generation \
      (selfcomp)";
   let w = Workloads.Workload.selfcomp in
-  let sweep () =
-    Memsim.Sweep.create
-      (Memsim.Sweep.grid
-         ~cache_sizes:[ Memsim.Sweep.kb 64; Memsim.Sweep.mb 1 ]
-         ~block_sizes:[ block ] ())
-  in
-  (* One run recorded, then replayed into the grid, as Exp_gc does:
-     at most one recording is live at a time. *)
-  let measure gc =
-    let sw = sweep () in
-    let r, recording = Runner.record ~gc w in
-    Memsim.Sweep.run_parallel ~jobs:(Runner.jobs ()) sw recording;
-    Memsim.Recording.release recording;
-    (r, sw)
-  in
-  let baseline, base_sw = measure Vscheme.Machine.No_gc in
-  let base_insns = baseline.Runner.stats.Vscheme.Machine.mutator_insns in
-  let alloc = baseline.Runner.stats.Vscheme.Machine.bytes_allocated in
+  let jobs = Runner.jobs () in
+  let configs = Exp_gc.caches [ Memsim.Sweep.kb 64; Memsim.Sweep.mb 1 ] in
+  let baseline = Exp_gc.measure ~jobs ~gc:Vscheme.Machine.No_gc w configs in
+  let alloc = baseline.Exp_gc.bytes_allocated in
   let first_gen = max (256 * 1024) (alloc / 8) in
   let old_bytes = 16 * 1024 * 1024 in
-  let configs =
+  let collectors =
     [ ("cheney", Vscheme.Machine.Cheney { semispace_bytes = first_gen });
       ( "generational",
         Vscheme.Machine.Generational { nursery_bytes = first_gen; old_bytes } );
@@ -37,26 +23,11 @@ let table_collector_families ppf =
     "@.first generation / semispace: %s; O_gc on the fast processor, 64b \
      blocks.@."
     (Report.mb first_gen);
-  let o_gc r sw ~size =
-    let base =
-      Memsim.Level.stats (Memsim.Sweep.find base_sw ~size_bytes:size ~block_bytes:block)
-    in
-    let run =
-      Memsim.Level.stats (Memsim.Sweep.find sw ~size_bytes:size ~block_bytes:block)
-    in
-    Memsim.Timing.gc_overhead Memsim.Timing.Fast ~block_bytes:block
-      ~collector_fetches:run.Memsim.Cache.collector_fetches
-      ~program_fetch_delta:(run.Memsim.Cache.fetches - base.Memsim.Cache.fetches)
-      ~collector_instructions:r.Runner.stats.Vscheme.Machine.collector_insns
-      ~program_instruction_delta:
-        (r.Runner.stats.Vscheme.Machine.mutator_insns - base_insns)
-      ~program_instructions:base_insns
-  in
   let rows =
     List.map
       (fun (name, gc) ->
-        let r, sw = measure gc in
-        if not (String.equal r.Runner.value baseline.Runner.value) then
+        let collected = Exp_gc.measure ~jobs ~gc w configs in
+        if not (String.equal collected.Exp_gc.value baseline.Exp_gc.value) then
           failwith (name ^ " changed the program result");
         let dyn_memory =
           match gc with
@@ -67,14 +38,15 @@ let table_collector_families ppf =
           | Vscheme.Machine.Mark_sweep { nursery_bytes; old_bytes } ->
             nursery_bytes + old_bytes
         in
+        let o i = Exp_gc.o_gc Memsim.Timing.Fast ~baseline ~collected i in
         [ name;
-          string_of_int r.Runner.stats.Vscheme.Machine.collections;
-          Report.eng r.Runner.stats.Vscheme.Machine.collector_insns;
+          string_of_int collected.Exp_gc.collections;
+          Report.eng collected.Exp_gc.collector_insns;
           Report.mb dyn_memory;
-          Report.pct (o_gc r sw ~size:(Memsim.Sweep.kb 64));
-          Report.pct (o_gc r sw ~size:(Memsim.Sweep.mb 1))
+          Report.pct (o 0);
+          Report.pct (o 1)
         ])
-      configs
+      collectors
   in
   Report.table ppf
     ~headers:
@@ -133,43 +105,39 @@ let table_placement ppf =
      objects so that they@.do not collide\", not a specialized garbage \
      collector.@."
 
-(* One recording of [w], replayed into every hierarchy, as Exp_hier
-   does: at most one recording is live at a time. *)
-let replay_workload w hiers =
-  let r, recording = Runner.record w in
-  Memsim.Sweep.hier_run_parallel ~jobs:(Runner.jobs ()) hiers recording;
-  Memsim.Recording.release recording;
-  r
-
 let table_associativity ppf =
   Report.heading ppf
     "E-A3 (extension): associativity (the sec. 4 design point set aside); \
      fast CPU, 64b blocks";
   let ways_list = [ 1; 2; 4 ] in
   let sizes = [ Memsim.Sweep.kb 32; Memsim.Sweep.kb 128 ] in
+  let configs =
+    List.concat_map
+      (fun size ->
+        List.map
+          (fun ways ->
+            Memsim.Hier.config
+              ~levels:
+                [ Memsim.Level.config ~policy:Memsim.Level.Lru
+                    ~size_bytes:size ~block_bytes:block ~ways () ]
+              ())
+          ways_list)
+      sizes
+  in
   let rows =
     List.concat_map
       (fun w ->
-        let sw =
-          Memsim.Sweep.create
-            (List.concat_map
-               (fun size ->
-                 List.map
-                   (fun ways ->
-                     Memsim.Level.config ~policy:Memsim.Level.Lru
-                       ~size_bytes:size ~block_bytes:block ~ways ())
-                   ways_list)
-               sizes)
-        in
-        let r = replay_workload w (Memsim.Sweep.hiers sw) in
-        let insns = r.Runner.stats.Vscheme.Machine.mutator_insns in
+        let m = Exp_gc.measure ~jobs:(Runner.jobs ()) w configs in
         List.map
           (fun size ->
             w.Workloads.Workload.name
             :: Report.size_label size
             :: List.concat_map
-                 (fun (cfg, s) ->
-                   if cfg.Memsim.Level.size_bytes <> size then []
+                 (fun (h : Exp_gc.replayed) ->
+                   let s = h.Exp_gc.levels.(0) in
+                   if h.Exp_gc.geometry.Memsim.Hier.levels.(0)
+                        .Memsim.Level.size_bytes <> size
+                   then []
                    else
                      [ Format.sprintf "%.4f"
                          (float_of_int s.Memsim.Cache.misses
@@ -178,9 +146,9 @@ let table_associativity ppf =
                          (Memsim.Timing.cache_overhead Memsim.Timing.Fast
                             ~block_bytes:block
                             ~fetches:s.Memsim.Cache.fetches
-                            ~instructions:insns)
+                            ~instructions:m.Exp_gc.insns)
                      ])
-                 (Memsim.Sweep.results sw))
+                 (Array.to_list m.Exp_gc.hiers))
           sizes)
       Workloads.Workload.all
   in
@@ -203,34 +171,31 @@ let table_two_level ppf =
   Report.heading ppf
     "E-A4 (extension): two-level hierarchy (32k L1 + 1m L2), the sec. 4 \
      future work";
+  (* Two direct-mapped levels: L1 fetches that hit the 60ns L2 pay its
+     access time, the rest the memory penalty. *)
+  let direct size =
+    Memsim.Level.config ~size_bytes:size ~block_bytes:block ~ways:1 ()
+  in
+  let alone size = Memsim.Hier.config ~levels:[ direct size ] () in
+  let configs =
+    [ alone (Memsim.Sweep.kb 32);
+      Memsim.Hier.config ~hit_ns:[ 60.0 ]
+        ~levels:[ direct (Memsim.Sweep.kb 32); direct (Memsim.Sweep.mb 1) ]
+        ();
+      alone (Memsim.Sweep.mb 1) ]
+  in
   let rows =
     List.map
       (fun w ->
-        (* Two direct-mapped levels: L1 fetches that hit the 60ns L2
-           pay its access time, the rest the memory penalty. *)
-        let direct size =
-          Memsim.Level.config ~size_bytes:size ~block_bytes:block ~ways:1 ()
-        in
-        let alone size =
-          Memsim.Hier.create (Memsim.Hier.config ~levels:[ direct size ] ())
-        in
-        let l1_only = alone (Memsim.Sweep.kb 32) in
-        let l2_only = alone (Memsim.Sweep.mb 1) in
-        let hierarchy =
-          Memsim.Hier.create
-            (Memsim.Hier.config ~hit_ns:[ 60.0 ]
-               ~levels:
-                 [ direct (Memsim.Sweep.kb 32); direct (Memsim.Sweep.mb 1) ]
-               ())
-        in
-        let r = replay_workload w [| l1_only; l2_only; hierarchy |] in
-        let insns = r.Runner.stats.Vscheme.Machine.mutator_insns in
-        let fast h =
+        let m = Exp_gc.measure ~jobs:(Runner.jobs ()) w configs in
+        let fast (h : Exp_gc.replayed) =
           Report.pct
-            (Memsim.Hier.overhead h Memsim.Timing.Fast ~instructions:insns)
+            (Memsim.Hier.stall_cycles h.Exp_gc.geometry h.Exp_gc.levels
+               Memsim.Timing.Fast ~collector:false
+             /. float_of_int m.Exp_gc.insns)
         in
-        [ w.Workloads.Workload.name; fast l1_only; fast hierarchy;
-          fast l2_only ])
+        w.Workloads.Workload.name
+        :: List.map fast (Array.to_list m.Exp_gc.hiers))
       Workloads.Workload.all
   in
   Report.table ppf

@@ -1,50 +1,61 @@
 let block = 64
 
-(* One grid of 64-byte-block caches across the paper's cache sizes. *)
-let sweep_64b () =
-  Memsim.Sweep.create
-    (Memsim.Sweep.grid ~cache_sizes:Memsim.Sweep.paper_cache_sizes
-       ~block_sizes:[ block ] ())
+let caches sizes =
+  List.map
+    (fun c -> Memsim.Hier.config ~levels:[ c ] ())
+    (Memsim.Sweep.grid ~cache_sizes:sizes ~block_sizes:[ block ] ())
+
+type replayed = {
+  geometry : Memsim.Hier.config;
+  levels : Memsim.Cache.stats array;
+}
 
 type measured = {
+  value : string;
   insns : int;
   collector_insns : int;
   collections : int;
   bytes_allocated : int;
-  per_size : (int * Memsim.Cache.stats) list; (* cache size -> stats *)
+  hiers : replayed array;
 }
 
-let measure ?gc ?scale w =
-  let sweep = sweep_64b () in
-  (* Record, then replay the completed recording into the grid.  No
-     gauges: a workload is measured under several collectors, and one
-     label per workload would keep only the last cell's numbers. *)
+(* No gauges: a workload is measured under several collectors, and one
+   label per workload would keep only the last cell's numbers. *)
+let measure ~jobs ?gc ?scale w configs =
+  let hiers = Array.of_list (List.map Memsim.Hier.create configs) in
   let r, recording = Runner.record ?gc ?scale w in
-  Memsim.Sweep.run_parallel ~jobs:(Runner.jobs ()) sweep recording;
-  Memsim.Recording.release recording;
-  { insns = r.Runner.stats.Vscheme.Machine.mutator_insns;
-    collector_insns = r.Runner.stats.Vscheme.Machine.collector_insns;
-    collections = r.Runner.stats.Vscheme.Machine.collections;
-    bytes_allocated = r.Runner.stats.Vscheme.Machine.bytes_allocated;
-    per_size =
-      List.map
-        (fun (cfg, stats) -> (cfg.Memsim.Level.size_bytes, stats))
-        (Memsim.Sweep.results sweep)
+  Fun.protect
+    ~finally:(fun () -> Memsim.Recording.release recording)
+    (fun () -> Memsim.Sweep.hier_run_parallel ~jobs hiers recording);
+  let s = r.Runner.stats in
+  { value = r.Runner.value;
+    insns = s.Vscheme.Machine.mutator_insns;
+    collector_insns = s.Vscheme.Machine.collector_insns;
+    collections = s.Vscheme.Machine.collections;
+    bytes_allocated = s.Vscheme.Machine.bytes_allocated;
+    hiers =
+      Array.map
+        (fun h ->
+          { geometry = Memsim.Hier.geometry h; levels = Memsim.Hier.stats h })
+        hiers
   }
 
-let gc_overhead cpu ~baseline ~collected ~size =
-  let base = List.assoc size baseline.per_size in
-  let run = List.assoc size collected.per_size in
-  Memsim.Timing.gc_overhead cpu ~block_bytes:block
-    ~collector_fetches:run.Memsim.Cache.collector_fetches
-    ~program_fetch_delta:(run.Memsim.Cache.fetches - base.Memsim.Cache.fetches)
-    ~collector_instructions:collected.collector_insns
-    ~program_instruction_delta:(collected.insns - baseline.insns)
-    ~program_instructions:baseline.insns
+let o_gc cpu ~baseline ~collected i =
+  if baseline.insns <= 0 then invalid_arg "Exp_gc.o_gc";
+  let cycles m ~collector =
+    let h = m.hiers.(i) in
+    Memsim.Hier.stall_cycles h.geometry h.levels cpu ~collector
+  in
+  let stall =
+    cycles collected ~collector:true
+    +. cycles collected ~collector:false
+    -. cycles baseline ~collector:false
+  in
+  let work =
+    float_of_int (collected.collector_insns + collected.insns - baseline.insns)
+  in
+  (stall +. work) /. float_of_int baseline.insns
 
-(* Pick a semispace that is comfortably larger than the live set but
-   much smaller than total allocation, so the collector runs several
-   times, as the paper's 16mb semispaces did against 34-357mb runs. *)
 let semispace_for ~bytes_allocated =
   max (512 * 1024) (bytes_allocated / 8)
 
@@ -55,14 +66,17 @@ let figure_gc_overhead ppf =
     [ Workloads.Workload.selfcomp; Workloads.Workload.nbody;
       Workloads.Workload.mexpr ]
   in
+  let jobs = Runner.jobs () in
+  let sizes = Memsim.Sweep.paper_cache_sizes in
   List.iter
     (fun w ->
-      let baseline = measure w in
+      let baseline = measure ~jobs w (caches sizes) in
       let semispace_bytes =
         semispace_for ~bytes_allocated:baseline.bytes_allocated
       in
       let collected =
-        measure ~gc:(Vscheme.Machine.Cheney { semispace_bytes }) w
+        measure ~jobs ~gc:(Vscheme.Machine.Cheney { semispace_bytes }) w
+          (caches sizes)
       in
       Format.fprintf ppf
         "@.%s: %s allocated, %s semispaces, %d collections@."
@@ -70,14 +84,13 @@ let figure_gc_overhead ppf =
         (Report.mb baseline.bytes_allocated)
         (Report.mb semispace_bytes) collected.collections;
       let rows =
-        List.map
-          (fun size ->
+        List.mapi
+          (fun i size ->
             Report.size_label size
             :: List.map
-                 (fun cpu ->
-                   Report.pct (gc_overhead cpu ~baseline ~collected ~size))
+                 (fun cpu -> Report.pct (o_gc cpu ~baseline ~collected i))
                  Memsim.Timing.all_processors)
-          Memsim.Sweep.paper_cache_sizes
+          sizes
       in
       Report.table ppf ~headers:[ "cache"; "O_gc slow"; "O_gc fast" ] ~rows)
     subjects;
@@ -91,19 +104,22 @@ let table_lp_pathology ppf =
     "E-T5 (sec. 6): the lp pathology - Cheney vs. generational on lred";
   let w = Workloads.Workload.lred in
   let scale = 4 * Runner.base_scale w * Runner.scale_factor () in
-  let baseline = measure ~scale w in
+  let jobs = Runner.jobs () in
+  let sizes = [ Memsim.Sweep.kb 64; Memsim.Sweep.kb 256; Memsim.Sweep.mb 1 ] in
+  let baseline = measure ~jobs ~scale w (caches sizes) in
   (* The trail keeps growing, so the semispace must stay ahead of the
      live set while remaining much smaller than total allocation. *)
   let semispace_bytes = max (1024 * 1024) (baseline.bytes_allocated / 4) in
   let cheney =
-    measure ~scale ~gc:(Vscheme.Machine.Cheney { semispace_bytes }) w
+    measure ~jobs ~scale ~gc:(Vscheme.Machine.Cheney { semispace_bytes }) w
+      (caches sizes)
   in
   let generational =
-    measure ~scale
+    measure ~jobs ~scale
       ~gc:
         (Vscheme.Machine.Generational
            { nursery_bytes = semispace_bytes; old_bytes = 24 * 1024 * 1024 })
-      w
+      w (caches sizes)
   in
   Format.fprintf ppf
     "@.lred allocates %s with a trail that grows to the end of the run;@.\
@@ -112,18 +128,18 @@ let table_lp_pathology ppf =
     (Report.mb baseline.bytes_allocated)
     (Report.mb semispace_bytes) cheney.collections generational.collections;
   let rows =
-    List.concat_map
-      (fun size ->
-        List.map
-          (fun cpu ->
-            [ Report.size_label size;
-              Format.asprintf "%a" Memsim.Timing.pp_processor cpu;
-              Report.pct (gc_overhead cpu ~baseline ~collected:cheney ~size);
-              Report.pct
-                (gc_overhead cpu ~baseline ~collected:generational ~size)
-            ])
-          Memsim.Timing.all_processors)
-      [ Memsim.Sweep.kb 64; Memsim.Sweep.kb 256; Memsim.Sweep.mb 1 ]
+    List.concat
+      (List.mapi
+         (fun i size ->
+           List.map
+             (fun cpu ->
+               [ Report.size_label size;
+                 Format.asprintf "%a" Memsim.Timing.pp_processor cpu;
+                 Report.pct (o_gc cpu ~baseline ~collected:cheney i);
+                 Report.pct (o_gc cpu ~baseline ~collected:generational i)
+               ])
+             Memsim.Timing.all_processors)
+         sizes)
   in
   Report.table ppf
     ~headers:[ "cache"; "cpu"; "O_gc cheney"; "O_gc generational" ]
@@ -137,7 +153,9 @@ let table_aggressive ppf =
   Report.heading ppf
     "E-T6 (sec. 6): aggressive collection cannot pay for itself (selfcomp)";
   let w = Workloads.Workload.selfcomp in
-  let baseline = measure w in
+  let jobs = Runner.jobs () in
+  let configs = caches [ Memsim.Sweep.kb 64; Memsim.Sweep.mb 1 ] in
+  let baseline = measure ~jobs w configs in
   let old_bytes = 24 * 1024 * 1024 in
   let nurseries =
     [ 16 * 1024; 32 * 1024; 64 * 1024; 256 * 1024; 1024 * 1024;
@@ -147,19 +165,15 @@ let table_aggressive ppf =
     List.map
       (fun nursery_bytes ->
         let collected =
-          measure
+          measure ~jobs
             ~gc:(Vscheme.Machine.Generational { nursery_bytes; old_bytes })
-            w
+            w configs
         in
         [ Report.size_label nursery_bytes;
           string_of_int collected.collections;
           Report.eng collected.collector_insns;
-          Report.pct
-            (gc_overhead Memsim.Timing.Fast ~baseline ~collected
-               ~size:(Memsim.Sweep.kb 64));
-          Report.pct
-            (gc_overhead Memsim.Timing.Fast ~baseline ~collected
-               ~size:(Memsim.Sweep.mb 1))
+          Report.pct (o_gc Memsim.Timing.Fast ~baseline ~collected 0);
+          Report.pct (o_gc Memsim.Timing.Fast ~baseline ~collected 1)
         ])
       nurseries
   in
@@ -168,10 +182,10 @@ let table_aggressive ppf =
       [ "nursery"; "collections"; "I_gc";
         "O_gc fast @64k"; "O_gc fast @1m" ]
     ~rows;
-  let base64 = List.assoc (Memsim.Sweep.kb 64) baseline.per_size in
   let floor64 =
     Memsim.Timing.cache_overhead Memsim.Timing.Fast ~block_bytes:block
-      ~fetches:base64.Memsim.Cache.fetches ~instructions:baseline.insns
+      ~fetches:baseline.hiers.(0).levels.(0).Memsim.Cache.fetches
+      ~instructions:baseline.insns
   in
   Format.fprintf ppf
     "@.the program's whole cache overhead without GC (fast, 64k) is %s - \

@@ -5,76 +5,24 @@
    against no-GC baselines, all through the fused miss-stream
    engine. *)
 
-type measured = {
-  insns : int;
-  collector_insns : int;
-  collections : int;
-  bytes_allocated : int;
-  per_cpu : (Memsim.Hier.cpu * replayed) list;
-}
-
-(* What a replayed hierarchy leaves behind: its geometry and per-level
-   counters, not its line state, so ten measured cells stay small. *)
-and replayed = {
-  geometry : Memsim.Hier.config;
-  levels : Memsim.Cache.stats array;
-}
-
-(* The sec. 6 O_gc formula lifted to hierarchies: collector stalls,
-   the change in program stalls, and the collector's instructions,
-   all relative to the baseline program's instruction count. *)
-let gc_overhead cpu ~baseline ~collected ~hier_cpu =
-  let base = List.assoc hier_cpu baseline.per_cpu in
-  let run = List.assoc hier_cpu collected.per_cpu in
-  let cycles h = Memsim.Hier.stall_cycles h.geometry h.levels cpu in
-  let stall =
-    cycles run ~collector:true
-    +. cycles run ~collector:false
-    -. cycles base ~collector:false
-  in
-  let work =
-    float_of_int (collected.collector_insns + collected.insns - baseline.insns)
-  in
-  (stall +. work) /. float_of_int baseline.insns
-
-let measure ?gc w =
-  let r, recording = Runner.record ?gc w in
-  let hiers =
-    List.map
-      (fun cpu -> (cpu, Memsim.Hier.create (Memsim.Hier.preset cpu)))
-      Memsim.Hier.all_cpus
-  in
-  Memsim.Sweep.hier_run_serial (Array.of_list (List.map snd hiers)) recording;
-  Memsim.Recording.release recording;
-  { insns = r.Runner.stats.Vscheme.Machine.mutator_insns;
-    collector_insns = r.Runner.stats.Vscheme.Machine.collector_insns;
-    collections = r.Runner.stats.Vscheme.Machine.collections;
-    bytes_allocated = r.Runner.stats.Vscheme.Machine.bytes_allocated;
-    per_cpu =
-      List.map
-        (fun (cpu, h) ->
-          ( cpu,
-            { geometry = Memsim.Hier.geometry h;
-              levels = Memsim.Hier.stats h } ))
-        hiers
-  }
-
-(* One cell per workload, [gc i] giving workload i's collector.  A
-   cell's five presets share one L1 and so form one prefix tree, a
-   single claim for the replay pool; parallelism comes from claiming
-   whole cells instead, each recorded and replayed on one domain. *)
+(* One cell per workload, [gc i] giving workload i's collector; a
+   cell's hierarchy k is preset k of [Hier.all_cpus].  A cell's five
+   presets share one L1 and so form one prefix tree, a single claim
+   for the replay pool; parallelism comes from claiming whole cells
+   instead, each recorded and replayed on one domain. *)
 let measure_all gc =
   let ws = Array.of_list Workloads.Workload.all in
+  let presets = List.map Memsim.Hier.preset Memsim.Hier.all_cpus in
   let cells = Array.make (Array.length ws) None in
   Memsim.Sweep.parallel_for ~jobs:(Runner.jobs ()) (Array.length ws) (fun i ->
-      cells.(i) <- Some (measure ?gc:(gc i) ws.(i)));
+      cells.(i) <- Some (Exp_gc.measure ~jobs:1 ?gc:(gc i) ws.(i) presets));
   Array.map (function Some m -> m | None -> assert false) cells
 
 (* Per-level miss counts of the collected run land in the metrics
    registry, so a --metrics export carries the whole grid. *)
-let publish_levels w hiers =
-  List.iter
-    (fun (cpu, h) ->
+let publish_levels w (m : Exp_gc.measured) =
+  List.iteri
+    (fun k cpu ->
       Array.iteri
         (fun i (s : Memsim.Cache.stats) ->
           let name part =
@@ -91,8 +39,8 @@ let publish_levels w hiers =
           Obs.Metrics.Counter.set
             (Obs.Metrics.counter Obs.Metrics.default (name "misses"))
             misses)
-        h.levels)
-    hiers
+        m.Exp_gc.hiers.(k).Exp_gc.levels)
+    Memsim.Hier.all_cpus
 
 let miss_ratio (s : Memsim.Cache.stats) =
   let refs = s.Memsim.Cache.refs + s.Memsim.Cache.collector_refs in
@@ -105,7 +53,7 @@ let grid ppf =
      hierarchies (fused engine)";
   let baselines = measure_all (fun _ -> None) in
   let semispace_bytes i =
-    max (512 * 1024) (baselines.(i).bytes_allocated / 8)
+    Exp_gc.semispace_for ~bytes_allocated:baselines.(i).Exp_gc.bytes_allocated
   in
   let collecteds =
     measure_all (fun i ->
@@ -117,26 +65,24 @@ let grid ppf =
     (fun i w ->
       let baseline = baselines.(i) and collected = collecteds.(i) in
       let semispace_bytes = semispace_bytes i in
-      publish_levels w collected.per_cpu;
+      publish_levels w collected;
       Format.fprintf ppf
         "@.%s: %s allocated, %s semispaces, %d collections@."
         w.Workloads.Workload.name
-        (Report.mb baseline.bytes_allocated)
-        (Report.mb semispace_bytes) collected.collections;
+        (Report.mb baseline.Exp_gc.bytes_allocated)
+        (Report.mb semispace_bytes) collected.Exp_gc.collections;
       let rows =
-        List.map
-          (fun cpu ->
-            let stats = (List.assoc cpu collected.per_cpu).levels in
+        List.mapi
+          (fun k cpu ->
+            let stats = collected.Exp_gc.hiers.(k).Exp_gc.levels in
             [ Memsim.Hier.cpu_label cpu;
               miss_ratio stats.(0);
               miss_ratio stats.(1);
               miss_ratio stats.(2);
               Report.pct
-                (gc_overhead Memsim.Timing.Slow ~baseline ~collected
-                   ~hier_cpu:cpu);
+                (Exp_gc.o_gc Memsim.Timing.Slow ~baseline ~collected k);
               Report.pct
-                (gc_overhead Memsim.Timing.Fast ~baseline ~collected
-                   ~hier_cpu:cpu)
+                (Exp_gc.o_gc Memsim.Timing.Fast ~baseline ~collected k)
             ])
           Memsim.Hier.all_cpus
       in

@@ -1429,18 +1429,20 @@ let restore t src pos =
   let len = Bytes.length src in
   if pos < 0 || len - pos < snapshot_bytes t then
     invalid_arg "Level.restore: truncated snapshot";
-  let pos = ref pos in
-  let word () =
-    let w64 = Bytes.get_int64_le src !pos in
-    pos := !pos + 8;
+  let bad at fmt =
+    Printf.ksprintf
+      (fun msg -> invalid_arg (Printf.sprintf "Level.restore: byte %d: %s" at msg))
+      fmt
+  in
+  let word_at at =
+    let w64 = Bytes.get_int64_le src at in
     let w = Int64.to_int w64 in
     if not (Int64.equal (Int64.of_int w) w64) then
-      invalid_arg "Level.restore: snapshot word does not fit a native int";
+      bad at "word 0x%Lx does not fit a native int" w64;
     w
   in
-  if not (Int64.equal (Bytes.get_int64_le src !pos) snapshot_magic) then
+  if not (Int64.equal (Bytes.get_int64_le src pos) snapshot_magic) then
     invalid_arg "Level.restore: not a level snapshot";
-  pos := !pos + 8;
   let geom name expected actual =
     if expected <> actual then
       invalid_arg
@@ -1448,23 +1450,30 @@ let restore t src pos =
            "Level.restore: snapshot %s is %d but the level has %d" name
            actual expected)
   in
-  List.iter (fun (name, v) -> geom name v (word ())) (header t);
-  (* Reject line state no access could have produced before loading
-     any of it: the fast loops trust tags, valid masks and dirty bytes,
-     and a dirty byte of 2, say, would silently drop a write-back.  A
-     tag is a block number, so it belongs in the set its low bits
-     index, and at most once there. *)
+  List.iteri
+    (fun i (name, v) -> geom name v (word_at (pos + 8 + (8 * i))))
+    (header t);
+  (* Reject a snapshot no access could have produced before loading
+     any of it, so a refused restore leaves the level as it was: every
+     word must fit a native int, and the fast loops trust tags, valid
+     masks and dirty bytes — a dirty byte of 2, say, would silently
+     drop a write-back.  A tag is a block number, so it belongs in the
+     set its low bits index, and at most once there. *)
   let lines = t.nsets * t.ways in
-  let tags_at = !pos + (8 * n_counters) in
+  let cnt_at = pos + (8 * (1 + List.length (header t))) in
+  let tags_at = cnt_at + (8 * n_counters) in
   let lo_at = tags_at + (8 * lines) in
   let hi_at = lo_at + (8 * lines) in
   let dirty_at = hi_at + (8 * lines) in
-  let bad at fmt =
-    Printf.ksprintf
-      (fun msg -> invalid_arg (Printf.sprintf "Level.restore: byte %d: %s" at msg))
-      fmt
+  let pol_at = dirty_at + lines in
+  let check_words at n =
+    for i = 0 to n - 1 do
+      ignore (word_at (at + (8 * i)))
+    done
   in
-  let tag_at i = Int64.to_int (Bytes.get_int64_le src (tags_at + (8 * i))) in
+  check_words cnt_at (n_counters + (3 * lines));
+  check_words pol_at (Array.length t.pol);
+  let tag_at i = word_at (tags_at + (8 * i)) in
   for i = 0 to lines - 1 do
     let tag = tag_at i in
     let set = i / t.ways in
@@ -1478,28 +1487,28 @@ let restore t src pos =
         bad (tags_at + (8 * i)) "tag %d resident in ways %d and %d of set %d"
           tag (j - (set * t.ways)) (i - (set * t.ways)) set
     done;
-    let lo = Int64.to_int (Bytes.get_int64_le src (lo_at + (8 * i))) in
+    let lo = word_at (lo_at + (8 * i)) in
     if lo land lnot t.full_lo <> 0 then
       bad (lo_at + (8 * i)) "valid mask 0x%x has bits beyond the block" lo;
-    let hi = Int64.to_int (Bytes.get_int64_le src (hi_at + (8 * i))) in
+    let hi = word_at (hi_at + (8 * i)) in
     if hi land lnot t.full_hi <> 0 then
       bad (hi_at + (8 * i)) "valid mask 0x%x has bits beyond the block" hi;
     let d = Char.code (Bytes.get src (dirty_at + i)) in
     if d > 1 then bad (dirty_at + i) "dirty byte %d is neither 0 nor 1" d
   done;
-  let read_array a =
+  let read_array a at =
     for i = 0 to Array.length a - 1 do
-      Array.unsafe_set a i (word ())
+      Array.unsafe_set a i
+        (Int64.to_int (Bytes.get_int64_le src (at + (8 * i))))
     done
   in
-  read_array t.cnt;
-  read_array t.tags;
-  read_array t.valid_lo;
-  read_array t.valid_hi;
-  Bytes.blit src !pos t.dirty 0 lines;
-  pos := !pos + lines;
-  read_array t.pol;
+  read_array t.cnt cnt_at;
+  read_array t.tags tags_at;
+  read_array t.valid_lo lo_at;
+  read_array t.valid_hi hi_at;
+  Bytes.blit src dirty_at t.dirty 0 lines;
+  read_array t.pol pol_at;
   (* The restored tags/pol invalidate any recency the hint recorded:
      a stale entry could skip a promote that is no longer a no-op. *)
   Array.fill t.hint 0 (Array.length t.hint) (-1);
-  !pos
+  pol_at + (8 * Array.length t.pol)

@@ -31,18 +31,6 @@ let cache_overhead p ~block_bytes ~fetches ~instructions =
   if instructions <= 0 then invalid_arg "Timing.cache_overhead";
   float_of_int fetches *. miss_penalty p ~block_bytes /. float_of_int instructions
 
-let gc_overhead p ~block_bytes ~collector_fetches ~program_fetch_delta
-    ~collector_instructions ~program_instruction_delta ~program_instructions =
-  if program_instructions <= 0 then invalid_arg "Timing.gc_overhead";
-  let penalty = miss_penalty p ~block_bytes in
-  let stall =
-    float_of_int (collector_fetches + program_fetch_delta) *. penalty
-  in
-  let work =
-    float_of_int (collector_instructions + program_instruction_delta)
-  in
-  (stall +. work) /. float_of_int program_instructions
-
 let pp_processor ppf p =
   Format.pp_print_string ppf
     (match p with

@@ -8,7 +8,11 @@
     Two hypothetical processors are modeled: the {e slow} processor has
     a 30 ns cycle (33 MHz, a 1994 workstation) and the {e fast}
     processor a 2 ns cycle (500 MHz).  Hit time is one cycle on both,
-    so overheads count stall cycles only. *)
+    so overheads count stall cycles only.
+
+    This module charges the no-GC overhead O_cache of §5.  The §6
+    collector overhead O_gc is [Core.Exp_gc.o_gc], which charges a
+    baseline and a collected run through {!Hier.stall_cycles}. *)
 
 type processor =
   | Slow  (** 30 ns cycle time (33 MHz) *)
@@ -43,20 +47,5 @@ val cache_overhead :
     total stall time for [fetches] block fetches, expressed as a
     fraction of the idealized running time of [instructions]
     one-cycle instructions. *)
-
-val gc_overhead :
-  processor ->
-  block_bytes:int ->
-  collector_fetches:int ->
-  program_fetch_delta:int ->
-  collector_instructions:int ->
-  program_instruction_delta:int ->
-  program_instructions:int ->
-  float
-(** O_gc from §6:
-    [((M_gc + ΔM_prog) · P + I_gc + ΔI_prog) / I_prog].
-    [program_fetch_delta] (ΔM_prog) may be negative when the collector
-    improves the program's locality, in which case the result may be
-    negative. *)
 
 val pp_processor : Format.formatter -> processor -> unit

@@ -50,15 +50,18 @@ type t = {
   mutable stop : [ `No | `Drain | `Now ];
   mutable domains : unit Domain.t list;
   registry : Obs.Metrics.registry;
-  m_submitted : Obs.Metrics.Counter.t;
-  m_completed : Obs.Metrics.Counter.t;
-  m_failed : Obs.Metrics.Counter.t;
-  m_cancelled : Obs.Metrics.Counter.t;
-  m_cache_hits : Obs.Metrics.Counter.t;
-  m_resumed : Obs.Metrics.Counter.t;
-  m_requeued : Obs.Metrics.Counter.t;
+  counters : (string * Obs.Metrics.Counter.t) list;
+      (* [counter_names], each registered as [serve.<name>] *)
   h_latency : Obs.Metrics.Histogram.t;
 }
+
+(* The scheduler's counters, in the order [counters_json] reports
+   them. *)
+let counter_names =
+  [ "submitted"; "completed"; "failed"; "cancelled"; "cache_hits"; "resumed";
+    "requeued" ]
+
+let count t name = Obs.Metrics.Counter.incr (List.assoc name t.counters)
 
 let now () = Unix.gettimeofday ()
 
@@ -92,20 +95,20 @@ let finish t job state ~cached =
   Obs.Metrics.Histogram.observe t.h_latency (Job.latency_ms ~now:(now ()) job);
   (match state with
    | Job.Done ->
-     Obs.Metrics.Counter.incr t.m_completed;
-     if cached then Obs.Metrics.Counter.incr t.m_cache_hits;
+     count t "completed";
+     if cached then count t "cache_hits";
      emit t
        (event "done" job
           [ ("cached", Obs.Json.Bool cached);
             ("latency_ms", Obs.Json.Float (Job.latency_ms ~now:(now ()) job))
           ])
    | Job.Failed msg ->
-     Obs.Metrics.Counter.incr t.m_failed;
+     count t "failed";
      emit t
        (event "failed" job
           [ ("name", Obs.Json.Str job.Job.name); ("error", Obs.Json.Str msg) ])
    | Job.Cancelled ->
-     Obs.Metrics.Counter.incr t.m_cancelled;
+     count t "cancelled";
      emit t (event "cancelled" job [])
    | Job.Queued | Job.Running _ -> assert false);
   Condition.broadcast t.change
@@ -139,6 +142,18 @@ let release_hash t job ~success =
         (List.map (fun f -> f.Job.id) rest);
       enqueue t next
 
+(* Follow the in-flight leader of [job.hash], or become its leader and
+   enqueue. *)
+let follow_or_lead t job =
+  match Hashtbl.find_opt t.by_hash job.Job.hash with
+  | Some leader ->
+    Hashtbl.replace t.followers leader
+      (Option.value ~default:[] (Hashtbl.find_opt t.followers leader)
+       @ [ job.Job.id ])
+  | None ->
+    Hashtbl.replace t.by_hash job.Job.hash job.Job.id;
+    enqueue t job
+
 (* --- Submission ---------------------------------------------------------- *)
 
 let parse_run run_text =
@@ -166,7 +181,7 @@ let submit t run_text =
         t.next_id <- id + 1;
         let job = Job.make ~id ~now:(now ()) ~run ~run_text in
         Hashtbl.replace t.jobs id job;
-        Obs.Metrics.Counter.incr t.m_submitted;
+        count t "submitted";
         emit t
           (event "submitted" job
              [ ("name", Obs.Json.Str job.Job.name);
@@ -175,15 +190,7 @@ let submit t run_text =
              ]);
         (match cached with
          | Some _ -> finish t job Job.Done ~cached:true
-         | None -> (
-           match Hashtbl.find_opt t.by_hash job.Job.hash with
-           | Some leader ->
-             Hashtbl.replace t.followers leader
-               (Option.value ~default:[] (Hashtbl.find_opt t.followers leader)
-                @ [ id ])
-           | None ->
-             Hashtbl.replace t.by_hash job.Job.hash id;
-             enqueue t job));
+         | None -> follow_or_lead t job);
         Ok id
       end)
 
@@ -246,14 +253,9 @@ let cancel t id =
 
 let counters_json t =
   Obs.Json.Obj
-    [ ("submitted", Obs.Json.Int (Obs.Metrics.Counter.value t.m_submitted));
-      ("completed", Obs.Json.Int (Obs.Metrics.Counter.value t.m_completed));
-      ("failed", Obs.Json.Int (Obs.Metrics.Counter.value t.m_failed));
-      ("cancelled", Obs.Json.Int (Obs.Metrics.Counter.value t.m_cancelled));
-      ("cache_hits", Obs.Json.Int (Obs.Metrics.Counter.value t.m_cache_hits));
-      ("resumed", Obs.Json.Int (Obs.Metrics.Counter.value t.m_resumed));
-      ("requeued", Obs.Json.Int (Obs.Metrics.Counter.value t.m_requeued))
-    ]
+    (List.map
+       (fun (name, c) -> (name, Obs.Json.Int (Obs.Metrics.Counter.value c)))
+       t.counters)
 
 let stats t =
   locked t (fun () ->
@@ -313,7 +315,7 @@ let run_job t w job =
     job.Job.attempts <- job.Job.attempts + 1;
     if resumed_now && not job.Job.resumed then begin
       job.Job.resumed <- true;
-      Obs.Metrics.Counter.incr t.m_resumed
+      count t "resumed"
     end;
     emit t
       (event "started" job
@@ -349,7 +351,7 @@ let run_job t w job =
     (* The checkpoint stays; the next attempt resumes from it. *)
     locked t (fun () ->
       job.Job.state <- Job.Queued;
-      Obs.Metrics.Counter.incr t.m_requeued;
+      count t "requeued";
       emit t (event "requeued" job [ ("reason", Obs.Json.Str "killed") ]);
       enqueue t job)
   | exception exn ->
@@ -476,14 +478,7 @@ let recover t events =
       (fun job ->
         job.Job.state <- Job.Queued;
         emit t (event "recovered" job []);
-        match Hashtbl.find_opt t.by_hash job.Job.hash with
-        | Some leader ->
-          Hashtbl.replace t.followers leader
-            (Option.value ~default:[] (Hashtbl.find_opt t.followers leader)
-             @ [ job.Job.id ])
-        | None ->
-          Hashtbl.replace t.by_hash job.Job.hash job.Job.id;
-          enqueue t job)
+        follow_or_lead t job)
       live)
 
 (* --- Lifecycle ----------------------------------------------------------- *)
@@ -511,13 +506,11 @@ let create ?(config = default_config) dir =
       stop = `No;
       domains = [];
       registry;
-      m_submitted = Obs.Metrics.counter registry "serve.submitted";
-      m_completed = Obs.Metrics.counter registry "serve.completed";
-      m_failed = Obs.Metrics.counter registry "serve.failed";
-      m_cancelled = Obs.Metrics.counter registry "serve.cancelled";
-      m_cache_hits = Obs.Metrics.counter registry "serve.cache_hits";
-      m_resumed = Obs.Metrics.counter registry "serve.resumed";
-      m_requeued = Obs.Metrics.counter registry "serve.requeued";
+      counters =
+        List.map
+          (fun name ->
+            (name, Obs.Metrics.counter registry ("serve." ^ name)))
+          counter_names;
       h_latency =
         Obs.Metrics.histogram registry "serve.latency_ms"
           ~buckets:latency_buckets
@@ -553,14 +546,8 @@ let shutdown ?(drain = true) t =
 let latency_quantile t q = Obs.Metrics.Histogram.quantile t.h_latency q
 
 let counter_value t name =
-  match name with
-  | "submitted" -> Obs.Metrics.Counter.value t.m_submitted
-  | "completed" -> Obs.Metrics.Counter.value t.m_completed
-  | "failed" -> Obs.Metrics.Counter.value t.m_failed
-  | "cancelled" -> Obs.Metrics.Counter.value t.m_cancelled
-  | "cache_hits" -> Obs.Metrics.Counter.value t.m_cache_hits
-  | "resumed" -> Obs.Metrics.Counter.value t.m_resumed
-  | "requeued" -> Obs.Metrics.Counter.value t.m_requeued
-  | name -> invalid_arg ("Sched.counter_value: unknown counter " ^ name)
+  match List.assoc_opt name t.counters with
+  | Some c -> Obs.Metrics.Counter.value c
+  | None -> invalid_arg ("Sched.counter_value: unknown counter " ^ name)
 
 let store t = t.store

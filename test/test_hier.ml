@@ -578,49 +578,70 @@ let prop_same_is_snapshot_equality =
       Bool.equal (Level.same a b)
         (Bytes.equal (level_snapshot a) (level_snapshot b)))
 
-(* One tag, valid word, dirty byte or counter of a snapshot mutated:
-   [restore] either refuses it naming a byte offset, or loads a level
-   whose own snapshot is the mutated bytes. *)
+(* One tag, valid word, dirty byte, counter or policy word of a
+   snapshot mutated, sometimes to a 64-bit word no native int holds:
+   [restore] either refuses it naming a byte offset and leaving the
+   level as it was, or loads a level whose own snapshot is the mutated
+   bytes. *)
 let prop_restore_mutated =
   QCheck.Test.make ~count:500
     ~name:"restore of a mutated snapshot: located refusal or exact load"
     QCheck.(
       quad (int_range 0 (Array.length all_policies_arr - 1)) (int_range 1 8)
         gen_events
-        (triple (int_range 0 4) small_nat
+        (triple (int_range 0 5) small_nat
            (make
               Gen.(
                 frequency
-                  [ (3, int_range (-3) 300);
-                    (1, map (fun b -> 1 lsl b) (int_range 0 40));
-                    (1, int) ]))))
+                  [ (3, map Int64.of_int (int_range (-3) 300));
+                    (1, map (fun b -> Int64.shift_left 1L b) (int_range 0 40));
+                    (1, map Int64.of_int int);
+                    (* bit 62 flipped: the top two bits differ *)
+                    ( 1,
+                      map
+                        (fun i ->
+                          Int64.logxor 0x4000_0000_0000_0000L (Int64.of_int i))
+                        int ) ]))))
     (fun (pidx, ways, events, (field, idx, v)) ->
       let l = replayed_level pidx ways true events in
       let snap = level_snapshot l in
       let lines = Level.num_sets l * Level.num_ways l in
-      (* magic and 6 geometry words, 11 counters, then the line arrays *)
+      (* magic and 6 geometry words, 11 counters, the line arrays, then
+         the policy words *)
       let counters = 8 * 7 in
       let tags = counters + (8 * 11) in
       let lo = tags + (8 * lines) in
       let hi = lo + (8 * lines) in
       let dirty = hi + (8 * lines) in
+      let pol = dirty + lines in
+      let pol_words = (Bytes.length snap - pol) / 8 in
       let b = Bytes.copy snap in
-      let set_word at = Bytes.set_int64_le b at (Int64.of_int v) in
+      let set_word at = Bytes.set_int64_le b at v in
       (match field with
        | 0 -> set_word (tags + (8 * (idx mod lines)))
        | 1 -> set_word (lo + (8 * (idx mod lines)))
        | 2 -> set_word (hi + (8 * (idx mod lines)))
-       | 3 -> Bytes.set b (dirty + (idx mod lines)) (Char.chr (v land 255))
+       | 3 ->
+         Bytes.set b (dirty + (idx mod lines))
+           (Char.chr (Int64.to_int v land 255))
+       | 4 when pol_words > 0 -> set_word (pol + (8 * (idx mod pol_words)))
        | _ -> set_word (counters + (8 * (idx mod 11))));
       let fresh = replayed_level pidx ways true [] in
+      let before = level_snapshot fresh in
       match Level.restore fresh b 0 with
       | next ->
         next = Bytes.length b && Bytes.equal (level_snapshot fresh) b
-      | exception Invalid_argument msg ->
-        (match Scanf.sscanf msg "Level.restore: byte %d:" (fun at -> at) with
-         | at -> at >= tags && at < Bytes.length b
-         | exception (Scanf.Scan_failure _ | End_of_file | Failure _) ->
-           QCheck.Test.fail_reportf "unlocated refusal: %s" msg))
+      | exception Invalid_argument msg -> (
+        match Scanf.sscanf msg "Level.restore: byte %d:" (fun at -> at) with
+        | at ->
+          if not (at >= counters && at < Bytes.length b) then
+            QCheck.Test.fail_reportf "refusal at byte %d: %s" at msg;
+          if not (Bytes.equal (level_snapshot fresh) before) then
+            QCheck.Test.fail_reportf "refused restore changed the level: %s"
+              msg;
+          true
+        | exception (Scanf.Scan_failure _ | End_of_file | Failure _) ->
+          QCheck.Test.fail_reportf "unlocated refusal: %s" msg))
 
 let workload_cases =
   List.map

@@ -33,6 +33,26 @@ let test_penalties () =
         (Memsim.Timing.miss_penalty_cycles Memsim.Timing.Fast ~block_bytes:block))
     [ (16, 8, 120); (32, 9, 135); (64, 11, 165); (128, 15, 225); (256, 23, 345) ]
 
+(* A measured run through one direct-mapped one-level hierarchy, with
+   only the counters O_gc reads set. *)
+let one_level_run ~block ~insns ~collector_insns ~fetches ~collector_fetches =
+  let zero = stats (mk ~block ()) in
+  { Core.Exp_gc.value = "";
+    insns;
+    collector_insns;
+    collections = 0;
+    bytes_allocated = 0;
+    hiers =
+      [| { Core.Exp_gc.geometry =
+             Memsim.Hier.config
+               ~levels:
+                 [ Memsim.Level.config ~size_bytes:1024 ~block_bytes:block
+                     ~ways:1 () ]
+               ();
+           levels = [| { zero with Memsim.Cache.fetches; collector_fetches } |]
+         } |]
+  }
+
 let test_overhead_math () =
   (* O_cache = M * P / I *)
   let o =
@@ -41,12 +61,15 @@ let test_overhead_math () =
   in
   Alcotest.(check (float 1e-9)) "cache overhead" 0.05 o;
   (* O_gc can be negative when the collector removes program misses *)
-  let gc =
-    Memsim.Timing.gc_overhead Memsim.Timing.Slow ~block_bytes:16
-      ~collector_fetches:0 ~program_fetch_delta:(-1000)
-      ~collector_instructions:0 ~program_instruction_delta:0
-      ~program_instructions:160000
+  let baseline =
+    one_level_run ~block:16 ~insns:160000 ~collector_insns:0 ~fetches:1000
+      ~collector_fetches:0
   in
+  let collected =
+    one_level_run ~block:16 ~insns:160000 ~collector_insns:0 ~fetches:0
+      ~collector_fetches:0
+  in
+  let gc = Core.Exp_gc.o_gc Memsim.Timing.Slow ~baseline ~collected 0 in
   Alcotest.(check (float 1e-9)) "negative O_gc" (-0.05) gc
 
 (* --- Basic cache behaviour ------------------------------------------- *)
@@ -1602,6 +1625,37 @@ let recording_roundtrip_prop =
           let v1 = Memsim.Recording.load path in
           Memsim.Recording.equal rec_ v2 && Memsim.Recording.equal rec_ v1))
 
+(* On one level, O_gc is the paper's sec. 6 formula
+   ((M_gc + dM_prog) * P + I_gc + dI_prog) / I_prog, written out here
+   as the reference. *)
+let o_gc_formula_prop =
+  QCheck.Test.make ~count:500 ~name:"one-level O_gc = the paper's formula"
+    QCheck.(
+      quad
+        (pair bool (oneofl Memsim.Sweep.paper_block_sizes))
+        (triple (int_range 0 1_000_000) (int_range 0 1_000_000)
+           (int_range 0 1_000_000))
+        (pair (int_range 1 100_000_000) (int_range 1 100_000_000))
+        (int_range 0 10_000_000))
+    (fun ((slow, block), (m_base, m_prog, m_gc), (i_base, i_prog), i_gc) ->
+      let cpu = if slow then Memsim.Timing.Slow else Memsim.Timing.Fast in
+      let baseline =
+        one_level_run ~block ~insns:i_base ~collector_insns:0 ~fetches:m_base
+          ~collector_fetches:0
+      in
+      let collected =
+        one_level_run ~block ~insns:i_prog ~collector_insns:i_gc
+          ~fetches:m_prog ~collector_fetches:m_gc
+      in
+      let p = Memsim.Timing.miss_penalty cpu ~block_bytes:block in
+      let expected =
+        ((float_of_int (m_gc + (m_prog - m_base)) *. p)
+         +. float_of_int (i_gc + (i_prog - i_base)))
+        /. float_of_int i_base
+      in
+      let o = Core.Exp_gc.o_gc cpu ~baseline ~collected 0 in
+      Float.abs (o -. expected) <= 1e-12 *. Float.abs expected)
+
 let () =
   Alcotest.run "memsim"
     [ ( "timing",
@@ -1706,6 +1760,7 @@ let () =
           QCheck_alcotest.to_alcotest assoc_one_way_equals_direct_prop;
           QCheck_alcotest.to_alcotest assoc_inclusion_prop;
           QCheck_alcotest.to_alcotest chunk_equivalence_prop;
-          QCheck_alcotest.to_alcotest recording_roundtrip_prop
+          QCheck_alcotest.to_alcotest recording_roundtrip_prop;
+          QCheck_alcotest.to_alcotest o_gc_formula_prop
         ] )
     ]
