@@ -270,7 +270,11 @@ let run_workload w hier ((cache_bytes, block_bytes) as geometry) policy gc
       [ "references"; Core.Report.eng r.Core.Runner.refs ]
     ]
   in
-  Option.iter (fun t -> Core.Telemetry.record_run t r) tel;
+  Option.iter
+    (fun t ->
+      Core.Telemetry.record_run t r;
+      Core.Telemetry.record_runner t)
+    tel;
   (match hier with
    | Some cpu ->
      table
@@ -386,6 +390,7 @@ let run_targets targets hier geometry policy gc scale metrics trace_events
           | `Unknown _ -> assert false)
         0 classified
     in
+    Option.iter Core.Telemetry.record_runner tel;
     max rc (write_telemetry tel ~metrics ~trace_events)
 
 (* --- record / replay ----------------------------------------------------- *)

@@ -56,13 +56,21 @@ let is_pow2 n = n > 0 && n land (n - 1) = 0
    has no knowable length, so nothing after it can be located. *)
 type step = Next of int | Stop
 
-let word src off = Int64.to_int (Bytes.get_int64_le src off)
+(* A snapshot word as a native int.  A word that uses bit 63 does not
+   fit one and [Level.restore] refuses it, so it is a finding at its
+   byte; the scan reads on with the word's low 63 bits. *)
+let word ctx src off =
+  let w = Bytes.get_int64_le src off in
+  let n = Int64.to_int w in
+  if not (Int64.equal (Int64.of_int n) w) then
+    fail ctx "ckpt.word" ~at:off "word 0x%Lx does not fit a native int" w;
+  n
 
 (* The eleven per-phase event counters every snapshot carries. *)
 let check_counters ctx src ~at =
   for i = 0 to 10 do
     let off = at + (8 * i) in
-    let c = word src off in
+    let c = word ctx src off in
     if c < 0 then fail ctx "ckpt.counter" ~at:off "negative counter %d" c
   done;
   at + (8 * 11)
@@ -79,7 +87,7 @@ let check_lines ctx src ~at ~lines ~ways ~wpb =
   let vhi = vlo + (8 * lines) in
   let dirty = vhi + (8 * lines) in
   for i = 0 to lines - 1 do
-    let t = word src (tags + (8 * i)) in
+    let t = word ctx src (tags + (8 * i)) in
     let set = i / ways in
     if t < -1 then
       fail ctx "ckpt.state" ~at:(tags + (8 * i))
@@ -89,14 +97,14 @@ let check_lines ctx src ~at ~lines ~ways ~wpb =
         "tag %d filed in set %d but indexes set %d" t set (t land set_mask);
     let rec twin j =
       if j >= i then ()
-      else if word src (tags + (8 * j)) = t then
+      else if Int64.to_int (Bytes.get_int64_le src (tags + (8 * j))) = t then
         fail ctx "ckpt.state" ~at:(tags + (8 * i))
           "tag %d resident in ways %d and %d of set %d" t (j - (set * ways))
           (i - (set * ways)) set
       else twin (j + 1)
     in
     if t >= 0 then twin (set * ways);
-    let lo = word src (vlo + (8 * i)) and hi = word src (vhi + (8 * i)) in
+    let lo = word ctx src (vlo + (8 * i)) and hi = word ctx src (vhi + (8 * i)) in
     if lo land lnot full_lo <> 0 then
       fail ctx "ckpt.state" ~at:(vlo + (8 * i))
         "valid-word mask 0x%x has bits beyond the %d-word block" lo wpb;
@@ -133,12 +141,12 @@ let check_level_snapshot ctx src ~at ~index ~level =
     Stop
   end
   else begin
-    let size = word src (at + 8)
-    and block = word src (at + 16)
-    and ways = word src (at + 24)
-    and pol = word src (at + 32)
-    and wmp = word src (at + 40)
-    and cfow = word src (at + 48) in
+    let size = word ctx src (at + 8)
+    and block = word ctx src (at + 16)
+    and ways = word ctx src (at + 24)
+    and pol = word ctx src (at + 32)
+    and wmp = word ctx src (at + 40)
+    and cfow = word ctx src (at + 48) in
     let geom_ok =
       let ok = ref true in
       let geom cond fmt =
@@ -204,7 +212,7 @@ let check_hier_snapshot ctx src ~at ~index =
     Stop
   end
   else begin
-    let nlevels = word src (at + 8) in
+    let nlevels = word ctx src (at + 8) in
     if nlevels < 1 || nlevels > 8 then begin
       fail ctx "ckpt.geometry" ~at
         "hierarchy snapshot %d declares %d levels (expected 1..8)" index
@@ -277,9 +285,9 @@ let scan ?events:expect_events file =
           finish ~kind:k ()
         end
         else begin
-          let cursor = word src 8
-          and events = word src 16
-          and count = word src 24 in
+          let cursor = word ctx src 8
+          and events = word ctx src 16
+          and count = word ctx src 24 in
           if events < 0 then
             fail ctx "ckpt.header" ~at:16 "negative event count %d" events;
           if cursor < 0 || (events >= 0 && cursor > events) then

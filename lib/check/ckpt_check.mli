@@ -26,6 +26,8 @@
       no constructor would accept (sizes not powers of two, blocks
       wider than 64 words, way counts out of 1..32, unknown policy or
       flag codes);
+    - [ckpt.word] — a snapshot word that does not fit a native int
+      (bit 63 set, as [Level.restore] refuses);
     - [ckpt.counter] — a negative event counter;
     - [ckpt.state] — a line whose valid-word mask has bits beyond the
       block width, a dirty byte that is neither 0 nor 1, a tag below

@@ -71,14 +71,13 @@ let table_placement ppf =
            ~block_bytes:block ~ways:1 ())
     in
     let activity = Analysis.Activity.create level in
-    let r, recording = Runner.record ~pathological_layout w in
-    Memsim.Recording.replay recording (Analysis.Activity.sink activity);
-    Memsim.Recording.release recording;
-    (r, Memsim.Level.stats level, Analysis.Activity.analyze activity)
+    Runner.with_lease ~pathological_layout w (fun r recording ->
+        Memsim.Recording.replay recording (Analysis.Activity.sink activity);
+        (r, Memsim.Level.stats level, Analysis.Activity.analyze activity))
   in
   let r0, s0, a0 = measure ~pathological_layout:false in
   let r1, s1, a1 = measure ~pathological_layout:true in
-  let row name (r : Runner.result) (s : Memsim.Cache.stats)
+  let row name (r : Runner.summary) (s : Memsim.Cache.stats)
       (a : Analysis.Activity.result) =
     [ name;
       Format.sprintf "%.4f" a.Analysis.Activity.global_miss_ratio;

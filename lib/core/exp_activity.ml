@@ -6,14 +6,13 @@ let make_analyzer size_kb =
        (Memsim.Level.config ~size_bytes:(size_kb * 1024) ~block_bytes ~ways:1
           ()))
 
-(* Record [w]'s default cell, replay the recording into each analyzer,
+(* Lease [w]'s default cell, replay the recording into each analyzer,
    then release it. *)
 let replay_into w analyzers =
-  let _, recording = Runner.record w in
-  List.iter
-    (fun a -> Memsim.Recording.replay recording (Analysis.Activity.sink a))
-    analyzers;
-  Memsim.Recording.release recording
+  Runner.with_lease w (fun _ recording ->
+      List.iter
+        (fun a -> Memsim.Recording.replay recording (Analysis.Activity.sink a))
+        analyzers)
 
 (* One selfcomp recording feeds both the 64k (F5) and 128k (F8)
    caches. *)

@@ -16,9 +16,8 @@ let pass =
     (List.map
        (fun w ->
          let bs = Analysis.Block_stats.create (stats_config ()) in
-         let _, recording = Runner.record w in
-         Memsim.Recording.replay recording (Analysis.Block_stats.sink bs);
-         Memsim.Recording.release recording;
+         Runner.with_lease w (fun _ recording ->
+             Memsim.Recording.replay recording (Analysis.Block_stats.sink bs));
          (w.Workloads.Workload.name, bs))
        Workloads.Workload.all)
 
@@ -33,9 +32,8 @@ let figure_miss_plot ppf =
   let plot =
     Analysis.Miss_plot.create ~level ~rows:32 ~refs_per_col:65536 ()
   in
-  let _, recording = Runner.record Workloads.Workload.selfcomp in
-  Memsim.Recording.replay recording (Analysis.Miss_plot.sink plot);
-  Memsim.Recording.release recording;
+  Runner.with_lease Workloads.Workload.selfcomp (fun _ recording ->
+      Memsim.Recording.replay recording (Analysis.Miss_plot.sink plot));
   Analysis.Miss_plot.render ppf plot;
   Format.fprintf ppf
     "@.paper shape: broken diagonal lines - the allocation pointer \

@@ -4,14 +4,14 @@ type pass = {
   fow : (Memsim.Level.config * Memsim.Cache.stats) list list;
 }
 
-(* Trace once, sweep many: each workload is interpreted a single time
-   to capture its reference trace; the write-validate and
-   fetch-on-write grids (40 caches each) then replay the completed
-   recording, chunk-batched and parallel across domains when
-   [Runner.jobs () > 1].  Production itself is sharded with
-   [Runner.record_grid]: the five workload runs are independent, so
-   batches of [jobs] of them record concurrently on the domain pool
-   (batching bounds resident recordings to [jobs] at a time). *)
+(* Trace once, sweep many: each workload's trace is leased from the
+   trace memo (recorded unless an earlier experiment's is still kept);
+   the write-validate and fetch-on-write grids (40 caches each) then
+   replay the completed recording, chunk-batched and parallel across
+   domains when [Runner.jobs () > 1].  Production itself is sharded
+   with [Runner.record_grid]: the five workload runs are independent,
+   so batches of [jobs] of them are leased concurrently on the domain
+   pool (batching bounds pinned recordings to [jobs] at a time). *)
 let run_pass () =
   let jobs = Runner.jobs () in
   let rec split i = function
@@ -32,7 +32,6 @@ let run_pass () =
     Runner.sweep_recording ~label:(label "wv") sw_wv recording;
     let sw_fow = grid Memsim.Cache.Fetch_on_write in
     Runner.sweep_recording ~label:(label "fow") sw_fow recording;
-    Memsim.Recording.release recording;
     ( r.Runner.stats.Vscheme.Machine.mutator_insns,
       Memsim.Sweep.results sw_wv,
       Memsim.Sweep.results sw_fow )
@@ -49,7 +48,12 @@ let run_pass () =
                  ~label:("sweep." ^ w.Workloads.Workload.name ^ ".wv") w)
              now)
       in
-      let res = List.mapi (fun i w -> sweep_one w recorded.(i)) now in
+      let res =
+        Fun.protect
+          ~finally:(fun () ->
+            Array.iter (fun (_, r) -> Memsim.Recording.release r) recorded)
+          (fun () -> List.mapi (fun i w -> sweep_one w recorded.(i)) now)
+      in
       batches (List.rev_append res acc) later
   in
   let results = batches [] Workloads.Workload.all in

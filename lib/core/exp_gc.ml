@@ -23,10 +23,11 @@ type measured = {
    label per workload would keep only the last cell's numbers. *)
 let measure ~jobs ?gc ?scale w configs =
   let hiers = Array.of_list (List.map Memsim.Hier.create configs) in
-  let r, recording = Runner.record ?gc ?scale w in
-  Fun.protect
-    ~finally:(fun () -> Memsim.Recording.release recording)
-    (fun () -> Memsim.Sweep.hier_run_parallel ~jobs hiers recording);
+  let r =
+    Runner.with_lease ?gc ?scale w (fun r recording ->
+        Memsim.Sweep.hier_run_parallel ~jobs hiers recording;
+        r)
+  in
   let s = r.Runner.stats in
   { value = r.Runner.value;
     insns = s.Vscheme.Machine.mutator_insns;

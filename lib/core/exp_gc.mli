@@ -39,9 +39,10 @@ val measure :
   Workloads.Workload.t ->
   Memsim.Hier.config list ->
   measured
-(** Record one run of [w] ({!Runner.record}), replay it into a fresh
-    hierarchy per configuration with
-    {!Memsim.Sweep.hier_run_parallel}[ ~jobs], and release it. *)
+(** Lease one run of [w] ({!Runner.lease}, so a run measured before
+    replays its kept trace), replay it into a fresh hierarchy per
+    configuration with {!Memsim.Sweep.hier_run_parallel}[ ~jobs], and
+    release the lease. *)
 
 val o_gc :
   Memsim.Timing.processor -> baseline:measured -> collected:measured -> int ->

@@ -1,12 +1,19 @@
-type result = {
+type 'machine outcome = {
   workload : Workloads.Workload.t;
   scale : int;
   value : string;
   refs : int;
   collector_refs : int;
   stats : Vscheme.Machine.run_stats;
-  machine : Vscheme.Machine.t;
+  machine : 'machine;
 }
+
+type result = Vscheme.Machine.t outcome
+type summary = unit outcome
+
+(* Every VM run and every memo hit in the process, from any domain. *)
+let productions = Atomic.make 0
+let reuses = Atomic.make 0
 
 let base_scale w =
   match w.Workloads.Workload.name with
@@ -59,20 +66,21 @@ let phase_counts recording =
     };
   (Memsim.Recording.length recording - !col, !col)
 
+let resolve_heap_bytes = function
+  | Some b -> b
+  | None -> 48 * 1024 * 1024 * scale_factor ()
+
+let resolve_scale w = function
+  | Some s -> s
+  | None -> base_scale w * scale_factor ()
+
 let record ?(gc = Vscheme.Machine.No_gc) ?heap_bytes
     ?(pathological_layout = false) ?events ?scale ?(direct = true) ?attr w =
   if (not direct) && Option.is_some attr then
     invalid_arg "Runner.record: ~attr needs the direct path";
-  let heap_bytes =
-    match heap_bytes with
-    | Some b -> b
-    | None -> 48 * 1024 * 1024 * scale_factor ()
-  in
-  let scale =
-    match scale with
-    | Some s -> s
-    | None -> base_scale w * scale_factor ()
-  in
+  let heap_bytes = resolve_heap_bytes heap_bytes in
+  let scale = resolve_scale w scale in
+  Atomic.incr productions;
   let recording = Memsim.Recording.create () in
   (* The direct path appends packed events straight into the recording
      slabs; [~direct:false] routes every event through the recording's
@@ -120,10 +128,61 @@ let record ?(gc = Vscheme.Machine.No_gc) ?heap_bytes
     },
     recording )
 
-let run ?gc ?events ?scale w =
-  let r, recording = record ?gc ?events ?scale w in
-  Memsim.Recording.release recording;
-  r
+(* --- Trace memo ----------------------------------------------------------- *)
+
+(* A kept trace's note: the run that produced it, without its machine
+   (whose heap the memo must not keep alive), and how long that took. *)
+type Memsim.Recording.note += Run of { summary : summary; produce_s : float }
+
+(* Every input that reaches the VM.  The heap size stays in the key
+   even for collected runs, where it does not change the trace. *)
+let memo_key w ~gc ~heap_bytes ~pathological_layout ~scale =
+  Printf.sprintf "runner %s scale=%d gc=%s heap=%d pathological=%b"
+    w.Workloads.Workload.name scale (Units.format_gc gc) heap_bytes
+    pathological_layout
+
+let lease_timed ?(gc = Vscheme.Machine.No_gc) ?heap_bytes
+    ?(pathological_layout = false) ?scale w =
+  let heap_bytes = resolve_heap_bytes heap_bytes in
+  let scale = resolve_scale w scale in
+  let key = memo_key w ~gc ~heap_bytes ~pathological_layout ~scale in
+  let produce () =
+    let t0 = Unix.gettimeofday () in
+    let r, recording = record ~gc ~heap_bytes ~pathological_layout ~scale w in
+    let produce_s = Unix.gettimeofday () -. t0 in
+    let summary = { r with machine = () } in
+    Memsim.Recording.keep ~key (Run { summary; produce_s }) recording;
+    (summary, recording, produce_s)
+  in
+  match Memsim.Recording.lease key with
+  | Some (recording, Run { summary; produce_s }) ->
+    Atomic.incr reuses;
+    (summary, recording, produce_s)
+  | Some (recording, _) ->
+    Memsim.Recording.release recording;
+    produce ()
+  | None -> produce ()
+
+let lease ?gc ?heap_bytes ?pathological_layout ?scale w =
+  let summary, recording, _ =
+    lease_timed ?gc ?heap_bytes ?pathological_layout ?scale w
+  in
+  (summary, recording)
+
+let with_lease ?gc ?heap_bytes ?pathological_layout ?scale w f =
+  let summary, recording =
+    lease ?gc ?heap_bytes ?pathological_layout ?scale w
+  in
+  Fun.protect
+    ~finally:(fun () -> Memsim.Recording.release recording)
+    (fun () -> f summary recording)
+
+let counters () =
+  [ ("runner.productions", Atomic.get productions);
+    ("runner.reuses", Atomic.get reuses);
+    ( "runner.evictions",
+      (Memsim.Recording.pool_stats ()).Memsim.Recording.evictions )
+  ]
 
 (* Trace-once-sweep-many: replay a recording into a sweep grid with
    the configured job count, publishing wall time and throughput to the
@@ -152,8 +211,9 @@ let sweep_recording ?(label = "sweep") sweep recording =
 (* Sharded domain-parallel producer: one VM run is inherently serial,
    so the unit of parallelism is a whole grid cell (workload +
    collector + scale).  Worker domains claim cells with an atomic
-   cursor; every cell gets its own machine and its own recording, so
-   no trace state is shared and the output indexed by input order is
+   cursor and lease each from the trace memo: a kept trace is shared
+   read-only, and a missing one is recorded on its own machine into
+   its own recording, so the output indexed by input order is
    bit-identical to recording the cells one after another serially. *)
 
 type cell = {
@@ -184,15 +244,24 @@ let record_grid ?jobs:requested cell_list =
   (* Claimed off the sweep engine's pool; each slot is written by
      exactly the one domain that claimed its index. *)
   let slots = Array.make n None in
-  Memsim.Sweep.parallel_for ~jobs n (fun i ->
-      let c = cells.(i) in
-      let t0 = Unix.gettimeofday () in
-      let r, recording =
-        record ?gc:c.cell_gc ?heap_bytes:c.cell_heap_bytes
-          ?pathological_layout:c.cell_pathological_layout ?scale:c.cell_scale
-          c.cell_workload
-      in
-      slots.(i) <- Some (r, recording, Unix.gettimeofday () -. t0));
+  (match
+     Memsim.Sweep.parallel_for ~jobs n (fun i ->
+         let c = cells.(i) in
+         slots.(i) <-
+           Some
+             (lease_timed ?gc:c.cell_gc ?heap_bytes:c.cell_heap_bytes
+                ?pathological_layout:c.cell_pathological_layout
+                ?scale:c.cell_scale c.cell_workload))
+   with
+   | () -> ()
+   | exception e ->
+     (* Every domain has joined: unpin the cells that did lease, so a
+        failed grid leaves no kept trace pinned. *)
+     Array.iter
+       (Option.iter (fun (_, recording, _) ->
+            Memsim.Recording.release recording))
+       slots;
+     raise e);
   (* Gauges are published from this domain only, after the joins: the
      metrics registry is not synchronized. *)
   let reg = Obs.Metrics.default in

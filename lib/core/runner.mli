@@ -6,16 +6,23 @@
     of the measured run, as in the paper (programs were measured
     "together with the T system itself"). *)
 
-type result = {
+type 'machine outcome = {
   workload : Workloads.Workload.t;
   scale : int;
   value : string;          (** printed result value, for checking *)
   refs : int;              (** mutator data references *)
   collector_refs : int;
   stats : Vscheme.Machine.run_stats;
-  machine : Vscheme.Machine.t;
-      (** the machine after the run, for layout queries *)
+  machine : 'machine;
 }
+
+type result = Vscheme.Machine.t outcome
+(** A fresh production's outcome, with the machine after the run, for
+    layout queries. *)
+
+type summary = unit outcome
+(** A run served through the trace memo ({!lease}), which keeps no
+    machine. *)
 
 val base_scale : Workloads.Workload.t -> int
 (** Per-workload scale that yields roughly 8–10 million references —
@@ -55,7 +62,9 @@ val record :
     analyzers) replays the recording afterwards.  The recording costs
     8 host bytes per reference in memory (much less on disk with
     {!Memsim.Recording.save}'s default v2 format); whoever replays it
-    last calls {!Memsim.Recording.release}.
+    last calls {!Memsim.Recording.release}.  Every call is a fresh
+    production that the caller owns: it never reads or fills the
+    trace memo ({!lease}).
 
     [scale] defaults to [base_scale w * scale_factor ()].
     [pathological_layout] selects the stack-aliasing static layout of
@@ -77,14 +86,47 @@ val record :
     into it, keyed by recording position (see {!Memsim.Attr}).
     @raise Invalid_argument when [attr] is given with [~direct:false]. *)
 
-val run :
+(** {1 Trace memo}
+
+    The paper's method is to capture a trace once and feed it to many
+    simulators.  {!lease} does that across a process: the first lease
+    of a run records it and keeps the recording in the slab pool
+    ({!Memsim.Recording.keep}); later leases of the same run replay
+    the kept trace until the pool evicts it to make room for a new
+    production. *)
+
+val lease :
   ?gc:Vscheme.Machine.gc_spec ->
-  ?events:Obs.Events.timeline ->
+  ?heap_bytes:int ->
+  ?pathological_layout:bool ->
   ?scale:int ->
   Workloads.Workload.t ->
-  result
-(** {!record}, then {!Memsim.Recording.release}: for callers that need
-    only the run's statistics, not its trace. *)
+  summary * Memsim.Recording.t
+(** {!record}'s run and trace through the memo, keyed on every input
+    that reaches the VM: workload, scale and heap size (after
+    [REPRO_SCALE]), collector and layout.  The heap size is in the key
+    even for collected runs.  The recording is a read-only lease on
+    the kept trace; release it with {!Memsim.Recording.release} when
+    done.  Domains that miss the same key at once each record it.
+    Runs with [events], [attr] or [~direct:false] go through
+    {!record}. *)
+
+val with_lease :
+  ?gc:Vscheme.Machine.gc_spec ->
+  ?heap_bytes:int ->
+  ?pathological_layout:bool ->
+  ?scale:int ->
+  Workloads.Workload.t ->
+  (summary -> Memsim.Recording.t -> 'a) ->
+  'a
+(** [with_lease w f] is [f] on {!lease}'s run and recording, releasing
+    the lease however [f] ends, so a raising consumer leaves no kept
+    trace pinned. *)
+
+val counters : unit -> (string * int) list
+(** [runner.productions] (VM runs, {!record} and {!lease} misses
+    alike), [runner.reuses] ({!lease} hits) and [runner.evictions]
+    (kept traces the pool reclaimed), since the process began. *)
 
 val sweep_recording :
   ?label:string -> Memsim.Sweep.t -> Memsim.Recording.t -> unit
@@ -114,19 +156,21 @@ val cell :
 (** Build a {!cell}; the options default exactly as in {!record}. *)
 
 val record_grid :
-  ?jobs:int -> cell list -> (result * Memsim.Recording.t) array
-(** Record every cell, sharding the independent runs across a pool of
-    [jobs] domains (default {!jobs}[ ()], clamped to the cell count).
-    A single VM run is inherently serial, so the whole cell is the
-    unit of parallelism: each domain claims cells off an atomic cursor
-    and records each into its own fresh machine and recording.
-    Nothing is shared between cells, so the returned array — indexed
-    in input order — is bit-for-bit identical to recording the cells
-    one after another serially, for any [jobs].
+  ?jobs:int -> cell list -> (summary * Memsim.Recording.t) array
+(** {!lease} every cell, sharding the independent runs across a pool
+    of [jobs] domains (default {!jobs}[ ()], clamped to the cell
+    count).  A single VM run is inherently serial, so the whole cell
+    is the unit of parallelism: each domain claims cells off an atomic
+    cursor and leases each, recording a cell the memo does not hold
+    into its own fresh machine and recording.  The returned array —
+    indexed in input order — is bit-for-bit identical to recording the
+    cells one after another serially, for any [jobs].  Release every
+    recording when done.  If a cell raises, the cells already leased
+    are released before the first exception is re-raised.
 
     For each labelled cell, publishes
     [<label>.{produce_wall_s,jobs,events,producer_events_per_s}]
     gauges to {!Obs.Metrics.default} (from the calling domain only,
-    after all workers have joined); [produce_wall_s] covers that
-    cell's whole production — machine creation, load, and the traced
-    run. *)
+    after all workers have joined); [produce_wall_s] covers the whole
+    production of that cell's trace — machine creation, load, and the
+    traced run — also when the memo served it. *)

@@ -4,7 +4,7 @@ let program_table ppf =
   let rows =
     List.map
       (fun w ->
-        let r = Runner.run w in
+        let r = Runner.with_lease w (fun r _ -> r) in
         [ w.Workloads.Workload.name;
           string_of_int (Workloads.Workload.source_lines w);
           Report.mb r.Runner.stats.Vscheme.Machine.bytes_allocated;

@@ -66,6 +66,9 @@ let record_run t (r : Runner.result) =
       (Vscheme.Gc_marksweep.free_words gc * Memsim.Trace.word_bytes)
   | Vscheme.Machine.No_collector | Vscheme.Machine.Cheney_collector _ -> ()
 
+let record_runner t =
+  List.iter (fun (name, n) -> set_counter t name n) (Runner.counters ())
+
 let to_json t =
   Obs.Json.Obj
     [ ("meta", Obs.Json.Obj (List.rev t.meta));

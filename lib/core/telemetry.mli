@@ -35,6 +35,10 @@ val record_run : t -> Runner.result -> unit
     and collector-specific extras (write-barrier hits, SSB overflows,
     mark-sweep free storage) selected by the machine's collector. *)
 
+val record_runner : t -> unit
+(** Publish {!Runner.counters}: the process's VM runs, trace-memo
+    reuses and kept-trace evictions so far. *)
+
 val to_json : t -> Obs.Json.t
 (** [{ "meta": {...}, "metrics": {...}, "events": [...] }]. *)
 

@@ -34,9 +34,51 @@ let measure ?ctx ?checkpoint ?checkpoint_every ?progress (run : Manifest.run) =
            (match ctx with None -> "" | Some c -> c ^ ": ")
            run.Manifest.name run.Manifest.workload)
   in
-  let r, recording =
-    Core.Runner.record ~gc:run.Manifest.gc ?heap_bytes:run.Manifest.heap_bytes
-      ~scale:run.Manifest.scale w
+  (* The lease ends however the measurement ends (a cache geometry
+     [Level.create] refuses, or a serve job cancelled or killed by
+     raising out of [progress]), so the kept trace is never left
+     pinned.  The caches are built once the run is over, as the VM's
+     machine is no longer live: building them first would hold both at
+     once. *)
+  let r, hiers, trace_events, trace_bytes =
+    Core.Runner.with_lease ~gc:run.Manifest.gc
+      ?heap_bytes:run.Manifest.heap_bytes ~scale:run.Manifest.scale w
+      (fun r recording ->
+        (* A hierarchy run replays one fused preset; a grid run replays
+           the sweep's one-level cells.  Either way the per-level
+           counters become the fixture's cache entries, in
+           level-within-grid order, keyed by each level's capacity and
+           block. *)
+        let hiers =
+          match run.Manifest.hier with
+          | Some cpu ->
+            [| Memsim.Hier.create
+                 (Memsim.Hier.preset
+                    ~write_miss_policy:run.Manifest.write_miss_policy cpu)
+            |]
+          | None ->
+            Memsim.Sweep.hiers
+              (Memsim.Sweep.create
+                 (Memsim.Sweep.grid
+                    ~write_miss_policy:run.Manifest.write_miss_policy
+                    ~cache_sizes:run.Manifest.cache_sizes
+                    ~block_sizes:run.Manifest.block_sizes ()))
+        in
+        (match checkpoint with
+         | Some ck ->
+           (* Statistics are bit-identical to the serial replay no
+              matter how often the measurement died and resumed from
+              [ck]. *)
+           Memsim.Sweep.hier_run_resumable ?ctx ?checkpoint_every ?progress
+             ~jobs:run.Manifest.jobs ~checkpoint:ck hiers recording
+         | None ->
+           Memsim.Sweep.hier_run_parallel ~jobs:run.Manifest.jobs hiers
+             recording);
+        ( r,
+          hiers,
+          Memsim.Recording.length recording,
+          Memsim.Recording.saved_bytes ~format:run.Manifest.trace_format
+            recording ))
   in
   let stats = r.Core.Runner.stats in
   let instructions = stats.Vscheme.Machine.mutator_insns in
@@ -56,43 +98,6 @@ let measure ?ctx ?checkpoint ?checkpoint_every ?progress (run : Manifest.run) =
           ~fetches:s.Memsim.Cache.fetches ~instructions
     }
   in
-  (* A hierarchy run replays one fused preset; a grid run replays the
-     sweep's one-level cells.  Either way the per-level counters become
-     the fixture's cache entries, in level-within-grid order, keyed by
-     each level's capacity and block. *)
-  let hiers =
-    match run.Manifest.hier with
-    | Some cpu ->
-      [| Memsim.Hier.create
-           (Memsim.Hier.preset
-              ~write_miss_policy:run.Manifest.write_miss_policy cpu)
-      |]
-    | None ->
-      Memsim.Sweep.hiers
-        (Memsim.Sweep.create
-           (Memsim.Sweep.grid
-              ~write_miss_policy:run.Manifest.write_miss_policy
-              ~cache_sizes:run.Manifest.cache_sizes
-              ~block_sizes:run.Manifest.block_sizes ()))
-  in
-  let trace_events = Memsim.Recording.length recording in
-  let trace_bytes =
-    Memsim.Recording.saved_bytes ~format:run.Manifest.trace_format recording
-  in
-  (* The replay is the recording's last reader: its slabs go back to
-     the pool however the replay ends (a serve job is cancelled or
-     killed by raising out of [progress]). *)
-  Fun.protect
-    ~finally:(fun () -> Memsim.Recording.release recording)
-    (fun () ->
-      match checkpoint with
-      | Some ck ->
-        (* Statistics are bit-identical to the serial replay no matter
-           how often the measurement died and resumed from [ck]. *)
-        Memsim.Sweep.hier_run_resumable ?ctx ?checkpoint_every ?progress
-          ~jobs:run.Manifest.jobs ~checkpoint:ck hiers recording
-      | None ->
-        Memsim.Sweep.hier_run_parallel ~jobs:run.Manifest.jobs hiers recording);
   let caches =
     List.concat_map
       (fun h ->

@@ -47,16 +47,17 @@ val measure :
   ?progress:(int -> unit) ->
   Manifest.run ->
   t
-(** Run the workload, sweep the manifest grid over its recording
-    (with [run.jobs] worker domains), and size the trace as
-    {!Memsim.Recording.saved_bytes} in [run.trace_format].  The
-    recording is released to the slab pool when the measurement
+(** Lease the workload's trace ({!Core.Runner.lease}: recorded, or
+    replayed from the trace memo when this process holds it), sweep
+    the manifest grid over it (with [run.jobs] worker domains), and
+    size the trace as {!Memsim.Recording.saved_bytes} in
+    [run.trace_format].  The lease is released when the measurement
     returns or raises.  With [checkpoint], the sweep goes through
     {!Memsim.Sweep.hier_run_resumable} (grid cells are one-level
     hierarchies): the replay snapshots every [checkpoint_every] events and, when the
     checkpoint file already exists, resumes from it bit-identically —
-    the trace itself is re-recorded, which is free of drift because
-    the simulator is deterministic.  [progress] observes the replay
+    the trace itself is leased again, re-recorded if it was evicted,
+    which is free of drift because the simulator is deterministic.  [progress] observes the replay
     cursor after the restore and after every epoch; raising from it
     abandons the measurement (the serve scheduler uses this for
     cancellation and for its kill-injection tests).  [ctx] prefixes

@@ -30,6 +30,8 @@
 
 module BA1 = Bigarray.Array1
 
+type note = ..
+
 type t = {
   chunk_events : int;              (* capacity of every full slab *)
   mutable slabs : Chunk.buf array; (* slabs.(0..nslabs-1) are full *)
@@ -39,27 +41,91 @@ type t = {
   mutable direct : bool;           (* a direct writer owns [cur] *)
   mutable owned : bool;
       (* the slabs are this recording's own memory, not a mapped file *)
+  mutable lease : kept option;     (* a read-only view pinning a kept trace *)
+}
+
+(* A sealed recording that lives in the pool until a producer short of
+   slabs evicts it.  [trace] owns the slabs; every lease is a view of
+   them. *)
+and kept = {
+  key : string;
+  note : note;
+  trace : t;
+  v2_bytes : int Atomic.t;  (* [saved_bytes ~format:V2] once known, else -1 *)
 }
 
 (* --- Slab pool ------------------------------------------------------------ *)
 
-(* Free default-size slabs, shared by every domain: the sharded
-   producer (Runner.record_grid) creates and seals recordings on
-   worker domains.  An immutable list behind one Atomic is a lock-free
-   stack with no ABA hazard, since every push allocates a fresh cons
-   cell.  Only [Chunk.default_chunk_events] slabs are pooled; other
-   capacities (tests, small benches) keep allocating. *)
-let pool : Chunk.buf list Atomic.t = Atomic.make []
+(* Free slabs and kept traces, shared by every domain: the sharded
+   producer (Runner.record_grid), E-H1's cells and the serve workers
+   create, seal, keep and lease recordings on worker domains.  The
+   pool is one immutable value behind one Atomic, replaced by
+   compare-and-set, so pinning a trace and evicting it are swaps of the
+   same word and can never interleave.  Every swap installs a fresh
+   record, so there is no ABA hazard.  Only [Chunk.default_chunk_events]
+   slabs are pooled; other capacities (tests, small benches) keep
+   allocating. *)
+type pool = {
+  free : Chunk.buf list;
+  kept : (kept * int) list;  (* most recently leased first, with its pins *)
+  evictions : int;
+}
 
-let rec take_slab n =
-  match Atomic.get pool with
-  | slab :: rest as seen when n = Chunk.default_chunk_events ->
-    if Atomic.compare_and_set pool seen rest then slab else take_slab n
-  | _ -> Chunk.create_buf_uninit n
+let pool = Atomic.make { free = []; kept = []; evictions = 0 }
 
-let rec give_slab slab =
+let rec update f =
   let seen = Atomic.get pool in
-  if not (Atomic.compare_and_set pool seen (slab :: seen)) then give_slab slab
+  if not (Atomic.compare_and_set pool seen (f seen)) then update f
+
+(* Only a recording's own default-size slabs go to the pool: a
+   mapped v3 view ([owned = false]) aliases file pages, and a lease
+   aliases a kept trace's slabs. *)
+let poolable t = t.owned && t.chunk_events = Chunk.default_chunk_events
+
+(* An evicted trace's slabs, in the order [release] pushes them: the
+   current slab, written only up to its tail, is drawn last. *)
+let owned_slabs t =
+  let rec push i acc =
+    if i = t.nslabs then acc else push (i + 1) (t.slabs.(i) :: acc)
+  in
+  if poolable t then push 0 [ t.cur ] else []
+
+(* The least recently leased unpinned trace, and the kept list
+   without it. *)
+let rec split_lru = function
+  | [] -> None
+  | entry :: rest -> (
+    match split_lru rest with
+    | Some (victim, rest) -> Some (victim, entry :: rest)
+    | None -> (
+      match entry with
+      | victim, 0 -> Some (victim, rest)
+      | _ -> None))
+
+(* A producer short of slabs evicts before it allocates: the pool
+   grows only when every kept trace is pinned, so kept traces cost no
+   memory beyond the high-water mark of live recordings. *)
+let rec take_slab n =
+  if n <> Chunk.default_chunk_events then Chunk.create_buf_uninit n
+  else
+    let seen = Atomic.get pool in
+    match seen.free with
+    | slab :: free ->
+      if Atomic.compare_and_set pool seen { seen with free } then slab
+      else take_slab n
+    | [] -> (
+      match split_lru seen.kept with
+      | Some (victim, kept) ->
+        ignore
+          (Atomic.compare_and_set pool seen
+             { free = owned_slabs victim.trace;
+               kept;
+               evictions = seen.evictions + 1
+             });
+        take_slab n
+      | None -> Chunk.create_buf_uninit n)
+
+let give_slab slab = update (fun p -> { p with free = slab :: p.free })
 
 let magic = 0x5243545243414345L (* "RCTRCACE" v1, arbitrary tag *)
 let magic_v2 = 0x3256545243414345L (* same tag family, "…V2" high byte pair *)
@@ -89,7 +155,8 @@ let create ?(initial_capacity = Chunk.default_chunk_events) () =
     cur = take_slab chunk_events;
     cur_len = 0;
     direct = false;
-    owned = true
+    owned = true;
+    lease = None
   }
 
 let chunk_events t = t.chunk_events
@@ -108,12 +175,14 @@ let seal_current t =
 let append t word =
   if t.direct then
     invalid_arg "Recording.append: recording is checked out by a direct writer";
-  (* A memory-mapped or released recording has a zero-capacity current
-     slab: the bound check turns an append into a clean error instead
-     of a store past the mapping. *)
+  (* A memory-mapped, leased or released recording's current slab is
+     full to its capacity: the bound check turns an append into a clean
+     error instead of a store past the mapping or into a kept trace. *)
   if t.cur_len >= BA1.dim t.cur then
     invalid_arg
-      (if t.nslabs = 0 then "Recording.append: recording was released"
+      (if Option.is_some t.lease then
+         "Recording.append: recording is a lease on a kept trace"
+       else if t.nslabs = 0 then "Recording.append: recording was released"
        else "Recording.append: recording is read-only (memory-mapped)");
   BA1.unsafe_set t.cur t.cur_len word;
   t.cur_len <- t.cur_len + 1;
@@ -124,11 +193,12 @@ let sink t =
 
 let length t = (t.nslabs * t.chunk_events) + t.cur_len
 
-(* Only a recording's own default-size slabs go to the pool: a
-   mapped v3 view ([owned = false]) aliases file pages. *)
-let poolable t = t.owned && t.chunk_events = Chunk.default_chunk_events
+let refuse_lease t what =
+  if Option.is_some t.lease then
+    invalid_arg ("Recording." ^ what ^ ": recording is a lease on a kept trace")
 
 let clear t =
+  refuse_lease t "clear";
   if poolable t then
     for i = 0 to t.nslabs - 1 do
       give_slab t.slabs.(i)
@@ -138,17 +208,86 @@ let clear t =
   t.cur_len <- 0;
   t.direct <- false
 
-let release t =
-  if poolable t then give_slab t.cur;
-  clear t;
+(* A lease shares its kept trace's slab directory, so dropping it
+   swaps in an empty one instead of clearing the shared array. *)
+let unpin t k =
+  t.lease <- None;
+  t.slabs <- [||];
+  t.nslabs <- 0;
   t.cur <- Chunk.empty;
-  t.owned <- false
+  t.cur_len <- 0;
+  update (fun p ->
+      { p with
+        kept =
+          List.map
+            (fun (e, pins) -> (e, if e == k then pins - 1 else pins))
+            p.kept
+      })
+
+let release t =
+  match t.lease with
+  | Some k -> unpin t k
+  | None ->
+    if poolable t then give_slab t.cur;
+    clear t;
+    t.cur <- Chunk.empty;
+    t.owned <- false
+
+(* --- Kept traces -------------------------------------------------------- *)
+
+(* A read-only view of [k]'s events.  Its current slab is cut to the
+   written prefix, so [append]'s bound check refuses every store. *)
+let view k =
+  let o = k.trace in
+  { o with cur = BA1.sub o.cur 0 o.cur_len; owned = false; lease = Some k }
+
+let keep ~key note t =
+  refuse_lease t "keep";
+  let k =
+    { key; note; trace = { t with direct = false }; v2_bytes = Atomic.make (-1) }
+  in
+  update (fun p -> { p with kept = (k, 1) :: p.kept });
+  t.cur <- (view k).cur;
+  t.direct <- false;
+  t.owned <- false;
+  t.lease <- Some k
+
+(* The first entry under [key], and the kept list without it. *)
+let rec pull key = function
+  | [] -> None
+  | ((k, _) as entry) :: rest when String.equal k.key key -> Some (entry, rest)
+  | entry :: rest ->
+    Option.map (fun (found, rest) -> (found, entry :: rest)) (pull key rest)
+
+let rec lease key =
+  let seen = Atomic.get pool in
+  match pull key seen.kept with
+  | None -> None
+  | Some ((k, pins), rest) ->
+    if Atomic.compare_and_set pool seen { seen with kept = (k, pins + 1) :: rest }
+    then Some (view k, k.note)
+    else lease key
+
+type pool_stats = {
+  free_slabs : int;
+  kept_traces : int;
+  evictions : int;
+}
+
+let pool_stats () =
+  let p = Atomic.get pool in
+  { free_slabs = List.length p.free;
+    kept_traces = List.length p.kept;
+    evictions = p.evictions
+  }
 
 (* --- Direct writer ------------------------------------------------------ *)
 
 let checkout t =
   (* The direct writer stores without bound checks, so a recording
-     with no writable slab (mapped or released) must refuse it here. *)
+     with no writable slab (mapped, leased or released) must refuse it
+     here. *)
+  refuse_lease t "checkout";
   if BA1.dim t.cur = 0 then
     invalid_arg "Recording.checkout: recording is read-only";
   t.direct <- true;
@@ -544,7 +683,8 @@ let of_mapped payload count =
       direct = false;
       (* A mapping of exactly [Chunk.default_chunk_events] events has a
          pooled slab's shape; only this flag keeps it out of the pool. *)
-      owned = false
+      owned = false;
+      lease = None
     }
 
 let map_v3 path count =
@@ -605,13 +745,25 @@ let save ?(format = V2) t path =
       | V2 -> save_v2 t oc
       | V3 -> save_v3 t oc)
 
+(* The v2 size: the encoder run into a byte counter. *)
+let count_v2 t =
+  let n = ref 0 in
+  encode_v2 t (fun _ _ len -> n := !n + len);
+  !n
+
 let saved_bytes ?(format = V2) t =
-  match format with
-  | V3 -> v3_header_bytes + (8 * length t)
-  | V2 ->
-    let n = ref 0 in
-    encode_v2 t (fun _ _ len -> n := !n + len);
-    !n
+  match (format, t.lease) with
+  | V3, _ -> v3_header_bytes + (8 * length t)
+  | V2, None -> count_v2 t
+  | V2, Some k ->
+    (* A kept trace never changes, so its size is counted once. *)
+    let known = Atomic.get k.v2_bytes in
+    if known >= 0 then known
+    else begin
+      let n = count_v2 t in
+      Atomic.set k.v2_bytes n;
+      n
+    end
 
 let load path =
   let ic = open_in_bin path in

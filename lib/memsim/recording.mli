@@ -40,7 +40,14 @@
     time releases it, or clears it to record again into the same
     recording; {!clear} pools the sealed slabs just as {!release}
     does.  A recording nobody releases or clears is reclaimed by the
-    GC's Bigarray finalizers. *)
+    GC's Bigarray finalizers.
+
+    The pool also holds {e kept traces}: finished recordings that a
+    process may replay again ({!keep}, {!lease}).  A kept trace stays
+    until a producer finds the free list empty; that producer then
+    evicts the least recently leased kept trace that no lease pins
+    before it allocates a fresh slab.  Kept traces so occupy only
+    memory the pool already holds, and there is no size knob. *)
 
 type t
 
@@ -80,7 +87,8 @@ val clear : t -> unit
     reusable afterwards.  The same rule as for {!release} applies: no
     reader may touch [t]'s old events or a buffer {!iter_chunks} gave
     out from it again.  A memory-mapped recording pools nothing; it is
-    left empty and read-only. *)
+    left empty and read-only.
+    @raise Invalid_argument on a lease ({!lease}). *)
 
 val release : t -> unit
 (** Hand every slab [t] owns back to the pool and leave [t] empty:
@@ -89,7 +97,43 @@ val release : t -> unit
     reader will touch [t] or any buffer {!iter_chunks} gave out from
     it again — the slabs are rewritten by the next recording.  A
     recording {!load} memory-mapped owns no slab and pools nothing;
-    releasing twice is harmless. *)
+    releasing twice is harmless.  Releasing a lease unpins its kept
+    trace and leaves the trace in the pool. *)
+
+(** {1 Kept traces}
+
+    A kept trace is a sealed recording filed in the pool under a key,
+    with a {!note} from its keeper.  Readers take {e leases} on it: a
+    lease is a recording that reads the kept trace's slabs in place
+    and pins it, so no eviction reclaims them while it is read.
+    Several leases, on several domains, may read one trace at once.
+    A lease refuses {!clear}, {!checkout} and appends with
+    [Invalid_argument]; {!release} ends it. *)
+
+type note = ..
+(** What a keeper files beside a kept trace (the run that produced
+    it, say); keepers extend the type with their own constructor. *)
+
+val keep : key:string -> note -> t -> unit
+(** [keep ~key note t] files the finished recording [t] as a kept
+    trace under [key] and turns [t] into a lease on it: [t] reads the
+    same events as before, read-only, until it is released.  A key
+    filed twice keeps both traces; {!lease} finds the more recently
+    used.
+    @raise Invalid_argument on a lease. *)
+
+val lease : string -> (t * note) option
+(** A new lease on the kept trace filed under the key, with its note,
+    or [None] if no trace is kept under it (never filed, or evicted).
+    The trace becomes the most recently leased. *)
+
+type pool_stats = {
+  free_slabs : int;   (** default-size slabs on the free list *)
+  kept_traces : int;
+  evictions : int;    (** kept traces evicted since the process began *)
+}
+
+val pool_stats : unit -> pool_stats
 
 (** {1 Direct writer}
 
@@ -104,7 +148,8 @@ val release : t -> unit
 val checkout : t -> Chunk.buf * int
 (** [checkout t] is the current slab and the cursor to continue at
     (always < {!chunk_events}).  Marks the recording checked out.
-    @raise Invalid_argument on a mapped or released recording. *)
+    @raise Invalid_argument on a mapped, leased or released
+    recording. *)
 
 val seal_full : t -> Chunk.buf
 (** Seal the current slab — the caller asserts it wrote all
@@ -154,8 +199,9 @@ val save : ?format:format -> t -> string -> unit
 
 val saved_bytes : ?format:format -> t -> int
 (** The size in bytes of the file {!save} would write, without writing
-    it.  v3 is a fixed header plus 8 bytes per event; v2 runs
-    the {!save} encoder into a byte counter. *)
+    it.  v3 is a fixed header plus 8 bytes per event; v2 runs the
+    {!save} encoder into a byte counter, once per kept trace for all
+    its leases. *)
 
 val load : string -> t
 (** Read a recording written by {!save}, any format (distinguished by

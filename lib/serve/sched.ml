@@ -272,6 +272,13 @@ let stats t =
                (fun st -> (st, Obs.Json.Int (count st)))
                [ "queued"; "running"; "done"; "failed"; "cancelled" ]) );
         ("counters", counters_json t);
+        (* The daemon process's trace memo: jobs that share a trace
+           record it once. *)
+        ( "runner",
+          Obs.Json.Obj
+            (List.map
+               (fun (name, n) -> (name, Obs.Json.Int n))
+               (Core.Runner.counters ())) );
         ("metrics", Obs.Metrics.to_json t.registry)
       ])
 

@@ -42,6 +42,9 @@ val job_json : t -> int -> (Obs.Json.t, string) result
 val result : t -> int -> (Golden.Fixture.t, string) result
 val cancel : t -> int -> (string, string) result
 val stats : t -> Obs.Json.t
+(** Workers, job counts by state, the scheduler's counters, the
+    process's [runner.*] trace-memo counters ({!Core.Runner.counters})
+    and the metrics registry. *)
 
 val wait : t -> int -> (Obs.Json.t, string) result
 (** Block until the job is terminal; its final snapshot. *)

@@ -18,12 +18,59 @@ let test_runner () =
   Alcotest.(check bool) "value printed" true (String.length r.Core.Runner.value > 0)
 
 let test_runner_gc () =
-  let r =
-    Core.Runner.run ~scale:1
+  let r, recording =
+    Core.Runner.record ~scale:1
       ~gc:(Vscheme.Machine.Cheney { semispace_bytes = 512 * 1024 })
       Workloads.Workload.lred
   in
+  Memsim.Recording.release recording;
   Alcotest.(check bool) "collector refs traced" true (r.Core.Runner.collector_refs > 0)
+
+(* The trace memo: two leases of one run make one production and
+   read one trace, the trace a fresh Runner.record makes.  A heap size
+   no other test uses keeps the key fresh; another heap size is
+   another key, even where the trace comes out the same. *)
+let test_lease_once () =
+  let count name = List.assoc name (Core.Runner.counters ()) in
+  let productions = count "runner.productions" in
+  let reuses = count "runner.reuses" in
+  let lease mb =
+    Core.Runner.lease ~scale:1 ~heap_bytes:(mb * 1024 * 1024)
+      Workloads.Workload.prover
+  in
+  let r1, l1 = lease 47 in
+  let r2, l2 = lease 47 in
+  Alcotest.(check int) "one production" (productions + 1)
+    (count "runner.productions");
+  Alcotest.(check int) "one reuse" (reuses + 1) (count "runner.reuses");
+  let _, other = lease 46 in
+  Alcotest.(check int) "another heap, another production" (productions + 2)
+    (count "runner.productions");
+  Alcotest.(check bool) "same run" true
+    (r1.Core.Runner.value = r2.Core.Runner.value
+    && r1.Core.Runner.refs = r2.Core.Runner.refs
+    && r1.Core.Runner.collector_refs = r2.Core.Runner.collector_refs
+    && r1.Core.Runner.stats = r2.Core.Runner.stats);
+  let fresh_r, fresh = Core.Runner.record ~scale:1 Workloads.Workload.prover in
+  Alcotest.(check bool) "same trace" true (Memsim.Recording.equal l1 l2);
+  Alcotest.(check bool) "the trace a fresh record makes" true
+    (Memsim.Recording.equal l1 fresh);
+  Alcotest.(check bool) "the run a fresh record makes" true
+    (fresh_r.Core.Runner.stats = r1.Core.Runner.stats);
+  List.iter Memsim.Recording.release [ l1; l2; other; fresh ]
+
+(* A grid whose cell raises releases the cells it did lease: a no-GC
+   run that outgrows a 64 KB heap fails after a good cell was kept. *)
+let test_record_grid_raise_unpins () =
+  let cells =
+    Workloads.Workload.
+      [ Core.Runner.cell ~scale:1 ~heap_bytes:(45 * 1024 * 1024) prover;
+        Core.Runner.cell ~scale:1 ~heap_bytes:(64 * 1024) prover ]
+  in
+  (match Core.Runner.record_grid ~jobs:1 cells with
+   | exception Vscheme.Heap.Out_of_memory _ -> ()
+   | _ -> Alcotest.fail "expected the 64 KB cell to run out of memory");
+  Alcotest.(check bool) "no trace pinned" true (Kept_probe.no_trace_pinned ())
 
 let test_base_scales () =
   List.iter
@@ -35,7 +82,8 @@ let test_base_scales () =
     Workloads.Workload.all
 
 let test_layout () =
-  let r = Core.Runner.run ~scale:1 Workloads.Workload.prover in
+  let r, recording = Core.Runner.record ~scale:1 Workloads.Workload.prover in
+  Memsim.Recording.release recording;
   let dyn = Core.Runner.layout r.Core.Runner.machine ~dynamic_base:true in
   let stack = Core.Runner.layout r.Core.Runner.machine ~dynamic_base:false in
   Alcotest.(check bool) "stack below dynamic" true (stack < dyn);
@@ -150,6 +198,9 @@ let () =
     [ ( "runner",
         [ Alcotest.test_case "runner wiring" `Quick test_runner;
           Alcotest.test_case "runner with GC" `Quick test_runner_gc;
+          Alcotest.test_case "lease: one production" `Quick test_lease_once;
+          Alcotest.test_case "record_grid: a failed cell unpins the rest"
+            `Quick test_record_grid_raise_unpins;
           Alcotest.test_case "base scales" `Quick test_base_scales;
           Alcotest.test_case "layout" `Quick test_layout
         ] );

@@ -63,7 +63,8 @@ let test_record_then_replay w () =
           Alcotest.(check bool)
             (Printf.sprintf "recording = sink-path recording, jobs=%d" jobs)
             true
-            (Memsim.Recording.equal recording recorded))
+            (Memsim.Recording.equal recording recorded);
+          Memsim.Recording.release recorded)
         [ 1; 3 ])
 
 let test_format_roundtrip () =
@@ -138,7 +139,9 @@ let test_mmap_vs_heap w () =
 
 (* Sharded production: for any job count, record_grid's output indexed
    by input order must be bit-for-bit what recording the cells one
-   after another produces. *)
+   after another produces.  Each job count asks for its own heap size,
+   which is in the trace memo's key but does not change a no-GC trace,
+   so every pass records afresh on the worker domains. *)
 let test_record_grid () =
   let serial =
     List.map (fun w -> Core.Runner.record ~scale:1 w) Workloads.Workload.all
@@ -148,7 +151,9 @@ let test_record_grid () =
       let recorded =
         Core.Runner.record_grid ~jobs
           (List.map
-             (fun w -> Core.Runner.cell ~scale:1 w)
+             (fun w ->
+               Core.Runner.cell ~heap_bytes:((48 + jobs) * 1024 * 1024)
+                 ~scale:1 w)
              Workloads.Workload.all)
       in
       List.iteri
@@ -167,7 +172,8 @@ let test_record_grid () =
             r.Core.Runner.collector_refs;
           Alcotest.(check bool)
             (name ^ ": recording bit-identical") true
-            (Memsim.Recording.equal srec recording))
+            (Memsim.Recording.equal srec recording);
+          Memsim.Recording.release recording)
         serial)
     [ 1; 2; 4 ]
 

@@ -346,27 +346,35 @@ let collector_stats m =
       (Vscheme.Gc_marksweep.stats gc, Vscheme.Gc_marksweep.free_words gc)
   | Vscheme.Machine.No_collector -> No_stats
 
-(* Machines built on record_grid's worker domains own their collector
-   stats: two domains at once give every machine the stats a serial
-   run gives it. *)
+(* Machines built on worker domains own their collector stats: two
+   domains at once give every machine the stats a serial run gives it.
+   Runner.record keeps the machine, so it shows the collector's own
+   counters; record_grid, which leases through the trace memo and
+   keeps no machine, must return the serial run's machine stats from
+   its worker domains too.  A heap size no other case in this binary
+   uses makes every grid cell a fresh production. *)
 let test_record_grid_collector_stats () =
+  let heap_bytes = 40 * 1024 * 1024 in
   let cells =
-    List.concat_map
-      (fun w ->
-        List.map
-          (fun gc -> Core.Runner.cell ~gc ~scale:1 w)
-          [ Vscheme.Machine.Generational
-              { nursery_bytes = 64 * 1024; old_bytes = 24 * 1024 * 1024 };
-            Vscheme.Machine.Mark_sweep
-              { nursery_bytes = 64 * 1024; old_bytes = 24 * 1024 * 1024 } ])
-      Workloads.Workload.[ nbody; mexpr ]
+    Array.of_list
+      (List.concat_map
+         (fun w ->
+           List.map
+             (fun gc -> (gc, w))
+             [ Vscheme.Machine.Generational
+                 { nursery_bytes = 64 * 1024; old_bytes = 24 * 1024 * 1024 };
+               Vscheme.Machine.Mark_sweep
+                 { nursery_bytes = 64 * 1024; old_bytes = 24 * 1024 * 1024 } ])
+         Workloads.Workload.[ nbody; mexpr ])
   in
   let stats jobs =
-    Array.map
-      (fun ((r : Core.Runner.result), recording) ->
+    let slots = Array.make (Array.length cells) None in
+    Memsim.Sweep.parallel_for ~jobs (Array.length cells) (fun i ->
+        let gc, w = cells.(i) in
+        let r, recording = Core.Runner.record ~gc ~heap_bytes ~scale:1 w in
         Memsim.Recording.release recording;
-        (r.stats, collector_stats r.machine))
-      (Core.Runner.record_grid ~jobs cells)
+        slots.(i) <- Some (r.Core.Runner.stats, collector_stats r.machine));
+    Array.map (function Some s -> s | None -> assert false) slots
   in
   let serial = stats 1 and parallel = stats 2 in
   Array.iteri
@@ -379,7 +387,27 @@ let test_record_grid_collector_stats () =
         (Printf.sprintf "cell %d machine stats" i) true (run1 = run);
       Alcotest.(check bool)
         (Printf.sprintf "cell %d collector stats" i) true (gc1 = gc))
-    parallel
+    parallel;
+  let productions () =
+    List.assoc "runner.productions" (Core.Runner.counters ())
+  in
+  let before = productions () in
+  let grid =
+    Core.Runner.record_grid ~jobs:2
+      (Array.to_list
+         (Array.map
+            (fun (gc, w) -> Core.Runner.cell ~gc ~heap_bytes ~scale:1 w)
+            cells))
+  in
+  Alcotest.(check int) "every grid cell recorded afresh"
+    (before + Array.length cells) (productions ());
+  Array.iteri
+    (fun i ((r : Core.Runner.summary), recording) ->
+      Memsim.Recording.release recording;
+      Alcotest.(check bool)
+        (Printf.sprintf "grid cell %d machine stats" i) true
+        (fst serial.(i) = r.Core.Runner.stats))
+    grid
 
 (* Property: random cons-tree construction with interleaved garbage is
    GC-invariant. *)

@@ -90,12 +90,12 @@ let test_fixture_roundtrip () =
       let back = Golden.Fixture.load path in
       Alcotest.(check bool) "fixture survives its file" true (back = fx))
 
-(* Measuring releases each recording to the slab pool, so a second
-   measurement in the same process records into slabs the first ones
-   wrote (the pool already holds a trace's worth once both runs have
-   been measured).  Stale slab contents must be invisible: every
-   measurement, first or pooled, compares clean against the committed
-   fixture. *)
+(* Measuring leases each trace from the trace memo, and a production
+   that finds the free list empty evicts a kept trace and records into
+   its slabs, so a second measurement in the same process either
+   replays a kept trace or records into slabs earlier runs wrote.
+   Stale slab contents must be invisible: every measurement, first or
+   pooled, compares clean against the committed fixture. *)
 let test_pooled_remeasure () =
   (* dune runs the test from _build/default/test; by hand it may run
      from the repository root. *)
@@ -126,6 +126,33 @@ let test_pooled_remeasure () =
             0 (List.length fs))
         runs)
     [ "first"; "pooled" ]
+
+(* A measurement that fails leaves its trace unpinned: a serve job
+   with a cache geometry [Level.create] refuses, and one killed by
+   raising out of [progress] mid-replay. *)
+let test_failed_measure_unpins () =
+  let run =
+    { smoke_run with Golden.Manifest.scale = 1; heap_bytes = Some 3_000_000 }
+  in
+  (match
+     Golden.Fixture.measure
+       { run with Golden.Manifest.cache_sizes = [ 48_000 ] }
+   with
+   | exception Invalid_argument _ -> ()
+   | _ -> Alcotest.fail "expected Invalid_argument for a 48000-byte cache");
+  Alcotest.(check bool) "bad geometry: no trace pinned" true
+    (Kept_probe.no_trace_pinned ());
+  let module Killed = struct exception E end in
+  with_tmp ".ckpt" (fun ck ->
+      match
+        Golden.Fixture.measure ~checkpoint:ck ~checkpoint_every:1_000
+          ~progress:(fun cursor -> if cursor > 0 then raise Killed.E)
+          run
+      with
+      | exception Killed.E -> ()
+      | _ -> Alcotest.fail "expected the progress callback to kill the run");
+  Alcotest.(check bool) "killed replay: no trace pinned" true
+    (Kept_probe.no_trace_pinned ())
 
 (* --- Comparator ---------------------------------------------------------- *)
 
@@ -394,7 +421,9 @@ let () =
           Alcotest.test_case "manifest drift located" `Quick
             test_compare_run_drift;
           Alcotest.test_case "pooled re-measure = committed" `Quick
-            test_pooled_remeasure
+            test_pooled_remeasure;
+          Alcotest.test_case "failed measure leaves no trace pinned" `Quick
+            test_failed_measure_unpins
         ] );
       ( "checkpoint",
         [ Alcotest.test_case "kill-and-resume = uninterrupted" `Quick

@@ -552,6 +552,12 @@ let gen_events =
          (make Gen.(frequency [ (6, int_range 0 2); (1, return 3) ]))
          (int_range 0 1)))
 
+(* 1..8 ways.  QCheck's int shrinker heads for 0 whatever the range,
+   so shrink an offset from 1 instead: a shrunk failing case keeps a
+   way count [Level.create] accepts and reports the real failure. *)
+let ways_1_8 =
+  QCheck.(set_print string_of_int (map ~rev:pred succ (int_range 0 7)))
+
 (* [same] is exactly snapshot byte equality.  The second trace is the
    first, a prefix of it, or the first with one event changed, and the
    second level's write-miss policy may differ, so both outcomes
@@ -560,7 +566,7 @@ let prop_same_is_snapshot_equality =
   QCheck.Test.make ~count:300
     ~name:"Level.same a b <=> snapshots byte-equal, every policy, 1-8 ways"
     QCheck.(
-      quad (int_range 0 (Array.length all_policies_arr - 1)) (int_range 1 8)
+      quad (int_range 0 (Array.length all_policies_arr - 1)) ways_1_8
         gen_events
         (triple (int_range 0 3) small_nat (int_range 0 255)))
     (fun (pidx, ways, events, (how, at, addr)) ->
@@ -587,7 +593,7 @@ let prop_restore_mutated =
   QCheck.Test.make ~count:500
     ~name:"restore of a mutated snapshot: located refusal or exact load"
     QCheck.(
-      quad (int_range 0 (Array.length all_policies_arr - 1)) (int_range 1 8)
+      quad (int_range 0 (Array.length all_policies_arr - 1)) ways_1_8
         gen_events
         (triple (int_range 0 5) small_nat
            (make

@@ -1306,6 +1306,147 @@ let test_released_recording_is_empty () =
   Alcotest.(check int) "second release is harmless" 0
     (Memsim.Recording.length rec_)
 
+(* --- Kept traces ------------------------------------------------------------ *)
+
+type Memsim.Recording.note += Test_note
+
+(* [n] events through the sink, in slabs from the pool. *)
+let filled n ~stride =
+  let rec_ = Memsim.Recording.create () in
+  let sink = Memsim.Recording.sink rec_ in
+  for i = 0 to n - 1 do
+    sink.Memsim.Trace.access (i * stride) Memsim.Trace.Read mutator
+  done;
+  rec_
+
+let chunk_bufs rec_ =
+  let bufs = ref [] in
+  Memsim.Recording.iter_chunks rec_ (fun buf _ -> bufs := buf :: !bufs);
+  !bufs
+
+let lease_exn key =
+  match Memsim.Recording.lease key with
+  | Some (l, _) -> l
+  | None -> Alcotest.fail (key ^ ": not kept")
+
+(* A producer that finds the free list empty evicts the least recently
+   leased unpinned kept trace, and draws its slab from it, before it
+   allocates a fresh one. *)
+let test_kept_evicts_lru () =
+  Kept_probe.evict_unpinned ();
+  let n = (2 * Memsim.Chunk.default_chunk_events) + 5 in
+  let a = filled n ~stride:8 and b = filled n ~stride:16 in
+  let b_slabs = chunk_bufs b in
+  Memsim.Recording.keep ~key:"test lru a" Test_note a;
+  Memsim.Recording.keep ~key:"test lru b" Test_note b;
+  Memsim.Recording.release a;
+  Memsim.Recording.release b;
+  (* Leasing [a] again leaves [b] the least recently leased. *)
+  Memsim.Recording.release (lease_exn "test lru a");
+  let held = Kept_probe.drain_free () in
+  let before = (Kept_probe.pool ()).Memsim.Recording.evictions in
+  let fresh = filled 1 ~stride:8 in
+  Alcotest.(check int) "one eviction" (before + 1)
+    (Kept_probe.pool ()).Memsim.Recording.evictions;
+  Alcotest.(check bool) "b evicted" true
+    (Option.is_none (Memsim.Recording.lease "test lru b"));
+  Alcotest.(check bool) "the new slab was b's" true
+    (List.for_all (fun buf -> List.memq buf b_slabs) (chunk_bufs fresh));
+  let a' = lease_exn "test lru a" in
+  let reference = filled n ~stride:8 in
+  Alcotest.(check bool) "a still kept and intact" true
+    (Memsim.Recording.equal a' reference);
+  List.iter Memsim.Recording.release (a' :: reference :: fresh :: held)
+
+(* A pinned kept trace is never evicted: a producer short of slabs
+   allocates instead, and the lease still reads its events. *)
+let test_kept_pinned () =
+  Kept_probe.evict_unpinned ();
+  let n = Memsim.Chunk.default_chunk_events + 7 in
+  let reference = filled n ~stride:24 in
+  let a = filled n ~stride:24 in
+  Memsim.Recording.keep ~key:"test pinned" Test_note a;
+  let held = Kept_probe.drain_free () in
+  let before = (Kept_probe.pool ()).Memsim.Recording.evictions in
+  let fresh = filled (3 * Memsim.Chunk.default_chunk_events) ~stride:4 in
+  Alcotest.(check int) "no eviction" before
+    (Kept_probe.pool ()).Memsim.Recording.evictions;
+  Alcotest.(check bool) "the pinned lease reads its events" true
+    (Memsim.Recording.equal reference a);
+  let again = lease_exn "test pinned" in
+  Alcotest.(check bool) "still kept" true
+    (Memsim.Recording.equal reference again);
+  List.iter Memsim.Recording.release (again :: a :: fresh :: reference :: held)
+
+(* A lease reads a kept trace in place: it refuses every write, and
+   releasing it leaves the trace kept. *)
+let test_kept_lease_read_only () =
+  let a = filled 1000 ~stride:8 in
+  Memsim.Recording.keep ~key:"test read-only" Test_note a;
+  let b = lease_exn "test read-only" in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail ("a lease accepted " ^ what)
+  in
+  List.iter
+    (fun l ->
+      refused "clear" (fun () -> Memsim.Recording.clear l);
+      refused "an append" (fun () ->
+          (Memsim.Recording.sink l).Memsim.Trace.access 0 Memsim.Trace.Read
+            mutator);
+      refused "checkout" (fun () -> ignore (Memsim.Recording.checkout l));
+      Alcotest.(check int) "events intact" 1000 (Memsim.Recording.length l))
+    [ a; b ];
+  Memsim.Recording.release a;
+  Alcotest.(check int) "a released lease is empty" 0
+    (Memsim.Recording.length a);
+  Alcotest.(check int) "the other lease still reads" 1000
+    (Memsim.Recording.length b);
+  Memsim.Recording.release b;
+  Memsim.Recording.release (lease_exn "test read-only")
+
+(* [saved_bytes ~format:V2] must equal the file [save] writes, on
+   every workload, on a trace whose address jumps need varints longer
+   than 5 bytes, and on a lease, whose count the kept trace keeps for
+   the next lease. *)
+let test_saved_bytes_count () =
+  let file_size rec_ =
+    let path = Filename.temp_file "repro" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Memsim.Recording.save rec_ path;
+        (Unix.stat path).Unix.st_size)
+  in
+  let check name rec_ =
+    Alcotest.(check int) (name ^ ": count = saved file") (file_size rec_)
+      (Memsim.Recording.saved_bytes rec_)
+  in
+  List.iter
+    (fun w ->
+      let _, rec_ = Core.Runner.record ~scale:1 w in
+      check w.Workloads.Workload.name rec_;
+      Memsim.Recording.release rec_)
+    Workloads.Workload.all;
+  let far = Memsim.Recording.create ~initial_capacity:64 () in
+  let sink = Memsim.Recording.sink far in
+  List.iter
+    (fun addr -> sink.Memsim.Trace.access addr Memsim.Trace.Write collector)
+    [ 0; 1 lsl 58; 8; (1 lsl 59) - 8; 1 lsl 40; 0; 1 lsl 33 ];
+  Alcotest.(check bool) "some event is longer than 5 bytes" true
+    (Memsim.Recording.saved_bytes far > 17 + (5 * 7));
+  check "long varints" far;
+  let kept = filled 5000 ~stride:12 in
+  let expect = file_size kept in
+  Memsim.Recording.keep ~key:"test saved bytes" Test_note kept;
+  check "lease" kept;
+  let again = lease_exn "test saved bytes" in
+  Alcotest.(check int) "second lease: counted once" expect
+    (Memsim.Recording.saved_bytes again);
+  Memsim.Recording.release kept;
+  Memsim.Recording.release again
+
 (* Error messages name the detected format and the failing byte, so a
    corrupt trace can be diagnosed with `dd'. *)
 let test_recording_error_messages () =
@@ -1751,7 +1892,17 @@ let () =
           Alcotest.test_case "mapped v3 view never pooled" `Quick
             test_pool_skips_mapped_view;
           Alcotest.test_case "released recording is empty" `Quick
-            test_released_recording_is_empty
+            test_released_recording_is_empty;
+          Alcotest.test_case "v2 byte count = saved file" `Quick
+            test_saved_bytes_count
+        ] );
+      ( "kept",
+        [ Alcotest.test_case "short producer evicts the LRU trace" `Quick
+            test_kept_evicts_lru;
+          Alcotest.test_case "pinned trace never evicted" `Quick
+            test_kept_pinned;
+          Alcotest.test_case "lease is read-only" `Quick
+            test_kept_lease_read_only
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest invariants_prop;

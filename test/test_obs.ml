@@ -440,11 +440,12 @@ let jsonl_roundtrip_prop =
 
 let test_gc_run_emits_events () =
   let tl = Obs.Events.create () in
-  let r =
-    Core.Runner.run ~scale:1
+  let r, recording =
+    Core.Runner.record ~scale:1
       ~gc:(Vscheme.Machine.Cheney { semispace_bytes = 256 * 1024 })
       ~events:tl Workloads.Workload.nbody
   in
+  Memsim.Recording.release recording;
   let collections = r.Core.Runner.stats.Vscheme.Machine.collections in
   Alcotest.(check bool) "the run collected" true (collections >= 1);
   let evs = Obs.Events.events tl in

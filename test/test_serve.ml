@@ -273,8 +273,8 @@ let vm_rss_bytes () =
       scan ())
 
 (* Every fresh job records its whole trace (8 bytes per event) and
-   hands the slabs back to the pool when its replay ends, so the next
-   job records into memory the daemon already holds.  The jobs differ
+   keeps it in the slab pool, where the next job's production evicts
+   it and records into memory the daemon already holds.  The jobs differ
    only in heap size, so none is a cache hit.  From the second job on,
    the resident set must not grow by as much as one job's recording;
    when each recording waited for the GC's finalizers instead, it grew
