@@ -250,6 +250,94 @@ let best ?(runs = 5) make drive =
   in
   go runs infinity (make ())
 
+(* Two direct-mapped cells replayed together ([Level.access_chunk2]:
+   each event read once, both cells stepped on it) against the same
+   two cells replayed one pass each ([Level.access_chunk] twice), on
+   every workload's trace.  The cells are the golden grid's corners.
+   Each side keeps its best of five runs, and the two sides alternate
+   run by run so that a noisy stretch of the host lands on both.  Both
+   sides must end [Level.same]; the smallest per-workload ratio is
+   speedup_pair_vs_single, held to a hard bound. *)
+let measure_grid_pair () =
+  Format.fprintf ppf
+    "@.==== grid-pair (two direct-mapped cells, one pass vs two) ====@.";
+  let make () =
+    Array.map Memsim.Level.create
+      [| Memsim.Level.config ~size_bytes:(Memsim.Sweep.kb 64) ~block_bytes:32
+           ~ways:1 ();
+         Memsim.Level.config ~size_bytes:(Memsim.Sweep.kb 512)
+           ~block_bytes:128 ~ways:1 () |]
+  in
+  let rows =
+    List.map
+      (fun (w : Workloads.Workload.t) ->
+        let _, recording = Core.Runner.record ~scale:1 w in
+        let events = Memsim.Recording.length recording in
+        let single_pass ls =
+          Array.iter
+            (fun l ->
+              Memsim.Recording.iter_chunks recording (fun buf len ->
+                  Memsim.Level.access_chunk l buf 0 len))
+            ls
+        and pair_pass ls =
+          Memsim.Recording.iter_chunks recording (fun buf len ->
+              Memsim.Level.access_chunk2 ls.(0) ls.(1) buf 0 len)
+        in
+        let rec rounds k (single_s, single) (pair_s, pair) =
+          if k = 0 then ((single_s, single), (pair_s, pair))
+          else
+            let s1, l1 = best ~runs:1 make single_pass in
+            let s2, l2 = best ~runs:1 make pair_pass in
+            rounds (k - 1)
+              (Float.min single_s s1, l1)
+              (Float.min pair_s s2, l2)
+        in
+        let (single_s, single), (pair_s, pair) =
+          rounds 5 (infinity, make ()) (infinity, make ())
+        in
+        Memsim.Recording.release recording;
+        if not (Array.for_all2 Memsim.Level.same single pair) then
+          failwith
+            ("grid-pair: the paired cells diverged from the single passes on "
+           ^ w.Workloads.Workload.name);
+        Format.fprintf ppf
+          "%-10s %9d events   single %.3fs   pair %.3fs (%.2fx)   levels \
+           same@."
+          w.Workloads.Workload.name events single_s pair_s
+          (single_s /. pair_s);
+        (w.Workloads.Workload.name, events, single_s, pair_s))
+      Workloads.Workload.all
+  in
+  let speedup =
+    List.fold_left
+      (fun acc (_, _, single_s, pair_s) -> Float.min acc (single_s /. pair_s))
+      infinity rows
+  in
+  Format.fprintf ppf "pair speedup (worst workload): %.2fx@." speedup;
+  ( "grid-pair",
+    Obs.Json.Obj
+      [ ("workloads",
+         Obs.Json.Obj
+           (List.map
+              (fun (name, events, single_s, pair_s) ->
+                ( name,
+                  Obs.Json.Obj
+                    [ ("events", Obs.Json.Int events);
+                      ("single_s", Obs.Json.Float single_s);
+                      ("pair_s", Obs.Json.Float pair_s);
+                      ("single_ns_per_event_cell",
+                       Obs.Json.Float
+                         (single_s *. 1e9 /. float_of_int (2 * events)));
+                      ("pair_ns_per_event_cell",
+                       Obs.Json.Float
+                         (pair_s *. 1e9 /. float_of_int (2 * events)));
+                      ("speedup", Obs.Json.Float (single_s /. pair_s))
+                    ] ))
+              rows));
+        ("speedup_pair_vs_single", Obs.Json.Float speedup);
+        ("identical_state", Obs.Json.Bool true)
+      ] )
+
 (* Fused miss-stream hierarchy vs the hooked per-event oracle: every
    workload through the 3-level Coffee Lake preset.  Per-level
    statistics are asserted bit-identical before any timing is
@@ -654,6 +742,7 @@ let hard_bounds =
   [ ("hierarchy-sweep.hierarchy_speedup", At_least 2.0);
     ("hierarchy-fleet.fleet_speedup", At_least 2.0);
     ("sweep-serial-vs-parallel.speedup_chunk_vs_per_event", At_least 1.0);
+    ("grid-pair.speedup_pair_vs_single", At_least 1.1);
     ("attribution-overhead.overhead_full", At_most 3.0);
     ("trace-append.speedup_direct_vs_sink", At_least 1.0)
   ]
@@ -718,8 +807,8 @@ let () =
   let measured =
     List.map
       (fun measure -> measure ())
-      [ measure_sweep; measure_hierarchy; measure_fleet; measure_attribution;
-        measure_recording_formats; measure_serve ]
+      [ measure_sweep; measure_grid_pair; measure_hierarchy; measure_fleet;
+        measure_attribution; measure_recording_formats; measure_serve ]
   in
   let doc =
     Obs.Json.Obj

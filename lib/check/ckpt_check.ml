@@ -92,6 +92,10 @@ let check_lines ctx src ~at ~lines ~ways ~wpb =
     if t < -1 then
       fail ctx "ckpt.state" ~at:(tags + (8 * i))
         "tag %d below the -1 invalid marker" t;
+    if t > max_int / (wpb * word_bytes) then
+      fail ctx "ckpt.state" ~at:(tags + (8 * i))
+        "tag %d beyond the address space of %d-byte blocks" t
+        (wpb * word_bytes);
     if t >= 0 && t land set_mask <> set then
       fail ctx "ckpt.state" ~at:(tags + (8 * i))
         "tag %d filed in set %d but indexes set %d" t set (t land set_mask);

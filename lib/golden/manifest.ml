@@ -101,6 +101,26 @@ let run_to_datum r =
         | None -> []
         | Some cpu -> [ Sx.str "hier" (Memsim.Hier.cpu_label cpu) ]))
 
+(* Every cell of the run's grid must be a level [Level.create]
+   builds.  Refusing here names the manifest field and value at fault
+   before the run is queued or measured; [Level.check] is the rule
+   [create] applies, so the two cannot disagree. *)
+let check_grid ~file ~cache_sizes ~block_sizes write_miss_policy =
+  List.iter
+    (fun (cfg : Memsim.Level.config) ->
+      match Memsim.Level.check cfg with
+      | Ok () -> ()
+      | Error (field, msg) ->
+        let what =
+          if String.equal field "block_bytes" then
+            Printf.sprintf "block-sizes: %d" cfg.Memsim.Level.block_bytes
+          else
+            Printf.sprintf "cache-sizes: %d (with %d-byte blocks)"
+              cfg.Memsim.Level.size_bytes cfg.Memsim.Level.block_bytes
+        in
+        raise (Sx.Parse_error (Printf.sprintf "%s: %s: %s" file what msg)))
+    (Memsim.Sweep.grid ~write_miss_policy ~cache_sizes ~block_sizes ())
+
 let run_of_fields ~file fields =
   let gc_string = Sx.get_str ~file fields "gc" in
   let gc =
@@ -116,14 +136,20 @@ let run_of_fields ~file fields =
       | Ok b -> Some b
       | Error msg -> raise (Sx.Parse_error (Printf.sprintf "%s: %s" file msg)))
   in
+  let cache_sizes = Sx.get_int_list ~file fields "cache-sizes" in
+  let block_sizes = Sx.get_int_list ~file fields "block-sizes" in
+  let write_miss_policy =
+    policy_of_string ~file (Sx.get_str ~file fields "policy")
+  in
+  check_grid ~file ~cache_sizes ~block_sizes write_miss_policy;
   { name = Sx.get_str ~file fields "name";
     workload = Sx.get_str ~file fields "workload";
     scale = Sx.get_int ~file fields "scale";
     gc;
     heap_bytes;
-    cache_sizes = Sx.get_int_list ~file fields "cache-sizes";
-    block_sizes = Sx.get_int_list ~file fields "block-sizes";
-    write_miss_policy = policy_of_string ~file (Sx.get_str ~file fields "policy");
+    cache_sizes;
+    block_sizes;
+    write_miss_policy;
     jobs = Sx.get_int ~file fields "jobs";
     trace_format = format_of_string ~file (Sx.get_str ~file fields "format");
     hier =

@@ -5,9 +5,21 @@
    policy chosen per level.  The block model — per-word valid bits,
    write-validate vs fetch-on-write, collector stores forced to
    fetch-on-write — is the paper's §4 cache (see level.mli).  A 1-way
-   level is the paper's direct-mapped cache, and its chunk step takes
-   a dedicated direct-indexed loop ([run_direct]); the per-event
-   [access] stays the oracle it is tested against.
+   level is the paper's direct-mapped cache: its chunk loops are
+   built on one per-event transition, [direct_step], and
+   [access_chunk2] steps two such levels per event so a grid replays
+   its cells two per pass; the per-event [access] stays the oracle
+   they are tested against.
+
+   A line is one int, its {e line word}: the block number (the tag)
+   shifted left by two, bit 1 set when every word of the block is
+   valid, bit 0 the dirty bit.  An invalid line is tag -1, the word
+   -4 (or -4 with stale flag bits a restored snapshot may carry,
+   which no path reads: every flag test is guarded by a valid tag).
+   The per-word valid masks ([valid_lo], [valid_hi]) are kept exact
+   for every line but read only for a partial one, so a hit on a full
+   line is one load and one compare, and a store hit one store.  The
+   full bit always equals "both masks full"; [restore] derives it.
 
    Replacement state is packed into per-set machine words in [pol]:
 
@@ -43,11 +55,13 @@
    The eleven counters are one vector, [cnt], whose slots are named
    once below in the order [snapshot] writes them; [reset_stats],
    [same], [copy], [snapshot] and [restore] each treat it whole, like
-   the line arrays, and both chunk loops fold their register
-   accumulators into it through one [commit].  The set-associative
-   loop probes a set's hint in one place only, [fast_span]: every
-   event the span hands back takes the way scan, which settles a hint
-   hit with the same effects. *)
+   the line arrays.  The set-associative loop folds its register
+   accumulators into it through one [commit]; the direct-mapped step
+   bumps its rare counters in place, and its loops commit only the
+   four that depend on the stream alone.  The set-associative loop
+   probes a set's hint in one place only, [fast_span]: every event
+   the span hands back takes the way scan, which settles a hint hit
+   with the same effects. *)
 
 type policy =
   | Lru
@@ -95,11 +109,11 @@ type t = {
   full_lo : int;
   full_hi : int;
   pstride : int;           (* policy words per set *)
-  (* Line arrays indexed by [set * ways + way]. *)
-  tags : int array;
+  (* Line arrays indexed by [set * ways + way]: the line words (see
+     the top of the file) and the exact per-word valid masks. *)
+  lines : int array;
   valid_lo : int array;
   valid_hi : int array;
-  dirty : Bytes.t;
   pol : int array;         (* nsets * pstride packed policy words *)
   (* Line index of the most recent access resolved in each set, -1
      before the first.  Pure accelerator for the chunk loop: a tag
@@ -137,6 +151,19 @@ let[@inline] bump_by (a : int array) i n =
 
 let[@inline] bump a i = bump_by a i 1
 
+(* --- Line words ---------------------------------------------------------- *)
+
+let full_bit = 2
+let dirty_bit = 1
+let invalid_line = -4 (* tag -1, neither full nor dirty *)
+
+let[@inline] tag_of lw = lw asr 2
+
+(* A valid line holding a dirty block: what a victim must write back.
+   The sign test keeps the dirty bit of an invalid line, which a
+   restored snapshot may carry, from ever reaching a write-back. *)
+let[@inline] dirty_valid lw = lw >= 0 && lw land dirty_bit <> 0
+
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let log2 n =
@@ -171,28 +198,38 @@ let[@inline] qlru_set pol pbase way a =
 
 (* --- Construction ------------------------------------------------------- *)
 
-let create cfg =
+(* The geometry rule [create] applies, exported so a configuration
+   can be refused where it is written (a manifest field) rather than
+   where a level is built. *)
+let check cfg =
+  let fail field msg = Error (field, msg) in
   if not (is_power_of_two cfg.block_bytes) then
-    invalid_arg "Level.create: block_bytes must be a power of two";
-  if cfg.block_bytes < Trace.word_bytes then
-    invalid_arg "Level.create: block smaller than a word";
-  if cfg.block_bytes > 256 then
-    invalid_arg "Level.create: block wider than 64 words";
-  if cfg.ways < 1 || cfg.ways > 32 then
-    invalid_arg "Level.create: ways must be in 1..32";
-  (match cfg.policy with
-   | Tree_plru ->
-     if not (is_power_of_two cfg.ways) then
-       invalid_arg "Level.create: Tree-PLRU needs a power-of-two way count"
-   | Lru | Mru | Qlru_h11_m1_r1_u2 | Qlru_h11_m1_r0_u0 -> ());
-  if cfg.size_bytes <= 0 || cfg.size_bytes mod cfg.block_bytes <> 0 then
-    invalid_arg "Level.create: size_bytes must be a multiple of block_bytes";
+    fail "block_bytes" "block_bytes must be a power of two"
+  else if cfg.block_bytes < Trace.word_bytes then
+    fail "block_bytes" "block smaller than a word"
+  else if cfg.block_bytes > 256 then
+    fail "block_bytes" "block wider than 64 words"
+  else if cfg.ways < 1 || cfg.ways > 32 then
+    fail "ways" "ways must be in 1..32"
+  else if
+    (match cfg.policy with
+     | Tree_plru -> not (is_power_of_two cfg.ways)
+     | Lru | Mru | Qlru_h11_m1_r1_u2 | Qlru_h11_m1_r0_u0 -> false)
+  then fail "ways" "Tree-PLRU needs a power-of-two way count"
+  else if cfg.size_bytes <= 0 || cfg.size_bytes mod cfg.block_bytes <> 0 then
+    fail "size_bytes" "size_bytes must be a multiple of block_bytes"
+  else if cfg.size_bytes / cfg.block_bytes mod cfg.ways <> 0 then
+    fail "size_bytes" "line count not divisible by ways"
+  else if not (is_power_of_two (cfg.size_bytes / cfg.block_bytes / cfg.ways))
+  then fail "size_bytes" "set count must be a power of two"
+  else Ok ()
+
+let create cfg =
+  (match check cfg with
+   | Ok () -> ()
+   | Error (_, msg) -> invalid_arg ("Level.create: " ^ msg));
   let lines = cfg.size_bytes / cfg.block_bytes in
-  if lines mod cfg.ways <> 0 then
-    invalid_arg "Level.create: line count not divisible by ways";
   let nsets = lines / cfg.ways in
-  if not (is_power_of_two nsets) then
-    invalid_arg "Level.create: set count must be a power of two";
   let words_per_block = cfg.block_bytes / Trace.word_bytes in
   let pstride = stride_of cfg.policy cfg.ways in
   let pol = Array.make (nsets * pstride) 0 in
@@ -215,10 +252,9 @@ let create cfg =
     full_hi =
       (if words_per_block > 32 then (1 lsl (words_per_block - 32)) - 1 else 0);
     pstride;
-    tags = Array.make lines (-1);
+    lines = Array.make lines invalid_line;
     valid_lo = Array.make lines 0;
     valid_hi = Array.make lines 0;
-    dirty = Bytes.make lines '\000';
     pol;
     hint = Array.make nsets (-1);
     cnt = Array.make n_counters 0;
@@ -239,15 +275,15 @@ let set_fill_hook t ~on_fetch ~on_writeback =
 (* Recursive scans instead of ref cells: these run per event and per
    miss inside the chunk loop and must not allocate. *)
 
-let rec find_way (tags : int array) base mem_block y =
+let rec find_way (lines : int array) base mem_block y =
   if y < 0 then -1
-  else if Array.unsafe_get tags (base + y) = mem_block then y
-  else find_way tags base mem_block (y - 1)
+  else if tag_of (Array.unsafe_get lines (base + y)) = mem_block then y
+  else find_way lines base mem_block (y - 1)
 
-let rec first_invalid (tags : int array) base ways y =
+let rec first_invalid (lines : int array) base ways y =
   if y >= ways then -1
-  else if Array.unsafe_get tags (base + y) = -1 then y
-  else first_invalid tags base ways (y + 1)
+  else if Array.unsafe_get lines (base + y) < 0 then y
+  else first_invalid lines base ways (y + 1)
 
 let rec lru_rank_way pol pbase rank ways y =
   if y >= ways - 1 then y
@@ -334,7 +370,7 @@ let[@hot] fill_state t set way =
    the set's ages when it has to normalize them. *)
 let[@hot] choose_victim t set =
   let base = set * t.ways in
-  let inv = first_invalid t.tags base t.ways 0 in
+  let inv = first_invalid t.lines base t.ways 0 in
   if inv >= 0 then inv
   else
     match t.cfg.policy with
@@ -368,21 +404,35 @@ let[@inline] phase_bit (phase : Trace.phase) =
   | Trace.Mutator -> 0
   | Trace.Collector -> 1
 
+let[@inline] write_validates t =
+  match t.cfg.write_miss_policy with
+  | Cache.Write_validate -> true
+  | Cache.Fetch_on_write -> false
+
+(* The full bit of a line whose valid masks are [lo] and [hi]. *)
+let[@inline] full_if t lo hi =
+  if lo = t.full_lo && hi = t.full_hi then full_bit else 0
+
+(* Validate every word of line [li]; the caller sets the full bit. *)
+let[@inline] validate_all t li =
+  Array.unsafe_set t.valid_lo li t.full_lo;
+  Array.unsafe_set t.valid_hi li t.full_hi
+
 (* A miss in [set]: write the victim back if it is dirty, then install
-   [mem_block] there with the policy's fill state.  Returns the line. *)
+   [mem_block] there, clean and not full, with the policy's fill
+   state.  Returns the line. *)
 let[@hot] fill t set mem_block phase =
   let v = choose_victim t set in
   let li = (set * t.ways) + v in
-  let old = Array.unsafe_get t.tags li in
-  if old >= 0 && Bytes.unsafe_get t.dirty li = '\001' then begin
+  let old = Array.unsafe_get t.lines li in
+  if dirty_valid old then begin
     bump t.cnt c_writebacks;
     bump_by t.cnt c_collector_writebacks (phase_bit phase);
-    Bytes.unsafe_set t.dirty li '\000';
     match t.writeback_hook with
     | None -> ()
-    | Some hook -> hook (old lsl t.block_shift) phase
+    | Some hook -> hook (tag_of old lsl t.block_shift) phase
   end;
-  Array.unsafe_set t.tags li mem_block;
+  Array.unsafe_set t.lines li (mem_block lsl 2);
   fill_state t set v;
   Array.unsafe_set t.hint set li;
   li
@@ -407,29 +457,34 @@ let[@hot] access t addr kind phase =
     | Trace.Read -> false
     | Trace.Write | Trace.Alloc_write -> true
   in
+  let st = if is_store then dirty_bit else 0 in
   if is_store then begin
     bump cnt c_writes;
     bump_by cnt c_collector_writes ph
   end;
-  let way = find_way t.tags base mem_block (t.ways - 1) in
+  let lines = t.lines in
+  let way = find_way lines base mem_block (t.ways - 1) in
   if way >= 0 then begin
     let li = base + way in
     promote t set way;
     Array.unsafe_set t.hint set li;
+    let lw = Array.unsafe_get lines li in
     let valid = if high then t.valid_hi else t.valid_lo in
-    if Array.unsafe_get valid li land wbit <> 0 then begin
-      if is_store then Bytes.unsafe_set t.dirty li '\001'
-    end
+    if lw land full_bit <> 0 || Array.unsafe_get valid li land wbit <> 0 then
+      Array.unsafe_set lines li (lw lor st)
     else if is_store then begin
       Array.unsafe_set valid li (Array.unsafe_get valid li lor wbit);
-      Bytes.unsafe_set t.dirty li '\001'
+      Array.unsafe_set lines li
+        (lw lor dirty_bit
+         lor full_if t (Array.unsafe_get t.valid_lo li)
+               (Array.unsafe_get t.valid_hi li))
     end
     else begin
       (* read of an unvalidated word in a resident block: fetch all *)
       bump cnt (c_misses + ph);
       bump cnt (c_fetches + ph);
-      Array.unsafe_set t.valid_lo li t.full_lo;
-      Array.unsafe_set t.valid_hi li t.full_hi;
+      validate_all t li;
+      Array.unsafe_set lines li (lw lor full_bit);
       match t.fetch_hook with
       | None -> ()
       | Some hook -> hook (mem_block lsl t.block_shift) phase
@@ -445,31 +500,22 @@ let[@hot] access t addr kind phase =
     bump cnt (c_misses + ph);
     if alloc then bump cnt c_alloc_misses;
     let li = fill t set mem_block phase in
-    let wv =
-      (match t.cfg.write_miss_policy with
-       | Cache.Write_validate -> true
-       | Cache.Fetch_on_write -> false)
-      && mutator (* collector stores always fetch on write *)
-    in
+    (* collector stores always fetch on write *)
+    let wv = write_validates t && mutator in
     if is_store && wv then begin
-      if high then begin
-        Array.unsafe_set t.valid_lo li 0;
-        Array.unsafe_set t.valid_hi li wbit
-      end
-      else begin
-        Array.unsafe_set t.valid_lo li wbit;
-        Array.unsafe_set t.valid_hi li 0
-      end;
-      Bytes.unsafe_set t.dirty li '\001'
+      let lo = if high then 0 else wbit and hi = if high then wbit else 0 in
+      Array.unsafe_set t.valid_lo li lo;
+      Array.unsafe_set t.valid_hi li hi;
+      Array.unsafe_set lines li
+        ((mem_block lsl 2) lor dirty_bit lor full_if t lo hi)
     end
     else begin
       bump cnt (c_fetches + ph);
       (match t.fetch_hook with
        | None -> ()
        | Some hook -> hook (mem_block lsl t.block_shift) phase);
-      Array.unsafe_set t.valid_lo li t.full_lo;
-      Array.unsafe_set t.valid_hi li t.full_hi;
-      if is_store then Bytes.unsafe_set t.dirty li '\001'
+      validate_all t li;
+      Array.unsafe_set lines li ((mem_block lsl 2) lor full_bit lor st)
     end
   end
 
@@ -487,7 +533,7 @@ let[@hot] write_back t addr phase =
   bump cnt (c_refs + ph);
   bump cnt c_writes;
   bump_by cnt c_collector_writes ph;
-  let way = find_way t.tags base mem_block (t.ways - 1) in
+  let way = find_way t.lines base mem_block (t.ways - 1) in
   let li =
     if way >= 0 then begin
       promote t set way;
@@ -499,9 +545,8 @@ let[@hot] write_back t addr phase =
       fill t set mem_block phase
     end
   in
-  Array.unsafe_set t.valid_lo li t.full_lo;
-  Array.unsafe_set t.valid_hi li t.full_hi;
-  Bytes.unsafe_set t.dirty li '\001'
+  validate_all t li;
+  Array.unsafe_set t.lines li ((mem_block lsl 2) lor full_bit lor dirty_bit)
 
 let sink t = { Trace.access = (fun addr kind phase -> access t addr kind phase) }
 
@@ -519,14 +564,17 @@ let sink t = { Trace.access = (fun addr kind phase -> access t addr kind phase) 
 let wb_code = 3
 
 (* The tight span loop under [run_chunk]: consumes consecutive events
-   that hit the set's most recently resolved line (see [hint]) with a
-   word the access can settle in place, and returns the index of the
-   first event it could not consume — hint miss, write-back word,
-   high word of a wide block, or a read of an unvalidated word — for
-   the way scan in [run_sets] to resolve.  Only called for policies
-   whose promote is idempotent on repeated hits, so the pending
-   promote is provably a no-op and the whole event touches nothing
-   but valid and dirty bits.
+   that hit the set's most recently resolved line (see [hint]) with an
+   access it can settle in place, and returns the index of the first
+   event it could not consume — hint miss, or on a partial line a
+   write-back word, a high word of a wide block, a read of an
+   unvalidated word or a store that would complete the low mask — for
+   the way scan in [run_sets] to resolve.  On a full line every event
+   is settled: the store bit of the event word is the whole update.
+   Only called for policies whose promote is idempotent on repeated
+   hits, so the pending promote is provably a no-op and the whole
+   event touches nothing but the line word and, on a partial line,
+   its low valid mask.
 
    Kept small and first-order on purpose: without cross-module
    inlining the register allocator can only keep the per-event state
@@ -544,19 +592,23 @@ let wb_code = 3
 let acc_tbl =
   Array.init 8 (fun idx ->
       let phase = idx land 1 in
-      let kcode = idx lsr 1 in
-      (* store indicator; only meaningful for kinds 0..2, and kind 3
-         (write-back) words bail out before touching [acc] *)
-      let st = if kcode >= 3 then 0 else (kcode + 1) lsr 1 in
+      (* kind codes 1 and 2 are stores, 3 a write-back: all writes *)
+      let st = if idx lsr 1 = 0 then 0 else 1 in
       phase + (st lsl 21) + ((st land phase) lsl 42))
 
+(* The dirty bit an event word sets: 1 for kind codes 1-3. *)
+let[@inline] store_bit w = ((w lsr 1) lor (w lsr 2)) land 1
+
 let[@hot] fast_span (buf : Chunk.buf) i0 limit (hint : int array)
-    (tags : int array) (valid_lo : int array) (dirty : Bytes.t)
-    (pol : int array) (tbl : int array) geo (acc_cell : int array) =
+    (lines : int array) (valid_lo : int array) (pol : int array)
+    (tbl : int array) geo (acc_cell : int array) =
   let shift3 = geo land 63 in
   let wmask = (geo lsr 6) land 255 in
   let ways = (geo lsr 14) land 63 in
   let smask = geo lsr 20 in
+  (* the low mask of a full block: a store reaching it may complete
+     the line, which the way scan settles *)
+  let lo_full = if wmask >= 32 then 0xFFFF_FFFF else (1 lsl (wmask + 1)) - 1 in
   (* [pol] is passed only for Tree-PLRU levels (empty otherwise): for
      those the span also resolves hint misses that are still hits, by
      scanning and promoting in place — the event itself is then
@@ -573,34 +625,37 @@ let[@hot] fast_span (buf : Chunk.buf) i0 limit (hint : int array)
     let w = Bigarray.Array1.unsafe_get buf !i in
     let mem_block = w lsr shift3 in
     let li = Array.unsafe_get hint (mem_block land smask) in
-    if li >= 0 && Array.unsafe_get tags li = mem_block then begin
-      let kcode = (w lsr 1) land 3 in
-      let word = (w lsr 5) land wmask in
-      let st = (kcode + 1) lsr 1 in
-      let vword =
-        Array.unsafe_get valid_lo li lor ((1 lsl word) land (-st))
-      in
-      if
-        (* a write-back word must take the install path even when its
-           block matches, and [st] above is garbage for kind 3 *)
-        kcode = wb_code
-        || word >= 32
-        || vword land (1 lsl word) = 0
-      then begin
-        (* write-back, wide-block high word, or a read of an
-           unvalidated word *)
-        stop := !i;
-        i := max_int
-      end
-      else begin
-        Array.unsafe_set valid_lo li vword;
-        Bytes.unsafe_set dirty li
-          (Char.unsafe_chr (Char.code (Bytes.unsafe_get dirty li) lor st));
+    let lw = if li >= 0 then Array.unsafe_get lines li else invalid_line in
+    if tag_of lw = mem_block then begin
+      let st = store_bit w in
+      if lw land full_bit <> 0 then begin
+        Array.unsafe_set lines li (lw lor st);
         acc := !acc + Array.unsafe_get tbl (w land 7);
         incr i
       end
+      else begin
+        let word = (w lsr 5) land wmask in
+        let vword =
+          Array.unsafe_get valid_lo li lor ((1 lsl word) land (-st))
+        in
+        if
+          (w lsr 1) land 3 = wb_code
+          || word >= 32
+          || vword land (1 lsl word) = 0
+          || vword = lo_full
+        then begin
+          stop := !i;
+          i := max_int
+        end
+        else begin
+          Array.unsafe_set valid_lo li vword;
+          Array.unsafe_set lines li (lw lor st);
+          acc := !acc + Array.unsafe_get tbl (w land 7);
+          incr i
+        end
+      end
     end
-    else if (not scan_ok) || (w lsr 1) land 3 = wb_code then begin
+    else if not scan_ok then begin
       stop := !i;
       i := max_int
     end
@@ -609,7 +664,7 @@ let[@hot] fast_span (buf : Chunk.buf) i0 limit (hint : int array)
       let base = set * ways in
       let y = ref (ways - 1) in
       while
-        !y >= 0 && Array.unsafe_get tags (base + !y) <> mem_block
+        !y >= 0 && tag_of (Array.unsafe_get lines (base + !y)) <> mem_block
       do
         decr y
       done;
@@ -664,10 +719,9 @@ let[@inline] commit cnt len cr m cm am f cf wb cwb w cw =
    does not serve (QLRU), takes the way scan below; on a hint hit the
    scan's promote is the no-op [fast_span] skips, or QLRU's real one. *)
 let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
-  let tags = t.tags
+  let lines = t.lines
   and valid_lo = t.valid_lo
   and valid_hi = t.valid_hi
-  and dirty = t.dirty
   and pol = t.pol in
   let block_shift = t.block_shift
   and set_mask = t.set_mask
@@ -694,11 +748,7 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
     | Lru | Tree_plru | Mru -> true
     | Qlru_h11_m1_r1_u2 | Qlru_h11_m1_r0_u0 -> false
   in
-  let write_validate =
-    match t.cfg.write_miss_policy with
-    | Cache.Write_validate -> true
-    | Cache.Fetch_on_write -> false
-  in
+  let write_validate = write_validates t in
   let collector_refs = ref 0
   and misses = ref 0
   and collector_misses = ref 0
@@ -726,7 +776,7 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
         if limit - !ip > 1_000_000 then !ip + 1_000_000 else limit
       in
       let j =
-        fast_span buf !ip cap hint tags valid_lo dirty span_pol acc_tbl geo
+        fast_span buf !ip cap hint lines valid_lo span_pol acc_tbl geo
           acc_cell
       in
       let a = Array.unsafe_get acc_cell 0 in
@@ -746,13 +796,16 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
       let base = set * ways in
       let way =
         let y = ref (ways - 1) in
-        while !y >= 0 && Array.unsafe_get tags (base + !y) <> mem_block do
+        while
+          !y >= 0 && tag_of (Array.unsafe_get lines (base + !y)) <> mem_block
+        do
           decr y
         done;
         !y
       in
       (* kind codes 1 and 2 are stores, 3 a whole-block write-back *)
       let is_store = kcode <> 0 in
+      let st = store_bit w in
       if is_store then begin
         incr writes;
         if not mutator then incr collector_writes
@@ -786,28 +839,28 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
           else incr collector_misses;
           let v = choose_victim t set in
           let li = base + v in
-          let old = Array.unsafe_get tags li in
-          if old >= 0 && Bytes.unsafe_get dirty li = '\001' then begin
+          let old = Array.unsafe_get lines li in
+          if dirty_valid old then begin
             incr writebacks;
             if not mutator then incr collector_writebacks;
-            Bytes.unsafe_set dirty li '\000';
             if emit then begin
               Bigarray.Array1.unsafe_set out !op
-                ((old lsl shift3) lor (wb_code lsl 1) lor (w land 1));
+                ((tag_of old lsl shift3) lor (wb_code lsl 1) lor (w land 1));
               incr op
             end
           end;
-          Array.unsafe_set tags li mem_block;
+          Array.unsafe_set lines li (mem_block lsl 2);
           fill_state t set v;
           Array.unsafe_set hint set li;
           li
         end
       in
+      let lw = Array.unsafe_get lines li in
       if kcode = wb_code then begin
         (* whole-block write-back from the level above *)
         Array.unsafe_set valid_lo li full_lo;
         Array.unsafe_set valid_hi li full_hi;
-        Bytes.unsafe_set dirty li '\001'
+        Array.unsafe_set lines li (lw lor full_bit lor dirty_bit)
       end
       else begin
         let word = (w lsr 5) land word_mask in
@@ -815,12 +868,17 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
         let wbit = 1 lsl (word land 31) in
         let valid = if high then valid_hi else valid_lo in
         if way >= 0 then begin
-          if Array.unsafe_get valid li land wbit <> 0 then begin
-            if is_store then Bytes.unsafe_set dirty li '\001'
-          end
+          if lw land full_bit <> 0 || Array.unsafe_get valid li land wbit <> 0
+          then Array.unsafe_set lines li (lw lor st)
           else if is_store then begin
             Array.unsafe_set valid li (Array.unsafe_get valid li lor wbit);
-            Bytes.unsafe_set dirty li '\001'
+            Array.unsafe_set lines li
+              (lw lor dirty_bit
+               lor (if
+                      Array.unsafe_get valid_lo li = full_lo
+                      && Array.unsafe_get valid_hi li = full_hi
+                    then full_bit
+                    else 0))
           end
           else begin
             if mutator then begin
@@ -833,6 +891,7 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
             end;
             Array.unsafe_set valid_lo li full_lo;
             Array.unsafe_set valid_hi li full_hi;
+            Array.unsafe_set lines li (lw lor full_bit);
             if emit then begin
               Bigarray.Array1.unsafe_set out !op
                 ((mem_block lsl shift3) lor (w land 1));
@@ -841,15 +900,12 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
           end
         end
         else if is_store && write_validate && mutator then begin
-          if high then begin
-            Array.unsafe_set valid_lo li 0;
-            Array.unsafe_set valid_hi li wbit
-          end
-          else begin
-            Array.unsafe_set valid_lo li wbit;
-            Array.unsafe_set valid_hi li 0
-          end;
-          Bytes.unsafe_set dirty li '\001'
+          let lo = if high then 0 else wbit and hi = if high then wbit else 0 in
+          Array.unsafe_set valid_lo li lo;
+          Array.unsafe_set valid_hi li hi;
+          Array.unsafe_set lines li
+            (lw lor dirty_bit
+             lor (if lo = full_lo && hi = full_hi then full_bit else 0))
         end
         else begin
           if mutator then incr fetches else incr collector_fetches;
@@ -860,7 +916,7 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
               ((mem_block lsl shift3) lor (w land 1));
             incr op
           end;
-          if is_store then Bytes.unsafe_set dirty li '\001'
+          Array.unsafe_set lines li (lw lor full_bit lor st)
         end
       end
     end
@@ -870,16 +926,35 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
     !collector_writes;
   !op
 
-(* The direct-mapped loop: with one way the set index is the line
-   index, so there is no way scan, no hint and no victim choice — the
-   §4 cache of the paper, with the geometry in locals and the counters
-   accumulated in registers and committed once per chunk.  Every
-   transition is [access]'s (and [write_back]'s for kind code 3, whose
-   block address always falls on the store paths below) with
-   [way = 0].  The loop makes no calls, so nothing live across it is
-   spilled around one; the one-way policy updates are inlined instead
-   ([pstride] is 1 for every policy at one way, so a set's word is
-   [pol.(idx)]):
+(* --- The direct-mapped step ------------------------------------------------ *)
+
+(* With one way the set index is the line index, so there is no way
+   scan, no hint and no victim choice: the §4 cache of the paper.
+   [direct_step] is its whole per-event transition — [access]'s (and
+   [write_back]'s for kind code 3) with [way = 0] — and every
+   direct-mapped loop below is a loop over it:
+
+   - [run_direct], the sweep grid's cell loop and the miss-stream
+     producer of a 1-way level in a hierarchy;
+   - [run_pair] ([access_chunk2]), two cells per event;
+   - [run_attr] ([access_chunk_attr]), which attributes each outcome.
+
+   The step bumps the rare counters (misses, fetches, write-backs,
+   alloc misses) in [t.cnt] in place and returns what happened as
+   [o_*] bits, so a loop that emits a miss stream or attributes knows
+   which words to append and which slots to charge.  The four counters
+   that depend on the stream alone (refs, collector refs, writes,
+   collector writes) are the loop's: one count per event however many
+   levels it steps.
+
+   The hot path is the first test: one load of the line word and one
+   compare against the event's block with the full bit (and the
+   dirty bit) forced, and on a store one store of the dirty word.
+   Everything past it reads [t]'s fields itself, so a loop keeps only
+   [lines], the shift and the index mask live per level.  The loops
+   make no calls, so nothing live across them is spilled around one;
+   the one-way policy updates are inlined instead ([pstride] is 1 for
+   every policy at one way, so a set's word is [pol.(idx)]):
 
    - LRU and Tree-PLRU never change a one-way set: the one rank is
      already 0 and the tree has no nodes.
@@ -890,18 +965,13 @@ let[@hot] run_sets t (buf : Chunk.buf) off len emit (out : Chunk.buf) opos =
      normalization would raise, and U2's aging of the other lines has
      no other lines to age.
 
-   With [attr] the loop also attributes (see [access_chunk_attr]):
-   every aggregate counter bump has a bump of the event's (region x
-   phase) slot in [prof] beside it, which is what makes the per-slot
-   sums equal the aggregate counters exactly.  [base] is the
-   recording-global index of [buf.(off)], and [cur]'s side-table logs
-   are consumed forward from it.  Attribution is defined for recorded
-   events (kind codes 0-2) only.
+   [polk] is a constant 0 in the grid loops (the compiler folds the
+   policy updates away) and the level's own elsewhere. *)
 
-   The loop is inlined three times: for the sweep grid with [emit],
-   [polk] and [attr] the constants false, 0 and false, which the
-   compiler folds away (measured ~10% faster than testing them per
-   event); for miss streams, MRU and QLRU; and for attribution. *)
+let o_miss = 1
+let o_fetch = 2
+let o_writeback = 4 (* the victim was dirty: the word before the step *)
+let o_alloc = 8
 
 (* [polk]: which one-way policy word moves (see above). *)
 let policy_kind t =
@@ -918,6 +988,189 @@ let[@inline] promote_direct pol polk idx =
 let[@inline] fill_direct pol polk idx =
   let a = Array.unsafe_get pol idx in
   Array.unsafe_set pol idx (if polk = 1 then a lor 1 else a land lnot 3 lor 1)
+
+let[@inline] direct_step t (lines : int array) shift3 index_mask polk w =
+  let mem_block = w lsr shift3 in
+  let idx = mem_block land index_mask in
+  let lw = Array.unsafe_get lines idx in
+  let full_dirty = (mem_block lsl 2) lor full_bit lor dirty_bit in
+  if lw lor dirty_bit = full_dirty then begin
+    (* a full line: a hit whatever the word *)
+    if polk <> 0 then promote_direct t.pol polk idx;
+    if w land 6 <> 0 then Array.unsafe_set lines idx full_dirty;
+    0
+  end
+  else begin
+    let kcode = (w lsr 1) land 3 in
+    let ph = w land 1 in
+    let cnt = t.cnt in
+    if tag_of lw = mem_block then begin
+      (* a partial line: the valid masks decide *)
+      if polk <> 0 then promote_direct t.pol polk idx;
+      if kcode = wb_code then begin
+        validate_all t idx;
+        Array.unsafe_set lines idx full_dirty;
+        0
+      end
+      else begin
+        let word = (w lsr 5) land t.word_mask in
+        let valid = if word >= 32 then t.valid_hi else t.valid_lo in
+        let wbit = 1 lsl (word land 31) in
+        let v = Array.unsafe_get valid idx in
+        if v land wbit <> 0 then begin
+          if kcode <> 0 then Array.unsafe_set lines idx (lw lor dirty_bit);
+          0
+        end
+        else if kcode <> 0 then begin
+          Array.unsafe_set valid idx (v lor wbit);
+          Array.unsafe_set lines idx
+            (lw lor dirty_bit
+             lor full_if t (Array.unsafe_get t.valid_lo idx)
+                   (Array.unsafe_get t.valid_hi idx));
+          0
+        end
+        else begin
+          (* read of an unvalidated word in a resident block: fetch all *)
+          bump cnt (c_misses + ph);
+          bump cnt (c_fetches + ph);
+          validate_all t idx;
+          Array.unsafe_set lines idx (lw lor full_bit);
+          o_miss lor o_fetch
+        end
+      end
+    end
+    else begin
+      bump cnt (c_misses + ph);
+      let wb =
+        if dirty_valid lw then begin
+          bump cnt c_writebacks;
+          bump_by cnt c_collector_writebacks ph;
+          o_writeback
+        end
+        else 0
+      in
+      if polk <> 0 then fill_direct t.pol polk idx;
+      if kcode = wb_code then begin
+        (* whole-block write-back from the level above *)
+        validate_all t idx;
+        Array.unsafe_set lines idx full_dirty;
+        o_miss lor wb
+      end
+      else begin
+        let alloc =
+          if kcode = 2 && ph = 0 then begin
+            bump cnt c_alloc_misses;
+            o_alloc
+          end
+          else 0
+        in
+        if kcode <> 0 && ph = 0 && write_validates t then begin
+          (* allocate the line, validate just this word, fetch nothing *)
+          let word = (w lsr 5) land t.word_mask in
+          let wbit = 1 lsl (word land 31) in
+          let lo = if word >= 32 then 0 else wbit
+          and hi = if word >= 32 then wbit else 0 in
+          Array.unsafe_set t.valid_lo idx lo;
+          Array.unsafe_set t.valid_hi idx hi;
+          Array.unsafe_set lines idx
+            ((mem_block lsl 2) lor dirty_bit lor full_if t lo hi);
+          o_miss lor wb lor alloc
+        end
+        else begin
+          bump cnt (c_fetches + ph);
+          validate_all t idx;
+          Array.unsafe_set lines idx (full_dirty lxor dirty_bit lor store_bit w);
+          o_miss lor o_fetch lor wb lor alloc
+        end
+      end
+    end
+  end
+
+(* The direct-mapped loops count the stream as [fast_span] does: one
+   [acc_tbl] entry per event, into 21-bit fields of one accumulator,
+   so no loop may see [stream_span] events or more at once.
+   [commit_packed] adds [len] events' fields to the counters. *)
+let stream_span = 1 lsl 20
+
+let[@inline] commit_packed cnt len acc =
+  let cr = acc land 0x1F_FFFF in
+  bump_by cnt c_refs (len - cr);
+  bump_by cnt c_collector_refs cr;
+  bump_by cnt c_writes ((acc lsr 21) land 0x1F_FFFF);
+  bump_by cnt c_collector_writes (acc lsr 42)
+
+(* [buf]'s concrete Bigarray type must be visible in every loop below:
+   an unannotated parameter stays polymorphic during inference, and
+   the compiler then emits a generic caml_ba_get_1 C call per event
+   instead of a direct load (a measured ~2.5x slowdown).
+
+   With [emit] the loop also appends the level's miss stream to [out]
+   from [opos] — the victim's write-back (kind code 3), then the
+   fetch — and returns the position after it.  It is inlined three
+   times: for the grid's LRU cells with [emit] false and [polk] 0,
+   which the compiler folds away; for the other policies; and for
+   miss streams. *)
+let[@inline] direct_loop t (buf : Chunk.buf) off len polk emit
+    (out : Chunk.buf) opos =
+  let lines = t.lines in
+  let shift3 = t.block_shift + 3 and index_mask = t.set_mask in
+  let acc = ref 0 and op = ref opos in
+  for i = off to off + len - 1 do
+    let w = Bigarray.Array1.unsafe_get buf i in
+    acc := !acc + Array.unsafe_get acc_tbl (w land 7);
+    let mem_block = w lsr shift3 in
+    let old =
+      if emit then Array.unsafe_get lines (mem_block land index_mask) else 0
+    in
+    let o = direct_step t lines shift3 index_mask polk w in
+    if emit && o land (o_writeback lor o_fetch) <> 0 then begin
+      if o land o_writeback <> 0 then begin
+        Bigarray.Array1.unsafe_set out !op
+          ((tag_of old lsl shift3) lor (wb_code lsl 1) lor (w land 1));
+        incr op
+      end;
+      if o land o_fetch <> 0 then begin
+        Bigarray.Array1.unsafe_set out !op
+          ((mem_block lsl shift3) lor (w land 1));
+        incr op
+      end
+    end
+  done;
+  commit_packed t.cnt len !acc;
+  !op
+
+let[@hot] run_direct t buf off len emit out opos =
+  let polk = policy_kind t in
+  let pos = ref off and op = ref opos in
+  while !pos < off + len do
+    let n = Int.min stream_span (off + len - !pos) in
+    op :=
+      if emit then direct_loop t buf !pos n polk true out !op
+      else if polk = 0 then direct_loop t buf !pos n 0 false Chunk.empty 0
+      else direct_loop t buf !pos n polk false Chunk.empty 0;
+    pos := !pos + n
+  done;
+  !op
+
+(* Two cells per event: each event word is loaded and its stream
+   counters counted once, then stepped through [a] and [b]; [len] is
+   below [stream_span].  Only the paper's cells take it (LRU or
+   Tree-PLRU, so [polk] is 0 for both); the levels are distinct, so
+   the two steps touch disjoint state and each level ends exactly as
+   its own [run_direct] pass leaves it. *)
+let[@hot] run_pair a b (buf : Chunk.buf) off len =
+  let la = a.lines and lb = b.lines in
+  let sa = a.block_shift + 3 and ma = a.set_mask in
+  let sb = b.block_shift + 3 and mb = b.set_mask in
+  let acc = ref 0 in
+  for i = off to off + len - 1 do
+    let w = Bigarray.Array1.unsafe_get buf i in
+    acc := !acc + Array.unsafe_get acc_tbl (w land 7);
+    ignore (direct_step a la sa ma 0 w : int);
+    ignore (direct_step b lb sb mb 0 w : int)
+  done;
+  commit_packed a.cnt len !acc;
+  commit_packed b.cnt len !acc
 
 (* The {!Attr} region of a byte address under one region map.  The
    [int] annotation matters: unannotated, the compares stay
@@ -941,66 +1194,71 @@ let[@inline] bump_heat heat heat_rows heat_cols row_shift col_shift
   bump heat ((r * heat_cols) + c);
   bump region_time ((c * 5) + region)
 
-(* [buf]'s concrete Bigarray type must be visible here: an unannotated
-   parameter stays polymorphic during inference, and the compiler then
-   emits a generic caml_ba_get_1 C call per event instead of a direct
-   load (a measured ~2.5x slowdown of this loop). *)
-let[@inline] direct_loop t (buf : Chunk.buf) off len emit polk
-    (out : Chunk.buf) opos attr (cur : Attr.cursor) (prof : Attr.profile)
-    base =
-  let tags = t.tags
-  and valid_lo = t.valid_lo
-  and valid_hi = t.valid_hi
-  and dirty = t.dirty
-  and pol = t.pol in
-  let block_shift = t.block_shift
-  and index_mask = t.set_mask
-  and word_mask = t.word_mask
-  and full_lo = t.full_lo
-  and full_hi = t.full_hi in
-  let shift3 = block_shift + 3 in
-  let write_validate =
-    match t.cfg.write_miss_policy with
-    | Cache.Write_validate -> true
-    | Cache.Fetch_on_write -> false
-  in
-  let collector_refs = ref 0
-  and misses = ref 0
-  and collector_misses = ref 0
-  and alloc_misses = ref 0
-  and fetches = ref 0
-  and collector_fetches = ref 0
-  and writebacks = ref 0
-  and collector_writebacks = ref 0
-  and writes = ref 0
-  and collector_writes = ref 0 in
-  let op = ref opos in
+(* The recording position of the side table's next region-map epoch
+   or site run after epoch [ei] and run [si], whichever comes first:
+   until an event reaches it, the cursor has nothing to catch up. *)
+let[@inline] next_change (epoch_pos : int array) n_epochs ei
+    (run_pos : int array) n_runs si =
+  let e =
+    if ei + 1 < n_epochs then Array.unsafe_get epoch_pos (ei + 1)
+    else max_int
+  and r = if si < n_runs then Array.unsafe_get run_pos si else max_int in
+  if e < r then e else r
+
+(* Charge one event to its (region x phase) [slot] in [prof]: the
+   ref, the write of a store, and the site of a mutator allocation
+   write. *)
+let[@inline] charge_event (prof : Attr.profile) slot w site =
+  bump prof.Attr.refs slot;
+  if w land 6 <> 0 then begin
+    bump prof.Attr.writes slot;
+    if w land 7 = 4 then bump prof.Attr.site_alloc_writes site
+  end
+
+(* Charge the outcome [o] of stepping one level on event [w] (at
+   recording position [p]) to [prof]; [wb_slot] is the evicted block's
+   slot when [o] has a write-back. *)
+let[@inline] charge_outcome (prof : Attr.profile) o slot w p site wb_slot =
+  if o land o_miss <> 0 then begin
+    bump prof.Attr.misses slot;
+    bump_heat prof.Attr.heat prof.Attr.heat_rows prof.Attr.heat_cols
+      prof.Attr.heat_row_shift prof.Attr.heat_col_shift prof.Attr.region_time
+      (w lsr 3) p (slot lsr 1)
+  end;
+  if o land o_fetch <> 0 then bump prof.Attr.fetches slot;
+  if o land o_alloc <> 0 then begin
+    bump prof.Attr.alloc_misses slot;
+    bump prof.Attr.site_alloc_misses site
+  end;
+  if o land o_writeback <> 0 then bump prof.Attr.writebacks wb_slot
+
+(* Attribution must not reorder or change the simulation, so it is the
+   direct-mapped step itself, with every outcome charged to the
+   event's (region x phase) slot in [pa] beside the aggregate bump the
+   step made: that is what makes the per-slot sums equal the aggregate
+   counters exactly.  A write-back is charged to the evicted block's
+   region under the map in force now.  [base] is the recording-global
+   index of [buf.(off)], and [cur]'s side-table logs are consumed
+   forward from it; [len] is below [stream_span].  Attribution is
+   defined for recorded events (kind codes 0-2) only.
+
+   With [pair] the loop also steps [b] and charges [pb], as
+   [run_pair] does for the plain grid: the cursor, the event's slot
+   and the stream counters are shared, since both levels see the same
+   events under the same map.  [pair] is a constant at both inlined
+   uses. *)
+let[@inline] attr_loop pair a b (cur : Attr.cursor) (pa : Attr.profile)
+    (pb : Attr.profile) base (buf : Chunk.buf) off len =
+  let la = a.lines and lb = b.lines in
+  let sa = a.block_shift + 3 and ma = a.set_mask in
+  let sb = b.block_shift + 3 and mb = b.set_mask in
+  let pka = policy_kind a and pkb = policy_kind b in
+  let acc = ref 0 in
   let tbl = cur.Attr.ctab in
   let epoch_pos = tbl.Attr.epoch_pos
-  and epoch_stack_lo = tbl.Attr.epoch_stack_lo
-  and epoch_dyn_lo = tbl.Attr.epoch_dyn_lo
-  and epoch_to_lo = tbl.Attr.epoch_to_lo
-  and epoch_to_hi = tbl.Attr.epoch_to_hi
-  and epoch_from_lo = tbl.Attr.epoch_from_lo
-  and epoch_from_hi = tbl.Attr.epoch_from_hi
   and n_epochs = tbl.Attr.n_epochs
   and run_pos = tbl.Attr.run_pos
-  and run_site = tbl.Attr.run_site
   and n_runs = tbl.Attr.n_runs in
-  let p_refs = prof.Attr.refs
-  and p_misses = prof.Attr.misses
-  and p_alloc = prof.Attr.alloc_misses
-  and p_fetches = prof.Attr.fetches
-  and p_writebacks = prof.Attr.writebacks
-  and p_writes = prof.Attr.writes
-  and site_am = prof.Attr.site_alloc_misses
-  and site_aw = prof.Attr.site_alloc_writes
-  and heat = prof.Attr.heat
-  and region_time = prof.Attr.region_time in
-  let heat_rows = prof.Attr.heat_rows
-  and heat_cols = prof.Attr.heat_cols
-  and row_shift = prof.Attr.heat_row_shift
-  and col_shift = prof.Attr.heat_col_shift in
   let ei = ref cur.Attr.ei
   and si = ref cur.Attr.si
   and cur_site = ref cur.Attr.cur_site
@@ -1010,229 +1268,77 @@ let[@inline] direct_loop t (buf : Chunk.buf) off len emit polk
   and to_hi = ref cur.Attr.to_hi
   and from_lo = ref cur.Attr.from_lo
   and from_hi = ref cur.Attr.from_hi in
+  let change = ref (next_change epoch_pos n_epochs !ei run_pos n_runs !si) in
   for i = off to off + len - 1 do
     let w = Bigarray.Array1.unsafe_get buf i in
-    let kcode = (w lsr 1) land 3 in
-    let mutator = w land 1 = 0 in
-    let mem_block = w lsr shift3 in
-    let idx = mem_block land index_mask in
-    let word = (w lsr 5) land word_mask in
-    let high = word >= 32 in
-    let wbit = 1 lsl (word land 31) in
-    let is_store = kcode <> 0 in
+    acc := !acc + Array.unsafe_get acc_tbl (w land 7);
     let p = base + i - off in
     (* the event's (region x phase) slot, once the cursor has caught
        up with it *)
-    let slot =
-      if attr then begin
-        while
-          !ei + 1 < n_epochs && Array.unsafe_get epoch_pos (!ei + 1) <= p
-        do
-          let e = !ei + 1 in
-          ei := e;
-          stack_lo := Array.unsafe_get epoch_stack_lo e;
-          dyn_lo := Array.unsafe_get epoch_dyn_lo e;
-          to_lo := Array.unsafe_get epoch_to_lo e;
-          to_hi := Array.unsafe_get epoch_to_hi e;
-          from_lo := Array.unsafe_get epoch_from_lo e;
-          from_hi := Array.unsafe_get epoch_from_hi e
-        done;
-        while !si < n_runs && Array.unsafe_get run_pos !si <= p do
-          cur_site := Array.unsafe_get run_site !si;
-          si := !si + 1
-        done;
-        let region =
-          region_of (w lsr 3) !stack_lo !dyn_lo !to_lo !to_hi !from_lo
-            !from_hi
-        in
-        let slot = (region lsl 1) lor (w land 1) in
-        bump p_refs slot;
-        slot
-      end
-      else 0
-    in
-    if not mutator then incr collector_refs;
-    if is_store then begin
-      incr writes;
-      if not mutator then incr collector_writes;
-      if attr then begin
-        bump p_writes slot;
-        if kcode = 2 && mutator then bump site_aw !cur_site
-      end
+    if p >= !change then begin
+      while !ei + 1 < n_epochs && Array.unsafe_get epoch_pos (!ei + 1) <= p do
+        let e = !ei + 1 in
+        ei := e;
+        stack_lo := Array.unsafe_get tbl.Attr.epoch_stack_lo e;
+        dyn_lo := Array.unsafe_get tbl.Attr.epoch_dyn_lo e;
+        to_lo := Array.unsafe_get tbl.Attr.epoch_to_lo e;
+        to_hi := Array.unsafe_get tbl.Attr.epoch_to_hi e;
+        from_lo := Array.unsafe_get tbl.Attr.epoch_from_lo e;
+        from_hi := Array.unsafe_get tbl.Attr.epoch_from_hi e
+      done;
+      while !si < n_runs && Array.unsafe_get run_pos !si <= p do
+        cur_site := Array.unsafe_get tbl.Attr.run_site !si;
+        si := !si + 1
+      done;
+      change := next_change epoch_pos n_epochs !ei run_pos n_runs !si
     end;
-    if Array.unsafe_get tags idx = mem_block then begin
-      if polk <> 0 then promote_direct pol polk idx;
-      let valid = if high then valid_hi else valid_lo in
-      if Array.unsafe_get valid idx land wbit <> 0 then begin
-        if is_store then begin
-          Bytes.unsafe_set dirty idx '\001';
-          if kcode = wb_code then begin
-            Array.unsafe_set valid_lo idx full_lo;
-            Array.unsafe_set valid_hi idx full_hi
-          end
-        end
-      end
-      else if is_store then begin
-        if kcode = wb_code then begin
-          Array.unsafe_set valid_lo idx full_lo;
-          Array.unsafe_set valid_hi idx full_hi
-        end
-        else Array.unsafe_set valid idx (Array.unsafe_get valid idx lor wbit);
-        Bytes.unsafe_set dirty idx '\001'
-      end
-      else begin
-        (* read of an unvalidated word in a resident block: fetch all *)
-        if mutator then begin
-          incr misses;
-          incr fetches
-        end
-        else begin
-          incr collector_misses;
-          incr collector_fetches
-        end;
-        if attr then begin
-          bump p_misses slot;
-          bump p_fetches slot;
-          bump_heat heat heat_rows heat_cols row_shift col_shift region_time
-            (w lsr 3) p (slot lsr 1)
-        end;
-        Array.unsafe_set valid_lo idx full_lo;
-        Array.unsafe_set valid_hi idx full_hi;
-        if emit then begin
-          Bigarray.Array1.unsafe_set out !op
-            ((mem_block lsl shift3) lor (w land 1));
-          incr op
-        end
-      end
-    end
-    else if kcode = wb_code then begin
-      (* whole-block write-back from the level above *)
-      let old = Array.unsafe_get tags idx in
-      if mutator then incr misses else incr collector_misses;
-      if old >= 0 && Bytes.unsafe_get dirty idx = '\001' then begin
-        incr writebacks;
-        if not mutator then incr collector_writebacks;
-        if emit then begin
-          Bigarray.Array1.unsafe_set out !op
-            ((old lsl shift3) lor (wb_code lsl 1) lor (w land 1));
-          incr op
-        end
-      end;
-      Array.unsafe_set tags idx mem_block;
-      if polk <> 0 then fill_direct pol polk idx;
-      Array.unsafe_set valid_lo idx full_lo;
-      Array.unsafe_set valid_hi idx full_hi;
-      Bytes.unsafe_set dirty idx '\001'
-    end
-    else begin
-      if mutator then begin
-        incr misses;
-        if kcode = 2 then begin
-          incr alloc_misses;
-          if attr then begin
-            bump p_alloc slot;
-            bump site_am !cur_site
-          end
-        end
-      end
-      else incr collector_misses;
-      if attr then begin
-        bump p_misses slot;
-        bump_heat heat heat_rows heat_cols row_shift col_shift region_time
-            (w lsr 3) p (slot lsr 1)
-      end;
-      let old = Array.unsafe_get tags idx in
-      if old >= 0 && Bytes.unsafe_get dirty idx = '\001' then begin
-        incr writebacks;
-        if not mutator then incr collector_writebacks;
-        (* a write-back belongs to the evicted block's region under the
-           map in force now *)
-        if attr then
-          bump p_writebacks
-            ((region_of (old lsl block_shift) !stack_lo !dyn_lo !to_lo
-                !to_hi !from_lo !from_hi
-             lsl 1)
-            lor (w land 1));
-        Bytes.unsafe_set dirty idx '\000';
-        if emit then begin
-          Bigarray.Array1.unsafe_set out !op
-            ((old lsl shift3) lor (wb_code lsl 1) lor (w land 1));
-          incr op
-        end
-      end;
-      Array.unsafe_set tags idx mem_block;
-      if polk <> 0 then fill_direct pol polk idx;
-      if is_store && write_validate && mutator then begin
-        (* allocate the line, validate just this word, fetch nothing *)
-        if high then begin
-          Array.unsafe_set valid_lo idx 0;
-          Array.unsafe_set valid_hi idx wbit
-        end
-        else begin
-          Array.unsafe_set valid_lo idx wbit;
-          Array.unsafe_set valid_hi idx 0
-        end;
-        Bytes.unsafe_set dirty idx '\001'
-      end
-      else begin
-        if mutator then incr fetches else incr collector_fetches;
-        if attr then bump p_fetches slot;
-        Array.unsafe_set valid_lo idx full_lo;
-        Array.unsafe_set valid_hi idx full_hi;
-        if emit then begin
-          Bigarray.Array1.unsafe_set out !op
-            ((mem_block lsl shift3) lor (w land 1));
-          incr op
-        end;
-        if is_store then Bytes.unsafe_set dirty idx '\001'
-      end
+    let slot =
+      (region_of (w lsr 3) !stack_lo !dyn_lo !to_lo !to_hi !from_lo !from_hi
+       lsl 1)
+      lor (w land 1)
+    in
+    charge_event pa slot w !cur_site;
+    let old = Array.unsafe_get la ((w lsr sa) land ma) in
+    let o = direct_step a la sa ma pka w in
+    if o <> 0 then
+      charge_outcome pa o slot w p !cur_site
+        ((region_of (tag_of old lsl a.block_shift) !stack_lo !dyn_lo !to_lo
+            !to_hi !from_lo !from_hi
+         lsl 1)
+        lor (w land 1));
+    if pair then begin
+      charge_event pb slot w !cur_site;
+      let old = Array.unsafe_get lb ((w lsr sb) land mb) in
+      let o = direct_step b lb sb mb pkb w in
+      if o <> 0 then
+        charge_outcome pb o slot w p !cur_site
+          ((region_of (tag_of old lsl b.block_shift) !stack_lo !dyn_lo !to_lo
+              !to_hi !from_lo !from_hi
+           lsl 1)
+          lor (w land 1))
     end
   done;
-  commit t.cnt len !collector_refs !misses !collector_misses !alloc_misses
-    !fetches !collector_fetches !writebacks !collector_writebacks !writes
-    !collector_writes;
-  if attr then begin
-    cur.Attr.ei <- !ei;
-    cur.Attr.si <- !si;
-    cur.Attr.cur_site <- !cur_site;
-    cur.Attr.stack_lo <- !stack_lo;
-    cur.Attr.dyn_lo <- !dyn_lo;
-    cur.Attr.to_lo <- !to_lo;
-    cur.Attr.to_hi <- !to_hi;
-    cur.Attr.from_lo <- !from_lo;
-    cur.Attr.from_hi <- !from_hi;
-    prof.Attr.events_attributed <- prof.Attr.events_attributed + len
+  commit_packed a.cnt len !acc;
+  pa.Attr.events_attributed <- pa.Attr.events_attributed + len;
+  if pair then begin
+    commit_packed b.cnt len !acc;
+    pb.Attr.events_attributed <- pb.Attr.events_attributed + len
   end;
-  !op
+  cur.Attr.ei <- !ei;
+  cur.Attr.si <- !si;
+  cur.Attr.cur_site <- !cur_site;
+  cur.Attr.stack_lo <- !stack_lo;
+  cur.Attr.dyn_lo <- !dyn_lo;
+  cur.Attr.to_lo <- !to_lo;
+  cur.Attr.to_hi <- !to_hi;
+  cur.Attr.from_lo <- !from_lo;
+  cur.Attr.from_hi <- !from_hi
 
-(* The attribution arguments of the loops that do not attribute: never
-   written.  Built from literals rather than [Attr.create],
-   [Attr.cursor] and [Attr.profile_create], whose allocations the
-   hot-path lint would otherwise charge to every chunk. *)
-let no_cursor : Attr.cursor =
-  { Attr.ctab =
-      { Attr.n_epochs = 0; epoch_pos = [||]; epoch_stack_lo = [||];
-        epoch_dyn_lo = [||]; epoch_to_lo = [||]; epoch_to_hi = [||];
-        epoch_from_lo = [||]; epoch_from_hi = [||]; n_runs = 0;
-        run_pos = [||]; run_site = [||]; n_sites = 0; site_names = [||];
-        site_ids = Hashtbl.create 1; sites_clipped = false };
-    ei = -1; si = 0; cur_site = 0; stack_lo = 0; dyn_lo = 0; to_lo = 0;
-    to_hi = 0; from_lo = 0; from_hi = 0 }
+let[@hot] run_attr t cur prof base buf off len =
+  attr_loop false t t cur prof prof base buf off len
 
-let no_profile : Attr.profile =
-  { Attr.refs = [||]; misses = [||]; alloc_misses = [||]; fetches = [||];
-    writebacks = [||]; writes = [||]; site_alloc_misses = [||];
-    site_alloc_writes = [||]; heat = [||]; heat_rows = 1; heat_cols = 1;
-    heat_row_shift = 0; heat_col_shift = 0; region_time = [||];
-    chunks_seen = 0; chunks_attributed = 0; events_attributed = 0;
-    sample_every = 1 }
-
-let[@hot] run_direct t buf off len emit out opos =
-  let polk = policy_kind t in
-  if emit || polk <> 0 then
-    direct_loop t buf off len emit polk out opos false no_cursor no_profile 0
-  else
-    direct_loop t buf off len false 0 out opos false no_cursor no_profile 0
+let[@hot] run_attr2 a b cur pa pb base buf off len =
+  attr_loop true a b cur pa pb base buf off len
 
 (* The chunk step behind both entry points: the geometry alone picks
    the loop. *)
@@ -1240,28 +1346,40 @@ let[@hot] run_chunk t buf off len emit out opos =
   if t.ways = 1 then run_direct t buf off len emit out opos
   else run_sets t buf off len emit out opos
 
-(* Attribution must not reorder or change the simulation, so it is the
-   direct-mapped loop itself with the attributing code switched on. *)
-let[@hot] access_chunk_attr t (cur : Attr.cursor) (prof : Attr.profile)
-    ~base (buf : Chunk.buf) off len =
-  if off < 0 || len < 0 || off + len > Bigarray.Array1.dim buf then
-    invalid_arg "Level.access_chunk_attr";
-  if base < 0 then invalid_arg "Level.access_chunk_attr: negative base";
-  if t.ways <> 1 then
-    invalid_arg "Level.access_chunk_attr: the level is not direct-mapped";
-  if Option.is_some t.fetch_hook || Option.is_some t.writeback_hook then
-    invalid_arg "Level.access_chunk_attr: fill hooks are installed";
-  ignore
-    (direct_loop t buf off len false (policy_kind t) Chunk.empty 0 true cur
-       prof base
-      : int)
-
 let check_range name (buf : Chunk.buf) off len =
   if off < 0 || len < 0 || off + len > Bigarray.Array1.dim buf then
     invalid_arg name
 
 let hooked t =
   Option.is_some t.fetch_hook || Option.is_some t.writeback_hook
+
+let check_attr name t ~base buf off len =
+  check_range name buf off len;
+  if base < 0 then invalid_arg (name ^ ": negative base");
+  if t.ways <> 1 then invalid_arg (name ^ ": the level is not direct-mapped");
+  if hooked t then invalid_arg (name ^ ": fill hooks are installed")
+
+let access_chunk_attr t (cur : Attr.cursor) (prof : Attr.profile) ~base
+    (buf : Chunk.buf) off len =
+  check_attr "Level.access_chunk_attr" t ~base buf off len;
+  let pos = ref off in
+  while !pos < off + len do
+    let n = Int.min stream_span (off + len - !pos) in
+    run_attr t cur prof (base + !pos - off) buf !pos n;
+    pos := !pos + n
+  done
+
+let access_chunk_attr2 a b cur pa pb ~base buf off len =
+  check_attr "Level.access_chunk_attr2" a ~base buf off len;
+  check_attr "Level.access_chunk_attr2" b ~base buf off len;
+  if a == b || pa == pb then
+    invalid_arg "Level.access_chunk_attr2: the two levels or profiles are one";
+  let pos = ref off in
+  while !pos < off + len do
+    let n = Int.min stream_span (off + len - !pos) in
+    run_attr2 a b cur pa pb (base + !pos - off) buf !pos n;
+    pos := !pos + n
+  done
 
 let access_chunk t buf off len =
   check_range "Level.access_chunk" buf off len;
@@ -1277,6 +1395,28 @@ let access_chunk t buf off len =
         access t addr kind phase
     done
   else ignore (run_chunk t buf off len false Chunk.empty 0 : int)
+
+(* The pair loop serves two distinct unhooked one-way levels whose
+   policy word never moves; anything else is the two passes it is
+   equivalent to. *)
+let access_chunk2 a b buf off len =
+  check_range "Level.access_chunk2" buf off len;
+  if
+    a != b && a.ways = 1 && b.ways = 1
+    && (not (hooked a || hooked b))
+    && policy_kind a = 0 && policy_kind b = 0
+  then begin
+    let pos = ref off in
+    while !pos < off + len do
+      let n = Int.min stream_span (off + len - !pos) in
+      run_pair a b buf !pos n;
+      pos := !pos + n
+    done
+  end
+  else begin
+    access_chunk a buf off len;
+    access_chunk b buf off len
+  end
 
 let access_chunk_emit t buf off len ~out ~pos =
   check_range "Level.access_chunk_emit" buf off len;
@@ -1327,10 +1467,9 @@ let same a b =
   (not (hooked a || hooked b))
   && config_equal a.cfg b.cfg
   && Array.for_all2 Int.equal a.cnt b.cnt
-  && Array.for_all2 Int.equal a.tags b.tags
+  && Array.for_all2 Int.equal a.lines b.lines
   && Array.for_all2 Int.equal a.valid_lo b.valid_lo
   && Array.for_all2 Int.equal a.valid_hi b.valid_hi
-  && Bytes.equal a.dirty b.dirty
   && Array.for_all2 Int.equal a.pol b.pol
 
 (* The hint is copied with the state it describes, so it stays a
@@ -1339,10 +1478,9 @@ let copy ~src dst =
   if not (config_equal src.cfg dst.cfg) then
     invalid_arg "Level.copy: the levels' configurations differ";
   let blit a b = Array.blit a 0 b 0 (Array.length a) in
-  blit src.tags dst.tags;
+  blit src.lines dst.lines;
   blit src.valid_lo dst.valid_lo;
   blit src.valid_hi dst.valid_hi;
-  Bytes.blit src.dirty 0 dst.dirty 0 (Bytes.length src.dirty);
   blit src.pol dst.pol;
   blit src.hint dst.hint;
   blit src.cnt dst.cnt
@@ -1352,7 +1490,7 @@ let copy ~src dst =
 let line_valid t ~set ~way =
   if set < 0 || set >= t.nsets || way < 0 || way >= t.ways then
     invalid_arg "Level.line_valid";
-  Array.unsafe_get t.tags ((set * t.ways) + way) >= 0
+  Array.unsafe_get t.lines ((set * t.ways) + way) >= 0
 
 let victim_preview t ~set =
   if set < 0 || set >= t.nsets then invalid_arg "Level.victim_preview";
@@ -1373,11 +1511,12 @@ let policy_words t ~set =
 let line_tag t ~set ~way =
   check_coords "Level.line_tag" t ~set ~way;
   let li = (set * t.ways) + way in
-  t.tags.(li)
+  tag_of t.lines.(li)
 
 let line_dirty t ~set ~way =
   check_coords "Level.line_dirty" t ~set ~way;
-  Bytes.get t.dirty ((set * t.ways) + way) = '\001'
+  let li = (set * t.ways) + way in
+  t.lines.(li) land dirty_bit <> 0
 
 let line_valid_words t ~set ~way =
   check_coords "Level.line_valid_words" t ~set ~way;
@@ -1391,7 +1530,9 @@ let line_valid_words t ~set ~way =
    a restored level continues bit-identically.  Hooks are wiring, not
    state.  Layout: a geometry header (validated on restore), 11
    counters, then the arrays, all as little-endian 64-bit words (dirty
-   bits one byte each). *)
+   bits one byte each).  The line words are split back into the tag
+   and dirty columns of that layout; their full bits are not written,
+   since the valid masks determine them. *)
 
 let snapshot_magic = 0x4C45564C534E4150L (* "LEVLSNAP" *)
 
@@ -1414,10 +1555,12 @@ let snapshot t buf =
   List.iter (fun (_, v) -> add v) (header t);
   let add_array a = Array.iter add a in
   add_array t.cnt;
-  add_array t.tags;
+  Array.iter (fun lw -> add (tag_of lw)) t.lines;
   add_array t.valid_lo;
   add_array t.valid_hi;
-  Buffer.add_bytes buf t.dirty;
+  Array.iter
+    (fun lw -> Buffer.add_char buf (if lw land dirty_bit <> 0 then '\001' else '\000'))
+    t.lines;
   add_array t.pol
 
 let snapshot_bytes t =
@@ -1456,9 +1599,10 @@ let restore t src pos =
   (* Reject a snapshot no access could have produced before loading
      any of it, so a refused restore leaves the level as it was: every
      word must fit a native int, and the fast loops trust tags, valid
-     masks and dirty bytes — a dirty byte of 2, say, would silently
-     drop a write-back.  A tag is a block number, so it belongs in the
-     set its low bits index, and at most once there. *)
+     masks and dirty bytes — a dirty byte of 2, say, would set the
+     line word's full bit.  A tag is a block number, so it belongs in the
+     set its low bits index, and at most once there; and it is the
+     block of some byte address, so it fits a line word. *)
   let lines = t.nsets * t.ways in
   let cnt_at = pos + (8 * (1 + List.length (header t))) in
   let tags_at = cnt_at + (8 * n_counters) in
@@ -1479,6 +1623,9 @@ let restore t src pos =
     let set = i / t.ways in
     if tag < -1 then
       bad (tags_at + (8 * i)) "tag %d below the -1 invalid marker" tag;
+    if tag > max_int lsr t.block_shift then
+      bad (tags_at + (8 * i)) "tag %d beyond the address space of %d-byte blocks"
+        tag t.cfg.block_bytes;
     if tag >= 0 && tag land t.set_mask <> set then
       bad (tags_at + (8 * i)) "tag %d filed in set %d but indexes set %d" tag
         set (tag land t.set_mask);
@@ -1503,12 +1650,16 @@ let restore t src pos =
     done
   in
   read_array t.cnt cnt_at;
-  read_array t.tags tags_at;
   read_array t.valid_lo lo_at;
   read_array t.valid_hi hi_at;
-  Bytes.blit src dirty_at t.dirty 0 lines;
+  for i = 0 to lines - 1 do
+    Array.unsafe_set t.lines i
+      ((tag_at i lsl 2)
+       lor full_if t (Array.unsafe_get t.valid_lo i) (Array.unsafe_get t.valid_hi i)
+       lor Char.code (Bytes.get src (dirty_at + i)))
+  done;
   read_array t.pol pol_at;
-  (* The restored tags/pol invalidate any recency the hint recorded:
+  (* The restored lines/pol invalidate any recency the hint recorded:
      a stale entry could skip a promote that is no longer a no-op. *)
   Array.fill t.hint 0 (Array.length t.hint) (-1);
   pol_at + (8 * Array.length t.pol)

@@ -29,7 +29,17 @@
     The chunk entry points pick their loop from the geometry alone: a
     1-way level runs a direct-indexed loop with no way scan, any
     other level the set-associative one.  Both leave exactly the
-    state and counters the per-event {!access} leaves.
+    state and counters the per-event {!access} leaves.  Every
+    direct-mapped loop is a loop over one per-event step, and
+    {!access_chunk2} steps two direct-mapped levels per event, so a
+    sweep grid replays its cells two per pass over the trace.
+
+    A line is one machine word holding its tag, a "fully valid" bit
+    and its dirty bit; the per-word valid masks are kept exact beside
+    it but read only for a partially valid line.  A hit on a full line
+    is one load and one compare, a store hit one store.  The layout is
+    internal: {!snapshot} writes tags, masks and dirty bits as
+    separate columns.
 
     Replacement state is packed into per-set machine words: exact-LRU
     recency ranks (5-bit fields), Tree-PLRU tree bits, bit-PLRU (MRU)
@@ -75,13 +85,19 @@ val config :
 
 type t
 
+val check : config -> (unit, string * string) result
+(** The geometry rule {!create} applies: [Ok ()] when it accepts the
+    configuration, otherwise the name of the offending field
+    (["size_bytes"], ["block_bytes"] or ["ways"]) and the reason.
+    Refused: a block that is not a power of two, smaller than a word
+    or wider than 64 words (the valid-mask width), a size that is not
+    a multiple of the block, a non-power-of-two set count, ways
+    outside 1..32, or a non-power-of-two way count under Tree-PLRU. *)
+
 val create : config -> t
 (** Fresh, empty level.
-    @raise Invalid_argument on unsupported geometry: a block that is
-    not a power of two, smaller than a word or wider than 64 words (the
-    valid-mask width), a size that is not a multiple of the block, a
-    non-power-of-two set count, ways outside 1..32, or a
-    non-power-of-two way count under Tree-PLRU. *)
+    @raise Invalid_argument with {!check}'s reason on a configuration
+    it refuses. *)
 
 val geometry : t -> config
 val num_sets : t -> int
@@ -122,6 +138,15 @@ val access_chunk : t -> Chunk.buf -> int -> int -> unit
     levels fall back to the per-event path so hook order is exact.
     @raise Invalid_argument when the range is out of bounds. *)
 
+val access_chunk2 : t -> t -> Chunk.buf -> int -> int -> unit
+(** [access_chunk2 a b buf off len] leaves [a] and [b] exactly as
+    [access_chunk a buf off len] followed by [access_chunk b buf off
+    len] would.  When [a] and [b] are distinct unhooked 1-way levels
+    under LRU or Tree-PLRU (the paper's direct-mapped cells), it reads
+    each event once and steps both levels on it; otherwise it is those
+    two passes.
+    @raise Invalid_argument when the range is out of bounds. *)
+
 val access_chunk_emit :
   t -> Chunk.buf -> int -> int -> out:Chunk.buf -> pos:int -> int
 (** [access_chunk_emit t buf off len ~out ~pos] is {!access_chunk}
@@ -154,6 +179,18 @@ val access_chunk_attr :
     @raise Invalid_argument when the range is out of bounds, [base] is
     negative, the level has more than one way, or fill hooks are
     installed. *)
+
+val access_chunk_attr2 :
+  t -> t -> Attr.cursor -> Attr.profile -> Attr.profile -> base:int ->
+  Chunk.buf -> int -> int -> unit
+(** [access_chunk_attr2 a b cur pa pb ~base buf off len] leaves [a],
+    [b], [pa] and [pb] as [access_chunk_attr a cur pa] and
+    [access_chunk_attr b cur' pb] over the same range would, with
+    [cur'] a copy of [cur]: one cursor serves both levels, since they
+    see the same events.  Each event is read, and its region found,
+    once.
+    @raise Invalid_argument as {!access_chunk_attr} for either level,
+    or when the two levels or the two profiles are one. *)
 
 val stats : t -> Cache.stats
 (** The level's counters. *)
@@ -234,6 +271,7 @@ val restore : t -> Bytes.t -> int -> int
     @raise Invalid_argument on a truncated, foreign, or
     geometry-mismatched snapshot, and — naming the byte offset in
     [src] — on a word that does not fit a native int, a tag below the
-    [-1] invalid marker, a valid tag filed in a set its low bits do
-    not index, a block resident in two ways of one set, valid bits
-    beyond the block, or a dirty byte other than 0 or 1. *)
+    [-1] invalid marker, a tag beyond the blocks of the address space,
+    a valid tag filed in a set its low bits do not index, a block
+    resident in two ways of one set, valid bits beyond the block, or a
+    dirty byte other than 0 or 1. *)

@@ -301,6 +301,10 @@ let set_tail t n =
   if n < 0 || n >= t.chunk_events then invalid_arg "Recording.set_tail";
   t.cur_len <- n
 
+let checkin t n =
+  set_tail t n;
+  t.direct <- false
+
 (* --- In-memory access --------------------------------------------------- *)
 
 (* A slab wider than the default chunk (a mapped v3 file is one slab

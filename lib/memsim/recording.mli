@@ -142,8 +142,9 @@ val pool_stats : unit -> pool_stats
     {!Chunk} codec) with plain stores and bumps its own cursor copy.
     When the cursor reaches {!chunk_events}, call {!seal_full} and
     continue at 0 in the fresh slab it returns.  Before anything reads
-    the recording, publish the cursor with {!set_tail}.  While checked
-    out, {!sink}/appends raise. *)
+    the recording, publish the cursor with {!set_tail}, and end the
+    checkout with {!checkin}.  While checked out, {!sink}/appends
+    raise. *)
 
 val checkout : t -> Chunk.buf * int
 (** [checkout t] is the current slab and the cursor to continue at
@@ -160,6 +161,11 @@ val set_tail : t -> int -> unit
 (** Publish the direct writer's cursor as the current slab's length so
     readers ({!length}, {!iter_chunks}, {!save}, …) see the tail.
     Idempotent; call whenever the recording must be consistent.
+    @raise Invalid_argument outside [0, chunk_events). *)
+
+val checkin : t -> int -> unit
+(** End the direct writer's checkout: publish its cursor as
+    {!set_tail} does, after which {!append} is accepted again.
     @raise Invalid_argument outside [0, chunk_events). *)
 
 (** {1 In-memory access} *)

@@ -218,24 +218,62 @@ let replay_tree hiers recording ~from_ ~until root =
   in
   settle root
 
+(* What one claim of the pool does. *)
+type claim =
+  | Idle                 (* a follower's, or a pair partner's *)
+  | Alone                (* an unshared root: its own [Hier.access_chunk] *)
+  | Pair of int          (* this unshared direct-mapped cell and that one *)
+  | Tree of node         (* a shared prefix tree *)
+
+(* A one-level hierarchy over a 1-way level: what a grid cell is.  A
+   one-level hierarchy is never hooked. *)
+let pairable hiers i =
+  depth_of hiers.(i) = 1 && Level.num_ways (Hier.level hiers.(i) 0) = 1
+
+(* The claims, by index.  Unshared pairable roots pair up in index
+   order; an odd one out stays [Alone]. *)
+let claims hiers roots =
+  let rec go acc pending = function
+    | [] -> (
+      match pending with
+      | None -> acc
+      | Some i -> (i, Alone) :: acc)
+    | ({ followers = _ :: _; _ } as root) :: rest ->
+      go ((root.lead, Tree root) :: acc) pending rest
+    | { lead; followers = []; _ } :: rest -> (
+      match pending with
+      | _ when not (pairable hiers lead) -> go ((lead, Alone) :: acc) pending rest
+      | None -> go acc (Some lead) rest
+      | Some i -> go ((i, Pair lead) :: acc) None rest)
+  in
+  go [] None roots
+
 (* The pool claims hierarchies by index.  The claim of a tree's root
    leader replays the whole tree, and a root follower's claim has
-   nothing to do.  A root without followers shares nothing and
-   replays through its own [Hier.access_chunk]: every one-hierarchy
-   replay, and every hooked hierarchy (hooked levels are never
-   [same]), takes the unshared path that is the shared one's oracle.
-   Trees touch disjoint hierarchies over a read-only sealed recording,
-   so every path below is bit-identical to a serial replay of each
-   hierarchy alone. *)
+   nothing to do.  Two unshared grid cells are one claim: the first
+   index replays both through [Level.access_chunk2], reading each
+   event once, and its partner's claim has nothing to do.  Any other
+   root without followers shares nothing and replays through its own
+   [Hier.access_chunk]: every one-hierarchy replay, and every hooked
+   hierarchy (hooked levels are never [same]), takes the unshared
+   path that is the shared one's oracle.  Claims touch disjoint
+   hierarchies over a read-only sealed recording, so every path below
+   is bit-identical to a serial replay of each hierarchy alone. *)
 let replay ~jobs hiers recording ~from_ ~until =
-  let roots = nodes hiers 0 (List.init (Array.length hiers) Fun.id) in
+  let claims =
+    claims hiers (nodes hiers 0 (List.init (Array.length hiers) Fun.id))
+  in
   parallel_for ~jobs (Array.length hiers) (fun i ->
-      match List.find_opt (fun root -> root.lead = i) roots with
-      | None -> ()
-      | Some { followers = []; _ } ->
+      match Option.value ~default:Idle (List.assoc_opt i claims) with
+      | Idle -> ()
+      | Alone ->
         replay_range recording ~from_ ~until (fun ~base:_ buf off len ->
             Hier.access_chunk hiers.(i) buf off len)
-      | Some root -> replay_tree hiers recording ~from_ ~until root)
+      | Pair j ->
+        let a = Hier.level hiers.(i) 0 and b = Hier.level hiers.(j) 0 in
+        replay_range recording ~from_ ~until (fun ~base:_ buf off len ->
+            Level.access_chunk2 a b buf off len)
+      | Tree root -> replay_tree hiers recording ~from_ ~until root)
 
 let hier_run_parallel ~jobs hiers recording =
   replay ~jobs hiers recording ~from_:0 ~until:(Recording.length recording)
@@ -246,10 +284,12 @@ let run_parallel ~jobs t recording = hier_run_parallel ~jobs t.hiers recording
 
 (* --- Attributed replay --------------------------------------------------- *)
 
-(* Each claimed level gets a private cursor and profile, so the only
-   state shared between domains is read-only (the recording's sealed
-   slabs and the completed side table) or partitioned by level index
-   (the profile array). *)
+(* Cells pair up as in [replay]: the claim of an even index replays
+   that cell and the next through one cursor, and an odd index's claim
+   has nothing to do; a last odd cell replays alone.  Each claim gets
+   a private cursor, so the only state shared between domains is
+   read-only (the recording's sealed slabs and the completed side
+   table) or partitioned by level index (the profile array). *)
 let run_attributed ?(jobs = 1) ?(sample_every = 1) ?heat_rows ?heat_cols
     ~addr_limit t table recording =
   if sample_every < 1 then
@@ -263,20 +303,32 @@ let run_attributed ?(jobs = 1) ?(sample_every = 1) ?heat_rows ?heat_cols
           ~addr_limit ~events ())
       t.levels
   in
-  parallel_for ~jobs (Array.length t.levels) (fun i ->
-      let l = t.levels.(i) in
-      let prof = profiles.(i) in
-      let cur = Attr.cursor table in
-      let chunk_no = ref 0 in
-      replay_range recording ~from_:0 ~until:events (fun ~base buf off len ->
-          let cn = !chunk_no in
-          chunk_no := cn + 1;
+  let n = Array.length t.levels in
+  parallel_for ~jobs n (fun i ->
+      if i land 1 = 0 then begin
+        let a = t.levels.(i) and pa = profiles.(i) in
+        let partner =
+          if i + 1 < n then Some (t.levels.(i + 1), profiles.(i + 1)) else None
+        in
+        let note attributed (prof : Attr.profile) =
           prof.Attr.chunks_seen <- prof.Attr.chunks_seen + 1;
-          if cn mod sample_every = 0 then begin
-            prof.Attr.chunks_attributed <- prof.Attr.chunks_attributed + 1;
-            Level.access_chunk_attr l cur prof ~base buf off len
-          end
-          else Level.access_chunk l buf off len));
+          if attributed then
+            prof.Attr.chunks_attributed <- prof.Attr.chunks_attributed + 1
+        in
+        let cur = Attr.cursor table in
+        let chunk_no = ref 0 in
+        replay_range recording ~from_:0 ~until:events (fun ~base buf off len ->
+            let attributed = !chunk_no mod sample_every = 0 in
+            incr chunk_no;
+            note attributed pa;
+            Option.iter (fun (_, pb) -> note attributed pb) partner;
+            match (partner, attributed) with
+            | None, true -> Level.access_chunk_attr a cur pa ~base buf off len
+            | None, false -> Level.access_chunk a buf off len
+            | Some (b, pb), true ->
+              Level.access_chunk_attr2 a b cur pa pb ~base buf off len
+            | Some (b, _), false -> Level.access_chunk2 a b buf off len)
+      end);
   profiles
 
 (* --- Checkpoint / resume ------------------------------------------------ *)

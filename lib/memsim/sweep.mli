@@ -17,7 +17,8 @@
       event).  The oracle the others are tested against.
     - {!run_serial} / {!run_parallel}: replay a completed {!Recording},
       whole prefix trees of hierarchies claimed across [jobs] domains
-      by {!parallel_for}. *)
+      by {!parallel_for}; unshared direct-mapped cells are claimed two
+      at a time and replayed in one pass ({!Level.access_chunk2}). *)
 
 val paper_cache_sizes : int list
 (** The §4 cache sizes: 32 KB to 4 MB in powers of two. *)
@@ -106,11 +107,14 @@ val run_attributed :
     in configuration order, attributing misses, fetches, writes and
     write-backs by (region x phase), allocation site and
     (address x time) heat bucket against the side [table] captured
-    with the recording.  Line contents and aggregate statistics are
-    bit-identical to {!run_serial}.  [sample_every] attributes only
-    every Nth chunk (the rest replay through the plain fast path, so
-    aggregate statistics are still exact); [addr_limit] is the
-    simulated memory size in bytes, used to scale the heat grid.
+    with the recording.  Cells are replayed two per pass
+    ({!Level.access_chunk_attr2}); each profile equals the one a
+    one-cell sweep of that cell returns.  Line contents and aggregate
+    statistics are bit-identical to {!run_serial}.  [sample_every]
+    attributes only every Nth chunk (the rest replay through the plain
+    fast path, so aggregate statistics are still exact); [addr_limit]
+    is the simulated memory size in bytes, used to scale the heat
+    grid.
     @raise Invalid_argument as {!Level.access_chunk_attr} (every cell
     must be direct-mapped), or when [sample_every < 1]. *)
 

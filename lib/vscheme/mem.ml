@@ -109,9 +109,14 @@ let sync_recording t =
 (* Once the recording's owner may release it, this memory must stop
    aliasing its current slab: later traced accesses (a printer, a test
    poking the returned machine) would otherwise store into a slab
-   that already belongs to another recording. *)
+   that already belongs to another recording.  The recording's
+   checkout ends here too, so its owner may append to it. *)
 let finish_recording t =
-  sync_recording t;
+  (match t.recording with
+   | None -> ()
+   | Some r ->
+     Memsim.Recording.checkin r t.cursor;
+     flush_phase_counts t);
   t.recording <- None;
   t.direct <- false;
   t.slab <- Memsim.Chunk.empty;

@@ -68,6 +68,21 @@ let hier_configs =
        ())
   ]
 
+let level_bytes l =
+  let b = Buffer.create (Level.snapshot_bytes l) in
+  Level.snapshot l b;
+  Buffer.to_bytes b
+
+(* A level equals the restore of its own snapshot: the line words'
+   full bits, which snapshots do not carry, agree with the valid
+   masks [restore] derives them from.  A hooked level is not [same]
+   even as itself, and has nothing to compare. *)
+let restores_same l =
+  let r = Level.create (Level.geometry l) in
+  ignore (Level.restore r (level_bytes l) 0 : int);
+  (not (Level.same l l)) || Level.same l r
+
+(* [a] the reference, [b] the engine under test. *)
 let check_levels_identical name (a : Hier.t) (b : Hier.t) =
   let sa = Hier.stats a and sb = Hier.stats b in
   Alcotest.(check int) (name ^ ": level count") (Array.length sa)
@@ -77,7 +92,15 @@ let check_levels_identical name (a : Hier.t) (b : Hier.t) =
       Alcotest.(check bool)
         (Printf.sprintf "%s: L%d stats bit-identical" name (i + 1))
         true
-        (s = sb.(i)))
+        (s = sb.(i));
+      let la = Hier.level a i and lb = Hier.level b i in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: L%d snapshot bytes identical" name (i + 1))
+        true
+        (Bytes.equal (level_bytes la) (level_bytes lb));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: L%d line words agree with masks" name (i + 1))
+        true (restores_same lb))
     sa
 
 let drive_chunks h recording =
@@ -147,11 +170,47 @@ let test_level_matches_cache () =
                   Alcotest.(check bool)
                     (what ^ ": direct-mapped loop snapshot = per-event")
                     true
-                    (String.equal (snap chunked) (snap per_event)))
+                    (String.equal (snap chunked) (snap per_event));
+                  Alcotest.(check bool)
+                    (what ^ ": direct-mapped loop line words = per-event")
+                    true
+                    (Level.same chunked per_event))
                 policies)
             geometries)
         [ Memsim.Cache.Write_validate; Memsim.Cache.Fetch_on_write ])
     Workloads.Workload.all
+
+(* The direct-mapped loops pack three stream counters into 21-bit
+   fields of one word.  One chunk of more than 2^21 collector stores —
+   every field's worst case — through [access_chunk] and
+   [access_chunk2] must count exactly what the per-event oracle
+   counts. *)
+let test_long_chunk_counts () =
+  let n = (1 lsl 21) + 5 in
+  let word i = ((((i land 1023) * 4) lsl 3) lor (1 lsl 1)) lor 1 in
+  let buf = Memsim.Chunk.create_buf n in
+  for i = 0 to n - 1 do
+    Bigarray.Array1.set buf i (word i)
+  done;
+  let mk size =
+    Level.create
+      (Level.config ~size_bytes:size ~block_bytes:32 ~ways:1 ())
+  in
+  let oracle = mk 1024 in
+  for i = 0 to n - 1 do
+    Level.access oracle (i land 1023 * 4) Memsim.Trace.Write
+      Memsim.Trace.Collector
+  done;
+  let single = mk 1024 and a = mk 1024 and b = mk 2048 in
+  Level.access_chunk single buf 0 n;
+  Level.access_chunk2 a b buf 0 n;
+  List.iter
+    (fun (what, l) ->
+      Alcotest.(check bool) (what ^ " = per-event") true
+        (Level.stats l = Level.stats oracle))
+    [ ("access_chunk", single); ("access_chunk2 first", a) ];
+  Alcotest.(check int) "access_chunk2 second: collector writes" n
+    (Level.stats b).Memsim.Cache.collector_writes
 
 (* --- sweep engines over hierarchies ---------------------------------- *)
 
@@ -540,11 +599,6 @@ let replayed_level pidx raw_ways wv events =
   Level.access_chunk l buf 0 (List.length words);
   l
 
-let level_snapshot l =
-  let b = Buffer.create (Level.snapshot_bytes l) in
-  Level.snapshot l b;
-  Buffer.to_bytes b
-
 let gen_events =
   QCheck.(
     list_of_size Gen.(int_range 0 120)
@@ -582,7 +636,7 @@ let prop_same_is_snapshot_equality =
       let a = replayed_level pidx ways true events in
       let b = replayed_level pidx ways (how <> 1) events' in
       Bool.equal (Level.same a b)
-        (Bytes.equal (level_snapshot a) (level_snapshot b)))
+        (Bytes.equal (level_bytes a) (level_bytes b)))
 
 (* One tag, valid word, dirty byte, counter or policy word of a
    snapshot mutated, sometimes to a 64-bit word no native int holds:
@@ -610,7 +664,7 @@ let prop_restore_mutated =
                         int ) ]))))
     (fun (pidx, ways, events, (field, idx, v)) ->
       let l = replayed_level pidx ways true events in
-      let snap = level_snapshot l in
+      let snap = level_bytes l in
       let lines = Level.num_sets l * Level.num_ways l in
       (* magic and 6 geometry words, 11 counters, the line arrays, then
          the policy words *)
@@ -633,21 +687,133 @@ let prop_restore_mutated =
        | 4 when pol_words > 0 -> set_word (pol + (8 * (idx mod pol_words)))
        | _ -> set_word (counters + (8 * (idx mod 11))));
       let fresh = replayed_level pidx ways true [] in
-      let before = level_snapshot fresh in
+      let before = level_bytes fresh in
       match Level.restore fresh b 0 with
       | next ->
-        next = Bytes.length b && Bytes.equal (level_snapshot fresh) b
+        next = Bytes.length b && Bytes.equal (level_bytes fresh) b
       | exception Invalid_argument msg -> (
         match Scanf.sscanf msg "Level.restore: byte %d:" (fun at -> at) with
         | at ->
           if not (at >= counters && at < Bytes.length b) then
             QCheck.Test.fail_reportf "refusal at byte %d: %s" at msg;
-          if not (Bytes.equal (level_snapshot fresh) before) then
+          if not (Bytes.equal (level_bytes fresh) before) then
             QCheck.Test.fail_reportf "refused restore changed the level: %s"
               msg;
           true
         | exception (Scanf.Scan_failure _ | End_of_file | Failure _) ->
           QCheck.Test.fail_reportf "unlocated refusal: %s" msg))
+
+(* --- line-word properties ---------------------------------------------- *)
+
+(* A random direct-mapped geometry: 1-64 sets of 4-256-byte blocks,
+   either write-miss policy, and mostly the paper's LRU (the paired
+   loop) with the other policies mixed in (the two-pass fallback). *)
+let gen_direct =
+  QCheck.Gen.(
+    map
+      (fun (((sets_log, block_log), wv), pidx) ->
+        let block = 4 lsl block_log in
+        Level.config
+          ~policy:all_policies_arr.(pidx)
+          ~write_miss_policy:
+            (if wv then Memsim.Cache.Write_validate
+             else Memsim.Cache.Fetch_on_write)
+          ~size_bytes:((1 lsl sets_log) * block) ~block_bytes:block ~ways:1 ())
+      (pair
+         (pair (pair (int_range 0 6) (int_range 0 6)) bool)
+         (frequency
+            [ (4, return 0);
+              (1, int_range 0 (Array.length all_policies_arr - 1)) ])))
+
+let print_direct (c : Level.config) =
+  Printf.sprintf "%db/%db %s %s" c.Level.size_bytes c.Level.block_bytes
+    (Level.policy_label c.Level.policy)
+    (Memsim.Cache.write_miss_label c.Level.write_miss_policy)
+
+(* Packed events over a 16 KB region (so wide blocks see their high
+   words and small caches conflict), kind codes 0-2 with some kind-3
+   write-backs, both phases. *)
+let gen_words =
+  QCheck.Gen.(
+    list_size (int_range 0 400)
+      (map
+         (fun ((word, kcode), ph) -> ((word * 4) lsl 3) lor (kcode lsl 1) lor ph)
+         (pair
+            (pair (int_range 0 4095)
+               (frequency [ (6, int_range 0 2); (1, return 3) ]))
+            (int_range 0 1))))
+
+(* [access_chunk2 a b] over a trace split into two chunks leaves both
+   levels [same] as the two single passes. *)
+let prop_chunk2_is_two_passes =
+  QCheck.Test.make ~count:500
+    ~name:"access_chunk2 a b = access_chunk a then access_chunk b"
+    QCheck.(
+      make
+        ~print:(fun (a, b, words, cut) ->
+          Printf.sprintf "a=%s b=%s cut=%d words=[%s]" (print_direct a)
+            (print_direct b) cut
+            (String.concat ";" (List.map string_of_int words)))
+        Gen.(quad gen_direct gen_direct gen_words (int_range 0 400)))
+    (fun (ca, cb, words, cut) ->
+      let buf = Memsim.Chunk.of_array (Array.of_list words) in
+      let n = List.length words in
+      let cut = min cut n in
+      let pa = Level.create ca and pb = Level.create cb in
+      Level.access_chunk2 pa pb buf 0 cut;
+      Level.access_chunk2 pa pb buf cut (n - cut);
+      let sa = Level.create ca and sb = Level.create cb in
+      List.iter
+        (fun l ->
+          Level.access_chunk l buf 0 cut;
+          Level.access_chunk l buf cut (n - cut))
+        [ sa; sb ];
+      Level.same pa sa && Level.same pb sb)
+
+(* A snapshot of any level restores into a fresh one whose own
+   snapshot is the same bytes, and the two continue identically. *)
+let prop_line_word_roundtrip =
+  QCheck.Test.make ~count:300
+    ~name:"snapshot, restore, re-snapshot: same bytes, same future"
+    QCheck.(
+      make
+        ~print:(fun ((pidx, ways, block_log, wv), w1, w2) ->
+          Printf.sprintf "policy=%d ways=%d block=%d wv=%b |w1|=%d |w2|=%d"
+            pidx ways (4 lsl block_log) wv (List.length w1) (List.length w2))
+        Gen.(
+          triple
+            (quad
+               (int_range 0 (Array.length all_policies_arr - 1))
+               (int_range 1 8) (int_range 0 6) bool)
+            gen_words gen_words))
+    (fun ((pidx, raw_ways, block_log, wv), w1, w2) ->
+      let policy = all_policies_arr.(pidx) in
+      let ways = ways_for policy raw_ways in
+      let block = 4 lsl block_log in
+      let cfg =
+        Level.config ~policy
+          ~write_miss_policy:
+            (if wv then Memsim.Cache.Write_validate
+             else Memsim.Cache.Fetch_on_write)
+          ~size_bytes:(4 * ways * block) ~block_bytes:block ~ways ()
+      in
+      let feed l words =
+        let buf = Memsim.Chunk.of_array (Array.of_list words) in
+        Level.access_chunk l buf 0 (List.length words)
+      in
+      let l = Level.create cfg in
+      feed l w1;
+      let snap = level_bytes l in
+      let r = Level.create cfg in
+      let next = Level.restore r snap 0 in
+      let roundtrip =
+        next = Bytes.length snap
+        && Bytes.equal (level_bytes r) snap
+        && Level.same l r
+      in
+      feed l w2;
+      feed r w2;
+      roundtrip && Level.same l r)
 
 let workload_cases =
   List.map
@@ -673,7 +839,9 @@ let () =
     [ ("differential", workload_cases);
       ("level",
        [ Alcotest.test_case "1-way level = direct-mapped cache" `Quick
-           test_level_matches_cache
+           test_level_matches_cache;
+         Alcotest.test_case "long chunk counts exactly" `Quick
+           test_long_chunk_counts
        ]);
       ("sweep",
        [ Alcotest.test_case "parallel = serial" `Slow
@@ -694,6 +862,8 @@ let () =
        List.map QCheck_alcotest.to_alcotest
          [ prop_victim_valid;
            prop_same_is_snapshot_equality;
-           prop_restore_mutated
+           prop_restore_mutated;
+           prop_chunk2_is_two_passes;
+           prop_line_word_roundtrip
          ])
     ]

@@ -1188,6 +1188,29 @@ let test_pool_poisoned_slabs () =
       poison ())
     [ true; false ]
 
+(* A finished run hands its caller a recording it owns outright: on
+   the direct-writer path as on the sink path, one more append through
+   the recording's sink is accepted and grows it by one event. *)
+let test_finished_recording_appends () =
+  List.iter
+    (fun direct ->
+      let path = if direct then "direct" else "sink" in
+      let _, r =
+        Core.Runner.record ~direct ~scale:1 Workloads.Workload.nbody
+      in
+      let n = Memsim.Recording.length r in
+      (match
+         (Memsim.Recording.sink r).Memsim.Trace.access 64 Memsim.Trace.Write
+           Memsim.Trace.Mutator
+       with
+       | () -> ()
+       | exception Invalid_argument msg ->
+         Alcotest.fail (path ^ ": append after the run refused: " ^ msg));
+      Alcotest.(check int) (path ^ ": one more event") (n + 1)
+        (Memsim.Recording.length r);
+      Memsim.Recording.release r)
+    [ true; false ]
+
 (* [clear] pools a recording's sealed slabs as [release] does, and
    keeps its current slab.  Poison every slab the cleared recording
    had: a re-recording drawn from the pool, on either producer path,
@@ -1889,6 +1912,8 @@ let () =
             test_pool_poisoned_slabs;
           Alcotest.test_case "cleared slabs poisoned, re-record equal" `Quick
             test_pool_clear_poisoned;
+          Alcotest.test_case "finished recording accepts appends" `Quick
+            test_finished_recording_appends;
           Alcotest.test_case "mapped v3 view never pooled" `Quick
             test_pool_skips_mapped_view;
           Alcotest.test_case "released recording is empty" `Quick

@@ -144,6 +144,46 @@ let test_conservation_sampled () =
 
 (* A collected run must attribute real traffic to the dynamic regions
    and to at least one non-runtime allocation site. *)
+(* [run_attributed] replays cells two per pass, through one cursor; a
+   one-cell sweep replays alone.  Over three cells (a pair and an odd
+   one), fully attributed and sampled, every profile and every cell's
+   counters equal those of the cell's own one-cell replay. *)
+let test_paired_equals_alone () =
+  let _r, recording, table, addr_limit =
+    Core.Profile.capture
+      ~gc:(Vscheme.Machine.Cheney { semispace_bytes = 65536 })
+      ~scale:1 Workloads.Workload.nbody
+  in
+  let configs =
+    [ Memsim.Level.config ~size_bytes:(32 * 1024) ~block_bytes:32 ~ways:1 ();
+      Memsim.Level.config ~size_bytes:(256 * 1024) ~block_bytes:128 ~ways:1
+        ~write_miss_policy:Memsim.Cache.Fetch_on_write ();
+      Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:16 ~ways:1 () ]
+  in
+  List.iter
+    (fun sample_every ->
+      let swept = Memsim.Sweep.create configs in
+      let profiles =
+        Memsim.Sweep.run_attributed ~sample_every ~addr_limit swept table
+          recording
+      in
+      List.iteri
+        (fun i cfg ->
+          let alone = Memsim.Sweep.create [ cfg ] in
+          let prof =
+            Memsim.Sweep.run_attributed ~sample_every ~addr_limit alone table
+              recording
+          in
+          let what = Printf.sprintf "cell %d, 1-in-%d" i sample_every in
+          Alcotest.(check bool) (what ^ ": profile = alone") true
+            (profiles.(i) = prof.(0));
+          Alcotest.(check bool) (what ^ ": stats = alone") true
+            (snd (List.nth (Memsim.Sweep.results swept) i)
+             = snd (List.hd (Memsim.Sweep.results alone))))
+        configs)
+    [ 1; 3 ];
+  Memsim.Recording.release recording
+
 let test_attribution_is_meaningful () =
   let _r, recording, table, addr_limit =
     Core.Profile.capture
@@ -524,6 +564,8 @@ let () =
             test_conservation_parallel;
           Alcotest.test_case "sampled replay" `Quick
             test_conservation_sampled;
+          Alcotest.test_case "paired cells = each alone" `Quick
+            test_paired_equals_alone;
           Alcotest.test_case "attribution is meaningful" `Quick
             test_attribution_is_meaningful
         ] );

@@ -423,6 +423,35 @@ let test_malformed_submission_is_error () =
        | Error msg -> Alcotest.fail msg);
       Serve.Sched.shutdown sched)
 
+(* A grid cell no level can be built for is refused at submit, naming
+   the manifest field and value, and leaves no trace: the submitted
+   counter and the journal are as they were. *)
+let test_bad_geometry_refused () =
+  with_spool (fun dir ->
+      let sched = Serve.Sched.create ~config:(quiet_config 1) dir in
+      let journal () =
+        let path = Filename.concat dir "journal.jsonl" in
+        if Sys.file_exists path then
+          In_channel.with_open_bin path In_channel.input_all
+        else ""
+      in
+      let before = journal () in
+      List.iter
+        (fun (r, field, value) ->
+          match Serve.Sched.submit sched (run_text r) with
+          | Ok id -> Alcotest.failf "%s %s accepted as job %d" field value id
+          | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "refusal names %s %s: %s" field value msg)
+              true
+              (contains msg field && contains msg value))
+        [ (small_run ~cache:48000 (), "cache-sizes", "48000");
+          (small_run ~block:512 (), "block-sizes", "512") ];
+      Alcotest.(check int) "nothing submitted" 0
+        (Serve.Sched.counter_value sched "submitted");
+      Alcotest.(check string) "journal unchanged" before (journal ());
+      Serve.Sched.shutdown sched)
+
 let test_failure_names_job () =
   with_spool (fun dir ->
       let sched = Serve.Sched.create ~config:(quiet_config 1) dir in
@@ -812,6 +841,8 @@ let () =
       ( "errors",
         [ Alcotest.test_case "malformed manifest is a structured error" `Quick
             test_malformed_submission_is_error;
+          Alcotest.test_case "unbuildable geometry refused at submit" `Quick
+            test_bad_geometry_refused;
           Alcotest.test_case "failures carry job id and name" `Quick
             test_failure_names_job
         ] );
