@@ -192,12 +192,16 @@ let measure_sweep () =
   in
   let serial_sw = grid () in
   let (), serial_s =
-    time (fun () -> Memsim.Sweep.run_serial serial_sw recording)
+    time (fun () ->
+        Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers serial_sw) recording)
   in
   let jobs = if Core.Runner.jobs () > 1 then Core.Runner.jobs () else 4 in
   let parallel_sw = grid () in
   let (), parallel_s =
-    time (fun () -> Memsim.Sweep.run_parallel ~jobs parallel_sw recording)
+    time (fun () ->
+        Memsim.Sweep.hier_run_parallel ~jobs
+          (Memsim.Sweep.hiers parallel_sw)
+          recording)
   in
   let identical =
     Memsim.Sweep.results serial_sw = Memsim.Sweep.results parallel_sw
@@ -514,7 +518,8 @@ let measure_attribution () =
      wall times, and one run of each is too noisy to hold it to. *)
   let fresh () = Memsim.Sweep.create configs in
   let plain_s, plain_sw =
-    best fresh (fun sw -> Memsim.Sweep.run_serial sw recording)
+    best fresh (fun sw ->
+        Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers sw) recording)
   in
   let attr_s, attr_sw =
     best fresh (fun sw ->

@@ -313,16 +313,30 @@ let run_workload w hier ((cache_bytes, block_bytes) as geometry) policy gc
        tel);
   write_telemetry tel ~metrics ~trace_events
 
+(* [--jobs N] under the rule REPRO_JOBS follows (Units.parse_count):
+   a bad count exits 1 naming the flag and the value, before [k] runs
+   anything. *)
+let with_jobs jobs k =
+  match Option.map Core.Units.parse_count jobs with
+  | None -> k ()
+  | Some (Ok n) ->
+    Core.Runner.set_jobs n;
+    k ()
+  | Some (Error msg) ->
+    Format.eprintf "repro: --jobs: %s@." msg;
+    1
+
 (* [repro run] targets are experiment ids or workload names (none: every
    experiment); workloads go through the simulated cache with the
    telemetry flags.  The experiments of one invocation share a single
    telemetry document, begun before the first of them runs, so it
-   carries every sweep.* gauge they publish (wall time, throughput, the
-   producer/consumer rates); each workload writes its own, so the two
-   kinds cannot share a --metrics or --trace-events file. *)
+   carries the runner.* trace-memo counters of the whole invocation;
+   each workload writes its own, so the two kinds cannot share a
+   --metrics or --trace-events file.  Every experiment measures one
+   recording at a time and claims its caches across --jobs domains. *)
 let run_targets targets hier geometry policy gc scale metrics trace_events
     jobs =
-  Option.iter Core.Runner.set_jobs jobs;
+  with_jobs jobs @@ fun () ->
   let classified =
     if targets = [] then
       List.map (fun e -> `Experiment e) Core.Experiments.all
@@ -409,7 +423,7 @@ let record_report format out_path w (r, recording) =
      /. float_of_int (max 1 (Memsim.Recording.length recording)))
 
 let record names out_path scale format gc heap_bytes attr_out jobs =
-  Option.iter Core.Runner.set_jobs jobs;
+  with_jobs jobs @@ fun () ->
   let resolved = List.map (fun n -> (n, Workloads.Workload.find n)) names in
   match List.find_opt (fun (_, w) -> w = None) resolved with
   | Some (name, _) ->
@@ -787,7 +801,7 @@ let render_profile ppf (p : Obs.Profile.t) ~heatmap =
 let profile_target name trace attr_path (cache_bytes, block_bytes) policy gc
     heap_bytes scale sample_every heat_rows heat_cols json_out folded_out
     trace_events no_heatmap jobs =
-  Option.iter Core.Runner.set_jobs jobs;
+  with_jobs jobs @@ fun () ->
   if sample_every < 1 then begin
     Format.eprintf "profile: --sample must be at least 1@.";
     1
@@ -965,12 +979,14 @@ let trace_events_arg =
                  $(docv) (load in chrome://tracing or Perfetto)")
 
 let jobs_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some string) None
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for the experiments' cache-grid sweeps \
-                 (default: \\$(b,REPRO_JOBS), else 1).  Results are \
-                 parallelism-invariant: per-cache statistics are \
-                 bit-identical to a serial sweep")
+           ~doc:"Worker domains (a positive integer; default: \
+                 \\$(b,REPRO_JOBS), else 1).  An experiment replays one \
+                 recording at a time and claims its caches across the \
+                 domains; several workloads record one per domain.  \
+                 Results are parallelism-invariant: per-cache statistics \
+                 are bit-identical to a serial sweep")
 
 let experiments_cmd =
   Cmd.v (Cmd.info "experiments" ~doc:"List the paper's experiments")
@@ -1721,4 +1737,11 @@ let main =
       replay_cmd; stats_cmd; profile_cmd; check_cmd; golden_cmd;
       serve_cmd; client_cmd ]
 
-let () = exit (Cmd.eval' main)
+(* REPRO_SCALE and REPRO_JOBS are read lazily, deep inside commands:
+   refuse a bad value before any command runs. *)
+let () =
+  match (Core.Runner.scale_factor (), Core.Runner.jobs ()) with
+  | exception Failure msg ->
+    prerr_endline ("repro: " ^ msg);
+    exit 1
+  | _ -> exit (Cmd.eval' main)

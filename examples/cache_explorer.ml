@@ -29,7 +29,7 @@ let () =
       ()
   in
   let r, recording = Core.Runner.record w in
-  Memsim.Sweep.run_serial sweep recording;
+  Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers sweep) recording;
   Memsim.Recording.replay recording (Analysis.Miss_plot.sink plot);
   Memsim.Recording.release recording;
   let insns = r.Core.Runner.stats.Vscheme.Machine.mutator_insns in

@@ -1,97 +1,54 @@
-type pass = {
-  insns : int list; (* per workload *)
-  wv : (Memsim.Level.config * Memsim.Cache.stats) list list;
-  fow : (Memsim.Level.config * Memsim.Cache.stats) list list;
-}
+let grid policy =
+  Memsim.Sweep.grid ~write_miss_policy:policy
+    ~cache_sizes:Memsim.Sweep.paper_cache_sizes
+    ~block_sizes:Memsim.Sweep.paper_block_sizes ()
 
 (* Trace once, sweep many: each workload's trace is leased from the
-   trace memo (recorded unless an earlier experiment's is still kept);
-   the write-validate and fetch-on-write grids (40 caches each) then
-   replay the completed recording, chunk-batched and parallel across
-   domains when [Runner.jobs () > 1].  Production itself is sharded
-   with [Runner.record_grid]: the five workload runs are independent,
-   so batches of [jobs] of them are leased concurrently on the domain
-   pool (batching bounds pinned recordings to [jobs] at a time). *)
+   trace memo (recorded unless an earlier experiment's is still kept)
+   and replayed into both grids as one-level hierarchies, which
+   [Exp_gc.measure] claims across [Runner.jobs ()] domains.  One
+   recording is resident at a time. *)
 let run_pass () =
-  let jobs = Runner.jobs () in
-  let rec split i = function
-    | x :: tl when i > 0 ->
-      let now, later = split (i - 1) tl in
-      (x :: now, later)
-    | ws -> ([], ws)
+  let configs =
+    List.map
+      (fun c -> Memsim.Hier.config ~levels:[ c ] ())
+      (grid Memsim.Cache.Write_validate @ grid Memsim.Cache.Fetch_on_write)
   in
-  let sweep_one w (r, recording) =
-    let grid policy =
-      Memsim.Sweep.create
-        (Memsim.Sweep.grid ~write_miss_policy:policy
-           ~cache_sizes:Memsim.Sweep.paper_cache_sizes
-           ~block_sizes:Memsim.Sweep.paper_block_sizes ())
-    in
-    let label tag = "sweep." ^ w.Workloads.Workload.name ^ "." ^ tag in
-    let sw_wv = grid Memsim.Cache.Write_validate in
-    Runner.sweep_recording ~label:(label "wv") sw_wv recording;
-    let sw_fow = grid Memsim.Cache.Fetch_on_write in
-    Runner.sweep_recording ~label:(label "fow") sw_fow recording;
-    ( r.Runner.stats.Vscheme.Machine.mutator_insns,
-      Memsim.Sweep.results sw_wv,
-      Memsim.Sweep.results sw_fow )
-  in
-  let rec batches acc = function
-    | [] -> List.rev acc
-    | ws ->
-      let now, later = split jobs ws in
-      let recorded =
-        Runner.record_grid ~jobs
-          (List.map
-             (fun w ->
-               Runner.cell
-                 ~label:("sweep." ^ w.Workloads.Workload.name ^ ".wv") w)
-             now)
-      in
-      let res =
-        Fun.protect
-          ~finally:(fun () ->
-            Array.iter (fun (_, r) -> Memsim.Recording.release r) recorded)
-          (fun () -> List.mapi (fun i w -> sweep_one w recorded.(i)) now)
-      in
-      batches (List.rev_append res acc) later
-  in
-  let results = batches [] Workloads.Workload.all in
-  { insns = List.map (fun (i, _, _) -> i) results;
-    wv = List.map (fun (_, a, _) -> a) results;
-    fow = List.map (fun (_, _, b) -> b) results
-  }
+  List.map
+    (fun w -> Exp_gc.measure ~jobs:(Runner.jobs ()) w configs)
+    Workloads.Workload.all
 
+(* Per workload, its run measured through the write-validate grid
+   followed by the fetch-on-write one (40 caches each). *)
 let pass = lazy (run_pass ())
 
-let find_stats results ~size ~block =
-  let cfg, stats =
-    List.find
-      (fun ((c : Memsim.Level.config), _) ->
-        c.Memsim.Level.size_bytes = size && c.Memsim.Level.block_bytes = block)
-      results
+let find_stats (m : Exp_gc.measured) policy ~size ~block =
+  let matches (r : Exp_gc.replayed) =
+    let c = r.Exp_gc.geometry.Memsim.Hier.levels.(0) in
+    c.Memsim.Level.write_miss_policy = policy
+    && c.Memsim.Level.size_bytes = size
+    && c.Memsim.Level.block_bytes = block
   in
-  ignore cfg;
-  stats
+  (List.find matches (Array.to_list m.Exp_gc.hiers)).Exp_gc.levels.(0)
 
 (* Average O_cache across workloads for one grid point. *)
-let average_overhead ?(penalty = Memsim.Timing.miss_penalty) p grids cpu ~size
-    ~block ~penalized =
+let average_overhead ?(penalty = Memsim.Timing.miss_penalty) p policy cpu
+    ~size ~block ~penalized =
   let overheads =
-    List.map2
-      (fun insns results ->
-        let stats = find_stats results ~size ~block in
+    List.map
+      (fun (m : Exp_gc.measured) ->
+        let stats = find_stats m policy ~size ~block in
         float_of_int (penalized stats)
         *. penalty cpu ~block_bytes:block
-        /. float_of_int insns)
-      p.insns grids
+        /. float_of_int m.Exp_gc.insns)
+      p
   in
   List.fold_left ( +. ) 0.0 overheads /. float_of_int (List.length overheads)
 
 let fetches (s : Memsim.Cache.stats) = s.Memsim.Cache.fetches
 let writebacks (s : Memsim.Cache.stats) = s.Memsim.Cache.writebacks
 
-let overhead_table ppf p grids cpu ~penalized =
+let overhead_table ppf p policy cpu ~penalized =
   let rows =
     List.map
       (fun size ->
@@ -99,7 +56,7 @@ let overhead_table ppf p grids cpu ~penalized =
         :: List.map
              (fun block ->
                Report.pct
-                 (average_overhead p grids cpu ~size ~block ~penalized))
+                 (average_overhead p policy cpu ~size ~block ~penalized))
              Memsim.Sweep.paper_block_sizes)
       Memsim.Sweep.paper_cache_sizes
   in
@@ -118,7 +75,7 @@ let figure_overheads ppf =
   List.iter
     (fun cpu ->
       Format.fprintf ppf "@.%a processor:@." Memsim.Timing.pp_processor cpu;
-      overhead_table ppf p p.wv cpu ~penalized:fetches)
+      overhead_table ppf p Memsim.Cache.Write_validate cpu ~penalized:fetches)
     Memsim.Timing.all_processors;
   Format.fprintf ppf
     "@.paper shape: larger caches and smaller blocks always win; slow \
@@ -139,8 +96,8 @@ let table_write_policy ppf =
             let deltas =
               List.map
                 (fun size ->
-                  average_overhead p p.fow cpu ~size ~block ~penalized:fetches
-                  -. average_overhead p p.wv cpu ~size ~block
+                  average_overhead p Memsim.Cache.Fetch_on_write cpu ~size ~block ~penalized:fetches
+                  -. average_overhead p Memsim.Cache.Write_validate cpu ~size ~block
                        ~penalized:fetches)
                 Memsim.Sweep.paper_cache_sizes
             in
@@ -178,10 +135,10 @@ let table_write_backs ppf =
               Report.size_label size;
               Report.pct
                 (average_overhead ~penalty:Memsim.Timing.writeback_penalty p
-                   p.wv cpu ~size ~block:16 ~penalized:writebacks);
+                   Memsim.Cache.Write_validate cpu ~size ~block:16 ~penalized:writebacks);
               Report.pct
                 (average_overhead ~penalty:Memsim.Timing.writeback_penalty p
-                   p.wv cpu ~size ~block:64 ~penalized:writebacks)
+                   Memsim.Cache.Write_validate cpu ~size ~block:64 ~penalized:writebacks)
             ])
           [ Memsim.Sweep.kb 32; Memsim.Sweep.kb 256; Memsim.Sweep.mb 1;
             Memsim.Sweep.mb 4 ])

@@ -1,8 +1,9 @@
 (** The §5 control experiment: cache performance with no collector.
 
-    One pass runs every workload (no GC) through two full cache grids
-    — write-validate and fetch-on-write — and the three artifacts are
-    read off it:
+    One pass measures every workload (no GC) with {!Exp_gc.measure}
+    through two full cache grids — write-validate and fetch-on-write,
+    one replay of one recording at a time — and the three artifacts
+    are read off it:
 
     - E-F1: average cache overhead against cache size, per block size
       and processor, under write-validate;

@@ -20,13 +20,16 @@ type measured = {
 }
 
 (* No gauges: a workload is measured under several collectors, and one
-   label per workload would keep only the last cell's numbers. *)
+   label per workload would keep only the last cell's numbers.  The
+   caches are built once the run is over, as [Fixture.measure] builds
+   its own: building them first would hold them and the VM's machine
+   at once. *)
 let measure ~jobs ?gc ?scale w configs =
-  let hiers = Array.of_list (List.map Memsim.Hier.create configs) in
-  let r =
+  let r, hiers =
     Runner.with_lease ?gc ?scale w (fun r recording ->
+        let hiers = Array.of_list (List.map Memsim.Hier.create configs) in
         Memsim.Sweep.hier_run_parallel ~jobs hiers recording;
-        r)
+        (r, hiers))
   in
   let s = r.Runner.stats in
   { value = r.Runner.value;

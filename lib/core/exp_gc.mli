@@ -1,5 +1,6 @@
-(** The §6 experiments, and the one measurement and O_gc that E-F2,
-    E-T5, E-T6, E-A1, E-A3, E-A4 and E-H1 go through.
+(** The §6 experiments, the one measurement every cache experiment
+    outside §7 goes through (E-F1/T3/T4, E-F2, E-T5, E-T6, E-A1, E-A3,
+    E-A4 and E-H1), and the O_gc they charge.
 
     - E-F2: garbage-collection overhead (O_gc) of the Cheney semispace
       collector for selfcomp, nbody and mexpr, against cache size at

@@ -31,15 +31,19 @@ val base_scale : Workloads.Workload.t -> int
 
 val scale_factor : unit -> int
 (** The harness-wide multiplier, from the [REPRO_SCALE] environment
-    variable (default 1). *)
+    variable (default 1).
+    @raise Failure naming the variable and its value when it is set
+    to anything {!Units.parse_count} refuses. *)
 
 val jobs : unit -> int
 (** Worker domains for parallel sweeps: the last {!set_jobs} value,
     else the [REPRO_JOBS] environment variable, else 1 (serial — the
-    oracle). *)
+    oracle).
+    @raise Failure as {!scale_factor}, for [REPRO_JOBS]. *)
 
 val set_jobs : int -> unit
-(** Override {!jobs} (clamped to at least 1); the CLI's [--jobs]. *)
+(** Override {!jobs}; the CLI's [--jobs].
+    @raise Invalid_argument when the count is below 1. *)
 
 val layout : Vscheme.Machine.t -> dynamic_base:bool -> int
 (** Byte address of an area boundary of the machine: with
@@ -127,50 +131,3 @@ val counters : unit -> (string * int) list
 (** [runner.productions] (VM runs, {!record} and {!lease} misses
     alike), [runner.reuses] ({!lease} hits) and [runner.evictions]
     (kept traces the pool reclaimed), since the process began. *)
-
-val sweep_recording :
-  ?label:string -> Memsim.Sweep.t -> Memsim.Recording.t -> unit
-(** Replay a recording into a sweep grid with
-    {!Memsim.Sweep.run_parallel}[ ~jobs:(]{!jobs}[ ())] (one job is
-    the serial loop).  Publishes [<label>.{wall_s,jobs,events,
-    events_per_s,consumer_events_per_s}] gauges ([label] defaults to
-    ["sweep"]) to {!Obs.Metrics.default} so exported telemetry tracks
-    sweep wall time and throughput; [consumer_events_per_s] duplicates
-    [events_per_s] under the name that pairs with {!record_grid}'s
-    [producer_events_per_s] for the producer-gap gauge. *)
-
-(** {1 Sharded domain-parallel producer} *)
-
-type cell
-(** One unit of trace production: a workload plus its collector, heap,
-    layout and scale options, and an optional metrics label. *)
-
-val cell :
-  ?gc:Vscheme.Machine.gc_spec ->
-  ?heap_bytes:int ->
-  ?pathological_layout:bool ->
-  ?scale:int ->
-  ?label:string ->
-  Workloads.Workload.t ->
-  cell
-(** Build a {!cell}; the options default exactly as in {!record}. *)
-
-val record_grid :
-  ?jobs:int -> cell list -> (summary * Memsim.Recording.t) array
-(** {!lease} every cell, sharding the independent runs across a pool
-    of [jobs] domains (default {!jobs}[ ()], clamped to the cell
-    count).  A single VM run is inherently serial, so the whole cell
-    is the unit of parallelism: each domain claims cells off an atomic
-    cursor and leases each, recording a cell the memo does not hold
-    into its own fresh machine and recording.  The returned array —
-    indexed in input order — is bit-for-bit identical to recording the
-    cells one after another serially, for any [jobs].  Release every
-    recording when done.  If a cell raises, the cells already leased
-    are released before the first exception is re-raised.
-
-    For each labelled cell, publishes
-    [<label>.{produce_wall_s,jobs,events,producer_events_per_s}]
-    gauges to {!Obs.Metrics.default} (from the calling domain only,
-    after all workers have joined); [produce_wall_s] covers the whole
-    production of that cell's trace — machine creation, load, and the
-    traced run — also when the memo served it. *)

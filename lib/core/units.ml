@@ -26,6 +26,14 @@ let parse_size str =
           Error (Printf.sprintf "size %S overflows the native integer" str)
         else Ok (n * mult)
 
+let parse_count str =
+  let s = String.trim str in
+  match int_of_string_opt s with
+  | Some n
+    when n >= 1 && String.for_all (fun c -> c >= '0' && c <= '9') s ->
+    Ok n
+  | Some _ | None -> Error (Printf.sprintf "%S is not a positive integer" str)
+
 let format_size n =
   let k = 1024 in
   let m = 1024 * 1024 in

@@ -7,6 +7,12 @@ val parse_size : string -> (int, string) result
     1024).  Rejects zero, negative, malformed and overflowing sizes
     (the multiply is checked against [max_int]). *)
 
+val parse_count : string -> (int, string) result
+(** [parse_count " 2"] is [Ok 2]: a run of decimal digits, surrounding
+    blanks trimmed, that reads as a positive native integer.  The one
+    parser of [REPRO_SCALE], [REPRO_JOBS] and [--jobs]; the error
+    quotes the string as given. *)
+
 val format_size : int -> string
 (** Inverse of {!parse_size} for exact multiples: ["64k"], ["2m"],
     else the plain decimal byte count. *)

@@ -205,15 +205,20 @@ let snapshot_bytes t =
   Array.fold_left (fun acc l -> acc + Level.snapshot_bytes l) 16 t.levels
 
 let restore t src pos =
-  if pos < 0 || Bytes.length src - pos < 16 then
-    invalid_arg "Hier.restore: truncated snapshot";
+  let bad at fmt =
+    Printf.ksprintf
+      (fun msg -> invalid_arg (Printf.sprintf "Hier.restore: byte %d: %s" at msg))
+      fmt
+  in
+  if pos < 0 || Bytes.length src - pos < 16 then bad pos "truncated snapshot";
   if not (Int64.equal (Bytes.get_int64_le src pos) snapshot_magic) then
-    invalid_arg "Hier.restore: not a hierarchy snapshot";
-  let n = Int64.to_int (Bytes.get_int64_le src (pos + 8)) in
-  if n <> Array.length t.levels then
-    invalid_arg
-      (Printf.sprintf "Hier.restore: snapshot has %d levels but the \
-                       hierarchy has %d" n (Array.length t.levels));
+    bad pos "not a hierarchy snapshot";
+  (* Compared as 64-bit words: a count with bit 63 set must not wrap
+     onto the right one. *)
+  let n = Bytes.get_int64_le src (pos + 8) in
+  if not (Int64.equal n (Int64.of_int (Array.length t.levels))) then
+    bad (pos + 8) "snapshot has %Ld levels but the hierarchy has %d" n
+      (Array.length t.levels);
   let p = ref (pos + 16) in
   Array.iter (fun l -> p := Level.restore l src !p) t.levels;
   !p

@@ -110,5 +110,6 @@ val snapshot_bytes : t -> int
 val restore : t -> Bytes.t -> int -> int
 (** [restore t src pos] loads a snapshot written by {!snapshot},
     returning the position after it.
-    @raise Invalid_argument on a truncated, foreign, or mismatched
-    snapshot. *)
+    @raise Invalid_argument naming the byte offset in [src] on a
+    truncated, foreign, or mismatched snapshot (a level count other
+    than the hierarchy's included), or as {!Level.restore}. *)

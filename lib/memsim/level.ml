@@ -1570,13 +1570,13 @@ let snapshot_bytes t =
 
 let restore t src pos =
   let len = Bytes.length src in
-  if pos < 0 || len - pos < snapshot_bytes t then
-    invalid_arg "Level.restore: truncated snapshot";
   let bad at fmt =
     Printf.ksprintf
       (fun msg -> invalid_arg (Printf.sprintf "Level.restore: byte %d: %s" at msg))
       fmt
   in
+  if pos < 0 || len - pos < snapshot_bytes t then
+    bad pos "truncated snapshot";
   let word_at at =
     let w64 = Bytes.get_int64_le src at in
     let w = Int64.to_int w64 in
@@ -1585,24 +1585,23 @@ let restore t src pos =
     w
   in
   if not (Int64.equal (Bytes.get_int64_le src pos) snapshot_magic) then
-    invalid_arg "Level.restore: not a level snapshot";
-  let geom name expected actual =
-    if expected <> actual then
-      invalid_arg
-        (Printf.sprintf
-           "Level.restore: snapshot %s is %d but the level has %d" name
-           actual expected)
-  in
+    bad pos "not a level snapshot";
   List.iteri
-    (fun i (name, v) -> geom name v (word_at (pos + 8 + (8 * i))))
+    (fun i (name, expected) ->
+      let at = pos + 8 + (8 * i) in
+      let actual = word_at at in
+      if expected <> actual then
+        bad at "snapshot %s is %d but the level has %d" name actual expected)
     (header t);
   (* Reject a snapshot no access could have produced before loading
      any of it, so a refused restore leaves the level as it was: every
-     word must fit a native int, and the fast loops trust tags, valid
-     masks and dirty bytes — a dirty byte of 2, say, would set the
-     line word's full bit.  A tag is a block number, so it belongs in the
-     set its low bits index, and at most once there; and it is the
-     block of some byte address, so it fits a line word. *)
+     word must fit a native int, no counter may be negative (each
+     counts events, and repro check refuses a negative one too), and
+     the fast loops trust tags, valid masks and dirty bytes — a dirty
+     byte of 2, say, would set the line word's full bit.  A tag is a
+     block number, so it belongs in the set its low bits index, and at
+     most once there; and it is the block of some byte address, so it
+     fits a line word. *)
   let lines = t.nsets * t.ways in
   let cnt_at = pos + (8 * (1 + List.length (header t))) in
   let tags_at = cnt_at + (8 * n_counters) in
@@ -1617,6 +1616,10 @@ let restore t src pos =
   in
   check_words cnt_at (n_counters + (3 * lines));
   check_words pol_at (Array.length t.pol);
+  for i = 0 to n_counters - 1 do
+    let c = word_at (cnt_at + (8 * i)) in
+    if c < 0 then bad (cnt_at + (8 * i)) "negative counter %d" c
+  done;
   let tag_at i = word_at (tags_at + (8 * i)) in
   for i = 0 to lines - 1 do
     let tag = tag_at i in

@@ -265,12 +265,12 @@ val snapshot_bytes : t -> int
 val restore : t -> Bytes.t -> int -> int
 (** [restore t src pos] loads a snapshot written by {!snapshot} from
     [src] at [pos], returning the position after it.  Nothing is
-    loaded unless every word fits a native int and every line is one
-    an access could have produced, so a refused snapshot leaves [t]
-    as it was.
-    @raise Invalid_argument on a truncated, foreign, or
-    geometry-mismatched snapshot, and — naming the byte offset in
-    [src] — on a word that does not fit a native int, a tag below the
+    loaded unless every word fits a native int, no counter is
+    negative and every line is one an access could have produced, so
+    a refused snapshot leaves [t] as it was.
+    @raise Invalid_argument naming the byte offset in [src] on a
+    truncated, foreign, or geometry-mismatched snapshot, a word that
+    does not fit a native int, a negative counter, a tag below the
     [-1] invalid marker, a tag beyond the blocks of the address space,
     a valid tag filed in a set its low bits do not index, a block
     resident in two ways of one set, valid bits beyond the block, or a

@@ -56,15 +56,14 @@ and kept = {
 
 (* --- Slab pool ------------------------------------------------------------ *)
 
-(* Free slabs and kept traces, shared by every domain: the sharded
-   producer (Runner.record_grid), E-H1's cells and the serve workers
-   create, seal, keep and lease recordings on worker domains.  The
-   pool is one immutable value behind one Atomic, replaced by
-   compare-and-set, so pinning a trace and evicting it are swaps of the
-   same word and can never interleave.  Every swap installs a fresh
-   record, so there is no ABA hazard.  Only [Chunk.default_chunk_events]
-   slabs are pooled; other capacities (tests, small benches) keep
-   allocating. *)
+(* Free slabs and kept traces, shared by every domain: E-H1's cells,
+   [repro record]'s workloads and the serve workers create, seal,
+   keep and lease recordings on worker domains.  The pool is one
+   immutable value behind one Atomic, replaced by compare-and-set, so
+   pinning a trace and evicting it are swaps of the same word and can
+   never interleave.  Every swap installs a fresh record, so there is
+   no ABA hazard.  Only [Chunk.default_chunk_events] slabs are pooled;
+   other capacities (tests, small benches) keep allocating. *)
 type pool = {
   free : Chunk.buf list;
   kept : (kept * int) list;  (* most recently leased first, with its pins *)

@@ -88,13 +88,13 @@ let results t =
 
 (* --- The claim-by-index pool -------------------------------------------- *)
 
-(* Every replay below, and the sharded producer in [Runner.record_grid],
-   parallelizes the same way: indices are claimed off one atomic
-   cursor by [jobs] domains (the caller's included), and [f i] touches
-   only what claim i owns: index i's profile or slot, or the prefix
-   tree of hierarchies that hierarchy i leads.  Nothing mutable is
-   shared between two claims, so the result is bit-identical to the
-   serial loop. *)
+(* Every replay below, and every caller that claims whole runs
+   (E-H1's cells, [repro record]'s workloads), parallelizes the same
+   way: indices are claimed off one atomic cursor by [jobs] domains
+   (the caller's included), and [f i] touches only what claim i owns:
+   index i's profile or slot, or the prefix tree of hierarchies that
+   hierarchy i leads.  Nothing mutable is shared between two claims,
+   so the result is bit-identical to the serial loop. *)
 let parallel_for ~jobs n f =
   let jobs = max 1 (min jobs n) in
   if jobs = 1 then
@@ -279,8 +279,6 @@ let hier_run_parallel ~jobs hiers recording =
   replay ~jobs hiers recording ~from_:0 ~until:(Recording.length recording)
 
 let hier_run_serial hiers recording = hier_run_parallel ~jobs:1 hiers recording
-let run_serial t recording = hier_run_serial t.hiers recording
-let run_parallel ~jobs t recording = hier_run_parallel ~jobs t.hiers recording
 
 (* --- Attributed replay --------------------------------------------------- *)
 
@@ -396,9 +394,17 @@ let load_hier_checkpoint ?ctx hiers ~events path =
   if len < 8 || Bytes.sub_string src 0 8 <> checkpoint_magic then
     fail "%s is not a hierarchy checkpoint" path;
   if len < header_bytes then fail "%s has a truncated header" path;
-  let cursor = Int64.to_int (Bytes.get_int64_le src 8) in
-  let ck_events = Int64.to_int (Bytes.get_int64_le src 16) in
-  let count = Int64.to_int (Bytes.get_int64_le src 24) in
+  (* A header word with bit 63 set would wrap onto a plausible int. *)
+  let word at =
+    let w = Bytes.get_int64_le src at in
+    let n = Int64.to_int w in
+    if not (Int64.equal (Int64.of_int n) w) then
+      fail "%s: byte %d: word 0x%Lx does not fit a native int" path at w;
+    n
+  in
+  let cursor = word 8 in
+  let ck_events = word 16 in
+  let count = word 24 in
   if ck_events <> events then
     fail "%s was taken over %d events but the recording has %d" path
       ck_events events;

@@ -15,10 +15,11 @@
 
     - {!sink}: per-event fan-out (one {!Level.access} per cell per
       event).  The oracle the others are tested against.
-    - {!run_serial} / {!run_parallel}: replay a completed {!Recording},
-      whole prefix trees of hierarchies claimed across [jobs] domains
-      by {!parallel_for}; unshared direct-mapped cells are claimed two
-      at a time and replayed in one pass ({!Level.access_chunk2}). *)
+    - {!hier_run_serial} / {!hier_run_parallel} over {!hiers}: replay
+      a completed {!Recording}, whole prefix trees of hierarchies
+      claimed across [jobs] domains by {!parallel_for}; unshared
+      direct-mapped cells are claimed two at a time and replayed in
+      one pass ({!Level.access_chunk2}). *)
 
 val paper_cache_sizes : int list
 (** The §4 cache sizes: 32 KB to 4 MB in powers of two. *)
@@ -80,16 +81,6 @@ val parallel_for : jobs:int -> int -> (int -> unit) -> unit
     after every domain has joined, so no worker is still running when
     the caller handles it; if several raise, one is re-raised. *)
 
-val run_serial : t -> Recording.t -> unit
-(** [hier_run_serial (hiers t)]: replay every recorded event into
-    every cell (chunk-batched, one domain).  The oracle for
-    {!run_parallel}. *)
-
-val run_parallel : jobs:int -> t -> Recording.t -> unit
-(** [hier_run_parallel ~jobs (hiers t)]: {!run_serial} with the cells
-    claimed across [jobs] domains, per-cell statistics bit-identical
-    to the serial run. *)
-
 (** {1 Attributed replay} *)
 
 val run_attributed :
@@ -102,19 +93,19 @@ val run_attributed :
   Attr.table ->
   Recording.t ->
   Attr.profile array
-(** Like {!run_parallel} (with [jobs] defaulting to 1) but through
-    {!Level.access_chunk_attr}: returns one {!Attr.profile} per cell,
-    in configuration order, attributing misses, fetches, writes and
-    write-backs by (region x phase), allocation site and
-    (address x time) heat bucket against the side [table] captured
-    with the recording.  Cells are replayed two per pass
-    ({!Level.access_chunk_attr2}); each profile equals the one a
+(** Like {!hier_run_parallel} over {!hiers} (with [jobs] defaulting
+    to 1) but through {!Level.access_chunk_attr}: returns one
+    {!Attr.profile} per cell, in configuration order, attributing
+    misses, fetches, writes and write-backs by (region x phase),
+    allocation site and (address x time) heat bucket against the side
+    [table] captured with the recording.  Cells are replayed two per
+    pass ({!Level.access_chunk_attr2}); each profile equals the one a
     one-cell sweep of that cell returns.  Line contents and aggregate
-    statistics are bit-identical to {!run_serial}.  [sample_every]
-    attributes only every Nth chunk (the rest replay through the plain
-    fast path, so aggregate statistics are still exact); [addr_limit]
-    is the simulated memory size in bytes, used to scale the heat
-    grid.
+    statistics are bit-identical to {!hier_run_serial}.
+    [sample_every] attributes only every Nth chunk (the rest replay
+    through the plain fast path, so aggregate statistics are still
+    exact); [addr_limit] is the simulated memory size in bytes, used
+    to scale the heat grid.
     @raise Invalid_argument as {!Level.access_chunk_attr} (every cell
     must be direct-mapped), or when [sample_every < 1]. *)
 

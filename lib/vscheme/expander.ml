@@ -3,7 +3,8 @@ exception Syntax_error of string
 let fail fmt = Format.kasprintf (fun s -> raise (Syntax_error s)) fmt
 
 (* Shared by every machine in the process, including machines that
-   record_grid's worker domains expand programs on at once. *)
+   worker domains (E-H1's cells, [repro record]'s workloads, serve
+   workers) expand programs on at once. *)
 let gensym_counter = Atomic.make 0
 
 let gensym prefix =

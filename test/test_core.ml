@@ -59,19 +59,6 @@ let test_lease_once () =
     (fresh_r.Core.Runner.stats = r1.Core.Runner.stats);
   List.iter Memsim.Recording.release [ l1; l2; other; fresh ]
 
-(* A grid whose cell raises releases the cells it did lease: a no-GC
-   run that outgrows a 64 KB heap fails after a good cell was kept. *)
-let test_record_grid_raise_unpins () =
-  let cells =
-    Workloads.Workload.
-      [ Core.Runner.cell ~scale:1 ~heap_bytes:(45 * 1024 * 1024) prover;
-        Core.Runner.cell ~scale:1 ~heap_bytes:(64 * 1024) prover ]
-  in
-  (match Core.Runner.record_grid ~jobs:1 cells with
-   | exception Vscheme.Heap.Out_of_memory _ -> ()
-   | _ -> Alcotest.fail "expected the 64 KB cell to run out of memory");
-  Alcotest.(check bool) "no trace pinned" true (Kept_probe.no_trace_pinned ())
-
 let test_base_scales () =
   List.iter
     (fun w ->
@@ -199,8 +186,6 @@ let () =
         [ Alcotest.test_case "runner wiring" `Quick test_runner;
           Alcotest.test_case "runner with GC" `Quick test_runner_gc;
           Alcotest.test_case "lease: one production" `Quick test_lease_once;
-          Alcotest.test_case "record_grid: a failed cell unpins the rest"
-            `Quick test_record_grid_raise_unpins;
           Alcotest.test_case "base scales" `Quick test_base_scales;
           Alcotest.test_case "layout" `Quick test_layout
         ] );

@@ -2,25 +2,17 @@
 
    For every workload, the direct writer (Mem.record_into) must
    produce a recording bit-identical to the generic closure sink, with
-   the same result value and per-phase reference counts; and a
-   Runner.record_grid cell replayed by Runner.sweep_recording — the
-   path every experiment driver takes — must yield per-cache
-   statistics bit-identical to the per-event oracle over the
-   sink-path recording, with one job and with several.  `make check`
-   runs this binary under REPRO_JOBS=2 as well. *)
+   the same result value and per-phase reference counts; and
+   Exp_gc.measure — the path every experiment driver takes — must
+   yield per-cache statistics bit-identical to the per-event oracle
+   over the sink-path recording, with one job and with several.
+   `make check` runs this binary under REPRO_JOBS=2 as well. *)
 
 let grid () =
   Memsim.Sweep.create
     (Memsim.Sweep.grid
        ~cache_sizes:[ Memsim.Sweep.kb 32; Memsim.Sweep.kb 256 ]
        ~block_sizes:[ 32; 128 ] ())
-
-let check_identical name reference candidate =
-  List.iter2
-    (fun (_, (a : Memsim.Cache.stats)) (_, (b : Memsim.Cache.stats)) ->
-      Alcotest.(check bool) (name ^ ": stats bit-identical") true (a = b))
-    (Memsim.Sweep.results reference)
-    (Memsim.Sweep.results candidate)
 
 let test_fast_path w () =
   let oracle_r, oracle_rec = Core.Runner.record ~direct:false ~scale:1 w in
@@ -38,34 +30,36 @@ let test_fast_path w () =
     (Memsim.Recording.length oracle_rec)
     (oracle_r.Core.Runner.refs + oracle_r.Core.Runner.collector_refs)
 
-(* The E-A1 path: one record_grid cell, then sweep_recording into the
-   grid, at one job and at several. *)
+(* The experiments' path: Exp_gc.measure leases the run from the
+   trace memo and replays it into the grid, at one job and at several;
+   the trace it kept is the sink path's. *)
 let test_record_then_replay w () =
   let _, recording = Core.Runner.record ~direct:false ~scale:1 w in
   let oracle = grid () in
   Memsim.Recording.replay recording (Memsim.Sweep.sink oracle);
-  let saved = Core.Runner.jobs () in
-  Fun.protect
-    ~finally:(fun () -> Core.Runner.set_jobs saved)
-    (fun () ->
-      List.iter
-        (fun jobs ->
-          Core.Runner.set_jobs jobs;
-          let label = "test.fastpath" in
-          let _, recorded =
-            (Core.Runner.record_grid [ Core.Runner.cell ~scale:1 ~label w ]).(0)
-          in
-          let sw = grid () in
-          Core.Runner.sweep_recording ~label sw recorded;
-          check_identical
-            (Printf.sprintf "sweep_recording jobs=%d" jobs)
-            oracle sw;
+  let configs =
+    List.map
+      (fun (c, _) -> Memsim.Hier.config ~levels:[ c ] ())
+      (Memsim.Sweep.results oracle)
+  in
+  List.iter
+    (fun jobs ->
+      let m = Core.Exp_gc.measure ~jobs ~scale:1 w configs in
+      List.iteri
+        (fun i (_, (s : Memsim.Cache.stats)) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "measure jobs=%d cell %d: stats bit-identical"
+               jobs i)
+            true
+            (s = m.Core.Exp_gc.hiers.(i).Core.Exp_gc.levels.(0)))
+        (Memsim.Sweep.results oracle);
+      Core.Runner.with_lease ~scale:1 w (fun _ leased ->
           Alcotest.(check bool)
             (Printf.sprintf "recording = sink-path recording, jobs=%d" jobs)
             true
-            (Memsim.Recording.equal recording recorded);
-          Memsim.Recording.release recorded)
-        [ 1; 3 ])
+            (Memsim.Recording.equal recording leased)))
+    [ 1; 3 ];
+  Memsim.Recording.release recording
 
 let test_format_roundtrip () =
   (* a real trace survives v1 -> load -> v2 -> load -> v3 -> load
@@ -137,46 +131,6 @@ let test_mmap_vs_heap w () =
     (fun () ->
       out.Memsim.Trace.access 0 Memsim.Trace.Read Memsim.Trace.Mutator)
 
-(* Sharded production: for any job count, record_grid's output indexed
-   by input order must be bit-for-bit what recording the cells one
-   after another produces.  Each job count asks for its own heap size,
-   which is in the trace memo's key but does not change a no-GC trace,
-   so every pass records afresh on the worker domains. *)
-let test_record_grid () =
-  let serial =
-    List.map (fun w -> Core.Runner.record ~scale:1 w) Workloads.Workload.all
-  in
-  List.iter
-    (fun jobs ->
-      let recorded =
-        Core.Runner.record_grid ~jobs
-          (List.map
-             (fun w ->
-               Core.Runner.cell ~heap_bytes:((48 + jobs) * 1024 * 1024)
-                 ~scale:1 w)
-             Workloads.Workload.all)
-      in
-      List.iteri
-        (fun i ((sr : Core.Runner.result), srec) ->
-          let r, recording = recorded.(i) in
-          let name =
-            Printf.sprintf "jobs=%d %s" jobs
-              sr.Core.Runner.workload.Workloads.Workload.name
-          in
-          Alcotest.(check string)
-            (name ^ ": result value") sr.Core.Runner.value r.Core.Runner.value;
-          Alcotest.(check int)
-            (name ^ ": mutator refs") sr.Core.Runner.refs r.Core.Runner.refs;
-          Alcotest.(check int)
-            (name ^ ": collector refs") sr.Core.Runner.collector_refs
-            r.Core.Runner.collector_refs;
-          Alcotest.(check bool)
-            (name ^ ": recording bit-identical") true
-            (Memsim.Recording.equal srec recording);
-          Memsim.Recording.release recording)
-        serial)
-    [ 1; 2; 4 ]
-
 let () =
   Alcotest.run "trace fast path"
     [ ( "direct = sink",
@@ -191,10 +145,6 @@ let () =
             Alcotest.test_case w.Workloads.Workload.name `Slow
               (test_record_then_replay w))
           Workloads.Workload.all );
-      ( "sharded producer",
-        [ Alcotest.test_case "record_grid = serial, jobs 1/2/4" `Slow
-            test_record_grid
-        ] );
       ( "formats",
         Alcotest.test_case "v1 -> v2 -> v3 round trip on a real trace" `Slow
           test_format_roundtrip

@@ -349,11 +349,12 @@ let collector_stats m =
 (* Machines built on worker domains own their collector stats: two
    domains at once give every machine the stats a serial run gives it.
    Runner.record keeps the machine, so it shows the collector's own
-   counters; record_grid, which leases through the trace memo and
-   keeps no machine, must return the serial run's machine stats from
-   its worker domains too.  A heap size no other case in this binary
-   uses makes every grid cell a fresh production. *)
-let test_record_grid_collector_stats () =
+   counters; Runner.lease, which goes through the trace memo and keeps
+   no machine, must return the serial run's machine stats when two
+   worker domains lease at once, as E-H1's cells do.  A heap size no
+   other case in this binary uses makes every lease a fresh
+   production. *)
+let test_leased_collector_stats () =
   let heap_bytes = 40 * 1024 * 1024 in
   let cells =
     Array.of_list
@@ -392,22 +393,20 @@ let test_record_grid_collector_stats () =
     List.assoc "runner.productions" (Core.Runner.counters ())
   in
   let before = productions () in
-  let grid =
-    Core.Runner.record_grid ~jobs:2
-      (Array.to_list
-         (Array.map
-            (fun (gc, w) -> Core.Runner.cell ~gc ~heap_bytes ~scale:1 w)
-            cells))
-  in
-  Alcotest.(check int) "every grid cell recorded afresh"
+  let leased = Array.make (Array.length cells) None in
+  Memsim.Sweep.parallel_for ~jobs:2 (Array.length cells) (fun i ->
+      let gc, w = cells.(i) in
+      let r, recording = Core.Runner.lease ~gc ~heap_bytes ~scale:1 w in
+      Memsim.Recording.release recording;
+      leased.(i) <- Some r.Core.Runner.stats);
+  Alcotest.(check int) "every leased cell recorded afresh"
     (before + Array.length cells) (productions ());
   Array.iteri
-    (fun i ((r : Core.Runner.summary), recording) ->
-      Memsim.Recording.release recording;
+    (fun i stats ->
       Alcotest.(check bool)
-        (Printf.sprintf "grid cell %d machine stats" i) true
-        (fst serial.(i) = r.Core.Runner.stats))
-    grid
+        (Printf.sprintf "leased cell %d machine stats" i) true
+        (Some (fst serial.(i)) = stats))
+    leased
 
 (* Property: random cons-tree construction with interleaved garbage is
    GC-invariant. *)
@@ -455,8 +454,8 @@ let () =
       ( "ownership",
         [ Alcotest.test_case "dropped machines are collected" `Quick
             test_dropped_machines_collected;
-          Alcotest.test_case "record_grid collector stats" `Quick
-            test_record_grid_collector_stats
+          Alcotest.test_case "leased collector stats" `Quick
+            test_leased_collector_stats
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest gc_invariance_prop ])
     ]

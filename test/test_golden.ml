@@ -290,7 +290,7 @@ let run_with_kills ~jobs ~every ~kill_after recording =
 let test_resume_equals_uninterrupted () =
   let recording = mk_recording 50_000 in
   let oracle = Memsim.Sweep.create grid_configs in
-  Memsim.Sweep.run_serial oracle recording;
+  Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers oracle) recording;
   let expected = sweep_results oracle in
   List.iter
     (fun (jobs, kill_after) ->
@@ -304,7 +304,7 @@ let test_resume_equals_uninterrupted () =
 let test_resume_without_interruption () =
   let recording = mk_recording 10_000 in
   let oracle = Memsim.Sweep.create grid_configs in
-  Memsim.Sweep.run_serial oracle recording;
+  Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers oracle) recording;
   with_tmp ".ckpt" (fun ck ->
       let sweep = Memsim.Sweep.create grid_configs in
       Memsim.Sweep.hier_run_resumable ~checkpoint_every:3_000 ~checkpoint:ck (Memsim.Sweep.hiers sweep) recording;

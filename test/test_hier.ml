@@ -474,6 +474,184 @@ let test_checkpoint_bytes_pinned () =
   Alcotest.(check string) "hierarchy checkpoint (SWHCKPT1) digest"
     "677098b8fc3e91c098e9f31312bd4d0b" hier
 
+(* --- hostile checkpoint fields ------------------------------------------ *)
+
+(* The fleet the checkpoint tests write: one grid cell and one
+   two-level hierarchy. *)
+let ckpt_fleet () =
+  [| Hier.create
+       (Hier.config
+          ~levels:[ Level.config ~size_bytes:1024 ~block_bytes:16 ~ways:1 () ]
+          ());
+     Hier.create (snd (List.hd hier_configs))
+  |]
+
+let ckpt_events = 8_000
+
+(* The fleet after 5000 synthetic events, checkpointed as if over an
+   8000-event recording. *)
+let ckpt_bytes =
+  lazy
+    (let fleet = ckpt_fleet () in
+     Memsim.Sweep.hier_run_serial fleet (synthetic_recording 5_000);
+     let path = Filename.temp_file "fleet" ".ckpt" in
+     Memsim.Sweep.save_hier_checkpoint fleet ~events:ckpt_events
+       ~cursor:5_000 path;
+     let b = In_channel.with_open_bin path In_channel.input_all in
+     Sys.remove path;
+     Bytes.of_string b)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* A negative counter is no event count: [Level.restore] refuses it at
+   its byte before loading anything, and a checkpoint carrying it
+   fails to load, naming the file and the same byte. *)
+let test_negative_counter_refused () =
+  let fleet = ckpt_fleet () in
+  Memsim.Sweep.hier_run_serial fleet (synthetic_recording 3_000);
+  let l = Hier.level fleet.(0) 0 in
+  let snap = level_bytes l in
+  (* magic and 6 geometry words, then counter slot 0 *)
+  Bytes.set_int64_le snap 56 (-1L);
+  let cell = (ckpt_fleet ()).(0) in
+  Memsim.Sweep.hier_run_serial [| cell |] (synthetic_recording 10);
+  let target = Hier.level cell 0 in
+  let before = level_bytes target in
+  Alcotest.check_raises "restore refuses the counter at its byte"
+    (Invalid_argument "Level.restore: byte 56: negative counter -1")
+    (fun () -> ignore (Level.restore target snap 0 : int));
+  Alcotest.(check bool) "refused restore leaves the level unchanged" true
+    (Bytes.equal before (level_bytes target));
+  let b = Bytes.copy (Lazy.force ckpt_bytes) in
+  (* 32-byte file header, 16-byte hierarchy header, then the level *)
+  Bytes.set_int64_le b (32 + 16 + 56) (-1L);
+  let path = Filename.temp_file "negative" ".ckpt" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+  let msg =
+    match
+      Memsim.Sweep.load_hier_checkpoint (ckpt_fleet ()) ~events:ckpt_events
+        path
+    with
+    | _ -> "loaded"
+    | exception Failure msg -> msg
+  in
+  Sys.remove path;
+  Alcotest.(check bool)
+    ("checkpoint load names the file and byte 104: " ^ msg)
+    true
+    (contains msg path && contains msg "byte 104: negative counter -1")
+
+(* Where each mutable field of [ckpt_bytes] lies, by kind: the header's
+   cursor, event count and hierarchy count, each hierarchy's level
+   count, and each level's counters, tags, valid masks and dirty
+   bytes.  Offsets follow the layouts [save_hier_checkpoint],
+   [Hier.snapshot] and [Level.snapshot] write. *)
+type field = Word of int | Byte of int
+
+let ckpt_fields =
+  lazy
+    (let header = [ [ Word 8 ]; [ Word 16 ]; [ Word 24 ] ] in
+     let at = ref 32 in
+     let levels = ref [] and counters = ref [] and tags = ref []
+     and masks = ref [] and dirty = ref [] in
+     let words base n = List.init n (fun i -> Word (base + (8 * i))) in
+     Array.iter
+       (fun h ->
+         levels := Word (!at + 8) :: !levels;
+         at := !at + 16;
+         Array.iteri
+           (fun i _ ->
+             let l = Hier.level h i in
+             let lines = Level.num_sets l * Level.num_ways l in
+             let cnt = !at + 56 in
+             let tg = cnt + (8 * 11) in
+             let lo = tg + (8 * lines) in
+             let dt = lo + (16 * lines) in
+             counters := words cnt 11 @ !counters;
+             tags := words tg lines @ !tags;
+             masks := words lo (2 * lines) @ !masks;
+             dirty := List.init lines (fun i -> Byte (dt + i)) @ !dirty;
+             at := !at + Level.snapshot_bytes l)
+           (Hier.geometry h).Hier.levels)
+       (ckpt_fleet ());
+     Array.of_list
+       (List.map Array.of_list
+          (header @ [ !levels; !counters; !tags; !masks; !dirty ])))
+
+(* Mutate exactly one field: [load_hier_checkpoint] either refuses the
+   file with a [Failure] naming it (and a byte offset when the fault
+   is inside a snapshot) or loads it, and then saving the fleet again
+   gives back the mutated bytes; and whenever [repro check]'s scanner
+   finds no error, the load succeeds. *)
+let prop_checkpoint_mutated =
+  QCheck.Test.make ~count:1000
+    ~name:"mutated checkpoint field: check clean => loads, exact re-save"
+    QCheck.(
+      triple (int_range 0 7) small_nat
+        (make
+           ~print:(fun (rel, v) -> Printf.sprintf "rel=%b 0x%Lx" rel v)
+           Gen.(
+             pair bool
+               (frequency
+                  [ (3, map Int64.of_int (int_range (-3) 3));
+                    (2, map Int64.of_int (int_range (-300) 300));
+                    (1, map (fun b -> Int64.shift_left 1L b) (int_range 0 63));
+                    (* bit 63 alone, which no native int holds *)
+                    (1, return Int64.min_int);
+                    (1, map Int64.of_int int) ]))))
+    (fun (kind, idx, (relative, v)) ->
+      let fields = (Lazy.force ckpt_fields).(kind) in
+      let field = fields.(idx mod Array.length fields) in
+      let b = Bytes.copy (Lazy.force ckpt_bytes) in
+      (* [relative] adds [v] to the field's value instead of replacing
+         it, so small shifts of real tags, masks and counts occur. *)
+      let offset =
+        match field with
+        | Word at ->
+          let old = Bytes.get_int64_le b at in
+          Bytes.set_int64_le b at (if relative then Int64.add old v else v);
+          at
+        | Byte at ->
+          let old = Char.code (Bytes.get b at) in
+          let n = Int64.to_int v in
+          Bytes.set b at (Char.chr ((if relative then old + n else n) land 255));
+          at
+      in
+      let path = Filename.temp_file "mutated" ".ckpt" in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+      let fleet = ckpt_fleet () in
+      let outcome =
+        match Memsim.Sweep.load_hier_checkpoint fleet ~events:ckpt_events path with
+        | cursor ->
+          Memsim.Sweep.save_hier_checkpoint fleet ~events:ckpt_events ~cursor
+            path;
+          let again = In_channel.with_open_bin path In_channel.input_all in
+          if String.equal again (Bytes.to_string b) then Ok ()
+          else Error "loaded, but the re-save differs"
+        | exception Failure msg ->
+          if not (contains msg path) then Error ("unnamed file: " ^ msg)
+          else if offset >= 32 && not (contains msg ": byte ") then
+            Error ("unlocated snapshot fault: " ^ msg)
+          else Error ("refused: " ^ msg)
+      in
+      let clean =
+        not
+          (Check.Finding.has_errors
+             (Check.Ckpt_check.scan ~events:ckpt_events path)
+               .Check.Ckpt_check.findings)
+      in
+      Sys.remove path;
+      match outcome with
+      | Ok () -> true
+      | Error msg when String.starts_with ~prefix:"refused: " msg ->
+        if clean then
+          QCheck.Test.fail_reportf "repro check finds no error, but %s" msg;
+        true
+      | Error msg -> QCheck.Test.fail_reportf "byte %d: %s" offset msg)
+
 (* --- hierarchy snapshot round trip ----------------------------------- *)
 
 let test_snapshot_roundtrip () =
@@ -851,7 +1029,9 @@ let () =
          Alcotest.test_case "snapshot round trip" `Quick
            test_snapshot_roundtrip;
          Alcotest.test_case "checkpoint bytes pinned" `Quick
-           test_checkpoint_bytes_pinned
+           test_checkpoint_bytes_pinned;
+         Alcotest.test_case "negative counter refused at its byte" `Quick
+           test_negative_counter_refused
        ]);
       ("shared", shared_cases);
       ("overhead",
@@ -863,6 +1043,7 @@ let () =
          [ prop_victim_valid;
            prop_same_is_snapshot_equality;
            prop_restore_mutated;
+           prop_checkpoint_mutated;
            prop_chunk2_is_two_passes;
            prop_line_word_roundtrip
          ])

@@ -670,7 +670,7 @@ let three_paths ?(policy = Memsim.Cache.Write_validate) ~c ~b recording =
       (Memsim.Sweep.grid ~write_miss_policy:policy ~cache_sizes:[ c ]
          ~block_sizes:[ b ] ())
   in
-  Memsim.Sweep.run_serial sweep recording;
+  Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers sweep) recording;
   [ ("per-event", stats per_event); ("chunk", stats chunked);
     ("sweep", stats (Memsim.Sweep.find sweep ~size_bytes:c ~block_bytes:b))
   ]
@@ -1553,7 +1553,7 @@ let test_run_parallel_matches_serial () =
   let events = synth_trace 50_000 in
   let recording = record_trace events in
   let serial = small_grid () in
-  Memsim.Sweep.run_serial serial recording;
+  Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers serial) recording;
   (* the serial chunked engine matches the per-event oracle *)
   let oracle = small_grid () in
   List.iter
@@ -1564,7 +1564,8 @@ let test_run_parallel_matches_serial () =
   List.iter
     (fun jobs ->
       let parallel = small_grid () in
-      Memsim.Sweep.run_parallel ~jobs parallel recording;
+      Memsim.Sweep.hier_run_parallel ~jobs (Memsim.Sweep.hiers parallel)
+        recording;
       Alcotest.(check bool)
         (Printf.sprintf "parallel jobs=%d = serial" jobs)
         true

@@ -3,7 +3,7 @@
    statistics bit-identical to the serial per-event oracle — every
    counter, including the per-phase splits.  `make check` runs this
    binary under REPRO_JOBS=2 as well, which exercises the same
-   assertions through Runner.sweep_recording's jobs selection. *)
+   assertions through Exp_gc.measure at Runner.jobs (). *)
 
 let grid () =
   Memsim.Sweep.create
@@ -25,7 +25,7 @@ let test_workload w () =
   Memsim.Recording.replay recording (Memsim.Sweep.sink oracle);
   (* serial chunked engine *)
   let serial = grid () in
-  Memsim.Sweep.run_serial serial recording;
+  Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers serial) recording;
   check_identical "serial chunked" oracle serial;
   (* parallel replay at the satellite's jobs=4, and at REPRO_JOBS /
      --jobs when the harness sets one *)
@@ -36,26 +36,39 @@ let test_workload w () =
   List.iter
     (fun jobs ->
       let parallel = grid () in
-      Memsim.Sweep.run_parallel ~jobs parallel recording;
+      Memsim.Sweep.hier_run_parallel ~jobs (Memsim.Sweep.hiers parallel) recording;
       check_identical (Printf.sprintf "run_parallel jobs=%d" jobs) oracle
         parallel)
     jobs_list
 
 let test_runner_path () =
-  (* Runner.sweep_recording must route through the same engines and
-     give the same stats whatever jobs setting is in force. *)
+  (* Exp_gc.measure, the one measurement every experiment goes
+     through, must give the per-event oracle's stats whatever jobs
+     setting is in force. *)
   let w = Workloads.Workload.nbody in
   let _, recording = Core.Runner.record ~scale:1 w in
   let oracle = grid () in
   Memsim.Recording.replay recording (Memsim.Sweep.sink oracle);
+  Memsim.Recording.release recording;
+  let configs =
+    List.map
+      (fun (c, _) -> Memsim.Hier.config ~levels:[ c ] ())
+      (Memsim.Sweep.results oracle)
+  in
   List.iter
     (fun jobs ->
       Core.Runner.set_jobs jobs;
-      let sw = grid () in
-      Core.Runner.sweep_recording ~label:"test.sweep" sw recording;
-      check_identical
-        (Printf.sprintf "sweep_recording jobs=%d" jobs)
-        oracle sw)
+      let m =
+        Core.Exp_gc.measure ~jobs:(Core.Runner.jobs ()) ~scale:1 w configs
+      in
+      List.iteri
+        (fun i (_, (s : Memsim.Cache.stats)) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "measure jobs=%d cell %d: stats bit-identical"
+               jobs i)
+            true
+            (s = m.Core.Exp_gc.hiers.(i).Core.Exp_gc.levels.(0)))
+        (Memsim.Sweep.results oracle))
     [ 1; 2 ];
   Core.Runner.set_jobs 1
 
@@ -180,7 +193,7 @@ let () =
               (test_workload w))
           Workloads.Workload.all );
       ( "runner",
-        [ Alcotest.test_case "sweep_recording honors jobs" `Slow
+        [ Alcotest.test_case "measure honors jobs" `Slow
             test_runner_path
         ] );
       ( "pairs",

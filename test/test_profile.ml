@@ -35,7 +35,7 @@ let check_conservation ?gc ?(jobs = Core.Runner.jobs ()) ?(sample_every = 1) w
   let events = Memsim.Recording.length recording in
   Alcotest.(check bool) "trace is non-trivial" true (events > 0);
   let plain = Memsim.Sweep.create small_caches in
-  Memsim.Sweep.run_serial plain recording;
+  Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers plain) recording;
   let swept = Memsim.Sweep.create small_caches in
   let profiles =
     Memsim.Sweep.run_attributed ~jobs ~sample_every ~addr_limit swept table
