@@ -25,10 +25,10 @@ type t = {
   mutable finished_at : float option;
 }
 
-let make ~id ~now ~run ~run_text =
+let make ~id ~now ~run ~hash ~run_text =
   { id;
     name = run.Golden.Manifest.name;
-    hash = Golden.Manifest.content_hash run;
+    hash;
     run;
     run_text;
     state = Queued;

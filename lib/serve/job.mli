@@ -26,7 +26,12 @@ type t = {
   mutable finished_at : float option;
 }
 
-val make : id:int -> now:float -> run:Golden.Manifest.run -> run_text:string -> t
+val make :
+  id:int -> now:float -> run:Golden.Manifest.run -> hash:string ->
+  run_text:string -> t
+(** [hash] is [run]'s {!Golden.Manifest.content_hash}, which the
+    caller has already computed. *)
+
 val terminal : t -> bool
 val state_string : t -> string
 

@@ -101,8 +101,9 @@ let request_to_json = function
 
 let bool_member name ~default json =
   match Obs.Json.member name json with
-  | Some (Obs.Json.Bool b) -> b
-  | Some _ | None -> default
+  | None -> Ok default
+  | Some (Obs.Json.Bool b) -> Ok b
+  | Some _ -> Error (Printf.sprintf "%S must be a boolean" name)
 
 let int_member name json =
   match Obs.Json.member name json with
@@ -125,14 +126,18 @@ let request_of_json json =
       | "submit" -> (
         match Obs.Json.member "run" json with
         | Some (Obs.Json.Str run_text) ->
-          Ok (Submit { run_text; wait = bool_member "wait" ~default:false json })
+          Result.map
+            (fun wait -> Submit { run_text; wait })
+            (bool_member "wait" ~default:false json)
         | Some _ | None -> Error "\"submit\" needs a string \"run\" field")
       | "status" -> with_job (fun id -> Status id)
       | "result" -> with_job (fun id -> Result id)
       | "cancel" -> with_job (fun id -> Cancel id)
       | "stats" -> Ok Stats
       | "shutdown" ->
-        Ok (Shutdown { drain = bool_member "drain" ~default:true json })
+        Result.map
+          (fun drain -> Shutdown { drain })
+          (bool_member "drain" ~default:true json)
       | "ping" -> Ok Ping
       | op -> Error (Printf.sprintf "unknown op %S" op)))
 

@@ -36,7 +36,12 @@ type request =
   | Ping
 
 val request_to_json : request -> Obs.Json.t
+
 val request_of_json : Obs.Json.t -> (request, string) result
+(** [Error] names what is wrong: no ["op"], an ["op"] that is not a
+    string or not an op, or a field of the wrong JSON type (["run"] a
+    string, ["job"] an integer, ["wait"] and ["drain"] booleans when
+    present).  Fields an op does not read are ignored. *)
 
 (** {1 Replies} *)
 

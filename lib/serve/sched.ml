@@ -17,6 +17,10 @@
    submit time (a cache hit), and a repeat of a manifest that is still
    queued or running piggybacks on the in-flight leader and completes
    with it.  Either way the grid is swept once per distinct config.
+   A hit costs no parse either: the store answers from its in-memory
+   index, and [parsed] remembers the run and content hash of every
+   submission text that parsed, so a repeated text is parsed and
+   hashed once.
 
    Kill-and-resume: a worker that dies mid-job (simulated by the
    [kill] injection hook, or a whole-process SIGKILL in the soak test)
@@ -45,6 +49,9 @@ type t = {
   queue : Job.t Queue.t;
   jobs : (int, Job.t) Hashtbl.t;
   by_hash : (string, int) Hashtbl.t;
+  parsed : (string, Golden.Manifest.run * string) Hashtbl.t;
+      (* submission text -> (run, content hash), successful parses
+         only; it grows with [jobs], whose jobs keep their texts too *)
   followers : (int, int list) Hashtbl.t;
   mutable next_id : int;
   mutable stop : [ `No | `Drain | `Now ];
@@ -166,20 +173,33 @@ let parse_run run_text =
     | exception Golden.Sx.Parse_error msg -> Error msg
     | exception Failure msg -> Error msg)
 
+(* [parse_run] and the content hash of a submission text, each text
+   parsed and hashed once. *)
+let parse t run_text =
+  match locked t (fun () -> Hashtbl.find_opt t.parsed run_text) with
+  | Some p -> Ok p
+  | None -> (
+    match parse_run run_text with
+    | Error _ as e -> e
+    | Ok run ->
+      let p = (run, Golden.Manifest.content_hash run) in
+      locked t (fun () -> Hashtbl.replace t.parsed run_text p);
+      Ok p)
+
 let submit t run_text =
-  match parse_run run_text with
+  match parse t run_text with
   | Error _ as e -> e
-  | Ok run ->
-    (* The store lookup (disk I/O) happens outside the lock; a losing
-       race just means the worker-side lookup answers instead. *)
-    let hash = Golden.Manifest.content_hash run in
+  | Ok (run, hash) ->
+    (* The store lookup happens outside the lock: an index miss reads
+       and parses the result file.  A losing race just means the
+       worker-side lookup answers instead. *)
     let cached = Store.lookup t.store hash in
     locked t (fun () ->
       if t.stop <> `No then Error "daemon is shutting down"
       else begin
         let id = t.next_id in
         t.next_id <- id + 1;
-        let job = Job.make ~id ~now:(now ()) ~run ~run_text in
+        let job = Job.make ~id ~now:(now ()) ~run ~hash ~run_text in
         Hashtbl.replace t.jobs id job;
         count t "submitted";
         emit t
@@ -223,7 +243,7 @@ let result t id =
   | Error _ as e -> e
   | Ok (hash, name) -> (
     match Store.lookup t.store hash with
-    | Some fx -> Ok fx
+    | Some stored -> Ok stored
     | None ->
       Error
         (Printf.sprintf "job %d (%s): result %s missing from the store" id name
@@ -433,13 +453,15 @@ let recover t events =
           match str_member "run" ev with
           | None -> ()
           | Some run_text -> (
-            match parse_run run_text with
+            match parse t run_text with
             | Error _ -> ()
-            | Ok run ->
+            | Ok (run, hash) ->
               let submitted_at =
                 Option.value ~default:(now ()) (float_member "t" ev)
               in
-              let job = Job.make ~id ~now:submitted_at ~run ~run_text in
+              let job =
+                Job.make ~id ~now:submitted_at ~run ~hash ~run_text
+              in
               Hashtbl.replace t.jobs id job;
               if id >= t.next_id then t.next_id <- id + 1))
         | _ -> (
@@ -508,6 +530,7 @@ let create ?(config = default_config) dir =
       queue = Queue.create ();
       jobs = Hashtbl.create 64;
       by_hash = Hashtbl.create 64;
+      parsed = Hashtbl.create 64;
       followers = Hashtbl.create 16;
       next_id = 1;
       stop = `No;

@@ -3,7 +3,9 @@
     cache, and journal-backed crash recovery.
 
     Submitting a manifest whose content hash is already in the result
-    store completes immediately as a cache hit; one that matches a
+    store completes immediately as a cache hit, answered from the
+    store's in-memory index and, for a text submitted before, without
+    parsing it again; one that matches a
     queued or running job piggybacks on it and completes with it.  A
     job whose worker dies mid-run (the [kill] injection hook, or a
     whole-process kill) is requeued — or recovered from the journal on
@@ -39,7 +41,11 @@ val submit : t -> string -> (int, string) result
     job id.  Malformed manifests are an [Error], never an exception. *)
 
 val job_json : t -> int -> (Obs.Json.t, string) result
-val result : t -> int -> (Golden.Fixture.t, string) result
+
+val result : t -> int -> (Store.stored, string) result
+(** A done job's stored result, from the store's in-memory index
+    ({!Store.lookup}). *)
+
 val cancel : t -> int -> (string, string) result
 val stats : t -> Obs.Json.t
 (** Workers, job counts by state, the scheduler's counters, the

@@ -70,13 +70,11 @@ let handle_request t ~write req =
     `Continue
   | Proto.Result id ->
     (match Sched.result t.sched id with
-     | Ok fx ->
+     | Ok stored ->
        write
          (Proto.ok_reply
             [ ("job", Obs.Json.Int id);
-              ( "fixture",
-                Obs.Json.Str (Sexp.Datum.to_string (Golden.Fixture.to_datum fx))
-              )
+              ("fixture", Obs.Json.Str stored.Store.text)
             ])
      | Error msg -> write (Proto.error_reply ~job:id msg));
     `Continue

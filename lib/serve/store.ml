@@ -8,13 +8,25 @@
    so the tail a crashed daemon leaves behind is at worst one torn
    line; [read_journal] skips lines that do not parse.  Results are
    written atomically by Fixture.save (temp + rename), so a reader
-   never sees a half-written fixture. *)
+   never sees a half-written fixture.
+
+   Stored results are immutable, so the store indexes each one in
+   memory the first time it writes or reads it: a cache hit is a
+   table lookup, not a file read and a parse.  The index has its own
+   lock so that a hit never waits on a journal flush. *)
+
+type stored = {
+  fixture : Golden.Fixture.t;
+  text : string;
+}
 
 type t = {
   dir : string;
   journal : out_channel;
   writer : Obs.Jsonl.t;
-  mutex : Mutex.t;
+  mutex : Mutex.t;  (* the journal *)
+  index : (string, stored) Hashtbl.t;
+  index_mutex : Mutex.t;
 }
 
 let ensure_dir path =
@@ -31,7 +43,13 @@ let create dir =
   let journal =
     open_out_gen [ Open_append; Open_creat ] 0o644 (journal_path dir)
   in
-  { dir; journal; writer = Obs.Jsonl.to_channel journal; mutex = Mutex.create () }
+  { dir;
+    journal;
+    writer = Obs.Jsonl.to_channel journal;
+    mutex = Mutex.create ();
+    index = Hashtbl.create 64;
+    index_mutex = Mutex.create ()
+  }
 
 let append t event =
   Mutex.lock t.mutex;
@@ -65,17 +83,44 @@ let read_journal dir =
 
 let result_path t hash = Filename.concat (results_dir t.dir) (hash ^ ".sexp")
 
+let indexed t hash =
+  Mutex.lock t.index_mutex;
+  let found = Hashtbl.find_opt t.index hash in
+  Mutex.unlock t.index_mutex;
+  found
+
+(* File [fixture] under [hash] unless a concurrent caller got there
+   first; either way every caller sees the one entry the index keeps. *)
+let index t hash fixture =
+  let fresh =
+    { fixture; text = Sexp.Datum.to_string (Golden.Fixture.to_datum fixture) }
+  in
+  Mutex.lock t.index_mutex;
+  let kept =
+    match Hashtbl.find_opt t.index hash with
+    | Some e -> e
+    | None ->
+      Hashtbl.add t.index hash fresh;
+      fresh
+  in
+  Mutex.unlock t.index_mutex;
+  kept
+
 let lookup t hash =
-  let path = result_path t hash in
-  if Sys.file_exists path then
-    match Golden.Fixture.load path with
-    | fx -> Some fx
-    | exception Golden.Sx.Parse_error _ -> None
-  else None
+  match indexed t hash with
+  | Some _ as hit -> hit
+  | None -> (
+    let path = result_path t hash in
+    if not (Sys.file_exists path) then None
+    else
+      match Golden.Fixture.load path with
+      | fx -> Some (index t hash fx)
+      | exception Golden.Sx.Parse_error _ -> None)
 
 let put t fixture =
   let hash = Golden.Manifest.content_hash fixture.Golden.Fixture.run in
-  Golden.Fixture.save fixture (result_path t hash)
+  Golden.Fixture.save fixture (result_path t hash);
+  ignore (index t hash fixture)
 
 let checkpoint_path t ~id =
   Filename.concat (ckpt_dir t.dir) (Printf.sprintf "job-%d.ckpt" id)

@@ -8,6 +8,11 @@
      piggybacks in-flight duplicates, asserted by its counters, and a
      4-worker pool fed N submissions over d distinct grids completes N
      with exactly N - d cache hits;
+   - a daemon answers hits from its in-memory result index (a stored
+     file garbled under it changes nothing), a restarted daemon reads
+     the spool again (a garbled file is a miss, a sound one serves the
+     same bytes), and the parse memo never maps a text to another
+     text's content hash;
    - the kill-and-resume differential proof: a job whose worker dies
      mid-sweep resumes from its checkpoint and finishes bit-identical
      to an uninterrupted measurement, with one worker and with a
@@ -22,7 +27,8 @@
    - journal recovery re-enqueues what a killed daemon left behind
      (skipping the torn final line) and continues the id sequence;
    - the wire protocol round-trips and rejects oversized or garbage
-     frames;
+     frames, and structure-aware frame mutations get the documented
+     [Error], never an exception;
    - Serve_check accepts a healthy spool and localizes corrupt
      journals, impossible event orders and store-layout violations. *)
 
@@ -257,6 +263,155 @@ let test_pool_dedup_exact () =
         (Serve.Sched.counter_value sched "cache_hits");
       Serve.Sched.shutdown sched)
 
+(* --- Scheduler: the result index and the parse memo ----------------------- *)
+
+let stored_result sched id =
+  match Serve.Sched.result sched id with
+  | Ok stored -> stored
+  | Error msg -> Alcotest.fail msg
+
+let job_cached sched id =
+  match Serve.Sched.job_json sched id with
+  | Ok json -> Obs.Json.member "cached" json = Some (Obs.Json.Bool true)
+  | Error msg -> Alcotest.fail msg
+
+let job_hash sched id =
+  match Serve.Sched.job_json sched id with
+  | Ok json -> (
+    match Obs.Json.member "hash" json with
+    | Some (Obs.Json.Str h) -> h
+    | Some _ | None -> Alcotest.fail "job snapshot without a hash")
+  | Error msg -> Alcotest.fail msg
+
+let result_file dir r =
+  Filename.concat dir
+    (Filename.concat "results" (Golden.Manifest.content_hash r ^ ".sexp"))
+
+(* The reply text a hit got before results were indexed: the stored
+   file, loaded and printed. *)
+let text_from_disk dir r =
+  Sexp.Datum.to_string
+    (Golden.Fixture.to_datum (Golden.Fixture.load (result_file dir r)))
+
+let overwrite path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* Measure [r] on a fresh daemon, then overwrite its stored file with
+   garbage.  Returns the result text the daemon served before. *)
+let stored_then_garbled dir r =
+  let sched = Serve.Sched.create ~config:(quiet_config 1) dir in
+  let id1 = submit_ok sched r in
+  Serve.Sched.drain sched;
+  let from_disk = text_from_disk dir r in
+  let measured = stored_result sched id1 in
+  Alcotest.(check string) "measured result text = the stored file's" from_disk
+    measured.Serve.Store.text;
+  overwrite (result_file dir r) "garbage (((";
+  (sched, id1, measured)
+
+(* Stored results are immutable: once a daemon has a result, a repeat
+   submission is answered from its index, not from the file. *)
+let test_hit_from_index () =
+  with_spool (fun dir ->
+      let r = small_run () in
+      let sched, _, measured = stored_then_garbled dir r in
+      let id2 = submit_ok sched r in
+      Serve.Sched.drain sched;
+      Alcotest.(check int) "repeat is a cache hit" 1
+        (Serve.Sched.counter_value sched "cache_hits");
+      Alcotest.(check bool) "repeat marked cached" true (job_cached sched id2);
+      let served = stored_result sched id2 in
+      Alcotest.(check string) "result is the measured fixture"
+        measured.Serve.Store.text served.Serve.Store.text;
+      Alcotest.(check int) "no findings against the measured fixture" 0
+        (List.length
+           (Golden.Fixture.compare ~file:"index" ~expected:measured.fixture
+              ~actual:served.fixture ()));
+      Serve.Sched.shutdown sched)
+
+(* A new daemon has no index: the garbage file is a miss, as an
+   unreadable result always was, and the run is measured again. *)
+let test_restart_rereads_spool () =
+  with_spool (fun dir ->
+      let r = small_run () in
+      let sched, _, measured = stored_then_garbled dir r in
+      Serve.Sched.shutdown sched;
+      let sched = Serve.Sched.create ~config:(quiet_config 1) dir in
+      let id = submit_ok sched r in
+      Serve.Sched.drain sched;
+      Alcotest.(check int) "garbage file is a miss" 0
+        (Serve.Sched.counter_value sched "cache_hits");
+      Alcotest.(check bool) "job measured afresh" false (job_cached sched id);
+      Alcotest.(check string) "re-measured result rewritten" measured.text
+        (text_from_disk dir r);
+      Alcotest.(check string) "and served" measured.text
+        (stored_result sched id).text;
+      Serve.Sched.shutdown sched)
+
+(* A result an earlier daemon stored enters the new daemon's index on
+   its first lookup and is served byte for byte as before. *)
+let test_restart_serves_stored () =
+  with_spool (fun dir ->
+      let r = small_run () in
+      let sched = Serve.Sched.create ~config:(quiet_config 1) dir in
+      let id = submit_ok sched r in
+      Serve.Sched.drain sched;
+      let before = (stored_result sched id).text in
+      Serve.Sched.shutdown sched;
+      let sched = Serve.Sched.create ~config:(quiet_config 1) dir in
+      let id = submit_ok sched r in
+      Serve.Sched.drain sched;
+      Alcotest.(check int) "previous daemon's result is a hit" 1
+        (Serve.Sched.counter_value sched "cache_hits");
+      Alcotest.(check bool) "marked cached" true (job_cached sched id);
+      Alcotest.(check string) "Result text byte-identical" before
+        (stored_result sched id).text;
+      Alcotest.(check string) "and equal to the file's" (text_from_disk dir r)
+        (stored_result sched id).text;
+      Serve.Sched.shutdown sched)
+
+(* Texts that differ only in label fields share a result; texts whose
+   content differs never do, however often each is resubmitted.  [c]
+   differs from [a] in one digit-for-digit cache size, so a memo keyed
+   on anything coarser than the whole text would confuse them. *)
+let test_memo_keys_whole_text () =
+  with_spool (fun dir ->
+      let sched = Serve.Sched.create ~config:(quiet_config 1) dir in
+      let a = small_run ~name:"a" ~cache:65536 () in
+      let b =
+        { (small_run ~name:"b" ~cache:65536 ()) with Golden.Manifest.jobs = 3 }
+      in
+      let c = small_run ~name:"a" ~cache:32768 () in
+      Alcotest.(check int) "c is as long as a" (String.length (run_text a))
+        (String.length (run_text c));
+      let submit r =
+        let id = submit_ok sched r in
+        Serve.Sched.drain sched;
+        id
+      in
+      let round () = List.map submit [ a; b; c ] in
+      let first = round () in
+      let second = round () in
+      Alcotest.(check int) "only a and c are measured" 4
+        (Serve.Sched.counter_value sched "cache_hits");
+      List.iter2
+        (fun r id ->
+          Alcotest.(check string)
+            (r.Golden.Manifest.name ^ ": job hash is the text's")
+            (Golden.Manifest.content_hash r)
+            (job_hash sched id))
+        [ a; b; c; a; b; c ] (first @ second);
+      let text id = (stored_result sched id).Serve.Store.text in
+      (match (first, second) with
+       | [ a1; b1; c1 ], [ a2; b2; c2 ] ->
+         Alcotest.(check string) "a and b share a result" (text a1) (text b1);
+         Alcotest.(check bool) "c has its own" true (text a1 <> text c1);
+         Alcotest.(check (list string)) "repeats serve the same results"
+           [ text a1; text b1; text c1 ]
+           [ text a2; text b2; text c2 ]
+       | _ -> assert false);
+      Serve.Sched.shutdown sched)
+
 (* --- Scheduler: trace memory ------------------------------------------------ *)
 
 let vm_rss_bytes () =
@@ -307,7 +462,8 @@ let test_rss_flat_over_fresh_jobs () =
            Serve.Store.lookup (Serve.Sched.store sched)
              (Golden.Manifest.content_hash r)
          with
-         | Some fx -> events := max !events fx.Golden.Fixture.trace_events
+         | Some { Serve.Store.fixture; _ } ->
+           events := max !events fixture.Golden.Fixture.trace_events
          | None -> Alcotest.fail ("no stored result for " ^ r.Golden.Manifest.name));
         rss.(i) <- vm_rss_bytes ()
       done;
@@ -335,7 +491,7 @@ let assert_stored_matches_fresh sched (r : Golden.Manifest.run) =
   let hash = Golden.Manifest.content_hash r in
   match Serve.Store.lookup (Serve.Sched.store sched) hash with
   | None -> Alcotest.fail ("no stored result for " ^ r.Golden.Manifest.name)
-  | Some stored ->
+  | Some { Serve.Store.fixture = stored; _ } ->
     let fresh = Golden.Fixture.measure r in
     let findings =
       Golden.Fixture.compare ~file:r.Golden.Manifest.name ~expected:fresh
@@ -722,6 +878,188 @@ let test_proto_frames () =
       | Error `Closed -> ()
       | Ok _ | Error (`Error _) -> Alcotest.fail "EOF not reported as Closed")
 
+(* Structure-aware frame mutators.  A request is encoded as a frame and
+   then one of: left intact; its 4-byte length replaced by 0, by a
+   length above the 16 MB cap, or by one longer than the bytes sent;
+   its body cut short; its "op" replaced by a string that is no op; or
+   one field's value replaced by a value of another JSON type.  The
+   frame goes through a pipe into [Proto.read_frame] and, if it reads,
+   [Proto.request_of_json].  Each must give its documented [Error] and
+   never raise; an intact frame must round-trip. *)
+
+let frame_cap = 16 * 1024 * 1024
+
+let gen_request =
+  QCheck.Gen.(
+    oneof
+      [ map2
+          (fun run_text wait -> Serve.Proto.Submit { run_text; wait })
+          (string_size ~gen:(map Char.chr (int_range 0 255)) (int_bound 48))
+          bool;
+        map (fun id -> Serve.Proto.Status id) nat;
+        map (fun id -> Serve.Proto.Result id) nat;
+        map (fun id -> Serve.Proto.Cancel id) nat;
+        return Serve.Proto.Stats;
+        map (fun drain -> Serve.Proto.Shutdown { drain }) bool;
+        return Serve.Proto.Ping ])
+
+type frame_mutation =
+  | Intact
+  | Zero_length
+  | Over_cap of int  (** declared length, above the cap *)
+  | Longer of int  (** declared length minus the bytes sent, > 0 *)
+  | Cut of int  (** payload bytes sent, fewer than declared *)
+  | Op of int  (** which edit of the op string *)
+  | Retype of int * int  (** which field, which replacement value *)
+
+let gen_mutation =
+  QCheck.Gen.(
+    frequency
+      [ (1, return Intact);
+        (1, return Zero_length);
+        ( 1,
+          map
+            (fun n -> Over_cap n)
+            (oneofl [ frame_cap + 1; 0x7fffffff; 0x80000000; 0xffffffff ]) );
+        (1, map (fun n -> Longer n) (int_range 1 100_000));
+        (1, map (fun n -> Cut n) nat);
+        (2, map (fun n -> Op n) nat);
+        (2, map2 (fun f v -> Retype (f, v)) nat nat) ])
+
+let known_ops =
+  [ "submit"; "status"; "result"; "cancel"; "stats"; "shutdown"; "ping" ]
+
+let edit_op op n =
+  let len = String.length op in
+  match n mod 4 with
+  | 0 -> op ^ String.make 1 (Char.chr (33 + (n / 4 mod 94)))
+  | 1 -> String.sub op 0 (n / 4 mod len)
+  | 2 -> String.capitalize_ascii op
+  | _ ->
+    let i = n / 4 mod len in
+    String.mapi
+      (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c)
+      op
+
+(* A value whose JSON type differs from [v]'s.  [Float 0.5] is not an
+   integer, so it retypes an integer field too. *)
+let retyped v n =
+  let kind = function
+    | Obs.Json.Null -> 0
+    | Obs.Json.Bool _ -> 1
+    | Obs.Json.Int _ | Obs.Json.Float _ -> 2
+    | Obs.Json.Str _ -> 3
+    | Obs.Json.List _ -> 4
+    | Obs.Json.Obj _ -> 5
+  in
+  let others =
+    List.filter
+      (fun c -> kind c <> kind v)
+      Obs.Json.
+        [ Null; Bool true; Int 7; Float 0.5; Str "7"; List [ Int 1 ];
+          Obj [ ("op", Str "ping") ] ]
+  in
+  List.nth others (n mod List.length others)
+
+let print_case (req, m) =
+  Printf.sprintf "%s with %s"
+    (Obs.Json.to_string (Serve.Proto.request_to_json req))
+    (match m with
+     | Intact -> "no mutation"
+     | Zero_length -> "length 0"
+     | Over_cap n -> Printf.sprintf "length %d" n
+     | Longer n -> Printf.sprintf "length %d past the payload" n
+     | Cut n -> Printf.sprintf "payload cut (seed %d)" n
+     | Op n -> Printf.sprintf "op edit %d" n
+     | Retype (f, v) -> Printf.sprintf "field %d retyped (%d)" f v)
+
+let with_pipe f =
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close r with Unix.Unix_error _ -> ());
+      try Unix.close w with Unix.Unix_error _ -> ())
+    (fun () -> f r w)
+
+(* Send [header] (a declared length) and [payload] down a pipe, close
+   it, and read one frame back. *)
+let read_sent ?header payload =
+  with_pipe (fun r w ->
+      let len = Option.value header ~default:(String.length payload) in
+      let hdr = Bytes.create 4 in
+      Bytes.set_int32_be hdr 0 (Int32.of_int len);
+      ignore (Unix.write w hdr 0 4);
+      ignore (Unix.write_substring w payload 0 (String.length payload));
+      Unix.close w;
+      Serve.Proto.read_frame r)
+
+let prop_mutated_frames =
+  QCheck.Test.make ~count:1000
+    ~name:"mutated frames refused, never raise"
+    (QCheck.make ~print:print_case QCheck.Gen.(pair gen_request gen_mutation))
+    (fun (req, m) ->
+      let json = Serve.Proto.request_to_json req in
+      let fields = match json with Obs.Json.Obj fs -> fs | _ -> [] in
+      let payload = Obs.Json.to_string json in
+      let closed = function
+        | Error `Closed -> true
+        | Ok _ | Error (`Error _) -> false
+      in
+      let error_naming needle = function
+        | Error (`Error msg) -> contains msg needle
+        | Ok _ | Error `Closed -> false
+      in
+      (* the frame reads, and the request is refused *)
+      let refused frame needle =
+        match read_sent (Obs.Json.to_string frame) with
+        | Ok back -> (
+          match Serve.Proto.request_of_json back with
+          | Error msg -> contains msg needle
+          | Ok _ -> false)
+        | Error _ -> false
+      in
+      match m with
+      | Intact ->
+        with_pipe (fun r w ->
+            Serve.Proto.write_frame w json;
+            match Serve.Proto.read_frame r with
+            | Ok back -> Serve.Proto.request_of_json back = Ok req
+            | Error _ -> false)
+      | Zero_length -> error_naming "unparseable" (read_sent ~header:0 "")
+      | Over_cap n -> error_naming "length" (read_sent ~header:n payload)
+      | Longer n ->
+        let header = String.length payload + n in
+        closed (read_sent ~header payload)
+      | Cut n ->
+        let sent = n mod String.length payload in
+        closed
+          (read_sent ~header:(String.length payload)
+             (String.sub payload 0 sent))
+      | Op n ->
+        let op =
+          match List.assoc_opt "op" fields with
+          | Some (Obs.Json.Str op) -> op
+          | _ -> ""
+        in
+        let op' = edit_op op n in
+        QCheck.assume (not (List.mem op' known_ops));
+        refused
+          (Obs.Json.Obj
+             (List.map
+                (fun (k, v) ->
+                  if k = "op" then (k, Obs.Json.Str op') else (k, v))
+                fields))
+          "unknown op"
+      | Retype (f, v) ->
+        let f = f mod List.length fields in
+        let name = fst (List.nth fields f) in
+        refused
+          (Obs.Json.Obj
+             (List.mapi
+                (fun i (k, x) -> if i = f then (k, retyped x v) else (k, x))
+                fields))
+          (Printf.sprintf "%S" name))
+
 (* --- Serve_check ----------------------------------------------------------- *)
 
 let test_serve_check_healthy_spool () =
@@ -830,7 +1168,15 @@ let () =
           Alcotest.test_case "in-flight duplicate piggybacks" `Quick
             test_inflight_duplicate_piggybacks;
           Alcotest.test_case "4-worker pool sweeps each grid once" `Quick
-            test_pool_dedup_exact
+            test_pool_dedup_exact;
+          Alcotest.test_case "hit answered from the index" `Quick
+            test_hit_from_index;
+          Alcotest.test_case "restart re-reads a garbled result" `Quick
+            test_restart_rereads_spool;
+          Alcotest.test_case "restart serves stored results" `Quick
+            test_restart_serves_stored;
+          Alcotest.test_case "parse memo keys the whole text" `Quick
+            test_memo_keys_whole_text
         ] );
       ( "resume",
         [ Alcotest.test_case "kill and resume = uninterrupted (serial)" `Quick
@@ -865,7 +1211,8 @@ let () =
           Alcotest.test_case "garbage requests rejected" `Quick
             test_proto_rejects_garbage;
           Alcotest.test_case "framing rejects oversize and garbage" `Quick
-            test_proto_frames
+            test_proto_frames;
+          QCheck_alcotest.to_alcotest prop_mutated_frames
         ] );
       ( "spool-check",
         [ Alcotest.test_case "healthy spool is clean" `Quick
