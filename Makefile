@@ -2,7 +2,7 @@
 
 .PHONY: all build test test-parallel test-fastpath bench lint policy-check \
   check-recordings check-profile check-serve golden golden-record \
-  check untracked-build clean
+  check-tables tables-record check untracked-build clean
 
 all: build
 
@@ -137,6 +137,27 @@ golden-record:
 	dune build
 	dune exec bin/repro.exe -- golden record
 
+# The paper's tables as committed: `repro run` at scale 1 must print
+# golden/repro-run.txt byte for byte, serially and with two worker
+# domains.  The serial run also writes its telemetry; both stdouts stay
+# in the working directory (repro-run.txt, repro-run-jobs2.txt) for
+# CI to upload.
+check-tables:
+	dune build
+	REPRO_SCALE=1 dune exec bin/repro.exe -- run --jobs 1 \
+	  --metrics run-metrics.json > repro-run.txt
+	diff -u golden/repro-run.txt repro-run.txt
+	REPRO_SCALE=1 dune exec bin/repro.exe -- run --jobs 2 > repro-run-jobs2.txt
+	diff -u golden/repro-run.txt repro-run-jobs2.txt
+	@echo "check-tables: ok"
+
+# Re-record golden/repro-run.txt after a deliberate change to what
+# `repro run` prints.  Review its diff before committing it.
+tables-record:
+	dune build
+	REPRO_SCALE=1 dune exec bin/repro.exe -- run --jobs 1 > golden/repro-run.txt.tmp
+	mv golden/repro-run.txt.tmp golden/repro-run.txt
+
 # Fail if the _build tree ever sneaks back into the index.
 untracked-build:
 	@n=$$(git ls-files _build | wc -l); \
@@ -144,7 +165,7 @@ untracked-build:
 	  echo "error: $$n file(s) under _build/ are tracked by git"; exit 1; \
 	fi
 
-check: build test lint policy-check test-parallel test-fastpath check-recordings check-profile check-serve golden untracked-build
+check: build test lint policy-check test-parallel test-fastpath check-recordings check-profile check-serve golden check-tables untracked-build
 	@echo "check: ok"
 
 clean:

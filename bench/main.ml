@@ -730,8 +730,8 @@ let measure_serve () =
     "@.==== serve (%d submissions, %d distinct, %d workers) ====@." total
     distinct config.Serve.Sched.workers;
   Format.fprintf ppf
-    "%.1f jobs/s   sweeps %.2fs   cache-hit ratio %.3f   latency p50 %.1fms \
-     p90 %.1fms p99 %.1fms   hit submit p50 %.3fms@."
+    "%.1f jobs/s   sweeps %.2fs   cache-hit ratio %.3f   latency p50 %.3fms \
+     p90 %.3fms p99 %.3fms   hit submit p50 %.3fms@."
     (float_of_int total /. dt)
     sweep_s ratio p50 p90 p99 hit_p50;
   ( "serve",
@@ -818,6 +818,8 @@ let write_bench_metrics json =
   Format.fprintf ppf "wrote BENCH_metrics.json@."
 
 let () =
+  Format.fprintf ppf "perf smoke: built with dune profile %s@."
+    Build_profile.profile;
   let results = run_perf () in
   (* One pass after another, in print order (a list literal would
      evaluate right to left). *)
@@ -829,7 +831,8 @@ let () =
   in
   let doc =
     Obs.Json.Obj
-      (("scale_factor", Obs.Json.Int (Core.Runner.scale_factor ()))
+      (("build_profile", Obs.Json.Str Build_profile.profile)
+       :: ("scale_factor", Obs.Json.Int (Core.Runner.scale_factor ()))
        :: ("benchmarks",
            Obs.Json.Obj
              (List.map

@@ -85,11 +85,13 @@ let hier_report h =
 
 (* --- telemetry exports ------------------------------------------------- *)
 
+(* The confirmations go to stderr, so stdout holds only the command's
+   own output (`make check-tables` diffs `repro run --metrics`'s). *)
 let write_telemetry tel ~metrics ~trace_events =
   let write done_msg f =
     try
       f ();
-      Format.fprintf ppf "%s@." done_msg;
+      Format.eprintf "%s@." done_msg;
       0
     with Sys_error msg ->
       Format.eprintf "repro: %s@." msg;

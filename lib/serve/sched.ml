@@ -512,9 +512,13 @@ let recover t events =
 
 (* --- Lifecycle ----------------------------------------------------------- *)
 
+(* 1-2-5 per decade from 1 us to a minute: a cache hit answered from
+   the index (a few microseconds from submit to done) and a fresh sweep
+   (seconds) both land in a bucket no wider than 2.5x. *)
 let latency_buckets =
-  [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 10000.;
-     30000.; 60000. |]
+  [| 0.001; 0.002; 0.005; 0.01; 0.02; 0.05; 0.1; 0.2; 0.5; 1.; 2.; 5.; 10.;
+     20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 10000.; 20000.; 50000.;
+     60000. |]
 
 let create ?(config = default_config) dir =
   if config.workers < 1 then invalid_arg "Sched.create: workers < 1";

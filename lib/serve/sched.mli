@@ -63,6 +63,10 @@ val shutdown : ?drain:bool -> t -> unit
     queue empties first; without it, queued jobs are cancelled and
     running jobs are interrupted at their next progress tick. *)
 
+val latency_buckets : float array
+(** Upper bounds, in ms, of the ["serve.latency_ms"] histogram: 1-2-5
+    per decade from 0.001 to 60000. *)
+
 val latency_quantile : t -> float -> float
 val counter_value : t -> string -> int
 (** ["submitted"] / ["completed"] / ["failed"] / ["cancelled"] /

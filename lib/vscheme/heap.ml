@@ -182,9 +182,9 @@ let alloc t area tag ~len =
 
 let load_header t addr = Mem.read t.mem addr
 let peek_header t addr = Mem.peek t.mem addr
-let load_field t addr i = Mem.read t.mem (addr + 1 + i)
+let[@inline] load_field t addr i = Mem.read t.mem (addr + 1 + i)
 
-let store_field t addr i v =
+let[@inline] store_field t addr i v =
   let field_addr = addr + 1 + i in
   (match t.barrier with
    | None -> ()
@@ -199,15 +199,19 @@ let has_tag t v tag =
   Value.is_pointer v
   && Value.header_tag (peek_header t (Value.pointer_val v)) = tag
 
-let type_check t v tag who =
+(* The check is inlined at every accessor; the message is built out of
+   line, only when it fails. *)
+let type_error t v tag who =
   if not (Value.is_pointer v) then
     error "%s: expected %s, got %a" who (Value.tag_to_string tag) Value.pp v;
+  let actual = Value.header_tag (peek_header t (Value.pointer_val v)) in
+  error "%s: expected %s, got %s" who (Value.tag_to_string tag)
+    (Value.tag_to_string actual)
+
+let[@inline] type_check t v tag who =
   let addr = Value.pointer_val v in
-  let actual = Value.header_tag (peek_header t addr) in
-  if actual <> tag then
-    error "%s: expected %s, got %s" who (Value.tag_to_string tag)
-      (Value.tag_to_string actual);
-  addr
+  if Value.is_pointer v && Value.header_tag (peek_header t addr) = tag then addr
+  else type_error t v tag who
 
 (* --- Pairs --- *)
 
@@ -375,5 +379,5 @@ let set_dynamic_window t ~base ~limit =
 
 let note_collection t = t.collections <- t.collections + 1
 
-let gc_read t a = Mem.read t.mem a
-let gc_write t a v = Mem.write t.mem a v
+let[@inline] gc_read t a = Mem.read t.mem a
+let[@inline] gc_write t a v = Mem.write t.mem a v

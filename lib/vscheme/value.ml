@@ -85,7 +85,11 @@ let tag_to_string = function
   | Free -> "free"
 
 let min_object_words = 2
-let object_words h = max min_object_words (1 + header_len h)
+(* Not Stdlib.max: that is polymorphic, an out-of-line call and a
+   generic compare for every object the collectors copy or scan. *)
+let object_words h =
+  let n = 1 + header_len h in
+  if n < min_object_words then min_object_words else n
 
 let pp ppf v =
   if is_fixnum v then Format.pp_print_int ppf (fixnum_val v)

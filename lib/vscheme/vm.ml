@@ -226,7 +226,7 @@ let[@inline] push t v =
   Mem.write t.mem t.sp v;
   t.sp <- t.sp + 1
 
-let pop t =
+let[@inline] pop t =
   t.sp <- t.sp - 1;
   Mem.read t.mem t.sp
 

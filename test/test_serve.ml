@@ -17,6 +17,7 @@
      mid-sweep resumes from its checkpoint and finishes bit-identical
      to an uninterrupted measurement, with one worker and with a
      2-worker pool;
+   - the latency histogram resolves a sub-millisecond cache hit;
    - malformed manifests are structured errors, never crashes, and
      execution failures carry the job id and manifest name;
    - cancelling a queued leader promotes its in-flight follower, and
@@ -1150,6 +1151,39 @@ let test_serve_check_store_layout () =
              && String.sub f.Check.Finding.rule 0 5 = "ckpt.")
            fs))
 
+(* The serve latency histogram must resolve a cache hit: fed samples
+   spread like the perf smoke's hits, its p50 must lie within one
+   bucket's relative width (hi / lo) of the exact median.  Two spreads:
+   a hit job's submit-to-done latency (0.003-0.009 ms) and an
+   in-process hit submit (0.016-0.029 ms).  A median in the first
+   bucket, (0, lo], fails: there the quantile is only q x lo. *)
+let test_latency_resolves_hits () =
+  let bounds = Serve.Sched.latency_buckets in
+  let check (lo_ms, hi_ms) =
+    let h =
+      Obs.Metrics.histogram (Obs.Metrics.create ()) "serve.latency_ms"
+        ~buckets:bounds
+    in
+    let samples =
+      Array.init 101 (fun i -> lo_ms +. ((hi_ms -. lo_ms) *. float i /. 100.))
+    in
+    Array.iter (Obs.Metrics.Histogram.observe h) samples;
+    let median = samples.(50) in
+    let p50 = Obs.Metrics.Histogram.quantile h 0.5 in
+    let i = ref 0 in
+    while bounds.(!i) < median do
+      incr i
+    done;
+    let lo = if !i = 0 then 0. else bounds.(!i - 1) and hi = bounds.(!i) in
+    if lo <= 0. then
+      Alcotest.failf "median %g ms falls in the first bucket (0, %g]" median hi;
+    let width = hi /. lo in
+    if p50 > median *. width || p50 < median /. width then
+      Alcotest.failf "p50 %g ms is not within %gx of the median %g ms" p50
+        width median
+  in
+  List.iter check [ (0.003, 0.009); (0.016, 0.029) ]
+
 let () =
   Alcotest.run "serve"
     [ ( "hash",
@@ -1205,6 +1239,10 @@ let () =
       ( "recovery",
         [ Alcotest.test_case "journal recovery resumes the spool" `Quick
             test_journal_recovery
+        ] );
+      ( "latency",
+        [ Alcotest.test_case "p50 of sub-ms hits within a bucket" `Quick
+            test_latency_resolves_hits
         ] );
       ( "proto",
         [ Alcotest.test_case "requests round-trip" `Quick test_proto_roundtrip;
