@@ -258,12 +258,19 @@ let best ?(runs = 5) make drive =
    each event read once, both cells stepped on it) against the same
    two cells replayed one pass each ([Level.access_chunk] twice), on
    every workload's trace.  The cells are the golden grid's corners.
-   Each side keeps its best of nine runs, and the two sides alternate
-   run by run so that a noisy stretch of the host lands on both; each
-   round's single/pair ratio is printed, so a slow stretch shows in
-   the log.  Both sides must end [Level.same]; the smallest
-   per-workload ratio of the best times is speedup_pair_vs_single,
-   held to a hard bound. *)
+   A single pass over the smallest trace takes a few milliseconds, so
+   each timed sample repeats its pass over [reps] fresh pairs of
+   cells, the count calibrated once per workload so the single side
+   runs for at least [min_sample_s]; both sides use the same count.
+   Each side keeps its best of nine samples, the two sides alternate
+   sample by sample and take turns going first, so that neither a
+   noisy stretch of the host nor the cost of following the other side
+   lands on one side only; each round's single/pair ratio is printed.
+   Both sides must end [Level.same]; the smallest per-workload ratio
+   of the best times is speedup_pair_vs_single, held to a hard
+   bound. *)
+let min_sample_s = 0.05
+
 let measure_grid_pair () =
   Format.fprintf ppf
     "@.==== grid-pair (two direct-mapped cells, one pass vs two) ====@.";
@@ -289,35 +296,58 @@ let measure_grid_pair () =
           Memsim.Recording.iter_chunks recording (fun buf len ->
               Memsim.Level.access_chunk2 ls.(0) ls.(1) buf 0 len)
         in
+        (* A warm-up pass, then one timed pass sets the repeat count. *)
+        single_pass (make ());
+        let reps =
+          let once, _ = best ~runs:1 make single_pass in
+          max 1 (int_of_float (Float.ceil (min_sample_s /. once)))
+        in
+        (* [reps] passes, each over fresh cells made before the clock
+           starts; the last pass's cells are kept for the check. *)
+        let sample pass =
+          let cells = Array.init reps (fun _ -> make ()) in
+          Gc.full_major ();
+          let (), s = time (fun () -> Array.iter pass cells) in
+          (s, cells.(reps - 1))
+        in
         let rec rounds k ratios (single_s, single) (pair_s, pair) =
-          if k = 0 then (List.rev ratios, (single_s, single), (pair_s, pair))
+          if k = 9 then (List.rev ratios, (single_s, single), (pair_s, pair))
           else
-            let s1, l1 = best ~runs:1 make single_pass in
-            let s2, l2 = best ~runs:1 make pair_pass in
-            rounds (k - 1) ((s1 /. s2) :: ratios)
+            let (s1, l1), (s2, l2) =
+              if k mod 2 = 0 then
+                let a = sample single_pass in
+                (a, sample pair_pass)
+              else
+                let b = sample pair_pass in
+                (sample single_pass, b)
+            in
+            rounds (k + 1) ((s1 /. s2) :: ratios)
               (Float.min single_s s1, l1)
               (Float.min pair_s s2, l2)
         in
         let ratios, (single_s, single), (pair_s, pair) =
-          rounds 9 [] (infinity, make ()) (infinity, make ())
+          rounds 0 [] (infinity, make ()) (infinity, make ())
         in
+        let single_s = single_s /. float_of_int reps
+        and pair_s = pair_s /. float_of_int reps in
         Memsim.Recording.release recording;
         if not (Array.for_all2 Memsim.Level.same single pair) then
           failwith
             ("grid-pair: the paired cells diverged from the single passes on "
            ^ w.Workloads.Workload.name);
         Format.fprintf ppf
-          "%-10s %9d events   single %.3fs   pair %.3fs (%.2fx)   levels \
-           same@.           rounds:%s@."
+          "%-10s %9d events   single %.4fs   pair %.4fs per pass (%.2fx, \
+           %d pass(es) per sample)   levels same@.           rounds:%s@."
           w.Workloads.Workload.name events single_s pair_s
-          (single_s /. pair_s)
+          (single_s /. pair_s) reps
           (String.concat "" (List.map (Printf.sprintf " %.2fx") ratios));
-        (w.Workloads.Workload.name, events, single_s, pair_s))
+        (w.Workloads.Workload.name, events, reps, single_s, pair_s))
       Workloads.Workload.all
   in
   let speedup =
     List.fold_left
-      (fun acc (_, _, single_s, pair_s) -> Float.min acc (single_s /. pair_s))
+      (fun acc (_, _, _, single_s, pair_s) ->
+        Float.min acc (single_s /. pair_s))
       infinity rows
   in
   Format.fprintf ppf "pair speedup (worst workload): %.2fx@." speedup;
@@ -326,10 +356,11 @@ let measure_grid_pair () =
       [ ("workloads",
          Obs.Json.Obj
            (List.map
-              (fun (name, events, single_s, pair_s) ->
+              (fun (name, events, reps, single_s, pair_s) ->
                 ( name,
                   Obs.Json.Obj
                     [ ("events", Obs.Json.Int events);
+                      ("passes_per_sample", Obs.Json.Int reps);
                       ("single_s", Obs.Json.Float single_s);
                       ("pair_s", Obs.Json.Float pair_s);
                       ("single_ns_per_event_cell",

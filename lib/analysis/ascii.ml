@@ -8,17 +8,9 @@ let create ~rows ~cols =
   if rows <= 0 || cols <= 0 then invalid_arg "Ascii.create";
   { nrows = rows; ncols = cols; cells = Bytes.make (rows * cols) ' ' }
 
-let rows c = c.nrows
-let cols c = c.ncols
-
 let set c ~row ~col ch =
   if row >= 0 && row < c.nrows && col >= 0 && col < c.ncols then
     Bytes.set c.cells ((row * c.ncols) + col) ch
-
-let get c ~row ~col =
-  if row >= 0 && row < c.nrows && col >= 0 && col < c.ncols then
-    Bytes.get c.cells ((row * c.ncols) + col)
-  else ' '
 
 let render ppf ?row_labels c =
   let labels =

@@ -6,14 +6,9 @@ type canvas
 val create : rows:int -> cols:int -> canvas
 (** A blank canvas; row 0 is the top line. *)
 
-val rows : canvas -> int
-val cols : canvas -> int
-
 val set : canvas -> row:int -> col:int -> char -> unit
 (** Out-of-range coordinates are ignored, so callers can plot clipped
     data without pre-checking. *)
-
-val get : canvas -> row:int -> col:int -> char
 
 val render :
   Format.formatter -> ?row_labels:(int -> string) -> canvas -> unit

@@ -8,9 +8,6 @@
     the renderer stays decoupled from whichever accumulator produced
     it (profiles, per-region time series, test fixtures). *)
 
-val default_ramp : string
-(** [" .:-=+*#%@"] — index 0 renders zero cells. *)
-
 val render :
   Format.formatter ->
   ?ramp:string ->

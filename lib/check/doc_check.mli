@@ -14,15 +14,5 @@
       a span never closed;
     - [doc.timestamps] — warning: the logical clock decreases. *)
 
-val check_events :
-  file:string -> Obs.Events.event list -> Finding.t list
-(** Span discipline and clock monotonicity over a bare event list. *)
-
-val check_doc :
-  file:string -> Obs.Json.t -> Stream_check.expect * Finding.t list
-(** Verify one parsed document; also returns the totals it declares
-    (its [run.*] counters), for cross-validation against a
-    recording's stream summary. *)
-
 val check_file : file:string -> Stream_check.expect * Finding.t list
 (** Load, parse and verify one telemetry JSON document. *)

@@ -33,9 +33,6 @@ val v : ?severity:severity -> ?where:where -> rule:string -> file:string -> stri
 val pp : Format.formatter -> t -> unit
 (** One line: [file[:line[:col]]: severity: [rule] message]. *)
 
-val severity_string : severity -> string
-
-val to_json : t -> Obs.Json.t
 val list_to_json : t list -> Obs.Json.t
 
 val is_error : t -> bool

@@ -40,7 +40,7 @@ val measure :
   Workloads.Workload.t ->
   Memsim.Hier.config list ->
   measured
-(** Lease one run of [w] ({!Runner.lease}, so a run measured before
+(** Lease one run of [w] ({!Runner.with_lease}, so a run measured before
     replays its kept trace), replay it into a fresh hierarchy per
     configuration with {!Memsim.Sweep.hier_run_parallel}[ ~jobs], and
     release the lease. *)

@@ -4,10 +4,6 @@
     into {!Obs.Profile.t} values ready for JSON, collapsed-stack and
     heatmap output. *)
 
-val cache_label : Memsim.Level.config -> string
-(** ["64k/16b write-validate"]-style label, as the sweep tables print
-    geometries. *)
-
 val capture :
   ?gc:Vscheme.Machine.gc_spec ->
   ?heap_bytes:int ->

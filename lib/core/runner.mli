@@ -21,7 +21,7 @@ type result = Vscheme.Machine.t outcome
     layout queries. *)
 
 type summary = unit outcome
-(** A run served through the trace memo ({!lease}), which keeps no
+(** A run served through the trace memo ({!with_lease}), which keeps no
     machine. *)
 
 val base_scale : Workloads.Workload.t -> int
@@ -68,7 +68,7 @@ val record :
     {!Memsim.Recording.save}'s default v2 format); whoever replays it
     last calls {!Memsim.Recording.release}.  Every call is a fresh
     production that the caller owns: it never reads or fills the
-    trace memo ({!lease}).
+    trace memo ({!with_lease}).
 
     [scale] defaults to [base_scale w * scale_factor ()].
     [pathological_layout] selects the stack-aliasing static layout of
@@ -93,27 +93,11 @@ val record :
 (** {1 Trace memo}
 
     The paper's method is to capture a trace once and feed it to many
-    simulators.  {!lease} does that across a process: the first lease
+    simulators.  {!with_lease} does that across a process: the first lease
     of a run records it and keeps the recording in the slab pool
     ({!Memsim.Recording.keep}); later leases of the same run replay
     the kept trace until the pool evicts it to make room for a new
     production. *)
-
-val lease :
-  ?gc:Vscheme.Machine.gc_spec ->
-  ?heap_bytes:int ->
-  ?pathological_layout:bool ->
-  ?scale:int ->
-  Workloads.Workload.t ->
-  summary * Memsim.Recording.t
-(** {!record}'s run and trace through the memo, keyed on every input
-    that reaches the VM: workload, scale and heap size (after
-    [REPRO_SCALE]), collector and layout.  The heap size is in the key
-    even for collected runs.  The recording is a read-only lease on
-    the kept trace; release it with {!Memsim.Recording.release} when
-    done.  Domains that miss the same key at once each record it.
-    Runs with [events], [attr] or [~direct:false] go through
-    {!record}. *)
 
 val with_lease :
   ?gc:Vscheme.Machine.gc_spec ->
@@ -123,11 +107,16 @@ val with_lease :
   Workloads.Workload.t ->
   (summary -> Memsim.Recording.t -> 'a) ->
   'a
-(** [with_lease w f] is [f] on {!lease}'s run and recording, releasing
-    the lease however [f] ends, so a raising consumer leaves no kept
-    trace pinned. *)
+(** [with_lease w f] is [f] on {!record}'s run and trace through the
+    memo, keyed on every input that reaches the VM: workload, scale
+    and heap size (after [REPRO_SCALE]), collector and layout.  The
+    heap size is in the key even for collected runs.  The recording
+    is a read-only lease on the kept trace, released however [f] ends,
+    so a raising consumer leaves no kept trace pinned.  Domains that
+    miss the same key at once each record it. *)
 
 val counters : unit -> (string * int) list
-(** [runner.productions] (VM runs, {!record} and {!lease} misses
-    alike), [runner.reuses] ({!lease} hits) and [runner.evictions]
+(** [runner.productions] (VM runs, {!record} and {!with_lease}
+    misses alike), [runner.reuses] ({!with_lease} hits) and
+    [runner.evictions]
     (kept traces the pool reclaimed), since the process began. *)

@@ -13,7 +13,6 @@ let create ?timeline () =
   in
   { registry; timeline; meta = [] }
 
-let registry t = t.registry
 let timeline t = t.timeline
 
 let set_meta t key json = t.meta <- (key, json) :: t.meta

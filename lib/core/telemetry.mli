@@ -14,7 +14,6 @@ val create : ?timeline:Obs.Events.timeline -> unit -> t
     fresh one) becomes the exported event timeline — pass the result
     of {!of_recording} when replaying a saved trace. *)
 
-val registry : t -> Obs.Metrics.registry
 val timeline : t -> Obs.Events.timeline
 
 val set_meta : t -> string -> Obs.Json.t -> unit

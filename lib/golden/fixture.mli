@@ -47,7 +47,7 @@ val measure :
   ?progress:(int -> unit) ->
   Manifest.run ->
   t
-(** Lease the workload's trace ({!Core.Runner.lease}: recorded, or
+(** Lease the workload's trace ({!Core.Runner.with_lease}: recorded, or
     replayed from the trace memo when this process holds it), sweep
     the manifest grid over it (with [run.jobs] worker domains), and
     size the trace as {!Memsim.Recording.saved_bytes} in
@@ -61,11 +61,9 @@ val measure :
     cursor after the restore and after every epoch; raising from it
     abandons the measurement (the serve scheduler uses this for
     cancellation and for its kill-injection tests).  [ctx] prefixes
-    error messages as in {!Memsim.Sweep.find}.
+    error messages (the serve scheduler passes the job id and
+    manifest name, so a surfaced error locates the job).
     @raise Failure on an unknown workload name. *)
-
-val default_tolerance : float
-(** Relative tolerance for derived ratios ([1e-9]). *)
 
 val compare :
   ?tolerance:float -> file:string -> expected:t -> actual:t -> unit ->

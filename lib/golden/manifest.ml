@@ -63,8 +63,6 @@ let default =
       ]
   }
 
-let find t name = List.find_opt (fun r -> r.name = name) t.runs
-
 (* --- Serialization ------------------------------------------------------ *)
 
 let policy_of_string ~file s =

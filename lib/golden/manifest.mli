@@ -41,29 +41,20 @@ val default : t
     corner of the paper grid, plus one no-GC control run and one run
     through the fused Coffee Lake 3-level hierarchy. *)
 
-val find : t -> string -> run option
-
-val to_datum : t -> Sexp.Datum.t
-val of_datum : file:string -> Sexp.Datum.t -> t
-(** @raise Sx.Parse_error on malformed input. *)
-
 val run_to_datum : run -> Sexp.Datum.t
 val run_of_datum : file:string -> Sexp.Datum.t -> run
 (** The [(run ...)] form, shared with fixtures (which embed the run
     they were measured under). *)
 
-val content_datum : run -> Sexp.Datum.t
-(** The canonical encoding of the quantities that determine a run's
-    numbers.  Built by re-serializing the parsed record, so source
-    field order, whitespace and elided defaults cannot affect it; the
-    [name] (a label) and [jobs] (provenance — results are
-    parallelism-invariant) fields are excluded. *)
-
 val content_hash : run -> string
-(** Hex digest of {!content_datum}: the result-cache key of the serve
-    scheduler.  Two runs share a hash exactly when they are the same
-    measurement; renaming a run or changing its worker count does not
-    change its hash. *)
+(** Hex digest of the canonical encoding of the quantities that
+    determine a run's numbers: the result-cache key of the serve
+    scheduler.  The encoding re-serializes the parsed record, so
+    source field order, whitespace and elided defaults cannot affect
+    it, and it leaves out [name] (a label) and [jobs] (results are
+    parallelism-invariant).  Two runs share a hash exactly when they
+    are the same measurement; renaming a run or changing its worker
+    count does not change its hash. *)
 
 val save : t -> string -> unit
 val load : string -> t

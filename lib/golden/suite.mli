@@ -7,7 +7,6 @@
     committed fixtures — the deterministic signal the CI regression
     gate fails on. *)
 
-val manifest_path : dir:string -> string
 val fixture_path : dir:string -> string -> string
 
 type verification = {

@@ -32,9 +32,6 @@ let fields ~file ~tag d =
 let get_opt fields key =
   List.assoc_opt key fields
 
-let get_all fields key =
-  List.filter_map (fun (k, v) -> if k = key then Some v else None) fields
-
 let get ~file fields key =
   match get_opt fields key with
   | Some v -> v

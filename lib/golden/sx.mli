@@ -32,7 +32,6 @@ val get : file:string -> (string * Sexp.Datum.t list) list -> string -> Sexp.Dat
     @raise Parse_error when absent. *)
 
 val get_opt : (string * Sexp.Datum.t list) list -> string -> Sexp.Datum.t list option
-val get_all : (string * Sexp.Datum.t list) list -> string -> Sexp.Datum.t list list
 
 val get_int : file:string -> (string * Sexp.Datum.t list) list -> string -> int
 val get_str : file:string -> (string * Sexp.Datum.t list) list -> string -> string

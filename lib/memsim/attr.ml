@@ -20,10 +20,8 @@
 
 let num_regions = 5
 let region_static = 0
-let region_stack = 1
 let region_tospace = 2
 let region_fromspace = 3
-let region_free = 4
 
 let region_name = function
   | 0 -> "static"

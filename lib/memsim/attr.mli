@@ -31,17 +31,11 @@ val num_regions : int
 (** 5: static, stack, tospace, fromspace, free. *)
 
 val region_static : int
-val region_stack : int
 val region_tospace : int
 val region_fromspace : int
-val region_free : int
 
 val region_name : int -> string
 (** @raise Invalid_argument outside [0, num_regions). *)
-
-val num_slots : int
-(** [2 * num_regions]: profile arrays are indexed by
-    [region * 2 + phase] with phase 0 = mutator, 1 = collector. *)
 
 (** {1 The side table} *)
 

@@ -38,9 +38,6 @@ let of_array a =
   done;
   b
 
-let to_array (b : buf) =
-  Array.init (Bigarray.Array1.dim b) (fun i -> Bigarray.Array1.get b i)
-
 (* --- Codec ------------------------------------------------------------ *)
 
 let kind_code = function

@@ -35,9 +35,6 @@ val empty : buf
 val of_array : int array -> buf
 (** Copy of an on-heap word array (test and bench convenience). *)
 
-val to_array : buf -> int array
-(** On-heap copy of a whole buffer (test convenience). *)
-
 (** {1 Codec} *)
 
 val pack : int -> Trace.kind -> Trace.phase -> int
@@ -49,9 +46,6 @@ val unpack : int -> int * Trace.kind * Trace.phase
 
 val addr : int -> int
 (** Byte address of a packed event. *)
-
-val kind_code : Trace.kind -> int
-(** 0 = read, 1 = write, 2 = alloc-write. *)
 
 val kind_of_code : int -> Trace.kind
 (** @raise Failure on codes outside 0–2. *)

@@ -113,8 +113,6 @@ let level t i = t.levels.(i)
 let stats t = Array.map Level.stats t.levels
 let level_stats t i = Level.stats t.levels.(i)
 
-let reset_stats t = Array.iter Level.reset_stats t.levels
-
 (* Each level's fetches are charged disjointly: a fetch that hits
    level i+1 costs that level's hit latency, and only the fetches that
    miss every level pay the Przybylski main-memory penalty of the last
@@ -200,9 +198,6 @@ let snapshot t buf =
   Buffer.add_int64_le buf snapshot_magic;
   Buffer.add_int64_le buf (Int64.of_int (Array.length t.levels));
   Array.iter (fun l -> Level.snapshot l buf) t.levels
-
-let snapshot_bytes t =
-  Array.fold_left (fun acc l -> acc + Level.snapshot_bytes l) 16 t.levels
 
 let restore t src pos =
   let bad at fmt =

@@ -57,7 +57,6 @@ val stats : t -> Cache.stats array
 (** Per-level counters, L1 first. *)
 
 val level_stats : t -> int -> Cache.stats
-val reset_stats : t -> unit
 
 val stall_cycles :
   config -> Cache.stats array -> Timing.processor -> collector:bool -> float
@@ -104,8 +103,6 @@ val snapshot : t -> Buffer.t -> unit
 (** Append the full hierarchy state — every level's tags, valid
     masks, dirty bits, packed policy words, and counters — so a
     restored hierarchy continues a replay bit-identically. *)
-
-val snapshot_bytes : t -> int
 
 val restore : t -> Bytes.t -> int -> int
 (** [restore t src pos] loads a snapshot written by {!snapshot},

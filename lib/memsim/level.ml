@@ -53,8 +53,8 @@
    earlier timestamp-based LRU cache at 16 ways).
 
    The eleven counters are one vector, [cnt], whose slots are named
-   once below in the order [snapshot] writes them; [reset_stats],
-   [same], [copy], [snapshot] and [restore] each treat it whole, like
+   once below in the order [snapshot] writes them; [same], [copy],
+   [snapshot] and [restore] each treat it whole, like
    the line arrays.  The set-associative loop folds its register
    accumulators into it through one [commit]; the direct-mapped step
    bumps its rare counters in place, and its loops commit only the
@@ -1442,8 +1442,6 @@ let stats t : Cache.stats =
     writes = c.(c_writes);
     collector_writes = c.(c_collector_writes)
   }
-
-let reset_stats t = Array.fill t.cnt 0 n_counters 0
 
 (* --- Prefix sharing ------------------------------------------------------ *)
 

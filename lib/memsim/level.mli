@@ -195,9 +195,6 @@ val access_chunk_attr2 :
 val stats : t -> Cache.stats
 (** The level's counters. *)
 
-val reset_stats : t -> unit
-(** Zero every counter (contents, tags and policy state are kept). *)
-
 (** {1 Prefix sharing}
 
     A level's behaviour is a function of its configuration, its state

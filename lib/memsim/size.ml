@@ -1,5 +1,5 @@
-(* Human-readable byte counts: the geometry naming used by Sweep.find
-   ("64k/32b") and by Recording's load diagnostics.  Exact multiples
+(* Human-readable byte counts: the geometry naming the sweep tables
+   print ("64k/32b") and Recording's load diagnostics use.  Exact multiples
    print without a fraction; quarter-megabyte multiples print as a
    short decimal ("1.25m"); everything else falls back to bytes. *)
 

@@ -1,6 +1,6 @@
 (** Human-readable byte counts ("64k", "1m", "1.25m", "17b") — the
-    geometry naming shared by {!Sweep.find} error messages and
-    {!Recording.load} diagnostics. *)
+    geometry naming shared by {!Sweep.pp_size} and {!Recording.load}
+    diagnostics. *)
 
 val pp : Format.formatter -> int -> unit
 (** Print a byte count in the shortest exact form. *)

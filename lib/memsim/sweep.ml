@@ -50,39 +50,6 @@ let hiers t = t.hiers
 let with_ctx ctx msg =
   match ctx with None -> msg | Some c -> c ^ ": " ^ msg
 
-let find ?ctx t ~size_bytes ~block_bytes =
-  let matches l =
-    let g = Level.geometry l in
-    g.Level.size_bytes = size_bytes && g.Level.block_bytes = block_bytes
-  in
-  let rec loop i =
-    if i >= Array.length t.levels then
-      (* Sweeps are policy-pluggable: name the configured write-miss
-         policies so a grid built under the wrong policy is
-         recognizable from the error alone. *)
-      let policies =
-        Array.fold_left
-          (fun acc lv ->
-            let l =
-              Cache.write_miss_label (Level.geometry lv).Level.write_miss_policy
-            in
-            if List.exists (String.equal l) acc then acc else l :: acc)
-          [] t.levels
-        |> List.rev |> String.concat "/"
-      in
-      failwith
-        (with_ctx ctx
-           (Format.asprintf
-              "Sweep.find: no %a cache with %db blocks among the %d \
-               configured (%s)"
-              pp_size size_bytes block_bytes
-              (Array.length t.levels)
-              (if String.length policies = 0 then "no policies" else policies)))
-    else if matches t.levels.(i) then t.levels.(i)
-    else loop (i + 1)
-  in
-  loop 0
-
 let results t =
   Array.to_list (Array.map (fun l -> (Level.geometry l, Level.stats l)) t.levels)
 

@@ -60,14 +60,6 @@ val hiers : t -> Hier.t array
 (** The cells as one-level hierarchies, in configuration order: what
     the [hier_*] replay, checkpoint and resume functions take. *)
 
-val find : ?ctx:string -> t -> size_bytes:int -> block_bytes:int -> Level.t
-(** The level of the first cell with the given geometry.
-    @raise Failure naming the requested geometry (and the configured
-    write-miss policies) when absent.  [ctx] prefixes the message with
-    who the sweep belongs to — the serve scheduler passes the job id
-    and manifest name so a surfaced error locates the job, not just
-    the geometry. *)
-
 val results : t -> (Level.config * Cache.stats) list
 
 (** {1 Replaying a recording} *)

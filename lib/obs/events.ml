@@ -38,7 +38,6 @@ let create ?clock () =
   t
 
 let set_clock t clock = t.clock <- clock
-let now t = t.clock ()
 let length t = t.len
 
 let get t i =
@@ -51,10 +50,6 @@ let iter t f =
   for i = 0 to t.len - 1 do
     f t.events.(i)
   done
-
-let clear t =
-  t.len <- 0;
-  t.seq <- 0
 
 let emit t ?ts ?(cat = "") ?(args = []) kind name =
   let ts = match ts with Some ts -> ts | None -> t.clock () in
@@ -162,15 +157,6 @@ let of_jsonl_string s =
           | Ok e -> loop (e :: acc) (lineno + 1) rest))
   in
   loop [] 1 lines
-
-(* Stream through the batched writer instead of materializing the
-   whole encoding: a long run's timeline dump stays at one batch of
-   buffer no matter how many events accumulated. *)
-let write_jsonl t path =
-  let w = Jsonl.create path in
-  Fun.protect
-    ~finally:(fun () -> Jsonl.close w)
-    (fun () -> iter t (fun e -> Jsonl.write w (event_to_json e)))
 
 (* --- Chrome trace-event format ----------------------------------------
    The "JSON object format" understood by chrome://tracing and

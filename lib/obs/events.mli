@@ -43,7 +43,6 @@ val create : ?clock:(unit -> int) -> unit -> timeline
     sequence number (1, 2, ...). *)
 
 val set_clock : timeline -> (unit -> int) -> unit
-val now : timeline -> int
 
 val emit :
   timeline ->
@@ -70,20 +69,16 @@ val length : timeline -> int
 val get : timeline -> int -> event
 val events : timeline -> event list
 val iter : timeline -> (event -> unit) -> unit
-val clear : timeline -> unit
 
 (** {1 JSONL} *)
 
 val event_to_json : event -> Json.t
 val event_of_json : Json.t -> (event, string) result
 val to_jsonl_string : timeline -> string
-val to_jsonl_buffer : timeline -> Buffer.t -> unit
 
 val of_jsonl_string : string -> (event list, string) result
 (** Blank lines are skipped; the first malformed line fails the whole
     parse with its line number. *)
-
-val write_jsonl : timeline -> string -> unit
 
 (** {1 Chrome trace-event format} *)
 

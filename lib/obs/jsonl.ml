@@ -1,24 +1,17 @@
 type t = {
   oc : out_channel;
-  owns_channel : bool;
   batch_bytes : int;
   buf : Buffer.t;
-  mutable written : int;
   mutable closed : bool;
 }
 
-let make ?(batch_bytes = 64 * 1024) oc ~owns_channel =
+let to_channel ?(batch_bytes = 64 * 1024) oc =
   if batch_bytes <= 0 then invalid_arg "Obs.Jsonl: batch_bytes must be positive";
   { oc;
-    owns_channel;
     batch_bytes;
     buf = Buffer.create (min batch_bytes 4096);
-    written = 0;
     closed = false
   }
-
-let create ?batch_bytes path = make ?batch_bytes (open_out path) ~owns_channel:true
-let to_channel ?batch_bytes oc = make ?batch_bytes oc ~owns_channel:false
 
 let flush_batch t =
   if Buffer.length t.buf > 0 then begin
@@ -30,10 +23,7 @@ let write t j =
   if t.closed then invalid_arg "Obs.Jsonl.write: writer is closed";
   Json.to_buffer t.buf j;
   Buffer.add_char t.buf '\n';
-  t.written <- t.written + 1;
   if Buffer.length t.buf >= t.batch_bytes then flush_batch t
-
-let written t = t.written
 
 let flush t =
   if not t.closed then begin
@@ -44,6 +34,6 @@ let flush t =
 let close t =
   if not t.closed then begin
     flush_batch t;
-    if t.owns_channel then close_out t.oc else Stdlib.flush t.oc;
+    Stdlib.flush t.oc;
     t.closed <- true
   end

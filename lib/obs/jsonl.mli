@@ -4,34 +4,24 @@
     eager [to_jsonl_string] path allocates the full encoding before the
     first byte reaches disk).
 
-    Writers own their channel when created with {!create}; {!close}
-    flushes and closes it.  [to_channel] borrows an existing channel:
-    {!close} then flushes without closing, so the caller keeps
-    interleaving its own output. *)
+    A writer borrows the caller's channel: {!close} flushes without
+    closing it, so the caller keeps interleaving its own output. *)
 
 type t
 
-val create : ?batch_bytes:int -> string -> t
-(** Open (truncate) [path] for writing.  [batch_bytes] bounds the
-    internal buffer: once a written line pushes the buffer past it,
-    the batch is flushed to the file.  Default 64 KiB.
-
-    @raise Invalid_argument if [batch_bytes <= 0]
-    @raise Sys_error if the file cannot be opened *)
-
 val to_channel : ?batch_bytes:int -> out_channel -> t
-(** Write through a caller-owned channel; {!close} will not close it. *)
+(** Write through a caller-owned channel.  [batch_bytes] bounds the
+    internal buffer: once a written line pushes the buffer past it,
+    the batch is flushed to the channel.  Default 64 KiB.
+
+    @raise Invalid_argument if [batch_bytes <= 0] *)
 
 val write : t -> Json.t -> unit
 (** Append one value as a single line (compact encoding plus
     newline).  @raise Invalid_argument on a closed writer. *)
 
-val written : t -> int
-(** Lines written so far. *)
-
 val flush : t -> unit
 (** Force the current batch out to the channel. *)
 
 val close : t -> unit
-(** Flush and release; closes the channel iff this writer opened it.
-    Idempotent. *)
+(** Flush and release; the channel stays open.  Idempotent. *)

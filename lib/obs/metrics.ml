@@ -43,7 +43,6 @@ let create ?(enabled = true) () =
 let default = create ()
 
 let set_enabled reg on = reg.enabled := on
-let enabled reg = !(reg.enabled)
 
 let instrument_name = function
   | Counter c -> c.c_name
@@ -116,7 +115,6 @@ module Histogram = struct
   let count h = h.h_count
   let sum h = h.h_sum
   let bucket_counts h = Array.copy h.h_counts
-  let bounds h = Array.copy h.h_bounds
 
   (* Bucket-interpolated quantile, Prometheus-style: find the bucket
      holding the q*count-th observation and interpolate linearly

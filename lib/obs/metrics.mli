@@ -20,7 +20,6 @@ val default : registry
 (** The process-wide registry the VM and collectors publish to. *)
 
 val set_enabled : registry -> bool -> unit
-val enabled : registry -> bool
 
 module Counter : sig
   type t
@@ -60,8 +59,6 @@ module Histogram : sig
 
   val bucket_counts : t -> int array
   (** One count per bound plus a final overflow bucket; copies. *)
-
-  val bounds : t -> float array
 
   val quantile : t -> float -> float
   (** [quantile h q] estimates the [q]-quantile ([q] clamped to

@@ -29,9 +29,6 @@ val sym : string -> t
 val equal : t -> t -> bool
 (** Structural equality, comparing vectors elementwise. *)
 
-val pp : Format.formatter -> t -> unit
-(** Print in standard external syntax; [pp] output re-reads to an
-    [equal] datum. *)
-
 val to_string : t -> string
-(** [to_string d] is [Format.asprintf "%a" pp d]. *)
+(** Standard external syntax; the output re-reads to an [equal]
+    datum. *)

@@ -40,6 +40,3 @@ val next : t -> token * position
     subsequent call returns [Eof] again.
 
     @raise Error on malformed input. *)
-
-val position : t -> position
-(** Current position (start of the next unread token, approximately). *)

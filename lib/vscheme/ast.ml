@@ -20,38 +20,6 @@ type toplevel =
   | Define of string * expr
   | Expr of expr
 
-(* Free-variable computation: walk with a set of bound names. *)
-let free_vars expr =
-  let free = Hashtbl.create 16 in
-  let rec go bound e =
-    match e with
-    | Quote _ | Undefined -> ()
-    | Var x -> if not (List.mem x bound) then Hashtbl.replace free x ()
-    | If (c, t, f) ->
-      go bound c;
-      go bound t;
-      go bound f
-    | Set (x, e) ->
-      if not (List.mem x bound) then Hashtbl.replace free x ();
-      go bound e
-    | Lambda { params; rest; body; name = _ } ->
-      let bound' =
-        params @ (match rest with
-                  | None -> []
-                  | Some r -> [ r ]) @ bound
-      in
-      go bound' body
-    | Call (f, args) ->
-      go bound f;
-      List.iter (go bound) args
-    | Seq es -> List.iter (go bound) es
-    | Let (bindings, body) ->
-      List.iter (fun (_, init) -> go bound init) bindings;
-      go (List.map fst bindings @ bound) body
-  in
-  go [] expr;
-  free
-
 let assigned_vars expr =
   let assigned = Hashtbl.create 16 in
   let rec go e =
@@ -75,33 +43,3 @@ let assigned_vars expr =
   in
   go expr;
   assigned
-
-let rec pp ppf e =
-  match e with
-  | Quote d -> Format.fprintf ppf "(quote %a)" Sexp.Datum.pp d
-  | Undefined -> Format.pp_print_string ppf "#<undefined>"
-  | Var x -> Format.pp_print_string ppf x
-  | If (c, t, f) -> Format.fprintf ppf "(if %a %a %a)" pp c pp t pp f
-  | Set (x, e) -> Format.fprintf ppf "(set! %s %a)" x pp e
-  | Lambda { params; rest; body; name } ->
-    Format.fprintf ppf "(lambda[%s] (%a%s) %a)" name
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ')
-         Format.pp_print_string)
-      params
-      (match rest with
-       | None -> ""
-       | Some r -> " . " ^ r)
-      pp body
-  | Call (f, args) ->
-    Format.fprintf ppf "(%a" pp f;
-    List.iter (fun a -> Format.fprintf ppf " %a" pp a) args;
-    Format.fprintf ppf ")"
-  | Seq es ->
-    Format.fprintf ppf "(begin";
-    List.iter (fun e -> Format.fprintf ppf " %a" pp e) es;
-    Format.fprintf ppf ")"
-  | Let (bindings, body) ->
-    Format.fprintf ppf "(let (";
-    List.iter (fun (x, e) -> Format.fprintf ppf "(%s %a)" x pp e) bindings;
-    Format.fprintf ppf ") %a)" pp body

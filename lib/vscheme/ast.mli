@@ -29,12 +29,6 @@ type toplevel =
   | Define of string * expr
   | Expr of expr
 
-val free_vars : expr -> (string, unit) Hashtbl.t
-(** The free variables of an expression. *)
-
 val assigned_vars : expr -> (string, unit) Hashtbl.t
 (** All names that occur as [set!] targets anywhere in the expression,
     including inside nested lambdas (used for boxing decisions). *)
-
-val pp : Format.formatter -> expr -> unit
-(** Debugging printer. *)

@@ -74,47 +74,3 @@ let instr_cost = function
   | Apply _ -> 24
   | Tail_apply _ -> 20
 
-let pp_instr ppf i =
-  match i with
-  | Imm v -> Format.fprintf ppf "imm %a" Value.pp v
-  | Const k -> Format.fprintf ppf "const %d" k
-  | Local k -> Format.fprintf ppf "local %d" k
-  | Set_local k -> Format.fprintf ppf "set-local %d" k
-  | Free k -> Format.fprintf ppf "free %d" k
-  | Global k -> Format.fprintf ppf "global %d" k
-  | Set_global k -> Format.fprintf ppf "set-global %d" k
-  | Make_closure k -> Format.fprintf ppf "make-closure %d" k
-  | Call n -> Format.fprintf ppf "call %d" n
-  | Tail_call n -> Format.fprintf ppf "tail-call %d" n
-  | Return -> Format.pp_print_string ppf "return"
-  | Jump pc -> Format.fprintf ppf "jump %d" pc
-  | Jump_if_false pc -> Format.fprintf ppf "jump-if-false %d" pc
-  | Pop -> Format.pp_print_string ppf "pop"
-  | Slide n -> Format.fprintf ppf "slide %d" n
-  | Make_cell -> Format.pp_print_string ppf "make-cell"
-  | Cell_ref -> Format.pp_print_string ppf "cell-ref"
-  | Cell_set -> Format.pp_print_string ppf "cell-set"
-  | Prim (id, n) -> Format.fprintf ppf "prim %d/%d" id n
-  | Apply n -> Format.fprintf ppf "apply %d" n
-  | Tail_apply n -> Format.fprintf ppf "tail-apply %d" n
-
-let disassemble ppf code =
-  Format.fprintf ppf "code %d (%s) arity=%d%s@." code.id code.name code.arity
-    (if code.has_rest then "+rest" else "");
-  match code.kind with
-  | Primitive p -> Format.fprintf ppf "  primitive %d@." p
-  | Bytecode { instrs; captures; nconsts; const_base = _ } ->
-    if Array.length captures > 0 then begin
-      Format.fprintf ppf "  captures:";
-      Array.iter
-        (fun c ->
-          match c with
-          | Cap_local k -> Format.fprintf ppf " local:%d" k
-          | Cap_free k -> Format.fprintf ppf " free:%d" k)
-        captures;
-      Format.fprintf ppf "@."
-    end;
-    if nconsts > 0 then Format.fprintf ppf "  constants: %d@." nconsts;
-    Array.iteri
-      (fun pc i -> Format.fprintf ppf "  %4d  %a@." pc pp_instr i)
-      instrs

@@ -62,6 +62,3 @@ val instr_cost : instr -> int
     instruction, approximating the MIPS instruction sequence a 1990s
     Scheme compiler would emit for it.  Primitive charges are supplied
     by the primitive table and not included here. *)
-
-val pp_instr : Format.formatter -> instr -> unit
-val disassemble : Format.formatter -> code -> unit

@@ -10,15 +10,4 @@
 
 exception Syntax_error of string
 
-val expand_toplevel : Sexp.Datum.t -> Ast.toplevel
-(** Expand one top-level form.
-
-    @raise Syntax_error on malformed special forms. *)
-
-val expand_expr : Sexp.Datum.t -> Ast.expr
-(** Expand a form in expression position.
-
-    @raise Syntax_error on malformed input, including top-level-only
-    forms such as [define]. *)
-
 val expand_program : Sexp.Datum.t list -> Ast.toplevel list

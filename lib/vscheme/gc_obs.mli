@@ -7,8 +7,6 @@
     Begin/End pairs tagged with the collector name and the
     minor/major/full kind. *)
 
-val registry : Obs.Metrics.registry
-
 val collections : Obs.Metrics.Counter.t
 val minor_collections : Obs.Metrics.Counter.t
 val major_collections : Obs.Metrics.Counter.t
@@ -16,10 +14,6 @@ val words_copied : Obs.Metrics.Counter.t
 val objects_copied : Obs.Metrics.Counter.t
 val words_promoted : Obs.Metrics.Counter.t
 val words_swept : Obs.Metrics.Counter.t
-val pause_insns : Obs.Metrics.Histogram.t
-
-val span_name : string
-(** ["gc.collection"]. *)
 
 val instrumented :
   Heap.t ->

@@ -74,18 +74,12 @@ let create ~mem ~static_words ~stack_words =
   }
 
 let mem t = t.mem
-let static_base t = t.static_base
-let static_top t = t.static_top
-let static_limit t = t.static_limit
 let stack_base t = t.stack_base
 let stack_limit t = t.stack_limit
 let dynamic_base t = t.dynamic_base
 let dynamic_limit t = t.dynamic_limit
 let alloc_ptr t = t.alloc_ptr
-let alloc_limit t = t.alloc_limit
-let is_dynamic t a = a >= t.dynamic_base && a < t.dynamic_limit
 
-let words_allocated t = t.words_allocated
 let bytes_allocated t = t.words_allocated * Memsim.Trace.word_bytes
 
 let mutator_insns t = t.mutator_insns
@@ -130,8 +124,6 @@ let attach_attr t table =
 let attr t = t.attr
 
 let set_alloc_site t site = t.alloc_site <- site
-
-let alloc_site t = t.alloc_site
 
 (* --- Allocation --- *)
 
@@ -346,8 +338,6 @@ let intern t name =
     let v = Value.pointer addr in
     Hashtbl.add t.symbols name v;
     v
-
-let find_symbol t name = Hashtbl.find_opt t.symbols name
 
 let symbol_name t v =
   let addr = type_check t v Value.Symbol "symbol-name" in

@@ -44,12 +44,6 @@ val mem : t -> Mem.t
 
 (** {1 Area geometry (word addresses)} *)
 
-val static_base : t -> int
-
-val static_top : t -> int
-(** Current static allocation frontier. *)
-
-val static_limit : t -> int
 val stack_base : t -> int
 val stack_limit : t -> int
 
@@ -60,15 +54,8 @@ val dynamic_limit : t -> int
 (** Top of the whole dynamic area. *)
 
 val alloc_ptr : t -> int
-val alloc_limit : t -> int
-
-val is_dynamic : t -> int -> bool
-(** Does this word address lie in the dynamic area? *)
 
 (** {1 Statistics} *)
-
-val words_allocated : t -> int
-(** Total dynamic words ever allocated (monotonic, survives GC). *)
 
 val bytes_allocated : t -> int
 
@@ -85,11 +72,6 @@ val collections : t -> int
     invalidates address-based hash tables (§6's rehashing cost). *)
 
 (** {1 Telemetry} *)
-
-val logical_time : t -> int
-(** Simulated instructions executed so far (mutator + collector); the
-    timeline clock, so event timestamps line up with the paper's
-    instruction-based cost model. *)
 
 val telemetry : t -> Obs.Events.timeline option
 (** The event timeline instrumentation publishes to, if any.
@@ -123,9 +105,6 @@ val set_alloc_site : t -> int -> unit
     subsequent allocations; the VM calls this at each allocating
     instruction.  Sticky until the next call. *)
 
-val alloc_site : t -> int
-(** The site currently charged. *)
-
 (** {1 Allocation and object access} *)
 
 val ensure : t -> int -> unit
@@ -145,9 +124,6 @@ val alloc : t -> area -> Value.tag -> len:int -> int
     area only).
 
     @raise Out_of_memory when the area cannot be extended. *)
-
-val load_header : t -> int -> int
-(** Traced read of an object's header word. *)
 
 val peek_header : t -> int -> int
 (** Untraced header read: models the hardware tag check a 1990s Scheme
@@ -225,8 +201,6 @@ val intern : t -> string -> Value.t
 
 val symbol_name : t -> Value.t -> string
 val is_symbol : t -> Value.t -> bool
-val find_symbol : t -> string -> Value.t option
-(** Lookup without interning. *)
 
 (** {1 Collector interface} *)
 

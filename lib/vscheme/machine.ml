@@ -165,16 +165,7 @@ let dynamic_limit_bytes cfg =
 
 let heap t = t.heap
 let collector t = t.collector
-let vm t = t.vm
 let mem t = t.mem
-
-let eval_datum t d =
-  let forms = Expander.expand_program [ d ] in
-  List.fold_left
-    (fun _last form ->
-      let code_id = Compiler.compile_toplevel t.linkage form in
-      Vm.execute t.vm code_id)
-    Value.unspecified forms
 
 let eval_string t src =
   let data = Sexp.Parser.parse_all src in
@@ -190,7 +181,6 @@ let value_to_string t v =
 
 let output t = Buffer.contents t.ctx.Primitives.out
 let clear_output t = Buffer.clear t.ctx.Primitives.out
-let set_instruction_limit t lim = Vm.set_instruction_limit t.vm lim
 
 type run_stats = {
   mutator_insns : int;

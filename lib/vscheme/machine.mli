@@ -94,8 +94,6 @@ type collector =
 
 val collector : t -> collector
 
-val vm : t -> Vm.t
-
 val mem : t -> Mem.t
 (** The simulated memory, for recording sync and tests. *)
 
@@ -109,8 +107,6 @@ val eval_string : t -> string -> Value.t
     @raise Heap.Runtime_error on Scheme-level runtime errors
     @raise Heap.Out_of_memory when storage is exhausted *)
 
-val eval_datum : t -> Sexp.Datum.t -> Value.t
-
 val value_to_string : t -> Value.t -> string
 (** [write]-style external representation (untraced output path). *)
 
@@ -118,8 +114,6 @@ val output : t -> string
 (** Everything the program has [display]ed so far. *)
 
 val clear_output : t -> unit
-
-val set_instruction_limit : t -> int option -> unit
 
 type run_stats = {
   mutator_insns : int;

@@ -66,8 +66,6 @@ let create ~sink ~words =
 
 let size_words t = Bigarray.Array1.dim t.words
 
-let phase t = t.phase
-
 let recorded_position t = t.sealed_events + t.cursor
 
 let flush_phase_counts t =
@@ -165,7 +163,6 @@ let[@inline] [@hot] write_alloc t a v =
   Bigarray.Array1.set t.words a v
 
 let peek t a = Bigarray.Array1.get t.words a
-let poke t a v = Bigarray.Array1.set t.words a v
 
 let with_untraced t f =
   let direct = t.direct in

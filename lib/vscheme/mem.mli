@@ -30,7 +30,6 @@ val create : sink:Memsim.Trace.sink -> words:int -> t
 
 val size_words : t -> int
 
-val phase : t -> Memsim.Trace.phase
 val set_phase : t -> Memsim.Trace.phase -> unit
 
 val record_into : t -> Memsim.Recording.t -> unit
@@ -77,9 +76,6 @@ val write_alloc : t -> int -> int -> unit
 
 val peek : t -> int -> int
 (** Untraced load, for assertions, printers and tests. *)
-
-val poke : t -> int -> int -> unit
-(** Untraced store, for test setup only. *)
 
 val with_untraced : t -> (unit -> 'a) -> 'a
 (** Run a computation with tracing suspended: accesses made inside it

@@ -40,9 +40,6 @@ type spec = {
           pointer for GC safety while the primitive runs *)
 }
 
-val specs : spec array
-(** All primitives, indexed by primitive id. *)
-
 val find : string -> int option
 (** Primitive id for a name, if any. *)
 

@@ -18,7 +18,6 @@ let eof = imm_singleton 4
 let undefined = imm_singleton 5
 
 let bool b = if b then true_v else false_v
-let is_truthy v = v <> false_v
 
 let char c = (Char.code c lsl 4) lor 0b0110
 let char_val v = Char.chr ((v lsr 4) land 0xff)

@@ -37,8 +37,6 @@ val undefined : t
     never the result of a correct program expression. *)
 
 val bool : bool -> t
-val is_truthy : t -> bool
-(** Everything except [#f] is true, as in Scheme. *)
 
 val char : char -> t
 val char_val : t -> char
@@ -76,10 +74,6 @@ val header_tag : int -> tag
 val header_len : int -> int
 
 val tag_to_string : tag -> string
-
-val min_object_words : int
-(** Smallest footprint of any heap object, including header (2 words:
-    copying collectors need room for a forwarding pointer). *)
 
 val object_words : int -> int
 (** [object_words header] is the total allocation footprint in words

@@ -1,5 +1,3 @@
-exception Instruction_limit_exceeded
-
 (* Register-file slots.  Slot 0 is the closure being executed; slot 1
    is the rest-argument accumulator; slots 2+ are primitive scratch. *)
 let reg_closure = 0
@@ -30,7 +28,6 @@ type t = {
   mutable cs_pc : int array;
   mutable cs_fp : int array;
   mutable cs_len : int;
-  mutable limit : int;
   (* Allocation-site ids ({!Memsim.Attr.intern_site}), cached per code
      id / primitive id so the steady state of site tagging is one
      array load; -1 = not yet interned.  Only consulted when the heap
@@ -71,16 +68,13 @@ let create ~heap ~ctx ~globals_base ~globals_limit ~runtime_vec =
     cs_pc = Array.make 1024 0;
     cs_fp = Array.make 1024 0;
     cs_len = 0;
-    limit = max_int;
     site_closure = Array.make 64 (-1);
     site_cell = Array.make 64 (-1);
     site_rest = Array.make 64 (-1);
     site_prim = Array.make 64 (-1)
   }
 
-let heap t = t.heap
 let sp t = t.sp
-let registers t = t.ctx.Primitives.reg
 
 let add_code t code =
   if code.Bytecode.id <> t.ncodes then
@@ -94,7 +88,6 @@ let add_code t code =
   t.ncodes <- t.ncodes + 1
 
 let code_count t = t.ncodes
-let code t id = t.codes.(id)
 
 let globals_count t = t.nglobals
 
@@ -118,14 +111,7 @@ let define_global t name =
     i
 
 let global_name t i = t.global_names.(i)
-let read_global t i = Mem.peek t.mem (t.globals_base + i)
 let write_global t i v = Mem.write t.mem (t.globals_base + i) v
-
-let set_instruction_limit t lim =
-  t.limit <-
-    (match lim with
-     | None -> max_int
-     | Some n -> n)
 
 (* --- Allocation-site tagging ------------------------------------------ *)
 
@@ -514,18 +500,9 @@ let execute t code_id =
   t.cur <- code;
   t.pc <- 0;
   t.ctx.Primitives.reg.(reg_closure) <- Value.unspecified;
-  (* The dispatch loop, specialized on whether an instruction limit is
-     armed: the common unlimited run skips the per-step counter
-     comparison entirely (against max_int it can never fire). *)
   let rec loop () =
-    if Heap.mutator_insns t.heap > t.limit then
-      raise Instruction_limit_exceeded;
     step t;
     loop ()
   in
-  let rec loop_unlimited () =
-    step t;
-    loop_unlimited ()
-  in
-  try if t.limit = max_int then loop_unlimited () else loop () with
+  try loop () with
   | Halt v -> v

@@ -29,8 +29,6 @@
     {!Heap.charge_mutator}, approximating the MIPS code a compiler of
     the paper's era would emit. *)
 
-exception Instruction_limit_exceeded
-
 type t
 
 val create :
@@ -45,35 +43,22 @@ val create :
     The caller (normally {!Machine}) must register the VM's stack
     range, register file and global cells as GC roots. *)
 
-val heap : t -> Heap.t
 val sp : t -> int
 (** Current stack pointer (word address of the next free slot). *)
-
-val registers : t -> Value.t array
-(** The register file shared with primitives; a GC root. *)
 
 val add_code : t -> Bytecode.code -> unit
 (** Install a code object; its id must equal the number of codes
     installed before it. *)
 
 val code_count : t -> int
-val code : t -> int -> Bytecode.code
 
 val globals_count : t -> int
 val define_global : t -> string -> int
 (** Allocate (or find) the global cell for a name; fresh cells are
     initialized to the undefined marker. *)
 
-val global_name : t -> int -> string
-val read_global : t -> int -> Value.t
-(** Untraced, for tests and the machine driver. *)
-
 val write_global : t -> int -> Value.t -> unit
 (** Traced store into a global cell (load-time initialization). *)
-
-val set_instruction_limit : t -> int option -> unit
-(** Abort execution with {!Instruction_limit_exceeded} once the
-    mutator instruction count passes the limit. *)
 
 val execute : t -> int -> Value.t
 (** Run the zero-argument code object with the given id to completion

@@ -157,15 +157,14 @@ let test_ascii () =
   Analysis.Ascii.set c ~row:5 ~col:0 'x';
   (* ignored: out of range *)
   Analysis.Ascii.set c ~row:0 ~col:99 'x';
-  Alcotest.(check char) "get" 'a' (Analysis.Ascii.get c ~row:0 ~col:0);
-  Alcotest.(check char) "out of range get" ' ' (Analysis.Ascii.get c ~row:9 ~col:9);
   let buf = Buffer.create 64 in
   let ppf = Format.formatter_of_buffer buf in
   Analysis.Ascii.render ppf c;
   Format.pp_print_flush ppf ();
   let lines = String.split_on_char '\n' (Buffer.contents buf) in
   Alcotest.(check int) "three rows plus trailing" 4 (List.length lines);
-  Alcotest.(check string) "first row" "|a" (List.nth lines 0)
+  Alcotest.(check string) "first row" "|a" (List.nth lines 0);
+  Alcotest.(check string) "last row" "|       z" (List.nth lines 2)
 
 (* --- Recorded vs live ---------------------------------------------------- *)
 

@@ -34,30 +34,33 @@ let test_lease_once () =
   let count name = List.assoc name (Core.Runner.counters ()) in
   let productions = count "runner.productions" in
   let reuses = count "runner.reuses" in
-  let lease mb =
-    Core.Runner.lease ~scale:1 ~heap_bytes:(mb * 1024 * 1024)
-      Workloads.Workload.prover
+  let lease mb f =
+    Core.Runner.with_lease ~scale:1 ~heap_bytes:(mb * 1024 * 1024)
+      Workloads.Workload.prover f
   in
-  let r1, l1 = lease 47 in
-  let r2, l2 = lease 47 in
-  Alcotest.(check int) "one production" (productions + 1)
-    (count "runner.productions");
-  Alcotest.(check int) "one reuse" (reuses + 1) (count "runner.reuses");
-  let _, other = lease 46 in
-  Alcotest.(check int) "another heap, another production" (productions + 2)
-    (count "runner.productions");
-  Alcotest.(check bool) "same run" true
-    (r1.Core.Runner.value = r2.Core.Runner.value
-    && r1.Core.Runner.refs = r2.Core.Runner.refs
-    && r1.Core.Runner.collector_refs = r2.Core.Runner.collector_refs
-    && r1.Core.Runner.stats = r2.Core.Runner.stats);
-  let fresh_r, fresh = Core.Runner.record ~scale:1 Workloads.Workload.prover in
-  Alcotest.(check bool) "same trace" true (Memsim.Recording.equal l1 l2);
-  Alcotest.(check bool) "the trace a fresh record makes" true
-    (Memsim.Recording.equal l1 fresh);
-  Alcotest.(check bool) "the run a fresh record makes" true
-    (fresh_r.Core.Runner.stats = r1.Core.Runner.stats);
-  List.iter Memsim.Recording.release [ l1; l2; other; fresh ]
+  lease 47 (fun r1 l1 ->
+      lease 47 (fun r2 l2 ->
+          Alcotest.(check int) "one production" (productions + 1)
+            (count "runner.productions");
+          Alcotest.(check int) "one reuse" (reuses + 1) (count "runner.reuses");
+          lease 46 (fun _ _ ->
+              Alcotest.(check int) "another heap, another production"
+                (productions + 2) (count "runner.productions"));
+          Alcotest.(check bool) "same run" true
+            (r1.Core.Runner.value = r2.Core.Runner.value
+            && r1.Core.Runner.refs = r2.Core.Runner.refs
+            && r1.Core.Runner.collector_refs = r2.Core.Runner.collector_refs
+            && r1.Core.Runner.stats = r2.Core.Runner.stats);
+          let fresh_r, fresh =
+            Core.Runner.record ~scale:1 Workloads.Workload.prover
+          in
+          Alcotest.(check bool) "same trace" true
+            (Memsim.Recording.equal l1 l2);
+          Alcotest.(check bool) "the trace a fresh record makes" true
+            (Memsim.Recording.equal l1 fresh);
+          Alcotest.(check bool) "the run a fresh record makes" true
+            (fresh_r.Core.Runner.stats = r1.Core.Runner.stats);
+          Memsim.Recording.release fresh))
 
 let test_base_scales () =
   List.iter

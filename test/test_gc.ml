@@ -349,7 +349,7 @@ let collector_stats m =
 (* Machines built on worker domains own their collector stats: two
    domains at once give every machine the stats a serial run gives it.
    Runner.record keeps the machine, so it shows the collector's own
-   counters; Runner.lease, which goes through the trace memo and keeps
+   counters; Runner.with_lease, which goes through the trace memo and keeps
    no machine, must return the serial run's machine stats when two
    worker domains lease at once, as E-H1's cells do.  A heap size no
    other case in this binary uses makes every lease a fresh
@@ -396,9 +396,8 @@ let test_leased_collector_stats () =
   let leased = Array.make (Array.length cells) None in
   Memsim.Sweep.parallel_for ~jobs:2 (Array.length cells) (fun i ->
       let gc, w = cells.(i) in
-      let r, recording = Core.Runner.lease ~gc ~heap_bytes ~scale:1 w in
-      Memsim.Recording.release recording;
-      leased.(i) <- Some r.Core.Runner.stats);
+      Core.Runner.with_lease ~gc ~heap_bytes ~scale:1 w (fun r _ ->
+          leased.(i) <- Some r.Core.Runner.stats));
   Alcotest.(check int) "every leased cell recorded afresh"
     (before + Array.length cells) (productions ());
   Array.iteri

@@ -27,10 +27,12 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   go 0
 
-let smoke_run =
-  match Golden.Manifest.(find default "prover") with
-  | Some r -> r
-  | None -> assert false
+let default_run name =
+  List.find
+    (fun (r : Golden.Manifest.run) -> String.equal r.name name)
+    Golden.Manifest.default.Golden.Manifest.runs
+
+let smoke_run = default_run "prover"
 
 (* --- Manifest / fixture serialization ----------------------------------- *)
 
@@ -100,14 +102,7 @@ let test_pooled_remeasure () =
   (* dune runs the test from _build/default/test; by hand it may run
      from the repository root. *)
   let committed_dir = List.find Sys.file_exists [ "../golden"; "golden" ] in
-  let runs =
-    List.map
-      (fun name ->
-        match Golden.Manifest.(find default name) with
-        | Some r -> r
-        | None -> assert false)
-      [ "nbody"; "prover" ]
-  in
+  let runs = List.map default_run [ "nbody"; "prover" ] in
   List.iter
     (fun round ->
       List.iter

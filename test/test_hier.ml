@@ -275,7 +275,7 @@ let test_kill_and_resume () =
    counters and the same snapshot bytes. *)
 
 let snapshot_string h =
-  let b = Buffer.create (Hier.snapshot_bytes h) in
+  let b = Buffer.create 4096 in
   Hier.snapshot h b;
   Buffer.contents b
 
@@ -663,8 +663,6 @@ let test_snapshot_roundtrip () =
   drive_chunks a recording;
   let buf = Buffer.create 1024 in
   Hier.snapshot a buf;
-  Alcotest.(check int) "snapshot_bytes matches emitted size"
-    (Hier.snapshot_bytes a) (Buffer.length buf);
   let b = Hier.create cfg in
   let stop = Hier.restore b (Buffer.to_bytes buf) 0 in
   Alcotest.(check int) "restore consumed the whole snapshot"

@@ -281,17 +281,6 @@ let test_miss_hook () =
     ("|." :: "|" :: "|" :: "|." :: List.init 12 (fun _ -> "|"))
     rows
 
-let test_reset () =
-  let c = mk () in
-  Memsim.Level.access c 0 Memsim.Trace.Read mutator;
-  Memsim.Level.reset_stats c;
-  let s = stats c in
-  Alcotest.(check int) "refs reset" 0 s.Memsim.Cache.refs;
-  Alcotest.(check int) "misses reset" 0 s.Memsim.Cache.misses;
-  (* contents kept: the line still hits *)
-  Memsim.Level.access c 0 Memsim.Trace.Read mutator;
-  Alcotest.(check int) "hit after reset" 0 (stats c).Memsim.Cache.misses
-
 let test_create_validation () =
   let bad f = match f () with
     | exception Invalid_argument _ -> ()
@@ -315,26 +304,7 @@ let test_sweep () =
   sink.Memsim.Trace.access 0 Memsim.Trace.Read mutator;
   List.iter
     (fun (_, s) -> Alcotest.(check int) "each saw the ref" 1 s.Memsim.Cache.refs)
-    (Memsim.Sweep.results sw);
-  let c = Memsim.Sweep.find sw ~size_bytes:2048 ~block_bytes:32 in
-  Alcotest.(check int) "find locates" 2048
-    (Memsim.Level.geometry c).Memsim.Level.size_bytes;
-  (match Memsim.Sweep.find sw ~size_bytes:4096 ~block_bytes:32 with
-   | exception Failure msg ->
-     (* the error names the requested geometry *)
-     List.iter
-       (fun needle ->
-         Alcotest.(check bool)
-           (Printf.sprintf "error %S mentions %s" msg needle)
-           true
-           (let n = String.length needle in
-            let rec scan i =
-              i + n <= String.length msg
-              && (String.sub msg i n = needle || scan (i + 1))
-            in
-            scan 0))
-       [ "4k"; "32b" ]
-   | _ -> Alcotest.fail "expected Failure")
+    (Memsim.Sweep.results sw)
 
 let test_size_labels () =
   let label n = Format.asprintf "%a" Memsim.Sweep.pp_size n in
@@ -672,7 +642,7 @@ let three_paths ?(policy = Memsim.Cache.Write_validate) ~c ~b recording =
   in
   Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers sweep) recording;
   [ ("per-event", stats per_event); ("chunk", stats chunked);
-    ("sweep", stats (Memsim.Sweep.find sweep ~size_bytes:c ~block_bytes:b))
+    ("sweep", stats (Memsim.Hier.level (Memsim.Sweep.hiers sweep).(0) 0))
   ]
 
 let ground_truth_geometries =
@@ -1843,7 +1813,6 @@ let () =
           Alcotest.test_case "per-block stats" `Quick test_block_stats;
           Alcotest.test_case "per-block stats guard" `Quick test_block_stats_guard;
           Alcotest.test_case "miss hook" `Quick test_miss_hook;
-          Alcotest.test_case "reset keeps contents" `Quick test_reset;
           Alcotest.test_case "create validation" `Quick test_create_validation;
           Alcotest.test_case "snapshot/restore roundtrip" `Quick
             test_snapshot_roundtrip;

@@ -238,9 +238,7 @@ let test_timeline_clock () =
   let time = ref 1000 in
   Obs.Events.set_clock tl (fun () -> !time);
   Obs.Events.instant tl "d";
-  Alcotest.(check int) "external clock" 1000 (Obs.Events.get tl 3).Obs.Events.ts;
-  Obs.Events.clear tl;
-  Alcotest.(check int) "cleared" 0 (Obs.Events.length tl)
+  Alcotest.(check int) "external clock" 1000 (Obs.Events.get tl 3).Obs.Events.ts
 
 let test_timeline_growth () =
   let tl = Obs.Events.create () in
@@ -325,18 +323,19 @@ let test_jsonl_writer_file () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       (* a tiny batch bound forces several intermediate flushes *)
-      let w = Obs.Jsonl.create ~batch_bytes:16 path in
+      let oc = open_out_bin path in
+      let w = Obs.Jsonl.to_channel ~batch_bytes:16 oc in
       for i = 1 to 50 do
         Obs.Jsonl.write w
           (Obs.Json.Obj [ ("i", Obs.Json.Int i); ("s", Obs.Json.Str "x\n") ])
       done;
-      Alcotest.(check int) "lines counted" 50 (Obs.Jsonl.written w);
       Obs.Jsonl.close w;
       Obs.Jsonl.close w;
       (* idempotent *)
       Alcotest.check_raises "write after close"
         (Invalid_argument "Obs.Jsonl.write: writer is closed") (fun () ->
           Obs.Jsonl.write w Obs.Json.Null);
+      close_out oc;
       let lines =
         List.filter
           (fun l -> l <> "")
@@ -367,24 +366,6 @@ let test_jsonl_writer_borrowed () =
       close_out oc;
       Alcotest.(check string) "writer flushed, channel kept open"
         "1\ntrailer\n" (read_file path))
-
-let test_events_write_jsonl_streams () =
-  (* the streamed file must be byte-identical to the eager encoding *)
-  let tl = Obs.Events.create () in
-  Obs.Events.span_begin tl ~ts:1 ~cat:"gc" ~args:[ ("n", Obs.Events.I 7) ]
-    "gc.collection";
-  Obs.Events.span_end tl ~ts:5 ~cat:"gc"
-    ~args:[ ("ratio", Obs.Events.F 0.25) ]
-    "gc.collection";
-  Obs.Events.instant tl ~ts:6 "quote\"backslash\\";
-  let path = Filename.temp_file "test_obs" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Obs.Events.write_jsonl tl path;
-      Alcotest.(check string) "streamed = eager"
-        (Obs.Events.to_jsonl_string tl)
-        (read_file path))
 
 (* --- Property: the JSONL export round-trips bit-identically ------------ *)
 
@@ -590,8 +571,6 @@ let () =
           Alcotest.test_case "jsonl writer" `Quick test_jsonl_writer_file;
           Alcotest.test_case "jsonl writer borrows" `Quick
             test_jsonl_writer_borrowed;
-          Alcotest.test_case "write_jsonl streams" `Quick
-            test_events_write_jsonl_streams;
           QCheck_alcotest.to_alcotest jsonl_roundtrip_prop;
           Alcotest.test_case "chrome trace" `Quick test_chrome_trace
         ] );

@@ -84,7 +84,7 @@ let nbody_recording =
   lazy (snd (Core.Runner.record ~scale:1 Workloads.Workload.nbody))
 
 let snapshot_string h =
-  let b = Buffer.create (Memsim.Hier.snapshot_bytes h) in
+  let b = Buffer.create 4096 in
   Memsim.Hier.snapshot h b;
   Buffer.contents b
 

@@ -411,7 +411,7 @@ let test_heatmap_render () =
        lines);
   (* the zero cell renders as the lowest ramp level, the max as the
      highest *)
-  let ramp = Analysis.Heatmap.default_ramp in
+  let ramp = " .:-=+*#%@" in
   Alcotest.(check bool) "uses low ramp char" true
     (String.contains out ramp.[0]);
   Alcotest.(check bool) "uses high ramp char" true

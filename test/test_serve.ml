@@ -62,10 +62,12 @@ let contains haystack needle =
   in
   go 0
 
-let base_run =
-  match Golden.Manifest.(find default "selfcomp") with
-  | Some r -> r
-  | None -> assert false
+let default_run name =
+  List.find
+    (fun (r : Golden.Manifest.run) -> String.equal r.name name)
+    Golden.Manifest.default.Golden.Manifest.runs
+
+let base_run = default_run "selfcomp"
 
 (* A one-config grid over the smallest smoke workload: cheap enough to
    sweep many times in this file, with enough events (~800k) that a
@@ -439,11 +441,7 @@ let test_rss_flat_over_fresh_jobs () =
   if not (Sys.file_exists "/proc/self/status") then Alcotest.skip ();
   with_spool (fun dir ->
       let sched = Serve.Sched.create ~config:(quiet_config 1) dir in
-      let nbody =
-        match Golden.Manifest.(find default "nbody") with
-        | Some r -> r
-        | None -> assert false
-      in
+      let nbody = default_run "nbody" in
       let jobs = 6 in
       let events = ref 0 in
       let rss = Array.make (jobs + 1) 0 in

@@ -1,7 +1,10 @@
 (* Reader tests: lexer, parser, printer, and a print/parse roundtrip
    property. *)
 
-let datum = Alcotest.testable Sexp.Datum.pp Sexp.Datum.equal
+let datum =
+  Alcotest.testable
+    (fun ppf d -> Format.pp_print_string ppf (Sexp.Datum.to_string d))
+    Sexp.Datum.equal
 
 let parse = Sexp.Parser.parse_one
 let parse_all = Sexp.Parser.parse_all

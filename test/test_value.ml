@@ -50,13 +50,21 @@ let test_immediates () =
       Alcotest.(check bool) "immediate not char" false (Vscheme.Value.is_char v))
     imms
 
+(* Only #f is false: the VM's conditional branch takes every other
+   value, the empty list and zero included, as true. *)
 let test_truthiness () =
-  Alcotest.(check bool) "false is falsy" false
-    (Vscheme.Value.is_truthy Vscheme.Value.false_v);
-  Alcotest.(check bool) "nil is truthy" true
-    (Vscheme.Value.is_truthy Vscheme.Value.nil);
-  Alcotest.(check bool) "zero is truthy" true
-    (Vscheme.Value.is_truthy (Vscheme.Value.fixnum 0))
+  let m =
+    Vscheme.Machine.create
+      { Vscheme.Machine.default_config with heap_bytes = 8 * 1024 * 1024 }
+  in
+  List.iter
+    (fun (src, expect) ->
+      Alcotest.(check string) src expect
+        (Vscheme.Machine.value_to_string m (Vscheme.Machine.eval_string m src)))
+    [ ("(if #f 'yes 'no)", "no");
+      ("(if '() 'yes 'no)", "yes");
+      ("(if 0 'yes 'no)", "yes")
+    ]
 
 let test_chars () =
   List.iter

@@ -72,14 +72,16 @@ let suffix_match ~suffix s =
   let ls = String.length s and lx = String.length suffix in
   lx <= ls && String.equal (String.sub s (ls - lx) lx) suffix
 
-(* Marks the matching entry as used. *)
-let allowed entries ~rule ~file ~ident =
+(* Marks the matching entry as used.  [justified] is a further
+   condition on the entry's justification (default: any). *)
+let allowed ?(justified = fun _ -> true) entries ~rule ~file ~ident =
   List.exists
     (fun e ->
       let hit =
         String.equal e.rule rule
         && suffix_match ~suffix:e.file file
         && (String.equal e.ident "*" || String.equal e.ident ident)
+        && justified e.justification
       in
       if hit then e.used <- true;
       hit)

@@ -3,10 +3,11 @@
    Never linked into the simulator: when --self-test is given the lint
    scans this tree instead of lib/ and bin/, and succeeds iff every
    seeded violation below is caught while every clean_* function stays
-   clean.  Each seed targets one rule (three interprocedural ones and
-   the global-registry rule), so a regression in the call-graph
-   closure, the Parsetree scans or the typed closure rules turns the
-   self-test red instead of silently blinding the real run. *)
+   clean.  Each seed targets one rule (three interprocedural ones, the
+   global-registry rule, and lint.unused-export through the exports of
+   {!Fixture_exports}), so a regression in the call-graph closure, the
+   Parsetree scans or the typed rules turns the self-test red instead
+   of silently blinding the real run. *)
 
 type cell = { mutable count : int; mutable label : string }
 
@@ -48,6 +49,10 @@ let clean_bump c = c.count <- c.count + 1
 (* Clean control: allocates freely, but nothing [@hot] can reach it,
    so the closure rules must leave it alone. *)
 let clean_unreachable n = Array.make n 0
+
+(* Clean control for lint.unused-export: the use that keeps
+   [Fixture_exports.clean_shared] exported. *)
+let clean_uses_export x = Fixture_exports.clean_shared x
 
 let[@hot] hot_step c x =
   clean_bump c;

@@ -5,8 +5,9 @@
    - a Parsetree pass parses every source directly (interface
      coverage, Obj, partial stdlib calls, hot-path allocation rules);
    - a Typedtree pass reads the .cmt files dune already produced
-     (polymorphic comparison in hot-path modules, and the domain-race
-     audit over Domain.spawn captures) — run `dune build' first.
+     (polymorphic comparison in hot-path modules, the domain-race
+     audit over Domain.spawn captures, and the unused-export rule over
+     every unit's value references) — run `dune build @check' first.
 
    The Parsetree pass also feeds an interprocedural stage
    ({!Rules_interproc}): a call graph over every top-level binding,
@@ -21,8 +22,8 @@
    entries whose file pattern matches no scanned file at all are
    orphans — `--prune-allow' rewrites the allowlist without them.
    `--self-test' scans the seeded-violation fixture instead of the
-   real tree and succeeds iff the interprocedural rules catch every
-   seeded bug (negative self-test of the analyzer).
+   real tree and succeeds iff the rules catch every seeded bug
+   (negative self-test of the analyzer).
    Exit status 1 iff any unallowlisted error remains. *)
 
 let scan_roots = [ "lib"; "bin" ]
@@ -65,24 +66,112 @@ let parse_error_finding path exn =
 
 (* --- Typedtree pass ------------------------------------------------------ *)
 
-(* Map each scanned source to its .cmt, via cmt_sourcefile: dune
-   records the context-relative path, which is exactly how we name
-   sources. *)
-let cmt_index () =
-  let tbl = Hashtbl.create 64 in
-  List.iter
+(* Every .cmt and .cmti under _build/default, read once.  dune records
+   the context-relative source path in cmt_sourcefile, which is exactly
+   how we name sources. *)
+let read_cmts () =
+  List.filter_map
     (fun cmt_path ->
       match Cmt_format.read_cmt cmt_path with
-      | exception _ -> ()
-      | infos -> (
-        match
-          (infos.Cmt_format.cmt_sourcefile, infos.Cmt_format.cmt_annots)
-        with
-        | Some src, Cmt_format.Implementation str ->
-          Hashtbl.replace tbl src str
-        | _ -> ()))
-    (sources_under build_root ~ext:".cmt");
-  tbl
+      | exception _ -> None
+      | infos ->
+        Option.map
+          (fun src ->
+            (src, infos.Cmt_format.cmt_modname, infos.Cmt_format.cmt_annots))
+          infos.Cmt_format.cmt_sourcefile)
+    (sources_under build_root ~ext:".cmt"
+    @ sources_under build_root ~ext:".cmti")
+
+let contains s sub =
+  let n = String.length sub in
+  let rec from i =
+    i + n <= String.length s
+    && (String.equal (String.sub s i n) sub || from (i + 1))
+  in
+  from 0
+
+let has_prefix ~prefix s =
+  String.length s >= String.length prefix
+  && String.equal (String.sub s 0 (String.length prefix)) prefix
+
+(* --- lint.unused-export -------------------------------------------------- *)
+
+(* The roots whose units count as users of lib/'s exports.  Uses from
+   test/ are seen but do not count (see {!Rules_typed.unused_exports}). *)
+let user_roots =
+  [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "tools"; "test" ]
+
+type exports =
+  | Scanned of int * Rules_typed.export_finding list
+      (** exports scanned, and the flagged ones *)
+  | Partial of Check.Finding.t
+      (** some root or interface has no .cmt: nothing can be called
+          unused *)
+
+(* The exports of [mlis] against the implementations under [roots].
+   Without every root's .cmt (a plain `dune build' makes none for
+   executables; @check does) everything only the missing units use
+   would look unused, so a partial build gets one located error and no
+   per-value findings. *)
+let unused_exports ~cmts ~mlis ~roots =
+  let under root src = has_prefix ~prefix:(root ^ "/") src in
+  let users =
+    List.filter_map
+      (fun (src, modname, annots) ->
+        match annots with
+        | Cmt_format.Implementation str
+          when Filename.check_suffix src ".ml"
+               && List.exists (fun r -> under r src) roots ->
+          Some { Rules_typed.src; modname; str }
+        | _ -> None)
+      cmts
+  in
+  let interface mli =
+    List.find_map
+      (fun (src, modname, annots) ->
+        match annots with
+        | Cmt_format.Interface sg when String.equal src mli ->
+          Some (modname, sg)
+        | _ -> None)
+      cmts
+  in
+  let missing_root =
+    List.find_opt
+      (fun root ->
+        not
+          (List.exists
+             (fun (u : Rules_typed.unit_source) -> under root u.src)
+             users))
+      roots
+  in
+  let missing_interface =
+    List.find_opt (fun mli -> Option.is_none (interface mli)) mlis
+  in
+  let partial file what =
+    Partial
+      (Check.Finding.v ~rule:"lint.unused-export" ~file
+         (what
+        ^ " (partial build?); every unit must be typed before an export \
+           can be called unused: run `dune build @check' first"))
+  in
+  match (missing_root, missing_interface) with
+  | Some root, _ ->
+    partial root
+      ("no implementation .cmt under " ^ Filename.concat build_root root)
+  | None, Some mli ->
+    partial mli ("no .cmti for this interface under " ^ build_root)
+  | None, None ->
+    let defs =
+      List.concat_map
+        (fun mli ->
+          match interface mli with
+          | Some (unit_name, sg) -> Rules_typed.exports ~mli ~unit_name sg
+          | None -> [])
+        mlis
+    in
+    Scanned
+      ( List.length defs,
+        Rules_typed.unused_exports ~test_root:"test" defs users )
 
 (* --- Driver -------------------------------------------------------------- *)
 
@@ -91,7 +180,11 @@ let fixture_root = "tools/lint/fixture"
 (* Rules the fixture seeds; --self-test fails if any goes uncaught. *)
 let self_test_rules =
   [ "lint.hot-alloc-deep"; "lint.hot-partial-app"; "lint.hot-write-barrier";
-    "lint.global-registry" ]
+    "lint.global-registry"; "lint.unused-export" ]
+
+(* The fixture's seeded unused exports: each must be flagged by name. *)
+let self_test_exports =
+  [ "Fixture_exports.own_only"; "Fixture_exports.unused" ]
 
 let () =
   let allow_path = ref "lint.allow" in
@@ -166,11 +259,19 @@ let () =
   in
   let in_closure = Rules_interproc.mem interproc in
 
-  let cmts = cmt_index () in
+  let cmts = read_cmts () in
+  let impl ml =
+    List.find_map
+      (fun (src, _, annots) ->
+        match annots with
+        | Cmt_format.Implementation str when String.equal src ml -> Some str
+        | _ -> None)
+      cmts
+  in
   let typed_findings, missing_cmts =
     List.fold_left
       (fun (fs, missing) (ml, _) ->
-        match Hashtbl.find_opt cmts ml with
+        match impl ml with
         | Some str ->
           (fs @ Rules_typed.scan ~file:ml ~shapes ~in_closure str, missing)
         | None ->
@@ -180,7 +281,7 @@ let () =
                 Check.Finding.v ~severity:Check.Finding.Warning
                   ~rule:"lint.no-cmt" ~file:ml
                   "no .cmt under _build/default (stale build?); typed \
-                   rules skipped — run `dune build' first"
+                   rules skipped — run `dune build @check' first"
             }
             :: missing ))
       ([], []) parsed
@@ -191,6 +292,33 @@ let () =
       typed_findings
   in
 
+  let mlis =
+    List.concat_map (fun root -> sources_under root ~ext:".mli") scan_roots
+  in
+  let exports =
+    unused_exports ~cmts ~mlis
+      ~roots:(if !self_test then [ fixture_root ] else user_roots)
+  in
+  let exports_scanned, export_findings =
+    match exports with Scanned (n, fs) -> (n, fs) | Partial _ -> (0, [])
+  in
+  (* A test-only export is kept only by an entry whose justification
+     names one of the tests that use it; an export nothing uses cannot
+     be allowlisted at all. *)
+  let export_kept, export_allowed =
+    List.partition
+      (fun { Rules_typed.finding = { ident; f }; test_users } ->
+        let names_a_test j =
+          List.exists
+            (fun t ->
+              contains j (Filename.remove_extension (Filename.basename t)))
+            test_users
+        in
+        not
+          (Allow.allowed entries ~rule:f.Check.Finding.rule
+             ~file:f.Check.Finding.file ~ident ~justified:names_a_test))
+      export_findings
+  in
   let raw =
     coverage @ parse_failures @ ast_findings @ interproc_findings
     @ typed_findings @ List.rev missing_cmts
@@ -202,11 +330,26 @@ let () =
           (Allow.allowed entries ~rule:f.Check.Finding.rule
              ~file:f.Check.Finding.file ~ident))
       raw
+    @ List.map
+        (fun { Rules_typed.finding = { ident; f }; _ } ->
+          { Rules_ast.ident; f })
+        export_kept
+  in
+  (* A refused scan matched nothing, so its entries are not stale. *)
+  let stale_candidates =
+    match exports with
+    | Scanned _ -> entries
+    | Partial _ ->
+      List.filter
+        (fun (e : Allow.entry) ->
+          not (String.equal e.rule "lint.unused-export"))
+        entries
   in
   let findings =
     allow_findings
     @ List.map (fun { Rules_ast.f; _ } -> f) kept
-    @ Allow.stale ~src:!allow_path ~files:mls entries
+    @ (match exports with Partial f -> [ f ] | Scanned _ -> [])
+    @ Allow.stale ~src:!allow_path ~files:(mls @ mlis) stale_candidates
   in
 
   let ppf = Format.std_formatter in
@@ -229,23 +372,36 @@ let () =
            output_char oc '\n')
      end);
   if !prune_allow then begin
-    let dropped = Allow.prune ~src:!allow_path ~files:mls entries in
+    let dropped = Allow.prune ~src:!allow_path ~files:(mls @ mlis) entries in
     Format.fprintf ppf "lint: pruned %d orphaned allowlist entr%s@." dropped
       (if dropped = 1 then "y" else "ies")
   end;
   let errors = Check.Finding.errors findings in
   Format.fprintf ppf
-    "lint: %d file(s), %d hot root(s), %d in closure, %d finding(s), %d \
-     error(s)@."
+    "lint: %d file(s), %d hot root(s), %d in closure, %d export(s) scanned \
+     (%d flagged, %d allowlisted), %d finding(s), %d error(s)@."
     (List.length mls)
     (List.length (Rules_interproc.roots interproc))
     (Rules_interproc.closure_size interproc)
+    exports_scanned
+    (List.length export_findings)
+    (List.length export_allowed)
     (List.length findings) (List.length errors);
   if !self_test then begin
     let caught rule =
       List.exists (fun f -> String.equal f.Check.Finding.rule rule) findings
     in
-    let missed = List.filter (fun r -> not (caught r)) self_test_rules in
+    let missed =
+      List.filter (fun r -> not (caught r)) self_test_rules
+      @ List.filter
+          (fun x ->
+            not
+              (List.exists
+                 (fun { Rules_typed.finding = { ident; _ }; _ } ->
+                   String.equal ident x)
+                 export_findings))
+          self_test_exports
+    in
     let clean_prefix s =
       String.length s >= 6 && String.equal (String.sub s 0 6) "clean_"
     in
@@ -267,8 +423,10 @@ let () =
       leaked;
     if missed = [] && leaked = [] then begin
       Format.fprintf ppf
-        "self-test: all %d seeded rules caught, clean functions clean@."
-        (List.length self_test_rules);
+        "self-test: all %d seeded rules and %d seeded exports caught, \
+         clean functions clean@."
+        (List.length self_test_rules)
+        (List.length self_test_exports);
       exit 0
     end
     else exit 1

@@ -38,7 +38,10 @@
      justification.  The rule deliberately reports shared mutable
      state that is correctly synchronized (protected by a mutex, or
      partitioned by index): the allowlist entry is where that
-     synchronization argument gets written down and reviewed. *)
+     synchronization argument gets written down and reviewed.
+
+   - [lint.unused-export] — a [val] in a library interface that no
+     other compilation unit uses (see {!unused_exports} below). *)
 
 type finding = { ident : string; f : Check.Finding.t }
 
@@ -301,3 +304,231 @@ let scan ~file ~shapes ?(in_closure = fun ~modname:_ ~fname:_ -> false)
   in
   List.iter (fun (loc, arg) -> audit loc arg) (List.rev !spawns);
   List.rev !out
+
+(* --- unused exports ------------------------------------------------------ *)
+
+(* [lint.unused-export]: a [val] in a library interface that no other
+   compilation unit references.  Uses are the [Texp_ident] paths of
+   every implementation .cmt, resolved to (defining unit, value path
+   inside it): [Memsim.Level.x], [Memsim__Level.x] and an in-library
+   [Level.x] (which dune's alias module turns into [Memsim.Level.x])
+   all name [Memsim__Level]'s [x], and a local [module L = ...] alias
+   is followed.  A module used whole — a functor argument, [include],
+   a packed first-class module — uses every value under it; [open] and
+   [module type of] use nothing by themselves. *)
+
+type unit_source = {
+  src : string;       (* cmt_sourcefile: "lib/memsim/level.ml" *)
+  modname : string;   (* cmt_modname: "Memsim__Level" *)
+  str : Typedtree.structure;
+}
+
+type export = {
+  unit_name : string;
+  vpath : string list;  (* ["find"], or ["Counter"; "incr"] when nested *)
+  mli : string;
+  loc : Location.t;
+}
+
+type export_finding = { finding : finding; test_users : string list }
+
+(* Every [val] of an interface, nested module signatures included. *)
+let exports ~mli ~unit_name (sg : Typedtree.signature) =
+  let rec go prefix acc (sg : Typedtree.signature) =
+    List.fold_left
+      (fun acc (item : Typedtree.signature_item) ->
+        match item.Typedtree.sig_desc with
+        | Typedtree.Tsig_value vd ->
+          { unit_name;
+            vpath = prefix @ [ Ident.name vd.Typedtree.val_id ];
+            mli;
+            loc = vd.Typedtree.val_loc
+          }
+          :: acc
+        | Typedtree.Tsig_module
+            { Typedtree.md_id = Some id;
+              md_type = { Typedtree.mty_desc = Typedtree.Tmty_signature s; _ };
+              _
+            } ->
+          go (prefix @ [ Ident.name id ]) acc s
+        | _ -> acc)
+      acc sg.Typedtree.sig_items
+  in
+  List.rev (go [] [] sg)
+
+let rec flatten = function
+  | Path.Pident id -> Some (id, [])
+  | Path.Pdot (p, s) ->
+    Option.map (fun (id, cs) -> (id, cs @ [ s ])) (flatten p)
+  | _ -> None
+
+let strip_suffix ~suffix s =
+  let ls = String.length s and lx = String.length suffix in
+  if lx <= ls && String.equal (String.sub s (ls - lx) lx) suffix then
+    String.sub s 0 (ls - lx)
+  else s
+
+(* [units] holds the defining units' names.  A global head that is not
+   one of them may be a wrapped library's alias module ([Memsim], or
+   [Memsim__] when the library has a main module of its own), whose
+   first component names the unit. *)
+let resolve ~units ~aliases path =
+  match flatten path with
+  | None -> None
+  | Some (id, comps) ->
+    if not (Ident.global id) then
+      Option.map
+        (fun (u, pre) -> (u, pre @ comps))
+        (Hashtbl.find_opt aliases id)
+    else begin
+      let n = Ident.name id in
+      if Hashtbl.mem units n then Some (n, comps)
+      else
+        match comps with
+        | c :: rest ->
+          let u = strip_suffix ~suffix:"__" n ^ "__" ^ c in
+          if Hashtbl.mem units u then Some (u, rest) else None
+        | [] -> None
+    end
+
+(* Calls [value (unit, vpath)] for each resolved value reference and
+   [whole (unit, prefix)] for each module used whole. *)
+let scan_uses ~units ~value ~whole (str : Typedtree.structure) =
+  let aliases : (Ident.t, string * string list) Hashtbl.t = Hashtbl.create 8 in
+  let rec alias_target (m : Typedtree.module_expr) =
+    match m.Typedtree.mod_desc with
+    | Typedtree.Tmod_ident (p, _) -> Some p
+    | Typedtree.Tmod_constraint (m, _, Typedtree.Tmodtype_implicit, _) ->
+      alias_target m
+    | _ -> None
+  in
+  (* A [module L = P] binding is an alias, not a use of all of [P]. *)
+  let bind_alias id m =
+    match (id, alias_target m) with
+    | Some id, Some p ->
+      Option.iter (Hashtbl.replace aliases id) (resolve ~units ~aliases p);
+      true
+    | _ -> false
+  in
+  let it = Tast_iterator.default_iterator in
+  let expr sub (e : Typedtree.expression) =
+    match e.Typedtree.exp_desc with
+    | Typedtree.Texp_letmodule (id, _, _, m, body) when bind_alias id m ->
+      sub.Tast_iterator.expr sub body
+    | Typedtree.Texp_ident (p, _, _) ->
+      Option.iter value (resolve ~units ~aliases p)
+    | _ -> it.Tast_iterator.expr sub e
+  in
+  let module_binding sub (mb : Typedtree.module_binding) =
+    if not (bind_alias mb.Typedtree.mb_id mb.Typedtree.mb_expr) then
+      it.Tast_iterator.module_binding sub mb
+  in
+  let module_expr sub (m : Typedtree.module_expr) =
+    (match m.Typedtree.mod_desc with
+     | Typedtree.Tmod_ident (p, _) ->
+       Option.iter whole (resolve ~units ~aliases p)
+     | _ -> ());
+    it.Tast_iterator.module_expr sub m
+  in
+  let open_declaration sub (od : Typedtree.open_declaration) =
+    match od.Typedtree.open_expr.Typedtree.mod_desc with
+    | Typedtree.Tmod_ident _ -> ()
+    | _ -> it.Tast_iterator.open_declaration sub od
+  in
+  let module_type sub (mt : Typedtree.module_type) =
+    match mt.Typedtree.mty_desc with
+    | Typedtree.Tmty_typeof _ -> ()
+    | _ -> it.Tast_iterator.module_type sub mt
+  in
+  let sub =
+    { it with
+      Tast_iterator.expr;
+      module_binding;
+      module_expr;
+      open_declaration;
+      module_type
+    }
+  in
+  sub.Tast_iterator.structure sub str
+
+let rec is_prefix pre l =
+  match (pre, l) with
+  | [], _ -> true
+  | p :: pre, x :: l -> String.equal p x && is_prefix pre l
+  | _ :: _, [] -> false
+
+let root_of src =
+  match String.index_opt src '/' with
+  | Some i -> String.sub src 0 i
+  | None -> src
+
+(* Flags each export that no unit but its own uses.  Uses from units
+   under [test_root] are collected but do not count: such a value is
+   flagged too, with the tests that use it named, so that keeping it
+   takes an allowlist entry saying which oracle, fuzz target or
+   model-checking hook it is. *)
+let unused_exports ~test_root (defs : export list) (users : unit_source list) =
+  let units = Hashtbl.create 64 in
+  List.iter (fun d -> Hashtbl.replace units d.unit_name ()) defs;
+  let direct : (string * string list, unit_source) Hashtbl.t =
+    Hashtbl.create 1024
+  in
+  let wholes = ref [] in
+  List.iter
+    (fun u ->
+      scan_uses ~units
+        ~value:(fun key -> Hashtbl.add direct key u)
+        ~whole:(fun (un, pre) -> wholes := (un, pre, u) :: !wholes)
+        u.str)
+    users;
+  List.filter_map
+    (fun d ->
+      let by_whole =
+        List.filter_map
+          (fun (un, pre, u) ->
+            if String.equal un d.unit_name && is_prefix pre d.vpath then Some u
+            else None)
+          !wholes
+      in
+      let others =
+        List.filter
+          (fun u -> not (String.equal u.modname d.unit_name))
+          (Hashtbl.find_all direct (d.unit_name, d.vpath) @ by_whole)
+      in
+      let is_test u = String.equal (root_of u.src) test_root in
+      if List.exists (fun u -> not (is_test u)) others then None
+      else begin
+        let test_users =
+          List.sort_uniq String.compare (List.map (fun u -> u.src) others)
+        in
+        let name =
+          String.concat "."
+            (String.capitalize_ascii
+               (Filename.remove_extension (Filename.basename d.mli))
+            :: d.vpath)
+        in
+        let msg =
+          match test_users with
+          | [] ->
+            Printf.sprintf
+              "%s is exported but no other unit uses it; take it out of \
+               the interface (and delete it if nothing else needs it)"
+              name
+          | ts ->
+            Printf.sprintf
+              "%s is used outside its unit only by %s, and tests do not \
+               count; take it out of the interface, or allowlist it naming \
+               that test and the oracle, fuzz or hook role it plays"
+              name (String.concat ", " ts)
+        in
+        Some
+          { finding =
+              { ident = name;
+                f =
+                  Check.Finding.v ~rule:"lint.unused-export" ~file:d.mli
+                    ~where:(pos_of_loc d.loc) msg
+              };
+            test_users
+          }
+      end)
+    defs
