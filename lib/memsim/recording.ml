@@ -370,13 +370,23 @@ let fail_at ~version ~byte fmt =
 
 (* --- Fixed-stride writer (v3) -------------------------------------------- *)
 
+(* The unchecked native-order 64-bit store behind Bytes.set_int64_le,
+   without its per-word bounds check: every chunk fits the scratch. *)
+external unsafe_set_int64 : Bytes.t -> int -> int64 -> unit
+  = "%caml_bytes_set64u"
+
+external bswap_int64 : int64 -> int64 = "%bswap_int64"
+
 (* One scratch buffer for the whole file, not a fresh Bytes per
-   chunk: a long recording is thousands of chunks. *)
+   chunk: a long recording is thousands of chunks.  [iter_chunks]
+   hands out at most [Chunk.default_chunk_events] words at a time. *)
 let output_words oc t =
   let scratch = Bytes.create (8 * Chunk.default_chunk_events) in
   iter_chunks t (fun buf len ->
       for i = 0 to len - 1 do
-        Bytes.set_int64_le scratch (8 * i) (Int64.of_int (BA1.unsafe_get buf i))
+        let w = Int64.of_int (BA1.unsafe_get buf i) in
+        unsafe_set_int64 scratch (8 * i)
+          (if Sys.big_endian then bswap_int64 w else w)
       done;
       output oc scratch 0 (8 * len))
 
@@ -690,52 +700,53 @@ let of_mapped payload count =
       lease = None
     }
 
-let map_v3 path count =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  let payload =
-    (* Map header and payload (3 + count words) and drop the header by
-       sub-view: map_file offsets must be page-aligned, a word-aligned
-       sub costs nothing. *)
-    match Unix.map_file fd Bigarray.int Bigarray.c_layout false [| 3 + count |] with
-    | map -> Some (BA1.sub (Bigarray.array1_of_genarray map) 3 count)
-    | exception _ -> None
-  in
-  Unix.close fd;
-  payload
-
-let load_v3 ic ~path ~file_bytes =
-  if file_bytes < v3_header_bytes then
-    fail_at ~version:"v3" ~byte:file_bytes
-      "truncated file (%s of the %s header)" (Size.to_string file_bytes)
+(* [hdr] holds the first [got] bytes of the file, all 24 when the
+   file has them; [fd] stands just past them.  The size checks take
+   the file size from the mapping when there is one ([Unix.map_file]
+   sizes it from the descriptor), and from [fstat] otherwise. *)
+let load_v3 fd hdr ~got ~channel_at =
+  if got < v3_header_bytes then
+    fail_at ~version:"v3" ~byte:got "truncated file (%s of the %s header)"
+      (Size.to_string got)
       (Size.to_string v3_header_bytes);
-  let hdr = Bytes.create 16 in
-  really_input ic hdr 0 16;
-  let version = Char.code (Bytes.get hdr 0) in
+  let version = Char.code (Bytes.get hdr 8) in
   if version <> 3 then
     fail_at ~version:"v3" ~byte:8 "unsupported format version %d" version;
-  let stride = Char.code (Bytes.get hdr 1) in
+  let stride = Char.code (Bytes.get hdr 9) in
   if stride <> v3_stride then
     fail_at ~version:"v3" ~byte:9 "unsupported event stride %d (expected %d)"
       stride v3_stride;
-  let count = Int64.to_int (Bytes.get_int64_le hdr 8) in
+  let count = Int64.to_int (Bytes.get_int64_le hdr 16) in
   if count < 0 then fail_at ~version:"v3" ~byte:16 "corrupt event count";
-  let payload = file_bytes - v3_header_bytes in
-  if payload mod 8 <> 0 || payload / 8 <> count then
-    fail_at ~version:"v3" ~byte:16
-      "header declares %d events but the %s payload holds %d%s" count
-      (Size.to_string payload) (payload / 8)
-      (if payload mod 8 = 0 then "" else " and a partial word");
+  let check_size file_bytes =
+    let payload = file_bytes - v3_header_bytes in
+    if payload mod 8 <> 0 || payload / 8 <> count then
+      fail_at ~version:"v3" ~byte:16
+        "header declares %d events but the %s payload holds %d%s" count
+        (Size.to_string payload) (payload / 8)
+        (if payload mod 8 = 0 then "" else " and a partial word")
+  in
   (* The payload bytes are little-endian; mapping them as native words
-     is only a decode on a little-endian host.  Big-endian hosts (and
-     filesystems that refuse mmap) fall back to the byte-swapping heap
-     decoder, which also performs the per-word audit. *)
-  if Sys.big_endian then
-    load_words ic ~version:"v3" ~payload_base:v3_header_bytes ~len:count
+     is only a decode on a little-endian host.  Big-endian hosts, files
+     that are not whole words and filesystems that refuse mmap fall
+     back to the byte-swapping heap decoder, which also performs the
+     per-word audit. *)
+  let decode () =
+    check_size (Unix.fstat fd).Unix.st_size;
+    load_words (channel_at v3_header_bytes) ~version:"v3"
+      ~payload_base:v3_header_bytes ~len:count
+  in
+  if Sys.big_endian then decode ()
   else
-    match map_v3 path count with
-    | Some mapped -> of_mapped mapped count
-    | None ->
-      load_words ic ~version:"v3" ~payload_base:v3_header_bytes ~len:count
+    (* Map header and payload and drop the header by sub-view:
+       map_file offsets must be page-aligned, a word-aligned sub costs
+       nothing. *)
+    match Unix.map_file fd Bigarray.int Bigarray.c_layout false [| -1 |] with
+    | exception (Failure _ | Unix.Unix_error _) -> decode ()
+    | map ->
+      let words = Bigarray.array1_of_genarray map in
+      check_size (8 * BA1.dim words);
+      of_mapped (BA1.sub words 3 count) count
 
 (* --- Entry points ------------------------------------------------------- *)
 
@@ -768,25 +779,60 @@ let saved_bytes ?(format = V2) t =
       n
     end
 
+(* Read from [fd] into [buf] after its first [got] bytes until [buf]
+   is full or the file ends; return the fill.  A file at least as long
+   as [buf] takes one read. *)
+let rec read_upto fd buf got =
+  if got = Bytes.length buf then got
+  else
+    match Unix.read fd buf got (Bytes.length buf - got) with
+    | 0 -> got
+    | n -> read_upto fd buf (got + n)
+
+(* Every format goes through one descriptor.  One read takes the magic
+   and the whole v3 header, and a v3 load maps the same descriptor:
+   open, read, map, close.  v1 and v2 decode through a channel on it,
+   which then owns the descriptor, so it is closed exactly once either
+   way.  I/O errors surface as [Sys_error], as from the Stdlib
+   channels. *)
 let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let file_bytes = in_channel_length ic in
-      if file_bytes < 16 then
-        failwith
-          (Printf.sprintf
-             "Recording.load (byte 0): truncated file (%s, smaller than any \
-              header)"
-             (Size.to_string file_bytes));
-      let tag = Bytes.create 8 in
-      really_input ic tag 0 8;
-      let tag = Bytes.get_int64_le tag 0 in
-      if Int64.equal tag magic then load_v1 ic ~file_bytes
-      else if Int64.equal tag magic_v2 then load_v2 ic ~file_bytes
-      else if Int64.equal tag magic_v3 then load_v3 ic ~path ~file_bytes
-      else
-        failwith
-          (Printf.sprintf
-             "Recording.load (byte 0): not a trace recording (magic 0x%Lx)" tag))
+  let sys_error e = raise (Sys_error (path ^ ": " ^ Unix.error_message e)) in
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (e, _, _) -> sys_error e
+  | fd -> (
+    let channel = ref None in
+    let channel_at byte =
+      ignore (Unix.lseek fd byte Unix.SEEK_SET);
+      let ic = Unix.in_channel_of_descr fd in
+      channel := Some ic;
+      ic
+    in
+    let file_bytes () = (Unix.fstat fd).Unix.st_size in
+    try
+      Fun.protect
+        ~finally:(fun () ->
+          match !channel with
+          | Some ic -> close_in ic
+          | None -> Unix.close fd)
+        (fun () ->
+          let hdr = Bytes.create v3_header_bytes in
+          let got = read_upto fd hdr 0 in
+          if got < 16 then
+            failwith
+              (Printf.sprintf
+                 "Recording.load (byte 0): truncated file (%s, smaller than \
+                  any header)"
+                 (Size.to_string got));
+          let tag = Bytes.get_int64_le hdr 0 in
+          if Int64.equal tag magic then
+            load_v1 (channel_at 8) ~file_bytes:(file_bytes ())
+          else if Int64.equal tag magic_v2 then
+            load_v2 (channel_at 8) ~file_bytes:(file_bytes ())
+          else if Int64.equal tag magic_v3 then
+            load_v3 fd hdr ~got ~channel_at
+          else
+            failwith
+              (Printf.sprintf
+                 "Recording.load (byte 0): not a trace recording (magic 0x%Lx)"
+                 tag))
+    with Unix.Unix_error (e, _, _) -> sys_error e)

@@ -221,5 +221,9 @@ val load : string -> t
     varint or address overflow, fixed-stride words that do not
     round-trip through the native int — fails cleanly, and every
     failure message names the format version and the byte offset of
-    the fault.
-    @raise Failure on a malformed file. *)
+    the fault.  Every format is read through one descriptor, closed
+    before [load] returns or raises; a v3 load on a little-endian host
+    makes five system calls: open, one read of the header, the [fstat]
+    and [mmap] of [Unix.map_file], close.
+    @raise Failure on a malformed file.
+    @raise Sys_error when the file cannot be opened or read. *)

@@ -33,17 +33,20 @@ let really_read fd bytes off len =
     remaining := !remaining - n
   done
 
+(* Length and payload go out in one write: a peer sharing the CPU
+   wakes once per frame, not once for the length and again for the
+   payload. *)
 let write_frame fd json =
-  let payload = Bytes.of_string (Obs.Json.to_string json) in
-  let len = Bytes.length payload in
+  let payload = Obs.Json.to_string json in
+  let len = String.length payload in
   if len > max_frame_bytes then
     invalid_arg
       (Printf.sprintf "Proto.write_frame: %d-byte payload exceeds the %d cap"
          len max_frame_bytes);
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int len);
-  really_write fd hdr 0 4;
-  really_write fd payload 0 len
+  let frame = Bytes.create (4 + len) in
+  Bytes.set_int32_be frame 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 frame 4 len;
+  really_write fd frame 0 (4 + len)
 
 let read_frame fd =
   let hdr = Bytes.create 4 in

@@ -39,7 +39,7 @@ type tag =
   | Forward
   | Free
 
-let tag_code = function
+let[@inline] tag_code = function
   | Pair -> 0
   | Vector -> 1
   | Closure -> 2
@@ -51,7 +51,12 @@ let tag_code = function
   | Forward -> 8
   | Free -> 9
 
-let tag_of_code = function
+(* Out of line, so that [tag_of_code] stays small enough to inline
+   into the collectors' copy and scan loops. *)
+let[@inline never] bad_tag_code n =
+  invalid_arg (Printf.sprintf "Value.tag_of_code: %d" n)
+
+let[@inline] tag_of_code = function
   | 0 -> Pair
   | 1 -> Vector
   | 2 -> Closure
@@ -62,14 +67,14 @@ let tag_of_code = function
   | 7 -> Cell
   | 8 -> Forward
   | 9 -> Free
-  | n -> invalid_arg (Printf.sprintf "Value.tag_of_code: %d" n)
+  | n -> bad_tag_code n
 
-let header tag ~len =
+let[@inline] header tag ~len =
   if len < 0 then invalid_arg "Value.header: negative length";
   (len lsl 4) lor tag_code tag
 
-let header_tag h = tag_of_code (h land 0xf)
-let header_len h = h lsr 4
+let[@inline] header_tag h = tag_of_code (h land 0xf)
+let[@inline] header_len h = h lsr 4
 
 let tag_to_string = function
   | Pair -> "pair"
@@ -86,7 +91,7 @@ let tag_to_string = function
 let min_object_words = 2
 (* Not Stdlib.max: that is polymorphic, an out-of-line call and a
    generic compare for every object the collectors copy or scan. *)
-let object_words h =
+let[@inline] object_words h =
   let n = 1 + header_len h in
   if n < min_object_words then min_object_words else n
 

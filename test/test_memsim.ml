@@ -1459,6 +1459,105 @@ let test_recording_error_messages () =
       write_file path (v3_file ~count:2 payload);
       expect_prefix "truncated v3" "Recording.load (v3, byte 16):")
 
+(* Every load, accepted or refused, closes the one descriptor it
+   opens: the open-descriptor count of the process is the same before
+   and after.  Each refusal's whole message is pinned.  The count is
+   skipped only where /proc/self/fd does not exist. *)
+let test_recording_load_closes_descriptor () =
+  let fd_dir = "/proc/self/fd" in
+  let open_fds () =
+    if Sys.file_exists fd_dir then Some (Array.length (Sys.readdir fd_dir))
+    else None
+  in
+  let path = Filename.temp_file "repro" ".trace" in
+  let rec_ = Memsim.Recording.create ~initial_capacity:16 () in
+  let sink = Memsim.Recording.sink rec_ in
+  for i = 0 to 39 do
+    sink.Memsim.Trace.access (i * 8) Memsim.Trace.Read mutator
+  done;
+  let payload = Bytes.create 8 in
+  Bytes.set_int64_le payload 0 (Int64.of_int (64 lsl 3));
+  let v2_bytes =
+    Memsim.Recording.save rec_ path;
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  let accepted =
+    [ ("v1", fun () -> V1_file.save rec_ path);
+      ("v2", fun () -> Memsim.Recording.save rec_ path);
+      ("v3", fun () -> Memsim.Recording.save ~format:Memsim.Recording.V3 rec_ path)
+    ]
+  in
+  let refused =
+    [ ( "under 16 bytes",
+        Bytes.make 10 '\xab',
+        "Recording.load (byte 0): truncated file (10b, smaller than any header)"
+      );
+      ( "v3 header cut at 20 bytes",
+        Bytes.sub (v3_file ~count:1 payload) 0 20,
+        "Recording.load (v3, byte 20): truncated file (20b of the 24b header)" );
+      ( "bad version",
+        v3_file ~version:'\004' ~count:1 payload,
+        "Recording.load (v3, byte 8): unsupported format version 4" );
+      ( "bad stride",
+        v3_file ~stride:'\016' ~count:1 payload,
+        "Recording.load (v3, byte 9): unsupported event stride 16 (expected 8)"
+      );
+      ( "count disagrees with the payload",
+        v3_file ~count:2 payload,
+        "Recording.load (v3, byte 16): header declares 2 events but the 8b \
+         payload holds 1" );
+      ( "partial trailing word",
+        Bytes.cat (v3_file ~count:1 payload) (Bytes.make 4 'x'),
+        "Recording.load (v3, byte 16): header declares 1 events but the 12b \
+         payload holds 1 and a partial word" );
+      ( "v2 trailing bytes",
+        Bytes.cat (Bytes.of_string v2_bytes) (Bytes.make 3 'x'),
+        Printf.sprintf
+          "Recording.load (v2, byte %d): 3 trailing bytes after the declared \
+           40 events"
+          (String.length v2_bytes) );
+      ( "unknown magic",
+        Bytes.make 32 '\xab',
+        "Recording.load (byte 0): not a trace recording (magic \
+         0xabababababababab)" )
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let before = open_fds () in
+      let loaded =
+        List.map
+          (fun (what, save) ->
+            save ();
+            let back = Memsim.Recording.load path in
+            Alcotest.(check bool)
+              (what ^ " loads equal") true
+              (Memsim.Recording.equal rec_ back);
+            back)
+          accepted
+      in
+      List.iter
+        (fun (what, bytes, msg) ->
+          write_file path bytes;
+          match Memsim.Recording.load path with
+          | exception Failure got -> Alcotest.(check string) what msg got
+          | _ -> Alcotest.fail (what ^ " must be rejected"))
+        refused;
+      (match Memsim.Recording.load (path ^ ".absent") with
+       | exception Sys_error got ->
+         Alcotest.(check string) "absent file"
+           (path ^ ".absent: No such file or directory")
+           got
+       | _ -> Alcotest.fail "an absent file must be rejected");
+      (match (before, open_fds ()) with
+       | Some before, Some after ->
+         Alcotest.(check int) "open descriptors after every load" before after
+       | _ -> ());
+      (* The loaded recordings, the v3 mapping among them, stay live
+         across the count: a mapping holds no descriptor. *)
+      List.iter Memsim.Recording.release loaded)
+
 (* --- Chunks ------------------------------------------------------------- *)
 
 let all_kinds = [ Memsim.Trace.Read; Memsim.Trace.Write; Memsim.Trace.Alloc_write ]
@@ -1878,6 +1977,8 @@ let () =
             test_recording_v3_read_only;
           Alcotest.test_case "load errors name format and byte" `Quick
             test_recording_error_messages;
+          Alcotest.test_case "load closes its descriptor" `Quick
+            test_recording_load_closes_descriptor;
           Alcotest.test_case "pooled slabs poisoned, re-record equal" `Quick
             test_pool_poisoned_slabs;
           Alcotest.test_case "cleared slabs poisoned, re-record equal" `Quick
