@@ -18,8 +18,8 @@ test-parallel:
 	REPRO_JOBS=2 dune exec test/test_parallel.exe
 
 # The trace fast-path differential suite (direct writer vs closure
-# sink, record-then-replay vs per-event oracle, v1 -> v2 -> v3 round
-# trip) with worker domains forced on.
+# sink, record-then-replay vs per-event oracle, v2 -> v3 round trip)
+# with worker domains forced on.
 test-fastpath:
 	REPRO_JOBS=2 dune exec test/test_fastpath.exe
 

@@ -534,7 +534,13 @@ let measure_fleet () =
    column plain, fully attributed, and 1-in-8 sampled.  Aggregate
    statistics must be bit-identical across all three (sampling only
    thins the attribution, never the simulation); the ratios are the
-   price of per-event region/site/heat accounting on the fast path. *)
+   price of per-event region/site/heat accounting on the fast path.
+   The overhead_full bound is a ratio of two wall times, and one run of
+   each is too noisy to hold it to: each side keeps its best of five.
+   The three sides take turns round by round, each run on a fresh
+   sweep, and the side that goes first rotates, so that a noisy
+   stretch of the host does not land on one side only; each round's
+   ratios are printed. *)
 let measure_attribution () =
   let w = Workloads.Workload.nbody in
   let table = Memsim.Attr.create () in
@@ -548,27 +554,38 @@ let measure_attribution () =
     Memsim.Sweep.grid ~cache_sizes:Memsim.Sweep.paper_cache_sizes
       ~block_sizes:[ 32 ] ()
   in
-  (* Best of five each: the overhead_full bound is a ratio of two
-     wall times, and one run of each is too noisy to hold it to. *)
-  let fresh () = Memsim.Sweep.create configs in
-  let plain_s, plain_sw =
-    best fresh (fun sw ->
-        Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers sw) recording)
+  (* plain, attributed, sampled *)
+  let sides =
+    [| (fun sw -> Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers sw) recording);
+       (fun sw ->
+         ignore (Memsim.Sweep.run_attributed ~addr_limit sw table recording));
+       (fun sw ->
+         ignore
+           (Memsim.Sweep.run_attributed ~sample_every:8 ~addr_limit sw table
+              recording)) |]
   in
-  let attr_s, attr_sw =
-    best fresh (fun sw ->
-        ignore (Memsim.Sweep.run_attributed ~addr_limit sw table recording))
+  (* One round: each side once on a fresh sweep, starting from side
+     [k mod 3]; the times in side order, and whether the three sides'
+     statistics agree. *)
+  let round k =
+    let times = Array.make 3 0. and results = Array.make 3 [] in
+    for j = 0 to 2 do
+      let side = (k + j) mod 3 in
+      let sw = Memsim.Sweep.create configs in
+      Gc.full_major ();
+      let (), s = time (fun () -> sides.(side) sw) in
+      times.(side) <- s;
+      results.(side) <- Memsim.Sweep.results sw
+    done;
+    (times, results.(0) = results.(1) && results.(0) = results.(2))
   in
-  let sampled_s, sampled_sw =
-    best fresh (fun sw ->
-        ignore
-          (Memsim.Sweep.run_attributed ~sample_every:8 ~addr_limit sw table
-             recording))
+  let rounds = List.init 5 round in
+  let best side =
+    List.fold_left (fun acc (times, _) -> Float.min acc times.(side)) infinity
+      rounds
   in
-  let identical =
-    Memsim.Sweep.results plain_sw = Memsim.Sweep.results attr_sw
-    && Memsim.Sweep.results plain_sw = Memsim.Sweep.results sampled_sw
-  in
+  let plain_s = best 0 and attr_s = best 1 and sampled_s = best 2 in
+  let identical = List.for_all snd rounds in
   if not identical then
     failwith "attribution-overhead: statistics diverged from plain replay";
   let caches = List.length configs in
@@ -579,8 +596,13 @@ let measure_attribution () =
     w.Workloads.Workload.name events caches;
   Format.fprintf ppf
     "plain %.3fs   attributed %.3fs (%.2fx)   sampled 1-in-8 %.3fs (%.2fx)   \
-     stats identical@."
-    plain_s attr_s ratio_full sampled_s ratio_sampled;
+     stats identical@.rounds (attributed, sampled):%s@."
+    plain_s attr_s ratio_full sampled_s ratio_sampled
+    (String.concat ""
+       (List.map
+          (fun (t, _) ->
+            Printf.sprintf " %.2fx/%.2fx" (t.(1) /. t.(0)) (t.(2) /. t.(0)))
+          rounds));
   ( "attribution-overhead",
     Obs.Json.Obj
       [ ("workload", Obs.Json.Str w.Workloads.Workload.name);

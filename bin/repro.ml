@@ -1060,8 +1060,7 @@ let record_cmd =
          & info [ "format" ] ~docv:"FMT"
              ~doc:"On-disk format: v2 (delta+varint, default) or v3 \
                    (mmap-native fixed 8 bytes/event, zero-copy load); \
-                   `repro replay' and `repro stats' load both, and old \
-                   v1 files")
+                   `repro replay' and `repro stats' load both")
   in
   let heap =
     Arg.(value & opt (some size_conv) None

@@ -1,7 +1,7 @@
 (* Static byte-level verification of recorded traces.
 
-   This is a deliberate re-implementation of the three on-disk formats
-   (Memsim.Recording v1, v2 and v3), independent of [Recording.load]: where
+   This is a deliberate re-implementation of the two on-disk formats
+   (Memsim.Recording v2 and v3), independent of [Recording.load]: where
    the loader raises on the first problem, the scanner keeps a cursor,
    collects findings with byte offsets and event indices, and recovers
    where the encoding allows (a corrupt kind tag does not desynchronize
@@ -9,22 +9,17 @@
    events are returned as a [Recording.t] so the stream checker can run
    structural invariants over them. *)
 
-type format =
-  | V1
-  | V2
-  | V3
-
 type result = {
   file : string;
-  format : format option;
+  format : Memsim.Recording.format option;
   declared_events : int option;
   recording : Memsim.Recording.t option;
   findings : Finding.t list;
 }
 
-(* Recording.load reads these magics, and save writes the v2/v3 ones
-   (kept in sync by test_check's round-trip cases; v1 files there come
-   from the test-local writer). *)
+(* Recording.save writes the v2/v3 magics (kept in sync by test_check's
+   round-trip cases); the retired v1 one is recognised only to name
+   it. *)
 let magic_v1 = 0x5243545243414345L
 let magic_v2 = 0x3256545243414345L
 let magic_v3 = 0x3356545243414345L
@@ -59,50 +54,6 @@ let finish sc =
   List.rev sc.out
 
 let remaining sc = Bytes.length sc.bytes - sc.pos
-
-(* --- v1: 16-byte header, 8 fixed little-endian bytes per event --------- *)
-
-let scan_v1 sc =
-  let file_bytes = Bytes.length sc.bytes in
-  let declared = Int64.to_int (Bytes.get_int64_le sc.bytes 8) in
-  sc.pos <- 16;
-  if declared < 0 then begin
-    report sc ~rule:"trace.header-count" ~where:(Finding.Byte 8)
-      (Printf.sprintf "header declares a negative event count (%d)" declared);
-    (Some declared, None)
-  end
-  else begin
-    let payload = file_bytes - 16 in
-    if payload mod 8 <> 0 then
-      report sc ~rule:"trace.truncated"
-        ~where:(Finding.Byte (16 + (payload / 8 * 8)))
-        (Printf.sprintf "file ends with a partial %d-byte word" (payload mod 8));
-    let held = payload / 8 in
-    if held <> declared then
-      report sc ~rule:"trace.declared-count" ~where:(Finding.Byte 8)
-        (Printf.sprintf "header declares %d events but the file holds %d"
-           declared held);
-    let recording = Memsim.Recording.create () in
-    let out = Memsim.Recording.sink recording in
-    for i = 0 to held - 1 do
-      let off = 16 + (8 * i) in
-      let w64 = Bytes.get_int64_le sc.bytes off in
-      let w = Int64.to_int w64 in
-      if not (Int64.equal (Int64.of_int w) w64) then
-        report sc ~rule:"trace.word-width" ~where:(Finding.Event i)
-          (Printf.sprintf
-             "byte %d: word 0x%Lx does not fit a 63-bit native int" off w64)
-      else if w land 6 = 6 then
-        report sc ~rule:"trace.kind-bits" ~where:(Finding.Event i)
-          (Printf.sprintf "byte %d: invalid kind code 3" off)
-      else begin
-        let addr, kind, phase = Memsim.Chunk.unpack w in
-        out.Memsim.Trace.access addr kind phase
-      end
-    done;
-    sc.pos <- 16 + (8 * held);
-    (Some declared, Some recording)
-  end
 
 (* --- v2: 17-byte header, zigzag delta + varint per event --------------- *)
 
@@ -323,9 +274,15 @@ let scan path =
     else begin
       let tag = Bytes.get_int64_le bytes 0 in
       let format, (declared, recording) =
-        if Int64.equal tag magic_v1 then (Some V1, scan_v1 sc)
-        else if Int64.equal tag magic_v2 then (Some V2, scan_v2 sc)
-        else if Int64.equal tag magic_v3 then (Some V3, scan_v3 sc)
+        if Int64.equal tag magic_v2 then
+          (Some Memsim.Recording.V2, scan_v2 sc)
+        else if Int64.equal tag magic_v3 then
+          (Some Memsim.Recording.V3, scan_v3 sc)
+        else if Int64.equal tag magic_v1 then begin
+          report sc ~rule:"trace.retired" ~where:(Finding.Byte 0)
+            "format v1 is retired; re-record the trace as v2 or v3";
+          (None, (None, None))
+        end
         else begin
           report sc ~rule:"trace.magic" ~where:(Finding.Byte 0)
             (Printf.sprintf "not a trace recording (magic 0x%Lx)" tag);
@@ -358,7 +315,7 @@ let check ~geometry ~expect path =
     | Some _ | None -> (None, [])
   in
   let format =
-    Option.map (function V1 -> "v1" | V2 -> "v2" | V3 -> "v3") scan.format
+    Option.map Memsim.Recording.format_label scan.format
   in
   let ok (s : Stream_check.summary) =
     Printf.sprintf

@@ -1,5 +1,5 @@
 (** Static verification of recorded trace files ({!Memsim.Recording}
-    v1, v2 and v3) without sweeping them through a cache.
+    v2 and v3) without sweeping them through a cache.
 
     Unlike [Recording.load], which raises on the first problem, the
     scanner collects {!Finding.t}s with byte offsets and event indices
@@ -9,29 +9,28 @@
 
     - [trace.io] — the file could not be read;
     - [trace.magic] — not a recording at all;
+    - [trace.retired] — a file of the retired v1 format, refused by its
+      magic without being decoded;
     - [trace.version] — v2/v3 magic but an unknown version byte;
     - [trace.stride] — v3 header declares an event stride other than 8;
-    - [trace.truncated] — short header, partial v1/v3 word, or a v2
+    - [trace.truncated] — short header, partial v3 word, or a v2
       file ending mid-event;
     - [trace.header-count] — negative declared event count;
-    - [trace.declared-count] — v1/v3 payload disagrees with the header;
-    - [trace.word-width] — v1/v3 word does not fit a 63-bit native int
-      (for v3 this scanner is the only deep check: the mmap loader's
-      int-kind view cannot observe bit 63);
+    - [trace.declared-count] — v3 payload disagrees with the header;
+    - [trace.word-width] — v3 word does not fit a 63-bit native int
+      (with {!Memsim.Recording.load_unmapped}'s heap decoder, the only
+      deep check: the mmap loader's int-kind view cannot observe bit
+      63);
     - [trace.kind-bits] — event carries the invalid kind code 3;
     - [trace.varint] — v2 varint continues past 63 bits;
     - [trace.address-range] — v2 delta chain leaves [0, 2^60);
     - [trace.trailing-bytes] — bytes after the declared events;
     - [trace.suppressed] — warning noting findings beyond the cap. *)
 
-type format =
-  | V1
-  | V2
-  | V3
-
 type result = {
   file : string;
-  format : format option;          (** [None] when the magic is unknown *)
+  format : Memsim.Recording.format option;
+      (** [None] when the magic is unknown or retired *)
   declared_events : int option;    (** header event count, if readable *)
   recording : Memsim.Recording.t option;
       (** the decoded events (possibly partial after an unrecoverable

@@ -186,7 +186,7 @@ let num_runs t = t.n_runs
 (* --- Persistence --------------------------------------------------------- *)
 
 (* Sidecar format: magic, then counts and the raw logs as little-endian
-   64-bit words; site names length-prefixed.  Saved next to a v1/v2
+   64-bit words; site names length-prefixed.  Saved next to a v2/v3
    recording so a sweep of the saved trace stays attributable. *)
 
 let magic = "ATTRSID1"

@@ -126,7 +126,9 @@ let rec take_slab n =
 
 let give_slab slab = update (fun p -> { p with free = slab :: p.free })
 
-let magic = 0x5243545243414345L (* "RCTRCACE" v1, arbitrary tag *)
+(* v1, the retired fixed-stride format, is recognised only to be
+   refused. *)
+let magic_v1 = 0x5243545243414345L (* "RCTRCACE", arbitrary tag *)
 let magic_v2 = 0x3256545243414345L (* same tag family, "…V2" high byte pair *)
 let magic_v3 = 0x3356545243414345L (* same tag family, "…V3" high byte pair *)
 
@@ -390,61 +392,6 @@ let output_words oc t =
       done;
       output oc scratch 0 (8 * len))
 
-(* --- v1 on-disk format: 8 fixed little-endian bytes per event ----------- *)
-
-(* Read-only: nothing writes v1 any more (v3 is the same fixed stride
-   and maps zero-copy), but old files still load. *)
-let v1_header_bytes = 16
-
-(* Decode a fixed-stride 8-byte-LE payload of [len] words starting at
-   file offset [payload_base] into a fresh recording, validating that
-   each word round-trips through the native int (a file written on a
-   platform with wider ints, or a corrupt word using bit 63, would
-   otherwise be silently truncated) and that no event carries the
-   invalid kind code 3.  Each batch is one slab's worth of words,
-   stored straight into the current slab, which is sealed when full. *)
-let load_words ic ~version ~payload_base ~len =
-  let t = create ~initial_capacity:Chunk.default_chunk_events () in
-  let buf = Bytes.create (8 * t.chunk_events) in
-  let decoded = ref 0 in
-  while !decoded < len do
-    let n = min (len - !decoded) t.chunk_events in
-    really_input ic buf 0 (8 * n);
-    let slab = t.cur in
-    for i = 0 to n - 1 do
-      let w64 = Bytes.get_int64_le buf (8 * i) in
-      let w = Int64.to_int w64 in
-      if not (Int64.equal (Int64.of_int w) w64) then
-        fail_at ~version ~byte:(payload_base + (8 * (!decoded + i)))
-          "event %d does not fit a native int (written on a wider platform, \
-           or corrupt)"
-          (!decoded + i);
-      if w land 6 = 6 then
-        fail_at ~version ~byte:(payload_base + (8 * (!decoded + i)))
-          "event %d has corrupt kind bits" (!decoded + i);
-      BA1.unsafe_set slab i w
-    done;
-    decoded := !decoded + n;
-    if n = t.chunk_events then seal_current t else t.cur_len <- n
-  done;
-  t
-
-let load_v1 ic ~file_bytes =
-  let hdr = Bytes.create 8 in
-  really_input ic hdr 0 8;
-  let len = Int64.to_int (Bytes.get_int64_le hdr 0) in
-  if len < 0 then fail_at ~version:"v1" ~byte:8 "corrupt event count";
-  (* Validate the declared count against what the file actually
-     holds before trusting it: a truncated or padded file fails
-     cleanly instead of producing a garbage tail. *)
-  let payload = file_bytes - v1_header_bytes in
-  if payload mod 8 <> 0 || payload / 8 <> len then
-    fail_at ~version:"v1" ~byte:8
-      "header declares %d events but the %s payload holds %d%s" len
-      (Size.to_string payload) (payload / 8)
-      (if payload mod 8 = 0 then "" else " and a partial word");
-  load_words ic ~version:"v1" ~payload_base:v1_header_bytes ~len
-
 (* --- v2 on-disk format: delta + varint --------------------------------- *)
 
 (* Header: 8-byte magic, 1 version byte (2), 8-byte LE event count.
@@ -454,7 +401,7 @@ let load_v1 ic ~file_bytes =
    kind, [0] phase; remaining zigzag bits follow as standard LEB128.
    Allocation sweeps and re-references have tiny deltas, so most
    events are 1 byte (|delta| <= 8 bytes) or 2 (|delta| <= 1 KB),
-   vs. v1's flat 8. *)
+   vs. v3's flat 8. *)
 
 let io_buf_bytes = 1 lsl 16
 
@@ -665,11 +612,45 @@ let load_v2 ic ~file_bytes =
    The int-kind Bigarray view cannot observe bit 63 of a mapped word
    (OCaml ints are 63-bit), so the mmap path validates the header and
    geometry only; the deep per-word audit (word width, kind bits)
-   lives in the heap fallback decoder and in the raw-byte scanner of
-   [repro check] (Check.Trace_file.scan_v3). *)
+   lives in the heap decoder [load_words] and in the raw-byte scanner
+   of [repro check] (Check.Trace_file.scan_v3). *)
 
 let v3_header_bytes = 24
 let v3_stride = 8
+
+(* The heap decoder: read the [len] payload words from [ic] into a
+   fresh recording, validating that each word round-trips through the
+   native int (a file written on a platform with wider ints, or a
+   corrupt word using bit 63, would otherwise be silently truncated)
+   and that no event carries the invalid kind code 3.  Each batch is
+   one slab's worth of words, stored straight into the current slab,
+   which is sealed when full. *)
+let load_words ic ~len =
+  let t = create ~initial_capacity:Chunk.default_chunk_events () in
+  let buf = Bytes.create (8 * t.chunk_events) in
+  let decoded = ref 0 in
+  while !decoded < len do
+    let n = min (len - !decoded) t.chunk_events in
+    really_input ic buf 0 (8 * n);
+    let slab = t.cur in
+    for i = 0 to n - 1 do
+      let w64 = Bytes.get_int64_le buf (8 * i) in
+      let w = Int64.to_int w64 in
+      let byte = v3_header_bytes + (8 * (!decoded + i)) in
+      if not (Int64.equal (Int64.of_int w) w64) then
+        fail_at ~version:"v3" ~byte
+          "event %d does not fit a native int (written on a wider platform, \
+           or corrupt)"
+          (!decoded + i);
+      if w land 6 = 6 then
+        fail_at ~version:"v3" ~byte "event %d has corrupt kind bits"
+          (!decoded + i);
+      BA1.unsafe_set slab i w
+    done;
+    decoded := !decoded + n;
+    if n = t.chunk_events then seal_current t else t.cur_len <- n
+  done;
+  t
 
 let save_v3 t oc =
   let hdr = Bytes.create v3_header_bytes in
@@ -703,8 +684,9 @@ let of_mapped payload count =
 (* [hdr] holds the first [got] bytes of the file, all 24 when the
    file has them; [fd] stands just past them.  The size checks take
    the file size from the mapping when there is one ([Unix.map_file]
-   sizes it from the descriptor), and from [fstat] otherwise. *)
-let load_v3 fd hdr ~got ~channel_at =
+   sizes it from the descriptor), and from [fstat] otherwise.  With
+   [map] false the payload is always decoded on the heap. *)
+let load_v3 fd hdr ~got ~channel_at ~map =
   if got < v3_header_bytes then
     fail_at ~version:"v3" ~byte:got "truncated file (%s of the %s header)"
       (Size.to_string got)
@@ -729,14 +711,13 @@ let load_v3 fd hdr ~got ~channel_at =
   (* The payload bytes are little-endian; mapping them as native words
      is only a decode on a little-endian host.  Big-endian hosts, files
      that are not whole words and filesystems that refuse mmap fall
-     back to the byte-swapping heap decoder, which also performs the
-     per-word audit. *)
+     back to the heap decoder, which also performs the per-word
+     audit. *)
   let decode () =
     check_size (Unix.fstat fd).Unix.st_size;
-    load_words (channel_at v3_header_bytes) ~version:"v3"
-      ~payload_base:v3_header_bytes ~len:count
+    load_words (channel_at v3_header_bytes) ~len:count
   in
-  if Sys.big_endian then decode ()
+  if Sys.big_endian || not map then decode ()
   else
     (* Map header and payload and drop the header by sub-view:
        map_file offsets must be page-aligned, a word-aligned sub costs
@@ -791,11 +772,11 @@ let rec read_upto fd buf got =
 
 (* Every format goes through one descriptor.  One read takes the magic
    and the whole v3 header, and a v3 load maps the same descriptor:
-   open, read, map, close.  v1 and v2 decode through a channel on it,
-   which then owns the descriptor, so it is closed exactly once either
-   way.  I/O errors surface as [Sys_error], as from the Stdlib
-   channels. *)
-let load path =
+   open, read, map, close.  v2, and v3 when it is decoded, read through
+   a channel on it, which then owns the descriptor, so it is closed
+   exactly once either way.  I/O errors surface as [Sys_error], as
+   from the Stdlib channels. *)
+let load_file ~map path =
   let sys_error e = raise (Sys_error (path ^ ": " ^ Unix.error_message e)) in
   match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
   | exception Unix.Unix_error (e, _, _) -> sys_error e
@@ -807,7 +788,6 @@ let load path =
       channel := Some ic;
       ic
     in
-    let file_bytes () = (Unix.fstat fd).Unix.st_size in
     try
       Fun.protect
         ~finally:(fun () ->
@@ -824,15 +804,19 @@ let load path =
                   any header)"
                  (Size.to_string got));
           let tag = Bytes.get_int64_le hdr 0 in
-          if Int64.equal tag magic then
-            load_v1 (channel_at 8) ~file_bytes:(file_bytes ())
-          else if Int64.equal tag magic_v2 then
-            load_v2 (channel_at 8) ~file_bytes:(file_bytes ())
+          if Int64.equal tag magic_v2 then
+            load_v2 (channel_at 8) ~file_bytes:(Unix.fstat fd).Unix.st_size
           else if Int64.equal tag magic_v3 then
-            load_v3 fd hdr ~got ~channel_at
+            load_v3 fd hdr ~got ~channel_at ~map
+          else if Int64.equal tag magic_v1 then
+            fail_at ~version:"v1" ~byte:0
+              "format v1 is retired; re-record the trace as v2 or v3"
           else
             failwith
               (Printf.sprintf
                  "Recording.load (byte 0): not a trace recording (magic 0x%Lx)"
                  tag))
     with Unix.Unix_error (e, _, _) -> sys_error e)
+
+let load path = load_file ~map:true path
+let load_unmapped path = load_file ~map:false path

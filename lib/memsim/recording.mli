@@ -29,8 +29,8 @@
     Format v3 trades that compression for zero-cost loading: the
     payload is the slab representation verbatim, and {!load} maps it
     with [Unix.map_file] so the sweep consumes the file pages in
-    place.  {!load} reads both, and the retired fixed-stride v1
-    format of older files, transparently.
+    place.  {!load} reads both, transparently; it refuses a file of
+    the retired fixed-stride v1 format by its magic.
 
     Slab memory has an owner.  Default-size slabs
     ({!Chunk.default_chunk_events}) are drawn from a process-wide
@@ -210,20 +210,27 @@ val saved_bytes : ?format:format -> t -> int
     its leases. *)
 
 val load : string -> t
-(** Read a recording written by {!save}, any format (distinguished by
-    magic).  A v3 file on a little-endian host is memory-mapped and
-    consumed zero-copy; the resulting recording is read-only (appends
-    raise [Invalid_argument]) and aliases the file pages, so the file
-    must outlive it.  Big-endian hosts and unmappable files fall back
-    to a heap decode with full per-word validation.  Malformed input —
-    wrong magic, bad version or stride, truncated or padded payload,
-    event counts that disagree with the payload, corrupt kind bits,
-    varint or address overflow, fixed-stride words that do not
-    round-trip through the native int — fails cleanly, and every
-    failure message names the format version and the byte offset of
-    the fault.  Every format is read through one descriptor, closed
-    before [load] returns or raises; a v3 load on a little-endian host
-    makes five system calls: open, one read of the header, the [fstat]
-    and [mmap] of [Unix.map_file], close.
+(** Read a recording written by {!save}, in either format
+    (distinguished by magic).  A v3 file on a little-endian host is
+    memory-mapped and consumed zero-copy; the resulting recording is
+    read-only (appends raise [Invalid_argument]) and aliases the file
+    pages, so the file must outlive it.  Big-endian hosts and
+    unmappable files fall back to a heap decode with full per-word
+    validation.  Malformed input — wrong magic, bad version or stride,
+    truncated or padded payload, event counts that disagree with the
+    payload, corrupt kind bits, varint or address overflow, fixed-stride
+    words that do not round-trip through the native int — fails
+    cleanly, and every failure message names the format version and
+    the byte offset of the fault.  A file of the retired v1 format is
+    refused at byte 0 without being decoded.  Every format is read
+    through one descriptor, closed before [load] returns or raises; a
+    v3 load on a little-endian host makes five system calls: open, one
+    read of the header, the [fstat] and [mmap] of [Unix.map_file],
+    close.
     @raise Failure on a malformed file.
     @raise Sys_error when the file cannot be opened or read. *)
+
+val load_unmapped : string -> t
+(** {!load}, except that a v3 file is always decoded on the heap with
+    the per-word audit, never mapped: the path big-endian hosts and
+    unmappable files take, reachable on any host. *)

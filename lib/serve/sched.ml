@@ -32,6 +32,10 @@ exception Killed
 (* Raised out of the progress callback by the kill-injection hook to
    simulate a worker dying mid-job. *)
 
+exception Cancelled
+(* Raised out of the progress callback when the job's cancel flag is
+   set; Fixture.measure lets it propagate, abandoning the sweep. *)
+
 type config = {
   workers : int;
   checkpoint_every : int option;
@@ -336,7 +340,8 @@ let rec pop t =
   | Some _ -> pop t
 
 let run_job t w job =
-  let resumed_now = Sys.file_exists (Store.checkpoint_path t.store ~id:job.Job.id) in
+  let checkpoint = Store.checkpoint_path t.store ~id:job.Job.id in
+  let resumed_now = Sys.file_exists checkpoint in
   locked t (fun () ->
     job.Job.state <- Job.Running w;
     job.Job.attempts <- job.Job.attempts + 1;
@@ -354,14 +359,18 @@ let run_job t w job =
      taking the scheduler lock every replay epoch would serialize the
      pool, and a one-epoch-stale read only delays the cancellation. *)
   let progress cursor =
-    if job.Job.cancel_requested || t.stop = `Now then raise Exec.Cancelled;
+    if job.Job.cancel_requested || t.stop = `Now then raise Cancelled;
     match t.config.kill with
     | Some k -> if k job cursor then raise Killed
     | None -> ()
   in
+  (* The measurement resumes from [checkpoint] if a previous attempt
+     left it behind; [ctx] makes every error it raises name the job. *)
   match
-    Exec.run ~store:t.store ~checkpoint_every:t.config.checkpoint_every
-      ~progress job
+    Golden.Fixture.measure
+      ~ctx:(Printf.sprintf "job %d (%s)" job.Job.id job.Job.name)
+      ~checkpoint ?checkpoint_every:t.config.checkpoint_every ~progress
+      job.Job.run
   with
   | fx ->
     Store.put t.store fx;
@@ -369,7 +378,7 @@ let run_job t w job =
     locked t (fun () ->
       finish t job Job.Done ~cached:false;
       release_hash t job ~success:true)
-  | exception Exec.Cancelled ->
+  | exception Cancelled ->
     Store.remove_checkpoint t.store ~id:job.Job.id;
     locked t (fun () ->
       finish t job Job.Cancelled ~cached:false;

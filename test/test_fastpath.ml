@@ -62,14 +62,12 @@ let test_record_then_replay w () =
   Memsim.Recording.release recording
 
 let test_format_roundtrip () =
-  (* a real trace survives v1 -> load -> v2 -> load -> v3 -> load
-     unchanged (the v3 leg exercises the mmap loader; v1 files come
-     from the test-local writer, as nothing writes v1 any more).  The
-     file sizes are exact: v1 is a 16-byte header plus 8 bytes per
-     event, and the
-     v2 size pins the varint+delta codec's compression (2.245 B/event,
-     3.563x smaller than v1) byte for byte.  [Recording.saved_bytes]
-     must predict each file's size without writing it. *)
+  (* a real trace survives v2 -> load -> v3 -> load unchanged (the v3
+     leg exercises the mmap loader).  The file sizes are exact: v3 is
+     a 24-byte header plus 8 bytes per event, and the v2 size pins the
+     varint+delta codec's compression (2.245 B/event, 3.563x smaller
+     than v3's payload) byte for byte.  [Recording.saved_bytes] must
+     predict each file's size without writing it. *)
   let _, recording = Core.Runner.record ~scale:1 Workloads.Workload.nbody in
   Alcotest.(check int) "events" 2_115_056 (Memsim.Recording.length recording);
   let path = Filename.temp_file "repro" ".trace" in
@@ -83,15 +81,12 @@ let test_format_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      V1_file.save recording path;
-      Alcotest.(check int) "v1 bytes" 16_920_464 (size ());
-      let as_v1 = Memsim.Recording.load path in
-      Memsim.Recording.save ~format:Memsim.Recording.V2 as_v1 path;
+      Memsim.Recording.save ~format:Memsim.Recording.V2 recording path;
       Alcotest.(check int) "v2 bytes" 4_748_446 (size ());
-      predicted Memsim.Recording.V2 as_v1;
+      predicted Memsim.Recording.V2 recording;
       let as_v2 = Memsim.Recording.load path in
       Alcotest.(check bool)
-        "v1 -> v2 round trip" true
+        "v2 round trip" true
         (Memsim.Recording.equal recording as_v2);
       Memsim.Recording.save ~format:Memsim.Recording.V3 as_v2 path;
       Alcotest.(check int) "v3 bytes" 16_920_472 (size ());
@@ -146,7 +141,7 @@ let () =
               (test_record_then_replay w))
           Workloads.Workload.all );
       ( "formats",
-        Alcotest.test_case "v1 -> v2 -> v3 round trip on a real trace" `Slow
+        Alcotest.test_case "v2 -> v3 round trip on a real trace" `Slow
           test_format_roundtrip
         :: List.map
              (fun w ->

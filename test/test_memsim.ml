@@ -807,10 +807,10 @@ let test_recording_truncated_file () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      V1_file.save rec_ path;
+      Memsim.Recording.save ~format:Memsim.Recording.V3 rec_ path;
       (* cut the file mid-payload: the header still declares 100 events *)
       let ic = open_in_bin path in
-      let keep = really_input_string ic (16 + (8 * 50)) in
+      let keep = really_input_string ic (24 + (8 * 50)) in
       close_in ic;
       let oc = open_out_bin path in
       output_string oc keep;
@@ -843,6 +843,17 @@ let test_recording_truncated_file () =
    change that silently breaks old files fails here. *)
 let v1_magic = 0x5243545243414345L
 let v2_magic = 0x3256545243414345L
+let v3_magic = 0x3356545243414345L
+
+let v3_file ?(version = '\003') ?(stride = '\008') ~count payload =
+  let n = Bytes.length payload in
+  let b = Bytes.make (24 + n) '\000' in
+  Bytes.set_int64_le b 0 v3_magic;
+  Bytes.set b 8 version;
+  Bytes.set b 9 stride;
+  Bytes.set_int64_le b 16 (Int64.of_int count);
+  Bytes.blit payload 0 b 24 n;
+  b
 
 let write_file path bytes =
   let oc = open_out_bin path in
@@ -866,68 +877,92 @@ let expect_load_error path what prefix =
        && String.sub msg 0 (String.length prefix) = prefix)
   | _ -> Alcotest.fail (what ^ " must be rejected")
 
-let test_recording_v1_legacy_load () =
-  let rec_ = Memsim.Recording.create ~initial_capacity:16 () in
-  let sink = Memsim.Recording.sink rec_ in
-  for i = 0 to 99 do
-    sink.Memsim.Trace.access (i * 16)
-      (match i mod 3 with
-       | 0 -> Memsim.Trace.Read
-       | 1 -> Memsim.Trace.Write
-       | _ -> Memsim.Trace.Alloc_write)
-      (if i land 1 = 0 then mutator else collector)
-  done;
+(* v1, the retired fixed-stride format, is refused by its magic and
+   never decoded, whichever way the file would be read: a well-formed
+   v1 file built byte by byte from its spec (16-byte header of magic
+   and event count, then 8 LE bytes per event) gets one located
+   message. *)
+let test_recording_v1_refused () =
   let path = Filename.temp_file "repro" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      (* a file saved in the legacy format still loads *)
-      V1_file.save rec_ path;
-      let back = Memsim.Recording.load path in
-      Alcotest.(check bool)
-        "v1 load = original" true
-        (Memsim.Recording.equal rec_ back);
-      (* and so does a v1 file built byte by byte from the spec:
-         16-byte header (magic, count), then 8 LE bytes per event of
-         [byte_addr lsl 3 | kind lsl 1 | phase] *)
       let b = Bytes.create (16 + 16) in
       Bytes.set_int64_le b 0 v1_magic;
       Bytes.set_int64_le b 8 2L;
       Bytes.set_int64_le b 16 (Int64.of_int (64 lsl 3));
       Bytes.set_int64_le b 24 (Int64.of_int ((68 lsl 3) lor 2 lor 1));
       write_file path b;
-      let crafted = Memsim.Recording.load path in
-      Alcotest.(check int) "crafted length" 2 (Memsim.Recording.length crafted);
-      Alcotest.(check bool)
-        "crafted event 0" true
-        (Memsim.Recording.event crafted 0
-         = (64, Memsim.Trace.Read, Memsim.Trace.Mutator));
-      Alcotest.(check bool)
-        "crafted event 1" true
-        (Memsim.Recording.event crafted 1
-         = (68, Memsim.Trace.Write, Memsim.Trace.Collector)))
+      List.iter
+        (fun (what, load) ->
+          match load path with
+          | exception Failure msg ->
+            Alcotest.(check string) what
+              "Recording.load (v1, byte 0): format v1 is retired; re-record \
+               the trace as v2 or v3"
+              msg
+          | _ -> Alcotest.fail (what ^ ": a v1 file must be refused"))
+        [ ("load", Memsim.Recording.load);
+          ("load_unmapped", Memsim.Recording.load_unmapped)
+        ])
 
-let test_recording_v1_corrupt_word () =
+(* The heap decoder's per-word audit, which the mapped load cannot make
+   (its int-kind view drops bit 63): [load_unmapped] decodes a v3 file
+   the way a big-endian host or an unmappable file does.  The faulty
+   word sits past the first slab, so the byte offset counts words
+   across batches. *)
+let test_recording_unmapped_corrupt_word () =
   let path = Filename.temp_file "repro" ".trace" in
+  let slab = Memsim.Chunk.default_chunk_events in
+  let count = slab + 5 in
+  let at = slab + 3 in
+  let file word =
+    let payload = Bytes.create (8 * count) in
+    for i = 0 to count - 1 do
+      Bytes.set_int64_le payload (8 * i) (Int64.of_int ((64 * i) lsl 3))
+    done;
+    Bytes.set_int64_le payload (8 * at) word;
+    v3_file ~count payload
+  in
+  let expect_unmapped what msg =
+    match Memsim.Recording.load_unmapped path with
+    | exception Failure got -> Alcotest.(check string) what msg got
+    | _ -> Alcotest.fail (what ^ " must be rejected")
+  in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let base word =
-        let b = Bytes.create 24 in
-        Bytes.set_int64_le b 0 v1_magic;
-        Bytes.set_int64_le b 8 1L;
-        Bytes.set_int64_le b 16 word;
-        b
-      in
+      (* a clean file decodes to what the mapped load sees *)
+      write_file path (file (Int64.of_int ((64 * at) lsl 3)));
+      let mapped = Memsim.Recording.load path in
+      let decoded = Memsim.Recording.load_unmapped path in
+      Alcotest.(check int) "decoded length" count
+        (Memsim.Recording.length decoded);
+      Alcotest.(check bool)
+        "decoded = mapped" true
+        (Memsim.Recording.equal mapped decoded);
+      Memsim.Recording.release mapped;
+      Memsim.Recording.release decoded;
       (* bit 62 set: the word does not round-trip through the 63-bit
          native int, so it must be rejected, not silently truncated *)
-      write_file path (base 0x4000000000000000L);
-      expect_load_error path "word wider than a native int"
-        "Recording.load (v1, byte 16): event 0 does not fit a native int";
+      write_file path (file 0x4000000000000000L);
+      expect_unmapped "word wider than a native int"
+        (Printf.sprintf
+           "Recording.load (v3, byte %d): event %d does not fit a native int \
+            (written on a wider platform, or corrupt)"
+           (24 + (8 * at)) at);
       (* kind code 3 does not exist *)
-      write_file path (base (Int64.of_int ((64 lsl 3) lor 6)));
-      expect_load_error path "corrupt kind bits (v1)"
-        "Recording.load (v1, byte 16): event 0 has corrupt kind bits")
+      write_file path (file (Int64.of_int ((64 lsl 3) lor 6)));
+      expect_unmapped "corrupt kind bits"
+        (Printf.sprintf
+           "Recording.load (v3, byte %d): event %d has corrupt kind bits"
+           (24 + (8 * at)) at);
+      (* the same audit at the first word, byte 24 *)
+      let one = Bytes.create 8 in
+      Bytes.set_int64_le one 0 (Int64.of_int ((64 lsl 3) lor 6));
+      write_file path (v3_file ~count:1 one);
+      expect_unmapped "corrupt kind bits at event 0"
+        "Recording.load (v3, byte 24): event 0 has corrupt kind bits")
 
 let v2_file ~count payload =
   let n = Bytes.length payload in
@@ -1013,18 +1048,6 @@ let test_recording_v2_corrupt () =
       expect_load_error path "address past the top"
         "Recording.load (v2, byte 17): event 0 has corrupt address")
 
-let v3_magic = 0x3356545243414345L
-
-let v3_file ?(version = '\003') ?(stride = '\008') ~count payload =
-  let n = Bytes.length payload in
-  let b = Bytes.make (24 + n) '\000' in
-  Bytes.set_int64_le b 0 v3_magic;
-  Bytes.set b 8 version;
-  Bytes.set b 9 stride;
-  Bytes.set_int64_le b 16 (Int64.of_int count);
-  Bytes.blit payload 0 b 24 n;
-  b
-
 let test_recording_v3_spec () =
   let rec_ = Memsim.Recording.create () in
   let sink = Memsim.Recording.sink rec_ in
@@ -1050,7 +1073,7 @@ let test_recording_v3_spec () =
         (Memsim.Recording.equal rec_ back);
       (* and a v3 file built byte by byte from the spec: 24-byte header
          (magic, version 3, stride 8, reserved zeros, count), then 8 LE
-         bytes per event of the same packed word as v1 *)
+         bytes per event of the packed in-memory word *)
       let payload = Bytes.create 16 in
       Bytes.set_int64_le payload 0 (Int64.of_int (64 lsl 3));
       Bytes.set_int64_le payload 8 (Int64.of_int ((68 lsl 3) lor 2 lor 1));
@@ -1481,11 +1504,19 @@ let test_recording_load_closes_descriptor () =
     Memsim.Recording.save rec_ path;
     In_channel.with_open_bin path In_channel.input_all
   in
+  let save_v3 () = Memsim.Recording.save ~format:Memsim.Recording.V3 rec_ path in
   let accepted =
-    [ ("v1", fun () -> V1_file.save rec_ path);
-      ("v2", fun () -> Memsim.Recording.save rec_ path);
-      ("v3", fun () -> Memsim.Recording.save ~format:Memsim.Recording.V3 rec_ path)
+    [ ("v2", (fun () -> Memsim.Recording.save rec_ path), Memsim.Recording.load);
+      ("v3", save_v3, Memsim.Recording.load);
+      ("v3 unmapped", save_v3, Memsim.Recording.load_unmapped)
     ]
+  in
+  let v1_file =
+    let b = Bytes.create (16 + 8) in
+    Bytes.set_int64_le b 0 v1_magic;
+    Bytes.set_int64_le b 8 1L;
+    Bytes.blit payload 0 b 16 8;
+    b
   in
   let refused =
     [ ( "under 16 bytes",
@@ -1516,6 +1547,10 @@ let test_recording_load_closes_descriptor () =
           "Recording.load (v2, byte %d): 3 trailing bytes after the declared \
            40 events"
           (String.length v2_bytes) );
+      ( "retired v1",
+        v1_file,
+        "Recording.load (v1, byte 0): format v1 is retired; re-record the \
+         trace as v2 or v3" );
       ( "unknown magic",
         Bytes.make 32 '\xab',
         "Recording.load (byte 0): not a trace recording (magic \
@@ -1528,9 +1563,9 @@ let test_recording_load_closes_descriptor () =
       let before = open_fds () in
       let loaded =
         List.map
-          (fun (what, save) ->
+          (fun (what, save, load) ->
             save ();
-            let back = Memsim.Recording.load path in
+            let back = load path in
             Alcotest.(check bool)
               (what ^ " loads equal") true
               (Memsim.Recording.equal rec_ back);
@@ -1829,10 +1864,11 @@ let chunk_equivalence_prop =
         [ Memsim.Cache.Write_validate; Memsim.Cache.Fetch_on_write ])
 
 let recording_roundtrip_prop =
-  (* Both on-disk formats round-trip arbitrary traces exactly.  The
-     address stride is large so the v2 deltas span one to four varint
-     bytes, and slabs are small so chunk boundaries land mid-file. *)
-  QCheck.Test.make ~count:50 ~name:"v1/v2 file roundtrip = in-memory recording"
+  (* Both on-disk formats round-trip arbitrary traces exactly, v3
+     mapped and decoded alike.  The address stride is large so the v2
+     deltas span one to four varint bytes, and slabs are small so chunk
+     boundaries land mid-file. *)
+  QCheck.Test.make ~count:50 ~name:"v2/v3 file roundtrip = in-memory recording"
     (QCheck.make trace_gen_phased)
     (fun events ->
       let rec_ = Memsim.Recording.create ~initial_capacity:32 () in
@@ -1855,9 +1891,12 @@ let recording_roundtrip_prop =
         (fun () ->
           Memsim.Recording.save ~format:Memsim.Recording.V2 rec_ path;
           let v2 = Memsim.Recording.load path in
-          V1_file.save rec_ path;
-          let v1 = Memsim.Recording.load path in
-          Memsim.Recording.equal rec_ v2 && Memsim.Recording.equal rec_ v1))
+          Memsim.Recording.save ~format:Memsim.Recording.V3 rec_ path;
+          let v3 = Memsim.Recording.load path in
+          let v3_unmapped = Memsim.Recording.load_unmapped path in
+          Memsim.Recording.equal rec_ v2
+          && Memsim.Recording.equal rec_ v3
+          && Memsim.Recording.equal rec_ v3_unmapped))
 
 (* On one level, O_gc is the paper's sec. 6 formula
    ((M_gc + dM_prog) * P + I_gc + dI_prog) / I_prog, written out here
@@ -1963,10 +2002,10 @@ let () =
           Alcotest.test_case "bad file rejected" `Quick test_recording_bad_file;
           Alcotest.test_case "truncated file rejected" `Quick
             test_recording_truncated_file;
-          Alcotest.test_case "v1 legacy load" `Quick
-            test_recording_v1_legacy_load;
-          Alcotest.test_case "v1 corrupt word rejected" `Quick
-            test_recording_v1_corrupt_word;
+          Alcotest.test_case "v1 refused by its magic" `Quick
+            test_recording_v1_refused;
+          Alcotest.test_case "v3 unmapped corrupt word rejected" `Quick
+            test_recording_unmapped_corrupt_word;
           Alcotest.test_case "v2 corrupt file rejected" `Quick
             test_recording_v2_corrupt;
           Alcotest.test_case "v3 on-disk layout pinned" `Quick
