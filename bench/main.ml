@@ -625,8 +625,12 @@ let measure_attribution () =
    differential), and report sizes and wall times.  A v3 load is a
    few system calls, microseconds, so one timing of it is mostly
    noise: v3_load_us is the median of [v3_loads] loads of the saved
-   file, each checked for its length. *)
+   file, each checked for its length.  v2_count_ns_per_event times
+   [saved_bytes ~format:V2], the size count a serve job runs for each
+   fresh fixture, as the median of [v2_counts] counts, each checked
+   against the saved file's size. *)
 let v3_loads = 101
+let v2_counts = 7
 
 let measure_recording_formats () =
   let w = Workloads.Workload.nbody in
@@ -663,6 +667,17 @@ let measure_recording_formats () =
   let v2_bytes, v2_save_s, v2_load_s, () =
     measure Memsim.Recording.V2 "v2" ignore
   in
+  let v2_count_s =
+    let s =
+      Array.init v2_counts (fun _ ->
+          let n, dt = time (fun () -> Memsim.Recording.saved_bytes recording) in
+          if n <> v2_bytes then
+            failwith "recording-save-load: the v2 count differs from the file";
+          dt)
+    in
+    Array.sort Float.compare s;
+    s.(v2_counts / 2)
+  in
   let v3_bytes, v3_save_s, _, v3_load_us =
     measure Memsim.Recording.V3 "v3" median_load_us
   in
@@ -674,10 +689,11 @@ let measure_recording_formats () =
   Format.fprintf ppf
     "v2 %d bytes (%.2f b/event, save %.3fs, load %.3fs)   v3 %d bytes \
      (%.2f b/event, save %.3fs, mmap load %.1f us, median of %d)@.v2 codec: \
-     save %.1f ns/event, load %.1f ns/event   v3 save %.1f ns/event@."
+     save %.1f ns/event, load %.1f ns/event, count %.1f ns/event   v3 save \
+     %.1f ns/event@."
     v2_bytes (per_event v2_bytes) v2_save_s v2_load_s v3_bytes
     (per_event v3_bytes) v3_save_s v3_load_us v3_loads (ns_per_event v2_save_s)
-    (ns_per_event v2_load_s) (ns_per_event v3_save_s);
+    (ns_per_event v2_load_s) (ns_per_event v2_count_s) (ns_per_event v3_save_s);
   ( "recording-save-load",
     Obs.Json.Obj
       [ ("workload", Obs.Json.Str w.Workloads.Workload.name);
@@ -690,6 +706,8 @@ let measure_recording_formats () =
         ("v2_load_s", Obs.Json.Float v2_load_s);
         ("v2_save_ns_per_event", Obs.Json.Float (ns_per_event v2_save_s));
         ("v2_load_ns_per_event", Obs.Json.Float (ns_per_event v2_load_s));
+        ("v2_count_ns_per_event", Obs.Json.Float (ns_per_event v2_count_s));
+        ("v2_counts", Obs.Json.Int v2_counts);
         ("v3_save_s", Obs.Json.Float v3_save_s);
         ("v3_save_ns_per_event", Obs.Json.Float (ns_per_event v3_save_s));
         ("v3_load_us", Obs.Json.Float v3_load_us);
@@ -846,6 +864,7 @@ let soft_bounds =
     ("benchmarks.perf trace-append-bigarray-1k.ns_per_run", At_most 2e5);
     ("benchmarks.perf vscheme-fib-15.ns_per_run", At_most 1e8);
     ("recording-save-load.v2_load_ns_per_event", At_most 30.0);
+    ("recording-save-load.v2_count_ns_per_event", At_most 15.0);
     ("recording-save-load.v3_load_us", At_most 250.0);
     ("serve.jobs_per_s", At_least 2.0);
     ("serve.p99_latency_ms", At_most 60000.0);

@@ -260,7 +260,7 @@ let scan path =
     let sc =
       { src = path; bytes; pos = 0; out = []; nfindings = 0; suppressed = 0 }
     in
-    if Bytes.length bytes < 16 then begin
+    if Bytes.length bytes < 8 then begin
       report sc ~rule:"trace.truncated"
         ~where:(Finding.Byte (Bytes.length bytes))
         "file too short for a recording header";

@@ -308,6 +308,14 @@ let checkin t n =
 
 (* --- In-memory access --------------------------------------------------- *)
 
+(* Every slab in event order with its written length: the full ones,
+   then the current one when it holds events. *)
+let iter_slabs t f =
+  for i = 0 to t.nslabs - 1 do
+    f t.slabs.(i) t.chunk_events
+  done;
+  if t.cur_len > 0 then f t.cur t.cur_len
+
 (* A slab wider than the default chunk (a mapped v3 file is one slab
    as long as the trace) is handed out in default-size sub-views, so
    every consumer sees the same chunk boundaries — attribution samples
@@ -315,20 +323,15 @@ let checkin t n =
    format the trace was loaded from.  [BA1.sub] copies nothing. *)
 let iter_chunks t f =
   let step = Chunk.default_chunk_events in
-  let chunks buf len =
-    if len <= step then f buf len
-    else
-      let off = ref 0 in
-      while !off < len do
-        let n = min step (len - !off) in
-        f (BA1.sub buf !off n) n;
-        off := !off + n
-      done
-  in
-  for i = 0 to t.nslabs - 1 do
-    chunks t.slabs.(i) t.chunk_events
-  done;
-  if t.cur_len > 0 then chunks t.cur t.cur_len
+  iter_slabs t (fun buf len ->
+      if len <= step then f buf len
+      else
+        let off = ref 0 in
+        while !off < len do
+          let n = min step (len - !off) in
+          f (BA1.sub buf !off n) n;
+          off := !off + n
+        done)
 
 (* Decoded in place rather than through [Chunk.unpack]: no tuple per
    event.  [Chunk.kind_of_code] still rejects kind code 3. *)
@@ -370,28 +373,6 @@ let fail_at ~version ~byte fmt =
       failwith (Printf.sprintf "Recording.load (%s, byte %d): %s" version byte msg))
     fmt
 
-(* --- Fixed-stride writer (v3) -------------------------------------------- *)
-
-(* The unchecked native-order 64-bit store behind Bytes.set_int64_le,
-   without its per-word bounds check: every chunk fits the scratch. *)
-external unsafe_set_int64 : Bytes.t -> int -> int64 -> unit
-  = "%caml_bytes_set64u"
-
-external bswap_int64 : int64 -> int64 = "%bswap_int64"
-
-(* One scratch buffer for the whole file, not a fresh Bytes per
-   chunk: a long recording is thousands of chunks.  [iter_chunks]
-   hands out at most [Chunk.default_chunk_events] words at a time. *)
-let output_words oc t =
-  let scratch = Bytes.create (8 * Chunk.default_chunk_events) in
-  iter_chunks t (fun buf len ->
-      for i = 0 to len - 1 do
-        let w = Int64.of_int (BA1.unsafe_get buf i) in
-        unsafe_set_int64 scratch (8 * i)
-          (if Sys.big_endian then bswap_int64 w else w)
-      done;
-      output oc scratch 0 (8 * len))
-
 (* --- v2 on-disk format: delta + varint --------------------------------- *)
 
 (* Header: 8-byte magic, 1 version byte (2), 8-byte LE event count.
@@ -409,57 +390,46 @@ let io_buf_bytes = 1 lsl 16
    the zigzag delta's 63 bits, and 9 LEB128 bytes carry the other 59. *)
 let max_event_bytes = 10
 
-(* The one v2 encoder, writing through [out buf off len]: a channel
-   when saving, a byte counter when only the size is wanted.  Bytes go
-   into a local window through a local cursor, flushed whenever an
-   event might not fit. *)
-let encode_v2 t out =
-  let hdr = Bytes.create 17 in
+let v2_header_bytes = 17
+
+(* The byte loops of the v2 codec are C kernels (recording_stubs.c);
+   they neither allocate nor raise.  The encoder writes into a local
+   window, and its state lives in this record between runs. *)
+type v2_writer = {
+  mutable next : int;  (* slab index of the next event *)
+  mutable addr : int;  (* the previous event's address *)
+  mutable used : int;  (* bytes in the window *)
+}
+
+(* Encode [slab.(w.next .. len-1)] into the window at [w.used] until
+   the slab is done or the next event might not fit. *)
+external encode_v2_run : v2_writer -> Chunk.buf -> int -> Bytes.t -> unit
+  = "repro_v2_encode_run"
+  [@@noalloc]
+
+(* [count_v2_run slab len prev]: the bytes the encoder writes for
+   [slab.(0 .. len-1)] after an event at address [prev]. *)
+external count_v2_run : Chunk.buf -> int -> int -> int = "repro_v2_count_run"
+  [@@noalloc]
+
+let save_v2 t oc =
+  let hdr = Bytes.create v2_header_bytes in
   Bytes.set_int64_le hdr 0 magic_v2;
   Bytes.set hdr 8 '\002';
   Bytes.set_int64_le hdr 9 (Int64.of_int (length t));
-  out hdr 0 17;
+  output_bytes oc hdr;
   let buf = Bytes.create io_buf_bytes in
-  let pos = ref 0 in
-  let prev = ref 0 in
-  for s = 0 to t.nslabs do
-    let slab = if s < t.nslabs then t.slabs.(s) else t.cur in
-    let len = if s < t.nslabs then t.chunk_events else t.cur_len in
-    for i = 0 to len - 1 do
-      if !pos > io_buf_bytes - max_event_bytes then begin
-        out buf 0 !pos;
-        pos := 0
-      end;
-      let w = BA1.unsafe_get slab i in
-      let addr = w lsr 3 in
-      let delta = addr - !prev in
-      prev := addr;
-      let zz = (delta lsl 1) lxor (delta asr 62) in
-      let b0 = ((zz land 0xf) lsl 3) lor (w land 7) in
-      let rest = zz lsr 4 in
-      if rest = 0 then begin
-        Bytes.unsafe_set buf !pos (Char.unsafe_chr b0);
-        incr pos
-      end
-      else begin
-        Bytes.unsafe_set buf !pos (Char.unsafe_chr (b0 lor 0x80));
-        let r = ref rest in
-        let p = ref (!pos + 1) in
-        while !r >= 0x80 do
-          Bytes.unsafe_set buf !p (Char.unsafe_chr ((!r land 0x7f) lor 0x80));
-          r := !r lsr 7;
-          incr p
-        done;
-        Bytes.unsafe_set buf !p (Char.unsafe_chr !r);
-        pos := !p + 1
-      end
-    done
-  done;
-  out buf 0 !pos
-
-let save_v2 t oc = encode_v2 t (output oc)
-
-let max_addr = max_int lsr 3
+  let w = { next = 0; addr = 0; used = 0 } in
+  iter_slabs t (fun slab len ->
+      w.next <- 0;
+      while w.next < len do
+        encode_v2_run w slab len buf;
+        if w.next < len then begin
+          output oc buf 0 w.used;
+          w.used <- 0
+        end
+      done);
+  output oc buf 0 w.used
 
 (* Read from [ic] into [buf] after its first [keep] bytes until the
    window ([io_buf_bytes]) is full or the channel is at end of file;
@@ -471,69 +441,34 @@ let rec fill_window ic buf keep =
     | 0 -> keep
     | n -> fill_window ic buf (keep + n)
 
-(* Where the v2 decoder stands between runs of {!decode_v2_run}. *)
+(* Where the v2 decoder stands between runs of [decode_v2_run]. *)
 type v2_cursor = {
   mutable pos : int;   (* window index of the next event's first byte *)
   mutable prev : int;  (* the previous event's address *)
+  mutable fill : int;  (* events in the current slab *)
 }
 
+(* The kernel returns these by constructor index, so most are never
+   built in OCaml. *)
 type v2_stop =
   | Boundary     (* at [limit], or the slab holds [last] events *)
   | Bad_kind
   | Bad_varint
   | Bad_address
   | Cut_short    (* the file ends inside the event *)
+[@@warning "-37"]
 
-(* Decode events into the current slab of [t] while they start
-   before window index [limit] and it holds fewer than [last].  No
-   byte read is
-   bounds-checked: the caller keeps every event that starts before
-   [limit] inside [buf.[0 .. avail]], and [buf.[avail]] is 0, which
-   ends any varint, so an event that reads it is cut short.  The loop
-   makes no call, so the compiler need not spill its state around one.
-   On an error the cursor rests on the bad event. *)
-let decode_v2_run c buf t ~avail ~limit ~last =
-  let slab = t.cur in
-  let p = ref c.pos and prev = ref c.prev and n = ref t.cur_len in
-  let stop = ref Boundary in
-  while !stop == Boundary && !p < limit && !n < last do
-    let b0 = Char.code (Bytes.unsafe_get buf !p) in
-    let tag = b0 land 7 in
-    let zz = ref ((b0 lsr 3) land 0xf) in
-    let q = ref (!p + 1) in
-    if tag land 6 = 6 then stop := Bad_kind
-    else if b0 land 0x80 <> 0 then begin
-      let shift = ref 4 and more = ref true in
-      while !more do
-        let b = Char.code (Bytes.unsafe_get buf !q) in
-        incr q;
-        if !shift > 62 then begin
-          stop := Bad_varint;
-          more := false
-        end
-        else begin
-          zz := !zz lor ((b land 0x7f) lsl !shift);
-          shift := !shift + 7;
-          more := b land 0x80 <> 0
-        end
-      done
-    end;
-    if !q > avail then stop := Cut_short
-    else if !stop == Boundary then begin
-      let addr = !prev + ((!zz lsr 1) lxor (- (!zz land 1))) in
-      if addr < 0 || addr > max_addr then stop := Bad_address
-      else begin
-        BA1.unsafe_set slab !n ((addr lsl 3) lor tag);
-        prev := addr;
-        p := !q;
-        incr n
-      end
-    end
-  done;
-  c.pos <- !p;
-  c.prev <- !prev;
-  t.cur_len <- !n;
-  !stop
+(* Decode events from the window [buf] into [slab] at [c.fill] while
+   they start before window index [limit] and the slab holds fewer
+   than [last].  No byte read is bounds-checked: the caller keeps
+   every event that starts before [limit] inside [buf.[0 .. avail]],
+   and [buf.[avail]] is 0, which ends any varint, so an event that
+   reads it is cut short.  On an error the cursor rests on the bad
+   event. *)
+external decode_v2_run :
+  v2_cursor -> Bytes.t -> Chunk.buf -> avail:int -> limit:int -> last:int ->
+  v2_stop = "repro_v2_decode_run_byte" "repro_v2_decode_run"
+  [@@noalloc]
 
 (* The decoder reads a 64 KB window [buf] whose byte [pos] is file
    offset [base + pos].  At every event boundary it refills unless
@@ -542,10 +477,10 @@ let decode_v2_run c buf t ~avail ~limit ~last =
    file, where that is a truncation.  Events are stored straight into
    the current slab, which is sealed when full. *)
 let load_v2 ic ~file_bytes =
-  if file_bytes < 17 then
+  if file_bytes < v2_header_bytes then
     fail_at ~version:"v2" ~byte:file_bytes
       "truncated file (%s of the %s header)" (Size.to_string file_bytes)
-      (Size.to_string 17);
+      (Size.to_string v2_header_bytes);
   let hdr = Bytes.create 9 in
   really_input ic hdr 0 9;
   let version = Char.code (Bytes.get hdr 0) in
@@ -555,8 +490,8 @@ let load_v2 ic ~file_bytes =
   if len < 0 then fail_at ~version:"v2" ~byte:9 "corrupt event count";
   let t = create ~initial_capacity:Chunk.default_chunk_events () in
   let buf = Bytes.create (io_buf_bytes + 1) in
-  let c = { pos = 0; prev = 0 } in
-  let base = ref 17 and avail = ref 0 and eof = ref false in
+  let c = { pos = 0; prev = 0; fill = 0 } in
+  let base = ref v2_header_bytes and avail = ref 0 and eof = ref false in
   while length t < len do
     if !avail - c.pos <= max_event_bytes && not !eof then begin
       let keep = !avail - c.pos in
@@ -570,10 +505,15 @@ let load_v2 ic ~file_bytes =
     let stop =
       (* Only at end of file can the window run dry. *)
       if c.pos = !avail then Cut_short
-      else
-        decode_v2_run c buf t ~avail:!avail
-          ~limit:(if !eof then !avail else !avail - max_event_bytes)
-          ~last:(min t.chunk_events (t.cur_len + len - length t))
+      else begin
+        let stop =
+          decode_v2_run c buf t.cur ~avail:!avail
+            ~limit:(if !eof then !avail else !avail - max_event_bytes)
+            ~last:(min t.chunk_events (t.cur_len + len - length t))
+        in
+        t.cur_len <- c.fill;
+        stop
+      end
     in
     let byte = !base + c.pos and event = length t in
     (match stop with
@@ -586,7 +526,10 @@ let load_v2 ic ~file_bytes =
      | Cut_short ->
        fail_at ~version:"v2" ~byte:file_bytes "truncated file (%d of %d events)"
          event len);
-    if t.cur_len = t.chunk_events then seal_current t
+    if t.cur_len = t.chunk_events then begin
+      seal_current t;
+      c.fill <- 0
+    end
   done;
   let consumed = !base + c.pos in
   if consumed < file_bytes then
@@ -652,15 +595,26 @@ let load_words ic ~len =
   done;
   t
 
-let save_v3 t oc =
-  let hdr = Bytes.create v3_header_bytes in
-  Bytes.fill hdr 0 v3_header_bytes '\000';
-  Bytes.set_int64_le hdr 0 magic_v3;
-  Bytes.set hdr 8 '\003';
-  Bytes.set hdr 9 (Char.chr v3_stride);
-  Bytes.set_int64_le hdr 16 (Int64.of_int (length t));
-  output_bytes oc hdr;
-  output_words oc t
+(* [write_words fd slab len] writes [slab.(0 .. len-1)] to [fd], 8
+   LE bytes a word, straight from the slab (recording_stubs.c) with
+   the runtime lock released.
+   @raise Unix.Unix_error as [Unix.write] does. *)
+external write_words : Unix.file_descr -> Chunk.buf -> int -> unit
+  = "repro_v3_write_words"
+
+(* The header is three words as well (magic; version and stride in
+   the low bytes; count), so every byte goes out through the one
+   writer and no channel buffers any of them.  A failed write
+   surfaces as [Sys_error] with the message a channel gives. *)
+let save_v3 t fd =
+  let hdr = Chunk.create_buf 3 in
+  BA1.set hdr 0 (Int64.to_int magic_v3);
+  BA1.set hdr 1 (3 lor (v3_stride lsl 8));
+  BA1.set hdr 2 (length t);
+  try
+    write_words fd hdr 3;
+    iter_slabs t (write_words fd)
+  with Unix.Unix_error (e, _, _) -> raise (Sys_error (Unix.error_message e))
 
 (* A mapped recording is a single full slab aliasing the file pages
    ([iter_chunks] cuts it into default-size chunks); its current slab
@@ -731,19 +685,26 @@ let load_v3 fd hdr ~got ~channel_at ~map =
 
 (* --- Entry points ------------------------------------------------------- *)
 
+(* v3 writes to the channel's descriptor and leaves its buffer empty.
+   [close_out] reports a failed final flush; the [finally] then closes
+   the descriptor all the same. *)
 let save ?(format = V2) t path =
   let oc = open_out_bin path in
   Fun.protect
-    ~finally:(fun () -> close_out oc)
+    ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      match format with
-      | V2 -> save_v2 t oc
-      | V3 -> save_v3 t oc)
+      (match format with
+       | V2 -> save_v2 t oc
+       | V3 -> save_v3 t (Unix.descr_of_out_channel oc));
+      close_out oc)
 
-(* The v2 size: the encoder run into a byte counter. *)
+(* The v2 size: the header, then the count kernel over each slab,
+   carried from the last address of the one before. *)
 let count_v2 t =
-  let n = ref 0 in
-  encode_v2 t (fun _ _ len -> n := !n + len);
+  let n = ref v2_header_bytes and prev = ref 0 in
+  iter_slabs t (fun slab len ->
+      n := !n + count_v2_run slab len !prev;
+      prev := BA1.unsafe_get slab (len - 1) lsr 3);
   !n
 
 let saved_bytes ?(format = V2) t =
@@ -797,7 +758,7 @@ let load_file ~map path =
         (fun () ->
           let hdr = Bytes.create v3_header_bytes in
           let got = read_upto fd hdr 0 in
-          if got < 16 then
+          if got < 8 then
             failwith
               (Printf.sprintf
                  "Recording.load (byte 0): truncated file (%s, smaller than \

@@ -201,13 +201,18 @@ val save : ?format:format -> t -> string -> unit
     bits of the first byte.  Sequential traces cost 1–2 bytes per
     event.  {!V3} writes a 24-byte header (magic; version 3; stride 8; event
     count) followed by the packed words verbatim, 8 LE bytes each —
-    the layout {!load} can memory-map. *)
+    the layout {!load} can memory-map.  It writes each slab with one
+    write(2) straight from memory.  The file's descriptor is closed
+    before [save] returns or raises.
+    @raise Sys_error when the file cannot be created or written (the
+    same message in both formats). *)
 
 val saved_bytes : ?format:format -> t -> int
 (** The size in bytes of the file {!save} would write, without writing
-    it.  v3 is a fixed header plus 8 bytes per event; v2 runs the
-    {!save} encoder into a byte counter, once per kept trace for all
-    its leases. *)
+    it.  v3 is a fixed header plus 8 bytes per event.  v2 runs a
+    count kernel that sizes each event as the {!save} encoder writes
+    it, without writing; a kept trace is counted once for all its
+    leases. *)
 
 val load : string -> t
 (** Read a recording written by {!save}, in either format

@@ -586,6 +586,42 @@ let spec_v2_header b count =
   Buffer.add_char b '\002';
   Buffer.add_int64_le b (Int64.of_int count)
 
+(* A 10-byte varint whose last byte sets only bit 63 of the zigzag
+   code, which a 63-bit OCaml int drops: the loader and the scanner
+   both read the event as address 0.  Setting bit 60 as well takes the
+   address to 2^59, past the top, and both refuse it at byte 17. *)
+let test_v2_varint_bit63_dropped () =
+  let file last =
+    let b = Buffer.create 32 in
+    spec_v2_header b 1;
+    Buffer.add_char b '\x80';
+    Buffer.add_string b (String.make 8 '\x80');
+    Buffer.add_char b last;
+    Buffer.to_bytes b
+  in
+  with_tmp ".trace" (fun path ->
+      write_bytes path (file '\x08');
+      let scan = Check.Trace_file.scan path in
+      Alcotest.(check int) "scan errors" 0
+        (List.length (Check.Finding.errors scan.Check.Trace_file.findings));
+      let loaded = Memsim.Recording.load path in
+      Alcotest.(check int) "one event" 1 (Memsim.Recording.length loaded);
+      Alcotest.(check bool) "address 0, read, mutator" true
+        (Memsim.Recording.event loaded 0
+         = (0, Memsim.Trace.Read, Memsim.Trace.Mutator));
+      Alcotest.(check bool) "load = scan" true
+        (Option.fold ~none:false
+           ~some:(Memsim.Recording.equal loaded)
+           scan.Check.Trace_file.recording);
+      write_bytes path (file '\x09');
+      check_has "trace.address-range"
+        (Check.Trace_file.scan path).Check.Trace_file.findings;
+      match Memsim.Recording.load path with
+      | exception Failure msg ->
+        Alcotest.(check string) "load refuses the address"
+          "Recording.load (v2, byte 17): event 0 has corrupt address" msg
+      | _ -> Alcotest.fail "an address past the top must be refused")
+
 (* A walk over byte addresses [0, top] whose deltas take every varint
    width: mostly short steps, random steps of random width, and jumps
    to both ends of the range.  Tags are valid (kind 0-2, either
@@ -864,7 +900,8 @@ let mutate_v3 b = function
     Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lor 6));
     b
 
-(* Header cuts stop at 16 bytes: below that no loader names a format. *)
+(* Header cuts start at 8 bytes, with the magic whole: below that no
+   loader names a format. *)
 let gen_hostile_v3 =
   let open QCheck.Gen in
   let* events = QCheck.gen arbitrary_events in
@@ -875,7 +912,7 @@ let gen_hostile_v3 =
       map2 (fun i v -> Reserved (i, 1 + v)) (int_bound 5) (int_bound 254);
       map (fun d -> Count_by (if d < 0 then d else d + 1)) (int_range (-3) 2);
       return Count_bit63;
-      map (fun k -> Cut (16 + k)) (int_bound 7);
+      map (fun k -> Cut (8 + k)) (int_bound 15);
       map (fun s -> Trailing s) (string_size (int_range 1 16))
     ]
   in
@@ -976,6 +1013,8 @@ let () =
          Alcotest.test_case "bad magic" `Quick test_bad_magic;
          Alcotest.test_case "bad varint" `Quick test_bad_varint;
          Alcotest.test_case "address range v2" `Quick test_address_range_v2;
+         Alcotest.test_case "v2 varint bit 63 dropped" `Quick
+           test_v2_varint_bit63_dropped;
          Alcotest.test_case "trailing bytes v2" `Quick test_trailing_bytes_v2;
          Alcotest.test_case "bad version v3" `Quick test_bad_version_v3;
          Alcotest.test_case "bad stride v3" `Quick test_bad_stride_v3;

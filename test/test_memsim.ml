@@ -1422,10 +1422,12 @@ let test_kept_lease_read_only () =
   Memsim.Recording.release b;
   Memsim.Recording.release (lease_exn "test read-only")
 
-(* [saved_bytes ~format:V2] must equal the file [save] writes, on
-   every workload, on a trace whose address jumps need varints longer
-   than 5 bytes, and on a lease, whose count the kept trace keeps for
-   the next lease. *)
+(* [saved_bytes ~format:V2] (the count kernel) must equal the file
+   [save] writes (the encode kernel), on every workload with and
+   without the Cheney collector, on a mapped v3 load of each (one
+   slab as wide as the trace), on a trace whose address jumps need
+   varints longer than 5 bytes, and on a lease, whose count the kept
+   trace keeps for the next lease. *)
 let test_saved_bytes_count () =
   let file_size rec_ =
     let path = Filename.temp_file "repro" ".trace" in
@@ -1439,12 +1441,27 @@ let test_saved_bytes_count () =
     Alcotest.(check int) (name ^ ": count = saved file") (file_size rec_)
       (Memsim.Recording.saved_bytes rec_)
   in
-  List.iter
-    (fun w ->
-      let _, rec_ = Core.Runner.record ~scale:1 w in
-      check w.Workloads.Workload.name rec_;
-      Memsim.Recording.release rec_)
-    Workloads.Workload.all;
+  let v3_path = Filename.temp_file "repro" ".v3" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove v3_path)
+    (fun () ->
+      List.iter
+        (fun w ->
+          List.iter
+            (fun (label, gc) ->
+              let name = w.Workloads.Workload.name ^ label in
+              let _, rec_ = Core.Runner.record ?gc ~scale:1 w in
+              check name rec_;
+              Memsim.Recording.save ~format:Memsim.Recording.V3 rec_ v3_path;
+              let mapped = Memsim.Recording.load v3_path in
+              check (name ^ ", mapped v3") mapped;
+              Memsim.Recording.release mapped;
+              Memsim.Recording.release rec_)
+            [ ("", None);
+              ( " under cheney",
+                Some (Vscheme.Machine.Cheney { semispace_bytes = 256 * 1024 }) )
+            ])
+        Workloads.Workload.all);
   let far = Memsim.Recording.create ~initial_capacity:64 () in
   let sink = Memsim.Recording.sink far in
   List.iter
@@ -1463,6 +1480,94 @@ let test_saved_bytes_count () =
   Memsim.Recording.release kept;
   Memsim.Recording.release again
 
+(* The v3 file as a reference writer lays it out, one
+   [Buffer.add_int64_le] per header field and per event word. *)
+let v3_reference rec_ =
+  let b = Buffer.create (24 + (8 * Memsim.Recording.length rec_)) in
+  Buffer.add_int64_le b 0x3356545243414345L;
+  Buffer.add_char b '\003';
+  Buffer.add_char b '\008';
+  Buffer.add_string b (String.make 6 '\000');
+  Buffer.add_int64_le b (Int64.of_int (Memsim.Recording.length rec_));
+  Memsim.Recording.iter_chunks rec_ (fun buf len ->
+      for i = 0 to len - 1 do
+        Buffer.add_int64_le b (Int64.of_int (Bigarray.Array1.get buf i))
+      done);
+  Buffer.contents b
+
+(* [save ~format:V3] writes each slab straight from memory; the bytes
+   must be the reference writer's on a recording of several slabs with
+   a partial tail, on a lease, and on a mapped v3 load, whose one slab
+   is as wide as the trace. *)
+let test_recording_v3_save_reference () =
+  let path = Filename.temp_file "repro" ".v3"
+  and source = Filename.temp_file "repro" ".v3" in
+  let saved rec_ =
+    Memsim.Recording.save ~format:Memsim.Recording.V3 rec_ path;
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  let check what rec_ =
+    Alcotest.(check bool)
+      (what ^ ": save = reference writer") true
+      (String.equal (v3_reference rec_) (saved rec_))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      Sys.remove source)
+    (fun () ->
+      let n = (2 * Memsim.Chunk.default_chunk_events) + 1234 in
+      let rec_ = Memsim.Recording.create () in
+      let sink = Memsim.Recording.sink rec_ in
+      for i = 0 to n - 1 do
+        sink.Memsim.Trace.access
+          ((i * 40) lxor (i lsl 33))
+          (match i mod 3 with
+           | 0 -> Memsim.Trace.Read
+           | 1 -> Memsim.Trace.Write
+           | _ -> Memsim.Trace.Alloc_write)
+          (if i land 4 = 0 then mutator else collector)
+      done;
+      check "multi-slab" rec_;
+      Memsim.Recording.save ~format:Memsim.Recording.V3 rec_ source;
+      Memsim.Recording.keep ~key:"test v3 reference" Test_note rec_;
+      check "lease" rec_;
+      (* The mapping aliases [source], so its re-save goes elsewhere. *)
+      let mapped = Memsim.Recording.load source in
+      check "mapped v3 load" mapped;
+      Alcotest.(check bool) "re-save of the mapped load = its source" true
+        (String.equal
+           (In_channel.with_open_bin source In_channel.input_all)
+           (saved mapped));
+      Memsim.Recording.release mapped;
+      Memsim.Recording.release rec_)
+
+(* A save whose write(2) fails raises [Sys_error] in both formats, with
+   the same message, and leaves no descriptor open: v2 fails in its
+   channel, v3 in the writer that bypasses it.  The v2 file is longer
+   than the channel's buffer, so it fails before the final flush. *)
+let test_recording_save_full_device () =
+  let dev = "/dev/full" in
+  let fd_dir = "/proc/self/fd" in
+  if Sys.file_exists dev && Sys.file_exists fd_dir then begin
+    let open_fds () = Array.length (Sys.readdir fd_dir) in
+    let rec_ = filled (Memsim.Chunk.default_chunk_events + 100) ~stride:4096 in
+    Alcotest.(check bool) "v2 exceeds a channel buffer" true
+      (Memsim.Recording.saved_bytes rec_ > 65536);
+    let before = open_fds () in
+    let message format =
+      match Memsim.Recording.save ~format rec_ dev with
+      | exception Sys_error msg -> msg
+      | () -> Alcotest.fail "a save to a full device must fail"
+    in
+    let v2 = message Memsim.Recording.V2 in
+    let v3 = message Memsim.Recording.V3 in
+    Alcotest.(check string) "v3 message = v2 message" v2 v3;
+    Alcotest.(check int) "open descriptors after both saves" before
+      (open_fds ());
+    Memsim.Recording.release rec_
+  end
+
 (* Error messages name the detected format and the failing byte, so a
    corrupt trace can be diagnosed with `dd'. *)
 let test_recording_error_messages () =
@@ -1471,7 +1576,7 @@ let test_recording_error_messages () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let expect_prefix = expect_load_error path in
-      write_file path (Bytes.make 10 '\xab');
+      write_file path (Bytes.make 7 '\xab');
       expect_prefix "short file" "Recording.load (byte 0): truncated file";
       write_file path (Bytes.make 32 '\xab');
       expect_prefix "bad magic" "Recording.load (byte 0): not a trace";
@@ -1519,10 +1624,22 @@ let test_recording_load_closes_descriptor () =
     b
   in
   let refused =
-    [ ( "under 16 bytes",
-        Bytes.make 10 '\xab',
-        "Recording.load (byte 0): truncated file (10b, smaller than any header)"
+    [ ( "under 8 bytes",
+        Bytes.make 7 '\xab',
+        "Recording.load (byte 0): truncated file (7b, smaller than any header)"
       );
+      ( "v2 header cut at 8 bytes",
+        Bytes.sub (Bytes.of_string v2_bytes) 0 8,
+        "Recording.load (v2, byte 8): truncated file (8b of the 17b header)" );
+      ( "v2 header cut at 12 bytes",
+        Bytes.sub (Bytes.of_string v2_bytes) 0 12,
+        "Recording.load (v2, byte 12): truncated file (12b of the 17b header)" );
+      ( "v3 header cut at 8 bytes",
+        Bytes.sub (v3_file ~count:1 payload) 0 8,
+        "Recording.load (v3, byte 8): truncated file (8b of the 24b header)" );
+      ( "v3 header cut at 12 bytes",
+        Bytes.sub (v3_file ~count:1 payload) 0 12,
+        "Recording.load (v3, byte 12): truncated file (12b of the 24b header)" );
       ( "v3 header cut at 20 bytes",
         Bytes.sub (v3_file ~count:1 payload) 0 20,
         "Recording.load (v3, byte 20): truncated file (20b of the 24b header)" );
@@ -2018,6 +2135,10 @@ let () =
             test_recording_error_messages;
           Alcotest.test_case "load closes its descriptor" `Quick
             test_recording_load_closes_descriptor;
+          Alcotest.test_case "v3 save = reference writer" `Quick
+            test_recording_v3_save_reference;
+          Alcotest.test_case "save to a full device raises Sys_error" `Quick
+            test_recording_save_full_device;
           Alcotest.test_case "pooled slabs poisoned, re-record equal" `Quick
             test_pool_poisoned_slabs;
           Alcotest.test_case "cleared slabs poisoned, re-record equal" `Quick
