@@ -266,9 +266,10 @@ let best ?(runs = 5) make drive =
    sample by sample and take turns going first, so that neither a
    noisy stretch of the host nor the cost of following the other side
    lands on one side only; each round's single/pair ratio is printed.
-   Both sides must end [Level.same]; the smallest per-workload ratio
-   of the best times is speedup_pair_vs_single, held to a hard
-   bound. *)
+   Both sides must end [Level.same].  The smallest per-workload median
+   of the nine round ratios is speedup_pair_vs_single, held to a hard
+   bound: a median of paired rounds does not rest on one lucky sample
+   on either side, as a ratio of the best times does. *)
 let min_sample_s = 0.05
 
 let measure_grid_pair () =
@@ -329,7 +330,8 @@ let measure_grid_pair () =
           rounds 0 [] (infinity, make ()) (infinity, make ())
         in
         let single_s = single_s /. float_of_int reps
-        and pair_s = pair_s /. float_of_int reps in
+        and pair_s = pair_s /. float_of_int reps
+        and median = List.nth (List.sort Float.compare ratios) 4 in
         Memsim.Recording.release recording;
         if not (Array.for_all2 Memsim.Level.same single pair) then
           failwith
@@ -337,26 +339,27 @@ let measure_grid_pair () =
            ^ w.Workloads.Workload.name);
         Format.fprintf ppf
           "%-10s %9d events   single %.4fs   pair %.4fs per pass (%.2fx, \
-           %d pass(es) per sample)   levels same@.           rounds:%s@."
+           %d pass(es) per sample)   levels same@.           rounds:%s   \
+           median %.2fx@."
           w.Workloads.Workload.name events single_s pair_s
           (single_s /. pair_s) reps
-          (String.concat "" (List.map (Printf.sprintf " %.2fx") ratios));
-        (w.Workloads.Workload.name, events, reps, single_s, pair_s))
+          (String.concat "" (List.map (Printf.sprintf " %.2fx") ratios))
+          median;
+        (w.Workloads.Workload.name, events, reps, single_s, pair_s, median))
       Workloads.Workload.all
   in
   let speedup =
     List.fold_left
-      (fun acc (_, _, _, single_s, pair_s) ->
-        Float.min acc (single_s /. pair_s))
+      (fun acc (_, _, _, _, _, median) -> Float.min acc median)
       infinity rows
   in
-  Format.fprintf ppf "pair speedup (worst workload): %.2fx@." speedup;
+  Format.fprintf ppf "pair speedup (worst workload median): %.2fx@." speedup;
   ( "grid-pair",
     Obs.Json.Obj
       [ ("workloads",
          Obs.Json.Obj
            (List.map
-              (fun (name, events, reps, single_s, pair_s) ->
+              (fun (name, events, reps, single_s, pair_s, median) ->
                 ( name,
                   Obs.Json.Obj
                     [ ("events", Obs.Json.Int events);
@@ -369,7 +372,8 @@ let measure_grid_pair () =
                       ("pair_ns_per_event_cell",
                        Obs.Json.Float
                          (pair_s *. 1e9 /. float_of_int (2 * events)));
-                      ("speedup", Obs.Json.Float (single_s /. pair_s))
+                      ("speedup", Obs.Json.Float (single_s /. pair_s));
+                      ("round_ratio_median", Obs.Json.Float median)
                     ] ))
               rows));
         ("speedup_pair_vs_single", Obs.Json.Float speedup);
@@ -905,14 +909,11 @@ let check_bounds doc =
   List.for_all Fun.id hard_held
 
 let write_bench_metrics json =
-  (* Temp + rename so a crash mid-write never leaves a torn metrics
-     file for the CI artifact upload to pick up. *)
-  let tmp = "BENCH_metrics.json.tmp" in
-  let oc = open_out tmp in
-  output_string oc (Obs.Json.to_pretty_string json);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp "BENCH_metrics.json";
+  (* Replaced atomically so a crash mid-write never leaves a torn
+     metrics file for the CI artifact upload to pick up. *)
+  Obs.Atomic_file.write "BENCH_metrics.json" (fun oc ->
+      output_string oc (Obs.Json.to_pretty_string json);
+      output_char oc '\n');
   Format.fprintf ppf "wrote BENCH_metrics.json@."
 
 let () =

@@ -4,21 +4,16 @@
 
 let ppf = Format.std_formatter
 
-(* Every "FILE or -" output: [-] is stdout; a file is written to
-   FILE.tmp and renamed into place, so no reader sees it half
-   written.  Returns the exit status. *)
+(* Every "FILE or -" output: [-] is stdout; a file is replaced
+   atomically, so no reader sees it half written.  Returns the exit
+   status. *)
 let write_out path content =
   if path = "-" then begin
     print_string content;
     0
   end
   else
-    let tmp = path ^ ".tmp" in
-    match
-      Out_channel.with_open_bin tmp (fun oc ->
-          Out_channel.output_string oc content);
-      Sys.rename tmp path
-    with
+    match Obs.Atomic_file.write path (fun oc -> output_string oc content) with
     | () -> 0
     | exception Sys_error msg ->
       Format.eprintf "repro: %s@." msg;

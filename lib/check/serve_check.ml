@@ -248,7 +248,7 @@ let scan_results dir =
               "result file stem is not a 32-hex-digit content hash"
             :: !findings
       end
-      else if Filename.check_suffix name ".tmp" then
+      else if Obs.Atomic_file.is_temp name then
         findings :=
           Finding.v ~severity:Finding.Warning ~rule:"serve.result.tmp" ~file
             "leftover temporary from an interrupted atomic write"
@@ -268,7 +268,7 @@ let scan_ckpts dir terminal_of =
   List.iter
     (fun name ->
       let file = Filename.concat (ckpt_dir dir) name in
-      if Filename.check_suffix name ".tmp" then
+      if Obs.Atomic_file.is_temp name then
         findings :=
           Finding.v ~severity:Finding.Warning ~rule:"serve.ckpt.tmp" ~file
             "leftover temporary from a checkpoint interrupted by a kill"

@@ -20,9 +20,11 @@
 
     Store rules:
     - [serve.result.name] / [serve.result.tmp] — result-store entries
-      that are not [<32-hex-hash>.sexp] (leftover [.tmp] files warn);
+      that are not [<32-hex-hash>.sexp] (the leftover temporary of an
+      interrupted {!Obs.Atomic_file.write}, by
+      {!Obs.Atomic_file.is_temp}, only warns);
     - [serve.ckpt.name] / [serve.ckpt.tmp] — checkpoint-store entries
-      that are not [job-<id>.ckpt];
+      that are not [job-<id>.ckpt] (a leftover temporary only warns);
     - [serve.ckpt.orphan] — warning: a checkpoint for a job the
       journal records as terminal;
     - plus every {!Ckpt_check} rule, applied to each checkpoint body.

@@ -78,10 +78,7 @@ let to_json t =
     ]
 
 let write_metrics t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Obs.Atomic_file.write path (fun oc ->
       output_string oc (Obs.Json.to_pretty_string (to_json t));
       output_char oc '\n')
 

@@ -70,20 +70,10 @@ let get_int_list ~file fields key =
 (* --- Files -------------------------------------------------------------- *)
 
 let write_file path ~header d =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (match
-     output_string oc (";; " ^ header ^ "\n");
-     output_string oc (Sexp.Datum.to_string d);
-     output_char oc '\n';
-     close_out oc
-   with
-   | () -> ()
-   | exception e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  Obs.Atomic_file.write path (fun oc ->
+      output_string oc (";; " ^ header ^ "\n");
+      output_string oc (Sexp.Datum.to_string d);
+      output_char oc '\n')
 
 let read_file path =
   match

@@ -192,42 +192,32 @@ let num_runs t = t.n_runs
 let magic = "ATTRSID1"
 
 let save t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (match
-     let buf = Buffer.create (1 lsl 16) in
-     let word n = Buffer.add_int64_le buf (Int64.of_int n) in
-     Buffer.add_string buf magic;
-     word t.n_epochs;
-     for i = 0 to t.n_epochs - 1 do
-       word t.epoch_pos.(i);
-       word t.epoch_stack_lo.(i);
-       word t.epoch_dyn_lo.(i);
-       word t.epoch_to_lo.(i);
-       word t.epoch_to_hi.(i);
-       word t.epoch_from_lo.(i);
-       word t.epoch_from_hi.(i)
-     done;
-     word t.n_runs;
-     for i = 0 to t.n_runs - 1 do
-       word t.run_pos.(i);
-       word t.run_site.(i)
-     done;
-     word t.n_sites;
-     for i = 0 to t.n_sites - 1 do
-       word (String.length t.site_names.(i));
-       Buffer.add_string buf t.site_names.(i)
-     done;
-     word (if t.sites_clipped then 1 else 0);
-     Buffer.output_buffer oc buf;
-     close_out oc
-   with
-   | () -> ()
-   | exception e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  Obs.Atomic_file.write path (fun oc ->
+      let buf = Buffer.create (1 lsl 16) in
+      let word n = Buffer.add_int64_le buf (Int64.of_int n) in
+      Buffer.add_string buf magic;
+      word t.n_epochs;
+      for i = 0 to t.n_epochs - 1 do
+        word t.epoch_pos.(i);
+        word t.epoch_stack_lo.(i);
+        word t.epoch_dyn_lo.(i);
+        word t.epoch_to_lo.(i);
+        word t.epoch_to_hi.(i);
+        word t.epoch_from_lo.(i);
+        word t.epoch_from_hi.(i)
+      done;
+      word t.n_runs;
+      for i = 0 to t.n_runs - 1 do
+        word t.run_pos.(i);
+        word t.run_site.(i)
+      done;
+      word t.n_sites;
+      for i = 0 to t.n_sites - 1 do
+        word (String.length t.site_names.(i));
+        Buffer.add_string buf t.site_names.(i)
+      done;
+      word (if t.sites_clipped then 1 else 0);
+      Buffer.output_buffer oc buf)
 
 let load path =
   let ic = open_in_bin path in

@@ -686,17 +686,13 @@ let load_v3 fd hdr ~got ~channel_at ~map =
 (* --- Entry points ------------------------------------------------------- *)
 
 (* v3 writes to the channel's descriptor and leaves its buffer empty.
-   [close_out] reports a failed final flush; the [finally] then closes
-   the descriptor all the same. *)
+   The file is replaced by a rename, never truncated, so a mapped v3
+   recording saved onto its own path reads its old pages to the end. *)
 let save ?(format = V2) t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      (match format with
-       | V2 -> save_v2 t oc
-       | V3 -> save_v3 t (Unix.descr_of_out_channel oc));
-      close_out oc)
+  Obs.Atomic_file.write path (fun oc ->
+      match format with
+      | V2 -> save_v2 t oc
+      | V3 -> save_v3 t (Unix.descr_of_out_channel oc))
 
 (* The v2 size: the header, then the count kernel over each slab,
    carried from the last address of the one before. *)

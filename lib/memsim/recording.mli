@@ -202,10 +202,18 @@ val save : ?format:format -> t -> string -> unit
     event.  {!V3} writes a 24-byte header (magic; version 3; stride 8; event
     count) followed by the packed words verbatim, 8 LE bytes each —
     the layout {!load} can memory-map.  It writes each slab with one
-    write(2) straight from memory.  The file's descriptor is closed
-    before [save] returns or raises.
-    @raise Sys_error when the file cannot be created or written (the
-    same message in both formats). *)
+    write(2) straight from memory.
+
+    The replace is atomic ({!Obs.Atomic_file.write}): the recording
+    goes to a temporary file beside [path] that is renamed over it,
+    so a failed save leaves the old file as it was and no temporary
+    behind, and the old file is never truncated.  Re-saving a mapped
+    {!load} onto its own path is therefore allowed: the mapping keeps
+    reading the replaced file's pages.  A device or FIFO at [path] is
+    written in place.  The file's descriptor is closed before [save]
+    returns or raises.
+    @raise Sys_error when the file cannot be created, written or
+    renamed into place (the same message in both formats). *)
 
 val saved_bytes : ?format:format -> t -> int
 (** The size in bytes of the file {!save} would write, without writing

@@ -305,7 +305,7 @@ let run_attributed ?(jobs = 1) ?(sample_every = 1) ?heat_rows ?heat_cols
    the cursor is bit-identical to never having stopped.  Layout: the
    8-byte magic, cursor, event count and hierarchy count as
    little-endian 64-bit words, then the snapshots back to back.  The
-   file is written to a temp name and renamed so a crash
+   file is replaced atomically ([Obs.Atomic_file]) so a crash
    mid-checkpoint can never leave a torn file where a resume would
    find it. *)
 
@@ -313,30 +313,20 @@ let checkpoint_magic = "SWHCKPT1"
 let header_bytes = 32
 
 let save_hier_checkpoint hiers ~events ~cursor path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (match
-     let hdr = Bytes.create 24 in
-     Bytes.set_int64_le hdr 0 (Int64.of_int cursor);
-     Bytes.set_int64_le hdr 8 (Int64.of_int events);
-     Bytes.set_int64_le hdr 16 (Int64.of_int (Array.length hiers));
-     output_string oc checkpoint_magic;
-     output_bytes oc hdr;
-     let buf = Buffer.create (1 lsl 16) in
-     Array.iter
-       (fun h ->
-         Buffer.clear buf;
-         Hier.snapshot h buf;
-         Buffer.output_buffer oc buf)
-       hiers;
-     close_out oc
-   with
-   | () -> ()
-   | exception e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+  Obs.Atomic_file.write path (fun oc ->
+      let hdr = Bytes.create 24 in
+      Bytes.set_int64_le hdr 0 (Int64.of_int cursor);
+      Bytes.set_int64_le hdr 8 (Int64.of_int events);
+      Bytes.set_int64_le hdr 16 (Int64.of_int (Array.length hiers));
+      output_string oc checkpoint_magic;
+      output_bytes oc hdr;
+      let buf = Buffer.create (1 lsl 16) in
+      Array.iter
+        (fun h ->
+          Buffer.clear buf;
+          Hier.snapshot h buf;
+          Buffer.output_buffer oc buf)
+        hiers)
 
 (* The whole file is read and restored in place, so the byte offsets
    [Level.restore] names in its errors are offsets into the file. *)

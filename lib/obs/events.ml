@@ -196,7 +196,5 @@ let to_chrome_trace t =
     ]
 
 let write_chrome_trace t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string (to_chrome_trace t)))
+  Atomic_file.write path (fun oc ->
+      output_string oc (Json.to_string (to_chrome_trace t)))

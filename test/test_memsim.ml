@@ -1532,7 +1532,7 @@ let test_recording_v3_save_reference () =
       Memsim.Recording.save ~format:Memsim.Recording.V3 rec_ source;
       Memsim.Recording.keep ~key:"test v3 reference" Test_note rec_;
       check "lease" rec_;
-      (* The mapping aliases [source], so its re-save goes elsewhere. *)
+      (* Re-saving onto [source] itself is the next test's. *)
       let mapped = Memsim.Recording.load source in
       check "mapped v3 load" mapped;
       Alcotest.(check bool) "re-save of the mapped load = its source" true
@@ -1541,6 +1541,44 @@ let test_recording_v3_save_reference () =
            (saved mapped));
       Memsim.Recording.release mapped;
       Memsim.Recording.release rec_)
+
+(* A mapped v3 load saved onto its own path: the save replaces the file
+   by a rename, so the mapping keeps reading the old pages to the end
+   of the write.  Truncating the path in place would cut the mapping's
+   pages from under the writer (EFAULT from write(2)). *)
+let test_recording_v3_resave_own_path () =
+  let path = Filename.temp_file "repro" ".v3" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let n = (2 * Memsim.Chunk.default_chunk_events) + 777 in
+      let original = filled n ~stride:72 in
+      Memsim.Recording.save ~format:Memsim.Recording.V3 original path;
+      let mapped = Memsim.Recording.load path in
+      (match
+         (Memsim.Recording.sink mapped).Memsim.Trace.access 0
+           Memsim.Trace.Read mutator
+       with
+       | exception Invalid_argument _ -> ()
+       | () -> Alcotest.fail "the v3 load must be a read-only mapping");
+      Memsim.Recording.save ~format:Memsim.Recording.V3 mapped path;
+      Alcotest.(check bool) "old mapping still equals the original" true
+        (Memsim.Recording.equal mapped original);
+      let reloaded = Memsim.Recording.load path in
+      Alcotest.(check bool) "new file loads equal" true
+        (Memsim.Recording.equal reloaded original);
+      Alcotest.(check bool) "new file = reference writer" true
+        (String.equal (v3_reference original)
+           (In_channel.with_open_bin path In_channel.input_all));
+      (* v2 onto the path the second mapping reads, too *)
+      Memsim.Recording.save reloaded path;
+      Alcotest.(check bool) "v2 re-save loads equal" true
+        (Memsim.Recording.equal (Memsim.Recording.load path) original);
+      Alcotest.(check bool) "second mapping still equal" true
+        (Memsim.Recording.equal reloaded original);
+      Memsim.Recording.release reloaded;
+      Memsim.Recording.release mapped;
+      Memsim.Recording.release original)
 
 (* A save whose write(2) fails raises [Sys_error] in both formats, with
    the same message, and leaves no descriptor open: v2 fails in its
@@ -2139,6 +2177,8 @@ let () =
             test_recording_v3_save_reference;
           Alcotest.test_case "save to a full device raises Sys_error" `Quick
             test_recording_save_full_device;
+          Alcotest.test_case "v3 re-save onto its mapped source" `Quick
+            test_recording_v3_resave_own_path;
           Alcotest.test_case "pooled slabs poisoned, re-record equal" `Quick
             test_pool_poisoned_slabs;
           Alcotest.test_case "cleared slabs poisoned, re-record equal" `Quick

@@ -540,6 +540,133 @@ let test_of_recording () =
       (last.Obs.Events.kind = Obs.Events.End && last.Obs.Events.ts = 5)
   | [] -> Alcotest.fail "no spans"
 
+(* --- Atomic_file ---------------------------------------------------------- *)
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Unix.unlink path
+
+let with_dir f =
+  let dir = Filename.temp_dir "test_obs" ".d" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let write_string path s =
+  Obs.Atomic_file.write path (fun oc -> output_string oc s)
+
+(* Every *.tmp in [dir], by suffix rather than by [is_temp]. *)
+let leftovers dir =
+  List.filter
+    (fun n -> Filename.check_suffix n ".tmp")
+    (Array.to_list (Sys.readdir dir))
+
+let check_no_leftovers dir =
+  Alcotest.(check (list string)) "no *.tmp left" [] (leftovers dir)
+
+let test_atomic_replace () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "out.json" in
+      write_string path "first";
+      Alcotest.(check string) "created" "first" (read_file path);
+      (* a longer body than one channel buffer *)
+      let long = String.make 100_000 'x' in
+      write_string path long;
+      Alcotest.(check string) "replaced whole" long (read_file path);
+      write_string path "short";
+      Alcotest.(check string) "replaced, not overwritten" "short"
+        (read_file path);
+      check_no_leftovers dir)
+
+(* The temp file is found by [is_temp] while the body runs, and gone
+   once the write ends. *)
+let test_atomic_temp_name () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "out.json" in
+      let seen = ref [] in
+      Obs.Atomic_file.write path (fun _ ->
+          seen := Array.to_list (Sys.readdir dir));
+      Alcotest.(check int) "one file during the write" 1 (List.length !seen);
+      Alcotest.(check bool) "it is a temporary" true
+        (List.for_all Obs.Atomic_file.is_temp !seen);
+      Alcotest.(check bool) "the target is not" false
+        (Obs.Atomic_file.is_temp "out.json");
+      Alcotest.(check (list string)) "only the target after" [ "out.json" ]
+        (Array.to_list (Sys.readdir dir)))
+
+(* A body that raises, and a rename onto a non-empty directory (which
+   fails even as root), leave the target as it was and nothing
+   beside it. *)
+let test_atomic_failure_keeps_target () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "kept.bin" in
+      let old = String.init 70_000 (fun i -> Char.chr (i land 0xff)) in
+      write_string path old;
+      Alcotest.check_raises "body's exception re-raised" (Failure "body")
+        (fun () ->
+          Obs.Atomic_file.write path (fun oc ->
+              output_string oc (String.make 100_000 'n');
+              failwith "body"));
+      Alcotest.(check bool) "old file byte-identical" true
+        (String.equal old (read_file path));
+      check_no_leftovers dir;
+      let target = Filename.concat dir "full" in
+      Unix.mkdir target 0o755;
+      write_string (Filename.concat target "inside") "kept";
+      (match write_string target "new" with
+       | exception Sys_error _ -> ()
+       | () -> Alcotest.fail "a rename onto a non-empty directory must fail");
+      Alcotest.(check bool) "directory kept" true (Sys.is_directory target);
+      Alcotest.(check string) "its content kept" "kept"
+        (read_file (Filename.concat target "inside"));
+      check_no_leftovers dir)
+
+(* The saved file's mode is the one [open_out] gives under the same
+   umask: 0o666 less the umask, not the 0o600 of a plain temp file. *)
+let test_atomic_mode () =
+  with_dir (fun dir ->
+      List.iter
+        (fun mask ->
+          let old = Unix.umask mask in
+          Fun.protect
+            ~finally:(fun () -> ignore (Unix.umask old))
+            (fun () ->
+              let plain = Filename.concat dir (Printf.sprintf "plain%o" mask)
+              and atomic =
+                Filename.concat dir (Printf.sprintf "atomic%o" mask)
+              in
+              close_out (open_out plain);
+              write_string atomic "x";
+              let perm p = (Unix.stat p).Unix.st_perm in
+              Alcotest.(check int)
+                (Printf.sprintf "umask %03o: mode = open_out's" mask)
+                (perm plain) (perm atomic);
+              Alcotest.(check int)
+                (Printf.sprintf "umask %03o: mode" mask)
+                (0o666 land lnot mask) (perm atomic)))
+        [ 0o022; 0o077; 0o002 ])
+
+(* A FIFO is written through, not replaced by a regular file. *)
+let test_atomic_fifo_in_place () =
+  with_dir (fun dir ->
+      let fifo = Filename.concat dir "pipe" in
+      Unix.mkfifo fifo 0o644;
+      let reader = Unix.openfile fifo [ Unix.O_RDONLY; Unix.O_NONBLOCK ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close reader)
+        (fun () ->
+          write_string fifo "through the pipe";
+          let buf = Bytes.create 64 in
+          let n = Unix.read reader buf 0 64 in
+          Alcotest.(check string) "the reader got the body" "through the pipe"
+            (Bytes.sub_string buf 0 n));
+      Alcotest.(check bool) "still a FIFO" true
+        ((Unix.stat fifo).Unix.st_kind = Unix.S_FIFO);
+      Alcotest.(check (list string)) "nothing beside it" [ "pipe" ]
+        (Array.to_list (Sys.readdir dir)))
+
 let () =
   Alcotest.run "obs"
     [ ( "json",
@@ -573,6 +700,18 @@ let () =
             test_jsonl_writer_borrowed;
           QCheck_alcotest.to_alcotest jsonl_roundtrip_prop;
           Alcotest.test_case "chrome trace" `Quick test_chrome_trace
+        ] );
+      ( "atomic",
+        [ Alcotest.test_case "replaces the target whole" `Quick
+            test_atomic_replace;
+          Alcotest.test_case "temp name is_temp, then gone" `Quick
+            test_atomic_temp_name;
+          Alcotest.test_case "failed write keeps the target" `Quick
+            test_atomic_failure_keeps_target;
+          Alcotest.test_case "mode = open_out's under the umask" `Quick
+            test_atomic_mode;
+          Alcotest.test_case "FIFO written in place" `Quick
+            test_atomic_fifo_in_place
         ] );
       ( "end-to-end",
         [ Alcotest.test_case "gc run emits events" `Quick

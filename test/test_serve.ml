@@ -1149,6 +1149,44 @@ let test_serve_check_store_layout () =
              && String.sub f.Check.Finding.rule 0 5 = "ckpt.")
            fs))
 
+(* A daemon killed mid-write leaves [Obs.Atomic_file]'s temporary in
+   the result or checkpoint store: each warns once under its own rule
+   and is not also an unexpected name.  The spool is scanned while a
+   result write and, inside it, a checkpoint write are in flight, so
+   the names are the ones the writer generates. *)
+let test_serve_check_store_temps () =
+  with_spool (fun dir ->
+      let a = small_run () in
+      write_journal dir [ submitted_event ~id:1 ~t:1.0 a ];
+      Unix.mkdir (Filename.concat dir "results") 0o755;
+      Unix.mkdir (Filename.concat dir "ckpt") 0o755;
+      let fs = ref [] in
+      Obs.Atomic_file.write
+        (Filename.concat dir
+           ("results/" ^ Golden.Manifest.content_hash a ^ ".sexp"))
+        (fun _ ->
+          Obs.Atomic_file.write (Filename.concat dir "ckpt/job-1.ckpt")
+            (fun _ ->
+              fs := (Check.Serve_check.scan dir).Check.Serve_check.findings));
+      let count rule =
+        List.length
+          (List.filter (fun f -> f.Check.Finding.rule = rule) !fs)
+      in
+      List.iter
+        (fun (rule, want) -> Alcotest.(check int) rule want (count rule))
+        [ ("serve.result.tmp", 1);
+          ("serve.ckpt.tmp", 1);
+          ("serve.result.name", 0);
+          ("serve.ckpt.name", 0)
+        ];
+      Alcotest.(check bool) "temporaries only warn" true
+        (List.for_all
+           (fun f ->
+             (f.Check.Finding.rule <> "serve.result.tmp"
+             && f.Check.Finding.rule <> "serve.ckpt.tmp")
+             || not (Check.Finding.is_error f))
+           !fs))
+
 (* The serve latency histogram must resolve a cache hit: fed samples
    spread like the perf smoke's hits, its p50 must lie within one
    bucket's relative width (hi / lo) of the exact median.  Two spreads:
@@ -1256,6 +1294,8 @@ let () =
           Alcotest.test_case "corrupt journal localized" `Quick
             test_serve_check_corrupt_journal;
           Alcotest.test_case "store layout violations localized" `Quick
-            test_serve_check_store_layout
+            test_serve_check_store_layout;
+          Alcotest.test_case "store temporaries warn once" `Quick
+            test_serve_check_store_temps
         ] )
     ]

@@ -141,8 +141,7 @@ let prune ~src ~files entries =
        done
      with End_of_file -> ());
     close_in ic;
-    let oc = open_out src in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
+    Obs.Atomic_file.write src (fun oc ->
+        output_string oc (Buffer.contents buf));
     List.length orphan_lines
   end

@@ -363,14 +363,10 @@ let () =
      in
      let out = Obs.Json.to_pretty_string doc in
      if String.equal path "-" then Format.fprintf ppf "%s@." out
-     else begin
-       let oc = open_out path in
-       Fun.protect
-         ~finally:(fun () -> close_out oc)
-         (fun () ->
+     else
+       Obs.Atomic_file.write path (fun oc ->
            output_string oc out;
-           output_char oc '\n')
-     end);
+           output_char oc '\n'));
   if !prune_allow then begin
     let dropped = Allow.prune ~src:!allow_path ~files:(mls @ mlis) entries in
     Format.fprintf ppf "lint: pruned %d orphaned allowlist entr%s@." dropped

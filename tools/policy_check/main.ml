@@ -88,11 +88,10 @@ let () =
   (match !json_out with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Obs.Json.to_pretty_string (Policy_check.Model.certificate reports));
-    output_char oc '\n';
-    close_out oc);
+    Obs.Atomic_file.write path (fun oc ->
+        output_string oc
+          (Obs.Json.to_pretty_string (Policy_check.Model.certificate reports));
+        output_char oc '\n'));
   let errors = Check.Finding.has_errors findings in
   if !expect_findings then
     if errors then begin
