@@ -419,6 +419,17 @@ let record_report format out_path w (r, recording) =
     (float_of_int bytes
      /. float_of_int (max 1 (Memsim.Recording.length recording)))
 
+(* Run [f], which saves files, and return the exit status: 0, or 1
+   after reporting a save that failed as "repro: <why>".  The atomic
+   writer has then removed its temporary and left any earlier file at
+   the path as it was. *)
+let save_status f =
+  match f () with
+  | () -> 0
+  | exception Sys_error msg ->
+    Format.eprintf "repro: %s@." msg;
+    1
+
 let record names out_path scale format gc heap_bytes attr_out jobs =
   with_jobs jobs @@ fun () ->
   let resolved = List.map (fun n -> (n, Workloads.Workload.find n)) names in
@@ -438,18 +449,18 @@ let record names out_path scale format gc heap_bytes attr_out jobs =
       let r, recording =
         Core.Runner.record ~gc ?heap_bytes ?scale ?attr:table w
       in
-      Format.fprintf ppf "%s@."
-        (record_report format out_path w (r, recording));
-      (match (attr_out, table) with
-       | Some path, Some t ->
-         Memsim.Attr.save t path;
-         Format.fprintf ppf
-           "wrote attribution sidecar to %s (%d region epochs, %d sites); \
-            `repro profile --trace %s --attr %s' replays it@."
-           path (Memsim.Attr.num_epochs t) (Memsim.Attr.num_sites t) out_path
-           path
-       | _ -> ());
-      0
+      save_status (fun () ->
+          Format.fprintf ppf "%s@."
+            (record_report format out_path w (r, recording));
+          match (attr_out, table) with
+          | Some path, Some t ->
+            Memsim.Attr.save t path;
+            Format.fprintf ppf
+              "wrote attribution sidecar to %s (%d region epochs, %d \
+               sites); `repro profile --trace %s --attr %s' replays it@."
+              path (Memsim.Attr.num_epochs t) (Memsim.Attr.num_sites t)
+              out_path path
+          | _ -> ())
     | ws when attr_out <> None ->
       ignore ws;
       Format.eprintf "record: --attr requires a single workload@.";
@@ -458,23 +469,35 @@ let record names out_path scale format gc heap_bytes attr_out jobs =
       (* Several independent runs: shard them across the domain pool
          (--jobs / REPRO_JOBS).  Each claim records, saves and releases
          one trace into its own derived output file, so at most one
-         recording per domain is resident; the report lines are printed
-         in workload order after the join. *)
+         recording per domain is resident; the report lines of the
+         saves that succeeded are printed in workload order after the
+         join. *)
       let ws = Array.of_list ws in
       let n = Array.length ws in
       let lines = Array.make n "" in
-      Memsim.Sweep.parallel_for ~jobs:(min (Core.Runner.jobs ()) n) n (fun i ->
-          let w = ws.(i) in
-          let ((_, recording) as recorded) =
-            Core.Runner.record ~gc ?heap_bytes ?scale w
-          in
-          lines.(i) <-
-            record_report format
-              (out_path ^ "." ^ w.Workloads.Workload.name)
-              w recorded;
-          Memsim.Recording.release recording);
-      Array.iter (fun line -> Format.fprintf ppf "%s@." line) lines;
-      0
+      let record_one i =
+        let w = ws.(i) in
+        let ((_, recording) as recorded) =
+          Core.Runner.record ~gc ?heap_bytes ?scale w
+        in
+        Fun.protect
+          ~finally:(fun () -> Memsim.Recording.release recording)
+          (fun () ->
+            lines.(i) <-
+              record_report format
+                (out_path ^ "." ^ w.Workloads.Workload.name)
+                w recorded)
+      in
+      let print_lines () =
+        Array.iter
+          (fun line -> if line <> "" then Format.fprintf ppf "%s@." line)
+          lines
+      in
+      save_status (fun () ->
+          Fun.protect ~finally:print_lines (fun () ->
+              Memsim.Sweep.parallel_for
+                ~jobs:(min (Core.Runner.jobs ()) n)
+                n record_one))
 
 let replay path hier geometry policy checkpoint checkpoint_every =
   match Memsim.Recording.load path with

@@ -2,8 +2,8 @@
 
     A {!t} is the parsed form of one textual s-expression, before any
     syntactic analysis.  It carries no heap addresses and no source
-    positions; positions live in {!Lexer.token} and are reported in
-    parse errors only. *)
+    positions; the reader keeps byte offsets and reports a line and
+    column in parse errors only. *)
 
 type t =
   | Nil                       (** the empty list, [()] *)

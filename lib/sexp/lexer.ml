@@ -7,12 +7,7 @@ type token =
   | Unquote_splicing
   | Hash_lparen
   | Dot
-  | Atom_bool of bool
-  | Atom_int of int
-  | Atom_real of float
-  | Atom_char of char
-  | Atom_string of string
-  | Atom_sym of string
+  | Atom of Datum.t
   | Eof
 
 type position = { line : int; column : int }
@@ -21,34 +16,34 @@ exception Error of string * position
 
 type t = {
   src : string;
+  len : int;
   filename : string;
   mutable pos : int;
-  mutable line : int;
-  mutable bol : int; (* offset of the beginning of the current line *)
+  mutable start : int;  (* offset of the last token's first byte *)
 }
 
-let create ?(filename = "<string>") src = { src; filename; pos = 0; line = 1; bol = 0 }
+let create ?(filename = "<string>") src =
+  { src; len = String.length src; filename; pos = 0; start = 0 }
 
-let position lx = { line = lx.line; column = lx.pos - lx.bol + 1 }
+let start lx = lx.start
+
+(* Line and column of an offset, counting lines by '\n' as the reader
+   always has; computed only when an error is reported. *)
+let position lx off =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to off - 1 do
+    if String.unsafe_get lx.src i = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  { line = !line; column = off - !bol + 1 }
 
 let error lx msg =
-  raise (Error (Format.sprintf "%s: %s" lx.filename msg, position lx))
+  raise (Error (Format.sprintf "%s: %s" lx.filename msg, position lx lx.pos))
 
-let at_end lx = lx.pos >= String.length lx.src
-
-let peek lx = if at_end lx then '\000' else lx.src.[lx.pos]
-
-let peek2 lx =
-  if lx.pos + 1 >= String.length lx.src then '\000' else lx.src.[lx.pos + 1]
-
-let advance lx =
-  if not (at_end lx) then begin
-    if lx.src.[lx.pos] = '\n' then begin
-      lx.line <- lx.line + 1;
-      lx.bol <- lx.pos + 1
-    end;
-    lx.pos <- lx.pos + 1
-  end
+(* The byte at [i], or '\000' past the end. *)
+let char_at lx i = if i < lx.len then String.unsafe_get lx.src i else '\000'
 
 let is_delimiter c =
   match c with
@@ -56,94 +51,100 @@ let is_delimiter c =
     true
   | _ -> false
 
+(* The end of the run of non-delimiters starting at [i]. *)
+let rec atom_end lx i =
+  if i < lx.len && not (is_delimiter (String.unsafe_get lx.src i)) then
+    atom_end lx (i + 1)
+  else i
+
 let rec skip_block_comment lx depth =
-  if at_end lx then error lx "unterminated block comment"
-  else if peek lx = '|' && peek2 lx = '#' then begin
-    advance lx;
-    advance lx;
-    if depth > 1 then skip_block_comment lx (depth - 1)
-  end
-  else if peek lx = '#' && peek2 lx = '|' then begin
-    advance lx;
-    advance lx;
-    skip_block_comment lx (depth + 1)
-  end
-  else begin
-    advance lx;
-    skip_block_comment lx depth
-  end
+  let p = lx.pos in
+  if p >= lx.len then error lx "unterminated block comment"
+  else
+    match String.unsafe_get lx.src p, char_at lx (p + 1) with
+    | '|', '#' ->
+      lx.pos <- p + 2;
+      if depth > 1 then skip_block_comment lx (depth - 1)
+    | '#', '|' ->
+      lx.pos <- p + 2;
+      skip_block_comment lx (depth + 1)
+    | _ ->
+      lx.pos <- p + 1;
+      skip_block_comment lx depth
 
 let rec skip_atmosphere lx =
-  match peek lx with
+  match char_at lx lx.pos with
   | ' ' | '\t' | '\n' | '\r' ->
-    advance lx;
+    lx.pos <- lx.pos + 1;
     skip_atmosphere lx
   | ';' ->
-    let rec to_eol () =
-      if (not (at_end lx)) && peek lx <> '\n' then begin
-        advance lx;
-        to_eol ()
-      end
-    in
-    to_eol ();
+    lx.pos <-
+      (match String.index_from_opt lx.src lx.pos '\n' with
+       | Some i -> i
+       | None -> lx.len);
     skip_atmosphere lx
-  | '#' when peek2 lx = '|' ->
-    advance lx;
-    advance lx;
+  | '#' when char_at lx (lx.pos + 1) = '|' ->
+    lx.pos <- lx.pos + 2;
     skip_block_comment lx 1;
     skip_atmosphere lx
   | _ -> ()
 
-let read_atom_text lx =
-  let start = lx.pos in
-  let rec loop () =
-    if not (is_delimiter (peek lx)) then begin
-      advance lx;
-      loop ()
-    end
-  in
-  loop ();
-  String.sub lx.src start (lx.pos - start)
+let is_digit c = c >= '0' && c <= '9'
 
-(* Classify a bare atom as integer, real, or symbol, per the usual
-   Scheme rule: anything that parses as a number is a number. *)
-let classify_atom lx text =
-  if String.length text = 0 then error lx "empty atom"
+let rec has_upper src k j =
+  k < j
+  && (match String.unsafe_get src k with
+      | 'A' .. 'Z' -> true
+      | _ -> has_upper src (k + 1) j)
+
+(* Classify the bare atom [src.[i .. j)] as integer, real or symbol,
+   per the usual Scheme rule: anything that parses as a number is a
+   number.  [int_of_string] needs a digit after an optional sign, so
+   only such atoms are offered to it; a symbol is case-folded only
+   when it holds an upper-case letter.  The lexer stands at [j]. *)
+let classify_atom lx i j =
+  let src = lx.src in
+  let n = j - i in
+  if n = 0 then error lx "empty atom"
   else
-    match int_of_string_opt text with
-    | Some i -> Atom_int i
-    | None -> (
-      (* Reject symbol-looking things that would also float-parse, such
-         as "nan" or "..."; a number needs a digit right after any sign
-         or leading period. *)
-      let is_digit c = c >= '0' && c <= '9' in
-      let n = String.length text in
+    let c0 = String.unsafe_get src i in
+    let c1 = if n > 1 then String.unsafe_get src (i + 1) else '\000' in
+    let signed = c0 = '+' || c0 = '-' in
+    let int_start = is_digit c0 || (signed && is_digit c1) in
+    let text = String.sub src i n in
+    match if int_start then int_of_string_opt text else None with
+    | Some v -> Datum.Int v
+    | None ->
+      (* Reject symbol-looking things that would also float-parse,
+         such as "nan" or "..."; a number needs a digit right after
+         any sign or leading period. *)
       let looks_numeric =
-        is_digit text.[0]
-        || ((text.[0] = '+' || text.[0] = '-')
-            && n > 1
-            && (is_digit text.[1]
-                || (text.[1] = '.' && n > 2 && is_digit text.[2])))
-        || (text.[0] = '.' && n > 1 && is_digit text.[1])
+        int_start
+        || signed && c1 = '.' && n > 2
+           && is_digit (String.unsafe_get src (i + 2))
+        || (c0 = '.' && is_digit c1)
       in
       if looks_numeric then
         match float_of_string_opt text with
-        | Some f -> Atom_real f
+        | Some f -> Datum.Real f
         | None -> error lx (Format.sprintf "malformed number %S" text)
-      else Atom_sym (String.lowercase_ascii text))
+      else
+        Datum.Sym
+          (if has_upper src i j then String.lowercase_ascii text else text)
 
+(* Called with the lexer on the opening quote. *)
 let read_string lx =
   let buf = Buffer.create 16 in
-  advance lx (* opening quote *);
+  lx.pos <- lx.pos + 1;
   let rec loop () =
-    if at_end lx then error lx "unterminated string literal"
+    if lx.pos >= lx.len then error lx "unterminated string literal"
     else
-      match peek lx with
-      | '"' -> advance lx
+      match String.unsafe_get lx.src lx.pos with
+      | '"' -> lx.pos <- lx.pos + 1
       | '\\' ->
-        advance lx;
+        lx.pos <- lx.pos + 1;
         let c =
-          match peek lx with
+          match char_at lx lx.pos with
           | 'n' -> '\n'
           | 't' -> '\t'
           | 'r' -> '\r'
@@ -152,88 +153,84 @@ let read_string lx =
           | c -> error lx (Format.sprintf "unknown string escape \\%c" c)
         in
         Buffer.add_char buf c;
-        advance lx;
+        lx.pos <- lx.pos + 1;
         loop ()
       | c ->
         Buffer.add_char buf c;
-        advance lx;
+        lx.pos <- lx.pos + 1;
         loop ()
   in
   loop ();
-  Atom_string (Buffer.contents buf)
+  Datum.Str (Buffer.contents buf)
 
+(* Called with the lexer just after "#\\".  The first character is
+   taken whatever it is; letters may continue into a named one. *)
 let read_char lx =
-  (* Called with lx positioned just after "#\\". *)
-  if at_end lx then error lx "unterminated character literal"
+  if lx.pos >= lx.len then error lx "unterminated character literal"
   else begin
-    let start = lx.pos in
-    advance lx;
-    (* Letters may continue into a named character. *)
-    let rec extend () =
-      if not (is_delimiter (peek lx)) then begin
-        advance lx;
-        extend ()
-      end
-    in
-    extend ();
-    let text = String.sub lx.src start (lx.pos - start) in
-    if String.length text = 1 then Atom_char text.[0]
+    let first = lx.pos in
+    let stop = atom_end lx (first + 1) in
+    lx.pos <- stop;
+    if stop - first = 1 then Datum.Char (String.unsafe_get lx.src first)
     else
+      let text = String.sub lx.src first (stop - first) in
       match String.lowercase_ascii text with
-      | "space" -> Atom_char ' '
-      | "newline" -> Atom_char '\n'
-      | "tab" -> Atom_char '\t'
-      | "nul" | "null" -> Atom_char '\000'
+      | "space" -> Datum.Char ' '
+      | "newline" -> Datum.Char '\n'
+      | "tab" -> Datum.Char '\t'
+      | "nul" | "null" -> Datum.Char '\000'
       | _ -> error lx (Format.sprintf "unknown character name #\\%s" text)
   end
 
 let next lx =
   skip_atmosphere lx;
-  let pos = position lx in
-  let tok =
-    if at_end lx then Eof
-    else
-      match peek lx with
-      | '(' | '[' ->
-        advance lx;
-        Lparen
-      | ')' | ']' ->
-        advance lx;
-        Rparen
-      | '\'' ->
-        advance lx;
-        Quote
-      | '`' ->
-        advance lx;
-        Quasiquote
-      | ',' ->
-        advance lx;
-        if peek lx = '@' then begin
-          advance lx;
-          Unquote_splicing
-        end
-        else Unquote
-      | '"' -> read_string lx
-      | '#' -> (
-        match peek2 lx with
-        | '(' ->
-          advance lx;
-          advance lx;
-          Hash_lparen
-        | 't' | 'f' ->
-          let text = read_atom_text lx in
-          (match text with
-           | "#t" | "#true" -> Atom_bool true
-           | "#f" | "#false" -> Atom_bool false
-           | _ -> error lx (Format.sprintf "unknown # syntax %S" text))
-        | '\\' ->
-          advance lx;
-          advance lx;
-          read_char lx
-        | c -> error lx (Format.sprintf "unknown # syntax #%c" c))
-      | '.' when is_delimiter (peek2 lx) ->
-        advance lx;
-        Dot
-      | _ -> classify_atom lx (read_atom_text lx)
-  in
-  (tok, pos)
+  let p = lx.pos in
+  lx.start <- p;
+  if p >= lx.len then Eof
+  else
+    match String.unsafe_get lx.src p with
+    | '(' | '[' ->
+      lx.pos <- p + 1;
+      Lparen
+    | ')' | ']' ->
+      lx.pos <- p + 1;
+      Rparen
+    | '\'' ->
+      lx.pos <- p + 1;
+      Quote
+    | '`' ->
+      lx.pos <- p + 1;
+      Quasiquote
+    | ',' ->
+      if char_at lx (p + 1) = '@' then begin
+        lx.pos <- p + 2;
+        Unquote_splicing
+      end
+      else begin
+        lx.pos <- p + 1;
+        Unquote
+      end
+    | '"' -> Atom (read_string lx)
+    | '#' -> (
+      match char_at lx (p + 1) with
+      | '(' ->
+        lx.pos <- p + 2;
+        Hash_lparen
+      | 't' | 'f' ->
+        let stop = atom_end lx p in
+        lx.pos <- stop;
+        (match String.sub lx.src p (stop - p) with
+         | "#t" | "#true" -> Atom (Datum.Bool true)
+         | "#f" | "#false" -> Atom (Datum.Bool false)
+         | text -> error lx (Format.sprintf "unknown # syntax %S" text))
+      | '\\' ->
+        lx.pos <- p + 2;
+        Atom (read_char lx)
+      | c -> error lx (Format.sprintf "unknown # syntax #%c" c))
+    | '.' when is_delimiter (char_at lx (p + 1)) ->
+      lx.pos <- p + 1;
+      Dot
+    | _ ->
+      let stop = atom_end lx p in
+      lx.pos <- stop;
+      Atom (classify_atom lx p stop)

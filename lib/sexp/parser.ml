@@ -1,97 +1,75 @@
 exception Error of string * Lexer.position
 
-type state = {
-  lx : Lexer.t;
-  mutable lookahead : (Lexer.token * Lexer.position) option;
-}
-
-let fail pos msg = raise (Error (msg, pos))
-
-let next st =
-  match st.lookahead with
-  | Some tp ->
-    st.lookahead <- None;
-    tp
-  | None -> (
-    try Lexer.next st.lx with
-    | Lexer.Error (msg, pos) -> fail pos msg)
-
-let push_back st tp =
-  assert (st.lookahead = None);
-  st.lookahead <- Some tp
+(* Syntactic errors are located at the start of a token, given as an
+   offset; its line and column are computed only here. *)
+let fail lx off msg = raise (Error (msg, Lexer.position lx off))
 
 let shorthand name d = Datum.Cons (Datum.Sym name, Datum.Cons (d, Datum.Nil))
 
-let rec parse_datum st (tok, pos) =
-  match (tok : Lexer.token) with
-  | Lexer.Eof -> fail pos "unexpected end of input"
-  | Lexer.Rparen -> fail pos "unexpected `)'"
-  | Lexer.Dot -> fail pos "unexpected `.'"
-  | Lexer.Lparen -> parse_list st pos []
-  | Lexer.Hash_lparen -> parse_vector st pos []
-  | Lexer.Quote -> shorthand "quote" (parse_datum st (next st))
-  | Lexer.Quasiquote -> shorthand "quasiquote" (parse_datum st (next st))
-  | Lexer.Unquote -> shorthand "unquote" (parse_datum st (next st))
-  | Lexer.Unquote_splicing ->
-    shorthand "unquote-splicing" (parse_datum st (next st))
-  | Lexer.Atom_bool b -> Datum.Bool b
-  | Lexer.Atom_int i -> Datum.Int i
-  | Lexer.Atom_real r -> Datum.Real r
-  | Lexer.Atom_char c -> Datum.Char c
-  | Lexer.Atom_string s -> Datum.Str s
-  | Lexer.Atom_sym s -> Datum.Sym s
+(* [parse_datum lx tok] reads the datum that begins with [tok], the
+   token [Lexer.next] just returned. *)
+let rec parse_datum lx (tok : Lexer.token) =
+  match tok with
+  | Lexer.Atom d -> d
+  | Lexer.Lparen -> parse_list lx (Lexer.start lx) ~first:true
+  | Lexer.Hash_lparen -> parse_vector lx (Lexer.start lx) []
+  | Lexer.Quote -> shorthand "quote" (parse_next lx)
+  | Lexer.Quasiquote -> shorthand "quasiquote" (parse_next lx)
+  | Lexer.Unquote -> shorthand "unquote" (parse_next lx)
+  | Lexer.Unquote_splicing -> shorthand "unquote-splicing" (parse_next lx)
+  | Lexer.Eof -> fail lx (Lexer.start lx) "unexpected end of input"
+  | Lexer.Rparen -> fail lx (Lexer.start lx) "unexpected `)'"
+  | Lexer.Dot -> fail lx (Lexer.start lx) "unexpected `.'"
 
-and parse_list st open_pos acc =
-  let tok, pos = next st in
-  match (tok : Lexer.token) with
-  | Lexer.Eof -> fail open_pos "unterminated list"
-  | Lexer.Rparen -> Datum.list (List.rev acc)
+and parse_next lx = parse_datum lx (Lexer.next lx)
+
+(* The rest of a list opened at offset [open_at]; [first] holds until
+   its first element is read. *)
+and parse_list lx open_at ~first =
+  match Lexer.next lx with
+  | Lexer.Rparen -> Datum.Nil
+  | Lexer.Eof -> fail lx open_at "unterminated list"
   | Lexer.Dot ->
-    if acc = [] then fail pos "`.' with no preceding datum"
-    else begin
-      let tail = parse_datum st (next st) in
-      (match next st with
-       | Lexer.Rparen, _ -> ()
-       | _, pos -> fail pos "expected `)' after dotted tail");
-      List.fold_left (fun d a -> Datum.Cons (a, d)) tail acc
-    end
-  | Lexer.Lparen | Lexer.Hash_lparen | Lexer.Quote | Lexer.Quasiquote
-  | Lexer.Unquote | Lexer.Unquote_splicing | Lexer.Atom_bool _
-  | Lexer.Atom_int _ | Lexer.Atom_real _ | Lexer.Atom_char _
-  | Lexer.Atom_string _ | Lexer.Atom_sym _ ->
-    let d = parse_datum st (tok, pos) in
-    parse_list st open_pos (d :: acc)
+    if first then fail lx (Lexer.start lx) "`.' with no preceding datum";
+    let tail = parse_next lx in
+    (match Lexer.next lx with
+     | Lexer.Rparen -> ()
+     | _ -> fail lx (Lexer.start lx) "expected `)' after dotted tail");
+    tail
+  | ( Lexer.Atom _ | Lexer.Lparen | Lexer.Hash_lparen | Lexer.Quote
+    | Lexer.Quasiquote | Lexer.Unquote | Lexer.Unquote_splicing ) as tok ->
+    let d = parse_datum lx tok in
+    Datum.Cons (d, parse_list lx open_at ~first:false)
 
-and parse_vector st open_pos acc =
-  let tok, pos = next st in
-  match (tok : Lexer.token) with
-  | Lexer.Eof -> fail open_pos "unterminated vector"
+and parse_vector lx open_at acc =
+  match Lexer.next lx with
   | Lexer.Rparen -> Datum.Vec (Array.of_list (List.rev acc))
-  | Lexer.Dot -> fail pos "`.' not allowed in vector"
-  | Lexer.Lparen | Lexer.Hash_lparen | Lexer.Quote | Lexer.Quasiquote
-  | Lexer.Unquote | Lexer.Unquote_splicing | Lexer.Atom_bool _
-  | Lexer.Atom_int _ | Lexer.Atom_real _ | Lexer.Atom_char _
-  | Lexer.Atom_string _ | Lexer.Atom_sym _ ->
-    let d = parse_datum st (tok, pos) in
-    parse_vector st open_pos (d :: acc)
+  | Lexer.Eof -> fail lx open_at "unterminated vector"
+  | Lexer.Dot -> fail lx (Lexer.start lx) "`.' not allowed in vector"
+  | ( Lexer.Atom _ | Lexer.Lparen | Lexer.Hash_lparen | Lexer.Quote
+    | Lexer.Quasiquote | Lexer.Unquote | Lexer.Unquote_splicing ) as tok ->
+    let d = parse_datum lx tok in
+    parse_vector lx open_at (d :: acc)
+
+(* A lexical error leaves the reader as this module's [Error], with
+   the lexer's message and position. *)
+let reading f =
+  try f () with Lexer.Error (msg, pos) -> raise (Error (msg, pos))
 
 let parse_all ?filename src =
-  let st = { lx = Lexer.create ?filename src; lookahead = None } in
+  let lx = Lexer.create ?filename src in
   let rec loop acc =
-    let tok, pos = next st in
-    match (tok : Lexer.token) with
+    match Lexer.next lx with
     | Lexer.Eof -> List.rev acc
-    | _ ->
-      push_back st (tok, pos);
-      let tp = next st in
-      loop (parse_datum st tp :: acc)
+    | tok -> loop (parse_datum lx tok :: acc)
   in
-  loop []
+  reading (fun () -> loop [])
 
 let parse_one ?filename src =
-  let st = { lx = Lexer.create ?filename src; lookahead = None } in
-  let d = parse_datum st (next st) in
-  (match next st with
-   | Lexer.Eof, _ -> ()
-   | _, pos -> fail pos "trailing data after datum");
-  d
+  let lx = Lexer.create ?filename src in
+  reading (fun () ->
+      let d = parse_next lx in
+      (match Lexer.next lx with
+       | Lexer.Eof -> ()
+       | _ -> fail lx (Lexer.start lx) "trailing data after datum");
+      d)

@@ -28,7 +28,3 @@ and lambda = {
 type toplevel =
   | Define of string * expr
   | Expr of expr
-
-val assigned_vars : expr -> (string, unit) Hashtbl.t
-(** All names that occur as [set!] targets anywhere in the expression,
-    including inside nested lambdas (used for boxing decisions). *)

@@ -22,16 +22,10 @@ type emitter = {
   mutable len : int;
   mutable consts : Value.t list;  (* reversed *)
   mutable nconsts : int;
-  const_index : (Value.t, int) Hashtbl.t;
 }
 
 let new_emitter () =
-  { arr = Array.make 32 Bytecode.Return;
-    len = 0;
-    consts = [];
-    nconsts = 0;
-    const_index = Hashtbl.create 8
-  }
+  { arr = Array.make 32 Bytecode.Return; len = 0; consts = []; nconsts = 0 }
 
 let emit em i =
   if em.len = Array.length em.arr then begin
@@ -50,17 +44,105 @@ let patch em at target =
   | Bytecode.Jump_if_false _ -> em.arr.(at) <- Bytecode.Jump_if_false target
   | _ -> assert false
 
+(* A code object's pool holds each constant once; pools are a few
+   entries long, so the slot is found by a scan. *)
 let const_slot em v =
-  match Hashtbl.find_opt em.const_index v with
-  | Some k -> k
-  | None ->
-    let k = em.nconsts in
-    em.consts <- v :: em.consts;
-    em.nconsts <- k + 1;
-    Hashtbl.replace em.const_index v k;
-    k
+  let rec find k = function
+    | [] ->
+      em.consts <- v :: em.consts;
+      em.nconsts <- em.nconsts + 1;
+      em.nconsts - 1
+    | c :: older -> if c = v then k else find (k - 1) older
+  in
+  find (em.nconsts - 1) em.consts
 
 let finish em = (Array.sub em.arr 0 em.len, Array.of_list (List.rev em.consts))
+
+(* --- Capture analysis ------------------------------------------------ *)
+
+(* [List.assoc_opt] on names, by [String.equal]: the polymorphic
+   comparison it would use costs several times more. *)
+let rec lookup name = function
+  | [] -> None
+  | (x, v) :: rest -> if String.equal x name then Some v else lookup name rest
+
+(* A lambda of the form being compiled, with the variables it
+   captures, most recent first. *)
+type closure_info = {
+  lam : Ast.lambda;
+  mutable caps : string list;
+}
+
+type analysis = {
+  assigned : (string, unit) Hashtbl.t;
+      (* every name some [set!] in the form assigns *)
+  lambdas : closure_info Queue.t;
+      (* the form's lambdas in pre-order, the order [comp] meets them *)
+}
+
+(* One walk over a top-level form.  A lambda captures each variable
+   that occurs free in its body and is bound by an enclosing lambda or
+   [let]; its captures are listed in the order of their first free
+   occurrence in a depth-first, left-to-right walk of the body.
+
+   [scope] holds the lexically bound names, innermost first, each with
+   the nesting depth of the lambda that binds it (0 outside any
+   lambda); [enclosing] holds the lambdas around the current point,
+   innermost first, with their depths.  An occurrence of [x] bound at
+   depth [d] is free in exactly the enclosing lambdas deeper than [d],
+   so it is noted in each of them, innermost first, stopping at one
+   that already captures [x]: every lambda outside that one saw the
+   same earlier occurrence. *)
+let analyse expr =
+  let assigned = Hashtbl.create 16 in
+  let lambdas = Queue.create () in
+  let use scope enclosing x =
+    match lookup x scope with
+    | None -> ()
+    | Some bound_at ->
+      let rec note = function
+        | (depth, info) :: outer when depth > bound_at ->
+          if not (List.exists (String.equal x) info.caps) then begin
+            info.caps <- x :: info.caps;
+            note outer
+          end
+        | _ -> ()
+      in
+      note enclosing
+  in
+  let rec go scope depth enclosing e =
+    match (e : Ast.expr) with
+    | Ast.Quote _ | Ast.Undefined -> ()
+    | Ast.Var x -> use scope enclosing x
+    | Ast.If (c, t, f) ->
+      go scope depth enclosing c;
+      go scope depth enclosing t;
+      go scope depth enclosing f
+    | Ast.Set (x, e) ->
+      Hashtbl.replace assigned x ();
+      use scope enclosing x;
+      go scope depth enclosing e
+    | Ast.Lambda lam ->
+      let info = { lam; caps = [] } in
+      Queue.add info lambdas;
+      let depth = depth + 1 in
+      let bind scope x = (x, depth) :: scope in
+      let scope = List.fold_left bind scope lam.params in
+      let scope = Option.fold ~none:scope ~some:(bind scope) lam.rest in
+      go scope depth ((depth, info) :: enclosing) lam.body
+    | Ast.Call (f, args) ->
+      go scope depth enclosing f;
+      List.iter (go scope depth enclosing) args
+    | Ast.Seq es -> List.iter (go scope depth enclosing) es
+    | Ast.Let (bindings, body) ->
+      List.iter (fun (_, init) -> go scope depth enclosing init) bindings;
+      let scope =
+        List.fold_left (fun scope (x, _) -> (x, depth) :: scope) scope bindings
+      in
+      go scope depth enclosing body
+  in
+  go [] 0 [] expr;
+  { assigned; lambdas }
 
 (* --- Compile-time environment --------------------------------------- *)
 
@@ -69,7 +151,7 @@ let finish em = (Array.sub em.arr 0 em.len, Array.of_list (List.rev em.consts))
    enclosing context to (closure slot, boxed). *)
 type ctx = {
   lk : linkage;
-  assigned : (string, unit) Hashtbl.t;
+  an : analysis;
   frame : (string * (int * bool)) list;
   free : (string * (int * bool)) list;
 }
@@ -80,56 +162,14 @@ type resolution =
   | In_global
 
 let resolve ctx name =
-  match List.assoc_opt name ctx.frame with
+  match lookup name ctx.frame with
   | Some (slot, boxed) -> In_frame (slot, boxed)
   | None -> (
-    match List.assoc_opt name ctx.free with
+    match lookup name ctx.free with
     | Some (idx, boxed) -> In_free (idx, boxed)
     | None -> In_global)
 
-let is_boxed ctx name = Hashtbl.mem ctx.assigned name
-
-(* Free variables of a lambda body, in first-use order, restricted to
-   names visible in the enclosing lexical context. *)
-let ordered_captured_vars ctx params body =
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  let note bound x =
-    if (not (List.mem x bound)) && not (Hashtbl.mem seen x) then begin
-      Hashtbl.replace seen x ();
-      match resolve ctx x with
-      | In_frame _ | In_free _ -> order := x :: !order
-      | In_global -> ()
-    end
-  in
-  let rec go bound e =
-    match (e : Ast.expr) with
-    | Ast.Quote _ | Ast.Undefined -> ()
-    | Ast.Var x -> note bound x
-    | Ast.If (c, t, f) ->
-      go bound c;
-      go bound t;
-      go bound f
-    | Ast.Set (x, e) ->
-      note bound x;
-      go bound e
-    | Ast.Lambda { params; rest; body; name = _ } ->
-      let bound' =
-        params @ (match rest with
-                  | None -> []
-                  | Some r -> [ r ]) @ bound
-      in
-      go bound' body
-    | Ast.Call (f, args) ->
-      go bound f;
-      List.iter (go bound) args
-    | Ast.Seq es -> List.iter (go bound) es
-    | Ast.Let (bindings, body) ->
-      List.iter (fun (_, init) -> go bound init) bindings;
-      go (List.map fst bindings @ bound) body
-  in
-  go params body;
-  List.rev !order
+let is_boxed ctx name = Hashtbl.mem ctx.an.assigned name
 
 (* --- Compilation ----------------------------------------------------- *)
 
@@ -210,36 +250,42 @@ let rec comp ctx em depth ~tail expr =
     let ctx' = { ctx with frame = frame' } in
     comp ctx' em (depth + n) ~tail body;
     if not tail then emit em (Bytecode.Slide n)
-  | Ast.Call (Ast.Var f, args)
-    when resolve ctx f = In_global && Primitives.find f <> None -> (
-    match Primitives.find f with
-    | None -> assert false
-    | Some pid ->
+  | Ast.Call (f, args) -> (
+    let global_head =
+      match f with
+      | Ast.Var name -> (
+        match resolve ctx name with
+        | In_global -> Some name
+        | In_frame _ | In_free _ -> None)
+      | _ -> None
+    in
+    let prim = Option.bind global_head Primitives.find in
+    match prim, global_head, args with
+    | Some pid, Some name, _ ->
       let spec = Primitives.spec pid in
       let n = List.length args in
       if n < spec.Primitives.arity
          || ((not spec.Primitives.variadic) && n > spec.Primitives.arity)
       then
-        fail "%s: expected %s%d arguments, got %d" f
+        fail "%s: expected %s%d arguments, got %d" name
           (if spec.Primitives.variadic then "at least " else "")
           spec.Primitives.arity n;
       List.iteri (fun i a -> comp ctx em (depth + i) ~tail:false a) args;
       emit em (Bytecode.Prim (pid, n));
-      if tail then emit em Bytecode.Return)
-  | Ast.Call (Ast.Var "apply", f :: args)
-    when resolve ctx "apply" = In_global && args <> [] ->
-    (* Direct apply: spread the final list argument at call time. *)
-    comp ctx em depth ~tail:false f;
-    List.iteri (fun i a -> comp ctx em (depth + 1 + i) ~tail:false a) args;
-    let n = List.length args in
-    emit em (if tail then Bytecode.Tail_apply n else Bytecode.Apply n)
-  | Ast.Call (f, args) ->
-    comp ctx em depth ~tail:false f;
-    List.iteri (fun i a -> comp ctx em (depth + 1 + i) ~tail:false a) args;
-    let n = List.length args in
-    emit em (if tail then Bytecode.Tail_call n else Bytecode.Call n)
+      if tail then emit em Bytecode.Return
+    | None, Some "apply", f :: (_ :: _ as args) ->
+      (* Direct apply: spread the final list argument at call time. *)
+      comp ctx em depth ~tail:false f;
+      List.iteri (fun i a -> comp ctx em (depth + 1 + i) ~tail:false a) args;
+      let n = List.length args in
+      emit em (if tail then Bytecode.Tail_apply n else Bytecode.Apply n)
+    | _ ->
+      comp ctx em depth ~tail:false f;
+      List.iteri (fun i a -> comp ctx em (depth + 1 + i) ~tail:false a) args;
+      let n = List.length args in
+      emit em (if tail then Bytecode.Tail_call n else Bytecode.Call n))
 
-and comp_lambda ctx { Ast.name; params; rest; body } =
+and comp_lambda ctx ({ Ast.name; params; rest; body } as lam) =
   let all_params =
     params @ (match rest with
               | None -> []
@@ -252,28 +298,20 @@ and comp_lambda ctx { Ast.name; params; rest; body } =
    with
    | Some p -> fail "%s: duplicate parameter %s" name p
    | None -> ());
-  let captured = ordered_captured_vars ctx all_params body in
-  let captures =
-    Array.of_list
-      (List.map
-         (fun x ->
+  let info = Queue.pop ctx.an.lambdas in
+  assert (info.lam == lam);
+  let captures, free =
+    List.split
+      (List.mapi
+         (fun i x ->
            match resolve ctx x with
-           | In_frame (slot, _) -> Bytecode.Cap_local slot
-           | In_free (idx, _) -> Bytecode.Cap_free idx
+           | In_frame (slot, boxed) ->
+             (Bytecode.Cap_local slot, (x, (i, boxed)))
+           | In_free (idx, boxed) -> (Bytecode.Cap_free idx, (x, (i, boxed)))
            | In_global -> assert false)
-         captured)
+         (List.rev info.caps))
   in
-  let free =
-    List.mapi
-      (fun i x ->
-        let boxed =
-          match resolve ctx x with
-          | In_frame (_, boxed) | In_free (_, boxed) -> boxed
-          | In_global -> assert false
-        in
-        (x, (i, boxed)))
-      captured
-  in
+  let captures = Array.of_list captures in
   let nparams = List.length all_params in
   let frame = List.mapi (fun i x -> (x, (i, is_boxed ctx x))) all_params in
   let ctx' = { ctx with frame; free } in
@@ -299,7 +337,7 @@ let compile_toplevel lk form =
     | Ast.Define (x, e) -> (e, Some x)
     | Ast.Expr e -> (e, None)
   in
-  let ctx = { lk; assigned = Ast.assigned_vars expr; frame = []; free = [] } in
+  let ctx = { lk; an = analyse expr; frame = []; free = [] } in
   let em = new_emitter () in
   (match store with
    | Some x ->

@@ -48,7 +48,6 @@ type t = {
   ctx : Primitives.ctx;
   vm : Vm.t;
   linkage : Compiler.linkage;
-  constant_memo : (Sexp.Datum.t, Value.t) Hashtbl.t;
 }
 
 let words_of_bytes b = (b + Memsim.Trace.word_bytes - 1) / Memsim.Trace.word_bytes
@@ -72,13 +71,65 @@ let dynamic_words cfg =
          ~old_words:(words_of_bytes old_bytes)
          ())
 
+(* Quoted literals are shared within a machine: a datum equal (by
+   [compare]) to one interned before is the same static object, and
+   only its first occurrence is built.  Every datum node gets an id,
+   the same exactly when the nodes are equal, by hash-consing the
+   node's shape over its children's ids, so finding a list costs one
+   probe per cell with a key of two ids, however long the list.  The
+   table lives in the machine and dies with it. *)
+type shape =
+  | Leaf of Sexp.Datum.t  (* any datum but a pair or a vector *)
+  | Pair of int * int
+  | Vector of int array
+
+type constants = {
+  ids : (shape, int) Hashtbl.t;
+  mutable shapes : shape array;  (* indexed by id *)
+  built : (int, Value.t) Hashtbl.t;  (* ids interned so far *)
+}
+
+let new_constants () =
+  { ids = Hashtbl.create 256;
+    shapes = Array.make 256 (Leaf Sexp.Datum.Nil);
+    built = Hashtbl.create 256
+  }
+
+let rec datum_id c (d : Sexp.Datum.t) =
+  let shape =
+    match d with
+    | Sexp.Datum.Cons (a, rest) ->
+      let a = datum_id c a in
+      Pair (a, datum_id c rest)
+    | Sexp.Datum.Vec elems -> Vector (Array.map (datum_id c) elems)
+    | Sexp.Datum.Nil | Sexp.Datum.Bool _ | Sexp.Datum.Int _ | Sexp.Datum.Real _
+    | Sexp.Datum.Char _ | Sexp.Datum.Str _ | Sexp.Datum.Sym _ ->
+      Leaf d
+  in
+  match Hashtbl.find_opt c.ids shape with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length c.ids in
+    if id = Array.length c.shapes then begin
+      let bigger = Array.make (2 * id) shape in
+      Array.blit c.shapes 0 bigger 0 id;
+      c.shapes <- bigger
+    end;
+    c.shapes.(id) <- shape;
+    Hashtbl.add c.ids shape id;
+    id
+
 (* Build a quoted literal in the static area.  Static constants may
-   reference only other static data, so collectors never scan them. *)
-let rec intern_datum heap memo (d : Sexp.Datum.t) : Value.t =
+   reference only other static data, so collectors never scan them.
+   A node already built is reused whole, so its parts are neither
+   visited nor built again; otherwise the parts are built first, car
+   before cdr and elements in order.  [id] is [d]'s id, or -1 when it
+   is not known yet. *)
+let rec intern_datum heap c (d : Sexp.Datum.t) id : Value.t =
   match d with
   | Sexp.Datum.Nil -> Value.nil
   | Sexp.Datum.Bool b -> Value.bool b
-  | Sexp.Datum.Char c -> Value.char c
+  | Sexp.Datum.Char ch -> Value.char ch
   | Sexp.Datum.Int i ->
     if i < Value.min_fixnum || i > Value.max_fixnum then
       raise
@@ -88,30 +139,31 @@ let rec intern_datum heap memo (d : Sexp.Datum.t) : Value.t =
   | Sexp.Datum.Sym s -> Heap.intern heap s
   | Sexp.Datum.Real _ | Sexp.Datum.Str _ | Sexp.Datum.Cons _ | Sexp.Datum.Vec _
     -> (
-    match Hashtbl.find_opt memo d with
+    let id = if id >= 0 then id else datum_id c d in
+    match Hashtbl.find_opt c.built id with
     | Some v -> v
     | None ->
       let v =
-        match d with
-        | Sexp.Datum.Real f -> Heap.flonum ~area:Heap.Static heap f
-        | Sexp.Datum.Str s -> Heap.make_string ~area:Heap.Static heap s
-        | Sexp.Datum.Cons (a, rest) ->
-          let a = intern_datum heap memo a in
-          let rest = intern_datum heap memo rest in
+        match d, c.shapes.(id) with
+        | Sexp.Datum.Real f, _ -> Heap.flonum ~area:Heap.Static heap f
+        | Sexp.Datum.Str s, _ -> Heap.make_string ~area:Heap.Static heap s
+        | Sexp.Datum.Cons (a, rest), Pair (ia, irest) ->
+          let a = intern_datum heap c a ia in
+          let rest = intern_datum heap c rest irest in
           Heap.cons ~area:Heap.Static heap a rest
-        | Sexp.Datum.Vec elems ->
-          let vals = Array.map (intern_datum heap memo) elems in
+        | Sexp.Datum.Vec elems, Vector ids ->
+          let vals =
+            Array.mapi (fun i e -> intern_datum heap c e ids.(i)) elems
+          in
           let v =
             Heap.make_vector ~area:Heap.Static heap (Array.length vals)
               (Value.fixnum 0)
           in
           Array.iteri (fun i x -> Heap.vector_set heap v i x) vals;
           v
-        | Sexp.Datum.Nil | Sexp.Datum.Bool _ | Sexp.Datum.Char _
-        | Sexp.Datum.Int _ | Sexp.Datum.Sym _ ->
-          assert false
+        | _ -> assert false
       in
-      Hashtbl.replace memo d v;
+      Hashtbl.replace c.built id v;
       v)
 
 let register_code heap vm ~name ~arity ~has_rest ~captures ~instrs ~consts =
@@ -267,9 +319,9 @@ let create cfg =
               ~old_words:(words_of_bytes old_bytes)
               ()))
   in
-  let constant_memo = Hashtbl.create 256 in
+  let constants = new_constants () in
   let linkage =
-    { Compiler.intern_constant = (fun d -> intern_datum heap constant_memo d);
+    { Compiler.intern_constant = (fun d -> intern_datum heap constants d (-1));
       global_index = (fun name -> Vm.define_global vm name);
       register_code = register_code heap vm
     }
@@ -285,7 +337,7 @@ let create cfg =
            ("static_bytes", Obs.Events.I cfg.static_bytes);
            ("stack_bytes", Obs.Events.I cfg.stack_bytes)
          ]);
-  let t = { cfg; mem; heap; collector; ctx; vm; linkage; constant_memo } in
+  let t = { cfg; mem; heap; collector; ctx; vm; linkage } in
   install_primitive_globals heap vm;
   if cfg.load_prelude then begin
     (match cfg.telemetry with

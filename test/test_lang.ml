@@ -345,6 +345,132 @@ let test_determinism () =
   Alcotest.(check string) "same value" v1 v2;
   Alcotest.(check int) "same instruction count" i1 i2
 
+(* --- Capture order ---------------------------------------------------- *)
+
+(* A flat closure's slots are numbered in the order its body first
+   uses each captured variable, so a reordered capture changes the
+   closure layout, every [Free] index and the traces.  This program
+   nests lambdas three deep below [outer], boxes [b] and [c] with
+   [set!], shadows [a] with a [let] and [b] with a parameter, and
+   captures both from a frame ([L]) and from a closure ([F]). *)
+let capture_program =
+  {|(define (outer a b)
+      (let ((c (* a 2)))
+        (set! b (+ b 1))
+        (lambda (d)
+          (let ((a (+ d c)))
+            (lambda (e)
+              (set! c (+ c e))
+              (cons (lambda () (+ e a b c d))
+                    (lambda (b) (- b c a))))))))|}
+
+let show_instr (i : Vscheme.Bytecode.instr) =
+  match i with
+  | Imm v -> Printf.sprintf "imm %d" v
+  | Const k -> Printf.sprintf "const %d" k
+  | Local k -> Printf.sprintf "local %d" k
+  | Set_local k -> Printf.sprintf "set-local %d" k
+  | Free k -> Printf.sprintf "free %d" k
+  | Global k -> Printf.sprintf "global %d" k
+  | Set_global k -> Printf.sprintf "set-global %d" k
+  | Make_closure k -> Printf.sprintf "closure %d" k
+  | Call n -> Printf.sprintf "call %d" n
+  | Tail_call n -> Printf.sprintf "tail-call %d" n
+  | Return -> "return"
+  | Jump k -> Printf.sprintf "jump %d" k
+  | Jump_if_false k -> Printf.sprintf "jump-if-false %d" k
+  | Pop -> "pop"
+  | Slide n -> Printf.sprintf "slide %d" n
+  | Make_cell -> "make-cell"
+  | Cell_ref -> "cell-ref"
+  | Cell_set -> "cell-set"
+  | Prim (p, n) -> Printf.sprintf "prim %s %d" (Vscheme.Primitives.spec p).name n
+  | Apply n -> Printf.sprintf "apply %d" n
+  | Tail_apply n -> Printf.sprintf "tail-apply %d" n
+
+let show_capture (c : Vscheme.Bytecode.capture) =
+  match c with
+  | Cap_local k -> Printf.sprintf "L%d" k
+  | Cap_free k -> Printf.sprintf "F%d" k
+
+(* Each registered code object as "id name/arity [captures]: code",
+   compiled against a linkage that needs no machine. *)
+let compiled_codes src =
+  let codes = ref [] and globals = Hashtbl.create 8 in
+  let lk =
+    { Vscheme.Compiler.intern_constant =
+        (function
+          | Sexp.Datum.Int i -> Vscheme.Value.fixnum i
+          | d -> Alcotest.failf "unexpected literal %s" (Sexp.Datum.to_string d));
+      global_index =
+        (fun x ->
+          match Hashtbl.find_opt globals x with
+          | Some i -> i
+          | None ->
+            let i = Hashtbl.length globals in
+            Hashtbl.add globals x i;
+            i);
+      register_code =
+        (fun ~name ~arity ~has_rest:_ ~captures ~instrs ~consts:_ ->
+          let id = List.length !codes in
+          codes :=
+            Printf.sprintf "%d %s/%d [%s]: %s" id name arity
+              (String.concat " " (Array.to_list (Array.map show_capture captures)))
+              (String.concat "; " (Array.to_list (Array.map show_instr instrs)))
+            :: !codes;
+          id)
+    }
+  in
+  List.iter
+    (fun form -> ignore (Vscheme.Compiler.compile_toplevel lk form))
+    (Vscheme.Expander.expand_program (Sexp.Parser.parse_all src));
+  List.rev !codes
+
+let test_capture_order () =
+  Alcotest.(check (list string))
+    "code objects"
+    [ "0 lambda/0 [L0 F1 F2 F0 F3]: free 0; free 1; free 2; cell-ref; free 3; \
+       cell-ref; free 4; prim + 5; return";
+      "1 lambda/1 [F0 F1]: local 0; make-cell; set-local 0; local 0; cell-ref; \
+       free 0; cell-ref; free 1; prim - 3; return";
+      "2 lambda/1 [F0 L3 F1 L0]: free 0; cell-ref; local 0; prim + 2; free 0; \
+       cell-set; pop; closure 0; closure 1; prim cons 2; return";
+      "3 lambda/1 [L4 L1]: local 0; free 0; cell-ref; prim + 2; closure 2; \
+       return";
+      "4 outer/2 []: local 1; make-cell; set-local 1; local 0; imm 8; prim * 2; \
+       make-cell; local 1; cell-ref; imm 4; prim + 2; local 1; cell-set; pop; \
+       closure 3; return";
+      "5 define outer/0 []: closure 4; set-global 0; return" ]
+    (compiled_codes capture_program)
+
+(* The static area a workload leaves after the prelude and its
+   definitions are loaded: its quoted constants, constant pools,
+   symbols and closures of primitives.  Its layout is part of every
+   trace, so it is pinned by digest; an interned constant built in
+   another order or shared differently changes it. *)
+let static_digest (w : Workloads.Workload.t) =
+  let m = machine () in
+  Workloads.Workload.load m w;
+  let heap = Vscheme.Machine.heap m in
+  let mem = Vscheme.Machine.mem m in
+  let words = Vscheme.Heap.stack_base heap in
+  let b = Bytes.create (8 * words) in
+  for a = 0 to words - 1 do
+    Bytes.set_int64_le b (8 * a) (Int64.of_int (Vscheme.Mem.peek mem a))
+  done;
+  Digest.to_hex (Digest.bytes b)
+
+let test_static_layout () =
+  List.iter
+    (fun ((w : Workloads.Workload.t), want) ->
+      Alcotest.(check string) (w.name ^ " static area") want (static_digest w))
+    Workloads.Workload.
+      [ (selfcomp, "c8246818e8772865bad625dee2422844");
+        (prover, "1c517d6715e51f2ad06e6de87024f317");
+        (lred, "2972824837fb7189558d6bd5659f03fc");
+        (nbody, "43667efd6da6be18020c939c453f5250");
+        (mexpr, "6550278286b3f49c249265c3c05dee3f") ]
+
 (* Property: compiled arithmetic agrees with OCaml on fixnums. *)
 let arith_prop =
   QCheck.Test.make ~count:200 ~name:"compiled arithmetic agrees with host"
@@ -387,7 +513,9 @@ let () =
         ] );
       ( "machine",
         [ Alcotest.test_case "output buffer" `Quick test_output;
-          Alcotest.test_case "determinism" `Quick test_determinism
+          Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "capture order" `Quick test_capture_order;
+          Alcotest.test_case "static area layout" `Quick test_static_layout
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest arith_prop;

@@ -92,32 +92,125 @@ let test_parse_all () =
   Alcotest.(check int) "three data" 3 (List.length (parse_all "1 (2) three"));
   Alcotest.(check int) "empty input" 0 (List.length (parse_all "  ; only\n"))
 
-let expect_error f =
-  match f () with
-  | exception Sexp.Parser.Error _ -> ()
-  | exception Sexp.Lexer.Error _ -> ()
-  | _ -> Alcotest.fail "expected a parse error"
+(* The reader's error contract: every message, line and column, as
+   [parse_one] (with a filename, which lexical messages name) or
+   [parse_all] (which names "<string>") reports it.  A lexical error
+   is located where the lexer stood when it gave up; a syntactic one
+   at the start of the offending token (an unterminated list or
+   vector at its opening bracket). *)
+let error_cases =
+  [ (* unterminated list, vector, string and block comment *)
+    ("(a b", "unterminated list", 1, 1);
+    ("(a\n  (b c)\n", "unterminated list", 1, 1);
+    ("(a\r\n b", "unterminated list", 1, 1);
+    ("(x (y", "unterminated list", 1, 4);
+    ("#(a", "unterminated vector", 1, 1);
+    ("\"abc", "t.scm: unterminated string literal", 1, 5);
+    ("(x\n \"ab\ncd", "t.scm: unterminated string literal", 3, 3);
+    ("#| unclosed", "t.scm: unterminated block comment", 1, 12);
+    ("#| a #| b |# c", "t.scm: unterminated block comment", 1, 15);
+    (* # syntax and character names *)
+    ("#q", "t.scm: unknown # syntax #q", 1, 1);
+    ("(a #q)", "t.scm: unknown # syntax #q", 1, 4);
+    ("#", "t.scm: unknown # syntax #\000", 1, 1);
+    ("#tru", "t.scm: unknown # syntax \"#tru\"", 1, 5);
+    ("#\\bogus", "t.scm: unknown character name #\\bogus", 1, 8);
+    ("  #\\Spacer", "t.scm: unknown character name #\\Spacer", 1, 11);
+    ("#\\", "t.scm: unterminated character literal", 1, 3);
+    (* string escapes *)
+    ("\"a\\qb\"", "t.scm: unknown string escape \\q", 1, 4);
+    ("\"ab\\", "t.scm: unknown string escape \\\000", 1, 5);
+    (* each misuse of `.' *)
+    ("(. a)", "`.' with no preceding datum", 1, 2);
+    ("(a . )", "unexpected `)'", 1, 6);
+    ("(a . b c)", "expected `)' after dotted tail", 1, 8);
+    ("(a . b . c)", "expected `)' after dotted tail", 1, 8);
+    ("#(a . b)", "`.' not allowed in vector", 1, 5);
+    (". a", "unexpected `.'", 1, 1);
+    ("(a .", "unexpected end of input", 1, 5);
+    (* a trailing datum *)
+    ("1 2", "trailing data after datum", 1, 3);
+    ("(a) b", "trailing data after datum", 1, 5);
+    ("(ok)\n  (bad . )", "trailing data after datum", 2, 3);
+    (* malformed numbers and atoms *)
+    ("1x", "t.scm: malformed number \"1x\"", 1, 3);
+    ("-2.5e", "t.scm: malformed number \"-2.5e\"", 1, 6);
+    ("+.5z", "t.scm: malformed number \"+.5z\"", 1, 5);
+    ("(a \000)", "t.scm: empty atom", 1, 4);
+    (* empty input and stray closers *)
+    ("", "unexpected end of input", 1, 1);
+    ("  ; only\n", "unexpected end of input", 2, 1);
+    ("'", "unexpected end of input", 1, 2);
+    ("`(a ,@", "unexpected end of input", 1, 7);
+    (")", "unexpected `)'", 1, 1);
+    ("]", "unexpected `)'", 1, 1)
+  ]
+
+let check_error what read (src, msg, line, column) =
+  let name = Printf.sprintf "%s %S" what src in
+  match read src with
+  | exception Sexp.Parser.Error (m, pos) ->
+    Alcotest.(check string) (name ^ " message") msg m;
+    Alcotest.(check (pair int int))
+      (name ^ " line, column") (line, column)
+      (pos.Sexp.Lexer.line, pos.Sexp.Lexer.column)
+  | exception Sexp.Lexer.Error (m, _) ->
+    Alcotest.failf "%s: lexer error %S escaped the parser" name m
+  | _ -> Alcotest.failf "%s: expected a parse error" name
+
+(* [parse_all] reads a whole program: a second datum and an empty
+   input are no error there, and its lexical messages name the
+   default filename "<string>". *)
+let whole_program_ok = [ "1 2"; "(a) b"; "(ok)\n  (bad . )"; ""; "  ; only\n" ]
+
+let all_cases =
+  List.filter_map
+    (fun (src, msg, line, column) ->
+      if List.mem src whole_program_ok then None
+      else
+        let prefix = "t.scm: " in
+        let n = String.length prefix in
+        let msg =
+          if String.length msg >= n && String.sub msg 0 n = prefix then
+            "<string>: " ^ String.sub msg n (String.length msg - n)
+          else msg
+        in
+        Some (src, msg, line, column))
+    error_cases
 
 let test_errors () =
-  expect_error (fun () -> parse "(");
-  expect_error (fun () -> parse ")");
-  expect_error (fun () -> parse "(a . )");
-  expect_error (fun () -> parse "(. a)");
-  expect_error (fun () -> parse "(a . b c)");
-  expect_error (fun () -> parse "#(a . b)");
-  expect_error (fun () -> parse "\"unterminated");
-  expect_error (fun () -> parse "#q");
-  expect_error (fun () -> parse "1 2");
-  expect_error (fun () -> parse "#| unclosed");
-  expect_error (fun () -> parse "")
+  List.iter
+    (check_error "parse_one" (Sexp.Parser.parse_one ~filename:"t.scm"))
+    error_cases;
+  List.iter (check_error "parse_all" parse_all) all_cases
 
 let test_positions () =
-  (try
-     ignore (parse_all "(ok)\n(bad . )");
-     Alcotest.fail "expected error"
-   with
-   | Sexp.Parser.Error (_, pos) ->
-     Alcotest.(check int) "line" 2 pos.Sexp.Lexer.line)
+  List.iter (check_error "parse_all" parse_all)
+    [ ("(ok)\n  (bad . )", "unexpected `)'", 2, 10);
+      ("(ok)\n\n   #(1 . 2)", "`.' not allowed in vector", 3, 8);
+      ("; c\n#| x\n y |#  (a\n", "unterminated list", 3, 8);
+      ("\"a\nb\" \"c\n\\z\"", "<string>: unknown string escape \\z", 3, 2);
+      ("(a)\r\n  1x", "<string>: malformed number \"1x\"", 2, 5) ]
+
+(* Every program the reproduction reads -- the prelude and each
+   workload -- reads, prints with [Datum.to_string] and reads again to
+   the same data. *)
+let test_sources_reread () =
+  List.iter
+    (fun (name, src) ->
+      let ds = parse_all src in
+      let printed = String.concat "\n" (List.map Sexp.Datum.to_string ds) in
+      let again = parse_all printed in
+      Alcotest.(check int) (name ^ " datum count") (List.length ds)
+        (List.length again);
+      List.iteri
+        (fun i (a, b) ->
+          Alcotest.check datum (Printf.sprintf "%s datum %d" name i) a b)
+        (List.combine ds again))
+    (("prelude", Vscheme.Prelude.source)
+    :: List.map
+         (fun (w : Workloads.Workload.t) -> (w.name, w.source))
+         Workloads.Workload.all)
 
 (* Property: printing and re-reading preserves structure. *)
 let datum_gen =
@@ -171,7 +264,8 @@ let () =
           Alcotest.test_case "comments" `Quick test_comments;
           Alcotest.test_case "parse_all" `Quick test_parse_all;
           Alcotest.test_case "errors" `Quick test_errors;
-          Alcotest.test_case "positions" `Quick test_positions
+          Alcotest.test_case "positions" `Quick test_positions;
+          Alcotest.test_case "sources reread" `Quick test_sources_reread
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest roundtrip_prop ])
     ]
