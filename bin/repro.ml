@@ -4,6 +4,17 @@
 
 let ppf = Format.std_formatter
 
+(* Run [f], which saves files, and return the exit status: 0, or 1
+   after reporting a save that failed as "repro: <why>".  The atomic
+   writer has then removed its temporary and left any earlier file at
+   the path as it was. *)
+let save_status f =
+  match f () with
+  | () -> 0
+  | exception Sys_error msg ->
+    Format.eprintf "repro: %s@." msg;
+    1
+
 (* Every "FILE or -" output: [-] is stdout; a file is replaced
    atomically, so no reader sees it half written.  Returns the exit
    status. *)
@@ -13,11 +24,29 @@ let write_out path content =
     0
   end
   else
-    match Obs.Atomic_file.write path (fun oc -> output_string oc content) with
-    | () -> 0
-    | exception Sys_error msg ->
-      Format.eprintf "repro: %s@." msg;
-      1
+    save_status (fun () ->
+        Obs.Atomic_file.write path (fun oc -> output_string oc content))
+
+(* An optional "FILE or -" output of [content ()]; a file that was
+   written is confirmed on [ppf] by [confirm path]. *)
+let write_opt ppf out content ~confirm =
+  match out with
+  | None -> 0
+  | Some path ->
+    let rc = write_out path (content ()) in
+    if rc = 0 && path <> "-" then Format.fprintf ppf "%s@." (confirm path);
+    rc
+
+(* A count flag is read as a string and parsed here, under the rule
+   REPRO_JOBS follows (Units.parse_count): a bad value exits 1 naming
+   the flag and the value, before [k] runs anything. *)
+let with_count flag value k =
+  match Option.map Core.Units.parse_count value with
+  | None -> k None
+  | Some (Ok n) -> k (Some n)
+  | Some (Error msg) ->
+    Format.eprintf "repro: %s: %s@." flag msg;
+    1
 
 (* --- Shared argument conversions ------------------------------------- *)
 
@@ -84,13 +113,9 @@ let hier_report h =
    own output (`make check-tables` diffs `repro run --metrics`'s). *)
 let write_telemetry tel ~metrics ~trace_events =
   let write done_msg f =
-    try
-      f ();
-      Format.eprintf "%s@." done_msg;
-      0
-    with Sys_error msg ->
-      Format.eprintf "repro: %s@." msg;
-      1
+    save_status (fun () ->
+        f ();
+        Format.eprintf "%s@." done_msg)
   in
   match tel with
   | None -> 0
@@ -198,7 +223,7 @@ let list_workloads () =
 
 (* --- the simulated cache ------------------------------------------------ *)
 
-(* What `repro run', `replay' and `stats' simulate: a --hier preset, or
+(* What `repro run' and `replay' simulate: a --hier preset, or
    the --cache/--block/--policy geometry as a one-level direct-mapped
    hierarchy (a grid cell, as Golden.Fixture builds it). *)
 let build_hier hier (cache_bytes, block_bytes) policy =
@@ -233,11 +258,30 @@ let miss_ratio (s : Memsim.Cache.stats) =
     (float_of_int s.Memsim.Cache.misses
      /. float_of_int (max 1 s.Memsim.Cache.refs))
 
+(* The tail `repro run WORKLOAD' and `repro replay' share: the
+   simulated cache into the telemetry document (every level of a
+   --hier preset, or the one cache of the --cache/--block geometry),
+   then the document written to --metrics and --trace-events. *)
+let finish_telemetry tel hier h (cache_bytes, block_bytes) ~metrics
+    ~trace_events =
+  Option.iter
+    (fun t ->
+      match hier with
+      | Some cpu ->
+        Core.Telemetry.record_hier t h;
+        Core.Telemetry.set_meta t "hier"
+          (Obs.Json.Str (Memsim.Hier.cpu_label cpu))
+      | None ->
+        Core.Telemetry.record_cache t (Memsim.Hier.level_stats h 0);
+        Core.Telemetry.set_meta t "cache_bytes" (Obs.Json.Int cache_bytes);
+        Core.Telemetry.set_meta t "block_bytes" (Obs.Json.Int block_bytes))
+    tel;
+  write_telemetry tel ~metrics ~trace_events
+
 (* A workload recorded, then replayed into the simulated cache: the
    run's vital statistics and overheads, plus the per-level table for
    a hierarchy preset. *)
-let run_workload w hier ((cache_bytes, block_bytes) as geometry) policy gc
-    scale metrics trace_events =
+let run_workload w hier geometry policy gc scale metrics trace_events =
   let tel =
     if metrics <> None || trace_events <> None then
       Some (Core.Telemetry.create ())
@@ -279,13 +323,7 @@ let run_workload w hier ((cache_bytes, block_bytes) as geometry) policy gc
           Printf.sprintf "%s (%s)" (Memsim.Hier.cpu_label cpu)
             (Memsim.Hier.cpu_title cpu) ]
         :: run_rows);
-     hier_report h;
-     Option.iter
-       (fun t ->
-         Core.Telemetry.record_hier t h;
-         Core.Telemetry.set_meta t "hier"
-           (Obs.Json.Str (Memsim.Hier.cpu_label cpu)))
-       tel
+     hier_report h
    | None ->
      table
        (run_rows
@@ -301,26 +339,24 @@ let run_workload w hier ((cache_bytes, block_bytes) as geometry) policy gc
             [ "alloc misses"; Core.Report.eng s.Memsim.Cache.alloc_misses ];
             [ "fetches"; Core.Report.eng s.Memsim.Cache.fetches ];
             [ "miss ratio"; miss_ratio s ]
-          ]);
-     Option.iter
-       (fun t ->
-         Core.Telemetry.record_cache t s;
-         Core.Telemetry.set_meta t "cache_bytes" (Obs.Json.Int cache_bytes);
-         Core.Telemetry.set_meta t "block_bytes" (Obs.Json.Int block_bytes))
-       tel);
-  write_telemetry tel ~metrics ~trace_events
+          ]));
+  finish_telemetry tel hier h geometry ~metrics ~trace_events
 
-(* [--jobs N] under the rule REPRO_JOBS follows (Units.parse_count):
-   a bad count exits 1 naming the flag and the value, before [k] runs
-   anything. *)
-let with_jobs jobs k =
-  match Option.map Core.Units.parse_count jobs with
-  | None -> k ()
-  | Some (Ok n) ->
-    Core.Runner.set_jobs n;
-    k ()
-  | Some (Error msg) ->
-    Format.eprintf "repro: --jobs: %s@." msg;
+(* The commands that run workloads (run, record, profile): [--jobs N]
+   and [--scale N] under the count rule, then [k scale], with a
+   workload's own failure (the heap exhausted, a runtime error in the
+   program) reported as a `repro:' message and exit 1. *)
+let with_workloads jobs scale k =
+  with_count "--jobs" jobs @@ fun n ->
+  with_count "--scale" scale @@ fun scale ->
+  Option.iter Core.Runner.set_jobs n;
+  match k scale with
+  | rc -> rc
+  | exception Vscheme.Heap.Out_of_memory msg ->
+    Format.eprintf "repro: out of memory: %s@." msg;
+    1
+  | exception Vscheme.Heap.Runtime_error msg ->
+    Format.eprintf "repro: runtime error: %s@." msg;
     1
 
 (* [repro run] targets are experiment ids or workload names (none: every
@@ -333,7 +369,7 @@ let with_jobs jobs k =
    recording at a time and claims its caches across --jobs domains. *)
 let run_targets targets hier geometry policy gc scale metrics trace_events
     jobs =
-  with_jobs jobs @@ fun () ->
+  with_workloads jobs scale @@ fun scale ->
   let classified =
     if targets = [] then
       List.map (fun e -> `Experiment e) Core.Experiments.all
@@ -419,19 +455,8 @@ let record_report format out_path w (r, recording) =
     (float_of_int bytes
      /. float_of_int (max 1 (Memsim.Recording.length recording)))
 
-(* Run [f], which saves files, and return the exit status: 0, or 1
-   after reporting a save that failed as "repro: <why>".  The atomic
-   writer has then removed its temporary and left any earlier file at
-   the path as it was. *)
-let save_status f =
-  match f () with
-  | () -> 0
-  | exception Sys_error msg ->
-    Format.eprintf "repro: %s@." msg;
-    1
-
 let record names out_path scale format gc heap_bytes attr_out jobs =
-  with_jobs jobs @@ fun () ->
+  with_workloads jobs scale @@ fun scale ->
   let resolved = List.map (fun n -> (n, Workloads.Workload.find n)) names in
   match List.find_opt (fun (_, w) -> w = None) resolved with
   | Some (name, _) ->
@@ -499,7 +524,14 @@ let record names out_path scale format gc heap_bytes attr_out jobs =
                 ~jobs:(min (Core.Runner.jobs ()) n)
                 n record_one))
 
-let replay path hier geometry policy checkpoint checkpoint_every =
+(* Replay a saved trace into the simulated cache and print its table.
+   The telemetry document rebuilds collector activity from the trace's
+   phase bits as gc.collection spans, with pause-size percentiles (p50/
+   p90/p99 of collector refs per collection) on the gc.pause_refs
+   histogram. *)
+let replay path hier geometry policy checkpoint checkpoint_every metrics
+    trace_events =
+  with_count "--checkpoint-every" checkpoint_every @@ fun checkpoint_every ->
   match Memsim.Recording.load path with
   | exception Sys_error msg | exception Failure msg ->
     Format.eprintf "replay: %s@." msg;
@@ -530,60 +562,35 @@ let replay path hier geometry policy checkpoint checkpoint_every =
                [ "fetches"; Core.Report.eng s.Memsim.Cache.fetches ];
                [ "miss ratio"; miss_ratio s ]
              ]);
-      0)
-
-(* Replay a saved trace and dump the telemetry document: per-phase
-   cache counters as metrics, collector activity reconstructed from
-   the trace's phase bits as gc.collection spans. *)
-let stats_of_trace path ((cache_bytes, block_bytes) as geometry) policy metrics
-    trace_events =
-  match Memsim.Recording.load path with
-  | exception Sys_error msg | exception Failure msg ->
-    Format.eprintf "stats: %s@." msg;
-    1
-  | recording ->
-    let h = build_hier None geometry policy in
-    replay_into h recording;
-    let t =
-      Core.Telemetry.create
-        ~timeline:(Core.Telemetry.of_recording recording) ()
-    in
-    (* Pause-size percentiles (p50/p90/p99 of collector refs per
-       collection) ride the gc.pause_refs histogram. *)
-    Core.Telemetry.observe_gc_pauses t;
-    Core.Telemetry.set_meta t "trace" (Obs.Json.Str path);
-    Core.Telemetry.set_meta t "trace_events"
-      (Obs.Json.Int (Memsim.Recording.length recording));
-    Core.Telemetry.set_meta t "cache_bytes" (Obs.Json.Int cache_bytes);
-    Core.Telemetry.set_meta t "block_bytes" (Obs.Json.Int block_bytes);
-    Core.Telemetry.record_cache t (Memsim.Hier.level_stats h 0);
-    (match metrics with
-     | None ->
-       print_string (Obs.Json.to_pretty_string (Core.Telemetry.to_json t));
-       print_newline ()
-     | Some _ -> ());
-    write_telemetry (Some t) ~metrics ~trace_events
+      let tel =
+        if metrics = None && trace_events = None then None
+        else begin
+          let t =
+            Core.Telemetry.create
+              ~timeline:(Core.Telemetry.of_recording recording) ()
+          in
+          Core.Telemetry.observe_gc_pauses t;
+          Core.Telemetry.set_meta t "trace" (Obs.Json.Str path);
+          Core.Telemetry.set_meta t "trace_events"
+            (Obs.Json.Int (Memsim.Recording.length recording));
+          Some t
+        end
+      in
+      finish_telemetry tel hier h geometry ~metrics ~trace_events)
 
 (* --- check: static trace / telemetry-document verification --------------- *)
 
 (* Geometry mirrors what Runner.record builds for these flags, so a trace
    from `repro record` verifies with the same defaults it was recorded
    under (48 MB dynamic area scaled by REPRO_SCALE, Machine's static
-   and stack reservations). *)
-let check_geometry gc heap_bytes static_bytes stack_bytes =
+   and stack reservations, which no producer changes). *)
+let check_geometry gc heap_bytes =
   let heap_bytes =
     match heap_bytes with
     | Some b -> b
     | None -> 48 * 1024 * 1024 * Core.Runner.scale_factor ()
   in
-  let cfg =
-    { Vscheme.Machine.default_config with
-      gc;
-      heap_bytes;
-      static_bytes;
-      stack_bytes
-    }
-  in
+  let cfg = { Vscheme.Machine.default_config with gc; heap_bytes } in
   { Check.Stream_check.static_base = 0;
     stack_base = Vscheme.Machine.stack_base_bytes cfg;
     dynamic_base = Vscheme.Machine.dynamic_base_bytes cfg;
@@ -631,7 +638,7 @@ let spool_hash_findings dir =
             ])
     entries
 
-let check_files files gc heap_bytes static_bytes stack_bytes raw json_out =
+let check_files files gc heap_bytes raw json_out =
   if files = [] then begin
     Format.eprintf "check: no files given (traces and/or telemetry .json)@.";
     1
@@ -643,7 +650,7 @@ let check_files files gc heap_bytes static_bytes stack_bytes raw json_out =
     in
     let geometry =
       if raw then None
-      else Some (check_geometry gc heap_bytes static_bytes stack_bytes)
+      else Some (check_geometry gc heap_bytes)
     in
     (* Every directory is checked as a serve spool, so one without a
        journal.jsonl gets a finding that says so rather than an I/O
@@ -721,16 +728,10 @@ let check_files files gc heap_bytes static_bytes stack_bytes raw json_out =
     in
     Check.Report.print ppf reports;
     let rc_json =
-      match json_out with
-      | None -> 0
-      | Some path ->
-        let rc =
-          write_out path
-            (Obs.Json.to_pretty_string (Check.Report.to_json reports) ^ "\n")
-        in
-        if rc = 0 && path <> "-" then
-          Format.fprintf ppf "wrote findings to %s@." path;
-        rc
+      write_opt ppf json_out
+        (fun () ->
+          Obs.Json.to_pretty_string (Check.Report.to_json reports) ^ "\n")
+        ~confirm:(Printf.sprintf "wrote findings to %s")
     in
     max rc_json (if List.for_all Check.Report.passed reports then 0 else 1)
   end
@@ -819,115 +820,88 @@ let render_profile ppf (p : Obs.Profile.t) ~heatmap =
   end
 
 let profile_target name trace attr_path (cache_bytes, block_bytes) policy gc
-    heap_bytes scale sample_every heat_rows heat_cols json_out folded_out
-    trace_events no_heatmap jobs =
-  with_jobs jobs @@ fun () ->
-  if sample_every < 1 then begin
-    Format.eprintf "profile: --sample must be at least 1@.";
+    heap_bytes scale sample_every json_out folded_out trace_events no_heatmap
+    jobs =
+  with_workloads jobs scale @@ fun scale ->
+  with_count "--sample" sample_every @@ fun sample_every ->
+  let source =
+    match (name, trace, attr_path) with
+    | Some n, None, None -> (
+      match Workloads.Workload.find n with
+      | None ->
+        Error (Printf.sprintf "unknown workload %S (try `repro workloads')" n)
+      | Some w -> Ok (`Run w))
+    | None, Some tr, Some at -> Ok (`Saved (tr, at))
+    | None, Some _, None ->
+      Error "profile: --trace needs --attr (the sidecar from `repro record \
+             --attr')"
+    | _ -> Error "profile: give either WORKLOAD or --trace FILE --attr FILE"
+  in
+  let loaded =
+    Result.bind source (function
+      | `Run w ->
+        let _, recording, table, addr_limit =
+          Core.Profile.capture ~gc ?heap_bytes ?scale w
+        in
+        Ok (w.Workloads.Workload.name, recording, table, addr_limit)
+      | `Saved (tr, at) -> (
+        match (Memsim.Recording.load tr, Memsim.Attr.load at) with
+        | recording, table ->
+          Ok (Filename.remove_extension (Filename.basename tr), recording,
+              table, addr_limit_of_table table)
+        | exception Sys_error msg | exception Failure msg ->
+          Error ("profile: " ^ msg)))
+  in
+  match loaded with
+  | Error msg ->
+    Format.eprintf "%s@." msg;
     1
-  end
-  else begin
-    let source =
-      match (name, trace, attr_path) with
-      | Some n, None, None -> (
-        match Workloads.Workload.find n with
-        | None ->
-          Error (Printf.sprintf "unknown workload %S (try `repro workloads')" n)
-        | Some w -> Ok (`Run w))
-      | None, Some tr, Some at -> Ok (`Saved (tr, at))
-      | None, Some _, None ->
-        Error "profile: --trace needs --attr (the sidecar from `repro record \
-               --attr')"
-      | _ ->
-        Error "profile: give either WORKLOAD or --trace FILE --attr FILE"
+  | Ok (workload, recording, table, addr_limit) ->
+    let caches =
+      [ Memsim.Level.config ~write_miss_policy:policy ~size_bytes:cache_bytes
+          ~block_bytes ~ways:1 ()
+      ]
     in
-    match source with
-    | Error msg ->
-      Format.eprintf "%s@." msg;
-      1
-    | Ok source ->
-      let loaded =
-        match source with
-        | `Run w -> (
-          match Core.Profile.capture ~gc ?heap_bytes ?scale w with
-          | r, recording, table, addr_limit ->
-            Ok (w.Workloads.Workload.name, recording, table, addr_limit,
-                Some r)
-          | exception Vscheme.Heap.Out_of_memory msg ->
-            Error ("out of memory: " ^ msg))
-        | `Saved (tr, at) -> (
-          match (Memsim.Recording.load tr, Memsim.Attr.load at) with
-          | recording, table ->
-            Ok (Filename.remove_extension (Filename.basename tr), recording,
-                table, addr_limit_of_table table, None)
-          | exception Sys_error msg | exception Failure msg ->
-            Error ("profile: " ^ msg))
-      in
-      match loaded with
-      | Error msg ->
-        Format.eprintf "%s@." msg;
-        1
-      | Ok (workload, recording, table, addr_limit, _run) ->
-        let caches =
-          [ Memsim.Level.config ~write_miss_policy:policy
-              ~size_bytes:cache_bytes ~block_bytes ~ways:1 ()
-          ]
-        in
-        let p =
-          match
-            Core.Profile.profile_recording ~sample_every ?heat_rows ?heat_cols
-              ~workload ~addr_limit ~caches table recording
-          with
-          | [ p ] -> p
-          | profiles ->
-            Printf.ksprintf failwith
-              "profile: expected one profile for one cache, got %d"
-              (List.length profiles)
-        in
-        render_profile ppf p ~heatmap:(not no_heatmap);
-        let rc_json =
-          match json_out with
-          | None -> 0
-          | Some path ->
-            let rc =
-              write_out path
-                (Obs.Json.to_pretty_string (Obs.Profile.to_json p) ^ "\n")
-            in
-            if rc = 0 && path <> "-" then
-              Format.fprintf ppf "wrote profile to %s@." path;
-            rc
-        in
-        let rc_folded =
-          match folded_out with
-          | None -> 0
-          | Some path ->
-            let rc = write_out path (Obs.Profile.collapsed_stacks p) in
-            if rc = 0 && path <> "-" then
-              Format.fprintf ppf
-                "wrote collapsed stacks to %s (feed to flamegraph.pl)@." path;
-            rc
-        in
-        let rc_trace =
-          match trace_events with
-          | None -> 0
-          | Some path ->
-            (* Reconstructed GC spans plus per-region miss counter
-               tracks, aligned on trace-event indices. *)
-            let tl = Core.Telemetry.of_recording recording in
-            Obs.Profile.overlay p tl;
-            (try
-               Obs.Events.write_chrome_trace tl path;
-               Format.fprintf ppf
-                 "wrote trace events with miss overlays to %s (load in \
-                  Perfetto)@."
-                 path;
-               0
-             with Sys_error msg ->
-               Format.eprintf "repro: %s@." msg;
-               1)
-        in
-        max rc_json (max rc_folded rc_trace)
-  end
+    let p =
+      match
+        Core.Profile.profile_recording ?sample_every ~workload ~addr_limit
+          ~caches table recording
+      with
+      | [ p ] -> p
+      | profiles ->
+        Printf.ksprintf failwith
+          "profile: expected one profile for one cache, got %d"
+          (List.length profiles)
+    in
+    render_profile ppf p ~heatmap:(not no_heatmap);
+    let rc_json =
+      write_opt ppf json_out
+        (fun () -> Obs.Json.to_pretty_string (Obs.Profile.to_json p) ^ "\n")
+        ~confirm:(Printf.sprintf "wrote profile to %s")
+    in
+    let rc_folded =
+      write_opt ppf folded_out
+        (fun () -> Obs.Profile.collapsed_stacks p)
+        ~confirm:
+          (Printf.sprintf
+             "wrote collapsed stacks to %s (feed to flamegraph.pl)")
+    in
+    let rc_trace =
+      match trace_events with
+      | None -> 0
+      | Some path ->
+        (* Reconstructed GC spans plus per-region miss counter tracks,
+           aligned on trace-event indices. *)
+        let tl = Core.Telemetry.of_recording recording in
+        Obs.Profile.overlay p tl;
+        save_status (fun () ->
+            Obs.Events.write_chrome_trace tl path;
+            Format.fprintf ppf
+              "wrote trace events with miss overlays to %s (load in \
+               Perfetto)@."
+              path)
+    in
+    max rc_json (max rc_folded rc_trace)
 
 (* --- Command definitions ------------------------------------------------ *)
 
@@ -984,7 +958,22 @@ let gc_arg =
        & info [ "gc" ] ~docv:"GC" ~doc:"Collector: none, cheney:SIZE, gen:NURSERY:OLD, marksweep:NURSERY:OLD")
 
 let scale_arg =
-  Arg.(value & opt (some int) None & info [ "scale" ] ~docv:"N" ~doc:"Workload scale")
+  Arg.(value & opt (some string) None
+       & info [ "scale" ] ~docv:"N"
+           ~doc:"Workload scale (a positive integer; default each \
+                 workload's own times \\$(b,REPRO_SCALE))")
+
+let heap_arg =
+  Arg.(value & opt (some size_conv) None
+       & info [ "heap" ] ~docv:"SIZE"
+           ~doc:"Dynamic-area capacity the workload runs under, or for \
+                 `repro check' the one the trace was recorded under \
+                 (default 48M times \\$(b,REPRO_SCALE))")
+
+let json_arg =
+  Arg.(value & opt (some string) None
+       & info [ "json" ] ~docv:"FILE"
+           ~doc:"Write machine-readable findings to $(docv) (`-' for stdout)")
 
 let metrics_arg =
   Arg.(value & opt (some string) None
@@ -1034,10 +1023,6 @@ let scheme_cmd =
   let expr =
     Arg.(value & opt (some string) None & info [ "e"; "expr" ] ~docv:"EXPR" ~doc:"Evaluate $(docv) instead of a file")
   in
-  let gc =
-    Arg.(value & opt gc_conv Vscheme.Machine.No_gc
-         & info [ "gc" ] ~docv:"GC" ~doc:"Collector: none, cheney:SIZE, gen:NURSERY:OLD")
-  in
   let heap =
     Arg.(value & opt size_conv (64 * 1024 * 1024)
          & info [ "heap" ] ~docv:"SIZE" ~doc:"Dynamic-area capacity for --gc none")
@@ -1047,7 +1032,7 @@ let scheme_cmd =
   in
   Cmd.v
     (Cmd.info "scheme" ~doc:"Run a Scheme program on the vscheme machine")
-    Term.(const run_scheme $ file $ expr $ gc $ heap $ stats)
+    Term.(const run_scheme $ file $ expr $ gc_arg $ heap $ stats)
 
 let workloads_cmd =
   Cmd.v (Cmd.info "workloads" ~doc:"List the five test-program workloads")
@@ -1064,9 +1049,6 @@ let record_cmd =
   let out =
     Arg.(value & opt string "trace.bin" & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output trace file")
   in
-  let scale =
-    Arg.(value & opt (some int) None & info [ "scale" ] ~docv:"N" ~doc:"Workload scale")
-  in
   let format =
     let format_conv =
       Arg.enum
@@ -1078,13 +1060,7 @@ let record_cmd =
          & info [ "format" ] ~docv:"FMT"
              ~doc:"On-disk format: v2 (delta+varint, default) or v3 \
                    (mmap-native fixed 8 bytes/event, zero-copy load); \
-                   `repro replay' and `repro stats' load both")
-  in
-  let heap =
-    Arg.(value & opt (some size_conv) None
-         & info [ "heap" ] ~docv:"SIZE"
-             ~doc:"Dynamic-area capacity (default 48M times \
-                   \\$(b,REPRO_SCALE))")
+                   `repro replay' loads both")
   in
   let attr =
     Arg.(value & opt (some string) None
@@ -1098,8 +1074,8 @@ let record_cmd =
     (Cmd.info "record"
        ~doc:"Record workload reference traces to files (several workloads \
              shard across --jobs domains)")
-    Term.(const record $ workload_arg $ out $ scale $ format $ gc_arg $ heap
-          $ attr $ jobs_arg)
+    Term.(const record $ workload_arg $ out $ scale_arg $ format $ gc_arg
+          $ heap_arg $ attr $ jobs_arg)
 
 let replay_cmd =
   let path =
@@ -1114,28 +1090,19 @@ let replay_cmd =
                    bit-identically instead of starting over")
   in
   let checkpoint_every =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some string) None
          & info [ "checkpoint-every" ] ~docv:"EVENTS"
-             ~doc:"Events between checkpoints (default 4194304)")
+             ~doc:"Events between checkpoints (a positive integer; default \
+                   4194304)")
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Replay a recorded trace through a cache configuration, \
-             optionally checkpoint/resumable")
+             optionally checkpoint/resumable; --metrics writes its \
+             telemetry document (per-phase cache counters plus GC spans \
+             reconstructed from the trace's phase bits)")
     Term.(const replay $ path $ hier_arg $ geometry_arg $ policy_arg
-          $ checkpoint $ checkpoint_every)
-
-let stats_cmd =
-  let path =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Trace file from `repro record'")
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:"Replay a recorded trace and dump a telemetry document: \
-             per-phase cache counters plus GC spans reconstructed from the \
-             trace's phase bits (stdout, or --metrics FILE)")
-    Term.(const stats_of_trace $ path $ geometry_arg $ policy_arg
-          $ metrics_arg $ trace_events_arg)
+          $ checkpoint $ checkpoint_every $ metrics_arg $ trace_events_arg)
 
 let check_cmd =
   let files =
@@ -1144,21 +1111,6 @@ let check_cmd =
              ~doc:"Trace recordings from `repro record' and/or telemetry \
                    documents (*.json) from --metrics")
   in
-  let heap =
-    Arg.(value & opt (some size_conv) None
-         & info [ "heap" ] ~docv:"SIZE"
-             ~doc:"Dynamic-area capacity the trace was recorded under \
-                   (default 48M times \\$(b,REPRO_SCALE), matching `repro \
-                   record')")
-  in
-  let static =
-    Arg.(value & opt size_conv Vscheme.Machine.default_config.Vscheme.Machine.static_bytes
-         & info [ "static" ] ~docv:"SIZE" ~doc:"Static-area reservation")
-  in
-  let stack =
-    Arg.(value & opt size_conv Vscheme.Machine.default_config.Vscheme.Machine.stack_bytes
-         & info [ "stack" ] ~docv:"SIZE" ~doc:"Stack-area reservation")
-  in
   let raw =
     Arg.(value & flag
          & info [ "raw" ]
@@ -1166,12 +1118,6 @@ let check_cmd =
                    allocation monotonicity, semispace discipline); only \
                    file well-formedness, alignment and phase structure are \
                    checked")
-  in
-  let json_out =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write machine-readable findings to $(docv) (`-' for \
-                   stdout)")
   in
   Cmd.v
     (Cmd.info "check"
@@ -1182,8 +1128,7 @@ let check_cmd =
              span-nesting of telemetry events.  With one trace and one \
              document, the document's run.* counters are cross-checked \
              against the stream.  Exits 1 on any error finding")
-    Term.(const check_files $ files $ gc_arg $ heap $ static $ stack $ raw
-          $ json_out)
+    Term.(const check_files $ files $ gc_arg $ heap_arg $ raw $ json_arg)
 
 let profile_cmd =
   let workload =
@@ -1203,29 +1148,14 @@ let profile_cmd =
          & info [ "attr" ] ~docv:"FILE"
              ~doc:"Attribution sidecar from `repro record --attr'")
   in
-  let heap =
-    Arg.(value & opt (some size_conv) None
-         & info [ "heap" ] ~docv:"SIZE"
-             ~doc:"Dynamic-area capacity (default 48M times \
-                   \\$(b,REPRO_SCALE))")
-  in
   let sample =
-    Arg.(value & opt int 1
+    Arg.(value & opt (some string) None
          & info [ "sample" ] ~docv:"N"
-             ~doc:"Attribute only every $(docv)th chunk of the trace; the \
+             ~doc:"Attribute only every $(docv)th chunk of the trace (a \
+                   positive integer; default 1); the \
                    rest replay through the plain fast path, so aggregate \
                    cache statistics stay exact while attribution overhead \
                    drops")
-  in
-  let heat_rows =
-    Arg.(value & opt (some int) None
-         & info [ "heat-rows" ] ~docv:"N"
-             ~doc:"Address buckets in the miss map (default 32)")
-  in
-  let heat_cols =
-    Arg.(value & opt (some int) None
-         & info [ "heat-cols" ] ~docv:"N"
-             ~doc:"Time buckets in the miss map (default 64)")
   in
   let json =
     Arg.(value & opt (some string) None
@@ -1253,9 +1183,8 @@ let profile_cmd =
              and top-site tables plus an ASCII miss map; exports JSON, \
              flamegraph folds and Chrome-trace miss overlays")
     Term.(const profile_target $ workload $ trace $ attr $ geometry_arg
-          $ policy_arg $ gc_arg $ heap $ scale_arg $ sample
-          $ heat_rows $ heat_cols $ json $ folded $ trace_events_arg
-          $ no_heatmap $ jobs_arg)
+          $ policy_arg $ gc_arg $ heap_arg $ scale_arg $ sample $ json
+          $ folded $ trace_events_arg $ no_heatmap $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* golden                                                             *)
@@ -1312,12 +1241,6 @@ let golden_cmd =
                      $(docv) (`-' for stdout); suitable for \
                      \\$(b,GITHUB_STEP_SUMMARY)")
     in
-    let json =
-      Arg.(value & opt (some string) None
-           & info [ "json" ] ~docv:"FILE"
-               ~doc:"Write machine-readable findings to $(docv) (`-' for \
-                     stdout)")
-    in
     Cmd.v
       (Cmd.info "verify"
          ~doc:"Re-measure every run in the committed manifest and compare \
@@ -1325,7 +1248,7 @@ let golden_cmd =
                bit-for-bit, derived ratios within a 1e-9 relative band.  \
                Exits 1 on any mismatch, with findings locating the run, \
                geometry and field")
-      Term.(const golden_verify $ golden_dir_arg $ summary $ json)
+      Term.(const golden_verify $ golden_dir_arg $ summary $ json_arg)
   in
   Cmd.group
     (Cmd.info "golden"
@@ -1351,6 +1274,11 @@ let spool_arg =
                  ./serve-spool)")
 
 let serve_daemon socket dir workers checkpoint_every =
+  with_count "--workers" workers @@ fun workers ->
+  with_count "--checkpoint-every" checkpoint_every @@ fun checkpoint_every ->
+  let workers =
+    Option.value workers ~default:Serve.Sched.default_config.Serve.Sched.workers
+  in
   let config = { Serve.Sched.default_config with workers; checkpoint_every } in
   let sched = Serve.Sched.create ~config dir in
   let server = Serve.Server.create ~socket sched in
@@ -1370,14 +1298,15 @@ let serve_daemon socket dir workers checkpoint_every =
 
 let serve_cmd =
   let workers =
-    Arg.(value & opt int 2
-         & info [ "workers" ] ~docv:"N" ~doc:"Worker domains in the pool")
+    Arg.(value & opt (some string) None
+         & info [ "workers" ] ~docv:"N"
+             ~doc:"Worker domains in the pool (a positive integer; default 2)")
   in
   let checkpoint_every =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some string) None
          & info [ "checkpoint-every" ] ~docv:"EVENTS"
-             ~doc:"Replay events between sweep checkpoints (default: the \
-                   sweep's own cadence)")
+             ~doc:"Replay events between sweep checkpoints (a positive \
+                   integer; default: the sweep's own cadence)")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1550,6 +1479,8 @@ let synthetic_run_text v =
   Sexp.Datum.to_string (Golden.Manifest.run_to_datum run)
 
 let client_load socket n distinct wait =
+  with_count "--count" n @@ fun n ->
+  let n = Option.value n ~default:100 in
   if distinct < 1 || distinct > 144 then begin
     Printf.eprintf "repro client load: --distinct must be in [1, 144]\n";
     1
@@ -1711,8 +1642,9 @@ let client_cmd =
   in
   let load =
     let n =
-      Arg.(value & opt int 100
-           & info [ "n"; "count" ] ~docv:"N" ~doc:"Total submissions")
+      Arg.(value & opt (some string) None
+           & info [ "n"; "count" ] ~docv:"N"
+               ~doc:"Total submissions (a positive integer; default 100)")
     in
     let distinct =
       Arg.(value & opt int 20
@@ -1753,7 +1685,7 @@ let main =
        ~doc:"Cache Performance of Garbage-Collected Programs (PLDI 1994), \
              reproduced")
     [ experiments_cmd; run_cmd; scheme_cmd; workloads_cmd; record_cmd;
-      replay_cmd; stats_cmd; profile_cmd; check_cmd; golden_cmd;
+      replay_cmd; profile_cmd; check_cmd; golden_cmd;
       serve_cmd; client_cmd ]
 
 (* REPRO_SCALE and REPRO_JOBS are read lazily, deep inside commands:

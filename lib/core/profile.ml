@@ -65,13 +65,13 @@ let cook ~workload ~cache ~events table (p : Memsim.Attr.profile) =
     region_time = Array.copy p.Memsim.Attr.region_time
   }
 
-let profile_recording ?jobs ?sample_every ?heat_rows ?heat_cols ~workload
-    ~addr_limit ~caches table recording =
+let profile_recording ?jobs ?sample_every ~workload ~addr_limit ~caches table
+    recording =
   let jobs = match jobs with Some j -> j | None -> Runner.jobs () in
   let sweep = Memsim.Sweep.create caches in
   let profiles =
-    Memsim.Sweep.run_attributed ~jobs ?sample_every ?heat_rows ?heat_cols
-      ~addr_limit sweep table recording
+    Memsim.Sweep.run_attributed ~jobs ?sample_every ~addr_limit sweep table
+      recording
   in
   let events = Memsim.Recording.length recording in
   List.mapi

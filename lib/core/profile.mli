@@ -32,8 +32,6 @@ val cook :
 val profile_recording :
   ?jobs:int ->
   ?sample_every:int ->
-  ?heat_rows:int ->
-  ?heat_cols:int ->
   workload:string ->
   addr_limit:int ->
   caches:Memsim.Level.config list ->
@@ -42,5 +40,5 @@ val profile_recording :
   Obs.Profile.t list
 (** Attributed replay of a quiescent recording through one cache per
     configuration, cooked per cache in order.  [jobs] defaults to
-    {!Runner.jobs}[ ()]; sampling and grid parameters as
+    {!Runner.jobs}[ ()]; sampling and the heat grid as
     {!Memsim.Sweep.run_attributed}. *)

@@ -38,11 +38,9 @@ val record_runner : t -> unit
 (** Publish {!Runner.counters}: the process's VM runs, trace-memo
     reuses and kept-trace evictions so far. *)
 
-val to_json : t -> Obs.Json.t
-(** [{ "meta": {...}, "metrics": {...}, "events": [...] }]. *)
-
 val write_metrics : t -> string -> unit
-(** Pretty-printed {!to_json} to a file. *)
+(** The document, pretty-printed to a file:
+    [{ "meta": {...}, "metrics": {...}, "events": [...] }]. *)
 
 val write_chrome_trace : t -> string -> unit
 (** The timeline in Chrome trace-event format (chrome://tracing,

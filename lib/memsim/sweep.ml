@@ -255,8 +255,8 @@ let hier_run_serial hiers recording = hier_run_parallel ~jobs:1 hiers recording
    a private cursor, so the only state shared between domains is
    read-only (the recording's sealed slabs and the completed side
    table) or partitioned by level index (the profile array). *)
-let run_attributed ?(jobs = 1) ?(sample_every = 1) ?heat_rows ?heat_cols
-    ~addr_limit t table recording =
+let run_attributed ?(jobs = 1) ?(sample_every = 1) ~addr_limit t table
+    recording =
   if sample_every < 1 then
     invalid_arg "Sweep.run_attributed: sample_every must be >= 1";
   let events = Recording.length recording in
@@ -264,8 +264,7 @@ let run_attributed ?(jobs = 1) ?(sample_every = 1) ?heat_rows ?heat_cols
   let profiles =
     Array.map
       (fun _ ->
-        Attr.profile_create ?heat_rows ?heat_cols ~sample_every ~num_sites
-          ~addr_limit ~events ())
+        Attr.profile_create ~sample_every ~num_sites ~addr_limit ~events ())
       t.levels
   in
   let n = Array.length t.levels in

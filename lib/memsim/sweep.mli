@@ -78,8 +78,6 @@ val parallel_for : jobs:int -> int -> (int -> unit) -> unit
 val run_attributed :
   ?jobs:int ->
   ?sample_every:int ->
-  ?heat_rows:int ->
-  ?heat_cols:int ->
   addr_limit:int ->
   t ->
   Attr.table ->
@@ -97,7 +95,7 @@ val run_attributed :
     [sample_every] attributes only every Nth chunk (the rest replay
     through the plain fast path, so aggregate statistics are still
     exact); [addr_limit] is the simulated memory size in bytes, used
-    to scale the heat grid.
+    to scale the heat grid ({!Attr.profile_create}'s default 32x64).
     @raise Invalid_argument as {!Level.access_chunk_attr} (every cell
     must be direct-mapped), or when [sample_every < 1]. *)
 

@@ -4,7 +4,8 @@
 
     Emission covers the full type; parsing accepts anything [to_string]
     produces (and ordinary interchange JSON), which is all the
-    round-trip tests and the [repro stats] loader need. *)
+    round-trip tests, [repro check] and the serve protocol and journal
+    need. *)
 
 type t =
   | Null

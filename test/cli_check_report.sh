@@ -5,7 +5,10 @@
 # Cheney trace of lred with its attribution sidecar, a replay
 # checkpoint, a `run T2 --metrics` telemetry document, a one-line
 # hand-made serve spool, a truncated trace and a directory that is not
-# a spool.
+# a spool.  A no-collector trace recorded under a 2m dynamic area
+# pins the geometry flags: --heap 1m rejects its addresses, the
+# matching --heap 2m and --raw (which skips the address rules) accept
+# them.
 # Usage: cli_check_report.sh REPRO_EXE
 repro=$1
 case $repro in /*) ;; *) repro=$PWD/$repro ;; esac
@@ -17,6 +20,7 @@ cd "$dir" || exit 1
   > /dev/null || exit 1
 "$repro" record lred --scale 1 --gc cheney:1m --format v3 -o v3.trace \
   > /dev/null || exit 1
+"$repro" record lred --scale 1 --heap 2m -o nogc.trace > /dev/null || exit 1
 "$repro" replay v2.trace --cache 32k --checkpoint grid.ckpt \
   --checkpoint-every 1000000 > /dev/null || exit 1
 "$repro" run T2 --metrics t2.json > /dev/null || exit 1
@@ -52,6 +56,9 @@ check() {
     grid.ckpt spool cut.trace
   check --json findings.json v2.trace
   cat findings.json
+  check --heap 1m nogc.trace
+  check --heap 2m nogc.trace
+  check --heap 1m --raw nogc.trace
 } > actual
 
 cat > expected <<'EOF'
@@ -205,6 +212,23 @@ wrote findings to findings.json
     }
   ]
 }
+== check --heap 1m nogc.trace
+rc=1
+nogc.trace: error: [stream.address-range] event 7245587: address 0x340000 is beyond the dynamic limit 0x340000
+nogc.trace: error: [stream.address-range] event 7245589: address 0x340004 is beyond the dynamic limit 0x340000
+nogc.trace: error: [stream.address-range] event 7245590: address 0x340008 is beyond the dynamic limit 0x340000
+nogc.trace: error: [stream.address-range] event 7245591: address 0x34000c is beyond the dynamic limit 0x340000
+nogc.trace: error: [stream.address-range] event 7245593: address 0x340010 is beyond the dynamic limit 0x340000
+nogc.trace: error: [stream.address-range] event 7245594: address 0x340014 is beyond the dynamic limit 0x340000
+nogc.trace: error: [stream.address-range] event 7245595: address 0x340018 is beyond the dynamic limit 0x340000
+nogc.trace: error: [stream.address-range] event 7245619: address 0x34001c is beyond the dynamic limit 0x340000
+nogc.trace: warning: [stream.address-range] 114285 further stream.address-range finding(s) suppressed
+== check --heap 2m nogc.trace
+rc=0
+nogc.trace: ok: v2, 8875952 events (8875952 mutator / 0 collector, 0 collection runs)
+== check --heap 1m --raw nogc.trace
+rc=0
+nogc.trace: ok: v2, 8875952 events (8875952 mutator / 0 collector, 0 collection runs)
 EOF
 
 if ! diff -u expected actual >&2; then

@@ -4,7 +4,10 @@
 # temporary file behind.  Four saves that cannot succeed: the trace
 # into a missing directory (one workload, then two), the attribution
 # sidecar into a missing directory, and the trace onto a non-empty
-# directory, which the atomic writer's rename cannot replace.
+# directory, which the atomic writer's rename cannot replace.  A
+# workload that runs out of heap (lred in a 64k Cheney semispace,
+# alone and beside another workload) is reported the same way, as
+# `repro: out of memory: ...'.
 # Usage: cli_record_errors.sh REPRO_EXE
 repro=$1
 dir=$(mktemp -d)
@@ -38,7 +41,7 @@ expect_failure() {
 expect_failure "-o MISSING/x.trace" nbody -o "$dir/missing/x.trace"
 expect_failure "two workloads -o MISSING/x.trace" nbody lred \
   -o "$dir/missing/x.trace"
-expect_failure "--attr MISSING/x.attr" nbody -o "$dir/ok.trace" \
+expect_failure "--attr MISSING/x.attr" nbody --output "$dir/ok.trace" \
   --attr "$dir/missing/x.attr"
 if [ ! -s "$dir/ok.trace" ]; then
   echo "repro record --attr MISSING/x.attr: the trace was not saved" >&2
@@ -48,6 +51,14 @@ if ! grep -q '^recorded ' "$dir/stdout"; then
   echo "repro record --attr MISSING/x.attr: no report for the saved trace" >&2
   status=1
 fi
+for ws in lred "nbody lred"; do
+  expect_failure "$ws --gc cheney:64k" $ws --gc cheney:64k \
+    -o "$dir/oom.trace"
+  if ! grep -q '^repro: out of memory: ' "$dir/err"; then
+    echo "repro record $ws --gc cheney:64k: no 'out of memory' message" >&2
+    status=1
+  fi
+done
 expect_failure "-o DIR" nbody -o "$dir/taken"
 if [ "$(cat "$dir/taken/inside")" != kept ]; then
   echo "repro record -o DIR: the directory changed" >&2

@@ -1,7 +1,10 @@
 #!/bin/sh
 # `repro run WORKLOAD` and `repro record` + `repro replay` must agree:
 # the same per-level table through a hierarchy preset, and the same
-# misses, fetches and miss ratio through a single cache.
+# misses, fetches and miss ratio through a single cache under either
+# write-miss policy.  With --metrics, both write the same cache.*
+# counters; replay's document passes `repro check`, and the telemetry
+# flags leave its stdout as it was.
 # Usage: cli_run_replay.sh REPRO_EXE
 repro=$1
 dir=$(mktemp -d)
@@ -47,4 +50,41 @@ same run.skl replay.skl levels
 run run.64k run nbody --scale 1 --cache 64k --block 64
 run replay.64k replay "$dir/nbody.trace" --cache 64k --block 64
 same run.64k replay.64k cache
+run run.fow run nbody --scale 1 --cache 64k --block 64 \
+  --policy fetch-on-write
+run replay.fow replay "$dir/nbody.trace" --cache 64k --block 64 \
+  --policy fetch-on-write
+same run.fow replay.fow cache
+if [ "$(pick run.fow cache)" = "$(pick run.64k cache)" ]; then
+  echo "--policy fetch-on-write: the same rows as write-validate" >&2
+  status=1
+fi
+
+# The cache.* counters of a telemetry document, one per line.
+counters() {
+  tr -d ' \n' < "$1" \
+    | grep -o '"cache\.[a-z_.]*":{"type":"counter","value":[0-9]*' | sort
+}
+run run.doc run nbody --scale 1 --cache 64k --block 64 \
+  --metrics "$dir/run.json"
+run replay.doc replay "$dir/nbody.trace" --cache 64k --block 64 \
+  --metrics "$dir/replay.json" --trace-events "$dir/replay.events.json"
+if ! cmp -s "$dir/replay.64k" "$dir/replay.doc"; then
+  echo "replay --metrics: stdout differs from replay without it" >&2
+  diff "$dir/replay.64k" "$dir/replay.doc" >&2
+  status=1
+fi
+counters "$dir/run.json" > "$dir/run.counters"
+counters "$dir/replay.json" > "$dir/replay.counters"
+if [ ! -s "$dir/run.counters" ] \
+   || ! cmp -s "$dir/run.counters" "$dir/replay.counters"; then
+  echo "run and replay --metrics disagree on the cache counters:" >&2
+  diff "$dir/run.counters" "$dir/replay.counters" >&2
+  status=1
+fi
+run check.doc check "$dir/replay.json"
+if ! grep -q '"traceEvents"' "$dir/replay.events.json"; then
+  echo "replay --trace-events: no traceEvents array" >&2
+  status=1
+fi
 exit $status

@@ -9,6 +9,11 @@
      audit over Domain.spawn captures, and the unused-export rule over
      every unit's value references) — run `dune build @check' first.
 
+   The same parse checks the command line ({!Rules_cli}):
+   every command and flag bin/repro.ml declares must be invoked by a
+   test script, a Makefile target, a CI step or the benchmark
+   ([lint.cli-untested]).
+
    The Parsetree pass also feeds an interprocedural stage
    ({!Rules_interproc}): a call graph over every top-level binding,
    with the [@hot] bindings as roots, whose reachable closure is
@@ -173,6 +178,26 @@ let unused_exports ~cmts ~mlis ~roots =
       ( List.length defs,
         Rules_typed.unused_exports ~test_root:"test" defs users )
 
+(* --- lint.cli-untested ---------------------------------------------------- *)
+
+(* The files in [dir] (not below it) with one of the extensions [exts]. *)
+let files_in dir ~exts =
+  if not (Sys.file_exists dir) then []
+  else
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> List.exists (Filename.check_suffix f) exts)
+    |> List.sort String.compare
+    |> List.map (Filename.concat dir)
+
+(* The command line, and the files whose lines count as invoking it. *)
+let cli_program = "bin/repro.ml"
+
+let cli_invokers () =
+  files_in "test" ~exts:[ ".sh" ]
+  @ List.filter Sys.file_exists [ "Makefile" ]
+  @ files_in ".github/workflows" ~exts:[ ".yml" ]
+  @ files_in "perfbench" ~exts:[ ".ml"; ".py" ]
+
 (* --- Driver -------------------------------------------------------------- *)
 
 let fixture_root = "tools/lint/fixture"
@@ -180,11 +205,15 @@ let fixture_root = "tools/lint/fixture"
 (* Rules the fixture seeds; --self-test fails if any goes uncaught. *)
 let self_test_rules =
   [ "lint.hot-alloc-deep"; "lint.hot-partial-app"; "lint.hot-write-barrier";
-    "lint.global-registry"; "lint.unused-export" ]
+    "lint.global-registry"; "lint.unused-export"; "lint.cli-untested" ]
 
 (* The fixture's seeded unused exports: each must be flagged by name. *)
 let self_test_exports =
   [ "Fixture_exports.own_only"; "Fixture_exports.unused" ]
+
+(* The fixture command line's seeded untested command and flags: the
+   rule must flag exactly these. *)
+let self_test_cli = [ "db drop"; "--untested"; "-q" ]
 
 let () =
   let allow_path = ref "lint.allow" in
@@ -248,6 +277,18 @@ let () =
 
   let ast_findings =
     List.concat_map (fun (ml, str) -> Rules_ast.scan ~file:ml str) parsed
+  in
+
+  let cli_program, cli_invokers =
+    if !self_test then
+      ( Filename.concat fixture_root "fixture_cli.ml",
+        files_in fixture_root ~exts:[ ".sh" ] )
+    else (cli_program, cli_invokers ())
+  in
+  let cli_findings =
+    match List.assoc_opt cli_program parsed with
+    | Some str -> Rules_cli.scan ~file:cli_program ~invokers:cli_invokers str
+    | None -> []
   in
 
   (* Interprocedural stage: the [@hot] call-graph closure. *)
@@ -320,8 +361,8 @@ let () =
       export_findings
   in
   let raw =
-    coverage @ parse_failures @ ast_findings @ interproc_findings
-    @ typed_findings @ List.rev missing_cmts
+    coverage @ parse_failures @ ast_findings @ cli_findings
+    @ interproc_findings @ typed_findings @ List.rev missing_cmts
   in
   let kept =
     List.filter
@@ -398,16 +439,27 @@ let () =
                  export_findings))
           self_test_exports
     in
+    let cli_flagged =
+      List.map (fun { Rules_ast.ident; _ } -> ident) cli_findings
+    in
+    let missed =
+      missed
+      @ List.filter (fun x -> not (List.mem x cli_flagged)) self_test_cli
+    in
     let clean_prefix s =
       String.length s >= 6 && String.equal (String.sub s 0 6) "clean_"
     in
     let leaked =
       (* A seeded-clean function must stay clean, or the analyzer
-         over-approximates and would drown the real tree in noise. *)
+         over-approximates and would drown the real tree in noise; so
+         must every command and flag the fixture script invokes. *)
       List.filter
         (fun { Rules_ast.ident; _ } ->
           List.exists clean_prefix (String.split_on_char '.' ident))
         kept
+      @ List.filter
+          (fun { Rules_ast.ident; _ } -> not (List.mem ident self_test_cli))
+          cli_findings
     in
     List.iter
       (fun r -> Format.fprintf ppf "self-test: seeded %s NOT caught@." r)
@@ -419,10 +471,11 @@ let () =
       leaked;
     if missed = [] && leaked = [] then begin
       Format.fprintf ppf
-        "self-test: all %d seeded rules and %d seeded exports caught, \
-         clean functions clean@."
+        "self-test: all %d seeded rules, %d seeded exports and %d \
+         seeded CLI entries caught, clean functions clean@."
         (List.length self_test_rules)
-        (List.length self_test_exports);
+        (List.length self_test_exports)
+        (List.length self_test_cli);
       exit 0
     end
     else exit 1
