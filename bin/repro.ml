@@ -37,16 +37,34 @@ let write_opt ppf out content ~confirm =
     if rc = 0 && path <> "-" then Format.fprintf ppf "%s@." (confirm path);
     rc
 
+(* Run [k] on the formatter for a command's own report, given its
+   "FILE or -" [outputs]: stderr when one of them is stdout, so stdout
+   holds that document alone.  Two outputs cannot share stdout. *)
+let with_report outputs k =
+  match List.filter (Option.equal String.equal (Some "-")) outputs with
+  | [] -> k ppf
+  | [ _ ] -> k Format.err_formatter
+  | _ :: _ :: _ ->
+    Format.eprintf "repro: only one output can be `-' (stdout)@.";
+    1
+
 (* A count flag is read as a string and parsed here, under the rule
    REPRO_JOBS follows (Units.parse_count): a bad value exits 1 naming
-   the flag and the value, before [k] runs anything. *)
+   the flag and the value, before [k] runs anything.  A flag with a
+   default is declared [opt string "N"], so its doc shows the default
+   its declaration states; one whose default is worked out elsewhere is
+   [opt (some string) None], read by [with_opt_count]. *)
 let with_count flag value k =
-  match Option.map Core.Units.parse_count value with
-  | None -> k None
-  | Some (Ok n) -> k (Some n)
-  | Some (Error msg) ->
+  match Core.Units.parse_count value with
+  | Ok n -> k n
+  | Error msg ->
     Format.eprintf "repro: %s: %s@." flag msg;
     1
+
+let with_opt_count flag value k =
+  match value with
+  | None -> k None
+  | Some v -> with_count flag v (fun n -> k (Some n))
 
 (* --- Shared argument conversions ------------------------------------- *)
 
@@ -79,7 +97,7 @@ let hier_conv =
 
 (* Per-level report shared by `repro run --hier' and `repro replay
    --hier'. *)
-let hier_report h =
+let hier_report ppf h =
   let cfg = Memsim.Hier.geometry h in
   let stats = Memsim.Hier.stats h in
   Core.Report.table ppf
@@ -112,29 +130,21 @@ let hier_report h =
 (* The confirmations go to stderr, so stdout holds only the command's
    own output (`make check-tables` diffs `repro run --metrics`'s). *)
 let write_telemetry tel ~metrics ~trace_events =
-  let write done_msg f =
-    save_status (fun () ->
-        f ();
-        Format.eprintf "%s@." done_msg)
-  in
   match tel with
   | None -> 0
   | Some t ->
     let rc_metrics =
-      match metrics with
-      | None -> 0
-      | Some path ->
-        write
-          (Printf.sprintf "wrote metrics to %s" path)
-          (fun () -> Core.Telemetry.write_metrics t path)
+      write_opt Format.err_formatter metrics
+        (fun () ->
+          Obs.Json.to_pretty_string (Core.Telemetry.to_json t) ^ "\n")
+        ~confirm:(Printf.sprintf "wrote metrics to %s")
     in
     let rc_trace =
-      match trace_events with
-      | None -> 0
-      | Some path ->
-        write
-          (Printf.sprintf "wrote trace events to %s (load in Perfetto)" path)
-          (fun () -> Core.Telemetry.write_chrome_trace t path)
+      write_opt Format.err_formatter trace_events
+        (fun () ->
+          Obs.Json.to_string
+            (Obs.Events.to_chrome_trace (Core.Telemetry.timeline t)))
+        ~confirm:(Printf.sprintf "wrote trace events to %s (load in Perfetto)")
     in
     max rc_metrics rc_trace
 
@@ -242,7 +252,7 @@ let build_hier hier (cache_bytes, block_bytes) policy =
 (* Replay the whole recording into [h], resumably through
    [Sweep.hier_run_resumable] when [checkpoint] names a file.
    @raise Failure on a stale or foreign checkpoint. *)
-let replay_into ?checkpoint ?checkpoint_every h recording =
+let replay_into ?checkpoint ?checkpoint_every ppf h recording =
   match checkpoint with
   | None -> Memsim.Sweep.hier_run_serial [| h |] recording
   | Some ck ->
@@ -281,7 +291,7 @@ let finish_telemetry tel hier h (cache_bytes, block_bytes) ~metrics
 (* A workload recorded, then replayed into the simulated cache: the
    run's vital statistics and overheads, plus the per-level table for
    a hierarchy preset. *)
-let run_workload w hier geometry policy gc scale metrics trace_events =
+let run_workload ppf w hier geometry policy gc scale metrics trace_events =
   let tel =
     if metrics <> None || trace_events <> None then
       Some (Core.Telemetry.create ())
@@ -290,7 +300,7 @@ let run_workload w hier geometry policy gc scale metrics trace_events =
   let events = Option.map Core.Telemetry.timeline tel in
   let h = build_hier hier geometry policy in
   let r, recording = Core.Runner.record ~gc ?events ?scale w in
-  replay_into h recording;
+  replay_into ppf h recording;
   let insns = r.Core.Runner.stats.Vscheme.Machine.mutator_insns in
   let s = Memsim.Hier.level_stats h 0 in
   let overhead cpu =
@@ -323,7 +333,7 @@ let run_workload w hier geometry policy gc scale metrics trace_events =
           Printf.sprintf "%s (%s)" (Memsim.Hier.cpu_label cpu)
             (Memsim.Hier.cpu_title cpu) ]
         :: run_rows);
-     hier_report h
+     hier_report ppf h
    | None ->
      table
        (run_rows
@@ -347,8 +357,8 @@ let run_workload w hier geometry policy gc scale metrics trace_events =
    workload's own failure (the heap exhausted, a runtime error in the
    program) reported as a `repro:' message and exit 1. *)
 let with_workloads jobs scale k =
-  with_count "--jobs" jobs @@ fun n ->
-  with_count "--scale" scale @@ fun scale ->
+  with_opt_count "--jobs" jobs @@ fun n ->
+  with_opt_count "--scale" scale @@ fun scale ->
   Option.iter Core.Runner.set_jobs n;
   match k scale with
   | rc -> rc
@@ -370,6 +380,7 @@ let with_workloads jobs scale k =
 let run_targets targets hier geometry policy gc scale metrics trace_events
     jobs =
   with_workloads jobs scale @@ fun scale ->
+  with_report [ metrics; trace_events ] @@ fun ppf ->
   let classified =
     if targets = [] then
       List.map (fun e -> `Experiment e) Core.Experiments.all
@@ -432,7 +443,7 @@ let run_targets targets hier geometry policy gc scale metrics trace_events
             rc
           | `Workload w ->
             max rc
-              (run_workload w hier geometry policy gc scale metrics
+              (run_workload ppf w hier geometry policy gc scale metrics
                  trace_events)
           | `Unknown _ -> assert false)
         0 classified
@@ -531,14 +542,16 @@ let record names out_path scale format gc heap_bytes attr_out jobs =
    histogram. *)
 let replay path hier geometry policy checkpoint checkpoint_every metrics
     trace_events =
-  with_count "--checkpoint-every" checkpoint_every @@ fun checkpoint_every ->
+  with_opt_count "--checkpoint-every" checkpoint_every
+  @@ fun checkpoint_every ->
+  with_report [ metrics; trace_events ] @@ fun ppf ->
   match Memsim.Recording.load path with
   | exception Sys_error msg | exception Failure msg ->
     Format.eprintf "replay: %s@." msg;
     1
   | recording -> (
     let h = build_hier hier geometry policy in
-    match replay_into ?checkpoint ?checkpoint_every h recording with
+    match replay_into ?checkpoint ?checkpoint_every ppf h recording with
     | exception Failure msg ->
       Format.eprintf "replay: %s@." msg;
       1
@@ -549,7 +562,7 @@ let replay path hier geometry policy checkpoint checkpoint_every metrics
          Format.fprintf ppf "%s events through %s (%s)@." events
            (Memsim.Hier.cpu_label cpu)
            (Memsim.Hier.cpu_title cpu);
-         hier_report h
+         hier_report ppf h
        | None ->
          let s = Memsim.Hier.level_stats h 0 in
          Core.Report.table ppf ~headers:[ "metric"; "value" ]
@@ -644,10 +657,7 @@ let check_files files gc heap_bytes raw json_out =
     1
   end
   else begin
-    (* With the JSON document on stdout, keep stdout pure JSON. *)
-    let ppf =
-      if json_out = Some "-" then Format.err_formatter else ppf
-    in
+    with_report [ json_out ] @@ fun ppf ->
     let geometry =
       if raw then None
       else Some (check_geometry gc heap_bytes)
@@ -824,6 +834,7 @@ let profile_target name trace attr_path (cache_bytes, block_bytes) policy gc
     jobs =
   with_workloads jobs scale @@ fun scale ->
   with_count "--sample" sample_every @@ fun sample_every ->
+  with_report [ json_out; folded_out; trace_events ] @@ fun ppf ->
   let source =
     match (name, trace, attr_path) with
     | Some n, None, None -> (
@@ -864,7 +875,7 @@ let profile_target name trace attr_path (cache_bytes, block_bytes) policy gc
     in
     let p =
       match
-        Core.Profile.profile_recording ?sample_every ~workload ~addr_limit
+        Core.Profile.profile_recording ~sample_every ~workload ~addr_limit
           ~caches table recording
       with
       | [ p ] -> p
@@ -887,19 +898,17 @@ let profile_target name trace attr_path (cache_bytes, block_bytes) policy gc
              "wrote collapsed stacks to %s (feed to flamegraph.pl)")
     in
     let rc_trace =
-      match trace_events with
-      | None -> 0
-      | Some path ->
-        (* Reconstructed GC spans plus per-region miss counter tracks,
-           aligned on trace-event indices. *)
-        let tl = Core.Telemetry.of_recording recording in
-        Obs.Profile.overlay p tl;
-        save_status (fun () ->
-            Obs.Events.write_chrome_trace tl path;
-            Format.fprintf ppf
-              "wrote trace events with miss overlays to %s (load in \
-               Perfetto)@."
-              path)
+      write_opt ppf trace_events
+        (fun () ->
+          (* Reconstructed GC spans plus per-region miss counter
+             tracks, aligned on trace-event indices. *)
+          let tl = Core.Telemetry.of_recording recording in
+          Obs.Profile.overlay p tl;
+          Obs.Json.to_string (Obs.Events.to_chrome_trace tl))
+        ~confirm:
+          (Printf.sprintf
+             "wrote trace events with miss overlays to %s (load in \
+              Perfetto)")
     in
     max rc_json (max rc_folded rc_trace)
 
@@ -986,6 +995,13 @@ let trace_events_arg =
        & info [ "trace-events" ] ~docv:"FILE"
            ~doc:"Write the event timeline in Chrome trace-event format to \
                  $(docv) (load in chrome://tracing or Perfetto)")
+
+(* Shared by `repro replay' and `repro serve'. *)
+let checkpoint_every_arg =
+  Arg.(value & opt (some string) None
+       & info [ "checkpoint-every" ] ~docv:"EVENTS"
+           ~doc:"Replay events between checkpoints (a positive integer; \
+                 default: the sweep's own cadence)")
 
 let jobs_arg =
   Arg.(value & opt (some string) None
@@ -1089,12 +1105,6 @@ let replay_cmd =
                    it already exists: a killed replay continues \
                    bit-identically instead of starting over")
   in
-  let checkpoint_every =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint-every" ] ~docv:"EVENTS"
-             ~doc:"Events between checkpoints (a positive integer; default \
-                   4194304)")
-  in
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Replay a recorded trace through a cache configuration, \
@@ -1102,7 +1112,7 @@ let replay_cmd =
              telemetry document (per-phase cache counters plus GC spans \
              reconstructed from the trace's phase bits)")
     Term.(const replay $ path $ hier_arg $ geometry_arg $ policy_arg
-          $ checkpoint $ checkpoint_every $ metrics_arg $ trace_events_arg)
+          $ checkpoint $ checkpoint_every_arg $ metrics_arg $ trace_events_arg)
 
 let check_cmd =
   let files =
@@ -1149,13 +1159,12 @@ let profile_cmd =
              ~doc:"Attribution sidecar from `repro record --attr'")
   in
   let sample =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt string "1"
          & info [ "sample" ] ~docv:"N"
              ~doc:"Attribute only every $(docv)th chunk of the trace (a \
-                   positive integer; default 1); the \
-                   rest replay through the plain fast path, so aggregate \
-                   cache statistics stay exact while attribution overhead \
-                   drops")
+                   positive integer); the rest replay through the plain \
+                   fast path, so aggregate cache statistics stay exact \
+                   while attribution overhead drops")
   in
   let json =
     Arg.(value & opt (some string) None
@@ -1275,10 +1284,8 @@ let spool_arg =
 
 let serve_daemon socket dir workers checkpoint_every =
   with_count "--workers" workers @@ fun workers ->
-  with_count "--checkpoint-every" checkpoint_every @@ fun checkpoint_every ->
-  let workers =
-    Option.value workers ~default:Serve.Sched.default_config.Serve.Sched.workers
-  in
+  with_opt_count "--checkpoint-every" checkpoint_every
+  @@ fun checkpoint_every ->
   let config = { Serve.Sched.default_config with workers; checkpoint_every } in
   let sched = Serve.Sched.create ~config dir in
   let server = Serve.Server.create ~socket sched in
@@ -1298,15 +1305,10 @@ let serve_daemon socket dir workers checkpoint_every =
 
 let serve_cmd =
   let workers =
-    Arg.(value & opt (some string) None
+    Arg.(value
+         & opt string (string_of_int Serve.Sched.default_config.Serve.Sched.workers)
          & info [ "workers" ] ~docv:"N"
-             ~doc:"Worker domains in the pool (a positive integer; default 2)")
-  in
-  let checkpoint_every =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint-every" ] ~docv:"EVENTS"
-             ~doc:"Replay events between sweep checkpoints (a positive \
-                   integer; default: the sweep's own cadence)")
+             ~doc:"Worker domains in the pool (a positive integer)")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1316,7 +1318,7 @@ let serve_cmd =
              rather than restarts, and serve repeat submissions from a \
              content-hash result cache")
     Term.(const serve_daemon $ socket_arg $ spool_arg $ workers
-          $ checkpoint_every)
+          $ checkpoint_every_arg)
 
 (* --- client helpers --- *)
 
@@ -1480,7 +1482,6 @@ let synthetic_run_text v =
 
 let client_load socket n distinct wait =
   with_count "--count" n @@ fun n ->
-  let n = Option.value n ~default:100 in
   if distinct < 1 || distinct > 144 then begin
     Printf.eprintf "repro client load: --distinct must be in [1, 144]\n";
     1
@@ -1642,9 +1643,9 @@ let client_cmd =
   in
   let load =
     let n =
-      Arg.(value & opt (some string) None
+      Arg.(value & opt string "100"
            & info [ "n"; "count" ] ~docv:"N"
-               ~doc:"Total submissions (a positive integer; default 100)")
+               ~doc:"Total submissions (a positive integer)")
     in
     let distinct =
       Arg.(value & opt int 20

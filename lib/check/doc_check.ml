@@ -1,4 +1,4 @@
-(* Static verification of telemetry documents (Core.Telemetry.write_metrics
+(* Static verification of telemetry documents (Core.Telemetry.to_json
    output: [{meta, metrics, events}]) and bare JSONL event timelines.
 
    The structural property of interest is span discipline: every

@@ -77,13 +77,6 @@ let to_json t =
          (List.map Obs.Events.event_to_json (Obs.Events.events t.timeline)))
     ]
 
-let write_metrics t path =
-  Obs.Atomic_file.write path (fun oc ->
-      output_string oc (Obs.Json.to_pretty_string (to_json t));
-      output_char oc '\n')
-
-let write_chrome_trace t path = Obs.Events.write_chrome_trace t.timeline path
-
 (* GC pause sizes (in collector references) land in a log-spaced
    histogram so stats exports carry p50/p90/p99 pause figures, not just
    the total. *)

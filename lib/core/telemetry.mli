@@ -38,13 +38,8 @@ val record_runner : t -> unit
 (** Publish {!Runner.counters}: the process's VM runs, trace-memo
     reuses and kept-trace evictions so far. *)
 
-val write_metrics : t -> string -> unit
-(** The document, pretty-printed to a file:
-    [{ "meta": {...}, "metrics": {...}, "events": [...] }]. *)
-
-val write_chrome_trace : t -> string -> unit
-(** The timeline in Chrome trace-event format (chrome://tracing,
-    Perfetto). *)
+val to_json : t -> Obs.Json.t
+(** [{ "meta": {...}, "metrics": {...}, "events": [...] }]. *)
 
 val observe_gc_pauses : t -> unit
 (** Fold every completed ["gc.collection"] span on the timeline into

@@ -23,6 +23,7 @@ expect --cache run nbody --cache 3000
 expect --block run nbody --block 512
 expect --cache replay "$file" --cache 3000
 expect --block replay "$file" --block 512
+expect --block replay "$file" --block 2
 expect --cache profile nbody --cache 3000
 expect --block profile nbody --block 512
 expect --block run nbody --cache 1k --block 2048

@@ -4,7 +4,7 @@
 # misses, fetches and miss ratio through a single cache under either
 # write-miss policy.  With --metrics, both write the same cache.*
 # counters; replay's document passes `repro check`, and the telemetry
-# flags leave its stdout as it was.
+# flags leave its stdout as it was unless one of them is `-' (stdout).
 # Usage: cli_run_replay.sh REPRO_EXE
 repro=$1
 dir=$(mktemp -d)
@@ -85,6 +85,32 @@ fi
 run check.doc check "$dir/replay.json"
 if ! grep -q '"traceEvents"' "$dir/replay.events.json"; then
   echo "replay --trace-events: no traceEvents array" >&2
+  status=1
+fi
+
+# `-' puts one document alone on stdout, also when stdout is a file,
+# and moves the table to stderr; two `-' outputs are refused.
+for flag in metrics trace-events; do
+  case $flag in
+    metrics) want=$dir/replay.json ;;
+    trace-events) want=$dir/replay.events.json ;;
+  esac
+  "$repro" replay "$dir/nbody.trace" --cache 64k --block 64 --$flag - \
+    > "$dir/stdout.$flag" 2> "$dir/stderr.$flag"
+  if ! cmp -s "$want" "$dir/stdout.$flag"; then
+    echo "replay --$flag - > FILE: not the document --$flag FILE writes" >&2
+    status=1
+  fi
+  if ! cmp -s "$dir/replay.64k" "$dir/stderr.$flag"; then
+    echo "replay --$flag -: stderr is not the table:" >&2
+    cat "$dir/stderr.$flag" >&2
+    status=1
+  fi
+done
+if "$repro" replay "$dir/nbody.trace" --metrics - --trace-events - \
+     > /dev/null 2> "$dir/err" \
+   || ! grep -q "only one output can be" "$dir/err"; then
+  echo "replay --metrics - --trace-events -: not refused" >&2
   status=1
 fi
 exit $status

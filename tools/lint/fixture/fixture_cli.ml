@@ -1,9 +1,9 @@
 (* Seed for lint.cli-untested: a command line that fixture_cli.sh
-   invokes in part.  The rule must flag exactly the command
-   `fixture_cli db drop', the flag --untested and the short flag -q,
-   whose only use is a `grep -q' (a line that does not invoke the
-   program); every other command and flag is invoked and must stay
-   clean. *)
+   and fixture_invoke.ml invoke in part.  The rule must flag exactly
+   the command `fixture_cli db drop', the flag --untested and the
+   short flag -q, whose only uses are on lines that do not invoke the
+   program (`echo', `grep -q'); every other command and flag is
+   invoked and must stay clean. *)
 
 open Cmdliner
 

@@ -189,14 +189,17 @@ let files_in dir ~exts =
     |> List.sort String.compare
     |> List.map (Filename.concat dir)
 
-(* The command line, and the files whose lines count as invoking it. *)
+(* The command line, and the scripts and OCaml programs that invoke
+   it. *)
 let cli_program = "bin/repro.ml"
 
-let cli_invokers () =
+let cli_scripts () =
   files_in "test" ~exts:[ ".sh" ]
   @ List.filter Sys.file_exists [ "Makefile" ]
   @ files_in ".github/workflows" ~exts:[ ".yml" ]
-  @ files_in "perfbench" ~exts:[ ".ml"; ".py" ]
+  @ files_in "perfbench" ~exts:[ ".py" ]
+
+let cli_ocaml () = files_in "perfbench" ~exts:[ ".ml" ]
 
 (* --- Driver -------------------------------------------------------------- *)
 
@@ -279,17 +282,36 @@ let () =
     List.concat_map (fun (ml, str) -> Rules_ast.scan ~file:ml str) parsed
   in
 
-  let cli_program, cli_invokers =
+  let cli_program, cli_scripts, cli_ocaml =
     if !self_test then
       ( Filename.concat fixture_root "fixture_cli.ml",
-        files_in fixture_root ~exts:[ ".sh" ] )
-    else (cli_program, cli_invokers ())
+        files_in fixture_root ~exts:[ ".sh" ],
+        [ Filename.concat fixture_root "fixture_invoke.ml" ] )
+    else (cli_program, cli_scripts (), cli_ocaml ())
+  in
+  let cli_ocaml, cli_parse_failures =
+    List.partition_map
+      (fun ml ->
+        match parse_impl ml with
+        | str -> Either.Left str
+        | exception exn -> Either.Right (parse_error_finding ml exn))
+      cli_ocaml
   in
   let cli_findings =
     match List.assoc_opt cli_program parsed with
-    | Some str -> Rules_cli.scan ~file:cli_program ~invokers:cli_invokers str
-    | None -> []
+    | Some str ->
+      Rules_cli.scan ~file:cli_program ~scripts:cli_scripts ~ocaml:cli_ocaml
+        str
+    | None ->
+      (* A moved or renamed program must not turn the rule off. *)
+      [ { Rules_ast.ident = cli_program;
+          f =
+            Check.Finding.v ~rule:"lint.cli-untested" ~file:cli_program
+              "the command-line program is not among the parsed sources, \
+               so none of its commands or flags was checked"
+        } ]
   in
+  let cli_findings = cli_parse_failures @ cli_findings in
 
   (* Interprocedural stage: the [@hot] call-graph closure. *)
   let interproc = Rules_interproc.analyze parsed in

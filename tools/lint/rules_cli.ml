@@ -12,22 +12,20 @@
      one-letter name is the short flag [-n], any other the long
      [--name].
 
-   Invocations are the non-comment lines of the invoking files, split
-   into tokens (runs of letters, digits and [_.-]).  A line invokes
-   the program when it holds a token that is the program's name, with
-   or without [.exe]; the command [a b] is invoked when such a token is
-   followed (past any [--]) by the tokens [a b].  A long flag counts
-   wherever its token appears; a short flag only on a line that
-   invokes the program, so [grep -e] or [sed -e] is not a use of
-   [-e]. *)
+   Invocations are command lines split into tokens (runs of letters,
+   digits and [_.-]): the logical, non-comment lines of scripts, and
+   the list and array literals of OCaml programs.  A token that is the
+   program's name, with or without [.exe], starts an invocation: the
+   tokens after it, past any [--].  The command [a b] is invoked when
+   an invocation starts with [a b], and a flag when an invocation holds
+   it, so neither [grep -e] nor another program's own [--trace] is a
+   use of the program's flag. *)
 
 type decl = {
   ident : string;  (** "client status" or "--heap" *)
   path : string list;  (** a command's words; [] for a flag *)
   loc : Location.t;
 }
-
-let flatten lid = try Longident.flatten lid with Misc.Fatal_error -> []
 
 let rec is_prefix path l =
   match (path, l) with
@@ -42,25 +40,30 @@ let string_literal (e : Parsetree.expression) =
   | Parsetree.Pexp_constant (Parsetree.Pconst_string (s, _, _)) -> Some s
   | _ -> None
 
-(* The strings of a list literal [[ "a"; "b" ]], if it is one. *)
-let rec string_list (e : Parsetree.expression) =
+(* The elements of a list or array literal, if [e] is one. *)
+let rec elements (e : Parsetree.expression) =
   match e.Parsetree.pexp_desc with
+  | Parsetree.Pexp_array es -> Some es
   | Parsetree.Pexp_construct ({ txt = Longident.Lident "[]"; _ }, None) ->
     Some []
   | Parsetree.Pexp_construct
       ( { txt = Longident.Lident "::"; _ },
-        Some { pexp_desc = Parsetree.Pexp_tuple [ hd; tl ]; _ } ) -> (
-    match (string_literal hd, string_list tl) with
-    | Some s, Some rest -> Some (s :: rest)
-    | _ -> None)
+        Some { pexp_desc = Parsetree.Pexp_tuple [ hd; tl ]; _ } ) ->
+    Option.map (fun rest -> hd :: rest) (elements tl)
   | _ -> None
+
+(* The strings of a list literal [[ "a"; "b" ]], if it is one. *)
+let string_list e =
+  Option.bind (elements e) (fun es ->
+      let ss = List.filter_map string_literal es in
+      if List.compare_lengths ss es = 0 then Some ss else None)
 
 (* [f arg ...] where [f]'s path ends in [suffix]: the first unlabelled
    argument. *)
 let first_arg ~suffix (e : Parsetree.expression) =
   match e.Parsetree.pexp_desc with
   | Parsetree.Pexp_apply ({ pexp_desc = Parsetree.Pexp_ident lid; _ }, args)
-    when ends_with ~suffix (flatten lid.Asttypes.txt) ->
+    when ends_with ~suffix (Rules_ast.flatten lid.Asttypes.txt) ->
     List.find_map
       (function Asttypes.Nolabel, a -> Some a | _ -> None)
       args
@@ -130,53 +133,7 @@ let declarations ~program (str : Parsetree.structure) =
       end)
     all
 
-(* --- invoking files --------------------------------------------------- *)
-
-(* [text] with every OCaml comment blanked out, newlines kept, so line
-   numbers and string literals survive. *)
-let blank_ml_comments text =
-  let b = Bytes.of_string text in
-  let n = Bytes.length b in
-  let blank i = if Bytes.get b i <> '\n' then Bytes.set b i ' ' in
-  let rec code i =
-    if i >= n then ()
-    else
-      match Bytes.get b i with
-      | '(' when i + 1 < n && Bytes.get b (i + 1) = '*' ->
-        blank i;
-        blank (i + 1);
-        comment 1 (i + 2)
-      | '"' -> string (i + 1)
-      | '\'' when i + 2 < n && Bytes.get b (i + 2) = '\'' -> code (i + 3)
-      | _ -> code (i + 1)
-  and string i =
-    if i >= n then ()
-    else
-      match Bytes.get b i with
-      | '\\' -> string (i + 2)
-      | '"' -> code (i + 1)
-      | _ -> string (i + 1)
-  and comment depth i =
-    if i >= n then ()
-    else if Bytes.get b i = '(' && i + 1 < n && Bytes.get b (i + 1) = '*'
-    then begin
-      blank i;
-      blank (i + 1);
-      comment (depth + 1) (i + 2)
-    end
-    else if Bytes.get b i = '*' && i + 1 < n && Bytes.get b (i + 1) = ')'
-    then begin
-      blank i;
-      blank (i + 1);
-      if depth = 1 then code (i + 2) else comment (depth - 1) (i + 2)
-    end
-    else begin
-      blank i;
-      comment depth (i + 1)
-    end
-  in
-  code 0;
-  Bytes.to_string b
+(* --- invocations -------------------------------------------------------- *)
 
 let is_token_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '-' -> true
@@ -196,57 +153,130 @@ let tokens line =
     out := String.sub line !start (String.length line - !start) :: !out;
   List.rev !out
 
-(* The token lists of [path]'s non-comment lines: OCaml comments in
-   .ml files, lines starting with '#' anywhere else. *)
-let code_lines path =
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  let lines =
-    if Filename.check_suffix path ".ml" then
-      String.split_on_char '\n' (blank_ml_comments text)
-    else
-      List.filter
-        (fun l ->
-          let l = String.trim l in
-          not (String.length l > 0 && l.[0] = '#'))
-        (String.split_on_char '\n' text)
+let is_program ~program t =
+  String.equal t program || String.equal t (program ^ ".exe")
+
+(* The word that ends the here-document a line opens ([cat <<'EOF'] or
+   [<<-EOF] gives [EOF]), if it opens one. *)
+let heredoc_end line =
+  let rec find i =
+    if i + 1 >= String.length line then None
+    else if line.[i] = '<' && line.[i + 1] = '<' then
+      match tokens (String.sub line (i + 2) (String.length line - i - 2)) with
+      | w :: _ when w.[0] = '-' -> Some (String.sub w 1 (String.length w - 1))
+      | w :: _ -> Some w
+      | [] -> None
+    else find (i + 1)
   in
-  List.map tokens lines
+  find 0
+
+(* A script's logical lines, as token lists: a line that ends in a
+   backslash goes on in the next one, and a line that starts with '#'
+   is a comment, as is a here-document's text.  A shell function whose
+   body runs the program ([run() { "$repro" "$@"; }]) wraps it: its
+   name stands for the program, so [run nbody --hier skl] invokes
+   [nbody --hier skl]. *)
+let script_lines ~program path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let rec join acc cur doc = function
+    | [] -> List.rev (cur :: acc)
+    | l :: rest -> (
+      let l = String.trim l in
+      let n = String.length l in
+      match doc with
+      | Some word ->
+        join acc cur (if String.equal l word then None else doc) rest
+      | None ->
+        if n > 0 && l.[0] = '#' then join acc cur None rest
+        else if n > 0 && l.[n - 1] = '\\' then
+          join acc (cur ^ " " ^ String.sub l 0 (n - 1)) None rest
+        else
+          let line = String.trim (cur ^ " " ^ l) in
+          join (line :: acc) "" (heredoc_end line) rest)
+  in
+  let lines = join [] "" None (String.split_on_char '\n' text) in
+  (* [name] of a line [name() {] that opens a shell function *)
+  let opens l =
+    if String.ends_with ~suffix:"() {" l then
+      Some (String.trim (String.sub l 0 (String.length l - 4)))
+    else None
+  in
+  let rec wrappers acc fn = function
+    | [] -> acc
+    | l :: rest -> (
+      match fn with
+      | None ->
+        wrappers acc (Option.map (fun name -> (name, false)) (opens l)) rest
+      | Some (name, runs) when String.equal l "}" ->
+        wrappers (if runs then name :: acc else acc) None rest
+      | Some (name, runs) ->
+        let runs = runs || List.exists (is_program ~program) (tokens l) in
+        wrappers acc (Some (name, runs)) rest)
+  in
+  let wrappers = wrappers [] None lines in
+  List.map
+    (fun l ->
+      List.map (fun t -> if List.mem t wrappers then program else t) (tokens l))
+    lines
+
+(* An OCaml program's command lines: every list or array literal, as
+   the tokens of its string literals and the names of its identifiers,
+   so [[| repro; "serve"; "--workers"; "1" |]] invokes [serve
+   --workers].  Any other element is an empty token, which names no
+   command or flag. *)
+let ocaml_lines (str : Parsetree.structure) =
+  let lines = ref [] in
+  let element_tokens (e : Parsetree.expression) =
+    match (string_literal e, e.Parsetree.pexp_desc) with
+    | Some s, _ -> tokens s
+    | None, Parsetree.Pexp_ident lid -> [ Longident.last lid.Asttypes.txt ]
+    | None, _ -> [ "" ]
+  in
+  let expr sub (e : Parsetree.expression) =
+    Option.iter
+      (fun es -> lines := List.concat_map element_tokens es :: !lines)
+      (elements e);
+    Ast_iterator.default_iterator.expr sub e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.structure it str;
+  List.rev !lines
 
 (* For each token naming [program], the tokens after it (past any
    [--]): the command line it starts. *)
 let invocations ~program toks =
-  let is_program t =
-    String.equal t program || String.equal t (program ^ ".exe")
-  in
   let rec past_dashes = function "--" :: rest -> past_dashes rest | l -> l in
   let rec go acc = function
     | [] -> acc
     | t :: rest ->
-      go (if is_program t then past_dashes rest :: acc else acc) rest
+      go (if is_program ~program t then past_dashes rest :: acc else acc) rest
   in
   go [] toks
 
-let is_long flag =
-  String.length flag > 2 && String.equal (String.sub flag 0 2) "--"
-
+(* A command is used when an invocation starts with its words, a flag
+   when an invocation holds it. *)
 let used ~program lines d =
   List.exists
     (fun toks ->
-      let calls = invocations ~program toks in
-      match d.path with
-      | _ :: _ -> List.exists (is_prefix d.path) calls
-      | [] ->
-        (is_long d.ident || calls <> [])
-        && List.exists (String.equal d.ident) toks)
+      List.exists
+        (fun call ->
+          match d.path with
+          | [] -> List.mem d.ident call
+          | _ :: _ -> is_prefix d.path call)
+        (invocations ~program toks))
     lines
 
 (* --- the rule ---------------------------------------------------------- *)
 
 (* The findings for the program parsed from [file] (its name is the
-   file's basename), against the lines of [invokers]. *)
-let scan ~file ~invokers str =
+   file's basename), against the command lines of the [scripts] and of
+   the parsed OCaml programs [ocaml] that invoke it. *)
+let scan ~file ~scripts ~ocaml str =
   let program = Filename.remove_extension (Filename.basename file) in
-  let lines = List.concat_map code_lines invokers in
+  let lines =
+    List.concat_map (script_lines ~program) scripts
+    @ List.concat_map ocaml_lines ocaml
+  in
   List.filter_map
     (fun d ->
       if used ~program lines d then None
