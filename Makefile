@@ -25,6 +25,9 @@ test-fastpath:
 
 # The perf smoke: microbenchmarks and same-run engine comparisons,
 # held to the bounds in bench/main.ml (a hard bound failing exits 1).
+# Every engine comparison runs through the bench's one comparator:
+# rounds of fresh-state samples, bit-identical statistics checked,
+# each hard ratio the median of its round ratios.
 # Writes BENCH_metrics.json to the current directory.
 bench:
 	dune exec bench/main.exe

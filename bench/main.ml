@@ -5,16 +5,24 @@
    Before writing BENCH_metrics.json the bench holds its numbers to
    [hard_bounds] and [soft_bounds].  Same-run ratios do not depend on
    the host, so a violated one fails the run (exit 1); absolute
-   timings and throughputs only print a WARN line.  Every engine comparison also asserts that the
-   engines' statistics are bit-identical, and the serve pass that its
-   hit count is exact. *)
+   timings and throughputs only print a WARN line.  Every engine
+   comparison runs through [compare_sides], which also asserts that
+   the engines' statistics are bit-identical, and the serve pass
+   asserts that its hit count is exact. *)
 
 let ppf = Format.std_formatter
 
+(* [f ()] and its wall time in seconds, on the monotonic clock. *)
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
+
+(* The upper median: the middle element of an odd count. *)
+let median xs =
+  let a = Array.copy xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
 
 (* --- Bechamel microbenchmarks ---------------------------------------- *)
 
@@ -55,49 +63,37 @@ let vm_bench =
 
 (* Trace generation: the same 1k loads through Vscheme.Mem, delivered
    to a Recording through the generic closure sink vs. appended by the
-   fast path (record_into).  The recording is drained periodically so
-   the loop measures append cost, not allocation of an ever-growing
-   slab list. *)
-let trace_batches_before_reset = 1024
-
-let trace_append_sink_bench =
-  let recording = Memsim.Recording.create () in
-  let mem =
-    Vscheme.Mem.create ~sink:(Memsim.Recording.sink recording) ~words:65536
-  in
-  let t = ref 0 in
-  let batches = ref 0 in
-  Bechamel.Test.make ~name:"trace-append-sink-1k"
+   fast path (record_into).  The recording is drained every 1024
+   batches so the loop measures append cost, not allocation of an
+   ever-growing slab list. *)
+let trace_append_bench name mem reset =
+  let t = ref 0 and batches = ref 0 in
+  Bechamel.Test.make ~name
     (Bechamel.Staged.stage (fun () ->
          for i = 0 to 999 do
            ignore (Vscheme.Mem.read mem ((!t + (i * 7)) land 0xffff))
          done;
          t := !t + 4096;
          incr batches;
-         if !batches >= trace_batches_before_reset then begin
+         if !batches >= 1024 then begin
            batches := 0;
-           Memsim.Recording.clear recording
+           reset ()
          end))
+
+let trace_append_sink_bench =
+  let recording = Memsim.Recording.create () in
+  trace_append_bench "trace-append-sink-1k"
+    (Vscheme.Mem.create ~sink:(Memsim.Recording.sink recording) ~words:65536)
+    (fun () -> Memsim.Recording.clear recording)
 
 let trace_append_direct_bench =
   let recording = Memsim.Recording.create () in
   let mem = Vscheme.Mem.create ~sink:Memsim.Trace.null ~words:65536 in
   Vscheme.Mem.record_into mem recording;
-  let t = ref 0 in
-  let batches = ref 0 in
-  Bechamel.Test.make ~name:"trace-append-direct-1k"
-    (Bechamel.Staged.stage (fun () ->
-         for i = 0 to 999 do
-           ignore (Vscheme.Mem.read mem ((!t + (i * 7)) land 0xffff))
-         done;
-         t := !t + 4096;
-         incr batches;
-         if !batches >= trace_batches_before_reset then begin
-           batches := 0;
-           Vscheme.Mem.sync_recording mem;
-           Memsim.Recording.clear recording;
-           Vscheme.Mem.record_into mem recording
-         end))
+  trace_append_bench "trace-append-direct-1k" mem (fun () ->
+      Vscheme.Mem.sync_recording mem;
+      Memsim.Recording.clear recording;
+      Vscheme.Mem.record_into mem recording)
 
 (* The floor under both append paths: pack and store 1k events
    straight into an off-heap slab, no VM dispatch at all.  The gap
@@ -121,19 +117,10 @@ let trace_append_bigarray_bench =
 (* Telemetry hot paths: a counter update against a disabled registry
    (the cost every instrumentation site pays when telemetry is off)
    vs. an enabled one. *)
-let obs_counter_disabled_bench =
-  let reg = Obs.Metrics.create ~enabled:false () in
-  let c = Obs.Metrics.counter reg "bench.count" in
-  Bechamel.Test.make ~name:"obs-counter-disabled-1k"
-    (Bechamel.Staged.stage (fun () ->
-         for _ = 1 to 1000 do
-           Obs.Metrics.Counter.incr c
-         done))
-
-let obs_counter_enabled_bench =
-  let reg = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter reg "bench.count" in
-  Bechamel.Test.make ~name:"obs-counter-enabled-1k"
+let obs_counter_bench state =
+  let enabled = state = "enabled" in
+  let c = Obs.Metrics.counter (Obs.Metrics.create ~enabled ()) "bench.count" in
+  Bechamel.Test.make ~name:("obs-counter-" ^ state ^ "-1k")
     (Bechamel.Staged.stage (fun () ->
          for _ = 1 to 1000 do
            Obs.Metrics.Counter.incr c
@@ -148,7 +135,7 @@ let run_perf () =
     Test.make_grouped ~name:"perf" ~fmt:"%s %s"
       [ cache_chunk_bench; vm_bench; trace_append_sink_bench;
         trace_append_direct_bench; trace_append_bigarray_bench;
-        obs_counter_disabled_bench; obs_counter_enabled_bench ]
+        obs_counter_bench "disabled"; obs_counter_bench "enabled" ]
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
@@ -171,108 +158,159 @@ let run_perf () =
         None)
     (List.sort compare rows)
 
-(* --- Sweep engine: per-event vs chunked vs domain-parallel ------------- *)
+(* --- Same-run engine comparisons -------------------------------------- *)
+
+(* Every engine comparison is one [compare_sides] of sides that run the
+   same simulation through different engines, side 0 the reference.
+   Each of [rounds] rounds runs every side once, and the side that goes first
+   rotates from round to round, so that neither a noisy stretch of the
+   host nor the cost of following another side lands on one side only.
+   Before each timed pass a side makes fresh state and settles the GC,
+   so no inherited collection debt lands inside the window; a sample
+   repeats passes until it has run [min_sample_s], because a pass of a
+   few milliseconds alone is mostly scheduler noise.  The run fails
+   unless every side ends each round in the same state as side 0.  A
+   hard bound reads [ratio], the median of a side's per-round ratios
+   against side 0, which no single lucky sample on either side decides,
+   as one decides a ratio of best times. *)
+let rounds = 5
+let min_sample_s = 0.05
+
+type 's side = { label : string; make : unit -> 's; drive : 's -> unit }
+
+(* Seconds per pass, and the last pass's state. *)
+let sample { make; drive; _ } =
+  let rec go passes spent =
+    let state = make () in
+    Gc.full_major ();
+    let (), s = time (fun () -> drive state) in
+    let spent = spent +. s in
+    if spent >= min_sample_s then (spent /. float_of_int passes, state)
+    else go (passes + 1) spent
+  in
+  go 1 0.
+
+let best times i =
+  Array.fold_left (fun acc t -> Float.min acc t.(i)) infinity times
+
+let ratios times i = Array.map (fun t -> t.(i) /. t.(0)) times
+let ratio times i = median (ratios times i)
+
+(* Runs the rounds and prints each side's best seconds per pass and,
+   for the other sides, the round ratios against side 0 and their
+   median.  Returns [times], where [times.(k).(i)] is side [i]'s seconds
+   per pass in round [k], and each side's best as a [<label>_s] field. *)
+let compare_sides name ~same sides =
+  let n = Array.length sides in
+  let times =
+    Array.init rounds (fun k ->
+        let samples =
+          List.init n (fun j ->
+              let i = (k + j) mod n in
+              (i, sample sides.(i)))
+        in
+        let state i = snd (List.assoc i samples) in
+        for i = 1 to n - 1 do
+          if not (same (state 0) (state i)) then
+            failwith
+              (Printf.sprintf "%s: %s's statistics diverged from %s's" name
+                 sides.(i).label sides.(0).label)
+        done;
+        Array.init n (fun i -> fst (List.assoc i samples)))
+  in
+  Array.iteri
+    (fun i { label; _ } ->
+      Format.fprintf ppf "  %-10s %.4fs per pass" label (best times i);
+      if i > 0 then begin
+        Format.fprintf ppf "   rounds:";
+        Array.iter (Format.fprintf ppf " %.2fx") (ratios times i);
+        Format.fprintf ppf "   median %.2fx" (ratio times i)
+      end;
+      Format.fprintf ppf "@.")
+    sides;
+  ( times,
+    Array.to_list
+      (Array.mapi
+         (fun i { label; _ } -> (label ^ "_s", Obs.Json.Float (best times i)))
+         sides) )
+
+(* [f] on [w]'s scale-1 run and trace; the trace's slabs go back to the
+   pool however [f] ends. *)
+let with_recording ?attr w f =
+  let r, recording = Core.Runner.record ~scale:1 ?attr w in
+  Fun.protect
+    ~finally:(fun () -> Memsim.Recording.release recording)
+    (fun () -> f r recording)
+
+(* [f] on every workload's scale-1 trace, in [Workload.all] order. *)
+let with_recordings f =
+  let rec go acc = function
+    | [] -> f (List.rev acc)
+    | w :: ws -> with_recording w (fun _ r -> go ((w, r) :: acc) ws)
+  in
+  go [] Workloads.Workload.all
+
+let same_results a b = Memsim.Sweep.results a = Memsim.Sweep.results b
 
 (* One recorded trace, the full 40-configuration paper grid, three
-   delivery mechanisms.  Parallel statistics are checked against the
-   serial oracle before the timings are reported. *)
+   delivery mechanisms: chunked serial (the reference), per event
+   through the sweep's sink, and domain-parallel. *)
 let measure_sweep () =
   let w = Workloads.Workload.nbody in
-  let _, recording = Core.Runner.record ~scale:1 w in
-  let events = Memsim.Recording.length recording in
-  let grid () =
+  with_recording w @@ fun _ recording ->
+  let make () =
     Memsim.Sweep.create
       (Memsim.Sweep.grid ~cache_sizes:Memsim.Sweep.paper_cache_sizes
          ~block_sizes:Memsim.Sweep.paper_block_sizes ())
   in
-  let per_event_sw = grid () in
-  let (), per_event_s =
-    time (fun () ->
-        Memsim.Recording.replay recording (Memsim.Sweep.sink per_event_sw))
+  let events = Memsim.Recording.length recording
+  and caches = Array.length (Memsim.Sweep.hiers (make ())) in
+  let jobs =
+    if Core.Runner.jobs () > 1 then Core.Runner.jobs ()
+    else Domain.recommended_domain_count ()
   in
-  let serial_sw = grid () in
-  let (), serial_s =
-    time (fun () ->
-        Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers serial_sw) recording)
-  in
-  let jobs = if Core.Runner.jobs () > 1 then Core.Runner.jobs () else 4 in
-  let parallel_sw = grid () in
-  let (), parallel_s =
-    time (fun () ->
-        Memsim.Sweep.hier_run_parallel ~jobs
-          (Memsim.Sweep.hiers parallel_sw)
-          recording)
-  in
-  let identical =
-    Memsim.Sweep.results serial_sw = Memsim.Sweep.results parallel_sw
-    && Memsim.Sweep.results serial_sw = Memsim.Sweep.results per_event_sw
-  in
-  if not identical then
-    failwith "sweep-serial-vs-parallel: statistics diverged across engines";
-  let caches = Array.length (Memsim.Sweep.hiers serial_sw) in
-  let throughput dt = float_of_int (events * caches) /. dt in
   Format.fprintf ppf
-    "@.==== sweep-serial-vs-parallel (%s, %d events, %d caches) ====@."
-    w.Workloads.Workload.name events caches;
-  Format.fprintf ppf
-    "per-event %.3fs   chunked %.3fs (%.2fx)   parallel --jobs %d %.3fs \
-     (%.2fx vs chunked)   stats identical@."
-    per_event_s serial_s (per_event_s /. serial_s) jobs parallel_s
-    (serial_s /. parallel_s);
+    "@.==== sweep-serial-vs-parallel (%s, %d events, %d caches, parallel \
+     --jobs %d) ====@."
+    w.name events caches jobs;
+  let times, seconds =
+    compare_sides "sweep-serial-vs-parallel" ~same:same_results
+      [| { label = "serial";
+           make;
+           drive =
+             (fun sw ->
+               Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers sw) recording)
+         };
+         { label = "per_event";
+           make;
+           drive =
+             (fun sw ->
+               Memsim.Recording.replay recording (Memsim.Sweep.sink sw)) };
+         { label = "parallel";
+           make;
+           drive =
+             (fun sw ->
+               Memsim.Sweep.hier_run_parallel ~jobs (Memsim.Sweep.hiers sw)
+                 recording) } |]
+  in
   ( "sweep-serial-vs-parallel",
     Obs.Json.Obj
-      [ ("workload", Obs.Json.Str w.Workloads.Workload.name);
-        ("events", Obs.Json.Int events);
-        ("caches", Obs.Json.Int caches);
-        ("jobs", Obs.Json.Int jobs);
-        ("per_event_s", Obs.Json.Float per_event_s);
-        ("serial_s", Obs.Json.Float serial_s);
-        ("parallel_s", Obs.Json.Float parallel_s);
-        ("serial_events_per_s", Obs.Json.Float (throughput serial_s));
-        ("parallel_events_per_s", Obs.Json.Float (throughput parallel_s));
-        ("speedup_chunk_vs_per_event",
-         Obs.Json.Float (per_event_s /. serial_s));
-        ("speedup_parallel_vs_serial", Obs.Json.Float (serial_s /. parallel_s));
-        ("host_domains",
-         Obs.Json.Int (Domain.recommended_domain_count ()));
-        ("identical_stats", Obs.Json.Bool identical)
-      ] )
-
-(* Time [drive] [runs] times, each on fresh state from [make] and
-   after settling the GC so no inherited collection debt lands inside
-   the window, and keep the best time with the last state: the
-   simulation is deterministic, so repetition only strips scheduler
-   and allocator noise. *)
-let best ?(runs = 5) make drive =
-  let rec go k best_s last =
-    if k = 0 then (best_s, last)
-    else
-      let e = make () in
-      Gc.full_major ();
-      let (), s = time (fun () -> drive e) in
-      go (k - 1) (Float.min best_s s) e
-  in
-  go runs infinity (make ())
+      ([ ("workload", Obs.Json.Str w.name);
+         ("events", Obs.Json.Int events);
+         ("caches", Obs.Json.Int caches);
+         ("jobs", Obs.Json.Int jobs);
+         ("host_domains", Obs.Json.Int (Domain.recommended_domain_count ()));
+         ("speedup_chunk_vs_per_event", Obs.Json.Float (ratio times 1));
+         ("speedup_parallel_vs_serial", Obs.Json.Float (1. /. ratio times 2))
+       ]
+      @ seconds) )
 
 (* Two direct-mapped cells replayed together ([Level.access_chunk2]:
    each event read once, both cells stepped on it) against the same
    two cells replayed one pass each ([Level.access_chunk] twice), on
    every workload's trace.  The cells are the golden grid's corners.
-   A single pass over the smallest trace takes a few milliseconds, so
-   each timed sample repeats its pass over [reps] fresh pairs of
-   cells, the count calibrated once per workload so the single side
-   runs for at least [min_sample_s]; both sides use the same count.
-   Each side keeps its best of nine samples, the two sides alternate
-   sample by sample and take turns going first, so that neither a
-   noisy stretch of the host nor the cost of following the other side
-   lands on one side only; each round's single/pair ratio is printed.
-   Both sides must end [Level.same].  The smallest per-workload median
-   of the nine round ratios is speedup_pair_vs_single, held to a hard
-   bound: a median of paired rounds does not rest on one lucky sample
-   on either side, as a ratio of the best times does. *)
-let min_sample_s = 0.05
-
-let measure_grid_pair () =
+   speedup_pair_vs_single is the smallest per-workload median. *)
+let measure_grid_pair recordings =
   Format.fprintf ppf
     "@.==== grid-pair (two direct-mapped cells, one pass vs two) ====@.";
   let make () =
@@ -284,273 +322,130 @@ let measure_grid_pair () =
   in
   let rows =
     List.map
-      (fun (w : Workloads.Workload.t) ->
-        let _, recording = Core.Runner.record ~scale:1 w in
+      (fun ((w : Workloads.Workload.t), recording) ->
         let events = Memsim.Recording.length recording in
-        let single_pass ls =
-          Array.iter
-            (fun l ->
-              Memsim.Recording.iter_chunks recording (fun buf len ->
-                  Memsim.Level.access_chunk l buf 0 len))
-            ls
-        and pair_pass ls =
-          Memsim.Recording.iter_chunks recording (fun buf len ->
-              Memsim.Level.access_chunk2 ls.(0) ls.(1) buf 0 len)
+        Format.fprintf ppf "%s, %d events:@." w.name events;
+        let times, seconds =
+          compare_sides ("grid-pair " ^ w.name)
+            ~same:(Array.for_all2 Memsim.Level.same)
+            [| { label = "pair";
+                 make;
+                 drive =
+                   (fun ls ->
+                     Memsim.Recording.iter_chunks recording (fun buf len ->
+                         Memsim.Level.access_chunk2 ls.(0) ls.(1) buf 0 len))
+               };
+               { label = "single";
+                 make;
+                 drive =
+                   Array.iter (fun l ->
+                       Memsim.Recording.iter_chunks recording (fun buf len ->
+                           Memsim.Level.access_chunk l buf 0 len)) } |]
         in
-        (* A warm-up pass, then one timed pass sets the repeat count. *)
-        single_pass (make ());
-        let reps =
-          let once, _ = best ~runs:1 make single_pass in
-          max 1 (int_of_float (Float.ceil (min_sample_s /. once)))
-        in
-        (* [reps] passes, each over fresh cells made before the clock
-           starts; the last pass's cells are kept for the check. *)
-        let sample pass =
-          let cells = Array.init reps (fun _ -> make ()) in
-          Gc.full_major ();
-          let (), s = time (fun () -> Array.iter pass cells) in
-          (s, cells.(reps - 1))
-        in
-        let rec rounds k ratios (single_s, single) (pair_s, pair) =
-          if k = 9 then (List.rev ratios, (single_s, single), (pair_s, pair))
-          else
-            let (s1, l1), (s2, l2) =
-              if k mod 2 = 0 then
-                let a = sample single_pass in
-                (a, sample pair_pass)
-              else
-                let b = sample pair_pass in
-                (sample single_pass, b)
-            in
-            rounds (k + 1) ((s1 /. s2) :: ratios)
-              (Float.min single_s s1, l1)
-              (Float.min pair_s s2, l2)
-        in
-        let ratios, (single_s, single), (pair_s, pair) =
-          rounds 0 [] (infinity, make ()) (infinity, make ())
-        in
-        let single_s = single_s /. float_of_int reps
-        and pair_s = pair_s /. float_of_int reps
-        and median = List.nth (List.sort Float.compare ratios) 4 in
-        Memsim.Recording.release recording;
-        if not (Array.for_all2 Memsim.Level.same single pair) then
-          failwith
-            ("grid-pair: the paired cells diverged from the single passes on "
-           ^ w.Workloads.Workload.name);
-        Format.fprintf ppf
-          "%-10s %9d events   single %.4fs   pair %.4fs per pass (%.2fx, \
-           %d pass(es) per sample)   levels same@.           rounds:%s   \
-           median %.2fx@."
-          w.Workloads.Workload.name events single_s pair_s
-          (single_s /. pair_s) reps
-          (String.concat "" (List.map (Printf.sprintf " %.2fx") ratios))
-          median;
-        (w.Workloads.Workload.name, events, reps, single_s, pair_s, median))
-      Workloads.Workload.all
+        let speedup = ratio times 1 in
+        ( speedup,
+          ( w.name,
+            Obs.Json.Obj
+              (("events", Obs.Json.Int events)
+               :: ("speedup", Obs.Json.Float speedup)
+               :: seconds) ) ))
+      recordings
   in
   let speedup =
-    List.fold_left
-      (fun acc (_, _, _, _, _, median) -> Float.min acc median)
-      infinity rows
+    List.fold_left (fun acc (s, _) -> Float.min acc s) infinity rows
   in
   Format.fprintf ppf "pair speedup (worst workload median): %.2fx@." speedup;
   ( "grid-pair",
     Obs.Json.Obj
-      [ ("workloads",
-         Obs.Json.Obj
-           (List.map
-              (fun (name, events, reps, single_s, pair_s, median) ->
-                ( name,
-                  Obs.Json.Obj
-                    [ ("events", Obs.Json.Int events);
-                      ("passes_per_sample", Obs.Json.Int reps);
-                      ("single_s", Obs.Json.Float single_s);
-                      ("pair_s", Obs.Json.Float pair_s);
-                      ("single_ns_per_event_cell",
-                       Obs.Json.Float
-                         (single_s *. 1e9 /. float_of_int (2 * events)));
-                      ("pair_ns_per_event_cell",
-                       Obs.Json.Float
-                         (pair_s *. 1e9 /. float_of_int (2 * events)));
-                      ("speedup", Obs.Json.Float (single_s /. pair_s));
-                      ("round_ratio_median", Obs.Json.Float median)
-                    ] ))
-              rows));
-        ("speedup_pair_vs_single", Obs.Json.Float speedup);
-        ("identical_state", Obs.Json.Bool true)
+      [ ("workloads", Obs.Json.Obj (List.map snd rows));
+        ("speedup_pair_vs_single", Obs.Json.Float speedup)
       ] )
 
-(* Fused miss-stream hierarchy vs the hooked per-event oracle: every
-   workload through the 3-level Coffee Lake preset.  Per-level
-   statistics are asserted bit-identical before any timing is
-   reported; the aggregate hooked/fused ratio is hierarchy_speedup,
-   held to a hard bound. *)
-let measure_hierarchy () =
-  let cfg = Memsim.Hier.preset Memsim.Hier.Cfl in
-  Format.fprintf ppf "@.==== hierarchy-sweep (cfl 3-level, hooked vs fused) ====@.";
-  let rows =
-    List.map
-      (fun (w : Workloads.Workload.t) ->
-        let _, recording = Core.Runner.record ~scale:1 w in
-        let events = Memsim.Recording.length recording in
-        (* The hooked oracle consumes traces per event through its
-           sink; the fused engine takes the same recording by chunk. *)
-        let hooked_s, hooked =
-          best
-            (fun () -> Memsim.Hier.create ~fused:false cfg)
-            (fun h ->
-              Memsim.Recording.replay recording (Memsim.Hier.sink h))
-        in
-        let fused_s, fused =
-          best
-            (fun () -> Memsim.Hier.create cfg)
-            (fun h ->
-              Memsim.Recording.iter_chunks recording (fun buf len ->
-                  Memsim.Hier.access_chunk h buf 0 len))
-        in
-        if Memsim.Hier.stats hooked <> Memsim.Hier.stats fused then
-          failwith
-            ("hierarchy-sweep: fused statistics diverged from the hooked \
-              oracle on " ^ w.Workloads.Workload.name);
-        Format.fprintf ppf
-          "%-10s %9d events   hooked %.3fs   fused %.3fs (%.2fx)   stats \
-           identical@."
-          w.Workloads.Workload.name events hooked_s fused_s
-          (hooked_s /. fused_s);
-        (w.Workloads.Workload.name, events, hooked_s, fused_s))
-      Workloads.Workload.all
+(* Two engines over every workload's trace, the fast one side 0.  A
+   side's state is one [make ()] per workload and a pass replays each
+   workload's trace into its own state, so a round's ratio is the slow
+   side's time summed across the workloads over the fast side's;
+   [ratio_key] is their median. *)
+let measure_all_workloads recordings ~name ~title ~same ~ratio_key fields
+    fast slow =
+  let events =
+    List.fold_left (fun acc (_, r) -> acc + Memsim.Recording.length r) 0
+      recordings
   in
-  let hooked_total =
-    List.fold_left (fun acc (_, _, h, _) -> acc +. h) 0.0 rows
+  Format.fprintf ppf "@.==== %s (%s, all workloads, %d events) ====@." name
+    title events;
+  let side (label, make, drive) =
+    { label;
+      make = (fun () -> List.map (fun _ -> make ()) recordings);
+      drive = List.iter2 (fun (_, recording) -> drive recording) recordings }
   in
-  let fused_total =
-    List.fold_left (fun acc (_, _, _, f) -> acc +. f) 0.0 rows
+  let times, seconds =
+    compare_sides name ~same:(List.for_all2 same)
+      [| side fast; side slow |]
   in
-  let speedup = hooked_total /. fused_total in
-  Format.fprintf ppf "hierarchy speedup (all workloads): %.2fx@." speedup;
-  ( "hierarchy-sweep",
+  ( name,
     Obs.Json.Obj
-      [ ("cpu", Obs.Json.Str "cfl");
-        ("levels", Obs.Json.Int 3);
-        ("workloads",
-         Obs.Json.Obj
-           (List.map
-              (fun (name, events, hooked_s, fused_s) ->
-                ( name,
-                  Obs.Json.Obj
-                    [ ("events", Obs.Json.Int events);
-                      ("hooked_s", Obs.Json.Float hooked_s);
-                      ("fused_s", Obs.Json.Float fused_s);
-                      ("hooked_events_per_s",
-                       Obs.Json.Float (float_of_int events /. hooked_s));
-                      ("fused_events_per_s",
-                       Obs.Json.Float (float_of_int events /. fused_s));
-                      ("speedup", Obs.Json.Float (hooked_s /. fused_s))
-                    ] ))
-              rows));
-        ("hooked_total_s", Obs.Json.Float hooked_total);
-        ("fused_total_s", Obs.Json.Float fused_total);
-        ("hierarchy_speedup", Obs.Json.Float speedup);
-        ("identical_stats", Obs.Json.Bool true)
-      ] )
+      (fields
+      @ [ ("events", Obs.Json.Int events);
+          (ratio_key, Obs.Json.Float (ratio times 1)) ]
+      @ seconds) )
+
+(* Fused miss-stream hierarchy vs the hooked per-event oracle: every
+   workload through the 3-level Coffee Lake preset. *)
+let measure_hierarchy recordings =
+  let cfg = Memsim.Hier.preset Memsim.Hier.Cfl in
+  measure_all_workloads recordings ~name:"hierarchy-sweep"
+    ~title:"cfl 3-level, hooked vs fused" ~ratio_key:"hierarchy_speedup"
+    ~same:(fun a b -> Memsim.Hier.stats a = Memsim.Hier.stats b)
+    [ ("cpu", Obs.Json.Str "cfl"); ("levels", Obs.Json.Int 3) ]
+    ( "fused",
+      (fun () -> Memsim.Hier.create cfg),
+      fun recording h ->
+        Memsim.Recording.iter_chunks recording (fun buf len ->
+            Memsim.Hier.access_chunk h buf 0 len) )
+    ( "hooked",
+      (fun () -> Memsim.Hier.create ~fused:false cfg),
+      fun recording h -> Memsim.Recording.replay recording (Memsim.Hier.sink h)
+    )
 
 (* The five CPU presets share one L1 and two L2s.  A fleet replay
    simulates each shared prefix once (7 level simulations instead of
    15); replaying each preset alone through its own one-hierarchy
-   [hier_run_serial] is its oracle.  Every level's statistics are
-   asserted identical before the timing is reported; the aggregate
-   alone/fleet ratio is fleet_speedup, held to a hard bound. *)
-let measure_fleet () =
-  Format.fprintf ppf
-    "@.==== hierarchy-fleet (five presets, one fleet vs each alone) ====@.";
+   [hier_run_serial] is its oracle. *)
+let measure_fleet recordings =
   let make () =
     Array.of_list
       (List.map
          (fun cpu -> Memsim.Hier.create (Memsim.Hier.preset cpu))
          Memsim.Hier.all_cpus)
   in
-  let rows =
-    List.map
-      (fun (w : Workloads.Workload.t) ->
-        let _, recording = Core.Runner.record ~scale:1 w in
-        let events = Memsim.Recording.length recording in
-        let alone_s, alone =
-          best ~runs:3 make (fun hs ->
-              Array.iter
-                (fun h -> Memsim.Sweep.hier_run_serial [| h |] recording)
-                hs)
-        in
-        let fleet_s, fleet =
-          best ~runs:3 make (fun hs -> Memsim.Sweep.hier_run_serial hs recording)
-        in
-        Memsim.Recording.release recording;
-        if Array.map Memsim.Hier.stats alone <> Array.map Memsim.Hier.stats fleet
-        then
-          failwith
-            ("hierarchy-fleet: shared-prefix statistics diverged from the \
-              one-hierarchy replays on " ^ w.Workloads.Workload.name);
-        Format.fprintf ppf
-          "%-10s %9d events   alone %.3fs   fleet %.3fs (%.2fx)   stats \
-           identical@."
-          w.Workloads.Workload.name events alone_s fleet_s
-          (alone_s /. fleet_s);
-        (w.Workloads.Workload.name, events, alone_s, fleet_s))
-      Workloads.Workload.all
-  in
-  let total f = List.fold_left (fun acc row -> acc +. f row) 0.0 rows in
-  let alone_total = total (fun (_, _, a, _) -> a) in
-  let fleet_total = total (fun (_, _, _, f) -> f) in
-  let events = List.fold_left (fun acc (_, e, _, _) -> acc + e) 0 rows in
-  let ns_per_event s = s *. 1e9 /. float_of_int events in
-  let speedup = alone_total /. fleet_total in
-  Format.fprintf ppf
-    "fleet speedup (all workloads): %.2fx   alone %.1f ns/event   fleet %.1f \
-     ns/event@."
-    speedup (ns_per_event alone_total) (ns_per_event fleet_total);
-  ( "hierarchy-fleet",
-    Obs.Json.Obj
-      [ ("cpus",
-         Obs.Json.List
-           (List.map
-              (fun c -> Obs.Json.Str (Memsim.Hier.cpu_label c))
-              Memsim.Hier.all_cpus));
-        ("workloads",
-         Obs.Json.Obj
-           (List.map
-              (fun (name, events, alone_s, fleet_s) ->
-                ( name,
-                  Obs.Json.Obj
-                    [ ("events", Obs.Json.Int events);
-                      ("alone_s", Obs.Json.Float alone_s);
-                      ("fleet_s", Obs.Json.Float fleet_s);
-                      ("speedup", Obs.Json.Float (alone_s /. fleet_s))
-                    ] ))
-              rows));
-        ("alone_total_s", Obs.Json.Float alone_total);
-        ("fleet_total_s", Obs.Json.Float fleet_total);
-        ("alone_ns_per_event", Obs.Json.Float (ns_per_event alone_total));
-        ("fleet_ns_per_event", Obs.Json.Float (ns_per_event fleet_total));
-        ("fleet_speedup", Obs.Json.Float speedup);
-        ("identical_stats", Obs.Json.Bool true)
-      ] )
+  measure_all_workloads recordings ~name:"hierarchy-fleet"
+    ~title:"five presets, one fleet vs each alone" ~ratio_key:"fleet_speedup"
+    ~same:(fun a b ->
+      Array.map Memsim.Hier.stats a = Array.map Memsim.Hier.stats b)
+    [ ("cpus",
+       Obs.Json.List
+         (List.map
+            (fun c -> Obs.Json.Str (Memsim.Hier.cpu_label c))
+            Memsim.Hier.all_cpus)) ]
+    ( "fleet",
+      make,
+      fun recording hs -> Memsim.Sweep.hier_run_serial hs recording )
+    ( "alone",
+      make,
+      fun recording ->
+        Array.iter (fun h -> Memsim.Sweep.hier_run_serial [| h |] recording) )
 
 (* Attribution overhead: the same recording through the same cache
-   column plain, fully attributed, and 1-in-8 sampled.  Aggregate
-   statistics must be bit-identical across all three (sampling only
-   thins the attribution, never the simulation); the ratios are the
-   price of per-event region/site/heat accounting on the fast path.
-   The overhead_full bound is a ratio of two wall times, and one run of
-   each is too noisy to hold it to.  The three sides take turns round
-   by round, each run on a fresh sweep, and the side that goes first
-   rotates, so that a noisy stretch of the host does not land on one
-   side only; each round's ratios are printed, and the overheads are
-   the medians of the five rounds' ratios, which no single lucky run
-   on either side decides.  The per-side times printed are each side's
-   best. *)
+   column plain (the reference), fully attributed, and 1-in-8 sampled.
+   Aggregate statistics must be bit-identical across all three
+   (sampling only thins the attribution, never the simulation); the
+   ratios are the price of per-event region/site/heat accounting on the
+   fast path. *)
 let measure_attribution () =
   let w = Workloads.Workload.nbody in
   let table = Memsim.Attr.create () in
-  let r, recording = Core.Runner.record ~scale:1 ~attr:table w in
+  with_recording ~attr:table w @@ fun r recording ->
   let addr_limit =
     Vscheme.Mem.size_words (Vscheme.Machine.mem r.Core.Runner.machine)
     * Memsim.Trace.word_bytes
@@ -560,74 +455,43 @@ let measure_attribution () =
     Memsim.Sweep.grid ~cache_sizes:Memsim.Sweep.paper_cache_sizes
       ~block_sizes:[ 32 ] ()
   in
-  (* plain, attributed, sampled *)
-  let sides =
-    [| (fun sw -> Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers sw) recording);
-       (fun sw ->
-         ignore (Memsim.Sweep.run_attributed ~addr_limit sw table recording));
-       (fun sw ->
-         ignore
-           (Memsim.Sweep.run_attributed ~sample_every:8 ~addr_limit sw table
-              recording)) |]
+  let make () = Memsim.Sweep.create configs in
+  let attributed label sample_every =
+    { label;
+      make;
+      drive =
+        (fun sw ->
+          ignore
+            (Memsim.Sweep.run_attributed ~sample_every ~addr_limit sw table
+               recording)) }
   in
-  (* One round: each side once on a fresh sweep, starting from side
-     [k mod 3]; the times in side order, and whether the three sides'
-     statistics agree. *)
-  let round k =
-    let times = Array.make 3 0. and results = Array.make 3 [] in
-    for j = 0 to 2 do
-      let side = (k + j) mod 3 in
-      let sw = Memsim.Sweep.create configs in
-      Gc.full_major ();
-      let (), s = time (fun () -> sides.(side) sw) in
-      times.(side) <- s;
-      results.(side) <- Memsim.Sweep.results sw
-    done;
-    (times, results.(0) = results.(1) && results.(0) = results.(2))
-  in
-  let rounds = List.init 5 round in
-  let best side =
-    List.fold_left (fun acc (times, _) -> Float.min acc times.(side)) infinity
-      rounds
-  in
-  let plain_s = best 0 and attr_s = best 1 and sampled_s = best 2 in
-  let identical = List.for_all snd rounds in
-  if not identical then
-    failwith "attribution-overhead: statistics diverged from plain replay";
-  let caches = List.length configs in
-  let median_ratio side =
-    let r = List.map (fun (t, _) -> t.(side) /. t.(0)) rounds in
-    List.nth (List.sort Float.compare r) (List.length r / 2)
-  in
-  let ratio_full = median_ratio 1 and ratio_sampled = median_ratio 2 in
   Format.fprintf ppf
-    "@.==== attribution-overhead (%s, %d events, %d caches) ====@."
-    w.Workloads.Workload.name events caches;
-  Format.fprintf ppf
-    "plain %.3fs   attributed %.3fs   sampled 1-in-8 %.3fs (best of each)   \
-     stats identical@.rounds (attributed, sampled):%s   median %.2fx/%.2fx@."
-    plain_s attr_s sampled_s
-    (String.concat ""
-       (List.map
-          (fun (t, _) ->
-            Printf.sprintf " %.2fx/%.2fx" (t.(1) /. t.(0)) (t.(2) /. t.(0)))
-          rounds))
-    ratio_full ratio_sampled;
+    "@.==== attribution-overhead (%s, %d events, %d caches, sampled \
+     1-in-8) ====@."
+    w.name events (List.length configs);
+  let times, seconds =
+    compare_sides "attribution-overhead" ~same:same_results
+      [| { label = "plain";
+           make;
+           drive =
+             (fun sw ->
+               Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers sw) recording)
+         };
+         attributed "attributed" 1;
+         attributed "sampled" 8 |]
+  in
   ( "attribution-overhead",
     Obs.Json.Obj
-      [ ("workload", Obs.Json.Str w.Workloads.Workload.name);
-        ("events", Obs.Json.Int events);
-        ("caches", Obs.Json.Int caches);
-        ("sites", Obs.Json.Int (Memsim.Attr.num_sites table));
-        ("epochs", Obs.Json.Int (Memsim.Attr.num_epochs table));
-        ("plain_s", Obs.Json.Float plain_s);
-        ("attributed_s", Obs.Json.Float attr_s);
-        ("sampled_s", Obs.Json.Float sampled_s);
-        ("sample_every", Obs.Json.Int 8);
-        ("overhead_full", Obs.Json.Float ratio_full);
-        ("overhead_sampled", Obs.Json.Float ratio_sampled);
-        ("identical_stats", Obs.Json.Bool identical)
-      ] )
+      ([ ("workload", Obs.Json.Str w.name);
+         ("events", Obs.Json.Int events);
+         ("caches", Obs.Json.Int (List.length configs));
+         ("sites", Obs.Json.Int (Memsim.Attr.num_sites table));
+         ("epochs", Obs.Json.Int (Memsim.Attr.num_epochs table));
+         ("sample_every", Obs.Json.Int 8);
+         ("overhead_full", Obs.Json.Float (ratio times 1));
+         ("overhead_sampled", Obs.Json.Float (ratio times 2))
+       ]
+      @ seconds) )
 
 (* On-disk formats: save/load one real trace in varint+delta v2 and
    mmap-native v3, verifying both round trip (the v3 load is the
@@ -644,7 +508,7 @@ let v2_counts = 7
 
 let measure_recording_formats () =
   let w = Workloads.Workload.nbody in
-  let _, recording = Core.Runner.record ~scale:1 w in
+  with_recording w @@ fun _ recording ->
   let events = Memsim.Recording.length recording in
   (* [then_ path] runs on the saved file before it is removed. *)
   let measure format name then_ =
@@ -657,36 +521,34 @@ let measure_recording_formats () =
         in
         let bytes = (Unix.stat path).Unix.st_size in
         let loaded, load_s = time (fun () -> Memsim.Recording.load path) in
-        if not (Memsim.Recording.equal recording loaded) then
+        let equal = Memsim.Recording.equal recording loaded in
+        Memsim.Recording.release loaded;
+        if not equal then
           failwith ("recording-save-load: " ^ name ^ " round trip diverged");
         (bytes, save_s, load_s, then_ path))
   in
   let median_load_us path =
-    let us =
-      Array.init v3_loads (fun _ ->
-          let t0 = Monotonic_clock.now () in
-          let again = Memsim.Recording.load path in
-          let dt = Int64.sub (Monotonic_clock.now ()) t0 in
-          if Memsim.Recording.length again <> events then
-            failwith "recording-save-load: a v3 load lost events";
-          Int64.to_float dt *. 1e-3)
-    in
-    Array.sort Float.compare us;
-    us.(v3_loads / 2)
+    median
+      (Array.init v3_loads (fun _ ->
+           let again, s = time (fun () -> Memsim.Recording.load path) in
+           let n = Memsim.Recording.length again in
+           Memsim.Recording.release again;
+           if n <> events then
+             failwith "recording-save-load: a v3 load lost events";
+           s *. 1e6))
   in
   let v2_bytes, v2_save_s, v2_load_s, () =
     measure Memsim.Recording.V2 "v2" ignore
   in
   let v2_count_s =
-    let s =
-      Array.init v2_counts (fun _ ->
-          let n, dt = time (fun () -> Memsim.Recording.saved_bytes recording) in
-          if n <> v2_bytes then
-            failwith "recording-save-load: the v2 count differs from the file";
-          dt)
-    in
-    Array.sort Float.compare s;
-    s.(v2_counts / 2)
+    median
+      (Array.init v2_counts (fun _ ->
+           let n, dt =
+             time (fun () -> Memsim.Recording.saved_bytes recording)
+           in
+           if n <> v2_bytes then
+             failwith "recording-save-load: the v2 count differs from the file";
+           dt))
   in
   let v3_bytes, v3_save_s, _, v3_load_us =
     measure Memsim.Recording.V3 "v3" median_load_us
@@ -749,11 +611,6 @@ let startup_cells =
             { nursery_bytes = 64 * 1024; old_bytes = 24 * 1024 * 1024 } ) ])
     Workloads.Workload.all
 
-let median_of n f =
-  let a = Array.init n (fun _ -> f ()) in
-  Array.sort Float.compare a;
-  a.(n / 2)
-
 let measure_startup () =
   let boot () =
     List.iter
@@ -767,7 +624,9 @@ let measure_startup () =
       startup_cells
   in
   boot ();
-  let boot_us = median_of boots (fun () -> snd (time boot) *. 1e6) in
+  let boot_us =
+    median (Array.init boots (fun _ -> snd (time boot) *. 1e6))
+  in
   Format.fprintf ppf "@.==== startup (%d cells, median of %d boots) ====@."
     (List.length startup_cells) boots;
   Format.fprintf ppf "boot %.0f us for the cells, %.0f us a cell@." boot_us
@@ -788,11 +647,12 @@ let measure_reader () =
   let bytes = String.length src in
   let data = Sexp.Parser.parse_all src in
   let read_s =
-    median_of reads (fun () ->
-        let d, s = time (fun () -> Sexp.Parser.parse_all src) in
-        if List.length d <> List.length data then
-          failwith "sexp: a read of the prelude lost data";
-        s)
+    median
+      (Array.init reads (fun _ ->
+           let d, s = time (fun () -> Sexp.Parser.parse_all src) in
+           if List.length d <> List.length data then
+             failwith "sexp: a read of the prelude lost data";
+           s))
   in
   let ns_per_byte = read_s *. 1e9 /. float_of_int bytes in
   Format.fprintf ppf "@.==== sexp (the prelude, %d bytes, %d data) ====@."
@@ -812,13 +672,9 @@ let trace_append_entry results =
   let find name = List.assoc_opt ("perf " ^ name) results in
   match (find "trace-append-sink-1k", find "trace-append-direct-1k") with
   | Some sink_ns, Some direct_ns ->
-    let bigarray =
-      match find "trace-append-bigarray-1k" with
-      | Some ba_ns ->
-        [ ("bigarray_ns_per_1k", Obs.Json.Float ba_ns);
-          ("overhead_direct_vs_bigarray", Obs.Json.Float (direct_ns /. ba_ns))
-        ]
-      | None -> []
+    let bigarray ba_ns =
+      [ ("bigarray_ns_per_1k", Obs.Json.Float ba_ns);
+        ("overhead_direct_vs_bigarray", Obs.Json.Float (direct_ns /. ba_ns)) ]
     in
     [ ( "trace-append",
         Obs.Json.Obj
@@ -826,8 +682,8 @@ let trace_append_entry results =
              ("direct_ns_per_1k", Obs.Json.Float direct_ns);
              ("speedup_direct_vs_sink", Obs.Json.Float (sink_ns /. direct_ns))
            ]
-           @ bigarray) )
-    ]
+          @ Option.fold ~none:[] ~some:bigarray
+              (find "trace-append-bigarray-1k")) ) ]
   | _ -> []
 
 (* The serve daemon's scheduler, in-process: K distinct synthetic
@@ -841,19 +697,14 @@ let trace_append_entry results =
    hit_submit_p50_ms. *)
 let measure_serve () =
   let distinct = 8 and total = 1000 in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "repro-serve-bench-%d" (Unix.getpid ()))
-  in
+  let dir = Filename.temp_dir "repro-serve-bench" "" in
   let rec rm_rf path =
-    match Unix.lstat path with
-    | exception Unix.Unix_error _ -> ()
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
+    if Sys.is_directory path then begin
       Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-    | _ -> Unix.unlink path
+      Sys.rmdir path
+    end
+    else Sys.remove path
   in
-  rm_rf dir;
   let synthetic v =
     let base =
       match Golden.Manifest.default.Golden.Manifest.runs with
@@ -897,8 +748,7 @@ let measure_serve () =
         done;
         Serve.Sched.drain sched)
   in
-  Array.sort Float.compare hit_s;
-  let hit_p50 = 1000. *. hit_s.(Array.length hit_s / 2) in
+  let hit_p50 = 1000. *. median hit_s in
   let dt = sweep_s +. repeat_s in
   let counter = Serve.Sched.counter_value sched in
   let completed = counter "completed" in
@@ -970,15 +820,12 @@ let soft_bounds =
 let check_bounds doc =
   let check ~hard (key, bound) =
     let actual =
-      match
-        List.fold_left
-          (fun j seg -> Option.bind j (Obs.Json.member seg))
-          (Some doc)
-          (String.split_on_char '.' key)
-      with
-      | Some (Obs.Json.Float v) -> Some v
-      | Some (Obs.Json.Int i) -> Some (float_of_int i)
-      | Some _ | None -> None
+      Option.bind
+        (List.fold_left
+           (fun j seg -> Option.bind j (Obs.Json.member seg))
+           (Some doc)
+           (String.split_on_char '.' key))
+        Obs.Json.to_float
     in
     let want, holds =
       match bound with
@@ -998,25 +845,23 @@ let check_bounds doc =
   List.iter (fun b -> ignore (check ~hard:false b)) soft_bounds;
   List.for_all Fun.id hard_held
 
-let write_bench_metrics json =
-  (* Replaced atomically so a crash mid-write never leaves a torn
-     metrics file for the CI artifact upload to pick up. *)
-  Obs.Atomic_file.write "BENCH_metrics.json" (fun oc ->
-      output_string oc (Obs.Json.to_pretty_string json);
-      output_char oc '\n');
-  Format.fprintf ppf "wrote BENCH_metrics.json@."
-
 let () =
   Format.fprintf ppf "perf smoke: built with dune profile %s@."
     Build_profile.profile;
   let results = run_perf () in
   (* One pass after another, in print order (a list literal would
      evaluate right to left). *)
-  let measured =
+  let sweep = measure_sweep () in
+  let engines =
+    with_recordings (fun recordings ->
+        List.map
+          (fun measure -> measure recordings)
+          [ measure_grid_pair; measure_hierarchy; measure_fleet ])
+  in
+  let rest =
     List.map
       (fun measure -> measure ())
-      [ measure_sweep; measure_grid_pair; measure_hierarchy; measure_fleet;
-        measure_attribution; measure_recording_formats; measure_startup;
+      [ measure_attribution; measure_recording_formats; measure_startup;
         measure_reader; measure_serve ]
   in
   let doc =
@@ -1030,10 +875,15 @@ let () =
                   (name, Obs.Json.Obj [ ("ns_per_run", Obs.Json.Float est) ]))
                 results))
        :: trace_append_entry results
-       @ measured)
+       @ (sweep :: engines) @ rest)
   in
   let hard_held = check_bounds doc in
-  write_bench_metrics doc;
+  (* Replaced atomically so a crash mid-write never leaves a torn
+     metrics file for the CI artifact upload to pick up. *)
+  Obs.Atomic_file.write "BENCH_metrics.json" (fun oc ->
+      output_string oc (Obs.Json.to_pretty_string doc);
+      output_char oc '\n');
+  Format.fprintf ppf "wrote BENCH_metrics.json@.";
   Format.pp_print_flush ppf ();
   if not hard_held then begin
     prerr_endline "bench: a hard bound failed (see the FAIL lines above)";

@@ -595,14 +595,10 @@ let replay path hier geometry policy checkpoint checkpoint_every metrics
 
 (* Geometry mirrors what Runner.record builds for these flags, so a trace
    from `repro record` verifies with the same defaults it was recorded
-   under (48 MB dynamic area scaled by REPRO_SCALE, Machine's static
-   and stack reservations, which no producer changes). *)
+   under (the runner's dynamic-area rule, Machine's static and stack
+   reservations, which no producer changes). *)
 let check_geometry gc heap_bytes =
-  let heap_bytes =
-    match heap_bytes with
-    | Some b -> b
-    | None -> 48 * 1024 * 1024 * Core.Runner.scale_factor ()
-  in
+  let heap_bytes = Core.Runner.resolve_heap_bytes heap_bytes in
   let cfg = { Vscheme.Machine.default_config with gc; heap_bytes } in
   { Check.Stream_check.static_base = 0;
     stack_base = Vscheme.Machine.stack_base_bytes cfg;

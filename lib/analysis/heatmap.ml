@@ -1,9 +1,8 @@
-let default_ramp = " .:-=+*#%@"
+let ramp = " .:-=+*#%@"
 
-let render ppf ?(ramp = default_ramp) ?row_label ~rows ~cols counts =
+let render ppf ?row_label ~rows ~cols counts =
   if rows <= 0 || cols <= 0 || rows * cols <> Array.length counts then
     invalid_arg "Heatmap.render: dimensions do not match counts";
-  if String.length ramp = 0 then invalid_arg "Heatmap.render: empty ramp";
   let vmax = Array.fold_left max 0 counts in
   let levels = String.length ramp in
   let scale = if vmax = 0 then 1.0 else log (1.0 +. float_of_int vmax) in

@@ -10,7 +10,6 @@
 
 val render :
   Format.formatter ->
-  ?ramp:string ->
   ?row_label:(int -> string) ->
   rows:int ->
   cols:int ->
@@ -23,5 +22,5 @@ val render :
     ramp and the maximum cell value.  [row_label] supplies a
     left-margin label per row.
 
-    @raise Invalid_argument if [rows * cols <> Array.length counts],
-    either dimension is non-positive, or [ramp] is empty. *)
+    @raise Invalid_argument if [rows * cols <> Array.length counts] or
+    either dimension is non-positive. *)

@@ -62,7 +62,9 @@ let sink t =
 
 let columns t = t.ncols
 
-let render ppf ?(max_cols = 110) t =
+let max_cols = 110
+
+let render ppf t =
   let cols = Array.of_list (List.rev t.grid) in
   let ncols = Array.length cols in
   if ncols = 0 then Format.fprintf ppf "(no complete time columns)@."

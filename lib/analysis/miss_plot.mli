@@ -24,6 +24,6 @@ val sink : t -> Memsim.Trace.sink
 val columns : t -> int
 (** Number of time columns accumulated so far. *)
 
-val render : Format.formatter -> ?max_cols:int -> t -> unit
+val render : Format.formatter -> t -> unit
 (** Print the dot grid, newest column last; wider plots are split into
-    [max_cols]-wide bands (default 110). *)
+    110-column bands. *)

@@ -35,6 +35,12 @@ val scale_factor : unit -> int
     @raise Failure naming the variable and its value when it is set
     to anything {!Units.parse_count} refuses. *)
 
+val resolve_heap_bytes : int option -> int
+(** The dynamic area a run gets for a [?heap_bytes] argument: the
+    given size, else 48 MB times {!scale_factor}.  {!record} sizes its
+    machine by this rule, and [repro check] its default geometry.
+    @raise Failure as {!scale_factor}. *)
+
 val jobs : unit -> int
 (** Worker domains for parallel sweeps: the last {!set_jobs} value,
     else the [REPRO_JOBS] environment variable, else 1 (serial — the

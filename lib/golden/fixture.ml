@@ -125,12 +125,12 @@ let measure ?ctx ?checkpoint ?checkpoint_every ?progress (run : Manifest.run) =
 
 (* --- Comparison --------------------------------------------------------- *)
 
-let default_tolerance = 1e-9
+let tolerance = 1e-9
 
 let finding ~file rule fmt =
   Printf.ksprintf (fun msg -> Check.Finding.v ~rule ~file msg) fmt
 
-let compare ?(tolerance = default_tolerance) ~file ~expected ~actual () =
+let compare ~file ~expected ~actual () =
   let acc = ref [] in
   let report f = acc := f :: !acc in
   let name = expected.run.Manifest.name in

@@ -9,7 +9,7 @@
       ({!Memsim.Cache.stats}).  The simulator is deterministic, so
       these must match bit-for-bit; any drift is a behaviour change.
     - {e derived ratios} — miss ratios and §5 cache-overhead
-      percentages, compared within a relative tolerance band, so a
+      percentages, compared within a relative tolerance band of 1e-9, so a
       reformulation of the arithmetic (or a different FMA contraction)
       does not fail the gate while a real regression does.
 
@@ -66,8 +66,7 @@ val measure :
     @raise Failure on an unknown workload name. *)
 
 val compare :
-  ?tolerance:float -> file:string -> expected:t -> actual:t -> unit ->
-  Check.Finding.t list
+  file:string -> expected:t -> actual:t -> unit -> Check.Finding.t list
 (** Every disagreement as an error finding: rule [golden.run] when the
     two were measured under different manifest entries, [golden.value]
     / [golden.count] for exact quantities, [golden.ratio] for derived

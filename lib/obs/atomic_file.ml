@@ -29,9 +29,19 @@ let in_place path =
   | replaced -> not replaced
   | exception Sys_error _ -> false
 
+(* The file a replacing write renames onto: the one a symbolic link
+   leads to, so that the link stays; a dangling link is itself
+   replaced. *)
+let target path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_LNK; _ } -> (
+    try Unix.realpath path with Unix.Unix_error _ -> path)
+  | _ | (exception Unix.Unix_error _) -> path
+
 let write path body =
   if in_place path then fill (open_out_bin path) body
   else
+    let path = target path in
     let tmp, oc =
       Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
         ~temp_dir:(Filename.dirname path) (Filename.basename path) suffix

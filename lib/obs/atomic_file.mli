@@ -10,10 +10,12 @@
     it open or mapped keeps reading the old bytes, so a mapped v3
     recording may be saved onto its own path.
 
-    A target that exists and is neither a regular file nor a directory
-    (a device or a FIFO) is not replaced but written in place, through
-    one channel; renaming over [/dev/full] would replace the device
-    node. *)
+    A symbolic link is followed: the temporary sits beside the file
+    the link leads to and is renamed onto that file, so the link stays
+    a link.  A target that exists and is neither a regular file
+    nor a directory (a device or a FIFO) is not replaced but written in
+    place, through one channel; renaming over [/dev/full] would replace
+    the device node. *)
 
 val write : string -> (out_channel -> unit) -> unit
 (** [write path body] runs [body] on a binary channel and puts what it

@@ -26,15 +26,12 @@ type timeline = {
 
 let dummy_event = { ts = 0; name = ""; cat = ""; kind = Instant; args = [] }
 
-let create ?clock () =
+let create () =
   let t = { clock = (fun () -> 0); events = Array.make 64 dummy_event; len = 0; seq = 0 } in
-  (match clock with
-   | Some c -> t.clock <- c
-   | None ->
-     t.clock <-
-       (fun () ->
-         t.seq <- t.seq + 1;
-         t.seq));
+  t.clock <-
+    (fun () ->
+      t.seq <- t.seq + 1;
+      t.seq);
   t
 
 let set_clock t clock = t.clock <- clock

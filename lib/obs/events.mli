@@ -38,8 +38,8 @@ type event = {
 
 type timeline
 
-val create : ?clock:(unit -> int) -> unit -> timeline
-(** New empty timeline.  Without [clock], timestamps are a private
+val create : unit -> timeline
+(** New empty timeline.  Until {!set_clock}, timestamps are a private
     sequence number (1, 2, ...). *)
 
 val set_clock : timeline -> (unit -> int) -> unit

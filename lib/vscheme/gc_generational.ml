@@ -1,11 +1,12 @@
 type config = {
   nursery_words : int;
   old_words : int;
-  ssb_entries : int;
 }
 
-let config ?(ssb_entries = 32768) ~nursery_words ~old_words () =
-  { nursery_words; old_words; ssb_entries }
+(* Store-buffer capacity, in entries. *)
+let ssb_entries = 32768
+
+let config ~nursery_words ~old_words = { nursery_words; old_words }
 
 type stats = {
   minor_collections : int;
@@ -54,7 +55,7 @@ let barrier inst ~field_addr ~value =
   then begin
     Heap.charge_mutator inst.heap 3;
     inst.barrier_hits <- inst.barrier_hits + 1;
-    if inst.ssb_count >= inst.cfg.ssb_entries then begin
+    if inst.ssb_count >= ssb_entries then begin
       if not inst.ssb_overflowed then begin
         inst.ssb_overflowed <- true;
         inst.ssb_overflows <- inst.ssb_overflows + 1
@@ -175,7 +176,7 @@ let install heap cfg =
   (* The SSB is a runtime table in the static area, as in real
      systems. *)
   let ssb_obj =
-    Heap.alloc heap Heap.Static Value.Vector ~len:cfg.ssb_entries
+    Heap.alloc heap Heap.Static Value.Vector ~len:ssb_entries
   in
   let inst =
     { heap;

@@ -18,10 +18,10 @@
 type config = {
   nursery_words : int;
   old_words : int;       (** per semispace *)
-  ssb_entries : int;     (** store-buffer capacity (default 32768) *)
 }
+(** The store buffer holds 32768 entries. *)
 
-val config : ?ssb_entries:int -> nursery_words:int -> old_words:int -> unit -> config
+val config : nursery_words:int -> old_words:int -> config
 
 type stats = {
   minor_collections : int;

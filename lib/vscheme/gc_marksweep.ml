@@ -1,14 +1,16 @@
 type config = {
   nursery_words : int;
   old_words : int;
-  ssb_entries : int;
 }
 
-let config ?(ssb_entries = 32768) ~nursery_words ~old_words () =
+(* Store-buffer capacity, in entries. *)
+let ssb_entries = 32768
+
+let config ~nursery_words ~old_words =
   (* Old-generation bookkeeping works in even-sized units so that a
      linear sweep can step over allocated objects and free blocks
      alike; see [unit_size]. *)
-  { nursery_words; old_words = old_words land lnot 1; ssb_entries }
+  { nursery_words; old_words = old_words land lnot 1 }
 
 type stats = {
   minor_collections : int;
@@ -124,7 +126,7 @@ let barrier inst ~field_addr ~value =
   then begin
     Heap.charge_mutator inst.heap 3;
     inst.barrier_hits <- inst.barrier_hits + 1;
-    if inst.ssb_count >= inst.cfg.ssb_entries then
+    if inst.ssb_count >= ssb_entries then
       (* Fall back to scanning the whole old generation at the next
          minor collection rather than lose the edge. *)
       inst.ssb_overflowed <- true
@@ -381,7 +383,7 @@ let major inst =
   inst.ssb_overflowed <- false;
   List.iter
     (fun field_addr ->
-      if inst.ssb_count < inst.cfg.ssb_entries then begin
+      if inst.ssb_count < ssb_entries then begin
         Heap.gc_write heap (inst.ssb_base + inst.ssb_count)
           (Value.fixnum field_addr);
         inst.ssb_count <- inst.ssb_count + 1
@@ -420,7 +422,7 @@ let install heap cfg =
   let limit = Heap.dynamic_limit heap in
   if limit - base < required_dynamic_words cfg then
     invalid_arg "Gc_marksweep.install: dynamic area too small";
-  let ssb_obj = Heap.alloc heap Heap.Static Value.Vector ~len:cfg.ssb_entries in
+  let ssb_obj = Heap.alloc heap Heap.Static Value.Vector ~len:ssb_entries in
   let old_base = base + cfg.nursery_words in
   let inst =
     { heap;

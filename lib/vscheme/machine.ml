@@ -62,14 +62,12 @@ let dynamic_words cfg =
     Gc_generational.required_dynamic_words
       (Gc_generational.config
          ~nursery_words:(words_of_bytes nursery_bytes)
-         ~old_words:(words_of_bytes old_bytes)
-         ())
+         ~old_words:(words_of_bytes old_bytes))
   | Mark_sweep { nursery_bytes; old_bytes } ->
     Gc_marksweep.required_dynamic_words
       (Gc_marksweep.config
          ~nursery_words:(words_of_bytes nursery_bytes)
-         ~old_words:(words_of_bytes old_bytes)
-         ())
+         ~old_words:(words_of_bytes old_bytes))
 
 (* Quoted literals are shared within a machine: a datum equal (by
    [compare]) to one interned before is the same static object, and
@@ -309,15 +307,13 @@ let create cfg =
         (Gc_generational.install heap
            (Gc_generational.config
               ~nursery_words:(words_of_bytes nursery_bytes)
-              ~old_words:(words_of_bytes old_bytes)
-              ()))
+              ~old_words:(words_of_bytes old_bytes)))
     | Mark_sweep { nursery_bytes; old_bytes } ->
       Mark_sweep_collector
         (Gc_marksweep.install heap
            (Gc_marksweep.config
               ~nursery_words:(words_of_bytes nursery_bytes)
-              ~old_words:(words_of_bytes old_bytes)
-              ()))
+              ~old_words:(words_of_bytes old_bytes)))
   in
   let constants = new_constants () in
   let linkage =

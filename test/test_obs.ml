@@ -667,6 +667,24 @@ let test_atomic_fifo_in_place () =
       Alcotest.(check (list string)) "nothing beside it" [ "pipe" ]
         (Array.to_list (Sys.readdir dir)))
 
+(* A link to a regular file in another directory stays a link: the
+   target gets the new bytes, and neither directory keeps a *.tmp. *)
+let test_atomic_symlink () =
+  with_dir (fun dir ->
+      let sub = Filename.concat dir "sub" in
+      Unix.mkdir sub 0o755;
+      let target = Filename.concat sub "real.json" in
+      let link = Filename.concat dir "link.json" in
+      write_string target "old";
+      Unix.symlink (Filename.concat "sub" "real.json") link;
+      write_string link "new";
+      Alcotest.(check bool) "still a link" true
+        ((Unix.lstat link).Unix.st_kind = Unix.S_LNK);
+      Alcotest.(check string) "the target got the new bytes" "new"
+        (read_file target);
+      check_no_leftovers dir;
+      check_no_leftovers sub)
+
 let () =
   Alcotest.run "obs"
     [ ( "json",
@@ -711,7 +729,9 @@ let () =
           Alcotest.test_case "mode = open_out's under the umask" `Quick
             test_atomic_mode;
           Alcotest.test_case "FIFO written in place" `Quick
-            test_atomic_fifo_in_place
+            test_atomic_fifo_in_place;
+          Alcotest.test_case "symlink followed, kept" `Quick
+            test_atomic_symlink
         ] );
       ( "end-to-end",
         [ Alcotest.test_case "gc run emits events" `Quick
