@@ -71,8 +71,8 @@ check-recordings:
 	dune exec bin/repro.exe -- check --gc cheney:1m "$$tmp/lred-gc.v2"
 	@echo "check-recordings: ok"
 
-# The attribution pipeline end to end, serial and with worker domains:
-# record with a sidecar, profile the saved trace (sampled, parallel),
+# The attribution pipeline end to end: record with a sidecar, profile
+# the saved trace (in full, then sampled at another cache size),
 # profile a live run, and statically verify the sidecar alongside its
 # trace.  Exercises `repro profile` the way CI publishes it.
 check-profile:
@@ -85,7 +85,7 @@ check-profile:
 	dune exec bin/repro.exe -- profile --trace "$$tmp/lred.v2" --attr "$$tmp/lred.attr" \
 	  --cache 64k --block 32 --json "$$tmp/lred.json" --folded "$$tmp/lred.folded" \
 	  --no-heatmap > /dev/null; \
-	REPRO_JOBS=2 dune exec bin/repro.exe -- profile --trace "$$tmp/lred.v2" \
+	dune exec bin/repro.exe -- profile --trace "$$tmp/lred.v2" \
 	  --attr "$$tmp/lred.attr" --cache 256k --block 32 --sample 8 \
 	  --no-heatmap > /dev/null; \
 	dune exec bin/repro.exe -- profile nbody --scale 1 --gc cheney:256k \

@@ -436,12 +436,13 @@ let measure_fleet recordings =
       fun recording ->
         Array.iter (fun h -> Memsim.Sweep.hier_run_serial [| h |] recording) )
 
-(* Attribution overhead: the same recording through the same cache
-   column plain (the reference), fully attributed, and 1-in-8 sampled.
-   Aggregate statistics must be bit-identical across all three
-   (sampling only thins the attribution, never the simulation); the
-   ratios are the price of per-event region/site/heat accounting on the
-   fast path. *)
+(* Attribution overhead: the same recording through the one cache
+   `repro profile` simulates in CI (64k, 32-byte blocks) plain (the
+   reference, [Level.access_chunk]), fully attributed, and 1-in-8
+   sampled.  Line state and aggregate statistics must be bit-identical
+   across all three (sampling only thins the attribution, never the
+   simulation); the ratios are the price of per-event
+   region/site/heat accounting on the fast path. *)
 let measure_attribution () =
   let w = Workloads.Workload.nbody in
   let table = Memsim.Attr.create () in
@@ -451,32 +452,32 @@ let measure_attribution () =
     * Memsim.Trace.word_bytes
   in
   let events = Memsim.Recording.length recording in
-  let configs =
-    Memsim.Sweep.grid ~cache_sizes:Memsim.Sweep.paper_cache_sizes
-      ~block_sizes:[ 32 ] ()
+  let cache =
+    Memsim.Level.config ~size_bytes:(Memsim.Sweep.kb 64) ~block_bytes:32
+      ~ways:1 ()
   in
-  let make () = Memsim.Sweep.create configs in
+  let make () = Memsim.Level.create cache in
   let attributed label sample_every =
     { label;
       make;
       drive =
-        (fun sw ->
+        (fun l ->
           ignore
-            (Memsim.Sweep.run_attributed ~sample_every ~addr_limit sw table
+            (Memsim.Sweep.run_attributed ~sample_every ~addr_limit l table
                recording)) }
   in
   Format.fprintf ppf
-    "@.==== attribution-overhead (%s, %d events, %d caches, sampled \
-     1-in-8) ====@."
-    w.name events (List.length configs);
+    "@.==== attribution-overhead (%s, %d events, one 64k/32b cache, \
+     sampled 1-in-8) ====@."
+    w.name events;
   let times, seconds =
-    compare_sides "attribution-overhead" ~same:same_results
+    compare_sides "attribution-overhead" ~same:Memsim.Level.same
       [| { label = "plain";
            make;
            drive =
-             (fun sw ->
-               Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers sw) recording)
-         };
+             (fun l ->
+               Memsim.Recording.iter_chunks recording (fun buf len ->
+                   Memsim.Level.access_chunk l buf 0 len)) };
          attributed "attributed" 1;
          attributed "sampled" 8 |]
   in
@@ -484,7 +485,6 @@ let measure_attribution () =
     Obs.Json.Obj
       ([ ("workload", Obs.Json.Str w.name);
          ("events", Obs.Json.Int events);
-         ("caches", Obs.Json.Int (List.length configs));
          ("sites", Obs.Json.Int (Memsim.Attr.num_sites table));
          ("epochs", Obs.Json.Int (Memsim.Attr.num_epochs table));
          ("sample_every", Obs.Json.Int 8);
@@ -795,7 +795,7 @@ type bound = At_least of float | At_most of float
 let hard_bounds =
   [ ("hierarchy-sweep.hierarchy_speedup", At_least 2.0);
     ("hierarchy-fleet.fleet_speedup", At_least 2.0);
-    ("sweep-serial-vs-parallel.speedup_chunk_vs_per_event", At_least 1.0);
+    ("sweep-serial-vs-parallel.speedup_chunk_vs_per_event", At_least 3.0);
     ("grid-pair.speedup_pair_vs_single", At_least 1.1);
     ("attribution-overhead.overhead_full", At_most 3.0);
     ("trace-append.speedup_direct_vs_sink", At_least 1.0)

@@ -353,9 +353,10 @@ let run_workload ppf w hier geometry policy gc scale metrics trace_events =
   finish_telemetry tel hier h geometry ~metrics ~trace_events
 
 (* The commands that run workloads (run, record, profile): [--jobs N]
-   and [--scale N] under the count rule, then [k scale], with a
-   workload's own failure (the heap exhausted, a runtime error in the
-   program) reported as a `repro:' message and exit 1. *)
+   (profile has none) and [--scale N] under the count rule, then
+   [k scale], with a workload's own failure (the heap exhausted, a
+   runtime error in the program) reported as a `repro:' message and
+   exit 1. *)
 let with_workloads jobs scale k =
   with_opt_count "--jobs" jobs @@ fun n ->
   with_opt_count "--scale" scale @@ fun scale ->
@@ -783,7 +784,7 @@ let render_profile ppf (p : Obs.Profile.t) ~heatmap =
                  Core.Report.eng c.Obs.Profile.writebacks
                ])
          p.Obs.Profile.cells);
-  (match Obs.Profile.top_sites ~n:5 p with
+  (match Obs.Profile.top_sites p with
    | [] -> ()
    | top ->
      Format.fprintf ppf "@.top allocation sites by allocation misses:@.";
@@ -826,9 +827,8 @@ let render_profile ppf (p : Obs.Profile.t) ~heatmap =
   end
 
 let profile_target name trace attr_path (cache_bytes, block_bytes) policy gc
-    heap_bytes scale sample_every json_out folded_out trace_events no_heatmap
-    jobs =
-  with_workloads jobs scale @@ fun scale ->
+    heap_bytes scale sample_every json_out folded_out trace_events no_heatmap =
+  with_workloads None scale @@ fun scale ->
   with_count "--sample" sample_every @@ fun sample_every ->
   with_report [ json_out; folded_out; trace_events ] @@ fun ppf ->
   let source =
@@ -864,21 +864,13 @@ let profile_target name trace attr_path (cache_bytes, block_bytes) policy gc
     Format.eprintf "%s@." msg;
     1
   | Ok (workload, recording, table, addr_limit) ->
-    let caches =
-      [ Memsim.Level.config ~write_miss_policy:policy ~size_bytes:cache_bytes
-          ~block_bytes ~ways:1 ()
-      ]
+    let cache =
+      Memsim.Level.config ~write_miss_policy:policy ~size_bytes:cache_bytes
+        ~block_bytes ~ways:1 ()
     in
     let p =
-      match
-        Core.Profile.profile_recording ~sample_every ~workload ~addr_limit
-          ~caches table recording
-      with
-      | [ p ] -> p
-      | profiles ->
-        Printf.ksprintf failwith
-          "profile: expected one profile for one cache, got %d"
-          (List.length profiles)
+      Core.Profile.profile_recording ~sample_every ~workload ~addr_limit
+        ~cache table recording
     in
     render_profile ppf p ~heatmap:(not no_heatmap);
     let rc_json =
@@ -1189,7 +1181,7 @@ let profile_cmd =
              flamegraph folds and Chrome-trace miss overlays")
     Term.(const profile_target $ workload $ trace $ attr $ geometry_arg
           $ policy_arg $ gc_arg $ heap_arg $ scale_arg $ sample $ json
-          $ folded $ trace_events_arg $ no_heatmap $ jobs_arg)
+          $ folded $ trace_events_arg $ no_heatmap)
 
 (* ------------------------------------------------------------------ *)
 (* golden                                                             *)

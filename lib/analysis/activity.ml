@@ -126,11 +126,11 @@ let ratio_row ~rows ~decades ratio =
     min (rows - 1) (max 0 r)
   end
 
-let render ppf ?(rows = 20) ?(cols = 100) result =
+let render ppf result =
   let n = Array.length result.points in
   if n = 0 then Format.fprintf ppf "(no cache blocks)@."
   else begin
-    let decades = 5 in
+    let rows = 20 and cols = 100 and decades = 5 in
     let canvas = Ascii.create ~rows ~cols in
     Array.iteri
       (fun i p ->

@@ -49,7 +49,7 @@ val sink : t -> Memsim.Trace.sink
 
 val analyze : t -> result
 
-val render : Format.formatter -> ?rows:int -> ?cols:int -> result -> unit
-(** ASCII rendering of the figure: one dot per cache block at
-    (rank, log local miss ratio), with the cumulative miss-ratio curve
-    overlaid as ['C']. *)
+val render : Format.formatter -> result -> unit
+(** ASCII rendering of the figure on a 20-row, 100-column canvas: one
+    dot per cache block at (rank, log local miss ratio), with the
+    cumulative miss-ratio curve overlaid as ['C']. *)

@@ -65,16 +65,11 @@ let cook ~workload ~cache ~events table (p : Memsim.Attr.profile) =
     region_time = Array.copy p.Memsim.Attr.region_time
   }
 
-let profile_recording ?jobs ?sample_every ~workload ~addr_limit ~caches table
+let profile_recording ?sample_every ~workload ~addr_limit ~cache table
     recording =
-  let jobs = match jobs with Some j -> j | None -> Runner.jobs () in
-  let sweep = Memsim.Sweep.create caches in
-  let profiles =
-    Memsim.Sweep.run_attributed ~jobs ?sample_every ~addr_limit sweep table
-      recording
+  let p =
+    Memsim.Sweep.run_attributed ?sample_every ~addr_limit
+      (Memsim.Level.create cache) table recording
   in
-  let events = Memsim.Recording.length recording in
-  List.mapi
-    (fun i cfg ->
-      cook ~workload ~cache:(cache_label cfg) ~events table profiles.(i))
-    caches
+  cook ~workload ~cache:(cache_label cache)
+    ~events:(Memsim.Recording.length recording) table p

@@ -1,8 +1,8 @@
 (** The [repro profile] pipeline: run (or load) a workload trace with
-    its attribution side table, replay it through a cache grid with
-    {!Memsim.Sweep.run_attributed}, and cook the flat accumulators
-    into {!Obs.Profile.t} values ready for JSON, collapsed-stack and
-    heatmap output. *)
+    its attribution side table, replay it through one direct-mapped
+    cache with {!Memsim.Sweep.run_attributed}, and cook the flat
+    accumulator into an {!Obs.Profile.t} ready for JSON,
+    collapsed-stack and heatmap output. *)
 
 val capture :
   ?gc:Vscheme.Machine.gc_spec ->
@@ -30,15 +30,13 @@ val cook :
     explicit. *)
 
 val profile_recording :
-  ?jobs:int ->
   ?sample_every:int ->
   workload:string ->
   addr_limit:int ->
-  caches:Memsim.Level.config list ->
+  cache:Memsim.Level.config ->
   Memsim.Attr.table ->
   Memsim.Recording.t ->
-  Obs.Profile.t list
-(** Attributed replay of a quiescent recording through one cache per
-    configuration, cooked per cache in order.  [jobs] defaults to
-    {!Runner.jobs}[ ()]; sampling and the heat grid as
+  Obs.Profile.t
+(** Attributed replay of a quiescent recording through one
+    direct-mapped [cache], cooked; sampling and the heat grid as
     {!Memsim.Sweep.run_attributed}. *)

@@ -326,10 +326,11 @@ let shift_for ~limit ~buckets =
   done;
   !s
 
-let profile_create ?(heat_rows = 32) ?(heat_cols = 64) ?(sample_every = 1)
-    ~num_sites ~addr_limit ~events () =
-  if heat_rows < 1 || heat_cols < 1 then
-    invalid_arg "Attr.profile_create: heat grid must be at least 1x1";
+(* The miss-heat grid: address buckets by event-index buckets. *)
+let heat_rows = 32
+let heat_cols = 64
+
+let profile_create ?(sample_every = 1) ~num_sites ~addr_limit ~events () =
   if sample_every < 1 then
     invalid_arg "Attr.profile_create: sample_every must be >= 1";
   if num_sites < 1 then invalid_arg "Attr.profile_create: no sites";

@@ -150,8 +150,6 @@ type profile = {
 }
 
 val profile_create :
-  ?heat_rows:int ->
-  ?heat_cols:int ->
   ?sample_every:int ->
   num_sites:int ->
   addr_limit:int ->
@@ -159,9 +157,9 @@ val profile_create :
   unit ->
   profile
 (** Zeroed profile sized for a table with [num_sites] sites, over a
-    trace of [events] events addressing bytes below [addr_limit].
-    Defaults: 32x64 heat grid, every chunk attributed.
-    @raise Invalid_argument on a degenerate grid or sample rate. *)
+    trace of [events] events addressing bytes below [addr_limit], with
+    a 32x64 heat grid.  By default every chunk is attributed.
+    @raise Invalid_argument on a sample rate below 1 or no sites. *)
 
 (** {1 Replay cursor}
 

@@ -6,10 +6,11 @@
    write-validate vs fetch-on-write, collector stores forced to
    fetch-on-write — is the paper's §4 cache (see level.mli).  A 1-way
    level is the paper's direct-mapped cache: its chunk loops are
-   built on one per-event transition, [direct_step], and
-   [access_chunk2] steps two such levels per event so a grid replays
-   its cells two per pass; the per-event [access] stays the oracle
-   they are tested against.
+   built on one per-event transition, [direct_step].  [access_chunk2]
+   steps two such levels per event so a grid replays its cells two per
+   pass, and [access_chunk_attr] steps one level and charges each
+   outcome to a miss-attribution profile; the per-event [access] stays
+   the oracle they are tested against.
 
    A line is one int, its {e line word}: the block number (the tag)
    shifted left by two, bit 1 set when every word of the block is
@@ -1234,25 +1235,18 @@ let[@inline] charge_outcome (prof : Attr.profile) o slot w p site wb_slot =
 
 (* Attribution must not reorder or change the simulation, so it is the
    direct-mapped step itself, with every outcome charged to the
-   event's (region x phase) slot in [pa] beside the aggregate bump the
-   step made: that is what makes the per-slot sums equal the aggregate
-   counters exactly.  A write-back is charged to the evicted block's
-   region under the map in force now.  [base] is the recording-global
-   index of [buf.(off)], and [cur]'s side-table logs are consumed
-   forward from it; [len] is below [stream_span].  Attribution is
-   defined for recorded events (kind codes 0-2) only.
-
-   With [pair] the loop also steps [b] and charges [pb], as
-   [run_pair] does for the plain grid: the cursor, the event's slot
-   and the stream counters are shared, since both levels see the same
-   events under the same map.  [pair] is a constant at both inlined
-   uses. *)
-let[@inline] attr_loop pair a b (cur : Attr.cursor) (pa : Attr.profile)
-    (pb : Attr.profile) base (buf : Chunk.buf) off len =
-  let la = a.lines and lb = b.lines in
-  let sa = a.block_shift + 3 and ma = a.set_mask in
-  let sb = b.block_shift + 3 and mb = b.set_mask in
-  let pka = policy_kind a and pkb = policy_kind b in
+   event's (region x phase) slot in [prof] beside the aggregate bump
+   the step made: that is what makes the per-slot sums equal the
+   aggregate counters exactly.  A write-back is charged to the evicted
+   block's region under the map in force now.  [base] is the
+   recording-global index of [buf.(off)], and [cur]'s side-table logs
+   are consumed forward from it; [len] is below [stream_span].
+   Attribution is defined for recorded events (kind codes 0-2) only. *)
+let[@hot] run_attr t (cur : Attr.cursor) (prof : Attr.profile) base
+    (buf : Chunk.buf) off len =
+  let lines = t.lines in
+  let shift = t.block_shift + 3 and mask = t.set_mask in
+  let pk = policy_kind t in
   let acc = ref 0 in
   let tbl = cur.Attr.ctab in
   let epoch_pos = tbl.Attr.epoch_pos
@@ -1297,33 +1291,18 @@ let[@inline] attr_loop pair a b (cur : Attr.cursor) (pa : Attr.profile)
        lsl 1)
       lor (w land 1)
     in
-    charge_event pa slot w !cur_site;
-    let old = Array.unsafe_get la ((w lsr sa) land ma) in
-    let o = direct_step a la sa ma pka w in
+    charge_event prof slot w !cur_site;
+    let old = Array.unsafe_get lines ((w lsr shift) land mask) in
+    let o = direct_step t lines shift mask pk w in
     if o <> 0 then
-      charge_outcome pa o slot w p !cur_site
-        ((region_of (tag_of old lsl a.block_shift) !stack_lo !dyn_lo !to_lo
+      charge_outcome prof o slot w p !cur_site
+        ((region_of (tag_of old lsl t.block_shift) !stack_lo !dyn_lo !to_lo
             !to_hi !from_lo !from_hi
          lsl 1)
-        lor (w land 1));
-    if pair then begin
-      charge_event pb slot w !cur_site;
-      let old = Array.unsafe_get lb ((w lsr sb) land mb) in
-      let o = direct_step b lb sb mb pkb w in
-      if o <> 0 then
-        charge_outcome pb o slot w p !cur_site
-          ((region_of (tag_of old lsl b.block_shift) !stack_lo !dyn_lo !to_lo
-              !to_hi !from_lo !from_hi
-           lsl 1)
-          lor (w land 1))
-    end
+        lor (w land 1))
   done;
-  commit_packed a.cnt len !acc;
-  pa.Attr.events_attributed <- pa.Attr.events_attributed + len;
-  if pair then begin
-    commit_packed b.cnt len !acc;
-    pb.Attr.events_attributed <- pb.Attr.events_attributed + len
-  end;
+  commit_packed t.cnt len !acc;
+  prof.Attr.events_attributed <- prof.Attr.events_attributed + len;
   cur.Attr.ei <- !ei;
   cur.Attr.si <- !si;
   cur.Attr.cur_site <- !cur_site;
@@ -1333,12 +1312,6 @@ let[@inline] attr_loop pair a b (cur : Attr.cursor) (pa : Attr.profile)
   cur.Attr.to_hi <- !to_hi;
   cur.Attr.from_lo <- !from_lo;
   cur.Attr.from_hi <- !from_hi
-
-let[@hot] run_attr t cur prof base buf off len =
-  attr_loop false t t cur prof prof base buf off len
-
-let[@hot] run_attr2 a b cur pa pb base buf off len =
-  attr_loop true a b cur pa pb base buf off len
 
 (* The chunk step behind both entry points: the geometry alone picks
    the loop. *)
@@ -1366,18 +1339,6 @@ let access_chunk_attr t (cur : Attr.cursor) (prof : Attr.profile) ~base
   while !pos < off + len do
     let n = Int.min stream_span (off + len - !pos) in
     run_attr t cur prof (base + !pos - off) buf !pos n;
-    pos := !pos + n
-  done
-
-let access_chunk_attr2 a b cur pa pb ~base buf off len =
-  check_attr "Level.access_chunk_attr2" a ~base buf off len;
-  check_attr "Level.access_chunk_attr2" b ~base buf off len;
-  if a == b || pa == pb then
-    invalid_arg "Level.access_chunk_attr2: the two levels or profiles are one";
-  let pos = ref off in
-  while !pos < off + len do
-    let n = Int.min stream_span (off + len - !pos) in
-    run_attr2 a b cur pa pb (base + !pos - off) buf !pos n;
     pos := !pos + n
   done
 

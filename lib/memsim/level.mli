@@ -180,18 +180,6 @@ val access_chunk_attr :
     negative, the level has more than one way, or fill hooks are
     installed. *)
 
-val access_chunk_attr2 :
-  t -> t -> Attr.cursor -> Attr.profile -> Attr.profile -> base:int ->
-  Chunk.buf -> int -> int -> unit
-(** [access_chunk_attr2 a b cur pa pb ~base buf off len] leaves [a],
-    [b], [pa] and [pb] as [access_chunk_attr a cur pa] and
-    [access_chunk_attr b cur' pb] over the same range would, with
-    [cur'] a copy of [cur]: one cursor serves both levels, since they
-    see the same events.  Each event is read, and its region found,
-    once.
-    @raise Invalid_argument as {!access_chunk_attr} for either level,
-    or when the two levels or the two profiles are one. *)
-
 val stats : t -> Cache.stats
 (** The level's counters. *)
 

@@ -249,51 +249,27 @@ let hier_run_serial hiers recording = hier_run_parallel ~jobs:1 hiers recording
 
 (* --- Attributed replay --------------------------------------------------- *)
 
-(* Cells pair up as in [replay]: the claim of an even index replays
-   that cell and the next through one cursor, and an odd index's claim
-   has nothing to do; a last odd cell replays alone.  Each claim gets
-   a private cursor, so the only state shared between domains is
-   read-only (the recording's sealed slabs and the completed side
-   table) or partitioned by level index (the profile array). *)
-let run_attributed ?(jobs = 1) ?(sample_every = 1) ~addr_limit t table
-    recording =
-  if sample_every < 1 then
-    invalid_arg "Sweep.run_attributed: sample_every must be >= 1";
+(* One cursor walks the side table forward beside the replay; a chunk
+   the sample skips takes the plain loop, and the cursor catches up at
+   the next attributed one. *)
+let run_attributed ?sample_every ~addr_limit level table recording =
   let events = Recording.length recording in
-  let num_sites = Attr.num_sites table in
-  let profiles =
-    Array.map
-      (fun _ ->
-        Attr.profile_create ~sample_every ~num_sites ~addr_limit ~events ())
-      t.levels
+  let prof =
+    Attr.profile_create ?sample_every ~num_sites:(Attr.num_sites table)
+      ~addr_limit ~events ()
   in
-  let n = Array.length t.levels in
-  parallel_for ~jobs n (fun i ->
-      if i land 1 = 0 then begin
-        let a = t.levels.(i) and pa = profiles.(i) in
-        let partner =
-          if i + 1 < n then Some (t.levels.(i + 1), profiles.(i + 1)) else None
-        in
-        let note attributed (prof : Attr.profile) =
-          prof.Attr.chunks_seen <- prof.Attr.chunks_seen + 1;
-          if attributed then
-            prof.Attr.chunks_attributed <- prof.Attr.chunks_attributed + 1
-        in
-        let cur = Attr.cursor table in
-        let chunk_no = ref 0 in
-        replay_range recording ~from_:0 ~until:events (fun ~base buf off len ->
-            let attributed = !chunk_no mod sample_every = 0 in
-            incr chunk_no;
-            note attributed pa;
-            Option.iter (fun (_, pb) -> note attributed pb) partner;
-            match (partner, attributed) with
-            | None, true -> Level.access_chunk_attr a cur pa ~base buf off len
-            | None, false -> Level.access_chunk a buf off len
-            | Some (b, pb), true ->
-              Level.access_chunk_attr2 a b cur pa pb ~base buf off len
-            | Some (b, _), false -> Level.access_chunk2 a b buf off len)
-      end);
-  profiles
+  let cur = Attr.cursor table in
+  let chunk_no = ref 0 in
+  replay_range recording ~from_:0 ~until:events (fun ~base buf off len ->
+      let attributed = !chunk_no mod prof.Attr.sample_every = 0 in
+      incr chunk_no;
+      prof.Attr.chunks_seen <- prof.Attr.chunks_seen + 1;
+      if attributed then begin
+        prof.Attr.chunks_attributed <- prof.Attr.chunks_attributed + 1;
+        Level.access_chunk_attr level cur prof ~base buf off len
+      end
+      else Level.access_chunk level buf off len);
+  prof
 
 (* --- Checkpoint / resume ------------------------------------------------ *)
 

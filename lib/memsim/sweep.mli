@@ -76,27 +76,23 @@ val parallel_for : jobs:int -> int -> (int -> unit) -> unit
 (** {1 Attributed replay} *)
 
 val run_attributed :
-  ?jobs:int ->
   ?sample_every:int ->
   addr_limit:int ->
-  t ->
+  Level.t ->
   Attr.table ->
   Recording.t ->
-  Attr.profile array
-(** Like {!hier_run_parallel} over {!hiers} (with [jobs] defaulting
-    to 1) but through {!Level.access_chunk_attr}: returns one
-    {!Attr.profile} per cell, in configuration order, attributing
-    misses, fetches, writes and write-backs by (region x phase),
+  Attr.profile
+(** Replay a recording through one direct-mapped level with
+    {!Level.access_chunk_attr}, returning its {!Attr.profile}: misses,
+    fetches, writes and write-backs attributed by (region x phase),
     allocation site and (address x time) heat bucket against the side
-    [table] captured with the recording.  Cells are replayed two per
-    pass ({!Level.access_chunk_attr2}); each profile equals the one a
-    one-cell sweep of that cell returns.  Line contents and aggregate
-    statistics are bit-identical to {!hier_run_serial}.
-    [sample_every] attributes only every Nth chunk (the rest replay
-    through the plain fast path, so aggregate statistics are still
-    exact); [addr_limit] is the simulated memory size in bytes, used
-    to scale the heat grid ({!Attr.profile_create}'s default 32x64).
-    @raise Invalid_argument as {!Level.access_chunk_attr} (every cell
+    [table] captured with the recording.  Line contents and aggregate
+    statistics are bit-identical to a plain replay of the level
+    ({!Level.access_chunk}).  [sample_every] attributes only every Nth
+    chunk (the rest replay through the plain fast path, so aggregate
+    statistics are still exact); [addr_limit] is the simulated memory
+    size in bytes, used to scale the heat grid.
+    @raise Invalid_argument as {!Level.access_chunk_attr} (the level
     must be direct-mapped), or when [sample_every < 1]. *)
 
 (** {1 Hierarchy replay, checkpoint and resume}

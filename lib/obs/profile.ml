@@ -42,13 +42,7 @@ let num_regions = Array.length region_names
 
 let total_misses t = List.fold_left (fun acc c -> acc + c.misses) 0 t.cells
 
-let top_sites ?(n = 5) t =
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | s :: rest -> s :: take (n - 1) rest
-  in
-  take n t.sites
+let top_sites t = List.filteri (fun i _ -> i < 5) t.sites
 
 let cell_json c =
   Json.Obj

@@ -59,8 +59,8 @@ val region_names : string array
 val total_misses : t -> int
 (** Sum of [misses] over all cells. *)
 
-val top_sites : ?n:int -> t -> site list
-(** First [n] (default 5) sites by [alloc_misses]. *)
+val top_sites : t -> site list
+(** The first five sites by [alloc_misses]. *)
 
 val to_json : t -> Json.t
 (** Stable schema: scalars, ["cells"], ["sites"], ["heat"]

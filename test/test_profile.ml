@@ -1,6 +1,6 @@
 (* Attribution-profiler tests: conservation of the per-region /
    per-phase / per-site accounting against the aggregate cache
-   counters (differential, serial and parallel), sampling exactness,
+   counters and line state (differential), sampling exactness,
    sidecar persistence, the attr checker rules, and the presentation
    pipeline (cook, heatmap rendering, collapsed stacks, overlays). *)
 
@@ -22,34 +22,37 @@ let small_caches =
 
 (* --- Conservation: attribution sums to the aggregate counters ------- *)
 
-(* Replay one captured recording twice over the same cache grid — once
-   plain (the oracle), once attributed — and check that (1) aggregate
-   statistics are bit-identical, and (2) with every chunk attributed,
-   each profile array sums per phase to the corresponding aggregate
-   counter exactly. *)
-let check_conservation ?gc ?(jobs = Core.Runner.jobs ()) ?(sample_every = 1) w
-    =
+(* Replay one captured recording through each cell of the grid twice
+   — once plain (the oracle), once attributed — and check that (1) line
+   state and aggregate statistics are bit-identical, and (2) with every
+   chunk attributed, each profile array sums per phase to the
+   corresponding aggregate counter exactly. *)
+let check_conservation ?gc ?(sample_every = 1) w =
   let _r, recording, table, addr_limit =
     Core.Profile.capture ?gc ~scale:1 w
   in
   let events = Memsim.Recording.length recording in
   Alcotest.(check bool) "trace is non-trivial" true (events > 0);
-  let plain = Memsim.Sweep.create small_caches in
-  Memsim.Sweep.hier_run_serial (Memsim.Sweep.hiers plain) recording;
-  let swept = Memsim.Sweep.create small_caches in
-  let profiles =
-    Memsim.Sweep.run_attributed ~jobs ~sample_every ~addr_limit swept table
-      recording
-  in
-  let oracle = Memsim.Sweep.results plain in
-  let attributed = Memsim.Sweep.results swept in
   List.iteri
-    (fun i ((_, s), (_, s')) ->
+    (fun i cfg ->
       let open Memsim.Cache in
-      let p = profiles.(i) in
+      let plain = Memsim.Level.create cfg in
+      Memsim.Recording.iter_chunks recording (fun buf len ->
+          Memsim.Level.access_chunk plain buf 0 len);
+      let attributed = Memsim.Level.create cfg in
+      let p =
+        Memsim.Sweep.run_attributed ~sample_every ~addr_limit attributed
+          table recording
+      in
+      let s = Memsim.Level.stats plain in
       Alcotest.(check bool)
         (Printf.sprintf "cache %d: aggregate stats bit-identical" i)
-        true (s = s');
+        true
+        (s = Memsim.Level.stats attributed);
+      Alcotest.(check bool)
+        (Printf.sprintf "cache %d: line state bit-identical" i)
+        true
+        (Memsim.Level.same plain attributed);
       Alcotest.(check int) "sample rate echoed" sample_every
         p.Memsim.Attr.sample_every;
       Alcotest.(check int) "every chunk counted"
@@ -121,7 +124,8 @@ let check_conservation ?gc ?(jobs = Core.Runner.jobs ()) ?(sample_every = 1) w
             true
             (am <= p.Memsim.Attr.site_alloc_writes.(si)))
         p.Memsim.Attr.site_alloc_misses)
-    (List.combine oracle attributed)
+    small_caches;
+  Memsim.Recording.release recording
 
 let test_conservation_nogc () =
   List.iter check_conservation
@@ -132,11 +136,6 @@ let test_conservation_gc () =
     ~gc:(Vscheme.Machine.Cheney { semispace_bytes = 256 * 1024 })
     Workloads.Workload.nbody
 
-let test_conservation_parallel () =
-  check_conservation ~jobs:2
-    ~gc:(Vscheme.Machine.Cheney { semispace_bytes = 256 * 1024 })
-    Workloads.Workload.nbody
-
 let test_conservation_sampled () =
   check_conservation ~sample_every:4
     ~gc:(Vscheme.Machine.Cheney { semispace_bytes = 256 * 1024 })
@@ -144,60 +143,17 @@ let test_conservation_sampled () =
 
 (* A collected run must attribute real traffic to the dynamic regions
    and to at least one non-runtime allocation site. *)
-(* [run_attributed] replays cells two per pass, through one cursor; a
-   one-cell sweep replays alone.  Over three cells (a pair and an odd
-   one), fully attributed and sampled, every profile and every cell's
-   counters equal those of the cell's own one-cell replay. *)
-let test_paired_equals_alone () =
-  let _r, recording, table, addr_limit =
-    Core.Profile.capture
-      ~gc:(Vscheme.Machine.Cheney { semispace_bytes = 65536 })
-      ~scale:1 Workloads.Workload.nbody
-  in
-  let configs =
-    [ Memsim.Level.config ~size_bytes:(32 * 1024) ~block_bytes:32 ~ways:1 ();
-      Memsim.Level.config ~size_bytes:(256 * 1024) ~block_bytes:128 ~ways:1
-        ~write_miss_policy:Memsim.Cache.Fetch_on_write ();
-      Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:16 ~ways:1 () ]
-  in
-  List.iter
-    (fun sample_every ->
-      let swept = Memsim.Sweep.create configs in
-      let profiles =
-        Memsim.Sweep.run_attributed ~sample_every ~addr_limit swept table
-          recording
-      in
-      List.iteri
-        (fun i cfg ->
-          let alone = Memsim.Sweep.create [ cfg ] in
-          let prof =
-            Memsim.Sweep.run_attributed ~sample_every ~addr_limit alone table
-              recording
-          in
-          let what = Printf.sprintf "cell %d, 1-in-%d" i sample_every in
-          Alcotest.(check bool) (what ^ ": profile = alone") true
-            (profiles.(i) = prof.(0));
-          Alcotest.(check bool) (what ^ ": stats = alone") true
-            (snd (List.nth (Memsim.Sweep.results swept) i)
-             = snd (List.hd (Memsim.Sweep.results alone))))
-        configs)
-    [ 1; 3 ];
-  Memsim.Recording.release recording
-
 let test_attribution_is_meaningful () =
   let _r, recording, table, addr_limit =
     Core.Profile.capture
       ~gc:(Vscheme.Machine.Cheney { semispace_bytes = 256 * 1024 })
       ~scale:1 Workloads.Workload.nbody
   in
-  let swept =
-    Memsim.Sweep.create
-      (Memsim.Sweep.grid ~cache_sizes:[ 64 * 1024 ] ~block_sizes:[ 32 ] ())
+  let level =
+    Memsim.Level.create
+      (Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:32 ~ways:1 ())
   in
-  let profiles =
-    Memsim.Sweep.run_attributed ~addr_limit swept table recording
-  in
-  let p = profiles.(0) in
+  let p = Memsim.Sweep.run_attributed ~addr_limit level table recording in
   Alcotest.(check bool) "region map was published" true
     (Memsim.Attr.num_epochs table > 0);
   Alcotest.(check bool) "several sites interned" true
@@ -438,8 +394,7 @@ let cooked_fixture () =
   let s_cons = Memsim.Attr.intern_site table "prim:cons" in
   let s_vec = Memsim.Attr.intern_site table "prim:make-vector" in
   let p =
-    Memsim.Attr.profile_create ~heat_rows:2 ~heat_cols:2
-      ~num_sites:(Memsim.Attr.num_sites table)
+    Memsim.Attr.profile_create ~num_sites:(Memsim.Attr.num_sites table)
       ~addr_limit:1024 ~events:100 ()
   in
   let slot r ph = (r * 2) + ph in
@@ -486,8 +441,9 @@ let test_cook () =
      Alcotest.(check (list string)) "runtime site dropped" []
        (List.map (fun s -> s.Obs.Profile.site) rest)
    | _ -> Alcotest.fail "expected two active sites");
-  Alcotest.(check int) "top_sites bounds" 1
-    (List.length (Obs.Profile.top_sites ~n:1 prof));
+  Alcotest.(check (list string)) "top_sites keeps both, in rank order"
+    [ "prim:cons"; "prim:make-vector" ]
+    (List.map (fun s -> s.Obs.Profile.site) (Obs.Profile.top_sites prof));
   (* collapsed stacks carry workload;site weight lines *)
   let folded = Obs.Profile.collapsed_stacks prof in
   Alcotest.(check bool) "folded has cons line" true
@@ -530,14 +486,13 @@ let test_profile_recording_pipeline () =
       ~gc:(Vscheme.Machine.Cheney { semispace_bytes = 256 * 1024 })
       ~scale:1 Workloads.Workload.nbody
   in
-  let caches =
-    Memsim.Sweep.grid ~cache_sizes:[ 64 * 1024 ] ~block_sizes:[ 32 ] ()
+  let cache =
+    Memsim.Level.config ~size_bytes:(64 * 1024) ~block_bytes:32 ~ways:1 ()
   in
-  let profs =
-    Core.Profile.profile_recording ~workload:"nbody" ~addr_limit ~caches table
+  let prof =
+    Core.Profile.profile_recording ~workload:"nbody" ~addr_limit ~cache table
       recording
   in
-  let prof = List.hd profs in
   Alcotest.(check int) "events echoed" (Memsim.Recording.length recording)
     prof.Obs.Profile.events;
   Alcotest.(check string) "cache label" "64k/32b write-validate"
@@ -560,12 +515,8 @@ let () =
     [ ( "conservation",
         [ Alcotest.test_case "no-gc workloads" `Quick test_conservation_nogc;
           Alcotest.test_case "collected run" `Quick test_conservation_gc;
-          Alcotest.test_case "parallel replay" `Quick
-            test_conservation_parallel;
           Alcotest.test_case "sampled replay" `Quick
             test_conservation_sampled;
-          Alcotest.test_case "paired cells = each alone" `Quick
-            test_paired_equals_alone;
           Alcotest.test_case "attribution is meaningful" `Quick
             test_attribution_is_meaningful
         ] );
